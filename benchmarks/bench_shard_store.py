@@ -1,4 +1,4 @@
-"""Perf — out-of-core shard store: compaction, range queries, async spill.
+"""Perf — out-of-core shard store: spill, compaction, range queries.
 
 Exercises the full ``repro.store`` pipeline on one factor pair:
 
@@ -9,9 +9,7 @@ Exercises the full ``repro.store`` pipeline on one factor pair:
 3. serve ``degree`` / ``neighbors`` / ``egonet`` / ``edges_in_range`` queries
    from the :class:`repro.store.ShardStore` and assert every answer is
    identical to the materialized :class:`~repro.core.KroneckerGraph` — while
-   counting that only the manifest-selected shards were decoded;
-4. repeat the spill through the threaded :class:`repro.store.AsyncShardSink`
-   and assert the compacted store is byte-for-byte the same.
+   counting that only the manifest-selected shards were decoded.
 
 Runs in two modes:
 
@@ -21,11 +19,12 @@ Runs in two modes:
 * **full** — ``pytest -m slow benchmarks/bench_shard_store.py``: the
   Section VI-scale pair (~450k product edges) with measured compaction
   throughput, cold/warm query latency (the LRU serving the "heavy traffic"
-  pattern), and sync-vs-async spill wall time.
+  pattern), and spill wall time.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -36,19 +35,20 @@ from repro.core import KroneckerGraph
 from repro.graphs import NpyShardSink
 from repro.graphs.egonet import egonet
 from repro.parallel import distributed_generate
-from repro.store import AsyncShardSink, ShardStore, compact_shards
+from repro.store import ShardStore, compact_shards
 from benchmarks._report import emit_bench_json, print_section
 
 N_RANKS = 8
 
 
-def _spill(factor_a, factor_b, directory, *, sink_cls, n_ranks, block):
+def _spill(factor_a, factor_b, directory, *, n_ranks, block):
     product = KroneckerGraph(factor_a, factor_b)
-    sink = sink_cls(directory, name=product.name, n_vertices=product.n_vertices)
+    sink = NpyShardSink(directory, name=product.name,
+                        n_vertices=product.n_vertices)
     start = time.perf_counter()
     distributed_generate(factor_a, factor_b, n_ranks,
                          streaming=True, a_edges_per_block=block, sink=sink)
-    return sink, time.perf_counter() - start
+    return time.perf_counter() - start
 
 
 def _sorted_reference(product):
@@ -77,24 +77,13 @@ def _assert_store_matches_product(store, product, *, n_probe=24, seed=0):
 def _run_pipeline(factor_a, factor_b, tmp_path, *, n_ranks, block, target, label):
     product = KroneckerGraph(factor_a, factor_b)
 
-    _, sync_time = _spill(factor_a, factor_b, tmp_path / "spill",
-                          sink_cls=NpyShardSink, n_ranks=n_ranks, block=block)
-    async_sink, async_time = _spill(factor_a, factor_b, tmp_path / "async-spill",
-                                    sink_cls=AsyncShardSink,
-                                    n_ranks=n_ranks, block=block)
+    spill_time = _spill(factor_a, factor_b, tmp_path / "spill",
+                        n_ranks=n_ranks, block=block)
 
     start = time.perf_counter()
     manifest = compact_shards(tmp_path / "spill", tmp_path / "store",
                               target_shard_edges=target)
     compact_time = time.perf_counter() - start
-    async_manifest = compact_shards(tmp_path / "async-spill", tmp_path / "async-store",
-                                    target_shard_edges=target)
-
-    # The async and sync spills must compact to identical stores.
-    assert async_manifest["shards"] == manifest["shards"]
-    for shard in manifest["shards"]:
-        assert np.array_equal(np.load(tmp_path / "store" / shard["file"]),
-                              np.load(tmp_path / "async-store" / shard["file"]))
 
     store = ShardStore(tmp_path / "store", cache_shards=4)
     _assert_store_matches_product(store, product)
@@ -110,12 +99,10 @@ def _run_pipeline(factor_a, factor_b, tmp_path, *, n_ranks, block, target, label
     print_section(f"Perf — out-of-core shard store ({label})")
     print(f"  product: {product.nnz:,} directed edges over {n_ranks} ranks; "
           f"{len(manifest['shards'])} compacted shards of ≤ {target:,} edges")
-    print(f"  spill:   sync {sync_time * 1e3:.1f} ms, async {async_time * 1e3:.1f} ms "
-          f"(writer busy {async_sink.writer_busy_s * 1e3:.1f} ms, "
-          f"back-pressure {async_sink.producer_wait_s * 1e3:.1f} ms)")
+    print(f"  spill:   {spill_time * 1e3:.1f} ms")
     print(f"  compact: {manifest['total_edges'] / compact_time:,.0f} edges/s "
           f"({compact_time * 1e3:.1f} ms)")
-    return store, manifest, async_sink, (sync_time, async_time, compact_time)
+    return store, manifest, (spill_time, compact_time)
 
 
 def test_shard_store_smoke(tmp_path):
@@ -123,7 +110,7 @@ def test_shard_store_smoke(tmp_path):
     factor_a = generators.webgraph_like(60, edges_per_vertex=3,
                                         triad_probability=0.6, seed=3)
     factor_b = generators.triangle_constrained_pa(20, seed=13)
-    store, manifest, _, _ = _run_pipeline(
+    store, manifest, _ = _run_pipeline(
         factor_a, factor_b, tmp_path, n_ranks=N_RANKS, block=8,
         target=1500, label="smoke")
     assert manifest["format_version"] == 2
@@ -137,12 +124,12 @@ def test_shard_store_smoke(tmp_path):
 
 @pytest.mark.slow
 def test_shard_store_throughput_full(tmp_path):
-    """Full sizes: query throughput with a warm LRU and async spill overlap."""
+    """Full sizes: spill and compaction time, query latency with a warm LRU."""
     factor_a = generators.webgraph_like(320, edges_per_vertex=3,
                                         triad_probability=0.6, seed=3)
     factor_b = generators.triangle_constrained_pa(90, seed=13)
     product = KroneckerGraph(factor_a, factor_b)
-    store, manifest, async_sink, times = _run_pipeline(
+    store, manifest, times = _run_pipeline(
         factor_a, factor_b, tmp_path, n_ranks=N_RANKS, block=32,
         target=65_536, label="full")
 
@@ -176,19 +163,14 @@ def test_shard_store_throughput_full(tmp_path):
           f"({store.cache_hits} cache hits)")
     print(f"  cache residency: {stats['mapped_bytes'] / 1e6:.1f} MB mapped, "
           f"{stats['resident_bytes']} bytes copied (mmap decode)")
-    print(f"  async/sync spill wall-time ratio: {times[1] / times[0]:.2f}×")
-    # Correctness (byte-identical stores) is asserted above; the timing bound
-    # only guards against pathological overhead, loose enough for noisy CI.
-    assert times[1] <= times[0] * 10, \
-        "async sink overhead blew past 10× the synchronous spill"
 
     emit_bench_json("shard_store", {
         "mode": "full",
         "product_edges": int(product.nnz),
         "n_shards": int(store.n_shards),
-        "compact_edges_per_s": round(manifest["total_edges"] / times[2], 1),
-        "spill_sync_s": round(times[0], 4),
-        "spill_async_s": round(times[1], 4),
+        "compact_edges_per_s": round(manifest["total_edges"] / times[1], 1),
+        "nproc": os.cpu_count(),
+        "spill_s": round(times[0], 4),
         "egonets_cold_ms": round(cold_time * 1e3, 2),
         "egonets_warm_ms": round(warm_time * 1e3, 2),
         "mapped_bytes_warm": int(stats["mapped_bytes"]),

@@ -45,9 +45,10 @@ import numpy as np
 
 from repro import core, generators
 from repro.core import ValidationAccumulator
+from repro.graphs import NpyShardSink
 from repro.parallel import distributed_generate
 from repro.serve import QueryClient, ThreadedServer
-from repro.store import AsyncShardSink, ShardStore, compact_shards
+from repro.store import ShardStore, compact_shards
 
 
 def main() -> None:
@@ -70,17 +71,16 @@ def main() -> None:
         store_dir = Path(tmp) / "store"
 
         # --------------------------------------------------------------
-        # 1. Stream the product to disk; the async sink overlaps shard
-        #    writes with block generation, and the reduced aggregates are
-        #    validated against the factor-side closed forms on the fly.
-        #    payload_columns widens every spilled block with the exact
-        #    per-edge ground truth, evaluated through the run's single
-        #    cached-key gatherer.
+        # 1. Stream the product to disk, one .npy shard per block, with the
+        #    reduced aggregates validated against the factor-side closed
+        #    forms on the fly.  payload_columns widens every spilled block
+        #    with the exact per-edge ground truth, evaluated through the
+        #    run's single cached-key gatherer.
         # --------------------------------------------------------------
         payload = ("triangles", "trussness")
-        sink = AsyncShardSink(spill, name=product.name,
-                              n_vertices=product.n_vertices,
-                              payload_columns=payload)
+        sink = NpyShardSink(spill, name=product.name,
+                            n_vertices=product.n_vertices,
+                            payload_columns=payload)
         start = time.perf_counter()
         result = distributed_generate(factor_a, factor_b, args.ranks,
                                       streaming=True, a_edges_per_block=256,
@@ -89,8 +89,7 @@ def main() -> None:
         report = ValidationAccumulator(factor_a, factor_b,
                                        stats=result.stats).validate(result.total)
         print(f"\nstreamed {result.n_edges:,} edges over {args.ranks} ranks "
-              f"in {spill_time:.2f}s "
-              f"(writer busy {sink.writer_busy_s:.2f}s, overlapped)")
+              f"in {spill_time:.2f}s")
         print(f"on-the-fly validation: {'PASS' if report.passed else 'FAIL'}")
 
         # --------------------------------------------------------------

@@ -30,11 +30,11 @@ published artefacts of the paper:
     streaming rank pipeline: every rank folds its blocks into aggregates,
     the aggregates are allreduced, and the result is validated on the fly
     against the closed-form factor statistics — no full edge list is ever
-    held in memory.  ``--async-io`` swaps in the threaded
-    :class:`repro.store.AsyncShardSink` so shard writes overlap generation.
-    ``--payload triangles,trussness`` widens the spilled shards with exact
-    per-edge ground-truth columns (evaluated per block through the factored
-    statistics), recorded by name in the manifest.
+    held in memory.  ``--payload triangles,trussness`` widens the spilled
+    shards with exact per-edge ground-truth columns (evaluated per block
+    through the factored statistics), recorded by name in the manifest; a
+    payload spill always runs through the rank pipeline, on one rank when
+    ``--ranks`` is not given.
 
 ``repro-kron compact``
     Compact a per-block spill directory into a source-sorted store with a
@@ -113,7 +113,11 @@ from repro.graphs import (
 )
 from repro.graphs.io import read_shard_manifest
 from repro.lint import LintEngine, all_rules, render_json, render_text
-from repro.parallel import distributed_generate, stream_edges_to_file
+from repro.parallel import (
+    KNOWN_PAYLOAD_COLUMNS,
+    distributed_generate,
+    stream_edges_to_file,
+)
 from repro.serve import (
     PROTOCOL_VERSION,
     FleetStore,
@@ -130,14 +134,7 @@ from repro.serve.shaping import (
     shape_neighbors,
     shape_range,
 )
-from repro.store import (
-    KNOWN_PAYLOAD_COLUMNS,
-    AsyncShardSink,
-    PayloadEvaluator,
-    ShardStore,
-    compact_shards,
-    partition_manifest,
-)
+from repro.store import ShardStore, compact_shards, partition_manifest
 
 __all__ = ["main", "build_parser"]
 
@@ -227,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="spill format; 'auto' picks TSV for *.tsv/*.txt "
                              "outputs and .npy shards otherwise")
     stream.add_argument("--max-edges", type=int, default=None,
-                        help="cap on edges written (single-rank spill only)")
+                        help="cap on edges written (single-rank spills "
+                             "without --payload only)")
     stream.add_argument("--block", type=int, default=1024,
                         help="A-entries per streamed block (memory bound)")
     stream.add_argument("--ranks", type=int, default=None, metavar="N",
@@ -236,16 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "against the closed-form factor statistics")
     stream.add_argument("--processes", action="store_true",
                         help="with --ranks: fan the ranks out on a process pool")
-    stream.add_argument("--async-io", action="store_true",
-                        help="with --ranks: overlap shard writes with block "
-                             "generation via a threaded writer sink "
-                             "(in-process ranks only)")
     stream.add_argument("--payload", type=str, default=None, metavar="COLS",
                         help="comma-separated per-edge ground-truth columns "
                              "to carry in the spilled shards (from: "
-                             "triangles, trussness); shards become "
-                             "(m, 2+k) rows and the manifest records the "
-                             "column names (.npy shard format only)")
+                             f"{', '.join(KNOWN_PAYLOAD_COLUMNS)}); shards "
+                             "become (m, 2+k) rows and the manifest records the "
+                             "column names (.npy shard format only; runs "
+                             "the rank pipeline, on one rank without "
+                             "--ranks)")
 
     compact = sub.add_parser(
         "compact",
@@ -320,12 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workers per slice with --fleet (default 1); "
                             "a failed worker call is retried once against "
                             "the next replica")
-    serve.add_argument("--slow-log", type=Path, default=None, metavar="FILE",
-                       help="append one JSON line per slow query to FILE "
-                            "(op, elapsed_us, ok, trace id)")
     serve.add_argument("--slow-ms", type=float, default=None, metavar="MS",
-                       help="slow-query threshold in milliseconds "
-                            "(default 100 when --slow-log is set)")
+                       help="slow-request threshold in milliseconds: slower "
+                            "requests count in serve.slow_queries and emit a "
+                            "serve.slow_request event carrying their trace "
+                            "id (default: off)")
 
     profile = sub.add_parser(
         "profile",
@@ -499,42 +494,35 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     payload_columns = _parse_payload_columns(args.payload)
     if args.processes and args.ranks is None:
         raise SystemExit("--processes requires --ranks")
-
-    if args.async_io and args.ranks is None:
-        raise SystemExit("--async-io requires --ranks")
-    if args.async_io and args.processes:
-        raise SystemExit("--async-io runs in-process ranks only; drop "
-                         "--processes (the pool already overlaps I/O)")
     if payload_columns and fmt == "tsv":
         raise SystemExit("--payload requires the .npy shard format "
                          "(payload columns live in the shard rows)")
 
-    if args.ranks is not None:
+    if args.ranks is not None or payload_columns:
+        # Every payload-carrying spill comes from the rank pipeline, which
+        # evaluates the columns once per block and validates the run.
+        n_ranks = 1 if args.ranks is None else args.ranks
         if fmt == "tsv":
             raise SystemExit("--ranks spills .npy shards; TSV is single-rank only")
         if args.max_edges is not None:
-            raise SystemExit("--max-edges applies to single-rank spills only")
-        sink_cls = AsyncShardSink if args.async_io else NpyShardSink
-        sink = sink_cls(args.output, name=product.name,
-                        n_vertices=product.n_vertices,
-                        payload_columns=payload_columns)
+            raise SystemExit("--max-edges caps single-rank spills without "
+                             "--payload only; drop --ranks and --payload")
+        sink = NpyShardSink(args.output, name=product.name,
+                            n_vertices=product.n_vertices,
+                            payload_columns=payload_columns)
         result = distributed_generate(
-            factor_a, factor_b, args.ranks,
+            factor_a, factor_b, n_ranks,
             streaming=True, a_edges_per_block=args.block,
             sink=sink, use_processes=args.processes,
             payload_columns=payload_columns,
         )
-        print(f"streamed {result.n_edges:,} edges over {args.ranks} ranks "
+        print(f"streamed {result.n_edges:,} edges over {n_ranks} rank(s) "
               f"to {args.output} (.npy shards)")
         if payload_columns:
             print(f"payload columns: {', '.join(payload_columns)} "
                   "(exact per-edge ground truth, evaluated per block)")
         print(f"peak block: {result.max_block_edges:,} edges "
               f"(bound {args.block * factor_b.nnz:,})")
-        if args.async_io:
-            print(f"async writer: {sink.blocks_written:,} blocks, "
-                  f"{sink.writer_busy_s * 1e3:.1f} ms of I/O overlapped "
-                  f"({sink.producer_wait_s * 1e3:.1f} ms back-pressure)")
         report = ValidationAccumulator(factor_a, factor_b,
                                        stats=result.stats).validate(result.total)
         print(report.summary())
@@ -545,14 +533,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                                        a_edges_per_block=args.block,
                                        max_edges=args.max_edges)
     else:
-        evaluator = PayloadEvaluator.from_factors(
-            factor_a, factor_b, payload_columns) if payload_columns else None
         written = write_edge_shards(product, args.output,
                                     a_edges_per_block=args.block,
-                                    max_edges=args.max_edges,
-                                    payload=evaluator)
-        if payload_columns:
-            print(f"payload columns: {', '.join(payload_columns)}")
+                                    max_edges=args.max_edges)
     print(f"wrote {written:,} edges to {args.output} ({fmt})")
     return 0
 
@@ -727,14 +710,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _slow_log_kwargs(args: argparse.Namespace) -> dict:
-    """Server slow-query keyword arguments from ``--slow-log``/``--slow-ms``."""
-    kwargs = {}
-    if args.slow_log is not None:
-        kwargs["slow_query_log"] = args.slow_log
-    if args.slow_ms is not None:
-        kwargs["slow_query_us"] = int(args.slow_ms * 1000)
-    return kwargs
+def _slow_query_us(args: argparse.Namespace) -> Optional[int]:
+    """The server's slow-request threshold (µs) from ``--slow-ms``."""
+    return None if args.slow_ms is None else int(args.slow_ms * 1000)
 
 
 def _serve_fleet(args: argparse.Namespace) -> int:
@@ -762,7 +740,7 @@ def _serve_fleet(args: argparse.Namespace) -> int:
         fleet = FleetStore(spec, info)
         router = RangeRouter(fleet, host=args.host, port=args.port,
                              decode_threads=args.threads,
-                             **_slow_log_kwargs(args))
+                             slow_query_us=_slow_query_us(args))
 
         async def _run() -> None:
             await router.start()
@@ -801,7 +779,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = ShardStore(args.store, cache_shards=args.cache)
     server = ShardStoreServer(store, host=args.host, port=args.port,
                               decode_threads=args.threads,
-                              **_slow_log_kwargs(args))
+                              slow_query_us=_slow_query_us(args))
 
     async def _run() -> None:
         await server.start()

@@ -16,6 +16,14 @@ Formats
   COO form plus metadata, written by :func:`save_kronecker_bundle` and read
   by :func:`load_kronecker_bundle`.  The bundle is the "compressed graph":
   two graphs of a few MB describe a product of trillions of edges.
+* **Edge shards** (a directory of ``.npy`` files plus ``manifest.json``):
+  the product's edge list spilled block by block through
+  :class:`NpyShardSink` — the streaming pipeline's sink, which alone writes
+  payload-carrying ``(m, 2 + k)`` rows; :func:`write_edge_shards` is the
+  topology-only single-rank writer.  Manifests go through
+  :func:`read_shard_manifest` and shard files through
+  :func:`read_edge_shard`, the one reader the compactor and the shard store
+  share.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ __all__ = [
     "write_edge_shards",
     "write_shard_manifest",
     "read_shard_manifest",
+    "read_edge_shard",
     "iter_edge_shards",
     "load_edge_shards",
 ]
@@ -276,27 +285,24 @@ def write_edge_shards(
     a_edges_per_block: int = 1024,
     max_edges: Optional[int] = None,
     metadata: Optional[dict] = None,
-    payload=None,
 ) -> int:
-    """Stream a product's edge list into a ``.npy`` shard directory.
+    """Stream a product's topology into a ``.npy`` shard directory.
 
-    Single-rank convenience over :class:`NpyShardSink`; *product* is any
-    object with ``iter_edge_blocks``/``name``/``n_vertices`` (duck-typed so
-    this module never imports :mod:`repro.core`).  Returns the number of
-    edges written; the manifest is finalized before returning.
+    The single-rank, topology-only writer over :class:`NpyShardSink`;
+    *product* is any object with ``iter_edge_blocks``/``name``/``n_vertices``
+    (duck-typed so this module never imports :mod:`repro.core`).  Returns
+    the number of edges written; the manifest is finalized before returning.
 
-    Parameters
-    ----------
-    payload:
-        Optional per-edge payload evaluator — an object with a ``columns``
-        tuple of extra column names and ``attach(edges) -> (m, 2 + k)``
-        (:class:`repro.store.PayloadEvaluator` is the canonical one).  Each
-        streamed block is widened before it is spilled and the manifest
-        records the column names.
+    Without *max_edges* or *metadata* it writes the same shard files and
+    manifest as ``distributed_generate(a, b, 1, streaming=True,
+    sink=NpyShardSink(...), with_statistics=False)`` at the same block
+    size, without building that pipeline's aggregates.
+    Payload-carrying spills come only from the streaming pipeline
+    (:func:`repro.parallel.distributed_generate` with ``payload_columns``),
+    which evaluates each column once per block.
     """
     sink = NpyShardSink(directory, name=getattr(product, "name", ""),
-                        n_vertices=getattr(product, "n_vertices", 0),
-                        payload_columns=payload.columns if payload is not None else ())
+                        n_vertices=getattr(product, "n_vertices", 0))
     written = 0
     for block_index, block in enumerate(
         product.iter_edge_blocks(a_edges_per_block=a_edges_per_block)
@@ -304,8 +310,6 @@ def write_edge_shards(
         if max_edges is not None and written + block.shape[0] > max_edges:
             block = block[: max_edges - written]
         if block.shape[0]:
-            if payload is not None:
-                block = payload.attach(block)
             sink.write(0, block_index, block)
             written += block.shape[0]
         if max_edges is not None and written >= max_edges:
@@ -430,11 +434,30 @@ def read_shard_manifest(directory: PathLike) -> dict:
     return manifest
 
 
+def read_edge_shard(path: PathLike, columns: Sequence[str], *,
+                    mmap_mode: Optional[str] = None) -> np.ndarray:
+    """Decode one ``.npy`` edge shard whose rows hold the manifest's
+    *columns* (``["src", "dst", ...extras]``).
+
+    The one shard-file reader: :func:`iter_edge_shards`, the compactor and
+    :class:`repro.store.ShardStore` all decode through it, so a shard whose
+    width disagrees with its manifest fails identically everywhere — with a
+    :class:`ValueError` naming the file.  ``mmap_mode="r"`` returns a
+    read-only memory map instead of a private copy.
+    """
+    block = np.load(path, mmap_mode=mmap_mode)
+    if block.ndim != 2 or block.shape[1] != len(columns):
+        raise ValueError(
+            f"{path}: shard has shape {block.shape} but the manifest "
+            f"payload_columns {list(columns)!r} require {len(columns)} columns")
+    return block
+
+
 def iter_edge_shards(directory: PathLike, *, mmap_mode: Optional[str] = None):
     """Yield the ``(m, 2 + k)`` edge arrays of a shard directory in manifest
     order, where ``k`` is the number of extra ``payload_columns``; a shard
     file whose width disagrees with the manifest raises a :class:`ValueError`
-    naming the file.
+    naming the file (:func:`read_edge_shard`).
 
     ``mmap_mode="r"`` yields read-only memory maps instead of private copies
     — the right mode for read-only sweeps and for feeding compaction, where
@@ -443,15 +466,9 @@ def iter_edge_shards(directory: PathLike, *, mmap_mode: Optional[str] = None):
     """
     directory = Path(directory)
     manifest = read_shard_manifest(directory)
-    width = len(manifest["payload_columns"])
     for shard in manifest["shards"]:
-        block = np.load(directory / shard["file"], mmap_mode=mmap_mode)
-        if block.ndim != 2 or block.shape[1] != width:
-            raise ValueError(
-                f"{directory / shard['file']}: shard has shape {block.shape} "
-                f"but the manifest payload_columns "
-                f"{manifest['payload_columns']!r} require {width} columns")
-        yield block
+        yield read_edge_shard(directory / shard["file"],
+                              manifest["payload_columns"], mmap_mode=mmap_mode)
 
 
 def load_edge_shards(directory: PathLike) -> np.ndarray:

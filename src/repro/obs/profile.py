@@ -12,8 +12,8 @@ configurable rate and folds each thread's stack into a bounded aggregate:
 * stacks are keyed by **thread role**, classified from the thread names
   the stack already uses — ``shard-serve`` (the asyncio event loop),
   ``shard-decode*`` (the store's decode pool), ``fleet-fanout*`` (the
-  router's scatter pool), ``async-shard-writer`` (the spill writer), and
-  the profiler's own sampling thread;
+  router's scatter pool), the profiler's own sampling thread, and the main
+  thread;
 * the aggregate is bounded (``max_stacks`` distinct stacks per role;
   overflow folds into ``~overflow``), so a pathological workload cannot
   grow the profile without bound.
@@ -48,13 +48,12 @@ OVERFLOW_STACK = "~overflow"
 
 #: Thread-name prefix -> role, most specific first.  These are the names
 #: the serving stack already assigns (ThreadedServer's loop thread, the
-#: decode/fan-out pools' ``thread_name_prefix``, the async spill writer);
-#: the profiler names its own thread ``repro-profiler``.
+#: decode/fan-out pools' ``thread_name_prefix``); the profiler names its
+#: own thread ``repro-profiler``.
 _ROLE_PREFIXES = (
     ("shard-decode", "decode_pool"),
     ("shard-serve", "event_loop"),
     ("fleet-fanout", "fanout_pool"),
-    ("async-shard-writer", "writer"),
     ("repro-profiler", "profiler"),
     ("MainThread", "main"),
 )

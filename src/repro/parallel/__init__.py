@@ -10,6 +10,7 @@ bounded-memory streaming consumers plus the per-rank aggregate accumulator
 
 from repro.parallel.comm import RankContext, SimulatedComm, run_on_ranks
 from repro.parallel.distributed import (
+    KNOWN_PAYLOAD_COLUMNS,
     RankEdgeBlock,
     RankOutput,
     StreamingGenerateResult,
@@ -46,6 +47,7 @@ __all__ = [
     "partition_vertex_blocks",
     "entry_range",
     "balance_statistics",
+    "KNOWN_PAYLOAD_COLUMNS",
     "RankOutput",
     "RankEdgeBlock",
     "StreamingGenerateResult",

@@ -66,6 +66,7 @@ from repro.parallel.partition import (
 from repro.parallel.streaming import StreamingRankAccumulator
 
 __all__ = [
+    "KNOWN_PAYLOAD_COLUMNS",
     "RankOutput",
     "RankEdgeBlock",
     "StreamingGenerateResult",
@@ -209,19 +210,18 @@ def iter_rank_edge_blocks(
         yield RankEdgeBlock(edges, edge_t, vertex_t)
 
 
+#: Per-edge ground-truth columns a streamed spill can carry, in the
+#: spelling the manifest records.  This module is their one home: each name
+#: maps to a run flag in :func:`_check_payload_columns` and to the per-block
+#: array that evaluates it in :func:`_payload_extras`, so a new payload
+#: touches those three places and nothing outside this module.
+KNOWN_PAYLOAD_COLUMNS = ("triangles", "trussness")
+
+
 def _check_payload_columns(payload_columns: Sequence[str], *,
                            with_statistics: bool, with_trussness: bool
                            ) -> Tuple[str, ...]:
-    """Validate spill payload columns against the evaluators this run builds.
-
-    The name registry is :data:`repro.store.KNOWN_PAYLOAD_COLUMNS`; the
-    streaming pipeline does not re-evaluate columns through a
-    ``PayloadEvaluator`` — it reuses the per-block arrays it already computed
-    for the aggregates (see :func:`_payload_extras`), so each known name must
-    map to a run flag here.
-    """
-    from repro.store.payloads import KNOWN_PAYLOAD_COLUMNS
-
+    """Validate spill payload columns against the evaluators this run builds."""
     columns = normalize_payload_columns(payload_columns)
     for name in columns:
         if name not in KNOWN_PAYLOAD_COLUMNS:
@@ -239,14 +239,10 @@ def _check_payload_columns(payload_columns: Sequence[str], *,
 
 def _payload_extras(block: "RankEdgeBlock", trussness: Optional[np.ndarray],
                     payload_columns: Sequence[str]) -> List[np.ndarray]:
-    """The already-evaluated per-block array behind each payload column."""
+    """The per-block array behind each payload column — already evaluated
+    once for the aggregates, so the spill costs no second evaluation."""
     sources = {"triangles": block.edge_triangles, "trussness": trussness}
-    try:
-        return [sources[name] for name in payload_columns]
-    except KeyError as exc:  # a KNOWN_PAYLOAD_COLUMNS entry not wired up here
-        raise ValueError(
-            f"payload column {exc.args[0]!r} has no streaming evaluation; "
-            "wire it into repro.parallel.distributed._payload_extras") from exc
+    return [sources[name] for name in payload_columns]
 
 
 def stream_rank_aggregate(
@@ -437,7 +433,7 @@ def distributed_generate(
         (``Δ_B ≤ 1``, loop-free).
     payload_columns:
         Streamed runs with a *sink* only: carry the named per-edge
-        ground-truth columns (``"triangles"``, ``"trussness"``) in the
+        ground-truth columns (from :data:`KNOWN_PAYLOAD_COLUMNS`) in the
         spilled blocks, which become ``(m, 2 + k)`` — construct the sink
         with the matching ``payload_columns`` so its manifest records the
         layout.  Naming ``"trussness"`` implies ``with_trussness=True``.
@@ -450,6 +446,9 @@ def distributed_generate(
         # The trussness payload needs the Theorem 3 decomposition anyway;
         # folding the census into the aggregates comes for free.
         with_trussness = with_trussness or "trussness" in payload_columns
+        # Reject an unknown column before any factor statistics are built.
+        _check_payload_columns(payload_columns, with_statistics=with_statistics,
+                               with_trussness=with_trussness)
     partitions = _build_partitions(factor_a, factor_b, n_ranks, layout)
     stats = KroneckerTriangleStats.from_factors(factor_a, factor_b) \
         if with_statistics else None

@@ -419,22 +419,28 @@ class FleetStore(StoreQueryMixin):
             calls=[c.calls for c in self._channels],
             failovers=[c.failovers for c in self._channels])
 
-    def worker_reports(self) -> List[dict]:
-        """One ``stats`` probe per worker, concurrently; a dead worker
-        yields an error report instead of failing the rollup."""
-        def probe(channel):
+    def _broadcast(self, op: str, args: Optional[dict] = None) -> List[tuple]:
+        """Send one wire op to every worker concurrently and return
+        ``(channel, answer, error)`` per worker, in worker order, with
+        exactly one of *answer* / *error* set.  An unreachable worker
+        yields its channel error — naming the worker, its range and both
+        attempts — instead of failing the broadcast; each caller decides
+        what that gap means."""
+        def ask(channel):
             try:
-                stats = channel.call(lambda c: c.request("stats"))
-                return shaping.fleet_worker_report(
-                    channel.index, channel.src_lo, channel.src_hi,
-                    stats=stats)
+                return channel, channel.call(lambda c: c.request(op, args)), None
             except Exception as exc:
-                return shaping.fleet_worker_report(
-                    channel.index, channel.src_lo, channel.src_hi,
-                    error=str(exc))
-        futures = [self._fanout.submit(probe, channel)
+                return channel, None, exc
+        futures = [self._fanout.submit(ask, channel)
                    for channel in self._channels]
         return [future.result() for future in futures]
+
+    def worker_reports(self) -> List[dict]:
+        """One ``stats`` probe per worker; a dead worker yields an error
+        report instead of failing the rollup."""
+        return [shaping.fleet_worker_report(c.index, c.src_lo, c.src_hi,
+                                            stats=answer, error=error)
+                for c, answer, error in self._broadcast("stats")]
 
     def stats(self) -> dict:
         """Fleet-level ``"store"`` counter section (summed worker
@@ -448,94 +454,13 @@ class FleetStore(StoreQueryMixin):
     def reset_stats(self) -> int:
         """Fan the ``reset_stats`` op out to every worker (fleet-wide
         counter reset — e.g. clearing benchmark warmup) and return the
-        worker count for the answer shape.  A dead worker propagates as
-        the usual channel :class:`ConnectionError`."""
-        futures = [
-            self._fanout.submit(
-                channel.call, lambda c: c.request("reset_stats"))
-            for channel in self._channels]
-        for future in futures:
-            future.result()
+        worker count for the answer shape.  A dead worker raises its
+        channel :class:`ConnectionError`: a partial reset would leave
+        stale counters in the next measured window."""
+        for _, _, error in self._broadcast("reset_stats"):
+            if error is not None:
+                raise error
         return len(self._channels)
-
-    def collect_profiles(self, action: str,
-                         hz: Optional[float] = None) -> List[ProfileStats]:
-        """Apply one ``profile`` *action* on every worker, concurrently,
-        and return their resulting aggregates.  A worker that cannot
-        answer contributes an empty aggregate rather than failing the
-        merge — the fleet profile covers whoever is alive."""
-        def fetch(channel):
-            args = {"action": action}
-            if hz is not None:
-                args["hz"] = hz
-            try:
-                answer = channel.call(lambda c: c.request("profile", args))
-                return ProfileStats.from_dict(answer.get("profile") or {})
-            except Exception:
-                return ProfileStats()
-        futures = [self._fanout.submit(fetch, channel)
-                   for channel in self._channels]
-        return [future.result() for future in futures]
-
-    def collect_events(self, limit: Optional[int] = None,
-                       kind: Optional[str] = None):
-        """Every worker's flight-recorder tail, concurrently —
-        ``(per-worker event lists, summed drop counter)``.  A dead worker
-        contributes nothing; its events are simply missing from the
-        merged timeline."""
-        def fetch(channel):
-            args = {}
-            if limit is not None:
-                args["limit"] = limit
-            if kind is not None:
-                args["kind"] = kind
-            try:
-                answer = channel.call(lambda c: c.request("events", args))
-                return (list(answer.get("events", ())),
-                        int(answer.get("dropped", 0)))
-            except Exception:
-                return [], 0
-        futures = [self._fanout.submit(fetch, channel)
-                   for channel in self._channels]
-        results = [future.result() for future in futures]
-        return ([events for events, _ in results],
-                sum(dropped for _, dropped in results))
-
-    def health_reports(self) -> List[dict]:
-        """One ``health`` probe per worker, concurrently; a dead worker
-        yields an error report — naming it and its assigned range — and
-        the rollup keeps serving."""
-        def probe(channel):
-            try:
-                health = channel.call(lambda c: c.request("health"))
-                return shaping.fleet_worker_report(
-                    channel.index, channel.src_lo, channel.src_hi,
-                    health=health)
-            except Exception as exc:
-                return shaping.fleet_worker_report(
-                    channel.index, channel.src_lo, channel.src_hi,
-                    error=str(exc))
-        futures = [self._fanout.submit(probe, channel)
-                   for channel in self._channels]
-        return [future.result() for future in futures]
-
-    def collect_trace(self, trace_id: str) -> List[dict]:
-        """Every worker's recorded spans for *trace_id*, concurrently; a
-        worker that cannot answer contributes nothing rather than failing
-        the merge (its spans are simply missing from the tree)."""
-        def fetch(channel):
-            try:
-                answer = channel.call(
-                    lambda c: c.request("trace", {"id": trace_id}))
-                return list(answer.get("spans", ()))
-            except Exception:
-                return []
-        futures = [self._fanout.submit(fetch, channel)
-                   for channel in self._channels]
-        spans: List[dict] = []
-        for future in futures:
-            spans.extend(future.result())
-        return spans
 
     def close(self) -> None:
         self._fanout.shutdown(wait=True)
@@ -549,14 +474,23 @@ class FleetStore(StoreQueryMixin):
                 f"payload_columns={list(self.payload_columns)})")
 
 
+def _missing_workers(replies: List[tuple]) -> List[dict]:
+    """The workers a :meth:`FleetStore._broadcast` could not reach, each
+    named with its assigned range."""
+    return [shaping.missing_worker(c.index, c.src_lo, c.src_hi, error)
+            for c, _, error in replies if error is not None]
+
+
 class RangeRouter(ShardStoreServer):
     """A :class:`ShardStoreServer` whose store is a :class:`FleetStore`.
 
     Everything protocol-facing — framing, coalescing, the binary plane,
     error frames — is inherited; the router only adds the fleet sections to
     ``hello``, replaces ``stats`` with the per-worker rollup, and widens
-    ``trace`` to merge each worker's spans into its own (both do wire I/O
-    and therefore run on the executor, never the event loop).  The fleet's
+    ``trace`` / ``profile`` / ``events`` / ``health`` into fleet-merged
+    answers built from one :meth:`FleetStore._broadcast` each, naming the
+    workers they could not reach (all of these do wire I/O and therefore
+    run on the executor, never the event loop).  The fleet's
     registry is adopted as the router's, so ``metrics`` serves the
     ``fleet.worker_*`` series alongside the inherited ``serve.*`` ones,
     and the inherited ``reset_stats`` fans out to every worker through
@@ -590,10 +524,14 @@ class RangeRouter(ShardStoreServer):
         trace_id = _arg(args, "id")
         if not isinstance(trace_id, str):
             raise ValueError("request arg 'id' must be a string trace id")
-        worker_spans = await self._run_store(
-            lambda: self.store.collect_trace(trace_id))
+        replies = await self._run_store(
+            self.fleet._broadcast, "trace", {"id": trace_id})
+        spans = self.recorder.spans(trace_id)
+        for _, answer, _ in replies:
+            if answer is not None:
+                spans.extend(answer["spans"])
         return shaping.trace_answer_shape(
-            trace_id, self.recorder.spans(trace_id) + worker_spans)
+            trace_id, spans, missing_workers=_missing_workers(replies))
 
     def _profile(self, action: str, hz, collapsed: bool) -> dict:
         """The fleet ``profile`` rollup (already on the executor via the
@@ -604,43 +542,54 @@ class RangeRouter(ShardStoreServer):
         ``stop`` every aggregate in the sum is frozen — the merged answer
         equals the router's own profile plus each worker's directly
         fetched snapshot, exactly."""
-        worker_profiles = self.store.collect_profiles(action, hz=hz)
+        replies = self.fleet._broadcast("profile",
+                                        {"action": action, "hz": hz})
         self._apply_profile_action(action, hz)
         own = self.profiler.snapshot()
-        merged = own + sum(worker_profiles, ProfileStats())
+        merged = own + sum((ProfileStats.from_dict(answer["profile"])
+                            for _, answer, _ in replies
+                            if answer is not None), ProfileStats())
         return shaping.profile_shape(
             action, merged.as_dict(), running=self.profiler.running,
             hz=self.profiler.hz,
             collapsed=merged.collapsed() if collapsed else None,
-            router=own.as_dict(), workers=self.store.n_workers)
+            router=own.as_dict(), workers=self.fleet.n_workers,
+            missing_workers=_missing_workers(replies))
 
     async def _op_events(self, args: dict) -> dict:
         limit, kind = self._events_args(args)
         return await self._run_store(self._fleet_events, limit, kind)
 
     def _fleet_events(self, limit, kind) -> dict:
-        worker_events, worker_dropped = self.store.collect_events(
-            limit=limit, kind=kind)
-        own = self.events.tail(limit, kind=kind)
-        merged = merge_events([own, *worker_events], limit=limit)
+        replies = self.fleet._broadcast("events",
+                                        {"limit": limit, "kind": kind})
+        answers = [answer for _, answer, _ in replies if answer is not None]
+        merged = merge_events(
+            [self.events.tail(limit, kind=kind),
+             *(answer["events"] for answer in answers)], limit=limit)
         return shaping.events_shape(
-            merged, dropped=self.events.dropped + worker_dropped,
-            workers=self.store.n_workers)
+            merged, dropped=self.events.dropped
+            + sum(answer["dropped"] for answer in answers),
+            workers=self.fleet.n_workers,
+            missing_workers=_missing_workers(replies))
 
     async def _op_health(self, args: dict) -> dict:
         return await self._run_store(self._fleet_health)
 
     def _fleet_health(self) -> dict:
-        reports = self.store.health_reports()
-        down = [{"worker": report["worker"], "src_lo": report["src_lo"],
-                 "src_hi": report["src_hi"], "error": report["error"]}
-                for report in reports if not report.get("ok")]
+        replies = self.fleet._broadcast("health")
+        reports = [shaping.fleet_worker_report(c.index, c.src_lo, c.src_hi,
+                                               health=answer, error=error)
+                   for c, answer, error in replies]
+        down = _missing_workers(replies)
         return shaping.health_shape(
             status="degraded" if down else "ok",
-            fleet={"workers": self.store.n_workers, "down": len(down)},
+            fleet={"workers": self.fleet.n_workers, "down": len(down)},
             workers=reports, down=down, **self._health_sections())
 
     def stats(self) -> dict:
+        # describe() is read before the stats probes, so the per-channel
+        # call counters it reports never include this rollup's own calls.
         return shaping.fleet_stats_shape(
             self._server_stats(), self.store.describe(),
             self.store.worker_reports(), n_shards=self.store.n_shards)

@@ -52,8 +52,9 @@ Design rules:
   a view over it, never a private dict — and requests carrying the additive
   ``"trace"`` key run under :mod:`repro.obs.trace` spans recorded into the
   server's bounded :class:`~repro.obs.TraceRecorder`, retrievable through
-  the ``trace`` op.  Requests above ``slow_query_us`` are appended to a
-  structured JSON-lines slow-query log when one is configured.
+  the ``trace`` op.  A request above ``slow_query_us`` counts in
+  ``serve.slow_queries`` and emits one ``serve.slow_request`` event
+  carrying its trace id — the one slow-request record.
 
 :class:`ThreadedServer` runs the whole thing on a background thread for
 synchronous callers — the test suite, benchmarks, and examples stand a
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -229,13 +229,9 @@ class ShardStoreServer:
         LRU size used only when *store* is a directory path.
     slow_query_us:
         Latency threshold (µs) above which a request is counted in
-        ``serve.slow_queries`` and appended to the slow-query log.
-        Defaults to 100 000 µs when *slow_query_log* is set, else off.
-    slow_query_log:
-        Destination for the structured JSON-lines slow-query log — a path
-        (opened append at :meth:`start`, closed on :meth:`stop`) or any
-        object with a ``write`` method.  Each line records ``ts`` / ``op``
-        / ``elapsed_us`` / ``ok`` / ``trace``.
+        ``serve.slow_queries`` and recorded as a ``serve.slow_request``
+        event (op, elapsed µs, ok, trace id) on the flight recorder;
+        ``None`` (default) turns the check off.
     """
 
     def __init__(self, store, *, host: str = "127.0.0.1", port: int = 0,
@@ -243,8 +239,7 @@ class ShardStoreServer:
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
                  max_coalesce_batch: int = 1024,
                  cache_shards: int = 8,
-                 slow_query_us: Optional[int] = None,
-                 slow_query_log=None):
+                 slow_query_us: Optional[int] = None):
         # One registry per server process view: a store opened here joins
         # it, a pre-opened store (or fleet façade) brings its own, so
         # server and store stats are views over the same series.
@@ -270,12 +265,7 @@ class ShardStoreServer:
         self.max_request_bytes = int(max_request_bytes)
         self.max_coalesce_batch = int(max_coalesce_batch)
         self.recorder = TraceRecorder()
-        if slow_query_us is None and slow_query_log is not None:
-            slow_query_us = 100_000
         self.slow_query_us = slow_query_us
-        self._slow_log_spec = slow_query_log
-        self._slow_log = None
-        self._slow_log_owned = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -348,12 +338,6 @@ class ShardStoreServer:
                 kind="neighbors_payload" if with_payload else "neighbors")
             for with_payload in (False, True)
         }
-        if self._slow_log_spec is not None and self._slow_log is None:
-            if hasattr(self._slow_log_spec, "write"):
-                self._slow_log = self._slow_log_spec
-            else:
-                self._slow_log = open(self._slow_log_spec, "a", encoding="utf-8")
-                self._slow_log_owned = True
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -392,10 +376,6 @@ class ShardStoreServer:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._slow_log is not None and self._slow_log_owned:
-            self._slow_log.close()
-            self._slow_log = None
-            self._slow_log_owned = False
 
     def request_stop(self) -> None:
         """Ask the serve loop to exit (safe from any thread; a no-op when
@@ -594,26 +574,12 @@ class ShardStoreServer:
         if (self.slow_query_us is not None
                 and timer.elapsed_us >= self.slow_query_us):
             self._slow_queries.inc()
-            self._log_slow_query(op_key, timer.elapsed_us, ok, trace_id)
             # trace_id passed explicitly: the serve span exited above, so
             # the flight recorder's auto-stamp would miss the request's id.
             self.events.emit("serve.slow_request", trace_id=trace_id,
                              op=op_key, elapsed_us=int(timer.elapsed_us),
                              ok=ok)
         return response, binary_rows
-
-    def _log_slow_query(self, op_key: str, elapsed_us: int, ok: bool,
-                        trace_id: Optional[str]) -> None:
-        if self._slow_log is None:
-            return
-        line = json.dumps({"ts": round(time.time(), 3), "op": op_key,
-                           "elapsed_us": int(elapsed_us), "ok": ok,
-                           "trace": trace_id}, sort_keys=True)
-        try:
-            self._slow_log.write(line + "\n")
-            self._slow_log.flush()
-        except (OSError, ValueError):
-            pass  # a full disk / closed sink must never fail a request
 
     async def _run_store(self, fn, *args):
         """Run one store call on the bounded decode pool.

@@ -55,6 +55,7 @@ __all__ = [
     "stats_answer_shape",
     "shutdown_shape",
     "fleet_shape",
+    "missing_worker",
     "fleet_worker_report",
     "fleet_store_counters",
     "fleet_stats_shape",
@@ -399,17 +400,24 @@ def metrics_shape(snapshot: dict) -> dict:
     }
 
 
-def trace_answer_shape(trace_id: str, spans: Sequence[dict]) -> dict:
+def trace_answer_shape(trace_id: str, spans: Sequence[dict], *,
+                       missing_workers: Optional[Sequence[dict]] = None
+                       ) -> dict:
     """The ``trace`` answer: every recorded span of one trace, ordered by
     wall-clock start so the fan-out reads top-down.  A router merges its own
-    spans with its workers' before shaping, so the client sees one tree."""
+    spans with its workers' before shaping, so the client sees one tree,
+    and lists the workers whose spans it could not fetch
+    (:func:`missing_worker` entries)."""
     ordered = sorted(spans, key=lambda s: (s.get("start_us", 0), s.get("span", "")))
-    return {
+    result = {
         "query": "trace",
         "id": str(trace_id),
         "n_spans": len(ordered),
         "spans": list(ordered),
     }
+    if missing_workers is not None:
+        result["missing_workers"] = list(missing_workers)
+    return result
 
 
 def reset_stats_shape(*, workers: Optional[int] = None) -> dict:
@@ -424,14 +432,16 @@ def reset_stats_shape(*, workers: Optional[int] = None) -> dict:
 def profile_shape(action: str, profile: dict, *, running: bool, hz: float,
                   collapsed: Optional[str] = None,
                   router: Optional[dict] = None,
-                  workers: Optional[int] = None) -> dict:
+                  workers: Optional[int] = None,
+                  missing_workers: Optional[Sequence[dict]] = None) -> dict:
     """The ``profile`` answer: the (possibly merged) folded-stack
     aggregate after *action* was applied.
 
     *profile* is a :meth:`repro.obs.ProfileStats.as_dict` payload;
     ``running`` / ``hz`` describe the answering server's own profiler.  A
     router answers with the fleet-merged aggregate in ``"profile"``, its
-    own (unmerged) aggregate in ``"router"``, and the worker count — so
+    own (unmerged) aggregate in ``"router"``, the worker count, and the
+    workers it could not reach (``missing_workers``) — so
     ``profile == router + sum(worker profiles)`` is checkable from the
     answer.  ``collapsed`` carries the flamegraph text when the request
     asked for it."""
@@ -448,16 +458,19 @@ def profile_shape(action: str, profile: dict, *, running: bool, hz: float,
         result["router"] = router
     if workers is not None:
         result["workers"] = int(workers)
+    if missing_workers is not None:
+        result["missing_workers"] = list(missing_workers)
     return result
 
 
 def events_shape(events: Sequence[dict], *, dropped: int = 0,
-                 workers: Optional[int] = None) -> dict:
+                 workers: Optional[int] = None,
+                 missing_workers: Optional[Sequence[dict]] = None) -> dict:
     """The ``events`` answer: the flight recorder's retained events,
     oldest first.  A router answers with its own and every worker's
     events interleaved by wall-clock timestamp
     (:func:`repro.obs.merge_events`), ``dropped`` summed across the
-    fleet, and the worker count."""
+    fleet, the worker count, and the workers whose events are missing."""
     result = {
         "query": "events",
         "n_events": len(events),
@@ -466,6 +479,8 @@ def events_shape(events: Sequence[dict], *, dropped: int = 0,
     }
     if workers is not None:
         result["workers"] = int(workers)
+    if missing_workers is not None:
+        result["missing_workers"] = list(missing_workers)
     return result
 
 
@@ -483,8 +498,9 @@ def health_shape(*, status: str, started_at: Optional[float],
     router rolls the fleet in: per-worker reports
     (:func:`fleet_worker_report` with their ``health`` answers), the
     ``down`` list naming every unreachable worker **and its assigned
-    range** — the fleet keeps serving the surviving ranges, and this is
-    where an operator reads which vertices went dark."""
+    range** (:func:`missing_worker` entries) — the fleet keeps serving the
+    surviving ranges, and this is where an operator reads which vertices
+    went dark."""
     result = {
         "query": "health",
         "status": str(status),
@@ -525,6 +541,15 @@ def fleet_shape(ranges: Sequence, addresses: Sequence, *,
             entry["failovers"] = int(failovers[index])
         slices.append(entry)
     return {"workers": len(slices), "slices": slices}
+
+
+def missing_worker(index: int, src_lo: int, src_hi: int, error) -> dict:
+    """One worker a router could not reach, named with its assigned
+    ``[src_lo, src_hi)`` vertex range: an entry of the ``health`` answer's
+    ``down`` list and of the ``missing_workers`` list on the merged
+    ``profile`` / ``events`` / ``trace`` answers."""
+    return {"worker": int(index), "src_lo": int(src_lo),
+            "src_hi": int(src_hi), "error": str(error)}
 
 
 def fleet_worker_report(index: int, src_lo: int, src_hi: int, *,

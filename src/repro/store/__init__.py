@@ -2,12 +2,16 @@
 
 The storage subsystem behind the paper's never-materialize-``C`` scaling
 story.  The streaming pipeline (:mod:`repro.parallel`) spills the product
-edge list as write-optimized per-block ``.npy`` shards; this package turns
-that spill into a *servable* edge store:
+edge list as write-optimized per-block ``.npy`` shards through
+:class:`repro.graphs.io.NpyShardSink` — optionally widened with named
+per-edge ground-truth columns (``"triangles"``, ``"trussness"``; see
+:data:`repro.parallel.KNOWN_PAYLOAD_COLUMNS`) as ``(m, 2 + k)`` rows — and
+this package turns that spill into a *servable* edge store:
 
 * :func:`compact_shards` — bounded-memory external merge sort of the
   per-block shards into source-sorted, size-targeted shards, recorded in a
   **manifest v2** with per-shard ``[src_min, src_max]`` vertex ranges;
+  payload columns ride through the merge unchanged;
 * :func:`partition_manifest` — cut a compacted manifest into per-worker
   vertex-range slice manifests (no shard rewrites; slices reference the
   existing ``.npy`` files) for the range-routed serving fleet
@@ -15,27 +19,16 @@ that spill into a *servable* edge store:
 * :class:`ShardStore` — range-query layer answering ``degree`` /
   ``neighbors`` / ``edges_in_range`` / ``egonet`` by binary-searching the
   manifest ranges, with an LRU of decoded shards and batch-first entry
-  points per the repo's vectorization conventions;
-* :class:`AsyncShardSink` — drop-in streaming sink whose writer thread
-  overlaps shard I/O with block generation
-  (``distributed_generate(streaming=True, sink=AsyncShardSink(dir))``);
-* :class:`PayloadEvaluator` — named per-edge ground-truth columns
-  (``"triangles"``, ``"trussness"``) that ride along in the shards as
-  ``(m, 2 + k)`` rows and are served back by :class:`ShardStore`
-  (``with_payload=True`` / ``edge_payloads``), exactly equal to the
-  closed-form factor statistics.
+  points per the repo's vectorization conventions, serving the payload
+  columns back (``with_payload=True`` / ``edge_payloads``) exactly equal
+  to the closed-form factor statistics.
 """
 
-from repro.store.async_sink import AsyncShardSink
 from repro.store.compaction import MANIFEST_V2, compact_shards
 from repro.store.partition import partition_manifest
-from repro.store.payloads import KNOWN_PAYLOAD_COLUMNS, PayloadEvaluator
 from repro.store.query import ShardStore, StoreQueryMixin
 
 __all__ = [
-    "AsyncShardSink",
-    "KNOWN_PAYLOAD_COLUMNS",
-    "PayloadEvaluator",
     "ShardStore",
     "StoreQueryMixin",
     "compact_shards",

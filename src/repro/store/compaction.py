@@ -51,6 +51,7 @@ import numpy as np
 from repro.graphs.io import (
     SHARD_MANIFEST,
     NpyShardSink,
+    read_edge_shard,
     read_shard_manifest,
     write_shard_manifest,
 )
@@ -213,8 +214,8 @@ def compact_shards(
     """Compact a shard directory into a source-sorted, range-indexed store.
 
     Reads any shard directory with a valid manifest (the per-block v1 spill of
-    :class:`repro.graphs.io.NpyShardSink` / ``AsyncShardSink``, or an existing
-    v2 store for re-sharding), merges its rows in ``(src, dst)`` order —
+    :class:`repro.graphs.io.NpyShardSink`, or an existing v2 store for
+    re-sharding), merges its rows in ``(src, dst)`` order —
     payload columns travel with their row, unchanged — cuts them into shards
     of about *target_shard_edges* edges, and writes a **manifest v2** whose
     shard entries record the covered ``[src_min, src_max]`` source-vertex
@@ -252,7 +253,6 @@ def compact_shards(
         raise ValueError(f"merge_chunk_edges must be >= 1, got {merge_chunk_edges}")
     src_manifest = read_shard_manifest(source)
     payload_columns = list(src_manifest["payload_columns"])
-    n_columns = len(payload_columns)
     destination.mkdir(parents=True, exist_ok=True)
     if source.resolve() == destination.resolve():
         raise ValueError("compaction must write to a different directory "
@@ -267,15 +267,6 @@ def compact_shards(
     for pattern in (_COMPACT_SHARD_GLOB, _BLOCK_SHARD_GLOB):
         for stale in destination.glob(pattern):
             stale.unlink()
-
-    def _load_run(path: Path, mmap_mode: Optional[str] = None) -> np.ndarray:
-        run = np.load(path, mmap_mode=mmap_mode)
-        if run.ndim != 2 or run.shape[1] != n_columns:
-            raise ValueError(
-                f"{path}: shard has shape {run.shape} but the source manifest "
-                f"payload_columns {payload_columns!r} require {n_columns} "
-                "columns")
-        return run
 
     already_sorted = src_manifest.get("sorted_by") == "source"
     runs_dir = destination / _RUNS_DIR
@@ -296,11 +287,13 @@ def compact_shards(
                     # Map the spill read-only; the sort's fancy-index gather
                     # in _sort_edges makes the one private copy run formation
                     # needs.
-                    np.save(path, _sort_edges(
-                        _load_run(source / shard["file"], mmap_mode="r")))
+                    np.save(path, _sort_edges(read_edge_shard(
+                        source / shard["file"], payload_columns,
+                        mmap_mode="r")))
                     run_paths.append(path)
         with trace.span("compact.merge", n_runs=len(run_paths)):
-            runs = [_load_run(path, mmap_mode="r") for path in run_paths]
+            runs = [read_edge_shard(path, payload_columns, mmap_mode="r")
+                    for path in run_paths]
             try:
                 _merge_runs(runs, writer, int(merge_chunk_edges))
             finally:

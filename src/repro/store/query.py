@@ -71,7 +71,7 @@ import scipy.sparse as sp
 from repro.graphs.adjacency import Graph
 from repro.graphs.egonet import Egonet
 from repro.graphs.egonet import egonet as _extract_egonet
-from repro.graphs.io import read_shard_manifest
+from repro.graphs.io import read_edge_shard, read_shard_manifest
 from repro.lint.runtime import new_lock
 from repro.obs import EventLog, MetricsRegistry, trace
 
@@ -83,11 +83,10 @@ PathLike = Union[str, Path]
 _MAX_ENCODABLE_VERTICES = np.int64(3_037_000_499)  # floor(sqrt(2**63 - 1))
 
 
-def _load_shard_file(path: Path, mmap_mode: Optional[str] = None) -> np.ndarray:
-    """Decode one shard file.  Module-level so tests can hook it to count
-    exactly which files a query touches.  ``mmap_mode="r"`` maps the file
-    read-only instead of copying it (the store's default)."""
-    return np.load(path, mmap_mode=mmap_mode)
+#: The store's one shard decode, called as ``_load_shard_file(path,
+#: payload_columns, mmap_mode=...)``.  A module-level name so tests can hook
+#: it to count exactly which files a query touches.
+_load_shard_file = read_edge_shard
 
 
 def _ragged_take(arr: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
@@ -376,14 +375,10 @@ class ShardStore(StoreQueryMixin):
         # Decode outside the lock so concurrent misses on *different* shards
         # overlap their file I/O; a racing miss on the same shard costs one
         # redundant decode (counted below) but never corrupts the cache.
-        path = self.directory / self._files[index]
         with trace.span("store.decode", shard=self._files[index]):
-            rows = _load_shard_file(path, mmap_mode="r" if self.mmap else None)
-        if rows.ndim != 2 or rows.shape[1] != self._width:
-            raise ValueError(
-                f"{path}: shard has shape {rows.shape} but the manifest "
-                f"payload_columns {self.manifest['payload_columns']!r} "
-                f"require {self._width} columns")
+            rows = _load_shard_file(self.directory / self._files[index],
+                                    self.manifest["payload_columns"],
+                                    mmap_mode="r" if self.mmap else None)
         evicted_index = None
         with self._lock:
             self._shard_reads.inc()

@@ -232,30 +232,6 @@ class TestCompactAndQuery:
         with pytest.raises(ValueError, match="compact_shards"):
             cli.main(["query", str(spill), "--degree", "0"])
 
-    def test_stream_async_io(self, bundle_path, tmp_path, capsys):
-        from repro.graphs import read_shard_manifest
-
-        out_dir = tmp_path / "async-shards"
-        rc = cli.main(["stream", str(bundle_path), str(out_dir),
-                       "--ranks", "3", "--block", "16", "--async-io"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "async writer" in out
-        assert "PASS" in out
-        factor_a, factor_b, _ = load_kronecker_bundle(bundle_path)
-        manifest = read_shard_manifest(out_dir)
-        assert manifest["total_edges"] == factor_a.nnz * factor_b.nnz
-
-    def test_async_io_requires_ranks(self, bundle_path, tmp_path):
-        with pytest.raises(SystemExit, match="--ranks"):
-            cli.main(["stream", str(bundle_path), str(tmp_path / "d"),
-                      "--async-io"])
-
-    def test_async_io_rejects_processes(self, bundle_path, tmp_path):
-        with pytest.raises(SystemExit, match="in-process"):
-            cli.main(["stream", str(bundle_path), str(tmp_path / "d"),
-                      "--ranks", "2", "--async-io", "--processes"])
-
 
 class TestPayloadCli:
     @pytest.fixture
@@ -299,6 +275,28 @@ class TestPayloadCli:
         stats = KroneckerTriangleStats.from_factors(factor_a, factor_b)
         assert np.array_equal(rows[:, 2],
                               stats.edge_values(rows[:, 0], rows[:, 1]))
+
+    def test_stream_payload_without_ranks_runs_one_rank(self, bundle_path,
+                                                        tmp_path, capsys):
+        """Without --ranks a payload spill runs the rank pipeline on one
+        rank, validating the run; flag errors leave the spill intact."""
+        from repro.graphs import read_shard_manifest
+
+        spill = tmp_path / "spill"
+        rc = cli.main(["stream", str(bundle_path), str(spill),
+                       "--payload", "trussness"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "over 1 rank(s)" in out and "PASS" in out
+        before = read_shard_manifest(spill)
+        assert before["payload_columns"] == ["src", "dst", "trussness"]
+        with pytest.raises(SystemExit, match="--max-edges"):
+            cli.main(["stream", str(bundle_path), str(spill),
+                      "--payload", "triangles", "--max-edges", "10"])
+        with pytest.raises(SystemExit, match="pagerank"):
+            cli.main(["stream", str(bundle_path), str(spill),
+                      "--payload", "pagerank"])
+        assert read_shard_manifest(spill) == before
 
     def test_stream_payload_rejects_tsv(self, bundle_path, tmp_path):
         with pytest.raises(SystemExit, match="shard format"):

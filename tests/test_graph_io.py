@@ -160,6 +160,29 @@ class TestEdgeShards:
         for got, expected in zip(loaded, streamed):
             assert np.array_equal(got, expected)
 
+    def test_same_files_as_one_rank_pipeline(self, tmp_path):
+        """The topology-only writer spills the same shard and manifest bytes
+        as the streaming pipeline on one rank."""
+        from repro.core import KroneckerGraph
+        from repro.parallel import distributed_generate
+
+        factor_a = generators.webgraph_like(40, seed=3)
+        factor_b = generators.triangle_constrained_pa(12, seed=4)
+        product = KroneckerGraph(factor_a, factor_b)
+        write_edge_shards(product, tmp_path / "writer", a_edges_per_block=8)
+        sink = NpyShardSink(tmp_path / "pipeline", name=product.name,
+                            n_vertices=product.n_vertices)
+        distributed_generate(factor_a, factor_b, 1, streaming=True,
+                             a_edges_per_block=8, sink=sink,
+                             with_statistics=False)
+        files = sorted(path.name for path in (tmp_path / "writer").iterdir())
+        assert len(files) > 2
+        assert files == sorted(path.name
+                               for path in (tmp_path / "pipeline").iterdir())
+        for name in files:
+            assert ((tmp_path / "writer" / name).read_bytes()
+                    == (tmp_path / "pipeline" / name).read_bytes())
+
     def test_max_edges_cap(self, tmp_path, small_er, triangle):
         from repro.core import KroneckerGraph
 

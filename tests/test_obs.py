@@ -4,13 +4,11 @@ Covers the metrics registry (counters / gauges / histograms, labels, name
 validation, percentiles, snapshot/reset), Prometheus-text rendering — with a
 round-trip check that the rendered numbers equal the snapshot's — the span
 recorder / context plumbing in :mod:`repro.obs.trace`, and the server-side
-``metrics`` / ``trace`` / ``reset_stats`` ops plus the slow-query log.
+``metrics`` / ``trace`` / ``reset_stats`` ops.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import re
 
 import numpy as np
@@ -345,21 +343,6 @@ class TestServedSurface:
             assert "workers" not in answer  # single server, no fleet
             assert "degree" not in client.stats()["server"]["requests"]
             assert client.stats()["store"]["shard_reads"] == 0
-
-    def test_slow_query_log_writes_json_lines(self, store_dir):
-        log = io.StringIO()
-        with ThreadedServer(store_dir, slow_query_us=0,
-                            slow_query_log=log) as handle, \
-                QueryClient(handle.host, handle.port) as client:
-            client.degree(5)
-            stats = client.stats()
-            assert stats["server"]["slow_queries"] >= 1
-        lines = [json.dumps(json.loads(line), sort_keys=True)
-                 for line in log.getvalue().splitlines() if line]
-        assert lines
-        entry = json.loads(lines[0])
-        assert {"ts", "op", "elapsed_us", "ok", "trace"} <= set(entry)
-        assert entry["ok"] is True
 
     def test_store_gauges_report_cache_occupancy(self, store_dir):
         with ThreadedServer(store_dir) as handle, \

@@ -30,14 +30,8 @@ from repro.graphs import (
     read_shard_manifest,
     write_edge_shards,
 )
-from repro.parallel import distributed_generate
-from repro.store import (
-    KNOWN_PAYLOAD_COLUMNS,
-    AsyncShardSink,
-    PayloadEvaluator,
-    ShardStore,
-    compact_shards,
-)
+from repro.parallel import KNOWN_PAYLOAD_COLUMNS, distributed_generate
+from repro.store import ShardStore, compact_shards
 import repro.store.compaction as compaction_mod
 
 PAYLOAD = ("triangles", "trussness")
@@ -96,11 +90,13 @@ class TestPayloadColumnNames:
         with pytest.raises(ValueError, match="non-empty strings"):
             normalize_payload_columns(("", "triangles"))
 
-    def test_evaluator_rejects_unknown_columns(self, weblike_small,
-                                               delta_le_one_factor):
-        with pytest.raises(ValueError, match="unknown payload columns"):
-            PayloadEvaluator.from_factors(weblike_small, delta_le_one_factor,
-                                          ("pagerank",))
+    def test_distributed_generate_rejects_unknown_columns(
+            self, weblike_small, delta_le_one_factor):
+        with pytest.raises(ValueError, match="unknown payload column 'pagerank'"):
+            distributed_generate(weblike_small, delta_le_one_factor, 2,
+                                 streaming=True,
+                                 sink=lambda rank, block, edges: None,
+                                 payload_columns=("pagerank",))
         assert set(PAYLOAD) <= set(KNOWN_PAYLOAD_COLUMNS)
 
 
@@ -121,27 +117,6 @@ class TestPayloadSpill:
         with pytest.raises(ValueError, match=r"\(m, 3\)"):
             sink.write(0, 0, np.asarray([[1, 2], [3, 4]], dtype=np.int64))
         sink.write(0, 0, np.asarray([[1, 2, 9]], dtype=np.int64))
-
-    def test_async_sink_rejects_wrong_width_synchronously(self, tmp_path):
-        sink = AsyncShardSink(tmp_path / "s", payload_columns=PAYLOAD)
-        with pytest.raises(ValueError, match=r"\(m, 4\)"):
-            sink.write(0, 0, np.asarray([[1, 2]], dtype=np.int64))
-        sink.finalize()
-
-    def test_async_sink_payload_spill_equivalent(self, tmp_path, payload_spill,
-                                                 product, weblike_small,
-                                                 delta_le_one_factor):
-        sink = AsyncShardSink(tmp_path / "aspill", queue_blocks=3,
-                              n_vertices=product.n_vertices,
-                              payload_columns=PAYLOAD)
-        assert sink.payload_columns == PAYLOAD
-        distributed_generate(weblike_small, delta_le_one_factor, 4,
-                             streaming=True, a_edges_per_block=8, sink=sink,
-                             payload_columns=PAYLOAD)
-        assert (read_shard_manifest(tmp_path / "aspill")["shards"]
-                == read_shard_manifest(payload_spill)["shards"])
-        assert np.array_equal(load_edge_shards(tmp_path / "aspill"),
-                              load_edge_shards(payload_spill))
 
     def test_payload_requires_streaming_sink(self, weblike_small,
                                              delta_le_one_factor):
@@ -182,14 +157,14 @@ class TestPayloadSpill:
         census = result.total.trussness_census()
         assert census and sum(census.values()) == product.nnz
 
-    def test_write_edge_shards_with_evaluator(self, tmp_path, product,
-                                              weblike_small,
-                                              delta_le_one_factor,
-                                              expected_rows):
-        evaluator = PayloadEvaluator.from_factors(
-            weblike_small, delta_le_one_factor, PAYLOAD)
-        write_edge_shards(product, tmp_path / "spill", a_edges_per_block=32,
-                          payload=evaluator)
+    def test_one_rank_payload_spill_is_exact(self, tmp_path, weblike_small,
+                                             delta_le_one_factor,
+                                             expected_rows):
+        """A single-rank payload spill runs through the same pipeline."""
+        sink = NpyShardSink(tmp_path / "spill", payload_columns=PAYLOAD)
+        distributed_generate(weblike_small, delta_le_one_factor, 1,
+                             streaming=True, a_edges_per_block=32, sink=sink,
+                             payload_columns=PAYLOAD)
         rows = load_edge_shards(tmp_path / "spill")
         assert np.array_equal(_sorted_rows(rows), expected_rows)
 

@@ -164,7 +164,6 @@ class TestProfileStats:
         assert thread_role("shard-serve") == "event_loop"
         assert thread_role("shard-decode_0") == "decode_pool"
         assert thread_role("fleet-fanout_3") == "fanout_pool"
-        assert thread_role("async-shard-writer") == "writer"
         assert thread_role("repro-profiler") == "profiler"
         assert thread_role("MainThread") == "main"
         assert thread_role("ThreadPoolExecutor-9_0") == "other"
@@ -276,6 +275,7 @@ class TestServedEvents:
             traced = [e for e in events if e.get("trace") == t.trace_id]
             assert traced and traced[0]["op"] == "degree"
             assert traced[0]["ok"] is True
+            assert client.stats()["server"]["slow_queries"] >= 1
 
     def test_eviction_event_names_the_shard(self, store_dir):
         store = ShardStore(store_dir, cache_shards=1)

@@ -556,6 +556,41 @@ class TestFleetFlightRecorder:
                 # The healthy slices answer as if nothing happened.
                 assert c.degree(harness.slices[0]["src_lo"]) >= 0
 
+    def test_merged_answers_name_the_missing_worker(self, store_factory):
+        """With one worker killed, the merged profile, events and trace
+        answers each name it and its range in ``missing_workers`` (the
+        shape of health's ``down`` entries), health answers degraded, and
+        a fleet-wide reset fails rather than skip the dead worker."""
+        store = store_factory()
+        with FleetHarness(store, n_slices=3) as harness:
+            dead = harness.slices[1]
+            harness.kill(1)
+            live = [harness.slices[0]["src_lo"], harness.slices[2]["src_lo"]]
+            recorder = TraceRecorder()
+            with harness.client() as c:
+                with trace.start_trace("partial", recorder) as t:
+                    c.degrees(live)
+                answers = {"profile": c.profile(), "events": c.events(),
+                           "trace": c.request("trace", {"id": t.trace_id})}
+                health = c.health()
+                with pytest.raises(ServerError, match="worker 1"):
+                    c.reset_stats()
+            listed = {op: answer["missing_workers"]
+                      for op, answer in answers.items()}
+            listed["health"] = health["down"]
+            for op, entries in listed.items():
+                (missing,) = entries
+                assert missing.keys() == {"worker", "src_lo", "src_hi",
+                                          "error"}, op
+                assert (missing["worker"], missing["src_lo"],
+                        missing["src_hi"]) == (1, dead["src_lo"],
+                                               dead["src_hi"]), op
+                assert "unavailable" in missing["error"], op
+            assert health["status"] == "degraded"
+            # The live workers' spans still merge into the tree.
+            assert any(span["name"] == "serve.degrees"
+                       for span in answers["trace"]["spans"])
+
     def test_healthy_fleet_reports_ok(self, fleet, client):
         health = client.health()
         assert health["status"] == "ok"

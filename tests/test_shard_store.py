@@ -1,14 +1,13 @@
 """Tests for the out-of-core shard store (repro.store).
 
-Covers the three layers — compaction/manifest v2, the ShardStore query
-layer, and the async writer sink — plus the spill edge cases: zero-edge
-ranks, single-shard directories, and idempotent re-compaction.  The
+Covers the two layers — compaction/manifest v2 and the ShardStore query
+layer — plus the spill edge cases: zero-edge ranks, single-shard
+directories, and idempotent re-compaction.  The
 acceptance-criterion check that queries decode only the manifest-selected
 shards uses a counting hook over the store's file loader.
 """
 
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from repro.core import KroneckerGraph
 from repro.graphs import NpyShardSink, load_edge_shards, read_shard_manifest
 from repro.graphs.egonet import egonet
 from repro.parallel import distributed_generate
-from repro.store import AsyncShardSink, ShardStore, compact_shards
+from repro.store import ShardStore, compact_shards
 import repro.store.query as query_mod
 
 
@@ -340,9 +339,9 @@ class TestShardStoreIO:
         opened = []
         real_load = query_mod._load_shard_file
 
-        def counting_load(path, mmap_mode=None):
+        def counting_load(path, columns, mmap_mode=None):
             opened.append(path.name)
-            return real_load(path, mmap_mode=mmap_mode)
+            return real_load(path, columns, mmap_mode=mmap_mode)
 
         monkeypatch.setattr(query_mod, "_load_shard_file", counting_load)
         store = ShardStore(store_dir, cache_shards=2)
@@ -361,7 +360,8 @@ class TestShardStoreIO:
         real_load = query_mod._load_shard_file
         monkeypatch.setattr(
             query_mod, "_load_shard_file",
-            lambda path, **kw: opened.append(path.name) or real_load(path, **kw))
+            lambda path, *args, **kw: (opened.append(path.name)
+                                       or real_load(path, *args, **kw)))
         store = ShardStore(store_dir, cache_shards=8)
         manifest = read_shard_manifest(store_dir)
         lo = manifest["shards"][1]["src_min"]
@@ -404,71 +404,12 @@ class TestShardStoreIO:
         assert manifest["payload_columns"] == ["src", "dst"]
         assert load_edge_shards(spill_dir).shape[0] == product.nnz
 
-
-class TestAsyncShardSink:
-    def test_equivalent_to_sync_sink(self, tmp_path, weblike_small,
-                                     delta_le_one_factor, spill_dir):
-        sink = AsyncShardSink(tmp_path / "aspill", queue_blocks=3,
-                              n_vertices=KroneckerGraph(
-                                  weblike_small, delta_le_one_factor).n_vertices)
-        distributed_generate(weblike_small, delta_le_one_factor, 4,
-                             streaming=True, a_edges_per_block=8, sink=sink)
-        sync_manifest = read_shard_manifest(spill_dir)
-        async_manifest = read_shard_manifest(tmp_path / "aspill")
-        assert async_manifest["shards"] == sync_manifest["shards"]
-        assert np.array_equal(load_edge_shards(tmp_path / "aspill"),
-                              load_edge_shards(spill_dir))
-        assert sink.blocks_written == len(async_manifest["shards"])
-
-    def test_write_snapshots_caller_buffer(self, tmp_path):
-        """A caller reusing its block buffer must not corrupt queued writes."""
-        sink = AsyncShardSink(tmp_path / "s", queue_blocks=4)
-        block = np.asarray([[1, 2], [3, 4]], dtype=np.int64)
-        sink.write(0, 0, block)
-        block[:] = -1
-        sink.finalize()
-        assert np.array_equal(np.load(tmp_path / "s" / "edges-r00000-b000000.npy"),
-                              [[1, 2], [3, 4]])
-
-    def test_flush_waits_for_disk(self, tmp_path):
-        sink = AsyncShardSink(tmp_path / "s", queue_blocks=8)
-        for i in range(6):
-            sink.write(0, i, np.asarray([[i, i + 1]], dtype=np.int64))
-        sink.flush()
-        assert sink.blocks_written == 6
-        assert len(list((tmp_path / "s").glob("edges-*.npy"))) == 6
-
-    def test_finalize_idempotent_and_restartable(self, tmp_path):
-        sink = AsyncShardSink(tmp_path / "s")
-        sink.write(0, 0, np.asarray([[0, 1]], dtype=np.int64))
-        first = sink.finalize()
-        assert first == sink.finalize()
-        sink.write(0, 1, np.asarray([[1, 2]], dtype=np.int64))
-        assert sink.finalize()["total_edges"] == 2
-
-    def test_writer_errors_surface(self, tmp_path, monkeypatch):
-        sink = AsyncShardSink(tmp_path / "s", queue_blocks=2)
-
-        class _FailingSink:
-            def write(self, rank, block_index, edges):
-                raise OSError("disk full")
-
-        monkeypatch.setattr(sink, "_inner", _FailingSink())
-        sink.write(0, 0, np.asarray([[0, 1]], dtype=np.int64))
-        with pytest.raises(RuntimeError, match="async shard writer"):
-            sink.flush()
-
-    def test_not_picklable(self, tmp_path):
-        sink = AsyncShardSink(tmp_path / "s")
-        with pytest.raises(TypeError, match="NpyShardSink"):
-            pickle.dumps(sink)
-
     def test_full_pipeline_through_store(self, tmp_path, weblike_small,
                                          delta_le_one_factor):
-        """generate → async spill → compact → query, never materializing C."""
+        """generate → spill → compact → query, never materializing C."""
         product = KroneckerGraph(weblike_small, delta_le_one_factor)
-        sink = AsyncShardSink(tmp_path / "spill", name=product.name,
-                              n_vertices=product.n_vertices)
+        sink = NpyShardSink(tmp_path / "spill", name=product.name,
+                            n_vertices=product.n_vertices)
         distributed_generate(weblike_small, delta_le_one_factor, 3,
                              streaming=True, a_edges_per_block=16, sink=sink)
         compact_shards(tmp_path / "spill", tmp_path / "store",
