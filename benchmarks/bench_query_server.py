@@ -18,10 +18,9 @@ Runs in two modes:
   8 concurrent clients on every CI run, requests/s reported;
 * **full** — ``pytest -m slow benchmarks/bench_query_server.py``: the
   Section VI-scale pair with a client-concurrency throughput sweep
-  (1 → 16 threads) over the scalar-coalescing hot path, the mixed-query
-  workload, and the protocol-v2 binary-vs-JSON bulk range-scan sweep
-  (acceptance bar: binary ≥ 5× JSON rows/s, byte-equal answers).  Full
-  runs record their headline numbers as ``BENCH_*.json`` at the repo root.
+  (1 → 16 threads) over the scalar-coalescing hot path and the mixed-query
+  workload.  Full runs record their headline numbers as ``BENCH_*.json``
+  at the repo root.
 
 PR 7 adds the fleet tier: the smoke stands a range-routed fleet
 (:class:`~tests._fleet_harness.FleetHarness`: partition → 3 slice workers →
@@ -46,7 +45,6 @@ numbers as ``BENCH_profiler_overhead.json``.
 from __future__ import annotations
 
 import gc
-import socket
 import threading
 import time
 
@@ -58,7 +56,7 @@ from repro.core import KroneckerGraph
 from repro.graphs import NpyShardSink
 from repro.obs import TraceRecorder, trace
 from repro.parallel import distributed_generate
-from repro.serve import QueryClient, ThreadedServer, protocol
+from repro.serve import QueryClient, ThreadedServer
 from repro.store import ShardStore, compact_shards
 from benchmarks._report import emit_bench_json, print_section
 
@@ -107,14 +105,7 @@ def _assert_every_query_type_equal(client: QueryClient,
                                               with_payload=with_payload)
         assert served_rows.dtype == local_rows.dtype == np.int64
         assert np.array_equal(served_rows, local_rows)
-        # The v2 binary bulk plane must return the identical array —
-        # values, dtype, shape — from raw bytes instead of JSON lists.
-        binary_rows = client.edges_in_range(n // 4, n // 2,
-                                            with_payload=with_payload,
-                                            binary=True)
-        assert binary_rows.dtype == local_rows.dtype == np.int64
-        assert np.array_equal(binary_rows, local_rows)
-        requests += 2
+        requests += 1
 
     centre = int(vertices[0])
     served_ego, served_ego_rows = client.egonet(centre, with_payload=True)
@@ -211,21 +202,6 @@ def test_query_server_smoke(tmp_path, quick_mode):
         assert server_stats["connections_total"] >= N_CLIENTS
         assert sum(server_stats["requests"].values()) >= requests
         assert server_stats["binary"]["frames"] >= 2 * N_CLIENTS
-
-        # A v1-JSON request must still round-trip unchanged: same single
-        # JSON frame, identical body to a v2 JSON-plane request.
-        n = reference.n_vertices
-        wire_args = {"lo": n // 4, "hi": n // 2, "with_payload": False}
-        with socket.create_connection((server.host, server.port),
-                                      timeout=30) as raw:
-            protocol.write_frame(
-                raw, {"v": 1, "op": "edges_in_range", "args": wire_args})
-            v1_response = protocol.read_frame(raw)
-            protocol.write_frame(
-                raw, {"v": 2, "op": "edges_in_range", "args": wire_args})
-            v2_response = protocol.read_frame(raw)
-        assert v1_response is not None and v1_response["ok"]
-        assert v1_response == v2_response
 
     print_section("Perf — asyncio query server "
                   f"({'smoke' if quick_mode else 'full'})")
@@ -701,77 +677,4 @@ def test_query_server_throughput_full(tmp_path):
         "mixed_requests_per_s": round(requests / elapsed, 1),
         "coalesced_degree_batches": int(coalesced["batches"]),
         "coalesced_degree_requests": int(coalesced["requests"]),
-    })
-
-
-@pytest.mark.slow
-def test_binary_plane_throughput_full(tmp_path):
-    """Full sizes: warm ``edges_in_range`` over the v2 binary plane must be
-    ≥ 5× the JSON plane in rows/s, byte-equal to the in-process answer, and
-    copy-free on the warm server store."""
-    factor_a = generators.webgraph_like(320, edges_per_vertex=3,
-                                        triad_probability=0.6, seed=3)
-    factor_b = generators.triangle_constrained_pa(90, seed=13)
-    store_dir, product = _build_store(factor_a, factor_b, tmp_path,
-                                      block=32, target=65_536)
-    reference = ShardStore(store_dir, cache_shards=16)
-    n = reference.n_vertices
-    lo, hi = n // 4, n // 2
-    expected = reference.edges_in_range(lo, hi, with_payload=True)
-
-    with ThreadedServer(store_dir, cache_shards=16,
-                        decode_threads=8) as server:
-        with QueryClient(server.host, server.port) as client:
-            # Warm both planes once, asserting byte equality on the way.
-            json_rows = client.edges_in_range(lo, hi, with_payload=True)
-            binary_rows = client.edges_in_range(lo, hi, with_payload=True,
-                                                binary=True)
-            assert json_rows.dtype == binary_rows.dtype == expected.dtype
-            assert np.array_equal(json_rows, expected)
-            assert np.array_equal(binary_rows, expected)
-
-            served_store = server.server.store
-            warm_stats = served_store.stats()
-            assert warm_stats["mmap"] and warm_stats["resident_bytes"] == 0
-
-            def rows_per_s(repeats: int, **kwargs) -> float:
-                start = time.perf_counter()
-                total = 0
-                for _ in range(repeats):
-                    total += client.edges_in_range(lo, hi, **kwargs).shape[0]
-                return total / (time.perf_counter() - start)
-
-            json_rate = rows_per_s(3, with_payload=True)
-            binary_rate = rows_per_s(12, with_payload=True, binary=True)
-
-            # Warm bulk scans must not decode (or privately copy) shards:
-            # the cache counters are flat across the whole timed sweep.
-            after_stats = served_store.stats()
-            assert after_stats["shard_reads"] == warm_stats["shard_reads"]
-            assert after_stats["resident_bytes"] == 0
-            assert after_stats["mapped_bytes"] == warm_stats["mapped_bytes"]
-
-    speedup = binary_rate / json_rate
-    mb_per_s = binary_rate * expected.shape[1] * 8 / 1e6
-    print_section("Perf — binary bulk plane vs JSON plane (full)")
-    print(f"  range [{lo}, {hi}): {expected.shape[0]:,} rows × "
-          f"{expected.shape[1]} cols ({expected.nbytes / 1e6:.1f} MB)")
-    print(f"  JSON plane:   {json_rate:>12,.0f} rows/s")
-    print(f"  binary plane: {binary_rate:>12,.0f} rows/s "
-          f"({mb_per_s:,.0f} MB/s)")
-    print(f"  speedup: {speedup:.1f}×")
-    assert speedup >= 5.0, (
-        f"binary plane is only {speedup:.1f}× the JSON plane; "
-        "the acceptance bar is 5×")
-
-    emit_bench_json("query_server_binary", {
-        "mode": "full",
-        "product_edges": int(product.nnz),
-        "n_shards": int(reference.n_shards),
-        "range_rows": int(expected.shape[0]),
-        "range_bytes": int(expected.nbytes),
-        "json_rows_per_s": round(json_rate, 1),
-        "binary_rows_per_s": round(binary_rate, 1),
-        "binary_mb_per_s": round(mb_per_s, 1),
-        "binary_speedup": round(speedup, 2),
     })

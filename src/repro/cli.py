@@ -95,6 +95,8 @@ import time
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro import generators
 from repro.analysis import format_table, graph_summary, kronecker_summary
 from repro.core import (
@@ -128,7 +130,6 @@ from repro.serve import (
     fleet_info_from_manifest,
 )
 from repro.serve.shaping import (
-    range_shape,
     shape_degree,
     shape_egonet,
     shape_neighbors,
@@ -261,10 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--connect", type=str, default=None, metavar="HOST:PORT",
                        help="query a running `repro-kron serve` instance "
                             "instead of a local store directory")
-    query.add_argument("--binary", action="store_true",
-                       help="fetch --range rows over the protocol-v2 binary "
-                            "bulk plane (raw bytes, no JSON row lists); "
-                            "requires --connect, output is identical")
     query.add_argument("--timeout", type=float, default=30.0,
                        help="socket timeout in seconds for --connect "
                             "(default 30; guards against a hung server)")
@@ -293,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="serve shard-store queries over a socket (asyncio front-end, "
-             "one concurrent-safe store, length-prefixed JSON frames)")
+             "one concurrent-safe store, JSON control frames plus one "
+             "binary frame per array answer)")
     serve.add_argument("store", type=Path, help="compacted store directory")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
@@ -571,8 +569,7 @@ def _wire_request(args: argparse.Namespace) -> Tuple[str, dict]:
         return "egonet", {"vertex": args.egonet, "with_payload": args.payload}
     lo, hi = args.range
     return "edges_in_range", {"lo": lo, "hi": hi,
-                              "with_payload": args.payload,
-                              "limit": args.limit}
+                              "with_payload": args.payload}
 
 
 def _print_query_text(result: dict, limit: int) -> None:
@@ -616,6 +613,14 @@ def _print_query_text(result: dict, limit: int) -> None:
             print(f"  ... ({result['n_edges'] - len(result['edges']):,} more)")
 
 
+def _json_list(value):
+    """``json.dumps`` hook: answers hold ``int64`` arrays, printed as the
+    integer lists they carry."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _no_payload_exit(source) -> SystemExit:
     return SystemExit(
         f"{source} carries no payload columns; re-run the spill with "
@@ -636,8 +641,7 @@ def _query_local(args: argparse.Namespace) -> dict:
         result = shape_egonet(store, args.egonet, with_payload=args.payload)
     else:
         lo, hi = args.range
-        result = shape_range(store, lo, hi, with_payload=args.payload,
-                             limit=args.limit)
+        result = shape_range(store, lo, hi, with_payload=args.payload)
     result["store"] = {
         "n_shards": store.n_shards,
         # Counters of a store opened for this one query: its decode cost.
@@ -655,20 +659,8 @@ def _query_remote(args: argparse.Namespace) -> dict:
         info = client.hello()["store"]
         if args.payload and not info["payload_columns"]:
             raise _no_payload_exit(args.connect)
-        if args.binary:
-            # Bulk plane: fetch the raw rows, then assemble the exact
-            # display shape the JSON plane would have produced — shared
-            # range_shape() is the one definition of that shape.
-            lo, hi = args.range
-            rows = client.edges_in_range(lo, hi, with_payload=args.payload,
-                                         binary=True)
-            columns = ["src", "dst"]
-            if args.payload:
-                columns += list(info["payload_columns"])
-            result = range_shape(lo, hi, rows, columns, limit=args.limit)
-        else:
-            op, wire_args = _wire_request(args)
-            result = client.request(op, wire_args)
+        op, wire_args = _wire_request(args)
+        result = client.request(op, wire_args)
         counters = client.stats()["store"]
     result["store"] = {
         "n_shards": counters["n_shards"],
@@ -687,13 +679,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise SystemExit(
             "query needs exactly one of a store directory or --connect "
             "HOST:PORT")
-    if args.binary and (args.connect is None or args.range is None):
-        raise SystemExit(
-            "--binary is the wire bulk plane: it requires --connect and "
-            "--range")
     result = _query_remote(args) if args.connect else _query_local(args)
+    if args.range is not None:
+        # Answers hold every row (n_edges counts them); --limit bounds
+        # only what is printed.
+        result["edges"] = result["edges"][:args.limit]
     if args.as_json:
-        print(json.dumps(result, indent=2, sort_keys=True))
+        print(json.dumps(result, indent=2, sort_keys=True,
+                         default=_json_list))
     else:
         _print_query_text(result, args.limit)
         counters = result["store"]
@@ -748,7 +741,7 @@ def _serve_fleet(args: argparse.Namespace) -> int:
                   f"(fleet of {args.fleet} slice(s) x {args.replicas} "
                   f"replica(s), {info['n_shards']} shards, "
                   f"{info['total_edges']:,} edges, "
-                  f"protocol v{PROTOCOL_VERSION} with binary bulk frames)",
+                  f"protocol v{PROTOCOL_VERSION})",
                   flush=True)
             await router.serve_until_stopped()
 
@@ -786,7 +779,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serving {args.store} on {server.host}:{server.port} "
               f"({store.n_shards} shards, {store.total_edges:,} edges, "
               f"cache {args.cache}, {args.threads} decode threads, "
-              f"protocol v{PROTOCOL_VERSION} with binary bulk frames)",
+              f"protocol v{PROTOCOL_VERSION})",
               flush=True)
         # serve_until_stopped tears down gracefully even when Ctrl-C
         # cancels it, so the stats below are final either way.

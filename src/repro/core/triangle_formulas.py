@@ -472,7 +472,7 @@ class TriangleStatsGatherer:
     batches against the *same* statistics — the per-block loop of the
     streaming rank pipeline — pays the key-construction cost once instead of
     once per block.  Produces bit-identical values to
-    :meth:`KroneckerTriangleStats.edge_values` / ``vertex_value``.
+    :meth:`KroneckerTriangleStats.edge_values`.
     """
 
     __slots__ = ("_stats", "_edge_gatherers")
@@ -499,11 +499,6 @@ class TriangleStatsGatherer:
         for coef, ga, gb in self._edge_gatherers:
             total += coef * ga.gather(i, j).astype(np.float64) * gb.gather(k, l).astype(np.float64)
         return np.rint(total).astype(np.int64)
-
-    def vertex_values(self, ps: np.ndarray) -> np.ndarray:
-        """``t_C[ps[t]]`` (vertex components are dense vectors — plain fancy indexing)."""
-        return np.asarray(self._stats.vertex_value(np.asarray(ps, dtype=np.int64)),
-                          dtype=np.int64)
 
 
 def _support_union(matrices: Sequence[sp.spmatrix]) -> np.ndarray:

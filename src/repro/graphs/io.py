@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
@@ -67,6 +68,14 @@ _MANIFEST_TMP = SHARD_MANIFEST + ".tmp"
 
 #: The two columns every edge shard starts with.
 _ENDPOINT_COLUMNS = ("src", "dst")
+
+#: Held while :func:`read_edge_shard` opens a shard.  ``np.load`` parses
+#: every ``.npy`` header with ``ast.literal_eval``, and CPython 3.11 keeps
+#: the AST constructor's recursion counter in interpreter-wide state, so
+#: two threads parsing at once can fail with a spurious ``SystemError``
+#: ("AST constructor recursion depth mismatch").  A leaf lock: nothing else
+#: is acquired while it is held.
+_SHARD_OPEN_LOCK = threading.Lock()
 
 
 def normalize_payload_columns(columns: Sequence[str]) -> Tuple[str, ...]:
@@ -444,8 +453,15 @@ def read_edge_shard(path: PathLike, columns: Sequence[str], *,
     width disagrees with its manifest fails identically everywhere — with a
     :class:`ValueError` naming the file.  ``mmap_mode="r"`` returns a
     read-only memory map instead of a private copy.
+
+    Safe to call from many threads: only the open — header parse plus
+    ``mmap`` — is serialized; an eager read copies the mapped rows after
+    the lock is released, so concurrent decodes still overlap their I/O.
     """
-    block = np.load(path, mmap_mode=mmap_mode)
+    with _SHARD_OPEN_LOCK:
+        block = np.load(path, mmap_mode=mmap_mode or "r")
+    if mmap_mode is None:
+        block = np.array(block)
     if block.ndim != 2 or block.shape[1] != len(columns):
         raise ValueError(
             f"{path}: shard has shape {block.shape} but the manifest "

@@ -113,11 +113,11 @@ class RankOutput:
 
 
 class RankEdgeBlock(NamedTuple):
-    """One bounded block of a rank's stream: edges plus their exact payloads."""
+    """One bounded block of a rank's stream: edges plus their exact
+    triangle payload."""
 
     edges: np.ndarray
     edge_triangles: np.ndarray
-    source_vertex_triangles: np.ndarray
 
 
 def _rank_entry_range(factor_a: Graph, partition: PartitionType) -> Tuple[int, int]:
@@ -203,11 +203,10 @@ def iter_rank_edge_blocks(
     for edges in product.iter_rank_edge_blocks(partition,
                                                a_edges_per_block=a_edges_per_block):
         if not with_statistics:
-            yield RankEdgeBlock(edges, empty, empty)
+            yield RankEdgeBlock(edges, empty)
             continue
         edge_t = gatherer.edge_values(edges[:, 0], edges[:, 1])
-        vertex_t = gatherer.vertex_values(edges[:, 0])
-        yield RankEdgeBlock(edges, edge_t, vertex_t)
+        yield RankEdgeBlock(edges, edge_t)
 
 
 #: Per-edge ground-truth columns a streamed spill can carry, in the

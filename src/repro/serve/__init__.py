@@ -1,16 +1,16 @@
 """Network query service over compacted shard stores.
 
-The serving layer of the "millions of users" story: PRs 2–4 built the
-out-of-core side (streaming spill → compaction → :class:`~repro.store.ShardStore`
-range queries with exact per-edge ground truth); this package puts that
-store behind a socket so consumers no longer run in-process:
+The serving layer over the out-of-core side (streaming spill → compaction
+→ :class:`~repro.store.ShardStore` range queries with exact per-edge ground
+truth): this package puts that store behind a socket so consumers no longer
+run in-process:
 
-* :mod:`repro.serve.protocol` — length-prefixed JSON frames, one response
-  per request, error frames carrying the store's exception messages
-  verbatim, the version rules recorded in the ROADMAP, and (v2) the opt-in
-  binary bulk frame that ships ``edges_in_range`` rows as raw mmapped
-  bytes instead of JSON lists;
-* :mod:`repro.serve.shaping` — the single definition of every query's JSON
+* :mod:`repro.serve.protocol` — length-prefixed frames, one response per
+  request, error frames carrying the store's exception messages verbatim,
+  the version rules recorded in the ROADMAP, and the one array encoding
+  (v3): a JSON control frame whose arrays are descriptors, then one binary
+  frame holding every array as raw ``int64`` bytes;
+* :mod:`repro.serve.shaping` — the single definition of every query's
   answer shape, shared with the CLI's ``query --json`` so the two surfaces
   cannot drift;
 * :class:`ShardStoreServer` — the asyncio front-end: one concurrent-safe
@@ -40,7 +40,6 @@ from repro.serve.client import QueryClient
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    SUPPORTED_PROTOCOL_VERSIONS,
     ProtocolError,
     ServerError,
 )
@@ -55,7 +54,6 @@ from repro.serve.server import ShardStoreServer, ThreadedServer
 __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
-    "SUPPORTED_PROTOCOL_VERSIONS",
     "FleetStore",
     "ProtocolError",
     "QueryClient",

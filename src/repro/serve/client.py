@@ -1,7 +1,7 @@
 """Blocking wire-level client for the shard-store query service.
 
 :class:`QueryClient` speaks the :mod:`repro.serve.protocol` framing over one
-reused TCP connection and turns the JSON answer shapes back into the exact
+reused TCP connection and turns the answer shapes back into the exact
 objects the in-process :class:`~repro.store.ShardStore` returns — ``int64``
 numpy arrays for edge rows and payload values, reconstructed
 :class:`~repro.graphs.Graph` / :class:`~repro.graphs.egonet.Egonet` objects
@@ -9,24 +9,22 @@ for ``subgraph`` / ``egonet`` — so a consumer can swap a local store for a
 served one without changing a line downstream, and the equivalence tests can
 assert byte-level equality against the local answers.
 
+Every array of an answer arrives in the binary frame after the JSON
+control frame (protocol v3): one ``recv_into`` pass into a mutable buffer,
+then :func:`~repro.serve.protocol.place_arrays` wraps each array in place —
+writable ``int64``, no per-row JSON decode.
+
 Error frames re-raise the matching Python exception with the server's
 message verbatim (a served ``edge_payloads`` miss raises the same
 :class:`ValueError` a local call would).  The connection is opened lazily,
 reused across requests, and re-opened once per request if the server closed
 it in between; batch helpers (:meth:`degrees`, :meth:`edge_payloads`) follow
-the repo's array-in / array-out conventions.
+the repo's array-in / array-out conventions.  Every socket operation
+honours the constructor *timeout*, and :meth:`connection_stats` reports
+connects, reconnect retries, and binary transfer volume for operational
+visibility.
 
-Bulk fetches can ride the protocol-v2 **binary plane**:
-``edges_in_range(lo, hi, binary=True)`` asks the server for a raw-rows
-response — JSON control frame plus one binary frame — and rebuilds the
-exact ``int64`` array from the raw bytes (one ``recv_into`` pass into a
-mutable buffer, one ``np.frombuffer`` wrap; no per-row JSON decode).  The
-answer is byte-equal to the JSON plane's and to the in-process store's.
-Every socket operation honours the constructor *timeout*, and
-:meth:`connection_stats` reports connects, reconnect retries, and binary
-transfer volume for operational visibility.
-
-Distributed tracing (PR 8): when a :mod:`repro.obs.trace` context is
+Distributed tracing: when a :mod:`repro.obs.trace` context is
 active (``start_trace``), every request runs under a ``client.<op>`` span
 and stamps the additive ``"trace"`` key on its frame — the server adopts
 the trace and parents its own spans under the client's, so
@@ -45,17 +43,9 @@ from repro.graphs.adjacency import Graph
 from repro.graphs.egonet import Egonet
 from repro.obs import trace
 from repro.serve import protocol
-from repro.serve.shaping import induced_adjacency, rows_from_binary
+from repro.serve.shaping import induced_adjacency
 
 __all__ = ["QueryClient"]
-
-
-def _rows_array(rows, width: int) -> np.ndarray:
-    """JSON row lists back to the store's ``(m, width)`` ``int64`` layout."""
-    out = np.asarray(rows, dtype=np.int64)
-    if out.size == 0:
-        return np.zeros((0, width), dtype=np.int64)
-    return out.reshape(-1, width)
 
 
 class QueryClient:
@@ -125,24 +115,16 @@ class QueryClient:
     # Request plumbing
     # ------------------------------------------------------------------
     def request(self, op: str, args: Optional[dict] = None) -> dict:
-        """Send one request and return the raw ``result`` shape.
+        """Send one request and return the ``result`` shape, its arrays
+        placed back as writable ``int64`` arrays.
 
         The reused connection is re-opened once if the server closed it
         between requests (idle-timeout, restart); a failure on the fresh
-        connection propagates.
+        connection propagates.  Under an active trace the round trip runs
+        inside a ``client.<op>`` span whose id is stamped on the frame's
+        additive ``"trace"`` key, making the span the parent of everything
+        the server records for this request.
         """
-        result, _ = self._request(op, args, binary=False)
-        return result
-
-    def _request(self, op: str, args: Optional[dict], *, binary: bool):
-        """Request plumbing shared by the JSON and binary planes: returns
-        ``(result, binary_buffer_or_None)`` with the retry-once-on-a-dead-
-        reused-connection behaviour of :meth:`request`.
-
-        Under an active trace the round trip runs inside a
-        ``client.<op>`` span whose id is stamped on the frame's additive
-        ``"trace"`` key, making the span the parent of everything the
-        server records for this request."""
         frame = protocol.request_frame(op, args)
         active = trace.current()
         if active is not None:
@@ -155,13 +137,13 @@ class QueryClient:
             with client_span:
                 frame["trace"] = {"id": active.trace_id,
                                   "span": client_span.span_id}
-                return self._send_with_retry(frame, binary=binary)
-        return self._send_with_retry(frame, binary=binary)
+                return self._send_with_retry(frame)
+        return self._send_with_retry(frame)
 
-    def _send_with_retry(self, frame: dict, *, binary: bool):
+    def _send_with_retry(self, frame: dict) -> dict:
         reused = self._sock is not None
         try:
-            return self._roundtrip(frame, binary=binary)
+            return self._roundtrip(frame)
         except (BrokenPipeError, ConnectionResetError, ConnectionAbortedError):
             # Retry once, and only when a *reused* connection died (the
             # server dropped it between requests).  A server-*reported*
@@ -170,29 +152,24 @@ class QueryClient:
             if not reused:
                 raise
             self._reconnect_retries += 1
-        return self._roundtrip(frame, binary=binary)
+        return self._roundtrip(frame)
 
-    def _roundtrip(self, frame: dict, *, binary: bool = False):
+    def _roundtrip(self, frame: dict) -> dict:
         sock = self._connect()
-        buffer = None
         self._requests_sent += 1
         try:
             protocol.write_frame(sock, frame)
             response = protocol.read_frame(sock)
-            if (binary and response is not None and response.get("ok")
-                    and isinstance(response.get("result"), dict)
-                    and "rows" in response["result"]):
-                # The control frame announced a binary follow-up; read it
-                # inside this try so a timeout or truncation mid-body drops
-                # the (desynchronized) socket like any transport failure.
-                buffer = protocol.read_binary_frame(sock)
-                announced = int(response["result"]["rows"]["nbytes"])
-                if len(buffer) != announced:
-                    raise protocol.ProtocolError(
-                        f"binary frame carried {len(buffer)} bytes but the "
-                        f"control frame announced {announced}")
+            slots = protocol.array_slots(response) if response else []
+            if slots:
+                # The control frame holds array descriptors, so the binary
+                # frame follows; reading it inside this try drops the socket
+                # on a timeout, truncation or bad layout like any transport
+                # failure.
+                body = protocol.read_binary_frame(sock)
+                protocol.place_arrays(slots, body)
                 self._binary_frames += 1
-                self._binary_bytes += len(buffer)
+                self._binary_bytes += len(body)
         except Exception:
             # Any transport-level failure — timeout mid-response included —
             # leaves the byte stream desynchronized: a later request could
@@ -210,7 +187,7 @@ class QueryClient:
             # sync, so the connection remains reusable (no binary frame
             # ever follows an error frame).
             protocol.raise_error(response.get("error", {}))
-        return response.get("result", {}), buffer
+        return response.get("result", {})
 
     # ------------------------------------------------------------------
     # Store metadata
@@ -241,20 +218,17 @@ class QueryClient:
         """Batch degrees (array-in / array-out, one request)."""
         result = self.request(
             "degrees", {"vertices": [int(v) for v in np.asarray(vs)]})
-        return np.asarray(result["degrees"], dtype=np.int64)
+        return result["degrees"]
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbour ids of *v*, self loop excluded."""
-        result = self.request("neighbors", {"vertex": int(v)})
-        return np.asarray(result["neighbors"], dtype=np.int64)
+        return self.request("neighbors", {"vertex": int(v)})["neighbors"]
 
     def neighbors_with_payload(self, v: int) -> Tuple[np.ndarray, dict]:
         """Neighbour ids plus ``{column: int64 array}`` ground truth."""
         result = self.request("neighbors",
                               {"vertex": int(v), "with_payload": True})
-        payload = {name: np.asarray(values, dtype=np.int64)
-                   for name, values in result["payload"].items()}
-        return np.asarray(result["neighbors"], dtype=np.int64), payload
+        return result["neighbors"], result["payload"]
 
     def edges_for_sources(self, vs: Sequence[int], *,
                           with_payload: bool = False) -> np.ndarray:
@@ -265,32 +239,19 @@ class QueryClient:
             "vertices": [int(v) for v in np.atleast_1d(np.asarray(vs))],
             "with_payload": with_payload,
         })
-        return _rows_array(result["edges"], len(result["columns"]))
+        return result["edges"]
 
     def edges_in_range(self, lo: int, hi: int, *,
                        with_payload: bool = False,
                        binary: bool = False) -> np.ndarray:
-        """All stored rows with source in ``[lo, hi)`` — the full answer;
-        the wire shape's ``limit`` is left unset.
+        """All stored rows with source in ``[lo, hi)``.
 
-        ``binary=True`` fetches the rows over the protocol-v2 bulk plane
-        (raw bytes, no JSON row lists) and returns the identical writable
-        ``int64`` array — same values, dtype, and shape as the JSON path
-        and the in-process store."""
-        args = {"lo": int(lo), "hi": int(hi), "with_payload": with_payload}
-        if binary:
-            args["binary"] = True
-            result, buffer = self._request("edges_in_range", args,
-                                           binary=True)
-            try:
-                return rows_from_binary(result["rows"], buffer)
-            except ValueError as exc:
-                # A descriptor/byte-count contradiction means the stream
-                # cannot be trusted; drop the socket before surfacing it.
-                self.close()
-                raise protocol.ProtocolError(str(exc)) from exc
-        result = self.request("edges_in_range", args)
-        return _rows_array(result["edges"], len(result["columns"]))
+        *binary* changes nothing — every answer array travels as raw bytes
+        — and is kept because the benchmark's correctness gate
+        (``perfbench/gate.py``) passes ``binary=True``."""
+        return self.request("edges_in_range", {
+            "lo": int(lo), "hi": int(hi), "with_payload": with_payload,
+        })["edges"]
 
     def egonet(self, v: int, *, with_payload: bool = False):
         """Egonet of *v*, reconstructed to match the in-process
@@ -299,16 +260,12 @@ class QueryClient:
         result = self.request("egonet", {"vertex": int(v),
                                          "with_payload": with_payload,
                                          "include_members": True})
-        vertices = np.asarray(result["vertices"], dtype=np.int64)
-        if with_payload:
-            # The payload rows carry the topology in their first two columns
-            # (the wire does not ship it twice).
-            rows = _rows_array(result["rows"], len(result["columns"]))
-            edges = rows[:, :2]
-        else:
-            edges = _rows_array(result["edges"], 2)
+        vertices = result["vertices"]
+        # With payload, the rows carry the topology in their first two
+        # columns (the wire does not ship it twice).
+        rows = result["rows"] if with_payload else result["edges"]
         name = f"{self.hello()['store'].get('name') or 'store'}[sub]"
-        graph = Graph(induced_adjacency(vertices, edges), name=name,
+        graph = Graph(induced_adjacency(vertices, rows[:, :2]), name=name,
                       validate=False)
         ego = Egonet(center=int(v), vertices=vertices, graph=graph)
         if not with_payload:
@@ -322,13 +279,8 @@ class QueryClient:
         vs = [int(v) for v in np.asarray(vertices)]
         result = self.request("subgraph", {"vertices": vs,
                                            "with_payload": with_payload})
-        order = np.asarray(result["vertices"], dtype=np.int64)
-        if with_payload:
-            rows = _rows_array(result["rows"], len(result["columns"]))
-            edges = rows[:, :2]
-        else:
-            edges = _rows_array(result["edges"], 2)
-        graph = Graph(induced_adjacency(order, edges),
+        rows = result["rows"] if with_payload else result["edges"]
+        graph = Graph(induced_adjacency(result["vertices"], rows[:, :2]),
                       name=result["name"], validate=False)
         if not with_payload:
             return graph
@@ -337,11 +289,10 @@ class QueryClient:
     def edge_payloads(self, ps: Sequence[int], qs: Sequence[int]) -> np.ndarray:
         """Batched payload point lookups — ``(m, k)`` ``int64`` rows in the
         store's :attr:`payload_columns` order."""
-        result = self.request("edge_payloads", {
+        return self.request("edge_payloads", {
             "ps": [int(p) for p in np.atleast_1d(np.asarray(ps))],
             "qs": [int(q) for q in np.atleast_1d(np.asarray(qs))],
-        })
-        return _rows_array(result["payloads"], len(result["columns"]))
+        })["payloads"]
 
     def edge_payload(self, p: int, q: int) -> dict:
         """Payload of one stored edge as ``{column: value}``."""
@@ -413,7 +364,7 @@ class QueryClient:
     def connection_stats(self) -> dict:
         """Local connection counters: sockets opened (``connects``),
         transparent retries after a reused connection died
-        (``reconnect_retries``), requests written, and binary-plane
+        (``reconnect_retries``), requests written, and binary-frame
         transfer volume."""
         return {
             "connects": self._connects,

@@ -1,11 +1,11 @@
-"""Length-prefixed JSON wire protocol for the shard-store query service.
+"""Length-prefixed wire protocol (v3) for the shard-store query service.
 
-One frame = a 4-byte big-endian unsigned length followed by that many bytes
-of UTF-8 JSON encoding a single object.  Requests are::
+One frame = a 4-byte big-endian unsigned length followed by that many
+bytes.  Requests are one JSON frame holding a single object::
 
-    {"v": 2, "op": "degree", "args": {"vertex": 12345}}
+    {"v": 3, "op": "degree", "args": {"vertex": 12345}}
 
-and every request gets exactly one JSON response frame::
+and every request gets one JSON response frame::
 
     {"ok": true,  "result": {...}}                      # success
     {"ok": false, "error": {"kind": "ValueError",       # failure
@@ -19,90 +19,88 @@ matching Python exception on the client side: a served
 ``store.edge_payloads`` miss raises the same :class:`ValueError` message a
 local call would.
 
-**Binary bulk plane (protocol v2).**  A v2 request may opt in to raw-rows
-transfer (``"binary": true`` in its ``args``).  The success response is then
-*two* frames: the usual JSON control frame, whose ``result`` carries a
-``"rows"`` descriptor ``{"shape": [m, w], "dtype": "int64", "nbytes": N}``,
-immediately followed by **one length-prefixed binary frame** — the same
-4-byte big-endian length header, but the body is the raw little-endian
-C-order array bytes (a ``memoryview`` of the server's mmapped shard rows,
-never a Python-list encode).  A binary frame follows a JSON frame *only*
-when that frame is a success whose ``result`` contains ``"rows"``; error
-responses are always a single JSON frame.  JSON stays the control and error
-plane.  v1 requests never receive a binary frame — a v1 request with
-``"binary": true`` is rejected with a ``ProtocolError`` frame (connection
-kept; the framing is intact).
+**One array encoding.**  A shape may hold numpy arrays (edge rows, neighbour
+ids, payload columns).  :func:`encode_parts` lifts every array out of the
+answer: in the JSON control frame each array is replaced in place by a
+descriptor ``{"shape": [...], "offset": N}``, and **one binary frame**
+follows it — the same 4-byte length header, then every array back to back
+as raw little-endian ``int64`` bytes, in the order the descriptors appear
+in the control frame (*offset* is the array's byte offset in that body).  On the server the bodies are ``memoryview`` objects over the
+answer arrays — for a warm range answer, over the mapped shard rows — so
+they are written without a Python-level copy.  The client reads the
+binary frame only when the control frame holds a descriptor, and
+:func:`place_arrays` puts writable arrays back at the same keys.  An answer
+without arrays is one frame; error responses are always one JSON frame.
+JSON stays the control and error plane, and request args stay JSON.
 
 Framing rules (recorded in the ROADMAP's serving conventions):
 
-* ``v`` must be in :data:`SUPPORTED_PROTOCOL_VERSIONS`; a server rejects any
-  other value with a ``ProtocolError`` frame but keeps the connection (the
-  framing is intact).  Clients stamp :data:`PROTOCOL_VERSION`, and discover
-  a server's ceiling via the ``hello`` op before relying on v2 features.
+* ``v`` must equal :data:`PROTOCOL_VERSION`; a server answers any other
+  value with one ``ProtocolError`` frame but keeps the connection (the
+  framing is intact).
 * Unknown ``op`` / bad ``args`` → error frame, connection stays open.
 * A frame that cannot be trusted — oversized length prefix, non-JSON body,
-  non-object body, a binary frame whose length disagrees with its
-  descriptor's ``nbytes`` — gets one ``ProtocolError`` frame (server side)
-  or raises :class:`ProtocolError` (client side) and the connection is
-  closed (the byte stream may be desynchronized).
+  non-object body, a binary frame whose arrays do not tile its body
+  exactly — gets one ``ProtocolError`` frame (server side) or raises
+  :class:`ProtocolError` (client side) and the connection is closed (the
+  byte stream may be desynchronized).
 * Adding optional response keys or new ops does **not** bump the version;
-  changing an existing shape or the framing does.  v2 added a second frame
-  *after* an opt-in success response — a framing change — but v1 request
-  streams are served byte-identically to a v1 server.
+  changing an existing shape or the framing does.  v3 changed every
+  answer that carries arrays, so v1 and v2 requests are refused.
 * The same additive rule covers optional *request* keys: a traced client
   stamps ``"trace": {"id": <hex>, "span": <hex>}`` beside ``op``/``args``
-  (PR 8) and the server parents its spans under it, but the key is
-  optional and ignored by older servers — no version bump, and v1
-  requests may carry it too.
-* Worked examples of the additive-op rule: PR 10's observability ops —
-  ``profile`` (drive the sampling profiler), ``events`` (the flight
-  recorder's tail), ``health`` (liveness rollup) — are ordinary
-  single-JSON-frame request/response ops and ship with **no** version
-  bump; an older client simply never sends them, and an older server
-  answers them with the standard unknown-``op`` error frame.
+  and the server parents its spans under it.
+* Observability ops — ``profile``, ``events``, ``health`` — are ordinary
+  single-JSON-frame request/response ops that shipped with **no** version
+  bump; an older server answers them with the standard unknown-``op``
+  error frame.
 
-The sync helpers (:func:`write_frame` / :func:`read_frame`) serve the
-blocking client; the server uses :func:`read_frame_async` over an
-:class:`asyncio.StreamReader`.  Both directions enforce a frame-size cap so
-a corrupt or hostile length prefix cannot trigger an unbounded allocation.
+The sync helpers (:func:`write_frame` / :func:`read_frame` /
+:func:`read_binary_frame`) serve the blocking client; the server uses
+:func:`read_frame_async` over an :class:`asyncio.StreamReader`.  Both
+directions enforce a frame-size cap so a corrupt or hostile length prefix
+cannot trigger an unbounded allocation.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
 import struct
-from typing import Any, Optional
+from typing import Any, List, Optional
+
+import numpy as np
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_PROTOCOL_VERSIONS",
     "MAX_FRAME_BYTES",
     "DEFAULT_MAX_REQUEST_BYTES",
     "ProtocolError",
     "ServerError",
+    "encode_parts",
     "encode_frame",
     "decode_body",
+    "array_slots",
+    "place_arrays",
     "request_frame",
     "result_frame",
     "error_frame",
     "raise_error",
     "write_frame",
     "read_frame",
-    "read_frame_async",
-    "binary_frame_header",
     "read_binary_frame",
+    "read_frame_async",
 ]
 
-#: Version stamped into every request; bumped only for incompatible shape or
-#: framing changes (additive keys and new ops ride on the same version).
-#: v2 added the opt-in binary bulk frame after a success response.
-PROTOCOL_VERSION = 2
+#: The one version a server accepts and a client stamps; bumped only for
+#: incompatible shape or framing changes (additive keys and new ops ride on
+#: the same version).  v3 moved every answer array into one binary frame.
+PROTOCOL_VERSION = 3
 
-#: Request versions the server accepts.  v1 requests are served exactly as a
-#: v1 server would serve them (single JSON frame per response, never binary).
-SUPPORTED_PROTOCOL_VERSIONS = (1, 2)
+#: Every array on the wire is little-endian ``int64``.
+_ARRAY_DTYPE = np.dtype("<i8")
 
 _HEADER = struct.Struct(">I")
 
@@ -127,13 +125,49 @@ class ServerError(RuntimeError):
 # ----------------------------------------------------------------------
 # Frame encode / decode
 # ----------------------------------------------------------------------
+def encode_parts(obj: Any, *, max_bytes: int = MAX_FRAME_BYTES) -> list:
+    """Encode one message as the byte parts to write, in order.
+
+    The first part is the JSON control frame, in which every numpy array of
+    *obj* is replaced by its descriptor (offsets in encoding order, which is
+    the order the descriptors appear in the frame).  When there are arrays,
+    the binary frame follows: its length header, then one ``memoryview`` per
+    non-empty array — views, not copies, so a server writes mapped shard
+    rows straight to the socket.
+    """
+    arrays: list = []
+    total = 0
+
+    def lift(value):
+        nonlocal total
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        array = np.ascontiguousarray(value, dtype=_ARRAY_DTYPE)
+        descriptor = {"shape": list(array.shape), "offset": total}
+        arrays.append(array)
+        total += array.nbytes
+        return descriptor
+
+    body = json.dumps(obj, separators=(",", ":"), sort_keys=True,
+                      default=lift).encode("utf-8")
+    if max(len(body), total) > max_bytes:
+        raise ProtocolError(f"frame of {max(len(body), total)} bytes exceeds "
+                            f"the {max_bytes}-byte cap")
+    parts: list = [_HEADER.pack(len(body)) + body]
+    if arrays:
+        parts.append(_HEADER.pack(total))
+        # Byte views: a buffering transport extends its bytearray with a
+        # view's elements.  (A zero-size view refuses the cast.)
+        parts.extend(memoryview(array).cast("B")
+                     for array in arrays if array.nbytes)
+    return parts
+
+
 def encode_frame(obj: Any, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Serialize one JSON object into a length-prefixed frame."""
-    body = json.dumps(obj, separators=(",", ":"), sort_keys=True).encode("utf-8")
-    if len(body) > max_bytes:
-        raise ProtocolError(
-            f"frame of {len(body)} bytes exceeds the {max_bytes}-byte cap")
-    return _HEADER.pack(len(body)) + body
+    """Encode one message as one ``bytes`` object: :func:`encode_parts`
+    joined, i.e. the JSON frame plus, when *obj* holds arrays, the binary
+    frame after it."""
+    return b"".join(encode_parts(obj, max_bytes=max_bytes))
 
 
 def decode_body(body: bytes) -> dict:
@@ -146,6 +180,54 @@ def decode_body(body: bytes) -> dict:
         raise ProtocolError(
             f"frame body must be a JSON object, got {type(obj).__name__}")
     return obj
+
+
+_DESCRIPTOR_KEYS = frozenset({"shape", "offset"})
+
+
+def array_slots(frame: Any) -> List[tuple]:
+    """Every array descriptor in a decoded control *frame* (a dict or
+    list), in frame order, as ``(container, key, descriptor)`` triples; a
+    dict with exactly the keys ``shape`` and ``offset`` is a descriptor.  A
+    non-empty answer means the binary frame holding the arrays follows."""
+    slots = []
+    items = frame.items() if isinstance(frame, dict) else enumerate(frame)
+    for key, item in items:
+        if type(item) is dict and item.keys() == _DESCRIPTOR_KEYS:
+            slots.append((frame, key, item))
+        elif isinstance(item, (dict, list)):
+            slots.extend(array_slots(item))
+    return slots
+
+
+def place_arrays(slots: List[tuple], body: bytearray) -> None:
+    """Put the arrays of a binary frame *body* back at the keys their
+    descriptors hold (client side).
+
+    The arrays must tile the body exactly, back to back in frame order —
+    an offset past its end, an overlap, a gap or trailing bytes mean the
+    stream cannot be trusted, and :class:`ProtocolError` is raised.  A
+    ``bytearray`` *body* makes every array writable without a copy.
+    """
+    end = 0
+    for container, key, descriptor in slots:
+        shape, offset = descriptor["shape"], descriptor["offset"]
+        if not isinstance(shape, list) or any(
+                isinstance(d, bool) or not isinstance(d, int) or d < 0
+                for d in shape):
+            raise ProtocolError(f"malformed array descriptor {descriptor!r}")
+        count = math.prod(shape)
+        nbytes = count * _ARRAY_DTYPE.itemsize
+        if offset != end or end + nbytes > len(body):
+            raise ProtocolError(
+                f"arrays do not tile the {len(body)}-byte binary frame: "
+                f"{nbytes} bytes at offset {offset!r}, {end} expected")
+        container[key] = np.frombuffer(body, _ARRAY_DTYPE, count,
+                                       offset).reshape(shape)
+        end += nbytes
+    if end != len(body):
+        raise ProtocolError(f"arrays do not tile the {len(body)}-byte binary "
+                            f"frame: they end at byte {end}")
 
 
 # ----------------------------------------------------------------------
@@ -194,32 +276,31 @@ def raise_error(error: dict) -> None:
 # ----------------------------------------------------------------------
 # Blocking socket I/O (the synchronous client)
 # ----------------------------------------------------------------------
-def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytes]:
-    """Read exactly *n* bytes; ``None`` on a clean EOF at a frame boundary,
-    :class:`ProtocolError` on EOF mid-frame."""
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            if remaining == n:
+def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytearray]:
+    """Read exactly *n* bytes into a new ``bytearray``; ``None`` on a clean
+    EOF before the first byte, :class:`ProtocolError` on EOF mid-frame."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    received = 0
+    while received < n:
+        got = sock.recv_into(view[received:], n - received)
+        if not got:
+            if not received:
                 return None
             raise ProtocolError(
-                f"connection closed mid-frame ({n - remaining} of {n} bytes)")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+                f"connection closed mid-frame ({received} of {n} bytes)")
+        received += got
+    return buf
 
 
 def write_frame(sock: socket.socket, obj: Any, *,
                 max_bytes: int = MAX_FRAME_BYTES) -> None:
-    """Send one frame over a blocking socket."""
+    """Send one message (its frames) over a blocking socket."""
     sock.sendall(encode_frame(obj, max_bytes=max_bytes))
 
 
-def read_frame(sock: socket.socket, *,
-               max_bytes: int = MAX_FRAME_BYTES) -> Optional[dict]:
-    """Read one frame from a blocking socket; ``None`` on clean EOF."""
+def _read_body(sock: socket.socket, max_bytes: int) -> Optional[bytearray]:
+    """One frame's body; ``None`` on a clean EOF at a frame boundary."""
     header = _recv_exactly(sock, _HEADER.size)
     if header is None:
         return None
@@ -227,58 +308,29 @@ def read_frame(sock: socket.socket, *,
     if length > max_bytes:
         raise ProtocolError(
             f"incoming frame of {length} bytes exceeds the {max_bytes}-byte cap")
-    body = _recv_exactly(sock, length) if length else b""
+    body = _recv_exactly(sock, length)
     if body is None:
         raise ProtocolError("connection closed between header and body")
-    return decode_body(body)
+    return body
 
 
-# ----------------------------------------------------------------------
-# Binary bulk frames (protocol v2)
-# ----------------------------------------------------------------------
-def binary_frame_header(nbytes: int, *,
-                        max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """The 4-byte length header for a binary frame of *nbytes* body bytes.
-
-    The caller writes this header followed by the raw array bytes (a
-    ``memoryview`` of the mmapped rows on the server) — the body is never
-    copied into a Python-level frame buffer the way JSON bodies are.
-    """
-    if not 0 <= nbytes <= max_bytes:
-        raise ProtocolError(
-            f"binary frame of {nbytes} bytes exceeds the {max_bytes}-byte cap")
-    return _HEADER.pack(nbytes)
+def read_frame(sock: socket.socket, *,
+               max_bytes: int = MAX_FRAME_BYTES) -> Optional[dict]:
+    """Read one JSON frame from a blocking socket; ``None`` on clean EOF."""
+    body = _read_body(sock, max_bytes)
+    return None if body is None else decode_body(body)
 
 
 def read_binary_frame(sock: socket.socket, *,
                       max_bytes: int = MAX_FRAME_BYTES) -> bytearray:
-    """Read one binary frame from a blocking socket into a ``bytearray``.
-
-    Unlike :func:`read_frame` there is no clean-EOF case: a binary frame is
-    only ever read immediately after a control frame announced it, so EOF
-    anywhere is mid-response desynchronization and raises
-    :class:`ProtocolError`.  The mutable buffer lets the client wrap it with
-    ``np.frombuffer`` into a *writable* array without another copy.
-    """
-    header = _recv_exactly(sock, _HEADER.size)
-    if header is None:
-        raise ProtocolError("connection closed before announced binary frame")
-    (length,) = _HEADER.unpack(header)
-    if length > max_bytes:
-        raise ProtocolError(
-            f"incoming binary frame of {length} bytes exceeds the "
-            f"{max_bytes}-byte cap")
-    buf = bytearray(length)
-    view = memoryview(buf)
-    received = 0
-    while received < length:
-        n = sock.recv_into(view[received:], length - received)
-        if not n:
-            raise ProtocolError(
-                f"connection closed mid-binary-frame "
-                f"({received} of {length} bytes)")
-        received += n
-    return buf
+    """Read the binary frame a control frame announced into a ``bytearray``
+    (mutable, so the arrays wrapped over it are writable).  It is owed, so
+    EOF before it is desynchronization: :class:`ProtocolError`."""
+    body = _read_body(sock, max_bytes)
+    if body is None:
+        raise ProtocolError("connection closed before the announced binary "
+                            "frame")
+    return body
 
 
 # ----------------------------------------------------------------------

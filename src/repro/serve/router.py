@@ -13,14 +13,14 @@ The construction is deliberately thin:
 * :class:`FleetStore` is a *store façade*: it implements the four batch
   primitives (``degrees`` / ``edges_for_sources`` / ``edges_in_range`` /
   ``edge_payloads``) by splitting each request across the worker ranges,
-  fanning the slices out concurrently over the existing v1/v2 protocol
+  fanning the slices out concurrently over the same wire protocol
   (blocking :class:`~repro.serve.QueryClient` calls on a dedicated pool),
   and merging the answers back in source order.  Everything else — scalar
   wrappers, ``subgraph``, ``egonet`` — comes from the same
   :class:`~repro.store.StoreQueryMixin` the local store uses, so routed
   answers are byte-equal to single-store answers *by construction*.
 * :class:`RangeRouter` is :class:`ShardStoreServer` serving that façade:
-  framing, request coalescing, the binary bulk plane, and error frames are
+  framing, request coalescing, array frames, and error frames are
   inherited unchanged.  Only ``hello`` (adds the fleet description) and
   ``stats`` (rolls per-worker stats up into a fleet answer) are overridden.
 * :class:`_WorkerChannel` owns one slice's wire connections: a small pool of
@@ -100,8 +100,9 @@ class _WorkerChannel:
     Thread-safe: the router fans calls out from a pool, so the idle-client
     list and the counters are lock-guarded.  Exceptions raised by the
     *server* (error frames re-raised by the client, e.g. a store
-    ``ValueError``) are not transport failures and propagate untouched —
-    retrying them on a replica would just fail identically.
+    ``ValueError``) are not transport failures: the error frame left the
+    stream in sync, so the client goes back to the pool and the exception
+    propagates — retrying it on a replica would just fail identically.
     """
 
     def __init__(self, index: int, src_lo: int, src_hi: int,
@@ -158,6 +159,22 @@ class _WorkerChannel:
                 return
         client.close()
 
+    def _attempt(self, fn, address_index: int, client: QueryClient,
+                 **attrs):
+        """``fn(client)`` against one replica, under its own
+        ``fleet.worker_call`` trace span.  A server-reported error leaves
+        the stream in sync: the client is checked back in (a closed one
+        reconnects lazily) before the error propagates."""
+        try:
+            with trace.span("fleet.worker_call", worker=self.index,
+                            address=self.addresses[address_index], **attrs):
+                return fn(client)
+        except (OSError, protocol.ProtocolError):
+            raise
+        except Exception:
+            self._checkin(address_index, client)
+            raise
+
     def call(self, fn):
         """Run ``fn(client)`` with one replica-failover retry.
 
@@ -169,9 +186,7 @@ class _WorkerChannel:
         self._calls.inc()
         address_index, client = self._checkout()
         try:
-            with trace.span("fleet.worker_call", worker=self.index,
-                            address=self.addresses[address_index]):
-                result = fn(client)
+            result = self._attempt(fn, address_index, client)
         except (OSError, protocol.ProtocolError) as first:
             client.close()
             self._failures.inc()
@@ -187,10 +202,7 @@ class _WorkerChannel:
             retry = QueryClient.from_address(self.addresses[fallback],
                                              timeout=self.timeout)
             try:
-                with trace.span("fleet.worker_call", worker=self.index,
-                                address=self.addresses[fallback],
-                                failover=True):
-                    result = fn(retry)
+                result = self._attempt(fn, fallback, retry, failover=True)
             except (OSError, protocol.ProtocolError) as second:
                 retry.close()
                 self._failures.inc()
@@ -370,12 +382,9 @@ class FleetStore(StoreQueryMixin):
             sub_lo = max(lo, channel.src_lo)
             sub_hi = min(hi, channel.src_hi)
             if sub_lo < sub_hi:
-                # Slice fetches ride the binary bulk plane worker-side —
-                # raw int64 bytes, no per-row JSON decode on the merge path.
                 calls.append((channel,
                               lambda c, a=sub_lo, b=sub_hi, wp=with_payload:
-                              c.edges_in_range(a, b, with_payload=wp,
-                                               binary=True)))
+                              c.edges_in_range(a, b, with_payload=wp)))
         parts = [part for part in self._scatter(calls) if part.shape[0]]
         return self._finish_rows(parts, with_payload)
 
@@ -484,8 +493,8 @@ def _missing_workers(replies: List[tuple]) -> List[dict]:
 class RangeRouter(ShardStoreServer):
     """A :class:`ShardStoreServer` whose store is a :class:`FleetStore`.
 
-    Everything protocol-facing — framing, coalescing, the binary plane,
-    error frames — is inherited; the router only adds the fleet sections to
+    Everything protocol-facing — framing, coalescing, array frames, error
+    frames — is inherited; the router only adds the fleet sections to
     ``hello``, replaces ``stats`` with the per-worker rollup, and widens
     ``trace`` / ``profile`` / ``events`` / ``health`` into fleet-merged
     answers built from one :meth:`FleetStore._broadcast` each, naming the

@@ -5,17 +5,14 @@ by one :class:`ShardStoreServer`, which accepts length-prefixed JSON frames
 (:mod:`repro.serve.protocol`), dispatches ``degree`` / ``degrees`` /
 ``neighbors`` / ``edges_for_sources`` / ``edges_in_range`` / ``egonet`` /
 ``subgraph`` / ``edge_payloads`` requests (with their ``with_payload``
-variants), and
-answers with the :mod:`repro.serve.shaping` shapes the CLI's
+variants), and answers with the :mod:`repro.serve.shaping` shapes the CLI's
 ``query --json`` also emits.
 
-Protocol v2 adds the **binary bulk plane**: an ``edges_in_range`` request
-carrying ``"binary": true`` is answered with a JSON control frame (the
-``rows`` descriptor) followed by one binary frame whose body is a
-``memoryview`` over the store's decoded — normally memory-mapped — shard
-rows, so a warm bulk fetch moves bytes from the page cache to the socket
-without a Python-list encode or a private copy.  v1 requests are served
-exactly as before (single JSON frame, never binary).
+An answer that holds arrays is written as the protocol-v3 pair: a JSON
+control frame, then one binary frame whose bodies are ``memoryview`` objects
+over the answer arrays — for a warm range answer, over the store's
+memory-mapped shard rows — so bulk rows move from the page cache to the
+socket without a Python-list encode or a private copy.
 
 Design rules:
 
@@ -83,7 +80,7 @@ from repro.obs import (
 from repro.serve import protocol, shaping
 from repro.serve.protocol import (
     DEFAULT_MAX_REQUEST_BYTES,
-    SUPPORTED_PROTOCOL_VERSIONS,
+    PROTOCOL_VERSION,
     ProtocolError,
 )
 from repro.store.query import ShardStore
@@ -94,6 +91,12 @@ __all__ = ["ShardStoreServer", "ThreadedServer"]
 #: (``serve.latency_us`` series on the registry).
 _LATENCY_BOUNDS_US = (100, 250, 500, 1_000, 2_500, 5_000,
                       10_000, 25_000, 50_000, 100_000, 500_000)
+
+#: Answers whose arrays hold fewer bytes go out as one joined write:
+#: copying a few KiB costs less than a send — and a client wake-up — per
+#: array.  Larger (bulk) rows are written as views over their memory, the
+#: mapped shard rows included, without a copy.
+_JOIN_BELOW_BYTES = 64 << 10
 
 
 class _Coalescer:
@@ -191,7 +194,7 @@ def _arg_int(args: dict, name: str) -> int:
     return value
 
 
-def _arg_int_list(args: dict, name: str) -> List[int]:
+def _arg_ints(args: dict, name: str) -> List[int]:
     value = _arg(args, name)
     if not isinstance(value, list) or any(
             isinstance(x, bool) or not isinstance(x, int) for x in value):
@@ -444,33 +447,23 @@ class ShardStoreServer:
                     break
                 if frame is None:  # clean EOF at a frame boundary
                     break
-                response, binary_rows = await self._dispatch(frame)
-                binary_parts = None
+                response = await self._dispatch(frame)
                 try:
-                    payload = protocol.encode_frame(response)
-                    if binary_rows is not None:
-                        # Raw bytes over the decoded (mmapped) rows; the
-                        # byte-cast is required because a buffering transport
-                        # extends a bytearray with the view's *elements*.
-                        # (A zero-size ndarray view refuses the cast — an
-                        # empty range still gets its zero-length frame.)
-                        view = (memoryview(binary_rows).cast("B")
-                                if binary_rows.nbytes else memoryview(b""))
-                        binary_parts = (
-                            protocol.binary_frame_header(view.nbytes), view)
+                    parts = protocol.encode_parts(response)
                 except ProtocolError as exc:  # response exceeded the cap
-                    payload = protocol.encode_frame(protocol.error_frame(exc))
-                    binary_parts = None
-                if binary_parts is not None:
+                    parts = protocol.encode_parts(protocol.error_frame(exc))
+                binary_bytes = sum(view.nbytes for view in parts[2:])
+                if len(parts) > 1:
                     # Count before the bytes can reach a client: a stats
                     # read that races the send must never under-report a
                     # frame the peer has already received.
                     self._binary_frames.inc()
-                    self._binary_bytes.inc(binary_parts[1].nbytes)
-                writer.write(payload)
-                if binary_parts is not None:
-                    writer.write(binary_parts[0])
-                    writer.write(binary_parts[1])
+                    self._binary_bytes.inc(binary_bytes)
+                if binary_bytes < _JOIN_BELOW_BYTES:
+                    writer.write(b"".join(parts))
+                else:
+                    for part in parts:
+                        writer.write(part)
                 await writer.drain()
                 if self._stop_event.is_set():
                     break  # stop requested while we served this frame
@@ -493,13 +486,16 @@ class ShardStoreServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
 
-    async def _dispatch(self, frame: dict):
-        """Serve one request frame → ``(response, binary_rows_or_None)``.
+    #: Ops whose handlers provably open no child spans — the coalesced
+    #: scalar ops (their batch flush runs on the executor *without* a
+    #: copied context) and ``hello``.  Their serve spans skip the
+    #: contextvar switch entirely (``adopt_leaf_span``), which keeps the
+    #: traced scalar hot path inside the ≤ 5% overhead budget.
+    _LEAF_OPS = frozenset({"degree", "neighbors", "hello"})
 
-        *binary_rows* is non-``None`` only for a successful v2 request that
-        opted into the bulk plane: the caller writes the JSON control frame
-        first, then one binary frame over the returned array's bytes.
-        Error responses never carry a binary frame.
+    async def _dispatch(self, frame: dict) -> dict:
+        """Serve one request frame and return its response object (an
+        error frame for every failure).
 
         A request carrying the additive ``"trace"`` key
         (``{"id": <trace_id>, "span": <parent_span_id>}``) is served under
@@ -509,25 +505,13 @@ class ShardStoreServer:
         tracing machinery entirely.
         """
         trace_ref = frame.get("trace")
-        if (isinstance(trace_ref, dict)
-                and isinstance(trace_ref.get("id"), str)):
-            return await self._dispatch_timed(frame, trace_ref)
-        return await self._dispatch_timed(frame, None)
-
-    #: Ops whose handlers provably open no child spans — the coalesced
-    #: scalar ops (their batch flush runs on the executor *without* a
-    #: copied context) and ``hello``.  Their serve spans skip the
-    #: contextvar switch entirely (``adopt_leaf_span``), which keeps the
-    #: traced scalar hot path inside the ≤ 5% overhead budget.
-    _LEAF_OPS = frozenset({"degree", "neighbors", "hello"})
-
-    async def _dispatch_timed(self, frame: dict, trace_ref: Optional[dict]):
+        trace_id = None
+        if isinstance(trace_ref, dict) and isinstance(trace_ref.get("id"), str):
+            trace_id = trace_ref["id"]
         op = frame.get("op")
         op_key = op if isinstance(op, str) and op in self._ops else "_invalid"
-        trace_id = trace_ref["id"] if trace_ref is not None else None
-        binary_rows = None
         ok = True
-        if trace_ref is not None:
+        if trace_id is not None:
             # adopt_* fuses trace adoption + the serve span into at most
             # one context switch — this is the per-request hot path.
             adopt = (trace.adopt_leaf_span if op_key in self._LEAF_OPS
@@ -542,11 +526,10 @@ class ShardStoreServer:
                 # they are converted to error frames below.
                 with serve_span:
                     version = frame.get("v")
-                    if version not in SUPPORTED_PROTOCOL_VERSIONS:
+                    if version != PROTOCOL_VERSION:
                         raise ProtocolError(
                             f"unsupported protocol version {version!r}; this "
-                            f"server speaks versions "
-                            f"{', '.join(map(str, SUPPORTED_PROTOCOL_VERSIONS))}")
+                            f"server speaks version {PROTOCOL_VERSION}")
                     if op_key == "_invalid":
                         raise ProtocolError(
                             f"unknown op {op!r}; available: "
@@ -554,21 +537,11 @@ class ShardStoreServer:
                     args = frame.get("args", {})
                     if not isinstance(args, dict):
                         raise ValueError("request args must be a JSON object")
-                    if args.get("binary") and version < 2:
-                        # A v1 peer must never see a two-frame response;
-                        # reject the request but keep the connection — the
-                        # framing is intact.
-                        raise ProtocolError(
-                            "binary responses require protocol version >= 2; "
-                            f"this request is v{version}")
                     result = await self._ops[op_key](args)
-                if isinstance(result, tuple):
-                    result, binary_rows = result
                 response = protocol.result_frame(result)
             except Exception as exc:  # every failure becomes an error frame
                 self._error_count.inc()
                 ok = False
-                binary_rows = None
                 response = protocol.error_frame(exc)
         self._request_counts[op_key].inc()
         if (self.slow_query_us is not None
@@ -579,7 +552,7 @@ class ShardStoreServer:
             self.events.emit("serve.slow_request", trace_id=trace_id,
                              op=op_key, elapsed_us=int(timer.elapsed_us),
                              ok=ok)
-        return response, binary_rows
+        return response
 
     async def _run_store(self, fn, *args):
         """Run one store call on the bounded decode pool.
@@ -641,7 +614,7 @@ class ShardStoreServer:
         return shaping.degree_shape(vertex, degree)
 
     async def _op_degrees(self, args: dict) -> dict:
-        vertices = _arg_int_list(args, "vertices")
+        vertices = _arg_ints(args, "vertices")
         return await self._run_store(
             lambda: shaping.shape_degrees(self.store, vertices))
 
@@ -654,35 +627,19 @@ class ShardStoreServer:
                                        with_payload=with_payload)
 
     async def _op_edges_for_sources(self, args: dict) -> dict:
-        vertices = _arg_int_list(args, "vertices")
+        vertices = _arg_ints(args, "vertices")
         with_payload = _arg_bool(args, "with_payload")
         return await self._run_store(
             lambda: shaping.shape_edges_for_sources(self.store, vertices,
                                                     with_payload=with_payload))
 
-    async def _op_edges_in_range(self, args: dict):
+    async def _op_edges_in_range(self, args: dict) -> dict:
         lo = _arg_int(args, "lo")
         hi = _arg_int(args, "hi")
         with_payload = _arg_bool(args, "with_payload")
-        binary = _arg_bool(args, "binary")
-        limit = args.get("limit")
-        if limit is not None and (isinstance(limit, bool)
-                                  or not isinstance(limit, int)):
-            raise ValueError("request arg 'limit' must be an integer or null")
-        if binary:
-            if limit is not None:
-                raise ValueError(
-                    "request arg 'limit' is not supported with binary "
-                    "responses; truncate client-side")
-            # (control, rows): _dispatch unpacks the tuple and the handler
-            # follows the control frame with the rows' raw bytes.
-            return await self._run_store(
-                lambda: shaping.shape_range_binary(self.store, lo, hi,
-                                                   with_payload=with_payload))
         return await self._run_store(
             lambda: shaping.shape_range(self.store, lo, hi,
-                                        with_payload=with_payload,
-                                        limit=limit))
+                                        with_payload=with_payload))
 
     async def _op_egonet(self, args: dict) -> dict:
         vertex = self._check_vertex(_arg_int(args, "vertex"))
@@ -694,15 +651,15 @@ class ShardStoreServer:
                                          include_members=include_members))
 
     async def _op_subgraph(self, args: dict) -> dict:
-        vertices = _arg_int_list(args, "vertices")
+        vertices = _arg_ints(args, "vertices")
         with_payload = _arg_bool(args, "with_payload")
         return await self._run_store(
             lambda: shaping.shape_subgraph(self.store, vertices,
                                            with_payload=with_payload))
 
     async def _op_edge_payloads(self, args: dict) -> dict:
-        ps = _arg_int_list(args, "ps")
-        qs = _arg_int_list(args, "qs")
+        ps = _arg_ints(args, "ps")
+        qs = _arg_ints(args, "qs")
         if len(ps) != len(qs):
             raise ValueError(f"ps and qs must have matching shapes, "
                              f"got ({len(ps)},) and ({len(qs)},)")

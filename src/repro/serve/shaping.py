@@ -1,11 +1,14 @@
-"""One JSON shape per query, shared by the CLI and the wire protocol.
+"""One answer shape per query, shared by the CLI and the wire protocol.
 
 ``repro-kron query --json`` and the :mod:`repro.serve` server answer the
 same questions from the same :class:`~repro.store.ShardStore`; this module
 is the single place their answer *shapes* are defined, so the two surfaces
 cannot drift.  Every function takes the store plus plain-Python arguments
-and returns a JSON-serializable dict whose scalars are built-in ``int`` /
-``str`` — never numpy types, which :mod:`json` rejects.
+and returns a dict whose scalars are built-in ``int`` / ``str`` and whose
+rows, id lists and payload columns are ``int64`` numpy arrays.  The wire
+codec (:func:`repro.serve.protocol.encode_parts`) ships those arrays as
+raw bytes beside the JSON control frame; the CLI turns them into lists
+only when it prints JSON.
 
 The CLI uses :func:`shape_degree` / :func:`shape_neighbors` /
 :func:`shape_egonet` / :func:`shape_range` directly.  The server adds the
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.obs import render_prometheus
-from repro.serve.protocol import PROTOCOL_VERSION, SUPPORTED_PROTOCOL_VERSIONS
+from repro.serve.protocol import PROTOCOL_VERSION
 
 __all__ = [
     "metrics_shape",
@@ -41,12 +44,8 @@ __all__ = [
     "shape_degrees",
     "shape_neighbors",
     "shape_egonet",
-    "range_shape",
     "shape_range",
     "shape_range_binary",
-    "binary_rows_descriptor",
-    "rows_from_binary",
-    "edges_for_sources_shape",
     "shape_edges_for_sources",
     "shape_subgraph",
     "shape_edge_payloads",
@@ -63,12 +62,9 @@ __all__ = [
 ]
 
 
-def _int_list(values) -> list:
-    return [int(x) for x in values]
-
-
-def _rows_list(rows: np.ndarray) -> list:
-    return [[int(x) for x in row] for row in rows]
+def _columns(store, with_payload: bool) -> list:
+    """Column names of the rows a query answers with."""
+    return ["src", "dst", *(store.payload_columns if with_payload else ())]
 
 
 def _induced_edges_from_graph(vertices: np.ndarray, adjacency) -> np.ndarray:
@@ -99,9 +95,7 @@ def shape_degree(store, vertex: int) -> dict:
 def shape_degrees(store, vertices: Sequence[int]) -> dict:
     """Batch ``degrees`` answer (array-in / array-out, PR 1 conventions)."""
     vs = np.asarray(vertices, dtype=np.int64)
-    return {"query": "degrees",
-            "vertices": _int_list(vs),
-            "degrees": _int_list(store.degrees(vs))}
+    return {"query": "degrees", "vertices": vs, "degrees": store.degrees(vs)}
 
 
 def neighbors_shape(vertex: int, rows: np.ndarray,
@@ -113,13 +107,13 @@ def neighbors_shape(vertex: int, rows: np.ndarray,
     vertex = int(vertex)
     rows = rows[rows[:, 1] != vertex]  # store convention: self loop excluded
     result = {"query": "neighbors", "vertex": vertex,
-              "neighbors": _int_list(rows[:, 1])}
+              "neighbors": rows[:, 1]}
     if with_payload:
         result["payload"] = {
-            name: _int_list(rows[:, 2 + offset])
+            name: rows[:, 2 + offset]
             for offset, name in enumerate(payload_columns)
         }
-    result["count"] = len(result["neighbors"])
+    result["count"] = int(rows.shape[0])
     return result
 
 
@@ -157,125 +151,45 @@ def shape_egonet(store, vertex: int, *, with_payload: bool = False,
             for offset, name in enumerate(store.payload_columns)
         }
     if include_members:
-        result["vertices"] = _int_list(ego.vertices)
+        result["vertices"] = ego.vertices
         if with_payload:
             # The payload rows already carry the topology in their first two
-            # columns — shipping a separate "edges" list would double the
-            # frame on a JSON-serialization-bound path.
-            result["rows"] = _rows_list(rows)
-            result["columns"] = ["src", "dst", *store.payload_columns]
+            # columns — a separate "edges" array would ship it twice.
+            result["rows"] = rows
+            result["columns"] = _columns(store, with_payload)
         else:
-            result["edges"] = _rows_list(_induced_edges_from_graph(
-                ego.vertices, ego.graph.adjacency))
+            result["edges"] = _induced_edges_from_graph(
+                ego.vertices, ego.graph.adjacency)
     return result
 
 
-def range_shape(lo: int, hi: int, rows: np.ndarray,
-                columns: Sequence[str], *,
-                limit: Optional[int] = None) -> dict:
-    """Assemble an ``edges_in_range`` answer from already-gathered rows —
-    shared by :func:`shape_range` and the CLI's ``--binary`` path, which
-    fetches the rows over the bulk plane and must display the exact shape
-    the JSON plane would have produced."""
+def shape_range(store, lo: int, hi: int, *,
+                with_payload: bool = False) -> dict:
+    """``edges_in_range`` answer: every stored row with source in the
+    ``[lo, hi)`` range, ``(src, dst)``-sorted; ``n_edges`` counts them.  The
+    CLI truncates the ``edges`` it prints itself (``query --limit``)."""
     lo, hi = int(lo), int(hi)
-    shown = rows if limit is None else rows[:limit]
+    rows = store.edges_in_range(lo, hi, with_payload=with_payload)
     return {
         "query": "edges_in_range",
         "lo": lo,
         "hi": hi,
         "n_edges": int(rows.shape[0]),
-        "columns": list(columns),
-        "edges": _rows_list(shown),
-    }
-
-
-def shape_range(store, lo: int, hi: int, *, with_payload: bool = False,
-                limit: Optional[int] = None) -> dict:
-    """``edges_in_range`` answer: ``[lo, hi)`` source range, ``(src, dst)``
-    sorted rows.  ``limit`` truncates the listed rows (the CLI's terminal
-    default); ``None`` — the wire default — returns every row, and
-    ``n_edges`` always counts the full answer."""
-    rows = store.edges_in_range(int(lo), int(hi), with_payload=with_payload)
-    columns = ["src", "dst"]
-    if with_payload:
-        columns += list(store.payload_columns)
-    return range_shape(lo, hi, rows, columns, limit=limit)
-
-
-def binary_rows_descriptor(rows: np.ndarray) -> dict:
-    """The ``"rows"`` descriptor a v2 control frame uses to announce the
-    binary frame that follows: shape, dtype name, and exact byte count.
-    *rows* must already be the contiguous array whose raw bytes will be
-    sent."""
-    return {
-        "shape": [int(d) for d in rows.shape],
-        "dtype": str(rows.dtype),
-        "nbytes": int(rows.nbytes),
+        "columns": _columns(store, with_payload),
+        "edges": rows,
     }
 
 
 def shape_range_binary(store, lo: int, hi: int, *,
                        with_payload: bool = False):
-    """Binary-plane ``edges_in_range`` answer: ``(control, rows)`` where
-    *control* is the JSON control frame's ``result`` (descriptor in
-    ``"rows"``, no ``"edges"`` list) and *rows* is the contiguous ``int64``
-    array whose raw bytes travel as the follow-up binary frame.
+    """``(answer, rows)``: :func:`shape_range` and its ``edges`` array.
 
-    ``np.ascontiguousarray`` is a no-op when the store's answer is already
-    a contiguous slice of a mapped shard — the common warm-cache case — so
-    the server sends a ``memoryview`` straight over the mapping; only
-    non-contiguous views (payload stores queried without payload) pay one
-    gather."""
-    lo, hi = int(lo), int(hi)
-    rows = np.ascontiguousarray(
-        store.edges_in_range(lo, hi, with_payload=with_payload))
-    columns = ["src", "dst"]
-    if with_payload:
-        columns += list(store.payload_columns)
-    control = {
-        "query": "edges_in_range",
-        "lo": lo,
-        "hi": hi,
-        "n_edges": int(rows.shape[0]),
-        "columns": columns,
-        "rows": binary_rows_descriptor(rows),
-    }
-    return control, rows
-
-
-def rows_from_binary(descriptor: dict, buffer) -> np.ndarray:
-    """Rebuild the rows array a binary frame carried (client side).
-
-    Validates the buffer length against the descriptor's ``nbytes`` before
-    wrapping — a mismatch means the stream is desynchronized and raises
-    :class:`ValueError` (the client maps it to a protocol failure and drops
-    the connection).  Passing a mutable *buffer* (``bytearray``) yields a
-    writable array with zero extra copies."""
-    shape = tuple(int(d) for d in descriptor["shape"])
-    dtype = np.dtype(str(descriptor["dtype"]))
-    nbytes = int(descriptor["nbytes"])
-    if len(buffer) != nbytes:
-        raise ValueError(
-            f"binary frame carried {len(buffer)} bytes but the descriptor "
-            f"announced {nbytes}")
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    if expected != nbytes:
-        raise ValueError(
-            f"descriptor is inconsistent: shape {shape} × {dtype} needs "
-            f"{expected} bytes, descriptor says {nbytes}")
-    return np.frombuffer(buffer, dtype=dtype).reshape(shape)
-
-
-def edges_for_sources_shape(vertices: np.ndarray, rows: np.ndarray,
-                            columns: Sequence[str]) -> dict:
-    """Assemble an ``edges_for_sources`` answer from already-gathered rows."""
-    return {
-        "query": "edges_for_sources",
-        "vertices": _int_list(vertices),
-        "n_edges": int(rows.shape[0]),
-        "columns": list(columns),
-        "edges": _rows_list(rows),
-    }
+    Every answer array travels as raw bytes, so range answers need no
+    shape of their own; this thin alias stays because the benchmark's
+    in-process replay (``perfbench/served.py``) calls it by this name and
+    takes the answer from the pair."""
+    answer = shape_range(store, lo, hi, with_payload=with_payload)
+    return answer, answer["edges"]
 
 
 def shape_edges_for_sources(store, vertices: Sequence[int], *,
@@ -287,10 +201,13 @@ def shape_edges_for_sources(store, vertices: Sequence[int], *,
     one round trip per slice."""
     vs = np.asarray(vertices, dtype=np.int64)
     rows = store.edges_for_sources(vs, with_payload=with_payload)
-    columns = ["src", "dst"]
-    if with_payload:
-        columns += list(store.payload_columns)
-    return edges_for_sources_shape(vs, rows, columns)
+    return {
+        "query": "edges_for_sources",
+        "vertices": vs,
+        "n_edges": int(rows.shape[0]),
+        "columns": _columns(store, with_payload),
+        "edges": rows,
+    }
 
 
 def shape_subgraph(store, vertices: Sequence[int], *,
@@ -306,16 +223,16 @@ def shape_subgraph(store, vertices: Sequence[int], *,
     rows = store.subgraph_edges(vs, with_payload=with_payload)
     result = {
         "query": "subgraph",
-        "vertices": _int_list(vs),
+        "vertices": vs,
         "n_vertices": int(vs.size),
         "n_edges": int(rows.shape[0]),
         "name": f"{store.manifest.get('name') or 'store'}[sub]",
     }
     if with_payload:
-        result["rows"] = _rows_list(rows)
-        result["columns"] = ["src", "dst", *store.payload_columns]
+        result["rows"] = rows
+        result["columns"] = _columns(store, with_payload)
     else:
-        result["edges"] = _rows_list(rows)
+        result["edges"] = rows
     return result
 
 
@@ -327,7 +244,7 @@ def shape_edge_payloads(store, ps: Sequence[int], qs: Sequence[int]) -> dict:
     return {
         "query": "edge_payloads",
         "columns": list(store.payload_columns),
-        "payloads": _rows_list(values),
+        "payloads": values,
     }
 
 
@@ -343,11 +260,10 @@ def shape_store_info(store) -> dict:
 
 
 def hello_shape(ops: Sequence[str], store_info: dict, *,
-                binary_ops: Sequence[str] = ("edges_in_range",),
                 fleet: Optional[dict] = None,
                 started_at: Optional[float] = None,
                 uptime_s: Optional[float] = None) -> dict:
-    """The ``hello`` answer envelope: protocol capabilities plus the store
+    """The ``hello`` answer envelope: protocol version, ops, and the store
     description.  A range router adds a ``"fleet"`` section describing its
     worker slices; everything else is identical to a single server, which is
     what makes routing transparent to ``query --connect``.
@@ -360,8 +276,6 @@ def hello_shape(ops: Sequence[str], store_info: dict, *,
     result = {
         "query": "hello",
         "protocol": PROTOCOL_VERSION,
-        "protocol_versions": list(SUPPORTED_PROTOCOL_VERSIONS),
-        "binary_ops": list(binary_ops),
         "ops": sorted(ops),
         "store": store_info,
     }

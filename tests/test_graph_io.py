@@ -183,6 +183,63 @@ class TestEdgeShards:
             assert ((tmp_path / "writer" / name).read_bytes()
                     == (tmp_path / "pipeline" / name).read_bytes())
 
+    def test_concurrent_shard_opens_never_overlap(self, tmp_path, small_er,
+                                                  triangle, monkeypatch):
+        """``np.load`` parses ``.npy`` headers with ``ast.literal_eval``,
+        which CPython 3.11 cannot run on two threads at once (a spurious
+        ``SystemError``): shard opens from many threads are serialized, and
+        both read modes still return the stored rows."""
+        import threading
+        import time
+
+        from repro.core import KroneckerGraph
+        from repro.graphs.io import read_edge_shard
+
+        product = KroneckerGraph(small_er, triangle)
+        write_edge_shards(product, tmp_path / "shards", a_edges_per_block=5)
+        manifest = read_shard_manifest(tmp_path / "shards")
+        paths = [tmp_path / "shards" / shard["file"]
+                 for shard in manifest["shards"]]
+        expected = list(iter_edge_shards(tmp_path / "shards"))
+
+        real_load = np.load
+        counter = threading.Lock()
+        inside, peaks = [0], []
+
+        def slow_load(*args, **kwargs):
+            with counter:
+                inside[0] += 1
+                peaks.append(inside[0])
+            try:
+                time.sleep(0.002)  # widen the window two opens could share
+                return real_load(*args, **kwargs)
+            finally:
+                with counter:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(np, "load", slow_load)
+        failures = []
+
+        def reader():
+            try:
+                for mode in ("r", None):
+                    for path, rows in zip(paths, expected):
+                        block = read_edge_shard(path, ["src", "dst"],
+                                                mmap_mode=mode)
+                        assert isinstance(block, np.memmap) == (mode == "r")
+                        assert np.array_equal(block, rows)
+            except Exception as exc:  # surfaced on the main thread below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not failures, failures[:2]
+        assert len(peaks) == 4 * 2 * len(paths)
+        assert max(peaks) == 1
+
     def test_max_edges_cap(self, tmp_path, small_er, triangle):
         from repro.core import KroneckerGraph
 

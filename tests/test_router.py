@@ -175,15 +175,12 @@ class TestRoutedEquivalence:
         for boundary in _boundary_vertices(fleet)[1::2]:
             spans.append((max(0, boundary - 20), min(n, boundary + 20), True))
         for lo, hi, with_payload in spans:
-            for binary in (False, True):
-                routed = client.edges_in_range(lo, hi,
-                                               with_payload=with_payload,
-                                               binary=binary)
-                local = local_store.edges_in_range(lo, hi,
-                                                   with_payload=with_payload)
-                assert routed.dtype == local.dtype == np.int64
-                assert routed.shape == local.shape
-                assert np.array_equal(routed, local)
+            routed = client.edges_in_range(lo, hi, with_payload=with_payload)
+            local = local_store.edges_in_range(lo, hi,
+                                               with_payload=with_payload)
+            assert routed.dtype == local.dtype == np.int64
+            assert routed.shape == local.shape
+            assert np.array_equal(routed, local)
 
     def test_egonet_and_subgraph(self, fleet, client, local_store, rng):
         for v in map(int, rng.choice(local_store.n_vertices, 6,
@@ -226,6 +223,36 @@ class TestRoutedEquivalence:
         with pytest.raises(ValueError, match="matching shapes"):
             client.edge_payloads([0, 1], [0])
         assert client.degree(37) == local_store.degree(37)
+
+    def test_store_errors_keep_pooled_worker_connections(self,
+                                                         store_factory):
+        """A store error travels back as an error frame that leaves the
+        router's worker stream in sync, so the pooled connection is reused:
+        N routed misses open no new worker connection."""
+        store = store_factory()
+        reference = ShardStore(store, cache_shards=16)
+        with FleetHarness(store, n_slices=2) as harness:
+            probes = []  # (source, stored neighbour, non-neighbour) per slice
+            for entry in harness.slices:
+                p = next(v for v in range(entry["src_lo"], entry["src_hi"])
+                         if reference.degree(v) > 0)
+                stored = reference.neighbors(p)
+                miss = next(q for q in range(reference.n_vertices)
+                            if q != p and q not in set(stored.tolist()))
+                probes.append((p, int(stored[0]), miss))
+            servers = [replicas[0].server for replicas in harness.workers]
+            with harness.client() as c:
+                for p, hit, _ in probes:  # one pooled connection per worker
+                    c.edge_payloads([p], [hit])
+                before = [s.stats()["server"]["connections_total"]
+                          for s in servers]
+                for _ in range(5):
+                    for p, _, miss in probes:
+                        with pytest.raises(ValueError, match="not stored"):
+                            c.edge_payloads([p], [miss])
+                after = [s.stats()["server"]["connections_total"]
+                         for s in servers]
+        assert after == before
 
     def test_stats_rolls_up_every_worker(self, fleet, client, local_store):
         client.degrees(np.arange(0, local_store.n_vertices, 13))

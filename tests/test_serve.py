@@ -2,7 +2,8 @@
 
 Four layers of coverage:
 
-* the wire protocol (framing, size caps, malformed bodies, error frames);
+* the wire protocol (framing, size caps, malformed bodies, error frames,
+  the array descriptors and the binary frame that carries the arrays);
 * the request coalescer (batching, error isolation, max-batch splitting);
 * served-vs-in-process equivalence — every query type answered over the
   socket must equal the local :class:`~repro.store.ShardStore` answer, both
@@ -108,6 +109,24 @@ class TestProtocol:
         length = struct.unpack(">I", frame[:4])[0]
         assert length == len(frame) - 4
         assert protocol.decode_body(frame[4:]) == obj
+
+    def test_array_frames_roundtrip(self):
+        rows = np.arange(12, dtype=np.int64).reshape(4, 3)
+        answer = {"query": "x", "rows": rows[:, 1:],
+                  "nested": [{"ids": np.arange(3)}], "empty": rows[:0]}
+        left, right = socket.socketpair()
+        with left, right:
+            right.sendall(protocol.encode_frame(protocol.result_frame(answer)))
+            control = protocol.read_frame(left)
+            assert control["result"]["rows"]["shape"] == [4, 2]
+            slots = protocol.array_slots(control)
+            protocol.place_arrays(slots, protocol.read_binary_frame(left))
+        result = control["result"]
+        assert np.array_equal(result["rows"], rows[:, 1:])
+        assert np.array_equal(result["nested"][0]["ids"], np.arange(3))
+        assert result["empty"].shape == (0, 3)
+        for array in (result["rows"], result["nested"][0]["ids"]):
+            assert array.dtype == np.int64 and array.flags.writeable
 
     def test_encode_rejects_oversized(self):
         with pytest.raises(ProtocolError, match="exceeds"):
@@ -447,16 +466,20 @@ class TestFailurePaths:
         self._assert_server_alive(server)
 
     def test_version_mismatch_keeps_connection_open(self, server):
+        """v1 and v2 requests — and any other version — get one
+        ProtocolError frame; framing was intact, so the same connection
+        still answers the next v3 request."""
         with _raw_socket(server) as sock:
-            protocol.write_frame(sock, {"v": 99, "op": "degree",
-                                        "args": {"vertex": 0}})
-            response = protocol.read_frame(sock)
-            assert response["ok"] is False
-            assert "version" in response["error"]["message"]
-            # Framing was intact, so the same connection still answers.
-            protocol.write_frame(sock, protocol.request_frame(
-                "degree", {"vertex": 0}))
-            assert protocol.read_frame(sock)["ok"] is True
+            for version in (99, 1, 2):
+                protocol.write_frame(sock, {"v": version, "op": "degree",
+                                            "args": {"vertex": 0}})
+                response = protocol.read_frame(sock)
+                assert response["ok"] is False
+                assert response["error"]["kind"] == "ProtocolError"
+                assert "version" in response["error"]["message"]
+                protocol.write_frame(sock, protocol.request_frame(
+                    "degree", {"vertex": 0}))
+                assert protocol.read_frame(sock)["ok"] is True
 
     def test_unknown_op_and_bad_args_are_frames_not_disconnects(self, server):
         with _raw_socket(server) as sock:
@@ -553,7 +576,8 @@ class TestServeCli:
         for flags in (["--degree", "37"],
                       ["--neighbors", "37", "--payload"],
                       ["--egonet", "37", "--payload"],
-                      ["--range", "0", "100", "--limit", "5"]):
+                      ["--range", "0", "100", "--limit", "5"],
+                      ["--range", "0", "400", "--payload"]):
             assert cli.main(["query", str(store_dir), "--json", *flags]) == 0
             local = json.loads(capsys.readouterr().out)
             assert cli.main(["query", "--connect", server.address,
@@ -564,31 +588,6 @@ class TestServeCli:
             local.pop("store")
             remote.pop("store")
             assert local == remote
-
-    def test_query_binary_matches_json_plane(self, server, capsys):
-        """`query --connect --range --binary` prints the exact JSON the
-        scalar plane prints — the transport changed, not the answer."""
-        from repro import cli
-        for flags in (["--range", "0", "100", "--limit", "5"],
-                      ["--range", "0", "400", "--payload"]):
-            assert cli.main(["query", "--connect", server.address,
-                             "--json", *flags]) == 0
-            json_plane = json.loads(capsys.readouterr().out)
-            assert cli.main(["query", "--connect", server.address,
-                             "--json", "--binary", *flags]) == 0
-            binary_plane = json.loads(capsys.readouterr().out)
-            json_plane.pop("store")
-            binary_plane.pop("store")
-            assert json_plane == binary_plane
-
-    def test_query_binary_needs_connect_and_range(self, store_dir, server):
-        from repro import cli
-        with pytest.raises(SystemExit, match="--binary"):
-            cli.main(["query", str(store_dir), "--binary",
-                      "--range", "0", "10"])
-        with pytest.raises(SystemExit, match="--binary"):
-            cli.main(["query", "--connect", server.address, "--binary",
-                      "--degree", "3"])
 
     def test_query_requires_exactly_one_source(self, store_dir, server):
         from repro import cli
@@ -632,7 +631,7 @@ class TestServeCli:
 
 
 # ----------------------------------------------------------------------
-# Protocol v2: the binary bulk plane
+# Protocol v3: every answer array rides one binary frame
 # ----------------------------------------------------------------------
 def _scripted_server(handler):
     """A listening socket whose every accepted connection runs *handler* —
@@ -660,84 +659,99 @@ def _scripted_server(handler):
 
 
 class TestBinaryPlane:
-    def test_hello_announces_v2_and_binary_ops(self, client):
+    def test_hello_announces_v3(self, client):
         info = client.hello()
-        assert info["protocol"] == PROTOCOL_VERSION == 2
-        assert info["protocol_versions"] == [1, 2]
-        assert info["binary_ops"] == ["edges_in_range"]
+        assert info["protocol"] == PROTOCOL_VERSION == 3
+        assert "protocol_versions" not in info and "binary_ops" not in info
 
     def test_binary_rows_equal_json_and_local(self, client, local_store):
+        """The binary rows agree with their JSON control frame (row count,
+        columns) and with the local store."""
         n = local_store.n_vertices
         for lo, hi, with_payload in ((0, n, False), (0, n, True),
                                      (n // 4, n // 2, True), (5, 5, False)):
             local = local_store.edges_in_range(lo, hi,
                                                with_payload=with_payload)
-            json_rows = client.edges_in_range(lo, hi,
-                                              with_payload=with_payload)
-            binary_rows = client.edges_in_range(lo, hi,
-                                                with_payload=with_payload,
-                                                binary=True)
-            assert binary_rows.dtype == local.dtype == np.int64
-            assert binary_rows.shape == local.shape
-            assert np.array_equal(binary_rows, local)
-            assert np.array_equal(binary_rows, json_rows)
+            answer = client.request("edges_in_range", {
+                "lo": lo, "hi": hi, "with_payload": with_payload})
+            rows = answer["edges"]
+            assert answer["n_edges"] == rows.shape[0] == local.shape[0]
+            assert len(answer["columns"]) == rows.shape[1] == local.shape[1]
+            assert rows.dtype == local.dtype == np.int64
+            assert np.array_equal(rows, local)
+
+    def test_multi_array_answers_equal_local(self, client, local_store):
+        v = 37
+        ids, payload = client.neighbors_with_payload(v)
+        rows = local_store.edges_for_sources([v], with_payload=True)
+        rows = rows[rows[:, 1] != v]
+        served_ego, served_rows = client.egonet(v, with_payload=True)
+        local_ego, local_rows = local_store.egonet(v, with_payload=True)
+        pairs = [(ids, rows[:, 1]), (served_ego.vertices, local_ego.vertices),
+                 (served_rows, local_rows)]
+        pairs += [(payload[name], rows[:, 2 + offset])
+                  for offset, name in enumerate(PAYLOAD)]
+        for served, local in pairs:
+            assert served.dtype == np.int64 and served.flags.writeable
+            assert np.array_equal(served, local)
 
     def test_binary_rows_are_writable(self, client, local_store):
-        rows = client.edges_in_range(0, local_store.n_vertices, binary=True)
+        rows = client.edges_in_range(0, local_store.n_vertices)
         rows[0, 0] = -1  # would raise on a read-only frombuffer wrap
         assert rows[0, 0] == -1
 
     def test_client_counts_binary_transfer(self, client):
         before = client.connection_stats()
-        rows = client.edges_in_range(0, 50, binary=True)
+        rows = client.edges_in_range(0, 50)
+        client.degree(0)  # no arrays: no binary frame
         after = client.connection_stats()
         assert after["binary_frames"] == before["binary_frames"] + 1
         assert after["binary_bytes"] == before["binary_bytes"] + rows.nbytes
 
     def test_server_counts_binary_transfer(self, server, client):
         before = server.server.stats()["server"]["binary"]
-        rows = client.edges_in_range(0, 50, binary=True)
+        rows = client.edges_in_range(0, 50)
         after = server.server.stats()["server"]["binary"]
         assert after["frames"] == before["frames"] + 1
         assert after["bytes"] == before["bytes"] + rows.nbytes
 
-    def test_binary_with_limit_rejected(self, client):
-        with pytest.raises(ValueError, match="limit"):
-            client.request("edges_in_range",
-                           {"lo": 0, "hi": 10, "binary": True, "limit": 5})
-        # Error frames never carry a binary follow-up: same connection,
-        # next request answered in sync.
-        assert client.degree(0) >= 0
+    def test_range_answers_copy_no_mapped_rows(self, store_dir):
+        """A warm mmap store serves range answers straight from its
+        mappings: no decode and no private copy per answer.  (A fresh
+        server: point lookups elsewhere build resident key arrays.)"""
+        with ThreadedServer(store_dir, cache_shards=64) as fresh:
+            store = fresh.server.store
+            with QueryClient(fresh.host, fresh.port) as c:
+                n = c.n_vertices
+                c.edges_in_range(0, n, with_payload=True)  # warm every shard
+                warm = store.stats()
+                for _ in range(5):
+                    c.edges_in_range(n // 4, n // 2, with_payload=True)
+            after = store.stats()
+        assert after["mmap"] and after["resident_bytes"] == 0
+        assert after["shard_reads"] == warm["shard_reads"]
+        assert after["mapped_bytes"] == warm["mapped_bytes"]
 
     def test_connection_survives_interleaved_planes(self, client,
                                                     local_store):
+        """JSON-only answers and two-frame array answers alternate on one
+        connection without desynchronizing it."""
         n = local_store.n_vertices
         expected = local_store.edges_in_range(0, n // 3)
-        for binary in (False, True, True, False, True):
-            assert np.array_equal(
-                client.edges_in_range(0, n // 3, binary=binary), expected)
+        for _ in range(3):
+            assert np.array_equal(client.edges_in_range(0, n // 3), expected)
+            assert client.degree(0) == local_store.degree(0)
         assert client.connection_stats()["connects"] == 1
 
 
 class TestProtocolV2Compat:
-    """v1 requests keep working byte-identically against the v2 server."""
-
-    def test_v1_json_request_round_trips_unchanged(self, server):
-        wire_args = {"lo": 0, "hi": 200, "with_payload": True}
-        with _raw_socket(server) as sock:
-            protocol.write_frame(sock, {"v": 1, "op": "edges_in_range",
-                                        "args": wire_args})
-            v1_response = protocol.read_frame(sock)
-            protocol.write_frame(sock, {"v": 2, "op": "edges_in_range",
-                                        "args": wire_args})
-            v2_response = protocol.read_frame(sock)
-        assert v1_response is not None and v1_response["ok"]
-        assert v1_response == v2_response
+    """Peers of the older protocol versions against the v3 server."""
 
     def test_v1_client_asking_binary_gets_error_frame(self, server):
-        """The fuzz case: a v1 peer requesting the v2 feature gets ONE
-        ProtocolError frame and the connection stays usable (framing is
-        intact — nothing was desynchronized)."""
+        """A v1 peer asking for the old opt-in binary rows gets ONE
+        ProtocolError frame — no binary frame follows it — and the
+        connection stays usable (framing is intact, nothing was
+        desynchronized)."""
         with _raw_socket(server) as sock:
             protocol.write_frame(sock, {
                 "v": 1, "op": "edges_in_range",
@@ -745,71 +759,73 @@ class TestProtocolV2Compat:
             response = protocol.read_frame(sock)
             assert response["ok"] is False
             assert response["error"]["kind"] == "ProtocolError"
-            assert "protocol version >= 2" in response["error"]["message"]
-            # No binary frame follows the error; the stream is in sync.
-            protocol.write_frame(sock, {"v": 1, "op": "degree",
-                                        "args": {"vertex": 0}})
+            assert "version" in response["error"]["message"]
+            # The next frame on the stream answers the next request.
+            protocol.write_frame(sock, protocol.request_frame(
+                "degree", {"vertex": 0}))
             assert protocol.read_frame(sock)["ok"] is True
+
+
+def _descriptor(shape, offset: int) -> dict:
+    return {"shape": list(shape), "offset": offset}
 
 
 class TestBinaryFuzz:
     """Untrustworthy binary frames: one error, connection dropped cleanly."""
 
     @staticmethod
-    def _control(nbytes: int, shape) -> dict:
-        return protocol.result_frame({
-            "query": "edges_in_range", "lo": 0, "hi": 10,
-            "n_edges": shape[0], "columns": ["src", "dst"],
-            "rows": {"shape": list(shape), "dtype": "int64",
-                     "nbytes": nbytes}})
+    def _answer(arrays: dict, body: bytes, *, length=None):
+        """A scripted server answering with *arrays* (name → descriptor) in
+        its control frame and *body* as the binary frame (header claiming
+        *length* bytes, ``len(body)`` by default)."""
+        result = {"query": "edges_in_range", "lo": 0, "hi": 10, **arrays}
 
-    def test_truncated_binary_frame(self):
         def handler(conn):
             protocol.read_frame(conn)
-            conn.sendall(protocol.encode_frame(self._control(160, (10, 2))))
-            conn.sendall(struct.pack(">I", 160) + b"x" * 50)  # then close
+            conn.sendall(protocol.encode_frame(protocol.result_frame(result)))
+            claimed = len(body) if length is None else length
+            conn.sendall(struct.pack(">I", claimed) + body)  # then close
 
-        lsock, port = _scripted_server(handler)
+        return _scripted_server(handler)
+
+    def _assert_dropped(self, lsock, port, match):
         try:
             with QueryClient("127.0.0.1", port, timeout=10) as c:
-                with pytest.raises(ProtocolError, match="mid-binary-frame"):
-                    c.edges_in_range(0, 10, binary=True)
+                with pytest.raises(ProtocolError, match=match):
+                    c.request("edges_in_range", {"lo": 0, "hi": 10})
                 # The desynchronized socket was dropped, not kept for reuse.
                 assert c._sock is None
         finally:
             lsock.close()
 
-    def test_nbytes_mismatch_with_header(self):
-        def handler(conn):
-            protocol.read_frame(conn)
-            # Descriptor promises 160 bytes; the binary frame carries 80.
-            conn.sendall(protocol.encode_frame(self._control(160, (10, 2))))
-            conn.sendall(struct.pack(">I", 80) + b"y" * 80)
+    def test_truncated_binary_frame(self):
+        self._assert_dropped(*self._answer(
+            {"edges": _descriptor((10, 2), 0)}, b"x" * 50, length=160),
+            match="mid-frame")
 
-        lsock, port = _scripted_server(handler)
-        try:
-            with QueryClient("127.0.0.1", port, timeout=10) as c:
-                with pytest.raises(ProtocolError, match="announced"):
-                    c.edges_in_range(0, 10, binary=True)
-                assert c._sock is None
-        finally:
-            lsock.close()
+    def test_nbytes_mismatch_with_header(self):
+        # The frame carries 200 bytes; its one array holds 160.
+        self._assert_dropped(*self._answer(
+            {"edges": _descriptor((10, 2), 0)}, b"y" * 200),
+            match="do not tile the 200-byte")
 
     def test_descriptor_inconsistent_with_itself(self):
-        def handler(conn):
-            protocol.read_frame(conn)
-            # Header and nbytes agree (80) but the shape needs 160 bytes.
-            conn.sendall(protocol.encode_frame(self._control(80, (10, 2))))
-            conn.sendall(struct.pack(">I", 80) + b"z" * 80)
+        # A negative dimension: the descriptor cannot describe any bytes.
+        self._assert_dropped(*self._answer(
+            {"edges": _descriptor((-10, 2), 0)}, b"z" * 160),
+            match="malformed array descriptor")
 
-        lsock, port = _scripted_server(handler)
-        try:
-            with QueryClient("127.0.0.1", port, timeout=10) as c:
-                with pytest.raises(ProtocolError, match="inconsistent"):
-                    c.edges_in_range(0, 10, binary=True)
-                assert c._sock is None
-        finally:
-            lsock.close()
+    @pytest.mark.parametrize("second_offset, body_bytes", [
+        (32, 48),  # [32, 64) runs past the end of the frame
+        (16, 48),  # [16, 48) overlaps [0, 32)
+        (40, 72),  # nothing claims [32, 40)
+    ], ids=["past-end", "overlap", "gap"])
+    def test_bad_array_layout(self, second_offset, body_bytes):
+        # Arrays are laid out in frame order: "edges" sorts first.
+        self._assert_dropped(*self._answer(
+            {"edges": _descriptor((4,), 0),
+             "n_edges": _descriptor((4,), second_offset)},
+            b"w" * body_bytes), match="do not tile")
 
 
 class TestClientConnection:

@@ -56,10 +56,8 @@ class TestRankBlockIterator:
                 a_edges_per_block=5, stats=stats))
             edges = np.concatenate([b.edges for b in blocks], axis=0)
             edge_t = np.concatenate([b.edge_triangles for b in blocks])
-            vertex_t = np.concatenate([b.source_vertex_triangles for b in blocks])
             assert np.array_equal(edges, reference.edges)
             assert np.array_equal(edge_t, reference.edge_triangles)
-            assert np.array_equal(vertex_t, reference.source_vertex_triangles)
 
     def test_blocks_respect_memory_bound(self, small_er, triangle):
         part = partition_edges(small_er.nnz, triangle.nnz, 1)[0]
@@ -91,8 +89,6 @@ class TestRankBlockIterator:
         gatherer = stats.gatherer()
         assert np.array_equal(gatherer.edge_values(edges[:, 0], edges[:, 1]),
                               stats.edge_values(edges[:, 0], edges[:, 1]))
-        assert np.array_equal(gatherer.vertex_values(edges[:, 0]),
-                              np.asarray(stats.vertex_value(edges[:, 0])))
 
 
 class TestStreamingAggregates:
