@@ -23,14 +23,17 @@ Formats
   topology-only single-rank writer.  Manifests go through
   :func:`read_shard_manifest` and shard files through
   :func:`read_edge_shard`, the one reader the compactor and the shard store
-  share.
+  share.  A shard file is exactly what ``np.save`` writes for a C-contiguous
+  little-endian ``int64`` 2-D array; the reader checks that fixed header
+  itself and maps the rows with ``np.memmap`` — no general ``.npy`` parse.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
+import re
+import struct
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
@@ -69,13 +72,19 @@ _MANIFEST_TMP = SHARD_MANIFEST + ".tmp"
 #: The two columns every edge shard starts with.
 _ENDPOINT_COLUMNS = ("src", "dst")
 
-#: Held while :func:`read_edge_shard` opens a shard.  ``np.load`` parses
-#: every ``.npy`` header with ``ast.literal_eval``, and CPython 3.11 keeps
-#: the AST constructor's recursion counter in interpreter-wide state, so
-#: two threads parsing at once can fail with a spurious ``SystemError``
-#: ("AST constructor recursion depth mismatch").  A leaf lock: nothing else
-#: is acquired while it is held.
-_SHARD_OPEN_LOCK = threading.Lock()
+#: Element type of every edge shard: little-endian ``int64``.
+_SHARD_DTYPE = "<i8"
+
+#: ``.npy`` magic string and the header-length field of each format version.
+_NPY_MAGIC = b"\x93NUMPY"
+_NPY_HEADER_LENGTH = {(1, 0): "<H", (2, 0): "<I", (3, 0): "<I"}
+
+#: The only header a shard may carry: what ``np.save`` writes for a
+#: C-contiguous little-endian ``int64`` 2-D array, space-padded to the
+#: format's alignment.
+_SHARD_HEADER = re.compile(
+    rb"\{'descr': '<i8', 'fortran_order': False, "
+    rb"'shape': \((\d+), (\d+)\), \} *\n")
 
 
 def normalize_payload_columns(columns: Sequence[str]) -> Tuple[str, ...]:
@@ -263,13 +272,15 @@ class NpyShardSink:
     def finalize(self, metadata: Optional[dict] = None) -> dict:
         """Write the JSON manifest (idempotent, atomic) and return it.
 
-        Shard lengths are read from the ``.npy`` headers via memory mapping —
-        finalization never loads edge data.
+        Shard lengths are read from the ``.npy`` headers through the shard
+        reader's header check — finalization never loads edge data.
         """
+        columns = _ENDPOINT_COLUMNS + self.payload_columns
         shards = []
         total = 0
         for path in self.shard_paths():
-            n_edges = int(np.load(path, mmap_mode="r").shape[0])
+            with open(path, "rb") as handle:
+                n_edges, _ = _check_shard_header(handle, path, columns)
             shards.append({"file": path.name, "n_edges": n_edges})
             total += n_edges
         manifest = {
@@ -443,6 +454,52 @@ def read_shard_manifest(directory: PathLike) -> dict:
     return manifest
 
 
+def _check_shard_header(handle, path: PathLike,
+                        columns: Sequence[str]) -> Tuple[int, int]:
+    """Check the ``.npy`` header of an open edge shard and return
+    ``(rows, data_offset)``.
+
+    A shard must carry exactly the header ``np.save`` writes for a
+    C-contiguous little-endian ``int64`` array of shape
+    ``(rows, len(columns))``, and the file must hold exactly that many data
+    bytes after it.  Any other file — a foreign dtype, Fortran order, a
+    1-D array, a bad magic string, a short file — raises a
+    :class:`ValueError` naming *path*.
+    """
+    lead = handle.read(8)
+    if len(lead) < 8 or lead[:6] != _NPY_MAGIC:
+        raise ValueError(f"{path}: not a .npy edge shard "
+                         f"(file starts with {lead!r})")
+    length_format = _NPY_HEADER_LENGTH.get((lead[6], lead[7]))
+    if length_format is None:
+        raise ValueError(f"{path}: unsupported .npy format version "
+                         f"{lead[6]}.{lead[7]}")
+    length_field = handle.read(struct.calcsize(length_format))
+    if len(length_field) != struct.calcsize(length_format):
+        raise ValueError(f"{path}: .npy header is truncated")
+    header = handle.read(struct.unpack(length_format, length_field)[0])
+    match = _SHARD_HEADER.fullmatch(header)
+    if match is None:
+        raise ValueError(
+            f"{path}: .npy header {header.decode('latin-1').strip()!r} is not "
+            "a C-order little-endian int64 2-D array, the only layout edge "
+            "shards are written in")
+    rows, width = int(match[1]), int(match[2])
+    if width != len(columns):
+        raise ValueError(
+            f"{path}: shard has shape {(rows, width)} but the manifest "
+            f"payload_columns {list(columns)!r} require {len(columns)} columns")
+    offset = len(lead) + len(length_field) + len(header)
+    size = os.fstat(handle.fileno()).st_size
+    if size != offset + rows * width * 8:
+        raise ValueError(
+            f"{path}: shard file is {size} bytes but its header promises "
+            f"{rows} x {width} int64 rows after a {offset}-byte header "
+            f"({offset + rows * width * 8} bytes); the file is truncated "
+            "or corrupt")
+    return rows, offset
+
+
 def read_edge_shard(path: PathLike, columns: Sequence[str], *,
                     mmap_mode: Optional[str] = None) -> np.ndarray:
     """Decode one ``.npy`` edge shard whose rows hold the manifest's
@@ -450,30 +507,33 @@ def read_edge_shard(path: PathLike, columns: Sequence[str], *,
 
     The one shard-file reader: :func:`iter_edge_shards`, the compactor and
     :class:`repro.store.ShardStore` all decode through it, so a shard whose
-    width disagrees with its manifest fails identically everywhere — with a
-    :class:`ValueError` naming the file.  ``mmap_mode="r"`` returns a
-    read-only memory map instead of a private copy.
-
-    Safe to call from many threads: only the open — header parse plus
-    ``mmap`` — is serialized; an eager read copies the mapped rows after
-    the lock is released, so concurrent decodes still overlap their I/O.
+    header, width or size disagrees with its manifest fails identically
+    everywhere — with a :class:`ValueError` naming the file.  The header is
+    checked against the one fixed layout the writers produce, and the rows
+    are then read at its data offset: ``mmap_mode="r"`` returns a read-only
+    ``np.memmap`` of them, ``None`` a private copy read with
+    ``np.fromfile``.  Neither path parses Python literals, so concurrent
+    decodes from many threads need no lock.
     """
-    with _SHARD_OPEN_LOCK:
-        block = np.load(path, mmap_mode=mmap_mode or "r")
-    if mmap_mode is None:
-        block = np.array(block)
-    if block.ndim != 2 or block.shape[1] != len(columns):
-        raise ValueError(
-            f"{path}: shard has shape {block.shape} but the manifest "
-            f"payload_columns {list(columns)!r} require {len(columns)} columns")
-    return block
+    if mmap_mode not in (None, "r"):
+        raise ValueError(f"edge shards are read-only: mmap_mode must be 'r' "
+                         f"or None, got {mmap_mode!r}")
+    with open(path, "rb") as handle:
+        rows, offset = _check_shard_header(handle, path, columns)
+        shape = (rows, len(columns))
+        if mmap_mode is None:
+            return np.fromfile(handle, dtype=_SHARD_DTYPE,
+                               count=rows * shape[1]).reshape(shape)
+        # The open handle is passed on: numpy maps it without a second open.
+        return np.memmap(handle, dtype=_SHARD_DTYPE, mode="r",
+                         offset=offset, shape=shape)
 
 
 def iter_edge_shards(directory: PathLike, *, mmap_mode: Optional[str] = None):
     """Yield the ``(m, 2 + k)`` edge arrays of a shard directory in manifest
     order, where ``k`` is the number of extra ``payload_columns``; a shard
-    file whose width disagrees with the manifest raises a :class:`ValueError`
-    naming the file (:func:`read_edge_shard`).
+    file whose header, width or size disagrees with the manifest raises a
+    :class:`ValueError` naming the file (:func:`read_edge_shard`).
 
     ``mmap_mode="r"`` yields read-only memory maps instead of private copies
     — the right mode for read-only sweeps and for feeding compaction, where

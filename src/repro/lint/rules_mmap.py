@@ -56,10 +56,16 @@ class MmapModeRule(Rule):
                     + self.source_of(node, text)))
         return findings
 
+    #: The numpy calls that decode array files: ``numpy.load`` (bundles)
+    #: and the two primitives the shard reader uses after its own header
+    #: check.
+    DECODE_CALLS = frozenset({"numpy.load", "numpy.memmap", "numpy.fromfile"})
+
     # Exposed for the anti-vacuity self-check in the test driver: the
     # rule is only meaningful while the covered layers actually decode.
-    def count_load_calls(self, tree: ast.Module) -> int:
+    def count_decode_calls(self, tree: ast.Module) -> int:
         imports = collect_imports(tree)
         return sum(1 for node in ast.walk(tree)
                    if isinstance(node, ast.Call)
-                   and resolve_call_target(node.func, imports) == "numpy.load")
+                   and resolve_call_target(node.func, imports)
+                   in self.DECODE_CALLS)

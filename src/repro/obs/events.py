@@ -21,7 +21,7 @@ Event records are flat dicts::
   interleave into one timeline;
 * ``kind`` follows the registry's dotted ``layer.noun`` naming
   (``fleet.failover``, ``fleet.replica_death``, ``store.shard_evicted``,
-  ``serve.slow_request``, ``serve.shutdown``);
+  ``serve.slow_request``, ``serve.internal_error``, ``serve.shutdown``);
 * ``trace`` is stamped automatically from the active
   :func:`repro.obs.trace.current` context (or passed explicitly by a
   caller whose trace context has already been exited), linking the event
@@ -52,6 +52,7 @@ KNOWN_EVENT_KINDS = (
     "fleet.replica_death",
     "store.shard_evicted",
     "serve.slow_request",
+    "serve.internal_error",
     "serve.shutdown",
 )
 

@@ -33,6 +33,11 @@ Design rules:
   ``IndexError`` travels back as an error frame carrying the exact message;
   only an untrustworthy frame (oversized length prefix, non-JSON body,
   disconnect mid-frame) closes the connection, and then only that one.
+  An exception class the protocol does not round-trip becomes an
+  ``InternalError`` frame: a server fault, not a client mistake.  It also
+  counts in ``serve.internal_errors`` and emits one
+  ``serve.internal_error`` event with the real class name, the message,
+  the op and the trace id.
 * **Operational surface built in.**  A ``stats`` request reports request
   counts, per-op latency histograms (with derived p50/p95/p99), coalescing
   effectiveness, and the store's ``shard_reads`` / ``cache_hits``;
@@ -310,6 +315,7 @@ class ShardStoreServer:
                                         _LATENCY_BOUNDS_US, unit="us", op=op)
             for op in op_keys}
         self._error_count = self.registry.counter("serve.errors")
+        self._internal_errors = self.registry.counter("serve.internal_errors")
         self._protocol_errors = self.registry.counter("serve.protocol_errors")
         self._connections_total = self.registry.counter(
             "serve.connections_total")
@@ -543,6 +549,14 @@ class ShardStoreServer:
                 self._error_count.inc()
                 ok = False
                 response = protocol.error_frame(exc)
+                if response["error"]["kind"] == "InternalError":
+                    # Not a client error: a library or interpreter fault.
+                    # The frame hides the class, so the event records it.
+                    self._internal_errors.inc()
+                    self.events.emit("serve.internal_error",
+                                     trace_id=trace_id, op=op_key,
+                                     error=type(exc).__name__,
+                                     message=str(exc))
         self._request_counts[op_key].inc()
         if (self.slow_query_us is not None
                 and timer.elapsed_us >= self.slow_query_us):
@@ -794,6 +808,7 @@ class ShardStoreServer:
                          for op, counter in self._request_counts.items()
                          if counter.value},
             "errors": self._error_count.value,
+            "internal_errors": self._internal_errors.value,
             "protocol_errors": self._protocol_errors.value,
             "connections_open": len(self._writers),
             "connections_total": self._connections_total.value,

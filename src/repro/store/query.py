@@ -25,21 +25,22 @@ are batch-first (``out_degrees`` / ``degrees`` / ``edges_for_sources`` take
 index arrays) and the scalar forms are thin wrappers; there is no per-edge
 Python loop anywhere in the query path.
 
-**Decodes are zero-copy by default**: shards are opened with
-``np.load(mmap_mode="r")`` — the same convention compaction uses for its
-merge runs — so the LRU caches read-only *views* of the on-disk files, not
-private copies, and a warm bulk query (``edges_in_range`` feeding the
-:mod:`repro.serve` binary data plane) slices the page cache instead of
-burning CPU on array copies.  ``mmap=False`` opts back into eager copies
-(e.g. when the store lives on a filesystem whose mappings are slow).  The
-mapping lifecycle is tied to the cache: evicting an entry (LRU overflow,
-:meth:`clear_cache`, :meth:`close`) drops the store's reference and the
-underlying ``mmap`` — and its file descriptor — is released as soon as the
-last outstanding query view dies (CPython refcounting makes this prompt;
-the fd-churn test in ``tests/test_shard_store.py`` holds it to account).
-:meth:`stats` reports the split: ``resident_bytes`` counts private copies
-held by the cache, ``mapped_bytes`` counts bytes addressable through cached
-mappings.
+**Decodes are zero-copy by default**: shards are opened through
+:func:`repro.graphs.io.read_edge_shard` with ``mmap_mode="r"`` — a fixed
+header check, then an ``np.memmap`` of the rows; the same reader
+compaction uses for its merge runs — so the LRU caches read-only *views* of
+the on-disk files, not private copies, and a warm bulk query
+(``edges_in_range`` feeding the :mod:`repro.serve` binary data plane)
+slices the page cache instead of burning CPU on array copies.
+``mmap=False`` opts back into eager copies (e.g. when the store lives on a
+filesystem whose mappings are slow).  The mapping lifecycle is tied to the
+cache: evicting an entry (LRU overflow, :meth:`clear_cache`, :meth:`close`)
+drops the store's reference and the underlying ``mmap`` — and its file
+descriptor — is released as soon as the last outstanding query view dies
+(CPython refcounting makes this prompt; the fd-churn test in
+``tests/test_shard_store.py`` holds it to account).  :meth:`stats` reports
+the split: ``resident_bytes`` counts private copies held by the cache,
+``mapped_bytes`` counts bytes addressable through cached mappings.
 
 The cache and its ``shard_reads`` / ``cache_hits`` counters are
 **concurrent-safe**: a lock guards every cache mutation, so one store can be
@@ -95,10 +96,10 @@ def _ragged_take(arr: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.n
     total = int(lengths.sum())
     if total == 0:
         return arr[:0]
-    starts = np.repeat(lefts, lengths)
-    offsets = np.arange(total, dtype=np.int64)
-    offsets -= np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return arr[starts + offsets]
+    # Output row t, inside slice i, is arr[lefts[i] + t - (where slice i
+    # starts in the output)].
+    starts = np.cumsum(lengths) - lengths
+    return arr[np.repeat(lefts - starts, lengths) + np.arange(total)]
 
 
 class StoreQueryMixin:
@@ -284,7 +285,8 @@ class ShardStore(StoreQueryMixin):
         Number of decoded shards kept in the LRU cache (≥ 1).  The cache is
         the store's only O(edges) memory; everything else is manifest-sized.
     mmap:
-        ``True`` (default) decodes shards with ``np.load(mmap_mode="r")`` so
+        ``True`` (default) decodes shards as read-only ``np.memmap`` views
+        (:func:`~repro.graphs.io.read_edge_shard` with ``mmap_mode="r"``) so
         the cache holds read-only views of the files — zero copies on the
         bulk read path, one open mapping (and file descriptor) per cached
         shard, released on eviction.  ``False`` opts back into eager array
@@ -405,10 +407,10 @@ class ShardStore(StoreQueryMixin):
         decode serves both kinds of query."""
         return self._entry(index)[0]
 
-    def _shard_keys(self, index: int) -> np.ndarray:
-        """Sorted encoded ``src · n + dst`` keys of one shard, cached with the
-        decoded edges so repeated degree queries stay shard-size-independent."""
-        entry = self._entry(index)
+    def _shard_keys(self, entry: list) -> np.ndarray:
+        """Sorted encoded ``src · n + dst`` keys of one cache *entry*
+        (from :meth:`_entry`), built once and cached with the decoded edges
+        so repeated payload lookups stay shard-size-independent."""
         keys = entry[1]
         if keys is None:
             edges = entry[0]
@@ -516,35 +518,32 @@ class ShardStore(StoreQueryMixin):
         One pass over the overlapping shard window serves both quantities —
         each shard is decoded exactly once, so a whole-store ``degrees`` call
         reads every shard once even when the window exceeds the LRU.  The
-        self-loop probe searches encoded ``src · n + dst`` keys (sorted,
-        because shards are lexsorted); the key fits ``int64`` for any vertex
-        count this single-node store can address.
+        self-loop probe looks only at each queried vertex's own rows: the
+        ``dst`` values of its ``[left, right)`` source segment are gathered
+        and compared to the vertex.
         """
         counts = np.zeros(vs.shape[0], dtype=np.int64)
         flags = np.zeros(vs.shape[0], dtype=bool)
         if vs.size == 0 or self.n_shards == 0:
             return counts, flags
-        if with_self_loops and self.n_vertices > int(_MAX_ENCODABLE_VERTICES):
-            raise NotImplementedError(
-                "self-loop probing needs src*n+dst to fit int64; "
-                f"n_vertices={self.n_vertices} is beyond that")
-        n = np.int64(self.n_vertices)
         first, last = self._overlapping(int(vs.min()), int(vs.max()))
         for index in range(first, last):
             mask = (vs >= self._src_min[index]) & (vs <= self._src_max[index])
             if not mask.any():
                 continue
-            shard = self._shard(index)
+            # A plain-ndarray view of the cached rows: numpy.memmap runs
+            # Python hooks on every slice and fancy index taken below.
+            shard = self._shard(index).view(np.ndarray)
             srcs = shard[:, 0]
-            counts[mask] += (np.searchsorted(srcs, vs[mask], side="right")
-                             - np.searchsorted(srcs, vs[mask], side="left"))
+            lefts = np.searchsorted(srcs, vs[mask], side="left")
+            rights = np.searchsorted(srcs, vs[mask], side="right")
+            lengths = rights - lefts
+            counts[mask] += lengths
             if with_self_loops:
-                keys = self._shard_keys(index)
-                wanted = vs[mask] * (n + 1)
-                pos = np.searchsorted(keys, wanted)
-                found = pos < keys.shape[0]
-                found[found] &= keys[pos[found]] == wanted[found]
-                flags[mask] |= found
+                dsts = _ragged_take(shard[:, 1], lefts, rights)
+                # owner[t]: index in vs of the vertex gathered row t belongs to
+                owner = np.repeat(np.flatnonzero(mask), lengths)
+                flags[owner[dsts == vs[owner]]] = True
         return counts, flags
 
     def out_degrees(self, vs: Sequence[int]) -> np.ndarray:
@@ -650,14 +649,14 @@ class ShardStore(StoreQueryMixin):
                                       & (ps <= self._src_max[index]))
                 if todo.size == 0:
                     continue
-                keys = self._shard_keys(index)
+                entry = self._entry(index)
+                keys = self._shard_keys(entry)
                 pos = np.searchsorted(keys, wanted[todo])
                 in_range = pos < keys.shape[0]
                 safe = np.where(in_range, pos, 0)
                 hit = in_range & (keys[safe] == wanted[todo])
                 if hit.any():
-                    rows = self._shard(index)
-                    out[todo[hit]] = rows[pos[hit], 2:]
+                    out[todo[hit]] = entry[0][pos[hit], 2:]
                     found[todo[hit]] = True
         if not found.all():
             missing = int(np.flatnonzero(~found)[0])

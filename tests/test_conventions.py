@@ -53,15 +53,16 @@ def test_every_rule_covers_at_least_one_real_file():
 
 def test_zero_copy_layers_still_decode():
     # The mmap rule is only meaningful while the covered layers actually
-    # call numpy.load; zero calls would mean the decodes moved.
+    # decode array files (numpy.load, numpy.memmap, numpy.fromfile); zero
+    # calls would mean the decodes moved.
     rule = MmapModeRule()
     calls = 0
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         if rule.applies_to(rel):
-            calls += rule.count_load_calls(ast.parse(path.read_text()))
+            calls += rule.count_decode_calls(ast.parse(path.read_text()))
     assert calls >= 3, (
-        f"only {calls} numpy.load calls under the zero-copy layers — the "
+        f"only {calls} numpy decode calls under the zero-copy layers — the "
         "decode paths this rule protects look gone")
 
 

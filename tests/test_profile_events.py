@@ -37,7 +37,7 @@ from repro.obs.profile import (
     thread_role,
 )
 from repro.parallel import distributed_generate
-from repro.serve import QueryClient, ThreadedServer
+from repro.serve import QueryClient, ServerError, ThreadedServer
 from repro.store import ShardStore, compact_shards
 
 
@@ -276,6 +276,39 @@ class TestServedEvents:
             assert traced and traced[0]["op"] == "degree"
             assert traced[0]["ok"] is True
             assert client.stats()["server"]["slow_queries"] >= 1
+
+    def test_internal_fault_is_counted_and_recorded(self, store_dir,
+                                                    monkeypatch):
+        """A fault inside the server (here the shard decode raising
+        ``SystemError``) counts in ``errors`` and ``internal_errors`` and
+        leaves one ``serve.internal_error`` event naming the real class,
+        the op and the request's trace id; a client error (a bad vertex id)
+        counts in ``errors`` only."""
+        import repro.store.query as query_mod
+
+        def broken_decode(*args, **kwargs):
+            raise SystemError("AST constructor recursion depth mismatch")
+
+        recorder = TraceRecorder()
+        with ThreadedServer(store_dir) as handle, \
+                QueryClient(handle.host, handle.port) as client:
+            with pytest.raises(IndexError):
+                client.degrees([10 ** 9])
+            served = client.stats()["server"]
+            assert (served["errors"], served["internal_errors"]) == (1, 0)
+            assert client.events(kind="serve.internal_error")["events"] == []
+            monkeypatch.setattr(query_mod, "_load_shard_file", broken_decode)
+            with trace.start_trace("lookup", recorder) as t:
+                with pytest.raises(ServerError, match="InternalError"):
+                    client.degrees([5])
+            served = client.stats()["server"]
+            assert (served["errors"], served["internal_errors"]) == (2, 1)
+            events = client.events(kind="serve.internal_error")["events"]
+            assert len(events) == 1
+            assert events[0]["trace"] == t.trace_id
+            assert events[0]["op"] == "degrees"
+            assert events[0]["error"] == "SystemError"
+            assert events[0]["message"] == "AST constructor recursion depth mismatch"
 
     def test_eviction_event_names_the_shard(self, store_dir):
         store = ShardStore(store_dir, cache_shards=1)

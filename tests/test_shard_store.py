@@ -24,6 +24,17 @@ def _sorted_edges(edges: np.ndarray) -> np.ndarray:
     return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
+def _payload_store(directory, rows, n_vertices: int, target_shard_edges: int):
+    """Compact hand-written ``(src, dst, triangles)`` rows into a store."""
+    sink = NpyShardSink(directory / "spill", n_vertices=n_vertices,
+                        payload_columns=("triangles",))
+    sink.write(0, 0, np.asarray(rows, dtype=np.int64))
+    sink.finalize()
+    compact_shards(directory / "spill", directory / "store",
+                   target_shard_edges=target_shard_edges)
+    return directory / "store"
+
+
 @pytest.fixture
 def product(weblike_small, delta_le_one_factor) -> KroneckerGraph:
     return KroneckerGraph(weblike_small, delta_le_one_factor)
@@ -326,6 +337,21 @@ class TestShardStoreQueries:
         with pytest.raises(IndexError):
             store.out_degrees([-1])
 
+    def test_degrees_beyond_the_key_limit(self, tmp_path):
+        """The self-loop probe encodes nothing, so ``degrees`` answers for
+        vertex counts whose ``src · n + dst`` keys overflow ``int64``;
+        ``edge_payloads``, which still searches encoded keys, refuses."""
+        hub, other = 3_999_999_999, 2_500_000_000
+        store = ShardStore(_payload_store(
+            tmp_path, [(0, hub, 5), (hub, 0, 5), (hub, hub, 0),
+                       (hub, other, 4), (other, hub, 4)],
+            n_vertices=4_000_000_000, target_shard_edges=2))
+        assert store.n_shards > 1
+        assert store.degrees([0, other, hub, 1]).tolist() == [1, 1, 2, 0]
+        assert store.out_degree(hub) == 3
+        with pytest.raises(NotImplementedError, match="int64"):
+            store.edge_payloads([0], [hub])
+
     def test_empty_batch(self, store_dir):
         store = ShardStore(store_dir)
         assert store.out_degrees(np.zeros(0, dtype=np.int64)).shape == (0,)
@@ -418,6 +444,113 @@ class TestShardStoreIO:
         assert store.total_edges == product.nnz
         assert np.array_equal(store.degrees(np.arange(product.n_vertices)),
                               product.degrees())
+
+
+class TestCacheLookups:
+    """A query looks each shard up in the LRU once, so ``shard_reads`` and
+    ``cache_hits`` count decodes and real hits, never a second lookup of
+    the entry the same call just fetched."""
+
+    @pytest.fixture
+    def ring_store(self, tmp_path):
+        # Six vertices in a ring plus a self loop on 2; 4-row shards put
+        # all of vertex 2's rows in shard 1 alone.
+        rows = [(v, w, 1) for v in range(6) for w in ((v + 1) % 6, (v + 5) % 6)]
+        return _payload_store(tmp_path, rows + [(2, 2, 0)], n_vertices=6,
+                              target_shard_edges=4)
+
+    @pytest.mark.parametrize("query", ["edge_payloads", "degrees"])
+    def test_one_lookup_per_shard(self, ring_store, query):
+        store = ShardStore(ring_store, cache_shards=4)
+        assert store.n_shards > 1
+
+        def run():
+            if query == "degrees":
+                assert store.degrees([2]).tolist() == [2]
+            else:
+                assert store.edge_payloads([2], [3]).tolist() == [[1]]
+
+        run()
+        assert (store.shard_reads, store.cache_hits) == (1, 0)
+        store.reset_stats()
+        run()
+        assert (store.shard_reads, store.cache_hits) == (0, 1)
+
+
+def _truncate(path, rows):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _bad_magic(path, rows):
+    path.write_bytes(b"NOTNPY" + path.read_bytes()[6:])
+
+
+#: One way to spoil a shard file each, and a phrase its error must carry.
+BAD_SHARDS = {
+    "truncated": (_truncate, "truncated"),
+    "int32": (lambda path, rows: np.save(path, rows.astype(np.int32)),
+              "int64"),
+    "fortran-order": (lambda path, rows: np.save(path, np.asfortranarray(rows)),
+                      "C-order"),
+    "one-dimensional": (lambda path, rows: np.save(path, rows.ravel()), "2-D"),
+    "bad-magic": (_bad_magic, "not a .npy"),
+    "width": (lambda path, rows: np.save(path, rows[:, :1]),
+              "require 2 columns"),
+}
+
+
+class TestBadShardFiles:
+    """A shard file that is not exactly what the writers produce fails
+    with the same :class:`ValueError` naming the file wherever it is read:
+    the reader in both modes, a store query, a served request (as a
+    ``ValueError`` frame, not ``InternalError``) and compaction."""
+
+    @staticmethod
+    def _spoil(path, kind: str) -> str:
+        """Spoil *path* in the *kind* way; return the error it must raise."""
+        from repro.graphs.io import read_edge_shard
+
+        rows = np.load(path, mmap_mode=None)
+        assert rows.shape[0] >= 2  # Fortran order needs a real 2-D layout
+        spoil, phrase = BAD_SHARDS[kind]
+        spoil(path, rows)
+        messages = set()
+        for mode in ("r", None):
+            with pytest.raises(ValueError) as caught:
+                read_edge_shard(path, ["src", "dst"], mmap_mode=mode)
+            messages.add(str(caught.value))
+        (message,) = messages
+        assert str(path) in message and phrase in message
+        return message
+
+    @pytest.mark.parametrize("kind", sorted(BAD_SHARDS))
+    def test_store_and_server_name_the_file(self, store_dir, kind):
+        from repro.serve import QueryClient, ThreadedServer
+
+        shard = read_shard_manifest(store_dir)["shards"][1]
+        message = self._spoil(store_dir / shard["file"], kind)
+        lo, hi = shard["src_min"], shard["src_max"] + 1
+        with pytest.raises(ValueError) as caught:
+            ShardStore(store_dir).edges_in_range(lo, hi)
+        assert str(caught.value) == message
+        with ThreadedServer(store_dir) as handle, \
+                QueryClient(handle.host, handle.port) as client:
+            with pytest.raises(ValueError) as caught:
+                client.edges_in_range(lo, hi)
+            assert str(caught.value) == message
+            served = client.stats()["server"]
+            assert (served["errors"], served["internal_errors"]) == (1, 0)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_SHARDS))
+    def test_compaction_fails_and_publishes_nothing(self, tmp_path,
+                                                     spill_dir, kind):
+        shard = max(read_shard_manifest(spill_dir)["shards"],
+                    key=lambda entry: entry["n_edges"])
+        message = self._spoil(spill_dir / shard["file"], kind)
+        with pytest.raises(ValueError) as caught:
+            compact_shards(spill_dir, tmp_path / "store")
+        assert str(caught.value) == message
+        assert not (tmp_path / "store" / "manifest.json").exists()
 
 
 class TestConcurrentStore:
