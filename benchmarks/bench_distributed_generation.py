@@ -15,7 +15,7 @@ from repro.parallel import (
     balance_statistics,
     distributed_generate,
     merge_rank_outputs,
-    partition_edges,
+    partition_sources,
     stream_edge_count,
 )
 from benchmarks._report import print_section
@@ -34,10 +34,13 @@ def test_distributed_generation(benchmark, small_web_factor, delta_le_one_factor
     assert merged.max() == 1  # no edge generated twice
     assert (merged != product.materialize_adjacency()).nnz == 0
 
-    partitions = partition_edges(factor_a.nnz, factor_b.nnz, n_ranks)
-    # One A entry is the indivisible unit of an edge partition, so nnz(B)
-    # bounds what any contiguous partitioner could balance to.
-    balance = balance_statistics(partitions, max_atom_load=factor_b.nnz)
+    partitions = partition_sources(factor_a, factor_b, n_ranks)
+    # One source is the indivisible unit of a source partition, so the
+    # largest source out-degree bounds what any contiguous partitioner
+    # could balance to.
+    largest_source = (np.diff(factor_a.adjacency.indptr).max()
+                      * np.diff(factor_b.adjacency.indptr).max())
+    balance = balance_statistics(partitions, max_atom_load=int(largest_source))
     assert balance["bounded_imbalance"] <= 2.0
     print_section(f"E14 — communication-free generation over {n_ranks} ranks")
     print(f"  product: {product.n_vertices:,} vertices, {product.nnz:,} entries")

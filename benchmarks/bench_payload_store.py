@@ -13,8 +13,6 @@ Also asserted on every run:
 
 * payload compaction is **byte-idempotent**: re-compacting the payload store
   reproduces every shard file byte-for-byte;
-* payload compaction stays bounded-memory (exercised with a merge chunk far
-  smaller than the edge count);
 * point lookups (``edge_payloads``) agree with the row-sliced range queries.
 
 Runs in two modes:
@@ -79,7 +77,7 @@ def _assert_payloads_exact(store, factor_a, factor_b):
     return rows
 
 
-def _run_pipeline(factor_a, factor_b, tmp_path, *, block, target, chunk, label):
+def _run_pipeline(factor_a, factor_b, tmp_path, *, block, target, label):
     product = KroneckerGraph(factor_a, factor_b)
     plain_time = _spill(factor_a, factor_b, tmp_path / "plain-spill", block=block)
     payload_time = _spill(factor_a, factor_b, tmp_path / "spill",
@@ -87,8 +85,7 @@ def _run_pipeline(factor_a, factor_b, tmp_path, *, block, target, chunk, label):
 
     start = time.perf_counter()
     manifest = compact_shards(tmp_path / "spill", tmp_path / "store",
-                              target_shard_edges=target,
-                              merge_chunk_edges=chunk)
+                              target_shard_edges=target)
     compact_time = time.perf_counter() - start
     assert manifest["payload_columns"] == ["src", "dst", *PAYLOAD]
 
@@ -99,14 +96,14 @@ def _run_pipeline(factor_a, factor_b, tmp_path, *, block, target, chunk, label):
     # Payload rows are permutation-identical to the topology: the (src, dst)
     # columns match the topology-only compaction of the plain spill exactly.
     compact_shards(tmp_path / "plain-spill", tmp_path / "plain-store",
-                   target_shard_edges=target, merge_chunk_edges=chunk)
+                   target_shard_edges=target)
     plain = ShardStore(tmp_path / "plain-store", cache_shards=4)
     assert np.array_equal(rows[:, :2],
                           plain.edges_in_range(0, plain.n_vertices))
 
     # Byte-idempotent recompaction of a payload store.
     again = compact_shards(tmp_path / "store", tmp_path / "again",
-                           target_shard_edges=target, merge_chunk_edges=chunk)
+                           target_shard_edges=target)
     assert again["shards"] == manifest["shards"]
     for shard in manifest["shards"]:
         assert ((tmp_path / "store" / shard["file"]).read_bytes()
@@ -119,7 +116,7 @@ def _run_pipeline(factor_a, factor_b, tmp_path, *, block, target, chunk, label):
           f"with {len(PAYLOAD)} payload columns {payload_time * 1e3:.1f} ms "
           f"({payload_time / max(plain_time, 1e-9):.2f}×)")
     print(f"  compact: {manifest['total_edges'] / compact_time:,.0f} rows/s "
-          f"({compact_time * 1e3:.1f} ms, merge chunk {chunk:,})")
+          f"({compact_time * 1e3:.1f} ms)")
     return store, manifest
 
 
@@ -129,8 +126,7 @@ def test_payload_store_smoke(tmp_path):
                                         triad_probability=0.6, seed=3)
     factor_b = generators.triangle_constrained_pa(20, seed=13)
     store, manifest = _run_pipeline(factor_a, factor_b, tmp_path,
-                                    block=8, target=1500, chunk=256,
-                                    label="smoke")
+                                    block=8, target=1500, label="smoke")
     assert manifest["format_version"] == 2
     # The egonet/subgraph payload variants serve the induced ground truth.
     ego, rows = store.egonet(store.n_vertices // 2, with_payload=True)
@@ -147,8 +143,7 @@ def test_payload_store_throughput_full(tmp_path):
     factor_b = generators.triangle_constrained_pa(90, seed=13)
     product = KroneckerGraph(factor_a, factor_b)
     store, _ = _run_pipeline(factor_a, factor_b, tmp_path,
-                             block=32, target=65_536, chunk=16_384,
-                             label="full")
+                             block=32, target=65_536, label="full")
 
     store = ShardStore(tmp_path / "store", cache_shards=store.n_shards + 1)
     rows = store.edges_in_range(0, store.n_vertices, with_payload=True)

@@ -26,7 +26,7 @@ import pytest
 
 from repro import generators
 from repro.core import KroneckerGraph, KroneckerTriangleStats
-from repro.parallel import distributed_generate, generate_rank_edges, partition_edges
+from repro.parallel import distributed_generate, generate_rank_edges, partition_sources
 from repro.perf import CsrGatherer, csr_gather
 from benchmarks._report import print_section
 
@@ -133,7 +133,7 @@ def test_rank_generation_wall_time(perf_factors, quick_mode):
         repeats=1 if quick_mode else 3,
     )
 
-    partitions = partition_edges(factor_a.nnz, factor_b.nnz, n_ranks)
+    partitions = partition_sources(factor_a, factor_b, n_ranks)
 
     def rebuild_per_rank():
         return [generate_rank_edges(factor_a, factor_b, part, with_statistics=True)

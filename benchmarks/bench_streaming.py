@@ -3,8 +3,8 @@
 Compares the two execution modes of :func:`repro.parallel.distributed_generate`
 on the same factor pair and rank count:
 
-* **materialized** — each rank allocates its whole ``slice × nnz(B)`` edge
-  array (plus payloads) at once;
+* **materialized** — each rank allocates its whole edge slice (plus
+  payloads) at once;
 * **streamed** — each rank folds bounded ``a_edges_per_block × nnz(B)``
   blocks into a :class:`~repro.parallel.streaming.StreamingRankAccumulator`
   and never holds more than one block.

@@ -29,7 +29,7 @@ from repro.parallel import (
     balance_statistics,
     distributed_generate,
     merge_rank_outputs,
-    partition_edges,
+    partition_sources,
     stream_edges_to_file,
 )
 
@@ -50,7 +50,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Partition and per-rank generation.
     # ------------------------------------------------------------------
-    partitions = partition_edges(factor_a.nnz, factor_b.nnz, args.ranks)
+    partitions = partition_sources(factor_a, factor_b, args.ranks)
     balance = balance_statistics(partitions)
     print(f"\npartition over {args.ranks} ranks: "
           f"mean load {balance['mean']:,.0f} edges/rank, imbalance {balance['imbalance']:.3f}")

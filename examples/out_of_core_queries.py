@@ -93,7 +93,7 @@ def main() -> None:
         print(f"on-the-fly validation: {'PASS' if report.passed else 'FAIL'}")
 
         # --------------------------------------------------------------
-        # 2. Compact: external merge sort into source-sorted shards with
+        # 2. Compact: re-cut the (src, dst)-ordered spill into shards with
         #    per-shard vertex ranges (manifest v2).
         # --------------------------------------------------------------
         start = time.perf_counter()

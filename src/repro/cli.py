@@ -38,8 +38,10 @@ published artefacts of the paper:
 
 ``repro-kron compact``
     Compact a per-block spill directory into a source-sorted store with a
-    manifest v2 recording per-shard vertex ranges (``repro.store``); payload
-    columns are carried through the external merge sort unchanged.
+    manifest v2 recording per-shard vertex ranges (``repro.store``).  The
+    spill is already in ``(src, dst)`` order, so compaction checks that
+    order and re-cuts the rows, payload columns unchanged; an out-of-order
+    spill is an error.
 
 ``repro-kron query``
     Serve degree / neighbor / egonet / edge-range queries from a compacted
@@ -246,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     compact = sub.add_parser(
         "compact",
-        help="merge a per-block spill into source-sorted shards with a "
-             "manifest v2 recording per-shard vertex ranges")
+        help="re-cut a (src, dst)-ordered per-block spill into shards with "
+             "a manifest v2 recording per-shard vertex ranges")
     compact.add_argument("source", type=Path, help="spill directory to compact")
     compact.add_argument("destination", type=Path, help="output store directory")
     compact.add_argument("--target-edges", type=int, default=262_144,

@@ -28,7 +28,7 @@ from repro.core import index_maps
 from repro.graphs.adjacency import Graph, hadamard, to_csr
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.labeled import VertexLabeledGraph
-from repro.perf.kernels import csr_has_entry
+from repro.perf.kernels import csr_has_entry, ragged_take
 
 __all__ = ["KroneckerGraph"]
 
@@ -236,70 +236,119 @@ class KroneckerGraph:
     # ------------------------------------------------------------------
     # Edge iteration / materialization
     # ------------------------------------------------------------------
+    def source_offsets(self, ps) -> np.ndarray:
+        """Index of each source's first row in the CSR order of ``C``, for
+        sources ``0 <= p <= n_C``.
+
+        Source ``p = i·n_B + k`` owns ``deg_A(i)·deg_B(k)`` consecutive rows
+        starting at ``indptr_A[i]·nnz(B) + deg_A(i)·indptr_B[k]``;
+        ``p = n_C`` gives ``nnz(C)``.  The work is per entry of *ps*:
+        nothing of length ``n_C`` is built.
+        """
+        ps = np.asarray(ps, dtype=np.int64)
+        i, k = np.divmod(ps, self.n_factor_b)
+        ptr_a = self._adj_a.indptr
+        first = ptr_a[i].astype(np.int64)
+        # i = n_A only for p = n_C, which owns no rows.
+        deg_a = ptr_a[np.minimum(i + 1, self.n_factor_a)] - first
+        return first * self._adj_b.nnz + deg_a * self._adj_b.indptr[k]
+
+    def sources_at(self, ts) -> np.ndarray:
+        """The source holding row ``t`` of ``C`` (CSR order), for rows in
+        ``[0, nnz(C))``: the last source whose offset is ``<= t``.
+
+        The inverse of :meth:`source_offsets` in two binary searches over
+        the factor ``indptr`` arrays: ``i`` is the last ``A`` row with
+        ``indptr_A[i]·nnz(B) <= t``, then ``k`` the last ``B`` row with
+        ``deg_A(i)·indptr_B[k] <= t - indptr_A[i]·nnz(B)``.
+        """
+        ts = np.asarray(ts, dtype=np.int64)
+        ptr_a, ptr_b = self._adj_a.indptr, self._adj_b.indptr
+        i = np.searchsorted(ptr_a[:-1], ts // self._adj_b.nnz, side="right") - 1
+        first = ptr_a[i].astype(np.int64)
+        rest = ts - first * self._adj_b.nnz
+        k = np.searchsorted(ptr_b[:-1], rest // (ptr_a[i + 1] - first),
+                            side="right") - 1
+        return i * self.n_factor_b + k
+
+    def _source_rows(self, sources: np.ndarray, a_lo: np.ndarray,
+                     a_hi: np.ndarray) -> np.ndarray:
+        """Rows ``(p, j·n_B + l)`` of each source ``p = i·n_B + k`` in
+        *sources*, for the ``A`` entries ``[a_lo, a_hi)`` of row ``i`` (``j``
+        their columns) times every entry ``l`` of row ``k`` of ``B``; in
+        ``(src, dst)`` order, as one ragged gather."""
+        ptr_b = self._adj_b.indptr
+        ks = sources % self.n_factor_b
+        b_lo, b_hi = ptr_b[ks].astype(np.int64), ptr_b[ks + 1].astype(np.int64)
+        a_count = a_hi - a_lo
+        # One segment of deg_B(k) rows per (source, A entry) pair.
+        seg_rows = np.repeat(b_hi - b_lo, a_count)
+        dst = np.repeat(ragged_take(self._adj_a.indices, a_lo, a_hi)
+                        .astype(np.int64) * self.n_factor_b, seg_rows)
+        dst += ragged_take(self._adj_b.indices, np.repeat(b_lo, a_count),
+                           np.repeat(b_hi, a_count))
+        src = np.repeat(sources, a_count * (b_hi - b_lo))
+        return np.stack([src, dst], axis=1)
+
     def iter_edge_blocks(
         self,
         *,
         a_edges_per_block: int = 1024,
-        a_entry_start: int = 0,
-        a_entry_stop: Optional[int] = None,
+        src_start: int = 0,
+        src_stop: Optional[int] = None,
     ) -> Iterator[np.ndarray]:
-        """Stream the directed edge list of ``C`` in blocks.
+        """Stream the directed edge list of ``C`` in bounded ``(m, 2)`` blocks.
 
-        For each block of ``a_edges_per_block`` stored entries of ``A``, emit
-        the ``(block · nnz(B), 2)`` array of product edges they induce; peak
-        memory is bounded by the block size regardless of ``nnz(C)``.  This is
-        the single-rank version of the communication-free distributed
-        generation in :mod:`repro.parallel`.
+        Concatenated, the blocks are exactly the rows of ``C`` whose source
+        lies in ``[src_start, src_stop)`` (default: every source), in
+        strictly increasing ``(src, dst)`` order — the CSR order of
+        :meth:`materialize_adjacency`.  A block holds the rows of a range of
+        whole sources: at most ``bound = a_edges_per_block · nnz(B)`` rows,
+        spanning at most ``bound`` sources.  A source with more than
+        ``bound`` rows is split into runs of ``max(1, ⌊bound / deg_B(k)⌋)``
+        of its ``A`` entries, which keeps both the order and the bound.
+        Blocks without rows are not yielded.  Peak memory is one block
+        regardless of ``nnz(C)``, and nothing of length ``n_C`` is built.
 
-        Parameters
-        ----------
-        a_entry_start, a_entry_stop:
-            Half-open range of stored ``A`` entries (row-major CSR order) to
-            stream; defaults to the full entry list.  A rank of the
-            distributed generation passes its partition slice here so that
-            only its share of the product is ever generated.
+        This is the single-rank version of the communication-free
+        distributed generation in :mod:`repro.parallel`: a rank passes its
+        source range, and consecutive ranges concatenate in order.
         """
-        coo_a = self._adj_a.tocoo()
-        coo_b = self._adj_b.tocoo()
-        b_rows = coo_b.row.astype(np.int64)
-        b_cols = coo_b.col.astype(np.int64)
-        n_b = self.n_factor_b
-        entry_stop = coo_a.nnz if a_entry_stop is None else int(a_entry_stop)
-        if not 0 <= a_entry_start <= entry_stop <= coo_a.nnz:
-            raise ValueError(
-                f"entry range [{a_entry_start}, {entry_stop}) outside [0, {coo_a.nnz})"
-            )
-        for start in range(a_entry_start, entry_stop, a_edges_per_block):
-            stop = min(start + a_edges_per_block, entry_stop)
-            a_rows = coo_a.row[start:stop].astype(np.int64)
-            a_cols = coo_a.col[start:stop].astype(np.int64)
-            rows = (a_rows[:, None] * n_b + b_rows[None, :]).ravel()
-            cols = (a_cols[:, None] * n_b + b_cols[None, :]).ravel()
-            yield np.stack([rows, cols], axis=1)
-
-    def iter_rank_edge_blocks(
-        self, partition, *, a_edges_per_block: int = 1024
-    ) -> Iterator[np.ndarray]:
-        """Stream one rank's slice of the product edge list in bounded blocks.
-
-        The partition-scoped sibling of :meth:`iter_edge_blocks`: only the
-        ``A`` entries owned by *partition* (either layout from
-        :mod:`repro.parallel.partition`) are expanded, so a rank of the
-        communication-free generation holds at most
-        ``a_edges_per_block · nnz(B)`` edges at a time no matter how large
-        its slice is.  The statistics-annotated version lives in
-        :func:`repro.parallel.distributed.iter_rank_edge_blocks`.
-        """
-        # Deferred so the partition dispatch has a single home in the
-        # parallel layer without a module-level core → parallel cycle.
-        from repro.parallel.partition import entry_range
-
-        start, stop = entry_range(partition, self._adj_a.indptr)
-        return self.iter_edge_blocks(
-            a_edges_per_block=a_edges_per_block,
-            a_entry_start=start,
-            a_entry_stop=stop,
-        )
+        n = self.n_vertices
+        stop = n if src_stop is None else int(src_stop)
+        if not 0 <= src_start <= stop <= n:
+            raise ValueError(f"source range [{src_start}, {stop}) outside [0, {n}]")
+        if a_edges_per_block < 1:
+            raise ValueError(f"a_edges_per_block must be >= 1, got {a_edges_per_block}")
+        nnz, n_b = self.nnz, self.n_factor_b
+        bound = int(a_edges_per_block) * self._adj_b.nnz
+        ptr_a = self._adj_a.indptr.astype(np.int64)
+        p = int(src_start)
+        while p < stop:
+            first = int(self.source_offsets(p))
+            if first == nnz:
+                return  # only sources without rows remain
+            p = int(self.sources_at(first))  # skip sources without rows
+            if p >= stop:
+                return
+            limit = first + bound
+            q = min(n if limit >= nnz else int(self.sources_at(limit)),
+                    stop, p + bound)
+            if q > p:
+                sources = np.arange(p, q, dtype=np.int64)
+                rows_a = sources // n_b
+                yield self._source_rows(sources, ptr_a[rows_a], ptr_a[rows_a + 1])
+                p = q
+            else:
+                # Source p alone holds more than `bound` rows: cut its A entries.
+                i, k = divmod(p, n_b)
+                deg_b = int(self._adj_b.indptr[k + 1] - self._adj_b.indptr[k])
+                step = max(1, bound // deg_b)
+                for lo in range(int(ptr_a[i]), int(ptr_a[i + 1]), step):
+                    hi = min(lo + step, int(ptr_a[i + 1]))
+                    yield self._source_rows(np.asarray([p], dtype=np.int64),
+                                            np.asarray([lo]), np.asarray([hi]))
+                p += 1
 
     def edges(self, *, max_nnz: int = DEFAULT_MATERIALIZE_LIMIT) -> np.ndarray:
         """All directed edges of ``C`` as an array (guarded by ``max_nnz``).

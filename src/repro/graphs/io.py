@@ -204,8 +204,10 @@ class NpyShardSink:
     handle and the sink works unchanged under a ``multiprocessing`` pool
     (the object holds only path state and is picklable).  ``finalize()``
     scans the directory and writes a small JSON manifest recording shard
-    order and per-shard edge counts; readers go through the manifest, which
-    is published atomically (:func:`write_shard_manifest`).
+    order — numeric ``(rank, block)`` order, in which the streaming
+    pipeline's blocks concatenate to ``(src, dst)`` order — and per-shard
+    edge counts; readers go through the manifest, which is published
+    atomically (:func:`write_shard_manifest`).
 
     Compared to the TSV writer this replaces as the default, shards are
     written with one ``np.save`` per block — no per-row formatting at all —
@@ -232,6 +234,8 @@ class NpyShardSink:
 
     #: Glob matching the shard files this sink writes.
     _SHARD_GLOB = "edges-r*-b*.npy"
+    #: The ``(rank, block)`` pair in a shard file name.
+    _SHARD_NAME = re.compile(r"edges-r(\d+)-b(\d+)\.npy")
 
     def __init__(self, directory: PathLike, *, name: str = "", n_vertices: int = 0,
                  payload_columns: Sequence[str] = ()):
@@ -266,8 +270,17 @@ class NpyShardSink:
         np.save(self.shard_path(rank, block_index), block)
 
     def shard_paths(self):
-        """All shard files currently in the directory, in (rank, block) order."""
-        return sorted(self.directory.glob(self._SHARD_GLOB))
+        """All shard files currently in the directory, in numeric
+        ``(rank, block)`` order: the order in which the streaming pipeline's
+        blocks concatenate to ``(src, dst)`` order."""
+        def rank_block(path: Path) -> Tuple[int, int]:
+            match = self._SHARD_NAME.fullmatch(path.name)
+            if match is None:
+                raise ValueError(f"{path}: not a spill shard name "
+                                 "(edges-r<rank>-b<block>.npy)")
+            return int(match[1]), int(match[2])
+
+        return sorted(self.directory.glob(self._SHARD_GLOB), key=rank_block)
 
     def finalize(self, metadata: Optional[dict] = None) -> dict:
         """Write the JSON manifest (idempotent, atomic) and return it.

@@ -1,11 +1,11 @@
 """Partitioned, communication-free generation and streaming of Kronecker products.
 
-Single-node simulation of the paper's distributed generation path: partition
-descriptors (:mod:`repro.parallel.partition`), a minimal communicator
-abstraction (:mod:`repro.parallel.comm`), per-rank edge generation with local
-ground-truth statistics (:mod:`repro.parallel.distributed`), and
-bounded-memory streaming consumers plus the per-rank aggregate accumulator
-(:mod:`repro.parallel.streaming`).
+Single-node simulation of the paper's distributed generation path: the
+source-range partition (:mod:`repro.parallel.partition`), a minimal
+communicator abstraction (:mod:`repro.parallel.comm`), per-rank edge
+generation with local ground-truth statistics
+(:mod:`repro.parallel.distributed`), and bounded-memory streaming consumers
+plus the per-rank aggregate accumulator (:mod:`repro.parallel.streaming`).
 """
 
 from repro.parallel.comm import RankContext, SimulatedComm, run_on_ranks
@@ -20,14 +20,7 @@ from repro.parallel.distributed import (
     merge_rank_outputs,
     stream_rank_aggregate,
 )
-from repro.parallel.partition import (
-    EdgePartition,
-    VertexBlockPartition,
-    balance_statistics,
-    entry_range,
-    partition_edges,
-    partition_vertex_blocks,
-)
+from repro.parallel.partition import SourcePartition, balance_statistics, partition_sources
 from repro.parallel.streaming import (
     StreamingRankAccumulator,
     format_edge_block_tsv,
@@ -41,11 +34,8 @@ __all__ = [
     "SimulatedComm",
     "RankContext",
     "run_on_ranks",
-    "EdgePartition",
-    "VertexBlockPartition",
-    "partition_edges",
-    "partition_vertex_blocks",
-    "entry_range",
+    "SourcePartition",
+    "partition_sources",
     "balance_statistics",
     "KNOWN_PAYLOAD_COLUMNS",
     "RankOutput",

@@ -1,18 +1,26 @@
 """Communication-free distributed generation of ``C = A ⊗ B`` (simulated ranks).
 
-Each rank holds both (small) factors and a partition descriptor; it emits its
-slice of the product edge list, plus — because the Kronecker formulas are
+Each rank holds both (small) factors and a source range
+(:class:`~repro.parallel.partition.SourcePartition`); it emits the product
+edges leaving those sources, plus — because the Kronecker formulas are
 local — the exact triangle ground truth for everything it emitted, without
 ever talking to another rank.  The driver verifies that the union of the
 per-rank outputs is exactly the product's edge set and that per-rank
 statistics sum to the global formula values, which is the property the paper
 relies on when calling the generation "essentially communication-free".
 
+The ranges follow one another in rank order, and every rank emits its edges
+in ``(src, dst)`` order
+(:meth:`~repro.core.KroneckerGraph.iter_edge_blocks`).  So the ranks'
+outputs concatenate to the whole product in ``(src, dst)`` order, and so
+does a streamed spill's ``edges-r<rank>-b<block>`` files read in manifest
+order — with ``use_processes=True`` too.  That is what lets
+:func:`repro.store.compact_shards` re-cut a spill instead of sorting it.
+
 Two execution modes are provided:
 
 * **materialized** (default) — each rank returns its whole slice as one
-  :class:`RankOutput`; peak memory per rank is the full
-  ``(stop - start) · nnz(B)`` edge array.
+  :class:`RankOutput`; peak memory per rank is its full edge array.
 * **streaming** (``streaming=True``) — each rank walks its slice in
   ``a_edges_per_block · nnz(B)``-edge blocks
   (:func:`iter_rank_edge_blocks`), folds them into a
@@ -56,13 +64,7 @@ from repro.graphs.adjacency import Graph
 from repro.graphs.io import normalize_payload_columns
 from repro.obs import trace
 from repro.parallel.comm import SimulatedComm
-from repro.parallel.partition import (
-    EdgePartition,
-    VertexBlockPartition,
-    entry_range,
-    partition_edges,
-    partition_vertex_blocks,
-)
+from repro.parallel.partition import SourcePartition, partition_sources
 from repro.parallel.streaming import StreamingRankAccumulator
 
 __all__ = [
@@ -76,8 +78,6 @@ __all__ = [
     "distributed_generate",
     "merge_rank_outputs",
 ]
-
-PartitionType = Union[EdgePartition, VertexBlockPartition]
 
 #: Sink protocol: either an object with ``write(rank, block_index, edges)``
 #: (and optionally ``finalize()``) or a plain callable with that signature.
@@ -120,27 +120,23 @@ class RankEdgeBlock(NamedTuple):
     edge_triangles: np.ndarray
 
 
-def _rank_entry_range(factor_a: Graph, partition: PartitionType) -> Tuple[int, int]:
-    return entry_range(partition, factor_a.adjacency.indptr)
-
-
 def generate_rank_edges(
     factor_a: Graph,
     factor_b: Graph,
-    partition: PartitionType,
+    partition: SourcePartition,
     *,
     with_statistics: bool = True,
     stats: Optional[KroneckerTriangleStats] = None,
 ) -> RankOutput:
     """Generate the product edges owned by one rank, as a single slice.
 
-    Every ``A`` entry in the rank's slice is paired with every ``B`` entry;
-    the statistics are evaluated from the factored
+    The slice is every edge leaving the rank's source range, in ``(src,
+    dst)`` order — the blocks of
+    :meth:`~repro.core.KroneckerGraph.iter_edge_blocks` over that range,
+    concatenated; the statistics are evaluated from the factored
     :class:`~repro.core.triangle_formulas.KroneckerTriangleStats` — via its
     batched ``edge_values``/``vertex_value`` kernels, never one edge at a
-    time — using only factor-sized data.  Both partition layouts are
-    accepted: a :class:`~repro.parallel.partition.VertexBlockPartition` is
-    mapped to its contiguous CSR entry range first.
+    time — using only factor-sized data.
 
     Parameters
     ----------
@@ -150,17 +146,10 @@ def generate_rank_edges(
         driver generating many ranks should build it once and pass it in
         (:func:`distributed_generate` does exactly that).
     """
-    coo_a = factor_a.adjacency.tocoo()
-    coo_b = factor_b.adjacency.tocoo()
-    n_b = factor_b.n_vertices
-    start, stop = _rank_entry_range(factor_a, partition)
-    a_rows = coo_a.row[start:stop].astype(np.int64)
-    a_cols = coo_a.col[start:stop].astype(np.int64)
-    b_rows = coo_b.row.astype(np.int64)
-    b_cols = coo_b.col.astype(np.int64)
-    rows = (a_rows[:, None] * n_b + b_rows[None, :]).ravel()
-    cols = (a_cols[:, None] * n_b + b_cols[None, :]).ravel()
-    edges = np.stack([rows, cols], axis=1)
+    blocks = list(KroneckerGraph(factor_a, factor_b).iter_edge_blocks(
+        src_start=partition.src_start, src_stop=partition.src_stop))
+    edges = np.concatenate(blocks) if blocks else np.zeros((0, 2), dtype=np.int64)
+    rows, cols = edges[:, 0], edges[:, 1]
 
     if not with_statistics:
         empty = np.zeros(0, dtype=np.int64)
@@ -178,7 +167,7 @@ def generate_rank_edges(
 def iter_rank_edge_blocks(
     factor_a: Graph,
     factor_b: Graph,
-    partition: PartitionType,
+    partition: SourcePartition,
     *,
     a_edges_per_block: int = 1024,
     with_statistics: bool = True,
@@ -187,7 +176,9 @@ def iter_rank_edge_blocks(
 ) -> Iterator[RankEdgeBlock]:
     """Stream one rank's slice as bounded, statistics-annotated blocks.
 
-    The fused streaming sibling of :func:`generate_rank_edges`: at most
+    The fused streaming sibling of :func:`generate_rank_edges`: the blocks
+    of :meth:`~repro.core.KroneckerGraph.iter_edge_blocks` over the rank's
+    source range, in ``(src, dst)`` order.  At most
     ``a_edges_per_block · nnz(B)`` edges exist at a time, and every block's
     triangle payload is evaluated through a single
     :class:`~repro.core.triangle_formulas.TriangleStatsGatherer` — the
@@ -200,8 +191,9 @@ def iter_rank_edge_blocks(
             stats = KroneckerTriangleStats.from_factors(factor_a, factor_b)
         gatherer = stats.gatherer()
     empty = np.zeros(0, dtype=np.int64)
-    for edges in product.iter_rank_edge_blocks(partition,
-                                               a_edges_per_block=a_edges_per_block):
+    for edges in product.iter_edge_blocks(a_edges_per_block=a_edges_per_block,
+                                          src_start=partition.src_start,
+                                          src_stop=partition.src_stop):
         if not with_statistics:
             yield RankEdgeBlock(edges, empty)
             continue
@@ -247,7 +239,7 @@ def _payload_extras(block: "RankEdgeBlock", trussness: Optional[np.ndarray],
 def stream_rank_aggregate(
     factor_a: Graph,
     factor_b: Graph,
-    partition: PartitionType,
+    partition: SourcePartition,
     *,
     a_edges_per_block: int = 1024,
     with_statistics: bool = True,
@@ -322,7 +314,7 @@ class StreamingGenerateResult:
 
     rank_aggregates: List[StreamingRankAccumulator]
     total: StreamingRankAccumulator
-    partitions: List[PartitionType]
+    partitions: List[SourcePartition]
     stats: Optional[KroneckerTriangleStats] = None
 
     @property
@@ -334,17 +326,6 @@ class StreamingGenerateResult:
     def max_block_edges(self) -> int:
         """Largest single block any rank ever held (the peak-memory bound)."""
         return self.total.max_block_edges
-
-
-def _build_partitions(factor_a: Graph, factor_b: Graph, n_ranks: int,
-                      layout: str) -> List[PartitionType]:
-    if layout == "edges":
-        return partition_edges(factor_a.nnz, factor_b.nnz, n_ranks)
-    if layout == "vertex-blocks":
-        row_nnz = np.diff(factor_a.adjacency.indptr)
-        return partition_vertex_blocks(row_nnz, factor_b.n_vertices,
-                                       factor_b.nnz, n_ranks)
-    raise ValueError(f"unknown layout {layout!r}; choose 'edges' or 'vertex-blocks'")
 
 
 #: Per-worker shared state (factors + statistics + streaming config), shipped
@@ -364,14 +345,14 @@ def _worker_init(factor_a: Graph, factor_b: Graph, with_statistics: bool,
                      truss, sink, a_edges_per_block, payload_columns)
 
 
-def _rank_worker(partition: PartitionType) -> RankOutput:
+def _rank_worker(partition: SourcePartition) -> RankOutput:
     """Module-level worker (picklable); reads the shared per-process state."""
     factor_a, factor_b, with_statistics, stats = _WORKER_STATE[:4]
     return generate_rank_edges(factor_a, factor_b, partition,
                                with_statistics=with_statistics, stats=stats)
 
 
-def _stream_worker(partition: PartitionType) -> StreamingRankAccumulator:
+def _stream_worker(partition: SourcePartition) -> StreamingRankAccumulator:
     """Module-level streaming worker; folds a rank's blocks in the pool process."""
     (factor_a, factor_b, with_statistics, stats,
      truss, sink, block, payload_columns) = _WORKER_STATE
@@ -390,7 +371,6 @@ def distributed_generate(
     with_statistics: bool = True,
     use_processes: bool = False,
     max_workers: Optional[int] = None,
-    layout: str = "edges",
     streaming: bool = False,
     a_edges_per_block: Optional[int] = None,
     sink: Optional[SinkType] = None,
@@ -403,14 +383,13 @@ def distributed_generate(
     (they are immutable, so sharing is safe in-process and cheap to ship to
     workers).  With ``use_processes=True`` the ranks run concurrently on a
     ``multiprocessing`` pool — the single-node stand-in for the paper's MPI
-    ranks; results are returned in rank order either way.
+    ranks; results are returned in rank order either way.  The ranks own
+    consecutive source ranges
+    (:func:`~repro.parallel.partition.partition_sources`), so their outputs,
+    and a sink's spill in manifest order, are in ``(src, dst)`` order.
 
     Parameters
     ----------
-    layout:
-        ``"edges"`` (contiguous ``A``-entry slices) or ``"vertex-blocks"``
-        (contiguous ``A``-row blocks with near-even edge load).  Both layouts
-        cover the product exactly once, so they merge to the same graph.
     streaming:
         When set, ranks fold their slice block-by-block instead of
         materializing it, and a :class:`StreamingGenerateResult` of
@@ -448,7 +427,7 @@ def distributed_generate(
         # Reject an unknown column before any factor statistics are built.
         _check_payload_columns(payload_columns, with_statistics=with_statistics,
                                with_trussness=with_trussness)
-    partitions = _build_partitions(factor_a, factor_b, n_ranks, layout)
+    partitions = partition_sources(factor_a, factor_b, n_ranks)
     stats = KroneckerTriangleStats.from_factors(factor_a, factor_b) \
         if with_statistics else None
 
@@ -476,8 +455,7 @@ def distributed_generate(
     block = 1024 if a_edges_per_block is None else int(a_edges_per_block)
     if block < 1:
         raise ValueError(f"a_edges_per_block must be >= 1, got {block}")
-    with trace.span("stream.run", n_ranks=n_ranks, layout=layout,
-                    use_processes=use_processes):
+    with trace.span("stream.run", n_ranks=n_ranks, use_processes=use_processes):
         if not use_processes:
             # One cached-key gatherer for the whole run — every rank's
             # blocks reuse the same sorted component keys.

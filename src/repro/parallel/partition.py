@@ -1,171 +1,85 @@
-"""Partitioners for distributing a Kronecker product graph across ranks.
+"""The source-range partition of a Kronecker product graph across ranks.
 
-The generation of ``C = A ⊗ B`` is *communication-free*: every edge of ``C``
-is the pairing of one ``A`` edge with one ``B`` edge, so any partition of the
-``A``-edge list (or of the product vertex range) lets each rank emit its
-slice of ``E_C`` using nothing but the two small factors it already holds.
-This module provides the partition arithmetic; the rank simulation lives in
-:mod:`repro.parallel.comm` and the actual per-rank generation in
-:mod:`repro.parallel.distributed`.
+The generation of ``C = A ⊗ B`` is *communication-free*: every row of ``C``
+pairs one row of ``A`` with one row of ``B``, so a rank that owns a range of
+product sources emits all of their edges from the two small factors it
+already holds.  This module provides the partition arithmetic; the rank
+simulation lives in :mod:`repro.parallel.comm` and the actual per-rank
+generation in :mod:`repro.parallel.distributed`.
 
-Two layouts are provided:
-
-* **edge partition** — contiguous slices of ``A``'s stored entries; each rank
-  owns ``nnz(A)/R × nnz(B)`` product edges (near-perfect balance whenever
-  ``nnz(A) ≫ R``).
-* **vertex-block partition** — contiguous ranges of product vertices grouped
-  by their ``A``-side index, so all edges *out of* a rank's vertices are
-  generated locally (the 1-D row distribution used by distributed triangle
-  counting codes).
+There is one layout: rank ``r`` owns the contiguous source range
+``[src_start, src_stop)``, and the ranges follow one another in rank order.
+The cuts come from the closed-form CSR offsets of ``C``
+(:meth:`repro.core.KroneckerGraph.source_offsets` and its inverse
+:meth:`~repro.core.KroneckerGraph.sources_at`), so the ranks' edge loads
+are balanced to within one source's out-degree, and the ranks' edges,
+concatenated in rank order, are the product's edges in ``(src, dst)``
+order.  All of it is factor-sized work: nothing of length ``n_C`` is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional
 
 import numpy as np
 
-__all__ = [
-    "EdgePartition",
-    "VertexBlockPartition",
-    "partition_edges",
-    "partition_vertex_blocks",
-    "entry_range",
-    "balance_statistics",
-]
+from repro.core.kronecker import KroneckerGraph
+
+__all__ = ["SourcePartition", "partition_sources", "balance_statistics"]
 
 
 @dataclass(frozen=True)
-class EdgePartition:
-    """A contiguous slice of the left factor's stored entries owned by one rank.
+class SourcePartition:
+    """The contiguous range of product sources owned by one rank.
 
     Attributes
     ----------
     rank:
         Owning rank id.
-    a_entry_start, a_entry_stop:
-        Half-open range of stored-entry indices of ``A`` (COO order) owned by
-        this rank.
+    src_start, src_stop:
+        Half-open range of product vertices whose out-edges this rank emits.
     product_edges:
-        Number of product edges this rank will emit
-        (``(stop - start) · nnz(B)``).
+        Number of product edges those sources own (the offset difference).
     """
 
     rank: int
-    a_entry_start: int
-    a_entry_stop: int
+    src_start: int
+    src_stop: int
     product_edges: int
 
-    @property
-    def n_a_entries(self) -> int:
-        """Number of ``A`` entries owned by this rank."""
-        return self.a_entry_stop - self.a_entry_start
 
+def partition_sources(factor_a, factor_b, n_ranks: int) -> List[SourcePartition]:
+    """Cut the product's sources into ``n_ranks`` contiguous ranges of
+    near-equal edge load.
 
-@dataclass(frozen=True)
-class VertexBlockPartition:
-    """A contiguous block of ``A``-side vertex ids owned by one rank.
-
-    The rank owns every product vertex ``p`` with ``p // n_B`` in
-    ``[a_row_start, a_row_stop)`` and generates all edges leaving them.
+    Rank ``r`` starts at the source whose CSR offset is nearest to
+    ``r · nnz(C) / n_ranks`` (rank 0 at source 0), and start points never
+    decrease, so each rank's load differs from its share by at most one
+    source's out-degree.  With more ranks than sources that own edges,
+    some ranks own empty ranges.
     """
-
-    rank: int
-    a_row_start: int
-    a_row_stop: int
-    product_vertex_start: int
-    product_vertex_stop: int
-    product_edges: int
-
-    @property
-    def n_product_vertices(self) -> int:
-        """Number of product vertices owned by this rank."""
-        return self.product_vertex_stop - self.product_vertex_start
-
-
-def _even_splits(total: int, parts: int) -> List[Tuple[int, int]]:
-    """Split ``range(total)`` into ``parts`` contiguous near-even half-open ranges."""
-    if parts < 1:
-        raise ValueError("number of ranks must be >= 1")
-    bounds = np.linspace(0, total, parts + 1).astype(np.int64)
-    return [(int(bounds[r]), int(bounds[r + 1])) for r in range(parts)]
-
-
-def partition_edges(nnz_a: int, nnz_b: int, n_ranks: int) -> List[EdgePartition]:
-    """Partition the ``A`` entry list evenly across ``n_ranks`` ranks."""
-    if nnz_a < 0 or nnz_b < 0:
-        raise ValueError("nnz counts must be non-negative")
-    out = []
-    for rank, (start, stop) in enumerate(_even_splits(nnz_a, n_ranks)):
-        out.append(EdgePartition(rank=rank, a_entry_start=start, a_entry_stop=stop,
-                                 product_edges=(stop - start) * nnz_b))
-    return out
-
-
-def partition_vertex_blocks(
-    a_row_nnz: np.ndarray, n_vertices_b: int, nnz_b: int, n_ranks: int
-) -> List[VertexBlockPartition]:
-    """Partition ``A``-side rows into contiguous blocks with near-even edge load.
-
-    Parameters
-    ----------
-    a_row_nnz:
-        Stored entries per row of ``A`` (its out-degree profile).
-    n_vertices_b, nnz_b:
-        Size and entry count of the right factor.
-    n_ranks:
-        Number of ranks.
-    """
-    a_row_nnz = np.asarray(a_row_nnz, dtype=np.int64)
-    n_a = a_row_nnz.shape[0]
-    total_work = int(a_row_nnz.sum()) * nnz_b
-    target = total_work / max(1, n_ranks)
-    cumulative = np.cumsum(a_row_nnz) * nnz_b
-
-    partitions: List[VertexBlockPartition] = []
-    row_start = 0
-    for rank in range(n_ranks):
-        if rank == n_ranks - 1:
-            row_stop = n_a
-        else:
-            threshold = (rank + 1) * target
-            row_stop = int(np.searchsorted(cumulative, threshold, side="left")) + 1
-            row_stop = min(max(row_stop, row_start), n_a)
-        edges = int(a_row_nnz[row_start:row_stop].sum()) * nnz_b
-        partitions.append(
-            VertexBlockPartition(
-                rank=rank,
-                a_row_start=row_start,
-                a_row_stop=row_stop,
-                product_vertex_start=row_start * n_vertices_b,
-                product_vertex_stop=row_stop * n_vertices_b,
-                product_edges=edges,
-            )
-        )
-        row_start = row_stop
-    return partitions
-
-
-def entry_range(
-    partition: Union["EdgePartition", "VertexBlockPartition"], a_indptr: np.ndarray
-) -> Tuple[int, int]:
-    """Half-open ``A``-entry range owned by *partition*, for either layout.
-
-    An :class:`EdgePartition` carries its entry slice directly.  A
-    :class:`VertexBlockPartition` owns whole rows of ``A``; since the COO view
-    of a CSR matrix lists entries in row-major order, those rows are the
-    contiguous entry slice ``[indptr[row_start], indptr[row_stop])``.  This is
-    the bridge that lets the one per-rank generator serve both layouts.
-    """
-    if isinstance(partition, EdgePartition):
-        return partition.a_entry_start, partition.a_entry_stop
-    if isinstance(partition, VertexBlockPartition):
-        a_indptr = np.asarray(a_indptr)
-        return int(a_indptr[partition.a_row_start]), int(a_indptr[partition.a_row_stop])
-    raise TypeError(
-        f"expected an EdgePartition or VertexBlockPartition, got {type(partition)!r}"
-    )
+    if n_ranks < 1:
+        raise ValueError(f"number of ranks must be >= 1, got {n_ranks}")
+    product = KroneckerGraph(factor_a, factor_b)
+    n, nnz = product.n_vertices, product.nnz
+    bounds = np.full(n_ranks + 1, n, dtype=np.int64)
+    bounds[0] = 0
+    offsets = np.zeros(n_ranks + 1, dtype=np.int64)
+    if nnz:
+        ranks = np.arange(1, n_ranks, dtype=np.int64)
+        # The source holding row ⌊r·nnz/R⌋ brackets the exact share
+        # r·nnz/R; start at whichever of its two ends is nearer.
+        holder = product.sources_at(ranks * nnz // n_ranks)
+        lo = product.source_offsets(holder)
+        hi = product.source_offsets(holder + 1)
+        nearer_lo = 2 * ranks * nnz <= n_ranks * (lo + hi)
+        bounds[1:-1] = np.maximum.accumulate(np.where(nearer_lo, holder, holder + 1))
+        offsets = product.source_offsets(bounds)
+    return [SourcePartition(rank=rank, src_start=int(bounds[rank]),
+                            src_stop=int(bounds[rank + 1]),
+                            product_edges=int(offsets[rank + 1] - offsets[rank]))
+            for rank in range(n_ranks)]
 
 
 def balance_statistics(partitions, *, max_atom_load: Optional[int] = None) -> dict:
@@ -174,14 +88,14 @@ def balance_statistics(partitions, *, max_atom_load: Optional[int] = None) -> di
     Parameters
     ----------
     max_atom_load:
-        Largest indivisible unit of work, in product edges — ``nnz(B)`` for an
-        edge partition (one ``A`` entry), ``max_row_nnz(A) · nnz(B)`` for a
-        vertex-block partition (one ``A`` row).  When given, the summary also
-        reports ``bounded_imbalance = max / max(mean, max_atom_load)``: the
-        imbalance measured against the best any contiguous partitioner could
-        do, which both layouts keep ≤ 2 even on adversarial degree profiles
-        (a greedy cut never overshoots the target by more than one atom),
-        whereas the raw ``imbalance`` degenerates whenever
+        Largest indivisible unit of work, in product edges — the largest
+        source out-degree ``max_p deg_C(p)`` for a source partition.  When
+        given, the summary also reports
+        ``bounded_imbalance = max / max(mean, max_atom_load)``: the imbalance
+        measured against the best any contiguous partitioner could do, which
+        :func:`partition_sources` keeps ≤ 2 even on adversarial degree
+        profiles (a nearest-offset cut misses its share by at most one
+        atom), whereas the raw ``imbalance`` degenerates whenever
         ``n_ranks`` exceeds the number of atoms.
     """
     loads = np.asarray([p.product_edges for p in partitions], dtype=np.float64)

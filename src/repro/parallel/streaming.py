@@ -187,8 +187,8 @@ class StreamingRankAccumulator:
     def summary(self) -> Dict[str, object]:
         """Canonical aggregate view, independent of the blocking schedule.
 
-        Two runs over the same slice — whatever their block size, layout or
-        rank count — produce equal summaries; the equivalence tests compare
+        Two runs over the same slice — whatever their block size or rank
+        count — produce equal summaries; the equivalence tests compare
         exactly this.
         """
         return {

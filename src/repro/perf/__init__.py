@@ -12,6 +12,8 @@ primitives the formula modules build on:
   ``indptr``/``indices``, no per-query Python loop);
 * :func:`~repro.perf.kernels.csr_has_entry` — scalar membership probe
   without allocating a sparse temporary;
+* :func:`~repro.perf.kernels.ragged_take` — concatenation of many
+  ``arr[lo:hi]`` slices as one gather (CSR row expansion, shard slicing);
 * :class:`~repro.perf.kernels.CsrGatherer` — a reusable gatherer that
   caches the row expansion of one matrix across many batched gathers.
 
@@ -20,6 +22,6 @@ batch-first — they accept index *arrays* and return value arrays — and no
 per-edge Python loop is permitted between a generator and its statistics.
 """
 
-from repro.perf.kernels import CsrGatherer, csr_gather, csr_has_entry
+from repro.perf.kernels import CsrGatherer, csr_gather, csr_has_entry, ragged_take
 
-__all__ = ["csr_gather", "csr_has_entry", "CsrGatherer"]
+__all__ = ["csr_gather", "csr_has_entry", "ragged_take", "CsrGatherer"]

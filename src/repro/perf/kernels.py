@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["csr_gather", "csr_has_entry", "CsrGatherer"]
+__all__ = ["csr_gather", "csr_has_entry", "ragged_take", "CsrGatherer"]
 
 IndexLike = Union[int, np.ndarray]
 
@@ -135,6 +135,18 @@ def csr_gather(matrix: sp.spmatrix, rows: IndexLike, cols: IndexLike) -> Union[i
     if scalar_input:
         return out.item()
     return out
+
+
+def ragged_take(arr: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Concatenate ``arr[lefts[i]:rights[i]]`` slices without a Python loop."""
+    lengths = rights - lefts
+    total = int(lengths.sum())
+    if total == 0:
+        return arr[:0]
+    # Output row t, inside slice i, is arr[lefts[i] + t - (where slice i
+    # starts in the output)].
+    starts = np.cumsum(lengths) - lengths
+    return arr[np.repeat(lefts - starts, lengths) + np.arange(total)]
 
 
 def csr_has_entry(matrix: sp.csr_matrix, row: int, col: int) -> bool:

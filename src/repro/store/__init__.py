@@ -8,10 +8,10 @@ per-edge ground-truth columns (``"triangles"``, ``"trussness"``; see
 :data:`repro.parallel.KNOWN_PAYLOAD_COLUMNS`) as ``(m, 2 + k)`` rows — and
 this package turns that spill into a *servable* edge store:
 
-* :func:`compact_shards` — bounded-memory external merge sort of the
-  per-block shards into source-sorted, size-targeted shards, recorded in a
-  **manifest v2** with per-shard ``[src_min, src_max]`` vertex ranges;
-  payload columns ride through the merge unchanged;
+* :func:`compact_shards` — a checked re-cut of the ``(src, dst)``-ordered
+  per-block shards into size-targeted shards, recorded in a **manifest v2**
+  with per-shard ``[src_min, src_max]`` vertex ranges; payload columns ride
+  along unchanged, and a spill out of order is a ``ValueError``;
 * :func:`partition_manifest` — cut a compacted manifest into per-worker
   vertex-range slice manifests (no shard rewrites; slices reference the
   existing ``.npy`` files) for the range-routed serving fleet

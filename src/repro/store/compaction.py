@@ -1,48 +1,49 @@
-"""Shard compaction: per-block spills → source-sorted, size-targeted shards.
+"""Shard compaction: a ``(src, dst)``-ordered spill → size-targeted shards.
 
 The streaming generation pipeline spills one ``.npy`` shard per
 ``(rank, block)`` pair (:class:`repro.graphs.io.NpyShardSink`): write-optimal,
 but useless for queries — a consumer looking for one vertex's edges would have
 to scan every shard.  :func:`compact_shards` turns that spill into a
-*queryable* store with a bounded-memory external merge sort:
+*queryable* store.  The spill is already in ``(src, dst)`` order: every rank
+owns a contiguous source range and emits its rows source-major
+(:meth:`repro.core.KroneckerGraph.iter_edge_blocks`), the ranges follow one
+another in rank order, and the manifest lists the blocks in numeric
+``(rank, block)`` order.  So compaction is a checked re-cut:
 
-1. **run formation** — each input shard is loaded (one at a time), sorted by
-   ``(src, dst)`` and written back as a sorted run; peak memory is one shard.
-2. **k-way merge** — the runs are memory-mapped and merged in vectorized
-   rounds: each round picks the smallest "chunk-end source" over all active
-   runs as a watermark, drains every run up to it with one
-   ``np.searchsorted`` per run, and lex-sorts the concatenated batch.  No
-   per-edge Python loop; peak memory is ``n_runs × merge_chunk_edges`` edges
-   plus one output shard.
-3. **manifest v2** — output shards are cut at ``target_shard_edges`` and the
-   manifest records each shard's ``[src_min, src_max]`` source-vertex range,
-   which is what lets :class:`repro.store.ShardStore` binary-search its way to
-   the one or two shards a query actually needs.
+1. **read** the source shards in manifest order, each memory-mapped
+   read-only (:func:`repro.graphs.io.read_edge_shard`);
+2. **check** that the rows strictly increase in ``(src, dst)`` — within the
+   shard and against the last row of the previous non-empty shard.  A
+   violation (a duplicated row included) is a :class:`ValueError` naming the
+   shard file, and no manifest is published;
+3. **cut** the rows into shards of ``target_shard_edges`` and write a
+   **manifest v2** that records each shard's ``[src_min, src_max]``
+   source-vertex range, which is what lets :class:`repro.store.ShardStore`
+   binary-search its way to the one or two shards a query actually needs.
 
-Payload columns ride along untouched: a spill whose manifest names extra
+Peak memory is one mapped input shard plus the rows waiting for the next
+output cut — the product edge list is never held whole.  Payload columns
+ride along untouched: a spill whose manifest names extra
 ``payload_columns`` (``(m, 2 + k)`` shards) compacts to the same layout —
-sort keys stay ``(src, dst)``, every merge and cut moves whole rows, and the
-output manifest carries the column names forward.  Peak memory scales by the
-row width, nothing else changes.
+order keys stay ``(src, dst)``, every cut moves whole rows, and the output
+manifest carries the column names forward.
 
 The manifest is published atomically (temp file + ``os.replace``) after the
 shards, and any ``.npy`` file in the destination that the fresh manifest does
 not list is deleted — a re-compaction with a coarser ``target_shard_edges``
 cannot leave orphaned shards for directory globs to pick up.
 
-Compacting an already-compacted store is idempotent (the sorted shards are
-reused as merge runs directly, skipping phase 1) and re-sharding to a new
-``target_shard_edges`` is just a re-run.
+A compacted store is a valid source too: compacting it again reproduces it
+byte for byte, and re-sharding to a new ``target_shard_edges`` is just a
+re-run.
 
-Under an active :mod:`repro.obs.trace` context the three phases record
-timed spans (``compact.run_formation`` / ``compact.merge`` /
-``compact.publish``) so a traced maintenance job shows where the wall
-time went; without one the span calls are no-ops.
+Under an active :mod:`repro.obs.trace` context the two phases record timed
+spans (``compact.recut`` / ``compact.publish``) so a traced maintenance job
+shows where the wall time went; without one the span calls are no-ops.
 """
 
 from __future__ import annotations
 
-import shutil
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -71,25 +72,9 @@ _COMPACT_SHARD_GLOB = "shard-*.npy"
 #: the sink that writes them owns the pattern.
 _BLOCK_SHARD_GLOB = NpyShardSink._SHARD_GLOB
 
-#: Temporary directory (inside the destination) holding sorted runs.
-_RUNS_DIR = "_compact-runs"
-
-
-def _sort_edges(edges: np.ndarray) -> np.ndarray:
-    """Rows in ``(src, dst)`` lexicographic order, as contiguous ``int64``.
-
-    Sort keys are always the two endpoint columns; any payload columns ride
-    along with their row.
-    """
-    edges = np.ascontiguousarray(edges, dtype=np.int64)
-    if edges.shape[0] <= 1:
-        return edges
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return np.ascontiguousarray(edges[order])
-
 
 class _ShardWriter:
-    """Cuts a stream of sorted batches into ``target``-sized output shards."""
+    """Cuts a stream of ordered batches into ``target``-sized output shards."""
 
     def __init__(self, directory: Path, target: int):
         self.directory = directory
@@ -129,78 +114,24 @@ class _ShardWriter:
             self._flush(self.pending_edges)
 
 
-def _merge_tie_group(segments: List[np.ndarray], writer: _ShardWriter,
-                     merge_chunk_edges: int) -> None:
-    """Merge same-source segments (one per run, sorted by dst) by destination.
-
-    The second watermark level: a "hub" source whose edge group is larger
-    than any chunk is merged with the same bounded-round scheme, keyed on the
-    destination column, so even the hottest vertex never forces more than
-    ``n_runs × merge_chunk_edges`` edges into one batch.
-    """
-    positions = [0] * len(segments)
-    while True:
-        active = [i for i, seg in enumerate(segments) if positions[i] < seg.shape[0]]
-        if not active:
-            return
-        watermark = min(
-            int(segments[i][min(positions[i] + merge_chunk_edges,
-                                segments[i].shape[0]) - 1, 1])
-            for i in active
-        )
-        parts = []
-        for i in active:
-            hi = int(np.searchsorted(segments[i][:, 1], watermark, side="right"))
-            if hi > positions[i]:
-                parts.append(np.asarray(segments[i][positions[i]:hi]))
-                positions[i] = hi
-        batch = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        writer.push(batch[np.argsort(batch[:, 1], kind="stable")])
-
-
-def _merge_runs(runs: List[np.ndarray], writer: _ShardWriter,
-                merge_chunk_edges: int) -> None:
-    """Vectorized k-way merge of sorted runs into the shard writer.
-
-    Each round picks the smallest chunk-end source vertex over all active
-    runs (the watermark), drains every run's edges *below* it — at most one
-    chunk per run, by the watermark's definition — and hands the tie group
-    *at* the watermark to :func:`_merge_tie_group`, which applies the same
-    bounded scheme on the destination column.  The watermark-defining run
-    always advances by a full chunk, so the merge finishes in
-    ``O(total / chunk)`` rounds with every batch capped at
-    ``n_runs × merge_chunk_edges`` edges, and because all edges at sources
-    ≤ watermark are consumed before the next round, the output is globally
-    ``(src, dst)``-sorted.
-    """
-    positions = [0] * len(runs)
-    while True:
-        active = [i for i, run in enumerate(runs) if positions[i] < run.shape[0]]
-        if not active:
-            return
-        watermark = min(
-            int(runs[i][min(positions[i] + merge_chunk_edges, runs[i].shape[0]) - 1, 0])
-            for i in active
-        )
-        parts = []
-        ties = []
-        for i in active:
-            srcs = runs[i][:, 0]
-            below = int(np.searchsorted(srcs, watermark, side="left"))
-            if below > positions[i]:
-                parts.append(np.asarray(runs[i][positions[i]:below]))
-                positions[i] = below
-            tie_stop = int(np.searchsorted(srcs, watermark, side="right"))
-            if tie_stop > positions[i]:
-                # Kept as a view (memory-mapped for on-disk runs): the tie
-                # merge below streams it in bounded sub-slices.
-                ties.append(runs[i][positions[i]:tie_stop])
-                positions[i] = tie_stop
-        if parts:
-            batch = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            writer.push(_sort_edges(batch))
-        if ties:
-            _merge_tie_group(ties, writer, merge_chunk_edges)
+def _check_order(rows: np.ndarray, previous: Optional[np.ndarray],
+                 path: Path) -> None:
+    """Raise unless *rows* strictly increase in ``(src, dst)`` and start
+    after *previous*, the last row of the previous non-empty shard."""
+    src, dst = rows[:, 0], rows[:, 1]
+    if previous is not None:
+        src = np.concatenate([previous[:1], src])
+        dst = np.concatenate([previous[1:2], dst])
+    step_src, step_dst = np.diff(src), np.diff(dst)
+    bad = np.flatnonzero((step_src < 0) | ((step_src == 0) & (step_dst <= 0)))
+    if bad.size:
+        at = int(bad[0])
+        raise ValueError(
+            f"{path}: spill rows are not in strictly increasing (src, dst) "
+            f"order: ({src[at]}, {dst[at]}) is followed by "
+            f"({src[at + 1]}, {dst[at + 1]}); compaction re-cuts a "
+            "(src, dst)-ordered spill and does not sort (no manifest was "
+            "written)")
 
 
 def compact_shards(
@@ -208,21 +139,21 @@ def compact_shards(
     destination: PathLike,
     *,
     target_shard_edges: int = 262_144,
-    merge_chunk_edges: int = 65_536,
     metadata: Optional[dict] = None,
 ) -> dict:
-    """Compact a shard directory into a source-sorted, range-indexed store.
+    """Compact a ``(src, dst)``-ordered shard directory into a range-indexed
+    store.
 
-    Reads any shard directory with a valid manifest (the per-block v1 spill of
-    :class:`repro.graphs.io.NpyShardSink`, or an existing v2 store for
-    re-sharding), merges its rows in ``(src, dst)`` order —
-    payload columns travel with their row, unchanged — cuts them into shards
-    of about *target_shard_edges* edges, and writes a **manifest v2** whose
-    shard entries record the covered ``[src_min, src_max]`` source-vertex
-    range and whose ``payload_columns`` carry the source's column names
-    forward.  Peak memory is bounded by one input shard (run formation) plus
-    ``n_runs × merge_chunk_edges`` rows and one output shard (merge) — the
-    product edge list is never held whole.
+    Reads any shard directory with a valid manifest whose rows, in manifest
+    order, strictly increase in ``(src, dst)`` — the per-block v1 spill of
+    the streaming pipeline (:class:`repro.graphs.io.NpyShardSink`), or an
+    existing v2 store for re-sharding — checks that order, cuts the rows
+    into shards of *target_shard_edges* edges (payload columns travel with
+    their row, unchanged), and writes a **manifest v2** whose shard entries
+    record the covered ``[src_min, src_max]`` source-vertex range and whose
+    ``payload_columns`` carry the source's column names forward.  Peak
+    memory is one mapped input shard plus the rows waiting for the next
+    cut — the product edge list is never held whole.
 
     Parameters
     ----------
@@ -235,9 +166,6 @@ def compact_shards(
     target_shard_edges:
         Edges per output shard; every shard except the last has exactly this
         many.
-    merge_chunk_edges:
-        Merge granularity; larger chunks mean fewer rounds but more
-        per-round memory.
     metadata:
         Extra entries merged over the source manifest's ``metadata``.
 
@@ -245,12 +173,19 @@ def compact_shards(
     -------
     dict
         The manifest v2 that was written.
+
+    Raises
+    ------
+    ValueError
+        If a source shard's rows are out of ``(src, dst)`` order, repeat a
+        row, or do not follow the previous shard's rows (the message names
+        the shard file); if a shard file is malformed; or if the source
+        manifest's ``total_edges`` disagrees with its shards.  No manifest
+        is published then.
     """
     source, destination = Path(source), Path(destination)
     if target_shard_edges < 1:
         raise ValueError(f"target_shard_edges must be >= 1, got {target_shard_edges}")
-    if merge_chunk_edges < 1:
-        raise ValueError(f"merge_chunk_edges must be >= 1, got {merge_chunk_edges}")
     src_manifest = read_shard_manifest(source)
     payload_columns = list(src_manifest["payload_columns"])
     destination.mkdir(parents=True, exist_ok=True)
@@ -268,42 +203,18 @@ def compact_shards(
         for stale in destination.glob(pattern):
             stale.unlink()
 
-    already_sorted = src_manifest.get("sorted_by") == "source"
-    runs_dir = destination / _RUNS_DIR
     writer = _ShardWriter(destination, int(target_shard_edges))
-    try:
-        if already_sorted:
-            run_paths = [source / shard["file"]
-                         for shard in src_manifest["shards"] if shard["n_edges"]]
-        else:
-            with trace.span("compact.run_formation",
-                            n_shards=len(src_manifest["shards"])):
-                runs_dir.mkdir(exist_ok=True)
-                run_paths = []
-                for index, shard in enumerate(src_manifest["shards"]):
-                    if not shard["n_edges"]:
-                        continue  # zero-edge ranks leave empty shards
-                    path = runs_dir / f"run-{index:06d}.npy"
-                    # Map the spill read-only; the sort's fancy-index gather
-                    # in _sort_edges makes the one private copy run formation
-                    # needs.
-                    np.save(path, _sort_edges(read_edge_shard(
-                        source / shard["file"], payload_columns,
-                        mmap_mode="r")))
-                    run_paths.append(path)
-        with trace.span("compact.merge", n_runs=len(run_paths)):
-            runs = [read_edge_shard(path, payload_columns, mmap_mode="r")
-                    for path in run_paths]
-            try:
-                _merge_runs(runs, writer, int(merge_chunk_edges))
-            finally:
-                # Release the memory maps before the runs directory is
-                # removed (deleting a mapped file fails on Windows).
-                del runs
-            writer.close()
-    finally:
-        if runs_dir.exists():
-            shutil.rmtree(runs_dir)
+    with trace.span("compact.recut", n_shards=len(src_manifest["shards"])):
+        previous = None  # last (src, dst) of the previous non-empty shard
+        for shard in src_manifest["shards"]:
+            path = source / shard["file"]
+            rows = read_edge_shard(path, payload_columns, mmap_mode="r")
+            if not rows.shape[0]:
+                continue  # zero-edge ranks leave empty shards
+            _check_order(rows, previous, path)
+            previous = np.array(rows[-1, :2])
+            writer.push(rows)
+        writer.close()
 
     meta = dict(src_manifest.get("metadata") or {})
     if metadata:

@@ -75,6 +75,7 @@ from repro.graphs.egonet import egonet as _extract_egonet
 from repro.graphs.io import read_edge_shard, read_shard_manifest
 from repro.lint.runtime import new_lock
 from repro.obs import EventLog, MetricsRegistry, trace
+from repro.perf.kernels import ragged_take
 
 __all__ = ["ShardStore", "StoreQueryMixin"]
 
@@ -88,18 +89,6 @@ _MAX_ENCODABLE_VERTICES = np.int64(3_037_000_499)  # floor(sqrt(2**63 - 1))
 #: payload_columns, mmap_mode=...)``.  A module-level name so tests can hook
 #: it to count exactly which files a query touches.
 _load_shard_file = read_edge_shard
-
-
-def _ragged_take(arr: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """Concatenate ``arr[lefts[i]:rights[i]]`` slices without a Python loop."""
-    lengths = rights - lefts
-    total = int(lengths.sum())
-    if total == 0:
-        return arr[:0]
-    # Output row t, inside slice i, is arr[lefts[i] + t - (where slice i
-    # starts in the output)].
-    starts = np.cumsum(lengths) - lengths
-    return arr[np.repeat(lefts - starts, lengths) + np.arange(total)]
 
 
 class StoreQueryMixin:
@@ -540,7 +529,7 @@ class ShardStore(StoreQueryMixin):
             lengths = rights - lefts
             counts[mask] += lengths
             if with_self_loops:
-                dsts = _ragged_take(shard[:, 1], lefts, rights)
+                dsts = ragged_take(shard[:, 1], lefts, rights)
                 # owner[t]: index in vs of the vertex gathered row t belongs to
                 owner = np.repeat(np.flatnonzero(mask), lengths)
                 flags[owner[dsts == vs[owner]]] = True
@@ -587,7 +576,7 @@ class ShardStore(StoreQueryMixin):
             srcs = shard[:, 0]
             lefts = np.searchsorted(srcs, vs[mask], side="left")
             rights = np.searchsorted(srcs, vs[mask], side="right")
-            part = _ragged_take(shard, lefts, rights)
+            part = ragged_take(shard, lefts, rights)
             if part.shape[0]:
                 parts.append(part)
         return self._finish_rows(parts, with_payload)

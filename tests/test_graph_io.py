@@ -253,6 +253,19 @@ class TestEdgeShards:
         assert clone.directory == sink.directory
         assert clone.name == "x" and clone.n_vertices == 9
 
+    def test_manifest_lists_blocks_in_numeric_order(self, tmp_path):
+        """Rank and block numbers past the zero padding still sort as
+        numbers, so a spill read in manifest order stays (src, dst)-ordered."""
+        sink = NpyShardSink(tmp_path / "shards")
+        for rank, block in ((100000, 0), (0, 1000000), (99999, 0), (0, 999999)):
+            sink.write(rank, block, np.asarray([[rank, block]], dtype=np.int64))
+        files = [shard["file"] for shard in sink.finalize()["shards"]]
+        assert files == ["edges-r00000-b999999.npy", "edges-r00000-b1000000.npy",
+                         "edges-r99999-b000000.npy", "edges-r100000-b000000.npy"]
+        np.save(tmp_path / "shards" / "edges-rX-b0.npy", np.zeros((0, 2), np.int64))
+        with pytest.raises(ValueError, match="edges-rX-b0.npy"):
+            sink.finalize()
+
     def test_finalize_is_idempotent(self, tmp_path):
         sink = NpyShardSink(tmp_path / "shards")
         sink.write(0, 0, np.asarray([[1, 2], [3, 4]], dtype=np.int64))

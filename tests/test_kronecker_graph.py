@@ -139,6 +139,39 @@ class TestMaterializationAndStreaming:
         )
         assert (rebuilt != product.materialize_adjacency()).nnz == 0
 
+    def test_edges_in_csr_order(self, small_er_loops, directed_small):
+        """edges() walks sources in order, each source's destinations in
+        order: exactly the (row, col) sequence of the materialized CSR."""
+        for factor_a, factor_b in ((small_er_loops, small_er_loops),
+                                   (directed_small, small_er_loops)):
+            product = KroneckerGraph(factor_a, factor_b)
+            adj = product.materialize_adjacency()
+            edges = product.edges()
+            assert np.array_equal(edges[:, 0], np.repeat(np.arange(adj.shape[0]),
+                                                         np.diff(adj.indptr)))
+            assert np.array_equal(edges[:, 1], adj.indices)
+
+    def test_source_offsets_and_inverse(self, small_er_loops, directed_small):
+        """source_offsets(p) is where source p's rows start in CSR order
+        (nnz(C) for p = n_C); sources_at(t) is the source holding row t."""
+        product = KroneckerGraph(directed_small, small_er_loops)
+        indptr = product.materialize_adjacency().indptr
+        n = product.n_vertices
+        assert np.array_equal(product.source_offsets(np.arange(n + 1)), indptr)
+        assert np.array_equal(product.sources_at(np.arange(product.nnz)),
+                              product.edges()[:, 0])
+
+    def test_iter_edge_blocks_source_range(self, small_er, triangle):
+        product = KroneckerGraph(small_er, triangle)
+        edges = product.edges()
+        lo, hi = 7, 29
+        blocks = list(product.iter_edge_blocks(a_edges_per_block=2,
+                                               src_start=lo, src_stop=hi))
+        inside = edges[(edges[:, 0] >= lo) & (edges[:, 0] < hi)]
+        assert np.array_equal(np.concatenate(blocks), inside)
+        with pytest.raises(ValueError, match="source range"):
+            next(product.iter_edge_blocks(src_start=5, src_stop=product.n_vertices + 1))
+
     def test_iter_edge_blocks_cover_all_edges(self, small_er, triangle):
         product = KroneckerGraph(small_er, triangle)
         total = sum(block.shape[0] for block in product.iter_edge_blocks(a_edges_per_block=7))

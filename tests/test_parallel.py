@@ -13,8 +13,7 @@ from repro.parallel import (
     distributed_generate,
     generate_rank_edges,
     merge_rank_outputs,
-    partition_edges,
-    partition_vertex_blocks,
+    partition_sources,
     run_on_ranks,
     stream_degree_histogram,
     stream_edge_count,
@@ -22,36 +21,37 @@ from repro.parallel import (
 )
 
 
-class TestEdgePartition:
-    def test_partitions_cover_all_entries(self):
-        parts = partition_edges(nnz_a=103, nnz_b=7, n_ranks=4)
-        assert parts[0].a_entry_start == 0
-        assert parts[-1].a_entry_stop == 103
+class TestSourcePartition:
+    def test_partitions_cover_all_sources(self, weblike_small, triangle):
+        parts = partition_sources(weblike_small, triangle, 5)
+        assert parts[0].src_start == 0
+        assert parts[-1].src_stop == weblike_small.n_vertices * triangle.n_vertices
         for prev, cur in zip(parts, parts[1:]):
-            assert prev.a_entry_stop == cur.a_entry_start
+            assert prev.src_stop == cur.src_start
 
-    def test_product_edge_accounting(self):
-        parts = partition_edges(nnz_a=50, nnz_b=9, n_ranks=3)
-        assert sum(p.product_edges for p in parts) == 50 * 9
+    def test_product_edge_accounting(self, weblike_small, triangle):
+        parts = partition_sources(weblike_small, triangle, 3)
+        assert sum(p.product_edges for p in parts) == weblike_small.nnz * triangle.nnz
 
-    def test_single_rank(self):
-        parts = partition_edges(20, 5, 1)
-        assert len(parts) == 1
-        assert parts[0].n_a_entries == 20
+    def test_single_rank(self, small_er, triangle):
+        (part,) = partition_sources(small_er, triangle, 1)
+        assert (part.src_start, part.src_stop) == (0, small_er.n_vertices * 3)
+        assert part.product_edges == small_er.nnz * triangle.nnz
 
-    def test_more_ranks_than_entries(self):
-        parts = partition_edges(3, 2, 8)
-        assert len(parts) == 8
-        assert sum(p.n_a_entries for p in parts) == 3
+    def test_more_ranks_than_sources(self, k4, triangle):
+        parts = partition_sources(k4, triangle, 20)
+        assert len(parts) == 20
+        assert sum(p.src_stop - p.src_start for p in parts) == 12
+        assert sum(p.product_edges for p in parts) == k4.nnz * triangle.nnz
 
-    def test_invalid_inputs(self):
+    def test_invalid_inputs(self, small_er, triangle):
         with pytest.raises(ValueError):
-            partition_edges(10, 5, 0)
+            partition_sources(small_er, triangle, 0)
         with pytest.raises(ValueError):
-            partition_edges(-1, 5, 2)
+            partition_sources(small_er, triangle, -2)
 
-    def test_balance_statistics(self):
-        parts = partition_edges(100, 10, 4)
+    def test_balance_statistics(self, weblike_small, triangle):
+        parts = partition_sources(weblike_small, triangle, 4)
         stats = balance_statistics(parts)
         assert stats["n_ranks"] == 4
         assert stats["imbalance"] >= 1.0
@@ -60,35 +60,11 @@ class TestEdgePartition:
     def test_balance_statistics_empty(self):
         assert balance_statistics([])["n_ranks"] == 0
 
-
-class TestVertexBlockPartition:
-    def test_blocks_cover_rows(self, weblike_small):
-        row_nnz = np.diff(weblike_small.adjacency.indptr)
-        parts = partition_vertex_blocks(row_nnz, n_vertices_b=4, nnz_b=12, n_ranks=5)
-        assert parts[0].a_row_start == 0
-        assert parts[-1].a_row_stop == weblike_small.n_vertices
-        for prev, cur in zip(parts, parts[1:]):
-            assert prev.a_row_stop == cur.a_row_start
-
-    def test_edge_load_accounting(self, weblike_small):
-        row_nnz = np.diff(weblike_small.adjacency.indptr)
-        parts = partition_vertex_blocks(row_nnz, 4, 12, 3)
-        assert sum(p.product_edges for p in parts) == int(row_nnz.sum()) * 12
-
-    def test_product_vertex_ranges(self, weblike_small):
-        row_nnz = np.diff(weblike_small.adjacency.indptr)
-        n_b = 7
-        parts = partition_vertex_blocks(row_nnz, n_b, 20, 4)
-        for p in parts:
-            assert p.product_vertex_start == p.a_row_start * n_b
-            assert p.n_product_vertices == (p.a_row_stop - p.a_row_start) * n_b
-
     def test_reasonable_balance_on_scale_free_factor(self):
         factor = generators.webgraph_like(200, seed=3)
-        row_nnz = np.diff(factor.adjacency.indptr)
-        parts = partition_vertex_blocks(row_nnz, 10, 100, 8)
+        parts = partition_sources(factor, generators.complete_graph(10), 8)
         stats = balance_statistics(parts)
-        assert stats["imbalance"] < 3.0
+        assert stats["imbalance"] < 1.1
 
 
 class TestDistributedGeneration:
@@ -118,15 +94,29 @@ class TestDistributedGeneration:
                 assert vertex_t == stats.vertex_value(int(p))
 
     def test_single_rank_output(self, k4, triangle):
-        parts = partition_edges(k4.nnz, triangle.nnz, 1)
+        parts = partition_sources(k4, triangle, 1)
         out = generate_rank_edges(k4, triangle, parts[0], with_statistics=False)
         assert out.n_edges == k4.nnz * triangle.nnz
 
     def test_empty_rank(self, k4, triangle):
-        parts = partition_edges(k4.nnz, triangle.nnz, k4.nnz + 5)
-        empty_rank = [p for p in parts if p.n_a_entries == 0][0]
+        parts = partition_sources(k4, triangle, 20)
+        empty_rank = [p for p in parts if p.src_start == p.src_stop][0]
         out = generate_rank_edges(k4, triangle, empty_rank, with_statistics=False)
         assert out.n_edges == 0
+
+    @pytest.mark.parametrize("use_processes", [False, True])
+    def test_rank_outputs_concatenate_in_csr_order(self, small_er_loops, small_er,
+                                                   use_processes):
+        """Ranks own consecutive source ranges and emit source-major, so
+        their outputs in rank order are the product's CSR rows in order."""
+        adj = KroneckerGraph(small_er_loops, small_er).materialize_adjacency()
+        outputs = distributed_generate(small_er_loops, small_er, 5,
+                                       with_statistics=False,
+                                       use_processes=use_processes, max_workers=2)
+        edges = np.concatenate([out.edges for out in outputs])
+        assert np.array_equal(edges[:, 0],
+                              np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr)))
+        assert np.array_equal(edges[:, 1], adj.indices)
 
     def test_merge_empty(self):
         assert merge_rank_outputs([], 10).nnz == 0
@@ -164,7 +154,7 @@ class TestSharedStatisticsAndExecutor:
 
     def test_explicit_stats_reused_by_generate_rank_edges(self, small_er, triangle):
         stats = KroneckerTriangleStats.from_factors(small_er, triangle)
-        parts = partition_edges(small_er.nnz, triangle.nnz, 2)
+        parts = partition_sources(small_er, triangle, 2)
         for part in parts:
             out = generate_rank_edges(small_er, triangle, part,
                                       with_statistics=True, stats=stats)
@@ -188,52 +178,6 @@ class TestSharedStatisticsAndExecutor:
             assert np.array_equal(seq.edges, par.edges)
             assert np.array_equal(seq.edge_triangles, par.edge_triangles)
             assert np.array_equal(seq.source_vertex_triangles, par.source_vertex_triangles)
-
-
-class TestLayoutEquivalence:
-    def test_vertex_blocks_merge_to_same_product(self, weblike_small, delta_le_one_factor):
-        """Edge-partition and vertex-block runs cover the identical CSR product."""
-        product = KroneckerGraph(weblike_small, delta_le_one_factor)
-        by_edges = distributed_generate(weblike_small, delta_le_one_factor, 5,
-                                        with_statistics=False)
-        by_blocks = distributed_generate(weblike_small, delta_le_one_factor, 5,
-                                         with_statistics=False,
-                                         layout="vertex-blocks")
-        merged_e = merge_rank_outputs(by_edges, product.n_vertices)
-        merged_v = merge_rank_outputs(by_blocks, product.n_vertices)
-        assert (merged_e != merged_v).nnz == 0
-        assert (merged_v != product.materialize_adjacency()).nnz == 0
-        assert merged_v.max() == 1  # every edge generated exactly once
-
-    def test_vertex_block_statistics_match_edge_layout(self, small_er, triangle):
-        by_edges = distributed_generate(small_er, triangle, 3)
-        by_blocks = distributed_generate(small_er, triangle, 3,
-                                         layout="vertex-blocks")
-        cat = lambda outs, field: np.concatenate([getattr(o, field) for o in outs])
-        # Same multiset of (edge, payload) rows, possibly ordered differently.
-        def canon(outs):
-            edges = np.concatenate([o.edges for o in outs], axis=0)
-            rows = np.stack([edges[:, 0], edges[:, 1],
-                             cat(outs, "edge_triangles"),
-                             cat(outs, "source_vertex_triangles")], axis=1)
-            return rows[np.lexsort(rows.T[::-1])]
-        assert np.array_equal(canon(by_edges), canon(by_blocks))
-
-    def test_process_pool_bit_identical_vertex_blocks(self, small_er, triangle):
-        sequential = distributed_generate(small_er, triangle, 3,
-                                          layout="vertex-blocks")
-        parallel = distributed_generate(small_er, triangle, 3,
-                                        layout="vertex-blocks",
-                                        use_processes=True, max_workers=2)
-        for seq, par in zip(sequential, parallel):
-            assert np.array_equal(seq.edges, par.edges)
-            assert np.array_equal(seq.edge_triangles, par.edge_triangles)
-            assert np.array_equal(seq.source_vertex_triangles,
-                                  par.source_vertex_triangles)
-
-    def test_unknown_layout_rejected(self, small_er, triangle):
-        with pytest.raises(ValueError, match="layout"):
-            distributed_generate(small_er, triangle, 2, layout="hilbert-curve")
 
 
 class TestMergeFailureModes:

@@ -1,26 +1,27 @@
-"""Property-based tests (hypothesis) for the partition layer invariants.
+"""Property-based tests (hypothesis) for the source-range partition.
 
-Every partitioner must produce a *disjoint cover*: each unit of work (an
-``A`` entry or an ``A`` row) owned by exactly one rank, with the per-rank
-``product_edges`` accounting summing to the global total — the property the
-communication-free generation rests on.  The adversarial profiles here
-(heavy-tailed rows, all-zero rows, more ranks than rows) exercise the
-``row_stop`` clamp paths that yield empty trailing ranks; those must be
-handled, never crash, and the load balance measured against the best any
-contiguous partitioner could do (``bounded_imbalance``) must stay ≤ 2.
+The partition must be a *disjoint cover*: every product source owned by
+exactly one rank, the ranges contiguous and in rank order, with the per-rank
+``product_edges`` accounting equal to the closed-form offset difference and
+summing to ``nnz(C)`` — the property the communication-free generation and
+the sorted spill rest on.  The adversarial degree profiles here (heavy-tailed
+rows, all-zero rows, more ranks than sources with edges) yield empty ranks;
+those must be handled, never crash, and the load balance measured against
+the best any contiguous partitioner could do (``bounded_imbalance``, with
+the largest source out-degree as the indivisible unit) must stay ≤ 2.
 """
+
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.parallel import (
-    balance_statistics,
-    entry_range,
-    partition_edges,
-    partition_vertex_blocks,
-)
+from repro.core import KroneckerGraph
+from repro.graphs import DirectedGraph, Graph
+from repro.parallel import balance_statistics, distributed_generate, partition_sources
 
 PARTITION_SETTINGS = settings(
     max_examples=60,
@@ -30,9 +31,9 @@ PARTITION_SETTINGS = settings(
 
 
 @st.composite
-def degree_profiles(draw):
-    """Adversarial ``A`` row-nnz profiles: skewed, sparse-with-zeros, or flat."""
-    n_rows = draw(st.integers(min_value=0, max_value=40))
+def degree_profiles(draw, max_rows=30):
+    """Adversarial row-nnz profiles: skewed, sparse-with-zeros, or flat."""
+    n_rows = draw(st.integers(min_value=0, max_value=max_rows))
     kind = draw(st.sampled_from(["flat", "skewed", "zero-heavy", "one-hot"]))
     if kind == "flat":
         profile = draw(st.lists(st.integers(0, 6), min_size=n_rows, max_size=n_rows))
@@ -40,7 +41,7 @@ def degree_profiles(draw):
         profile = [draw(st.integers(0, 3)) for _ in range(n_rows)]
         if n_rows:
             hub = draw(st.integers(0, n_rows - 1))
-            profile[hub] = draw(st.integers(50, 500))
+            profile[hub] = n_rows
     elif kind == "zero-heavy":
         profile = [0] * n_rows
         for _ in range(draw(st.integers(0, max(1, n_rows // 4)))):
@@ -49,123 +50,128 @@ def degree_profiles(draw):
     else:  # one-hot
         profile = [0] * n_rows
         if n_rows:
-            profile[draw(st.integers(0, n_rows - 1))] = draw(st.integers(1, 100))
-    return np.asarray(profile, dtype=np.int64)
+            profile[draw(st.integers(0, n_rows - 1))] = draw(st.integers(1, n_rows))
+    return np.minimum(np.asarray(profile, dtype=np.int64), n_rows)
 
 
-class TestEdgePartitionProperties:
+def _factor(profile: np.ndarray) -> DirectedGraph:
+    """A factor whose row ``i`` holds ``profile[i]`` entries."""
+    n = profile.shape[0]
+    indptr = np.concatenate([[0], np.cumsum(profile)])
+    indices = (np.concatenate([np.arange(d) for d in profile])
+               if n else np.zeros(0, dtype=np.int64))
+    return DirectedGraph(sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                                       shape=(n, n)))
+
+
+def _source_degrees(factor_a, factor_b) -> np.ndarray:
+    """Out-degree of every product source (test-sized products only)."""
+    return np.kron(np.diff(factor_a.adjacency.indptr),
+                   np.diff(factor_b.adjacency.indptr)).astype(np.int64)
+
+
+class TestSourcePartitionProperties:
     @PARTITION_SETTINGS
-    @given(nnz_a=st.integers(0, 500), nnz_b=st.integers(0, 50),
+    @given(profile_a=degree_profiles(), profile_b=degree_profiles(max_rows=8),
            n_ranks=st.integers(1, 64))
-    def test_disjoint_cover_and_accounting(self, nnz_a, nnz_b, n_ranks):
-        parts = partition_edges(nnz_a, nnz_b, n_ranks)
-        assert len(parts) == n_ranks
-        assert parts[0].a_entry_start == 0
-        assert parts[-1].a_entry_stop == nnz_a
+    def test_disjoint_cover_and_accounting(self, profile_a, profile_b, n_ranks):
+        factor_a, factor_b = _factor(profile_a), _factor(profile_b)
+        n = factor_a.n_vertices * factor_b.n_vertices
+        degrees = _source_degrees(factor_a, factor_b)
+        parts = partition_sources(factor_a, factor_b, n_ranks)
+        assert [p.rank for p in parts] == list(range(n_ranks))
+        assert parts[0].src_start == 0
+        assert parts[-1].src_stop == n
         for prev, cur in zip(parts, parts[1:]):
-            assert prev.a_entry_stop == cur.a_entry_start  # disjoint, contiguous
+            assert prev.src_stop == cur.src_start  # disjoint, contiguous
         for p in parts:
-            assert 0 <= p.a_entry_start <= p.a_entry_stop <= nnz_a
-            assert p.product_edges == p.n_a_entries * nnz_b
-        assert sum(p.product_edges for p in parts) == nnz_a * nnz_b
+            assert 0 <= p.src_start <= p.src_stop <= n
+            assert p.product_edges == int(degrees[p.src_start:p.src_stop].sum())
+        assert sum(p.product_edges for p in parts) == int(degrees.sum())
 
     @PARTITION_SETTINGS
-    @given(nnz_a=st.integers(1, 500), nnz_b=st.integers(1, 50),
+    @given(profile_a=degree_profiles(), profile_b=degree_profiles(max_rows=8),
            n_ranks=st.integers(1, 64))
-    def test_bounded_imbalance_le_2(self, nnz_a, nnz_b, n_ranks):
-        parts = partition_edges(nnz_a, nnz_b, n_ranks)
-        stats = balance_statistics(parts, max_atom_load=nnz_b)
-        assert stats["bounded_imbalance"] <= 2.0
-
-    def test_more_ranks_than_entries_yields_empty_ranks(self):
-        parts = partition_edges(3, 5, 10)
-        empty = [p for p in parts if p.n_a_entries == 0]
-        assert len(empty) == 7  # handled, not crashed
-        assert sum(p.product_edges for p in parts) == 15
-
-
-class TestVertexBlockPartitionProperties:
-    @PARTITION_SETTINGS
-    @given(profile=degree_profiles(), n_vertices_b=st.integers(1, 8),
-           nnz_b=st.integers(1, 30), n_ranks=st.integers(1, 64))
-    def test_disjoint_cover_of_row_range(self, profile, n_vertices_b, nnz_b, n_ranks):
-        parts = partition_vertex_blocks(profile, n_vertices_b, nnz_b, n_ranks)
-        assert len(parts) == n_ranks
-        assert parts[0].a_row_start == 0
-        assert parts[-1].a_row_stop == profile.shape[0]
-        for prev, cur in zip(parts, parts[1:]):
-            assert prev.a_row_stop == cur.a_row_start
+    def test_product_edges_are_offset_differences(self, profile_a, profile_b,
+                                                  n_ranks):
+        factor_a, factor_b = _factor(profile_a), _factor(profile_b)
+        product = KroneckerGraph(factor_a, factor_b)
+        parts = partition_sources(factor_a, factor_b, n_ranks)
+        if product.nnz == 0:
+            assert all(p.product_edges == 0 for p in parts)
+            return
         for p in parts:
-            assert 0 <= p.a_row_start <= p.a_row_stop <= profile.shape[0]
-            assert p.product_vertex_start == p.a_row_start * n_vertices_b
-            assert p.product_vertex_stop == p.a_row_stop * n_vertices_b
+            start, stop = product.source_offsets([p.src_start, p.src_stop])
+            assert p.product_edges == stop - start
 
     @PARTITION_SETTINGS
-    @given(profile=degree_profiles(), n_vertices_b=st.integers(1, 8),
-           nnz_b=st.integers(1, 30), n_ranks=st.integers(1, 64))
-    def test_product_edges_sum_to_global_total(self, profile, n_vertices_b,
-                                               nnz_b, n_ranks):
-        parts = partition_vertex_blocks(profile, n_vertices_b, nnz_b, n_ranks)
-        assert sum(p.product_edges for p in parts) == int(profile.sum()) * nnz_b
-        for p in parts:
-            assert p.product_edges == int(
-                profile[p.a_row_start:p.a_row_stop].sum()) * nnz_b
-
-    @PARTITION_SETTINGS
-    @given(profile=degree_profiles(), nnz_b=st.integers(1, 30),
+    @given(profile_a=degree_profiles(), profile_b=degree_profiles(max_rows=8),
            n_ranks=st.integers(1, 64))
-    def test_bounded_imbalance_le_2_adversarial(self, profile, nnz_b, n_ranks):
-        """Greedy contiguous cuts overshoot the target by at most one row."""
-        parts = partition_vertex_blocks(profile, 4, nnz_b, n_ranks)
-        max_atom = int(profile.max()) * nnz_b if profile.size else 0
-        stats = balance_statistics(parts, max_atom_load=max_atom)
+    def test_bounded_imbalance_le_2_adversarial(self, profile_a, profile_b,
+                                                n_ranks):
+        """Nearest-offset cuts miss each share by at most half a source."""
+        factor_a, factor_b = _factor(profile_a), _factor(profile_b)
+        degrees = _source_degrees(factor_a, factor_b)
+        atom = int(degrees.max()) if degrees.size else 0
+        parts = partition_sources(factor_a, factor_b, n_ranks)
+        stats = balance_statistics(parts, max_atom_load=atom)
         assert stats["bounded_imbalance"] <= 2.0
+        nnz = int(degrees.sum())
+        if nnz:
+            offsets = np.concatenate([[0], np.cumsum(degrees)])
+            for p in parts:
+                miss = n_ranks * int(offsets[p.src_start]) - p.rank * nnz
+                assert 2 * abs(miss) <= n_ranks * atom
 
-    def test_more_ranks_than_rows_empty_trailing_ranks(self):
-        """The row_stop clamp yields empty trailing ranks — handled, not crashed."""
-        profile = np.asarray([5, 1, 2], dtype=np.int64)
-        parts = partition_vertex_blocks(profile, 3, 10, 8)
-        assert len(parts) == 8
-        assert parts[-1].a_row_stop == 3
-        assert sum(p.product_edges for p in parts) == 80
-        empty = [p for p in parts if p.a_row_start == p.a_row_stop]
-        assert empty  # trailing ranks own nothing
-        for p in empty:
-            assert p.product_edges == 0
+    def test_more_ranks_than_sources_with_edges_yields_empty_ranks(self, triangle):
+        single = _factor(np.asarray([1, 0, 0]))  # one source row with one entry
+        parts = partition_sources(single, triangle, 10)
+        assert len(parts) == 10
+        empty = [p for p in parts if p.product_edges == 0]
+        assert len(empty) >= 7  # handled, not crashed
+        assert sum(p.product_edges for p in parts) == triangle.nnz
 
-    def test_all_zero_rows(self):
-        profile = np.zeros(6, dtype=np.int64)
-        parts = partition_vertex_blocks(profile, 2, 7, 3)
+    def test_all_zero_factor(self, triangle):
+        parts = partition_sources(_factor(np.zeros(6, dtype=np.int64)), triangle, 3)
         assert sum(p.product_edges for p in parts) == 0
-        assert parts[-1].a_row_stop == 6
+        assert (parts[0].src_start, parts[-1].src_stop) == (0, 18)
         stats = balance_statistics(parts, max_atom_load=0)
         assert stats["bounded_imbalance"] == 1.0
 
-    def test_empty_profile(self):
-        parts = partition_vertex_blocks(np.zeros(0, dtype=np.int64), 2, 7, 4)
+    def test_empty_factor(self, triangle):
+        parts = partition_sources(_factor(np.zeros(0, dtype=np.int64)), triangle, 4)
         assert len(parts) == 4
-        assert all(p.a_row_start == p.a_row_stop == 0 for p in parts)
+        assert all(p.src_start == p.src_stop == 0 for p in parts)
+        assert all(p.product_edges == 0 for p in parts)
 
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_zero_ranks_rejected(self, small_er, triangle, streaming):
+        with pytest.raises(ValueError, match="ranks"):
+            partition_sources(small_er, triangle, 0)
+        with pytest.raises(ValueError, match="ranks"):
+            distributed_generate(small_er, triangle, 0, streaming=streaming)
 
-class TestEntryRangeBridge:
-    @PARTITION_SETTINGS
-    @given(profile=degree_profiles(), n_ranks=st.integers(1, 16))
-    def test_vertex_blocks_map_to_disjoint_entry_cover(self, profile, n_ranks):
-        """entry_range over vertex blocks covers [0, nnz_A) exactly once."""
-        parts = partition_vertex_blocks(profile, 4, 9, n_ranks)
-        indptr = np.concatenate([[0], np.cumsum(profile)]).astype(np.int64)
-        ranges = [entry_range(p, indptr) for p in parts]
-        assert ranges[0][0] == 0
-        assert ranges[-1][1] == int(profile.sum())
-        for (_, prev_stop), (cur_start, _) in zip(ranges, ranges[1:]):
-            assert prev_stop == cur_start
-        for p, (start, stop) in zip(parts, ranges):
-            assert (stop - start) * 9 == p.product_edges
-
-    def test_edge_partition_passthrough(self):
-        part = partition_edges(10, 3, 2)[1]
-        assert entry_range(part, np.zeros(1)) == (part.a_entry_start, part.a_entry_stop)
-
-    def test_rejects_unknown_partition_type(self):
-        with pytest.raises(TypeError):
-            entry_range(object(), np.zeros(1))
+    def test_ten_billion_sources_stay_factor_sized(self):
+        """n_C = 10^10: an n_C-length array would need 80 GB, so both the
+        partitioner and the enumerator must work from the factors alone."""
+        n = 100_000
+        ring = np.arange(n)
+        hub = np.zeros(n // 10, dtype=np.int64)  # vertex 0 is a hub
+        rows = np.concatenate([ring, (ring + 1) % n, hub, np.arange(1, n // 10 + 1)])
+        cols = np.concatenate([(ring + 1) % n, ring, np.arange(1, n // 10 + 1), hub])
+        factor = Graph(sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)))
+        start = time.perf_counter()
+        parts = partition_sources(factor, factor, 16)
+        assert time.perf_counter() - start < 5.0
+        assert parts[-1].src_stop == n * n == 10**10
+        assert sum(p.product_edges for p in parts) == factor.nnz ** 2
+        degree_atom = int(np.diff(factor.adjacency.indptr).max()) ** 2
+        stats = balance_statistics(parts, max_atom_load=degree_atom)
+        assert stats["bounded_imbalance"] <= 2.0
+        product = KroneckerGraph(factor, factor)
+        first = next(product.iter_edge_blocks(a_edges_per_block=1,
+                                              src_start=parts[7].src_start,
+                                              src_stop=parts[7].src_stop))
+        assert first.shape[0] <= factor.nnz
+        assert first[0, 0] >= parts[7].src_start
+        assert np.all(np.diff(first[:, 0]) >= 0)

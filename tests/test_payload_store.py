@@ -2,8 +2,10 @@
 
 Covers the widened ``payload_columns`` pipeline — sinks accepting
 ``(m, 2 + k)`` blocks, the streaming pipeline evaluating the named columns
-per block, compaction carrying rows unchanged, and :class:`ShardStore`
-serving the ground truth — and the manifest lifecycle fixes: atomic
+per block, compaction re-cutting the ordered rows unchanged (checked byte
+for byte against a store built without the compactor), and
+:class:`ShardStore` serving the ground truth — and the manifest lifecycle
+fixes: atomic
 manifest writes (truncated files fail with a clear :class:`ValueError`),
 crash-recovery re-runs of ``compact_shards``, stale-destination cleanup, and
 the shard vertex-range sanity checks that now live in the shared manifest
@@ -189,14 +191,6 @@ class TestPayloadCompaction:
     def test_rows_survive_compaction_exactly(self, payload_store, expected_rows):
         assert np.array_equal(load_edge_shards(payload_store), expected_rows)
 
-    def test_tiny_merge_chunk_keeps_rows_attached(self, tmp_path, payload_spill,
-                                                  expected_rows):
-        """Many bounded merge rounds (including destination-level tie merges)
-        must never detach a payload from its edge."""
-        compact_shards(payload_spill, tmp_path / "tiny", target_shard_edges=700,
-                       merge_chunk_edges=7)
-        assert np.array_equal(load_edge_shards(tmp_path / "tiny"), expected_rows)
-
     def test_recompaction_byte_idempotent(self, tmp_path, payload_store):
         manifest = compact_shards(payload_store, tmp_path / "again",
                                   target_shard_edges=1500)
@@ -306,54 +300,119 @@ class TestShardStorePayloadQueries:
             store.egonet(0, with_payload=True)
 
 
+class TestStoreOracle:
+    """The compacted store against one built without the compactor: the CSR
+    rows of ``materialize_adjacency()`` with their closed-form payloads, cut
+    every ``target`` rows and written by ``np.save`` — equal byte for byte."""
+
+    #: name: (factor fixtures, payload columns, ranks, A edges per block,
+    #: target).  One A edge per block puts the bound at nnz(B), below the
+    #: hub sources' out-degree, so their rows are split across blocks.
+    #: Theorem 3 needs loop-free factors, so the self-loop pair carries
+    #: triangles only.
+    CASES = {
+        "payload-hub-split": (("weblike_small", "delta_le_one_factor"),
+                              PAYLOAD, 5, 1, 700),
+        "self-loops-triangles": (("small_er_loops", "small_er_loops"),
+                                 ("triangles",), 3, 2, 500),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_store_bytes_equal_oracle(self, tmp_path, request, case):
+        names, columns, n_ranks, block, target = self.CASES[case]
+        factor_a, factor_b = (request.getfixturevalue(name) for name in names)
+        product = KroneckerGraph(factor_a, factor_b)
+        if case == "payload-hub-split":
+            out_degrees = np.kron(np.diff(factor_a.adjacency.indptr),
+                                  np.diff(factor_b.adjacency.indptr))
+            assert out_degrees.max() > block * factor_b.nnz
+        sink = NpyShardSink(tmp_path / "spill", name=product.name,
+                            n_vertices=product.n_vertices, payload_columns=columns)
+        distributed_generate(factor_a, factor_b, n_ranks, streaming=True,
+                             a_edges_per_block=block, sink=sink,
+                             payload_columns=columns)
+        manifest = compact_shards(tmp_path / "spill", tmp_path / "store",
+                                  target_shard_edges=target)
+
+        adj = product.materialize_adjacency()
+        src = np.repeat(np.arange(adj.shape[0], dtype=np.int64), np.diff(adj.indptr))
+        dst = adj.indices.astype(np.int64)
+        payloads = {
+            "triangles": lambda: KroneckerTriangleStats.from_factors(
+                factor_a, factor_b).edge_values(src, dst),
+            "trussness": lambda: kron_truss_decomposition(
+                factor_a, factor_b).edge_trussness_batch(src, dst),
+        }
+        rows = np.column_stack([src, dst] + [payloads[name]() for name in columns]
+                               ).astype(np.int64)
+        oracle = tmp_path / "oracle"
+        oracle.mkdir()
+        for index, start in enumerate(range(0, rows.shape[0], target)):
+            np.save(oracle / f"shard-{index:06d}.npy", rows[start:start + target])
+
+        files = sorted(path.name for path in oracle.glob("*.npy"))
+        assert [shard["file"] for shard in manifest["shards"]] == files
+        for name in files:
+            assert ((tmp_path / "store" / name).read_bytes()
+                    == (oracle / name).read_bytes()), name
+
+
 # ---------------------------------------------------------------------------
-# Property tests: payload columns survive compaction permutation-identically
+# Property tests: compaction of an ordered spill is the identity, re-cut
 # ---------------------------------------------------------------------------
 @st.composite
 def payload_spills(draw):
-    """Random multi-shard spills of (src, dst, payload...) rows."""
+    """Random multi-shard spills of (src, dst, payload...) rows, strictly
+    increasing in (src, dst) across the shards — or, when ``broken``, with
+    two neighbouring rows swapped or one row repeated."""
     n_vertices = draw(st.integers(4, 40))
     n_payload = draw(st.integers(1, 3))
-    n_shards = draw(st.integers(1, 5))
-    shards = []
-    for _ in range(n_shards):
-        m = draw(st.integers(0, 30))
-        rows = draw(st.lists(
-            st.tuples(*(
-                [st.integers(0, n_vertices - 1)] * 2
-                + [st.integers(-5, 5)] * n_payload)),
-            min_size=m, max_size=m))
-        shards.append(np.asarray(rows, dtype=np.int64).reshape(m, 2 + n_payload))
-    return n_vertices, n_payload, shards
+    pairs = sorted(draw(st.lists(
+        st.tuples(st.integers(0, n_vertices - 1), st.integers(0, n_vertices - 1)),
+        unique=True, max_size=120)))
+    values = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * n_payload),
+                           min_size=len(pairs), max_size=len(pairs)))
+    rows = np.asarray([pair + value for pair, value in zip(pairs, values)],
+                      dtype=np.int64).reshape(len(pairs), 2 + n_payload)
+    broken = len(pairs) >= 2 and draw(st.booleans())
+    if broken:
+        at = draw(st.integers(0, len(pairs) - 2))
+        if draw(st.booleans()):
+            rows[[at, at + 1]] = rows[[at + 1, at]]
+        else:
+            rows[at + 1] = rows[at]
+    cuts = sorted(draw(st.lists(st.integers(0, len(pairs)), max_size=5)))
+    return n_vertices, n_payload, np.split(rows, cuts), broken
 
 
-@settings(max_examples=25, deadline=None,
+@settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
-@given(spill=payload_spills(), target=st.integers(1, 50), chunk=st.integers(1, 16))
-def test_compaction_permutes_rows_identically(tmp_path, spill, target, chunk):
-    """Compaction is exactly a row permutation: every (edge, payload) row of
-    the spill appears in the store unchanged, in (src, dst) order."""
-    n_vertices, n_payload, shards = spill
-    spill_dir = tmp_path / f"spill-{target}-{chunk}"
+@given(spill=payload_spills(), target=st.integers(1, 50))
+def test_compaction_permutes_rows_identically(tmp_path, spill, target):
+    """Compaction of a (src, dst)-ordered spill is the identity permutation,
+    re-cut: the store is exactly the spill's rows concatenated — payloads
+    attached — in shards of ``target`` rows.  A spill that breaks the order
+    raises and publishes no manifest."""
+    n_vertices, n_payload, shards, broken = spill
+    spill_dir = tmp_path / f"spill-{target}"
     names = tuple(f"c{i}" for i in range(n_payload))
     sink = NpyShardSink(spill_dir, n_vertices=n_vertices, payload_columns=names)
     for index, rows in enumerate(shards):
         sink.write(0, index, rows)
     sink.finalize()
-    store_dir = tmp_path / f"store-{target}-{chunk}"
-    manifest = compact_shards(spill_dir, store_dir, target_shard_edges=target,
-                              merge_chunk_edges=chunk)
-    got = load_edge_shards(store_dir)
-    everything = np.concatenate(shards) if shards else \
-        np.zeros((0, 2 + n_payload), dtype=np.int64)
-    # Permutation identity over full rows (duplicates included): sort both
-    # sides by every column and compare exactly.
-    def canon(rows):
-        return rows[np.lexsort(rows.T[::-1])]
-    assert np.array_equal(canon(got), canon(everything))
-    # and the store order is (src, dst)-sorted with payloads attached
-    assert np.array_equal(got[:, :2], _sorted_rows(got[:, :2].copy()))
+    store_dir = tmp_path / f"store-{target}"
+    if broken:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            compact_shards(spill_dir, store_dir, target_shard_edges=target)
+        assert not (store_dir / "manifest.json").exists()
+        return
+    manifest = compact_shards(spill_dir, store_dir, target_shard_edges=target)
+    everything = np.concatenate(shards)
+    assert np.array_equal(load_edge_shards(store_dir), everything)
+    sizes = [shard["n_edges"] for shard in manifest["shards"]]
+    assert sizes == [min(target, everything.shape[0] - start)
+                     for start in range(0, everything.shape[0], target)]
     assert manifest["payload_columns"] == ["src", "dst", *names]
 
 

@@ -25,10 +25,12 @@ def _sorted_edges(edges: np.ndarray) -> np.ndarray:
 
 
 def _payload_store(directory, rows, n_vertices: int, target_shard_edges: int):
-    """Compact hand-written ``(src, dst, triangles)`` rows into a store."""
+    """Compact hand-written ``(src, dst, triangles)`` rows, in any order,
+    into a store (the spill is written in the ``(src, dst)`` order
+    compaction requires)."""
     sink = NpyShardSink(directory / "spill", n_vertices=n_vertices,
                         payload_columns=("triangles",))
-    sink.write(0, 0, np.asarray(rows, dtype=np.int64))
+    sink.write(0, 0, _sorted_edges(np.asarray(rows, dtype=np.int64)))
     sink.finalize()
     compact_shards(directory / "spill", directory / "store",
                    target_shard_edges=target_shard_edges)
@@ -119,34 +121,6 @@ class TestCompaction:
     def test_invalid_parameters(self, spill_dir, tmp_path):
         with pytest.raises(ValueError, match="target_shard_edges"):
             compact_shards(spill_dir, tmp_path / "x", target_shard_edges=0)
-        with pytest.raises(ValueError, match="merge_chunk_edges"):
-            compact_shards(spill_dir, tmp_path / "x", merge_chunk_edges=0)
-
-    def test_tiny_merge_chunk_still_correct(self, tmp_path, spill_dir, product):
-        """A pathological 1-edge merge chunk exercises many merge rounds."""
-        compact_shards(spill_dir, tmp_path / "tiny", target_shard_edges=700,
-                       merge_chunk_edges=1)
-        assert np.array_equal(load_edge_shards(tmp_path / "tiny"),
-                              _sorted_edges(product.edges()))
-
-    def test_hub_source_larger_than_merge_chunk(self, tmp_path):
-        """A hub vertex whose edge group dwarfs the merge chunk and spans
-        every run exercises the bounded destination-level tie merge."""
-        rng = np.random.default_rng(3)
-        hub_dsts = rng.permutation(90)
-        all_edges = [np.stack([np.full(90, 7), hub_dsts], axis=1)]
-        sink = NpyShardSink(tmp_path / "spill", n_vertices=100)
-        for rank in range(3):
-            other = np.stack([rng.integers(0, 100, 20),
-                              rng.integers(0, 100, 20)], axis=1)
-            block = np.concatenate([all_edges[0][rank * 30:(rank + 1) * 30], other])
-            all_edges.append(other)
-            sink.write(rank, 0, block.astype(np.int64))
-        sink.finalize()
-        compact_shards(tmp_path / "spill", tmp_path / "store",
-                       target_shard_edges=16, merge_chunk_edges=4)
-        expected = _sorted_edges(np.concatenate(all_edges[1:] + all_edges[:1]))
-        assert np.array_equal(load_edge_shards(tmp_path / "store"), expected)
 
     def test_metadata_carried_and_merged(self, tmp_path, product, small_er, triangle):
         from repro.graphs import write_edge_shards
@@ -168,13 +142,39 @@ class TestCompaction:
         with pytest.raises(ValueError, match="corrupt"):
             compact_shards(spill_dir, tmp_path / "d")
 
+    #: Spills that break the (src, dst) order, as per-rank blocks, and the
+    #: block whose file the error must name.
+    UNORDERED_SPILLS = {
+        "within-one-shard": ([[[1, 2], [3, 4], [2, 9]]], 0),
+        "overlapping-shards": ([[[1, 2], [4, 0]], [[3, 5], [6, 1]]], 1),
+        "duplicated-row": ([[[1, 2], [3, 4]], [[3, 4], [5, 0]]], 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNORDERED_SPILLS))
+    def test_unordered_spill_rejected(self, tmp_path, spill_dir, case):
+        """Compaction re-cuts; it does not sort.  Rows out of order, shards
+        whose ranges overlap and a repeated row are each a ValueError naming
+        the shard file, and no manifest is left in the destination —
+        including one from an earlier compaction."""
+        dest = tmp_path / "store"
+        compact_shards(spill_dir, dest)
+        blocks, culprit = self.UNORDERED_SPILLS[case]
+        sink = NpyShardSink(tmp_path / "bad", n_vertices=10)
+        for rank, rows in enumerate(blocks):
+            sink.write(rank, 0, np.asarray(rows, dtype=np.int64))
+        sink.finalize()
+        with pytest.raises(ValueError, match="strictly increasing") as caught:
+            compact_shards(tmp_path / "bad", dest)
+        assert str(sink.shard_path(culprit, 0)) in str(caught.value)
+        assert not (dest / "manifest.json").exists()
+
 
 class TestSpillEdgeCases:
     def test_zero_edge_rank_shards(self, tmp_path):
         """Ranks that produce zero edges leave empty shards; compaction and
         queries shrug them off."""
         sink = NpyShardSink(tmp_path / "spill", n_vertices=10)
-        sink.write(0, 0, np.asarray([[3, 4], [1, 2]], dtype=np.int64))
+        sink.write(0, 0, np.asarray([[1, 2], [3, 4]], dtype=np.int64))
         sink.write(1, 0, np.zeros((0, 2), dtype=np.int64))
         sink.write(2, 0, np.zeros((0, 2), dtype=np.int64))
         sink.finalize()

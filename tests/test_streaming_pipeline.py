@@ -26,12 +26,9 @@ from repro.parallel import (
     generate_rank_edges,
     iter_rank_edge_blocks,
     merge_rank_outputs,
-    partition_edges,
-    partition_vertex_blocks,
+    partition_sources,
     stream_rank_aggregate,
 )
-
-LAYOUTS = ("edges", "vertex-blocks")
 
 
 def _total_aggregate(outputs, trussness_fn=None):
@@ -46,7 +43,7 @@ def _total_aggregate(outputs, trussness_fn=None):
 
 class TestRankBlockIterator:
     def test_blocks_reassemble_rank_slice(self, weblike_small, delta_le_one_factor):
-        parts = partition_edges(weblike_small.nnz, delta_le_one_factor.nnz, 3)
+        parts = partition_sources(weblike_small, delta_le_one_factor, 3)
         stats = KroneckerTriangleStats.from_factors(weblike_small, delta_le_one_factor)
         for part in parts:
             reference = generate_rank_edges(weblike_small, delta_le_one_factor, part,
@@ -60,27 +57,42 @@ class TestRankBlockIterator:
             assert np.array_equal(edge_t, reference.edge_triangles)
 
     def test_blocks_respect_memory_bound(self, small_er, triangle):
-        part = partition_edges(small_er.nnz, triangle.nnz, 1)[0]
+        part = partition_sources(small_er, triangle, 1)[0]
         bound = 4 * triangle.nnz
         for block in iter_rank_edge_blocks(small_er, triangle, part,
                                            a_edges_per_block=4,
                                            with_statistics=False):
             assert block.edges.shape[0] <= bound
 
-    def test_vertex_block_partition_accepted(self, weblike_small, triangle):
-        row_nnz = np.diff(weblike_small.adjacency.indptr)
-        parts = partition_vertex_blocks(row_nnz, triangle.n_vertices, triangle.nnz, 4)
+    def test_blocks_stay_in_rank_source_range(self, weblike_small, triangle):
+        parts = partition_sources(weblike_small, triangle, 4)
         total = 0
         for part in parts:
             for block in iter_rank_edge_blocks(weblike_small, triangle, part,
                                                a_edges_per_block=6,
                                                with_statistics=False):
-                # every source vertex lies in the rank's product-vertex range
-                if block.edges.shape[0]:
-                    assert block.edges[:, 0].min() >= part.product_vertex_start
-                    assert block.edges[:, 0].max() < part.product_vertex_stop
+                # every source vertex lies in the rank's source range
+                assert block.edges.shape[0]  # empty blocks are not yielded
+                assert block.edges[:, 0].min() >= part.src_start
+                assert block.edges[:, 0].max() < part.src_stop
                 total += block.edges.shape[0]
         assert total == weblike_small.nnz * triangle.nnz
+
+    def test_hub_sources_split_within_bound(self, tmp_path, weblike_small,
+                                            delta_le_one_factor):
+        """With one A edge per block the bound is nnz(B), below the hub
+        sources' out-degree: their rows are cut into runs of A entries, and
+        the spill stays in (src, dst) order."""
+        product = KroneckerGraph(weblike_small, delta_le_one_factor)
+        bound = delta_le_one_factor.nnz
+        assert product.degrees().max() > bound  # some source must be split
+        sink = NpyShardSink(tmp_path / "spill")
+        result = distributed_generate(weblike_small, delta_le_one_factor, 3,
+                                      streaming=True, a_edges_per_block=1,
+                                      sink=sink)
+        assert 0 < result.max_block_edges <= bound
+        edges = load_edge_shards(tmp_path / "spill")
+        assert np.array_equal(edges, product.edges())
 
     def test_gatherer_matches_edge_values(self, small_er_loops, small_er):
         stats = KroneckerTriangleStats.from_factors(small_er_loops, small_er)
@@ -92,17 +104,16 @@ class TestRankBlockIterator:
 
 
 class TestStreamingAggregates:
-    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n_ranks", [1, 4, 13])
     @pytest.mark.parametrize("streamed", [True, False])
-    def test_all_four_combinations_agree(self, weblike_small, delta_le_one_factor,
-                                         layout, streamed):
-        """Acceptance: streamed == materialized aggregates for every layout."""
+    def test_streamed_equals_materialized(self, weblike_small, delta_le_one_factor,
+                                          n_ranks, streamed):
+        """Acceptance: streamed == materialized aggregates at every rank count."""
         reference = _total_aggregate(
             distributed_generate(weblike_small, delta_le_one_factor, 4))
         if streamed:
-            result = distributed_generate(weblike_small, delta_le_one_factor, 4,
-                                          layout=layout, streaming=True,
-                                          a_edges_per_block=7)
+            result = distributed_generate(weblike_small, delta_le_one_factor, n_ranks,
+                                          streaming=True, a_edges_per_block=7)
             candidate = result.total
             bound = 7 * delta_le_one_factor.nnz
             assert result.max_block_edges <= bound
@@ -110,8 +121,7 @@ class TestStreamingAggregates:
                 assert acc.max_block_edges <= bound
         else:
             candidate = _total_aggregate(
-                distributed_generate(weblike_small, delta_le_one_factor, 4,
-                                     layout=layout))
+                distributed_generate(weblike_small, delta_le_one_factor, n_ranks))
         assert candidate.summary() == reference.summary()
 
     def test_blocking_schedule_is_invisible(self, small_er, triangle):
@@ -123,7 +133,7 @@ class TestStreamingAggregates:
         assert summaries[0] == summaries[1] == summaries[2]
 
     def test_allreduce_through_simulated_comm(self, small_er, triangle):
-        parts = partition_edges(small_er.nnz, triangle.nnz, 3)
+        parts = partition_sources(small_er, triangle, 3)
         stats = KroneckerTriangleStats.from_factors(small_er, triangle)
         accs = [stream_rank_aggregate(small_er, triangle, part, stats=stats,
                                       a_edges_per_block=4)
@@ -203,7 +213,7 @@ class TestValidationAccumulator:
 
     def test_dropped_block_is_caught(self, small_er, triangle):
         """Corruption: losing one block must fail at least the edge count."""
-        parts = partition_edges(small_er.nnz, triangle.nnz, 3)
+        parts = partition_sources(small_er, triangle, 3)
         stats = KroneckerTriangleStats.from_factors(small_er, triangle)
         total = None
         for index, part in enumerate(parts):
@@ -221,7 +231,7 @@ class TestValidationAccumulator:
     def test_duplicated_block_is_caught(self, small_er, triangle):
         result = distributed_generate(small_er, triangle, 2, streaming=True,
                                       a_edges_per_block=4)
-        part = partition_edges(small_er.nnz, triangle.nnz, 2)[0]
+        part = partition_sources(small_er, triangle, 2)[0]
         duplicate = stream_rank_aggregate(small_er, triangle, part,
                                           a_edges_per_block=4)
         corrupted = result.total + duplicate
