@@ -3,9 +3,10 @@
 Measures the tentpole speedup of the batched kernel layer
 (:mod:`repro.perf`): per-edge triangle ground truth evaluated with
 ``KroneckerTriangleStats.edge_values`` (one vectorized CSR gather per factor
-component) against the scalar ``edge_value`` loop, plus the effect of
-building the factored statistics once per generation run instead of once per
-rank.
+component) and with the streamed path — ``iter_entry_blocks`` positions
+indexing the per-entry vectors through ``edge_values_at`` — against the
+scalar ``edge_value`` loop, plus the effect of building the factored
+statistics once per generation run instead of once per rank.
 
 Runs in two modes (see ``benchmarks/conftest.py``):
 
@@ -27,7 +28,7 @@ import pytest
 from repro import generators
 from repro.core import KroneckerGraph, KroneckerTriangleStats
 from repro.parallel import distributed_generate, generate_rank_edges, partition_sources
-from repro.perf import CsrGatherer, csr_gather
+from repro.perf import csr_gather
 from benchmarks._report import print_section
 
 
@@ -57,7 +58,8 @@ def _timed(fn, *args, repeats: int = 3):
 
 
 def test_edge_statistics_throughput(perf_factors, quick_mode):
-    """Batched ``edge_values`` vs. the scalar ``edge_value`` loop, same outputs."""
+    """Batched ``edge_values``, the streamed entry-position path and the
+    scalar ``edge_value`` loop: same outputs."""
     factor_a, factor_b = perf_factors
     product = KroneckerGraph(factor_a, factor_b)
     stats = KroneckerTriangleStats.from_factors(factor_a, factor_b)
@@ -69,6 +71,15 @@ def test_edge_statistics_throughput(perf_factors, quick_mode):
     vec_time, vec_values = _timed(stats.edge_values, ps, qs)
     vec_throughput = edges.shape[0] / vec_time
 
+    def streamed():
+        blocks = [(src, product.entry_destinations(a_pos, b_pos),
+                   stats.edge_values_at(a_pos, b_pos))
+                  for src, a_pos, b_pos in product.iter_entry_blocks()]
+        return [np.concatenate(parts) for parts in zip(*blocks)]
+
+    entry_time, (entry_ps, entry_qs, entry_values) = _timed(streamed)
+    entry_throughput = edges.shape[0] / entry_time
+
     sample = min(2_000 if not quick_mode else 300, edges.shape[0])
     scalar_start = time.perf_counter()
     scalar_values = np.asarray(
@@ -79,14 +90,19 @@ def test_edge_statistics_throughput(perf_factors, quick_mode):
     scalar_throughput = sample / scalar_time
 
     # Identical outputs — the consistency half of the benchmark, asserted in
-    # every mode so tier-1 catches any divergence between the two paths.
+    # every mode so tier-1 catches any divergence between the three paths.
+    assert np.array_equal(entry_ps, ps) and np.array_equal(entry_qs, qs)
+    assert np.array_equal(entry_values, vec_values)
     assert np.array_equal(vec_values[:sample], scalar_values)
+    assert np.array_equal(entry_values[:sample], scalar_values)
 
     ratio = vec_throughput / scalar_throughput
     print_section("Perf — per-edge ground-truth throughput (vectorized vs scalar)")
     print(f"  product: {product.n_vertices:,} vertices, {edges.shape[0]:,} directed edges")
     print(f"  vectorized edge_values: {vec_throughput:,.0f} edges/s "
           f"({vec_time*1e3:.1f} ms for the full edge list)")
+    print(f"  streamed edge_values_at: {entry_throughput:,.0f} edges/s "
+          f"({entry_time*1e3:.1f} ms, enumeration included)")
     print(f"  scalar edge_value loop: {scalar_throughput:,.0f} edges/s "
           f"(sampled over {sample:,} edges)")
     print(f"  speedup: {ratio:,.1f}×")
@@ -104,22 +120,18 @@ def test_csr_gather_vs_scipy_scalar_indexing(perf_factors, quick_mode):
     cols = rng.integers(0, adj.shape[1], n_queries)
 
     batch_time, batch_vals = _timed(csr_gather, adj, rows, cols)
-    gatherer = CsrGatherer(adj)
-    cached_time, cached_vals = _timed(gatherer.gather, rows, cols)
 
     sample = min(500, n_queries)
     scalar_start = time.perf_counter()
     scalar_vals = np.asarray([adj[int(i), int(j)] for i, j in zip(rows[:sample], cols[:sample])])
     scalar_time = time.perf_counter() - scalar_start
 
-    assert np.array_equal(batch_vals, cached_vals)
     assert np.array_equal(batch_vals[:sample], scalar_vals)
 
     print_section("Perf — csr_gather kernel vs scipy scalar __getitem__")
     print(f"  {n_queries:,} point lookups on a {adj.shape[0]:,}-vertex factor "
           f"({adj.nnz:,} stored entries)")
     print(f"  csr_gather:          {n_queries / batch_time:,.0f} lookups/s")
-    print(f"  CsrGatherer (cached): {n_queries / cached_time:,.0f} lookups/s")
     print(f"  scipy scalar [i, j]: {sample / scalar_time:,.0f} lookups/s")
 
 

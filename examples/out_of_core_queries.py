@@ -74,8 +74,8 @@ def main() -> None:
         # 1. Stream the product to disk, one .npy shard per block, with the
         #    reduced aggregates validated against the factor-side closed
         #    forms on the fly.  payload_columns widens every spilled block
-        #    with the exact per-edge ground truth, evaluated through the
-        #    run's single cached-key gatherer.
+        #    with the exact per-edge ground truth, read from the factor
+        #    entry vectors the run builds once.
         # --------------------------------------------------------------
         payload = ("triangles", "trussness")
         sink = NpyShardSink(spill, name=product.name,

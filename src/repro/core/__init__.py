@@ -77,7 +77,6 @@ from repro.core.sampling import (
 )
 from repro.core.triangle_formulas import (
     KroneckerTriangleStats,
-    TriangleStatsGatherer,
     cor1_vertex_triangles,
     cor2_edge_triangles,
     diag_of_cube,
@@ -158,7 +157,6 @@ __all__ = [
     "kron_vertex_triangles_at",
     "kron_edge_triangles_at",
     "KroneckerTriangleStats",
-    "TriangleStatsGatherer",
     # directed formulas
     "check_directed_factor_assumptions",
     "kron_reciprocal_part",

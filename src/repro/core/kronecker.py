@@ -28,7 +28,7 @@ from repro.core import index_maps
 from repro.graphs.adjacency import Graph, hadamard, to_csr
 from repro.graphs.directed import DirectedGraph
 from repro.graphs.labeled import VertexLabeledGraph
-from repro.perf.kernels import csr_has_entry, ragged_take
+from repro.perf.kernels import csr_has_entry, ragged_range
 
 __all__ = ["KroneckerGraph"]
 
@@ -271,49 +271,26 @@ class KroneckerGraph:
                             side="right") - 1
         return i * self.n_factor_b + k
 
-    def _source_rows(self, sources: np.ndarray, a_lo: np.ndarray,
-                     a_hi: np.ndarray) -> np.ndarray:
-        """Rows ``(p, j·n_B + l)`` of each source ``p = i·n_B + k`` in
-        *sources*, for the ``A`` entries ``[a_lo, a_hi)`` of row ``i`` (``j``
-        their columns) times every entry ``l`` of row ``k`` of ``B``; in
-        ``(src, dst)`` order, as one ragged gather."""
+    def _source_entries(self, sources: np.ndarray, a_lo: np.ndarray,
+                        a_hi: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Rows of each source ``p = i·n_B + k`` in *sources* for the ``A``
+        entries ``[a_lo, a_hi)`` of row ``i``, in ``(src, dst)`` order:
+        ``(src, a_seg, seg_rows, b_pos)`` — each row's source and ``B``
+        entry, and each ``(source, A entry)`` segment's entry and rows."""
         ptr_b = self._adj_b.indptr
         ks = sources % self.n_factor_b
         b_lo, b_hi = ptr_b[ks].astype(np.int64), ptr_b[ks + 1].astype(np.int64)
         a_count = a_hi - a_lo
         # One segment of deg_B(k) rows per (source, A entry) pair.
         seg_rows = np.repeat(b_hi - b_lo, a_count)
-        dst = np.repeat(ragged_take(self._adj_a.indices, a_lo, a_hi)
-                        .astype(np.int64) * self.n_factor_b, seg_rows)
-        dst += ragged_take(self._adj_b.indices, np.repeat(b_lo, a_count),
-                           np.repeat(b_hi, a_count))
+        b_pos = ragged_range(np.repeat(b_lo, a_count), np.repeat(b_hi, a_count))
         src = np.repeat(sources, a_count * (b_hi - b_lo))
-        return np.stack([src, dst], axis=1)
+        return src, ragged_range(a_lo, a_hi), seg_rows, b_pos
 
-    def iter_edge_blocks(
-        self,
-        *,
-        a_edges_per_block: int = 1024,
-        src_start: int = 0,
-        src_stop: Optional[int] = None,
-    ) -> Iterator[np.ndarray]:
-        """Stream the directed edge list of ``C`` in bounded ``(m, 2)`` blocks.
-
-        Concatenated, the blocks are exactly the rows of ``C`` whose source
-        lies in ``[src_start, src_stop)`` (default: every source), in
-        strictly increasing ``(src, dst)`` order — the CSR order of
-        :meth:`materialize_adjacency`.  A block holds the rows of a range of
-        whole sources: at most ``bound = a_edges_per_block · nnz(B)`` rows,
-        spanning at most ``bound`` sources.  A source with more than
-        ``bound`` rows is split into runs of ``max(1, ⌊bound / deg_B(k)⌋)``
-        of its ``A`` entries, which keeps both the order and the bound.
-        Blocks without rows are not yielded.  Peak memory is one block
-        regardless of ``nnz(C)``, and nothing of length ``n_C`` is built.
-
-        This is the single-rank version of the communication-free
-        distributed generation in :mod:`repro.parallel`: a rank passes its
-        source range, and consecutive ranges concatenate in order.
-        """
+    def _entry_segments(self, a_edges_per_block: int, src_start: int,
+                        src_stop: Optional[int]) -> Iterator[Tuple[np.ndarray, ...]]:
+        """The one block enumerator: :meth:`_source_entries` of every block,
+        under the bound and the hub split of :meth:`iter_entry_blocks`."""
         n = self.n_vertices
         stop = n if src_stop is None else int(src_stop)
         if not 0 <= src_start <= stop <= n:
@@ -337,7 +314,7 @@ class KroneckerGraph:
             if q > p:
                 sources = np.arange(p, q, dtype=np.int64)
                 rows_a = sources // n_b
-                yield self._source_rows(sources, ptr_a[rows_a], ptr_a[rows_a + 1])
+                yield self._source_entries(sources, ptr_a[rows_a], ptr_a[rows_a + 1])
                 p = q
             else:
                 # Source p alone holds more than `bound` rows: cut its A entries.
@@ -346,9 +323,67 @@ class KroneckerGraph:
                 step = max(1, bound // deg_b)
                 for lo in range(int(ptr_a[i]), int(ptr_a[i + 1]), step):
                     hi = min(lo + step, int(ptr_a[i + 1]))
-                    yield self._source_rows(np.asarray([p], dtype=np.int64),
-                                            np.asarray([lo]), np.asarray([hi]))
+                    yield self._source_entries(np.asarray([p], dtype=np.int64),
+                                               np.asarray([lo]), np.asarray([hi]))
                 p += 1
+
+    def iter_entry_blocks(
+        self,
+        *,
+        a_edges_per_block: int = 1024,
+        src_start: int = 0,
+        src_stop: Optional[int] = None,
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Stream the rows of ``C`` in bounded blocks of factor entry positions.
+
+        Each block is three ``int64`` arrays ``(src, a_pos, b_pos)``: row
+        ``t`` is the product of the ``A`` entry and the ``B`` entry at those
+        positions in the factors' CSR ``indices``, the edge ``(src[t],
+        indices_A[a_pos[t]]·n_B + indices_B[b_pos[t]])``
+        (:meth:`entry_destinations`).  So ``Σ coef · M_A ⊗ M_B`` at a row is
+        two reads per component of vectors over the factor entries.
+
+        Concatenated, the blocks are exactly the rows of ``C`` whose source
+        lies in ``[src_start, src_stop)`` (default: every source), in
+        strictly increasing ``(src, dst)`` order — the CSR order of
+        :meth:`materialize_adjacency`.  A block holds the rows of a range of
+        whole sources: at most ``bound = a_edges_per_block · nnz(B)`` rows,
+        spanning at most ``bound`` sources.  A source with more than
+        ``bound`` rows is split into runs of ``max(1, ⌊bound / deg_B(k)⌋)``
+        of its ``A`` entries, which keeps both the order and the bound.
+        Blocks without rows are not yielded.  Peak memory is one block
+        regardless of ``nnz(C)``, and nothing of length ``n_C`` is built.
+
+        This is the single-rank version of the communication-free
+        distributed generation in :mod:`repro.parallel`: a rank passes its
+        source range, and consecutive ranges concatenate in order.
+        """
+        for src, a_seg, seg_rows, b_pos in self._entry_segments(
+                a_edges_per_block, src_start, src_stop):
+            yield src, np.repeat(a_seg, seg_rows), b_pos
+
+    def iter_edge_blocks(
+        self,
+        *,
+        a_edges_per_block: int = 1024,
+        src_start: int = 0,
+        src_stop: Optional[int] = None,
+    ) -> Iterator[np.ndarray]:
+        """The ``(src, dst)`` view of :meth:`iter_entry_blocks`: the same
+        blocks as ``(m, 2)`` edge arrays, the ``A`` side of ``dst`` read once
+        per ``(source, A entry)`` segment and repeated over its rows."""
+        cols_a, cols_b, n_b = self._adj_a.indices, self._adj_b.indices, self.n_factor_b
+        for src, a_seg, seg_rows, b_pos in self._entry_segments(
+                a_edges_per_block, src_start, src_stop):
+            dst = np.repeat(cols_a[a_seg].astype(np.int64) * n_b, seg_rows)
+            dst += cols_b[b_pos]
+            yield np.stack([src, dst], axis=1)
+
+    def entry_destinations(self, a_pos: np.ndarray, b_pos: np.ndarray) -> np.ndarray:
+        """Destinations ``indices_A[a_pos]·n_B + indices_B[b_pos]`` of the
+        rows at factor entry positions (:meth:`iter_entry_blocks`)."""
+        return (self._adj_a.indices[a_pos].astype(np.int64) * self.n_factor_b
+                + self._adj_b.indices[b_pos])
 
     def edges(self, *, max_nnz: int = DEFAULT_MATERIALIZE_LIMIT) -> np.ndarray:
         """All directed edges of ``C`` as an array (guarded by ``max_nnz``).

@@ -38,14 +38,14 @@ generator would ship alongside the compressed graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.index_maps import factor_indices
-from repro.graphs.adjacency import Graph, hadamard
-from repro.perf.kernels import CsrGatherer, csr_gather
+from repro.graphs.adjacency import Graph, hadamard, to_csr
+from repro.perf.kernels import csr_gather, csr_gather_entries
 from repro.triangles.linear_algebra import edge_triangles, vertex_triangles
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "kron_vertex_triangles_at",
     "kron_edge_triangles_at",
     "KroneckerTriangleStats",
-    "TriangleStatsGatherer",
 ]
 
 
@@ -108,9 +107,8 @@ def _vertex_components(factor_a: Graph, factor_b: Graph) -> List[Tuple[float, np
     return comps
 
 
-def _edge_components(factor_a: Graph, factor_b: Graph) -> List[Tuple[float, sp.csr_matrix, sp.csr_matrix]]:
+def _edge_components(factor_a: Graph, factor_b: Graph) -> List[Tuple[int, sp.csr_matrix, sp.csr_matrix]]:
     """Per-factor components ``(coef, M_A, M_B)`` with ``Δ_C = Σ coef · M_A ⊗ M_B``."""
-    comps: List[Tuple[float, sp.csr_matrix, sp.csr_matrix]] = []
     per_factor = []
     for factor in (factor_a, factor_b):
         adj = factor.adjacency
@@ -126,13 +124,24 @@ def _edge_components(factor_a: Graph, factor_b: Graph) -> List[Tuple[float, sp.c
             # these (long-lived, shared) matrices never have to copy.
             mat.sum_duplicates()
         per_factor.append(components)
-    a, b = per_factor
-    comps.append((1.0, a[0], b[0]))
-    comps.append((-1.0, a[1], b[1]))
-    comps.append((-1.0, a[2], b[2]))
-    comps.append((2.0, a[3], b[3]))
-    comps.append((-1.0, a[4], b[4]))
-    return comps
+    return list(zip((1, -1, -1, 2, -1), *per_factor))
+
+
+def _entry_components(edge_components, factor_a: Graph, factor_b: Graph
+                      ) -> Tuple[Tuple[int, np.ndarray, np.ndarray], ...]:
+    """Each edge component ``(coef, M_A, M_B)`` as ``(coef, v_A, v_B)``, its
+    matrices at every stored entry of ``A`` and of ``B`` in the CSR order
+    :class:`~repro.core.KroneckerGraph` enumerates.  Each ``M_X`` lies on
+    the support of ``X``, so ``Δ_C = Σ coef · v_A[a] · v_B[b]`` at the row of
+    entries ``(a, b)``.  Components all zero on either side are dropped
+    (with loop-free factors only ``(A∘A²) ⊗ (B∘B²)`` remains)."""
+    support_a, support_b = to_csr(factor_a.adjacency), to_csr(factor_b.adjacency)
+    out = []
+    for coef, ma, mb in edge_components:
+        va, vb = csr_gather_entries(ma, support_a), csr_gather_entries(mb, support_b)
+        if va.any() and vb.any():
+            out.append((coef, va, vb))
+    return tuple(out)
 
 
 def self_loop_case(factor_a: Graph, factor_b: Graph) -> str:
@@ -295,20 +304,25 @@ class KroneckerTriangleStats:
     and ``O(nnz_A + nnz_B)``), yet can answer point queries, global totals,
     and value histograms for the full product — the "validation payload" a
     large-scale generator would publish next to the compressed graph.
+    ``entry_components`` are the edge components over the factors' stored
+    entries, which :meth:`edge_values_at` indexes by entry position.
     """
 
     n_factor_b: int
     vertex_components: Tuple[Tuple[float, np.ndarray, np.ndarray], ...]
-    edge_components: Tuple[Tuple[float, sp.csr_matrix, sp.csr_matrix], ...]
+    edge_components: Tuple[Tuple[int, sp.csr_matrix, sp.csr_matrix], ...]
+    entry_components: Tuple[Tuple[int, np.ndarray, np.ndarray], ...]
 
     @classmethod
     def from_factors(cls, factor_a: Graph, factor_b: Graph) -> "KroneckerTriangleStats":
         """Build the factored statistics from two undirected factors."""
         _require_undirected(factor_a, factor_b)
+        edge_components = tuple(_edge_components(factor_a, factor_b))
         return cls(
             n_factor_b=factor_b.n_vertices,
             vertex_components=tuple(_vertex_components(factor_a, factor_b)),
-            edge_components=tuple(_edge_components(factor_a, factor_b)),
+            edge_components=edge_components,
+            entry_components=_entry_components(edge_components, factor_a, factor_b),
         )
 
     # -- vertex side ----------------------------------------------------
@@ -340,29 +354,11 @@ class KroneckerTriangleStats:
     def vertex_histogram(self) -> Dict[int, int]:
         """Histogram ``{triangle count: number of product vertices}``.
 
-        Computed by convolving factor-value histograms: product vertices are
-        all pairs ``(i, k)``, so the joint distribution of the component
-        values is the outer product of per-factor tabulations.  The number of
-        distinct component-value combinations is bounded by the product of
-        the factor-level distinct counts, which stays tiny for real factors.
+        Product vertices are all pairs ``(i, k)``, so the histogram is the
+        convolution of the per-factor component tabulations
+        (:func:`_pair_histogram`).
         """
-        # Tabulate distinct per-factor component-value tuples with multiplicity,
-        # then combine every (A-tuple, B-tuple) pair in one outer product and
-        # tabulate the resulting values with np.unique — no Python double loop.
-        a_cols = np.stack([xa for _, xa, _ in self.vertex_components], axis=1)
-        b_cols = np.stack([xb for _, _, xb in self.vertex_components], axis=1)
-        coefs = np.asarray([c for c, _, _ in self.vertex_components], dtype=np.float64)
-        a_unique, a_counts = np.unique(a_cols, axis=0, return_counts=True)
-        b_unique, b_counts = np.unique(b_cols, axis=0, return_counts=True)
-        values = np.rint(
-            np.einsum("c,rc,sc->rs", coefs,
-                      a_unique.astype(np.float64), b_unique.astype(np.float64))
-        ).astype(np.int64)
-        multiplicities = np.multiply.outer(a_counts.astype(np.int64), b_counts.astype(np.int64))
-        uniq, inverse = np.unique(values.ravel(), return_inverse=True)
-        sums = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(sums, inverse, multiplicities.ravel())
-        return {int(v): int(c) for v, c in zip(uniq, sums)}
+        return _pair_histogram(self.vertex_components)
 
     # -- edge side --------------------------------------------------------
     def edge_value(self, p: int, q: int) -> int:
@@ -399,14 +395,16 @@ class KroneckerTriangleStats:
             total += coef * a_vals * b_vals
         return np.rint(total).astype(np.int64)
 
-    def gatherer(self) -> "TriangleStatsGatherer":
-        """A :class:`TriangleStatsGatherer` bound to these statistics.
-
-        Build one per streaming pass and reuse it for every block: it
-        amortizes the ``O(nnz)`` key setup of the
-        :class:`~repro.perf.kernels.CsrGatherer` kernels across all gathers.
-        """
-        return TriangleStatsGatherer(self)
+    def edge_values_at(self, a_pos: np.ndarray, b_pos: np.ndarray) -> np.ndarray:
+        """``Δ_C`` at the product rows of factor entry positions *a_pos* and
+        *b_pos* (:meth:`~repro.core.KroneckerGraph.iter_entry_blocks`), equal
+        to :meth:`edge_values` on those rows: two reads per entry component,
+        no search, and integer coefficients keep the sum in ``int64``."""
+        total = np.zeros(np.broadcast_shapes(np.shape(a_pos), np.shape(b_pos)),
+                         dtype=np.int64)
+        for coef, va, vb in self.entry_components:
+            total += coef * va[a_pos] * vb[b_pos]
+        return total
 
     def edge_matrix(self) -> sp.csr_matrix:
         """The full ``Δ_C`` matrix; allocate with care (``nnz ≈ nnz_A · nnz_B``)."""
@@ -422,91 +420,40 @@ class KroneckerTriangleStats:
         return out
 
     def edge_histogram(self) -> Dict[int, int]:
-        """Histogram ``{triangle count: number of directed product edges}``.
+        """Histogram ``{triangle count: number of directed product edges}``
+        over the non-zero counts.
 
-        Only edges with a non-zero count appear (plus possibly 0 for product
-        edges whose factor edges carry no triangles); counts are over stored
-        adjacency entries of ``C``.
+        Product edges are all pairs of an ``A`` entry and a ``B`` entry, so
+        this is the convolution of the per-entry component vectors
+        (:func:`_pair_histogram`), without the zero bin.
         """
-        # Collect, per factor, the component values restricted to the factor's
-        # adjacency support, then convolve exactly as in vertex_histogram.
-        a_first = self.edge_components[0][1]
-        b_first = self.edge_components[0][2]
-        # Support of C's adjacency = support(A) × support(B); use the first
-        # component's mask (A ∘ A², which may be smaller) is not enough, so
-        # rebuild the supports from the loop matrices + masked matrices:
-        raise_if = not self.edge_components
-        if raise_if:  # pragma: no cover - components are always non-empty
-            raise ValueError("edge components missing")
-        a_support = _support_union([m for _, m, _ in self.edge_components])
-        b_support = _support_union([m for _, _, m in self.edge_components])
-        a_vals = np.stack(
-            [np.asarray(csr_gather(m, a_support[:, 0], a_support[:, 1])).ravel()
-             for _, m, _ in self.edge_components],
-            axis=1,
-        )
-        b_vals = np.stack(
-            [np.asarray(csr_gather(m, b_support[:, 0], b_support[:, 1])).ravel()
-             for _, _, m in self.edge_components],
-            axis=1,
-        )
-        coefs = np.asarray([c for c, _, _ in self.edge_components], dtype=np.float64)
-        a_unique, a_counts = np.unique(a_vals, axis=0, return_counts=True)
-        b_unique, b_counts = np.unique(b_vals, axis=0, return_counts=True)
-        hist: Dict[int, int] = {}
-        for a_row, a_mult in zip(a_unique, a_counts):
-            values = np.rint((coefs * a_row.astype(np.float64) * b_unique.astype(np.float64)).sum(axis=1)).astype(np.int64)
-            for value, b_mult in zip(values, b_counts):
-                if value == 0:
-                    continue
-                hist[int(value)] = hist.get(int(value), 0) + int(a_mult) * int(b_mult)
+        if not self.entry_components:
+            return {}
+        hist = _pair_histogram(self.entry_components)
+        hist.pop(0, None)
         return hist
 
 
-class TriangleStatsGatherer:
-    """Repeat-query evaluator over one :class:`KroneckerTriangleStats`.
+def _pair_histogram(components) -> Dict[int, int]:
+    """``{value: count}`` of ``Σ coef · x_A[a] · x_B[b]`` over every index
+    pair ``(a, b)`` of the component vectors ``(coef, x_A, x_B)``.
 
-    Wraps every edge-component matrix in a
-    :class:`~repro.perf.kernels.CsrGatherer` (globally sorted row-major keys,
-    one ``np.searchsorted`` per batch), so a consumer that evaluates many
-    batches against the *same* statistics — the per-block loop of the
-    streaming rank pipeline — pays the key-construction cost once instead of
-    once per block.  Produces bit-identical values to
-    :meth:`KroneckerTriangleStats.edge_values`.
+    The distinct per-factor component-value tuples are tabulated with their
+    multiplicity, every ``(A-tuple, B-tuple)`` pair is combined in one outer
+    product, and the values are tabulated with ``np.unique`` — no Python
+    double loop.  The distinct tuples stay few for real factors.
     """
-
-    __slots__ = ("_stats", "_edge_gatherers")
-
-    def __init__(self, stats: KroneckerTriangleStats):
-        self._stats = stats
-        self._edge_gatherers = tuple(
-            (coef, CsrGatherer(ma), CsrGatherer(mb))
-            for coef, ma, mb in stats.edge_components
-        )
-
-    @property
-    def stats(self) -> KroneckerTriangleStats:
-        """The wrapped factored statistics."""
-        return self._stats
-
-    def edge_values(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        """``Δ_C[ps[t], qs[t]]`` via the cached-key gatherers."""
-        ps = np.asarray(ps, dtype=np.int64)
-        qs = np.asarray(qs, dtype=np.int64)
-        i, k = factor_indices(ps, self._stats.n_factor_b)
-        j, l = factor_indices(qs, self._stats.n_factor_b)
-        total = np.zeros(np.broadcast_shapes(ps.shape, qs.shape), dtype=np.float64)
-        for coef, ga, gb in self._edge_gatherers:
-            total += coef * ga.gather(i, j).astype(np.float64) * gb.gather(k, l).astype(np.float64)
-        return np.rint(total).astype(np.int64)
-
-
-def _support_union(matrices: Sequence[sp.spmatrix]) -> np.ndarray:
-    """Union of the non-zero positions of *matrices*, as an ``(m, 2)`` index array."""
-    acc = None
-    for mat in matrices:
-        pattern = sp.csr_matrix(mat, copy=True)
-        pattern.data = np.ones_like(pattern.data)
-        acc = pattern if acc is None else acc + pattern
-    coo = sp.coo_matrix(acc)
-    return np.stack([coo.row, coo.col], axis=1)
+    coefs = np.asarray([c for c, _, _ in components], dtype=np.float64)
+    a_unique, a_counts = np.unique(np.stack([xa for _, xa, _ in components], axis=1),
+                                   axis=0, return_counts=True)
+    b_unique, b_counts = np.unique(np.stack([xb for _, _, xb in components], axis=1),
+                                   axis=0, return_counts=True)
+    values = np.rint(
+        np.einsum("c,rc,sc->rs", coefs,
+                  a_unique.astype(np.float64), b_unique.astype(np.float64))
+    ).astype(np.int64)
+    multiplicities = np.multiply.outer(a_counts.astype(np.int64), b_counts.astype(np.int64))
+    uniq, inverse = np.unique(values.ravel(), return_inverse=True)
+    sums = np.zeros(uniq.shape[0], dtype=np.int64)
+    np.add.at(sums, inverse, multiplicities.ravel())
+    return {int(v): int(c) for v, c in zip(uniq, sums)}

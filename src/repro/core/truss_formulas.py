@@ -29,8 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.index_maps import factor_indices
-from repro.graphs.adjacency import Graph, hadamard
-from repro.perf.kernels import csr_gather
+from repro.graphs.adjacency import Graph, hadamard, to_csr
+from repro.perf.kernels import csr_gather, csr_gather_entries
 from repro.triangles.linear_algebra import edge_triangles
 from repro.truss.decomposition import TrussDecomposition, truss_decomposition
 
@@ -76,12 +76,17 @@ class KroneckerTrussDecomposition:
         from non-edges).
     n_factor_b:
         ``n_B``, for index mapping.
+    a_entry_trussness, b_entry_triangles:
+        ``A``'s trussness at each stored entry of ``A`` and the ``T(3)_B``
+        marks at each stored entry of ``B`` (:meth:`edge_trussness_at`).
     """
 
     factor_a_decomposition: TrussDecomposition
     b_triangle_edges: sp.csr_matrix
     b_adjacency: sp.csr_matrix
     n_factor_b: int
+    a_entry_trussness: np.ndarray
+    b_entry_triangles: np.ndarray
 
     @property
     def max_truss(self) -> int:
@@ -112,10 +117,15 @@ class KroneckerTrussDecomposition:
                              dtype=np.int64)
         b_edge = np.asarray(csr_gather(self.b_adjacency, k, l), dtype=np.int64)
         b_triangle = np.asarray(csr_gather(self.b_triangle_edges, k, l), dtype=np.int64)
-        transferred = (b_triangle != 0) & (a_truss >= 3)
-        out = np.where(transferred, a_truss, 2)
-        out = np.where((a_truss == 0) | (b_edge == 0), 0, out)
-        return out.astype(np.int64)
+        return _transfer(a_truss, b_edge, b_triangle)
+
+    def edge_trussness_at(self, a_pos: np.ndarray, b_pos: np.ndarray) -> np.ndarray:
+        """Trussness at the product rows (all edges of ``C``) of factor entry
+        positions *a_pos* and *b_pos*
+        (:meth:`~repro.core.KroneckerGraph.iter_entry_blocks`): the rule of
+        :meth:`edge_trussness_batch`, read from the entry vectors, not searched."""
+        return _transfer(self.a_entry_trussness[a_pos], 1,
+                         self.b_entry_triangles[b_pos])
 
     def trussness_matrix(self) -> sp.csr_matrix:
         """Materialized trussness matrix of the whole product (use with care).
@@ -157,6 +167,14 @@ class KroneckerTrussDecomposition:
         return {k: 2 * count * b_triangle_edge_count for k, count in sizes_a.items()}
 
 
+def _transfer(a_truss: np.ndarray, b_edge, b_triangle: np.ndarray) -> np.ndarray:
+    """Theorem 3 at product pairs: ``A``'s trussness where the ``B`` edge is
+    in a triangle and that trussness is ``>= 3``, 2 otherwise, and 0 off the
+    support (no ``A`` edge or no ``B`` edge)."""
+    out = np.where((b_triangle != 0) & (a_truss >= 3), a_truss, 2)
+    return np.where((a_truss == 0) | (b_edge == 0), 0, out)
+
+
 def kron_truss_decomposition(factor_a: Graph, factor_b: Graph) -> KroneckerTrussDecomposition:
     """Theorem 3: transfer the truss decomposition of ``A`` to ``C = A ⊗ B``.
 
@@ -176,4 +194,7 @@ def kron_truss_decomposition(factor_a: Graph, factor_b: Graph) -> KroneckerTruss
         b_triangle_edges=t3_b,
         b_adjacency=factor_b.adjacency,
         n_factor_b=factor_b.n_vertices,
+        a_entry_trussness=csr_gather_entries(decomp_a.trussness,
+                                             to_csr(factor_a.adjacency)),
+        b_entry_triangles=csr_gather_entries(t3_b, to_csr(factor_b.adjacency)),
     )

@@ -217,10 +217,10 @@ class NpyShardSink:
     ``(src, dst)`` endpoints: construct the sink with
     ``payload_columns=("triangles", "trussness")`` and feed it
     ``(m, 2 + k)`` blocks whose extra columns hold the named values (the
-    streaming pipeline evaluates them per block through one
-    :class:`~repro.core.triangle_formulas.TriangleStatsGatherer` per rank
-    pass).  The manifest records the column names so every reader — the
-    compactor and :class:`repro.store.ShardStore` — knows the row layout.
+    streaming pipeline evaluates them per block from the factor entry
+    vectors its run builds once, indexed by each row's entry positions).
+    The manifest records the column names so every reader — the compactor
+    and :class:`repro.store.ShardStore` — knows the row layout.
 
     Constructing a sink claims the directory for one run: shard files and
     the manifest left over from a previous spill are deleted so a rerun with

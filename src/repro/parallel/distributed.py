@@ -32,12 +32,14 @@ Two execution modes are provided:
   writing a trillion-edge graph to a parallel file system while validating
   it on the fly, without the product ever existing in memory.
 
-Performance contract: the factored statistics object is built **once** per
-generation run and shared (read-only) by every rank; batched payloads go
-through :meth:`~repro.core.triangle_formulas.KroneckerTriangleStats.edge_values`
-(materialized path) or the cached-key
-:class:`~repro.core.triangle_formulas.TriangleStatsGatherer` (streaming path,
-one gatherer reused across all blocks) — no per-edge Python loop anywhere.
+Performance contract: the factored statistics and the Theorem 3
+decomposition, with their vectors over the factors' stored entries, are
+built **once** per generation run and shared (read-only) by every rank.
+Streamed payloads index those vectors by each row's entry positions
+(:meth:`~repro.core.KroneckerGraph.iter_entry_blocks`): no search per row.
+The materialized path uses the random-access
+:meth:`~repro.core.triangle_formulas.KroneckerTriangleStats.edge_values`.
+No per-edge Python loop anywhere.
 Ranks run sequentially by default; pass ``use_processes=True`` to fan them
 out on a ``multiprocessing`` pool.
 
@@ -58,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.kronecker import KroneckerGraph
-from repro.core.triangle_formulas import KroneckerTriangleStats, TriangleStatsGatherer
+from repro.core.triangle_formulas import KroneckerTriangleStats
 from repro.core.truss_formulas import KroneckerTrussDecomposition, kron_truss_decomposition
 from repro.graphs.adjacency import Graph
 from repro.graphs.io import normalize_payload_columns
@@ -113,11 +115,14 @@ class RankOutput:
 
 
 class RankEdgeBlock(NamedTuple):
-    """One bounded block of a rank's stream: edges plus their exact
-    triangle payload."""
+    """One bounded block of a rank's stream: edges, their exact triangle
+    payload, and each edge's ``A`` and ``B`` entry positions
+    (:meth:`~repro.core.KroneckerGraph.iter_entry_blocks`)."""
 
     edges: np.ndarray
     edge_triangles: np.ndarray
+    a_pos: np.ndarray
+    b_pos: np.ndarray
 
 
 def generate_rank_edges(
@@ -172,33 +177,26 @@ def iter_rank_edge_blocks(
     a_edges_per_block: int = 1024,
     with_statistics: bool = True,
     stats: Optional[KroneckerTriangleStats] = None,
-    gatherer: Optional[TriangleStatsGatherer] = None,
 ) -> Iterator[RankEdgeBlock]:
     """Stream one rank's slice as bounded, statistics-annotated blocks.
 
     The fused streaming sibling of :func:`generate_rank_edges`: the blocks
-    of :meth:`~repro.core.KroneckerGraph.iter_edge_blocks` over the rank's
+    of :meth:`~repro.core.KroneckerGraph.iter_entry_blocks` over the rank's
     source range, in ``(src, dst)`` order.  At most
     ``a_edges_per_block · nnz(B)`` edges exist at a time, and every block's
-    triangle payload is evaluated through a single
-    :class:`~repro.core.triangle_formulas.TriangleStatsGatherer` — the
-    cached-key :class:`~repro.perf.kernels.CsrGatherer` kernels are built
-    once per call (or shared via *gatherer*), then reused for every block.
+    triangle payload indexes the entry vectors of *stats* (built once per
+    call unless shared) by the block's entry positions.
     """
     product = KroneckerGraph(factor_a, factor_b)
-    if with_statistics and gatherer is None:
-        if stats is None:
-            stats = KroneckerTriangleStats.from_factors(factor_a, factor_b)
-        gatherer = stats.gatherer()
+    if with_statistics and stats is None:
+        stats = KroneckerTriangleStats.from_factors(factor_a, factor_b)
     empty = np.zeros(0, dtype=np.int64)
-    for edges in product.iter_edge_blocks(a_edges_per_block=a_edges_per_block,
-                                          src_start=partition.src_start,
-                                          src_stop=partition.src_stop):
-        if not with_statistics:
-            yield RankEdgeBlock(edges, empty)
-            continue
-        edge_t = gatherer.edge_values(edges[:, 0], edges[:, 1])
-        yield RankEdgeBlock(edges, edge_t)
+    for src, a_pos, b_pos in product.iter_entry_blocks(
+            a_edges_per_block=a_edges_per_block,
+            src_start=partition.src_start, src_stop=partition.src_stop):
+        edges = np.stack([src, product.entry_destinations(a_pos, b_pos)], axis=1)
+        edge_t = stats.edge_values_at(a_pos, b_pos) if with_statistics else empty
+        yield RankEdgeBlock(edges, edge_t, a_pos, b_pos)
 
 
 #: Per-edge ground-truth columns a streamed spill can carry, in the
@@ -244,7 +242,6 @@ def stream_rank_aggregate(
     a_edges_per_block: int = 1024,
     with_statistics: bool = True,
     stats: Optional[KroneckerTriangleStats] = None,
-    gatherer: Optional[TriangleStatsGatherer] = None,
     truss: Optional[KroneckerTrussDecomposition] = None,
     sink: Optional[SinkType] = None,
     payload_columns: Sequence[str] = (),
@@ -259,7 +256,7 @@ def stream_rank_aggregate(
 
     With *payload_columns* the spilled blocks are widened to ``(m, 2 + k)``:
     the named per-edge ground-truth values — already evaluated once per block
-    for the aggregates, through the single per-pass gatherer — are stacked
+    for the aggregates, from the block's entry positions — are stacked
     onto the edges before ``sink.write``, so the spill carries exact payloads
     at no extra evaluation cost.  ``"triangles"`` requires
     ``with_statistics``; ``"trussness"`` requires *truss*.
@@ -274,12 +271,11 @@ def stream_rank_aggregate(
     for block_index, block in enumerate(
         iter_rank_edge_blocks(factor_a, factor_b, partition,
                               a_edges_per_block=a_edges_per_block,
-                              with_statistics=with_statistics, stats=stats,
-                              gatherer=gatherer)
+                              with_statistics=with_statistics, stats=stats)
     ):
         trussness = None
         if truss is not None:
-            trussness = truss.edge_trussness_batch(block.edges[:, 0], block.edges[:, 1])
+            trussness = truss.edge_trussness_at(block.a_pos, block.b_pos)
         acc.update(block.edges,
                    block.edge_triangles if with_statistics else None,
                    trussness)
@@ -457,9 +453,6 @@ def distributed_generate(
         raise ValueError(f"a_edges_per_block must be >= 1, got {block}")
     with trace.span("stream.run", n_ranks=n_ranks, use_processes=use_processes):
         if not use_processes:
-            # One cached-key gatherer for the whole run — every rank's
-            # blocks reuse the same sorted component keys.
-            gatherer = stats.gatherer() if stats is not None else None
             rank_aggregates = []
             for part in partitions:
                 with trace.span("stream.rank", rank=part.rank) as record:
@@ -467,7 +460,7 @@ def distributed_generate(
                         factor_a, factor_b, part,
                         a_edges_per_block=block,
                         with_statistics=with_statistics, stats=stats,
-                        gatherer=gatherer, truss=truss, sink=sink,
+                        truss=truss, sink=sink,
                         payload_columns=payload_columns)
                     if record is not None:
                         record["n_edges"] = acc.n_edges

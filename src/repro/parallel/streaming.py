@@ -42,17 +42,55 @@ def _merge_value_counts(
     values_a: np.ndarray, counts_a: np.ndarray,
     values_b: np.ndarray, counts_b: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge two (sorted-unique values, counts) multisets into one."""
-    if values_a.size == 0:
-        return values_b.astype(np.int64), counts_b.astype(np.int64)
-    if values_b.size == 0:
-        return values_a.astype(np.int64), counts_a.astype(np.int64)
+    """Merge ``(values, counts)`` tables, whose values may repeat, into one
+    sorted-unique table."""
     values = np.concatenate([values_a, values_b])
     weights = np.concatenate([counts_a, counts_b])
     uniq, inverse = np.unique(values, return_inverse=True)
     out = np.zeros(uniq.shape[0], dtype=np.int64)
     np.add.at(out, inverse, weights)
     return uniq, out
+
+
+class _ValueCounts:
+    """A multiset of ``int64`` values, read as a sorted-unique ``(values,
+    counts)`` table.
+
+    Added tables wait in a list and are merged into the table once they hold
+    as many entries as it does, or when it is read (so before ``+`` and
+    pickling).  A merge handles at most twice the entries added since the
+    last one, so ``N`` added entries cost ``O(N log N)`` however many blocks
+    they came in — not a re-sort of the whole table per block.
+    """
+
+    __slots__ = ("_table", "_pending", "_pending_size")
+
+    def __init__(self, table: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+        empty = np.zeros(0, dtype=np.int64)
+        self._table = (empty, empty) if table is None else table
+        self._pending, self._pending_size = [], 0
+
+    def add(self, values: np.ndarray, counts: np.ndarray) -> None:
+        self._pending.append((values, counts))
+        self._pending_size += values.size
+        if self._pending_size >= self._table[0].size:
+            self.table()
+
+    def table(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._pending:
+            values, counts = (np.concatenate(part) for part in zip(*self._pending))
+            self._table = _merge_value_counts(*self._table, values, counts)
+            self._pending, self._pending_size = [], 0
+        return self._table
+
+    def __add__(self, other: "_ValueCounts") -> "_ValueCounts":
+        return _ValueCounts(_merge_value_counts(*self.table(), *other.table()))
+
+    def __getstate__(self):
+        return self.table()
+
+    def __setstate__(self, table) -> None:
+        self.__init__(table)
 
 
 class StreamingRankAccumulator:
@@ -79,10 +117,7 @@ class StreamingRankAccumulator:
 
     __slots__ = (
         "rank", "n_edges", "n_blocks", "max_block_edges", "triangle_total",
-        "with_statistics", "with_trussness",
-        "_deg_values", "_deg_counts",
-        "_tri_values", "_tri_counts",
-        "_truss_values", "_truss_counts",
+        "with_statistics", "with_trussness", "_degrees", "_triangles", "_trussness",
     )
 
     def __init__(self, rank: int = -1, *, with_statistics: bool = False,
@@ -94,10 +129,9 @@ class StreamingRankAccumulator:
         self.triangle_total = 0
         self.with_statistics = bool(with_statistics)
         self.with_trussness = bool(with_trussness)
-        empty = np.zeros(0, dtype=np.int64)
-        self._deg_values, self._deg_counts = empty, empty.copy()
-        self._tri_values, self._tri_counts = empty.copy(), empty.copy()
-        self._truss_values, self._truss_counts = empty.copy(), empty.copy()
+        self._degrees = _ValueCounts()
+        self._triangles = _ValueCounts()
+        self._trussness = _ValueCounts()
 
     # -- folding ----------------------------------------------------------
     def update(
@@ -119,21 +153,16 @@ class StreamingRankAccumulator:
         if m == 0:
             return
         sources, source_counts = np.unique(edges[:, 0], return_counts=True)
-        self._deg_values, self._deg_counts = _merge_value_counts(
-            self._deg_values, self._deg_counts, sources.astype(np.int64), source_counts)
+        self._degrees.add(sources.astype(np.int64), source_counts)
         if edge_triangles is not None and edge_triangles.size:
             self.with_statistics = True
             self.triangle_total += int(edge_triangles.sum())
-            tri, tri_counts = np.unique(np.asarray(edge_triangles, dtype=np.int64),
-                                        return_counts=True)
-            self._tri_values, self._tri_counts = _merge_value_counts(
-                self._tri_values, self._tri_counts, tri, tri_counts)
+            self._triangles.add(*np.unique(np.asarray(edge_triangles, dtype=np.int64),
+                                           return_counts=True))
         if trussness is not None and trussness.size:
             self.with_trussness = True
-            tr, tr_counts = np.unique(np.asarray(trussness, dtype=np.int64),
-                                      return_counts=True)
-            self._truss_values, self._truss_counts = _merge_value_counts(
-                self._truss_values, self._truss_counts, tr, tr_counts)
+            self._trussness.add(*np.unique(np.asarray(trussness, dtype=np.int64),
+                                           return_counts=True))
 
     def __add__(self, other: "StreamingRankAccumulator") -> "StreamingRankAccumulator":
         """Merged aggregates of two accumulators (the allreduce combiner)."""
@@ -148,18 +177,15 @@ class StreamingRankAccumulator:
         out.n_blocks = self.n_blocks + other.n_blocks
         out.max_block_edges = max(self.max_block_edges, other.max_block_edges)
         out.triangle_total = self.triangle_total + other.triangle_total
-        out._deg_values, out._deg_counts = _merge_value_counts(
-            self._deg_values, self._deg_counts, other._deg_values, other._deg_counts)
-        out._tri_values, out._tri_counts = _merge_value_counts(
-            self._tri_values, self._tri_counts, other._tri_values, other._tri_counts)
-        out._truss_values, out._truss_counts = _merge_value_counts(
-            self._truss_values, self._truss_counts, other._truss_values, other._truss_counts)
+        out._degrees = self._degrees + other._degrees
+        out._triangles = self._triangles + other._triangles
+        out._trussness = self._trussness + other._trussness
         return out
 
     # -- views ------------------------------------------------------------
     def source_degree_counts(self) -> Dict[int, int]:
         """Out-edge count per source vertex seen by this accumulator."""
-        return {int(v): int(c) for v, c in zip(self._deg_values, self._deg_counts)}
+        return {int(v): int(c) for v, c in zip(*self._degrees.table())}
 
     def degree_histogram(self, n_vertices: int) -> Dict[int, int]:
         """Out-degree histogram ``{degree: #vertices}`` including the zero bin.
@@ -169,20 +195,21 @@ class StreamingRankAccumulator:
         Degrees are raw out-entry counts (self loops included), matching
         :func:`stream_degree_histogram`.
         """
-        values, counts = np.unique(self._deg_counts, return_counts=True)
+        sources, degrees = self._degrees.table()
+        values, counts = np.unique(degrees, return_counts=True)
         hist = {int(v): int(c) for v, c in zip(values, counts)}
-        untouched = int(n_vertices) - int(self._deg_values.size)
+        untouched = int(n_vertices) - int(sources.size)
         if untouched:
             hist[0] = hist.get(0, 0) + untouched
         return hist
 
     def triangle_histogram(self) -> Dict[int, int]:
         """Histogram ``{edge triangle count: #directed edges}`` (zero bin kept)."""
-        return {int(v): int(c) for v, c in zip(self._tri_values, self._tri_counts)}
+        return {int(v): int(c) for v, c in zip(*self._triangles.table())}
 
     def trussness_census(self) -> Dict[int, int]:
         """Histogram ``{edge trussness: #directed edges}``."""
-        return {int(v): int(c) for v, c in zip(self._truss_values, self._truss_counts)}
+        return {int(v): int(c) for v, c in zip(*self._trussness.table())}
 
     def summary(self) -> Dict[str, object]:
         """Canonical aggregate view, independent of the blocking schedule.

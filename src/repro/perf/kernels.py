@@ -18,7 +18,8 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["csr_gather", "csr_has_entry", "ragged_take", "CsrGatherer"]
+__all__ = ["csr_gather", "csr_gather_entries", "csr_has_entry", "ragged_range",
+           "ragged_take"]
 
 IndexLike = Union[int, np.ndarray]
 
@@ -79,16 +80,6 @@ def _rowwise_lower_bound(
     return lo
 
 
-def _validate_indices(rows_flat: np.ndarray, cols_flat: np.ndarray, shape) -> None:
-    """Raise ``IndexError`` for any index outside ``[0, n)`` (no negative wrap)."""
-    n_rows, n_cols = shape
-    if rows_flat.size:
-        if rows_flat.min() < 0 or rows_flat.max() >= n_rows:
-            raise IndexError(f"row index out of range for shape {tuple(shape)}")
-        if cols_flat.min() < 0 or cols_flat.max() >= n_cols:
-            raise IndexError(f"column index out of range for shape {tuple(shape)}")
-
-
 def csr_gather(matrix: sp.spmatrix, rows: IndexLike, cols: IndexLike) -> Union[int, float, np.ndarray]:
     """Vectorized point lookup ``matrix[rows[t], cols[t]]`` with zeros for absent entries.
 
@@ -121,7 +112,11 @@ def csr_gather(matrix: sp.spmatrix, rows: IndexLike, cols: IndexLike) -> Union[i
     rows_flat = np.broadcast_to(rows_arr, shape).ravel()
     cols_flat = np.broadcast_to(cols_arr, shape).ravel()
 
-    _validate_indices(rows_flat, cols_flat, csr.shape)
+    if rows_flat.size:  # no negative wrap: an index outside [0, n) raises
+        if rows_flat.min() < 0 or rows_flat.max() >= csr.shape[0]:
+            raise IndexError(f"row index out of range for shape {csr.shape}")
+        if cols_flat.min() < 0 or cols_flat.max() >= csr.shape[1]:
+            raise IndexError(f"column index out of range for shape {csr.shape}")
     out = np.zeros(rows_flat.shape, dtype=csr.dtype)
     if csr.nnz and rows_flat.size:
         starts = csr.indptr[rows_flat]
@@ -137,16 +132,33 @@ def csr_gather(matrix: sp.spmatrix, rows: IndexLike, cols: IndexLike) -> Union[i
     return out
 
 
-def ragged_take(arr: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """Concatenate ``arr[lefts[i]:rights[i]]`` slices without a Python loop."""
+def ragged_range(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Concatenate ``np.arange(lefts[i], rights[i])`` ranges without a Python
+    loop — the positions :func:`ragged_take` reads."""
     lengths = rights - lefts
     total = int(lengths.sum())
     if total == 0:
-        return arr[:0]
-    # Output row t, inside slice i, is arr[lefts[i] + t - (where slice i
-    # starts in the output)].
+        return np.zeros(0, dtype=np.int64)
+    # Output t, inside range i, is lefts[i] + t - (where range i starts in
+    # the output).
     starts = np.cumsum(lengths) - lengths
-    return arr[np.repeat(lefts - starts, lengths) + np.arange(total)]
+    return np.repeat(lefts - starts, lengths) + np.arange(total)
+
+
+def ragged_take(arr: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Concatenate ``arr[lefts[i]:rights[i]]`` slices without a Python loop."""
+    positions = ragged_range(lefts, rights)
+    # An empty slice: cheaper than an empty gather on a memory-mapped shard.
+    return arr[positions] if positions.size else arr[:0]
+
+
+def csr_gather_entries(matrix: sp.spmatrix, support: sp.csr_matrix) -> np.ndarray:
+    """*matrix* at every stored entry of the canonical CSR *support*, in
+    *support*'s entry order (0 where *matrix* has no entry), as ``int64``: a
+    vector indexed by entry position
+    (:meth:`repro.core.KroneckerGraph.iter_entry_blocks`), not searched."""
+    rows = np.repeat(np.arange(support.shape[0], dtype=np.int64), np.diff(support.indptr))
+    return np.asarray(csr_gather(matrix, rows, support.indices), dtype=np.int64)
 
 
 def csr_has_entry(matrix: sp.csr_matrix, row: int, col: int) -> bool:
@@ -166,53 +178,3 @@ def csr_has_entry(matrix: sp.csr_matrix, row: int, col: int) -> bool:
         return False
     pos = int(np.searchsorted(matrix.indices[start:stop], col))
     return pos < stop - start and int(matrix.indices[start + pos]) == int(col)
-
-
-class CsrGatherer:
-    """Reusable batched point lookup on one CSR matrix.
-
-    Precomputes the globally sorted row-major key array
-    ``key = row · n_cols + col`` over the stored entries, after which every
-    batch of queries is a single ``np.searchsorted`` — amortizing the
-    ``O(nnz)`` setup across many gathers on the same matrix (e.g. one factor
-    component queried by every rank of a generation run).
-    """
-
-    __slots__ = ("_csr", "_keys", "_n_cols")
-
-    def __init__(self, matrix: sp.spmatrix):
-        self._csr = _as_canonical_csr(matrix)
-        n_rows, n_cols = self._csr.shape
-        row_of_entry = np.repeat(
-            np.arange(n_rows, dtype=np.int64), np.diff(self._csr.indptr)
-        )
-        # Row-major keys of a sorted-indices CSR are globally sorted.
-        self._keys = row_of_entry * np.int64(n_cols) + self._csr.indices.astype(np.int64)
-        self._n_cols = np.int64(n_cols)
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        """The canonical CSR matrix the gatherer answers queries for."""
-        return self._csr
-
-    def gather(self, rows: IndexLike, cols: IndexLike) -> np.ndarray:
-        """``matrix[rows[t], cols[t]]`` as an array (0 for absent entries).
-
-        Out-of-range indices raise ``IndexError`` (they would otherwise alias
-        a different entry through the row-major key arithmetic).
-        """
-        rows_arr = np.asarray(rows, dtype=np.int64)
-        cols_arr = np.asarray(cols, dtype=np.int64)
-        shape = np.broadcast_shapes(rows_arr.shape, cols_arr.shape)
-        rows_flat = np.broadcast_to(rows_arr, shape).ravel()
-        cols_flat = np.broadcast_to(cols_arr, shape).ravel()
-        _validate_indices(rows_flat, cols_flat, self._csr.shape)
-        queries = rows_flat * self._n_cols + cols_flat
-        out = np.zeros(queries.shape, dtype=self._csr.dtype)
-        if self._keys.size and queries.size:
-            pos = np.searchsorted(self._keys, queries)
-            in_range = pos < self._keys.size
-            safe = np.where(in_range, pos, 0)
-            hit = in_range & (self._keys[safe] == queries)
-            out[hit] = self._csr.data[pos[hit]]
-        return out.reshape(shape)

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from repro import generators
 from repro.core import KroneckerGraph
 from repro.graphs import DirectedGraph, Graph, VertexLabeledGraph
+from repro.graphs.adjacency import to_csr
 
 
 class TestSizes:
@@ -181,6 +182,29 @@ class TestMaterializationAndStreaming:
         product = KroneckerGraph(small_er, triangle)
         for block in product.iter_edge_blocks(a_edges_per_block=5):
             assert block.shape[0] <= 5 * triangle.nnz
+
+    def test_iter_entry_blocks_pair_factor_entries(self, directed_small, small_er_loops,
+                                                   weblike_small, triangle):
+        """Row t of an entry block is the product of the A entry at a_pos[t]
+        and the B entry at b_pos[t]; the blocks are those of
+        iter_edge_blocks, hub split included (one A edge per block)."""
+        for factor_a, factor_b, block in ((directed_small, small_er_loops, 2),
+                                          (weblike_small, triangle, 1)):
+            product = KroneckerGraph(factor_a, factor_b)
+            adj_a, adj_b = to_csr(factor_a.adjacency), to_csr(factor_b.adjacency)
+            rows_a = np.repeat(np.arange(adj_a.shape[0]), np.diff(adj_a.indptr))
+            rows_b = np.repeat(np.arange(adj_b.shape[0]), np.diff(adj_b.indptr))
+            n_b = product.n_factor_b
+            for (src, a_pos, b_pos), edges in zip(
+                    product.iter_entry_blocks(a_edges_per_block=block),
+                    product.iter_edge_blocks(a_edges_per_block=block), strict=True):
+                assert src.dtype == a_pos.dtype == b_pos.dtype == np.int64
+                assert np.array_equal(src, edges[:, 0])
+                assert np.array_equal(rows_a[a_pos] * n_b + rows_b[b_pos], src)
+                assert np.array_equal(adj_a.indices[a_pos] * n_b + adj_b.indices[b_pos],
+                                      edges[:, 1])
+                assert np.array_equal(product.entry_destinations(a_pos, b_pos),
+                                      edges[:, 1])
 
 
 class TestLabels:

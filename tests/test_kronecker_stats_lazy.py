@@ -49,6 +49,21 @@ class TestAgainstFullEvaluation:
         for p, q, value in list(zip(full.row, full.col, full.data))[:15]:
             assert stats.edge_value(int(p), int(q)) == value
 
+    def test_edge_values_at_entry_positions(self, factor_a, factor_b):
+        """Every product row, addressed by its factor entry positions, reads
+        Δ_C from the entry vectors: equal to edge_values and to the
+        materialized Δ_C."""
+        stats = KroneckerTriangleStats.from_factors(factor_a, factor_b)
+        product = KroneckerGraph(factor_a, factor_b)
+        src, a_pos, b_pos = (np.concatenate(parts) for parts in
+                             zip(*product.iter_entry_blocks(a_edges_per_block=3)))
+        dst = product.entry_destinations(a_pos, b_pos)
+        values = stats.edge_values_at(a_pos, b_pos)
+        assert values.dtype == np.int64
+        assert np.array_equal(values, stats.edge_values(src, dst))
+        full = kron_edge_triangles(factor_a, factor_b)
+        assert np.array_equal(values, np.asarray(full[src, dst]).ravel())
+
     def test_vertex_histogram(self, factor_a, factor_b):
         stats = KroneckerTriangleStats.from_factors(factor_a, factor_b)
         expected = histogram(kron_vertex_triangles(factor_a, factor_b))
@@ -59,6 +74,16 @@ class TestAgainstFullEvaluation:
         full = kron_edge_triangles(factor_a, factor_b)
         expected = histogram(full.data[full.data != 0])
         assert stats.edge_histogram() == expected
+
+
+def test_entry_components_drop_vanishing_terms():
+    """Only components non-zero on both factors keep entry vectors: with
+    loop-free factors that is (A∘A²) ⊗ (B∘B²) alone; with loops in both,
+    all five."""
+    loop_free = KroneckerTriangleStats.from_factors(*FACTOR_PAIRS[0])
+    assert [coef for coef, _, _ in loop_free.entry_components] == [1]
+    looped = KroneckerTriangleStats.from_factors(*FACTOR_PAIRS[2])
+    assert [coef for coef, _, _ in looped.entry_components] == [1, -1, -1, 2, -1]
 
 
 class TestScalability:

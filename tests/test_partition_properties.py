@@ -19,9 +19,14 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import KroneckerGraph
+from repro.core import KroneckerGraph, KroneckerTriangleStats, kron_truss_decomposition
 from repro.graphs import DirectedGraph, Graph
-from repro.parallel import balance_statistics, distributed_generate, partition_sources
+from repro.parallel import (
+    balance_statistics,
+    distributed_generate,
+    iter_rank_edge_blocks,
+    partition_sources,
+)
 
 PARTITION_SETTINGS = settings(
     max_examples=60,
@@ -175,3 +180,26 @@ class TestSourcePartitionProperties:
         assert first.shape[0] <= factor.nnz
         assert first[0, 0] >= parts[7].src_start
         assert np.all(np.diff(first[:, 0]) >= 0)
+
+    def test_ten_billion_sources_payloads_stay_factor_sized(self):
+        """n_C = 10^10 with both payloads: the statistics, the Theorem 3
+        transfer and the entry vectors are factor-sized, and a streamed block
+        reads the same payloads as the random-access evaluators.  Disjoint
+        triangles are loop-free with Δ = 1, so Theorem 3 applies."""
+        n = 99_999
+        tri = np.arange(n).reshape(-1, 3)
+        rows = np.concatenate([tri[:, 0], tri[:, 1], tri[:, 2], tri[:, 1], tri[:, 2], tri[:, 0]])
+        cols = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0], tri[:, 0], tri[:, 1], tri[:, 2]])
+        factor = Graph(sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)))
+        stats = KroneckerTriangleStats.from_factors(factor, factor)
+        truss = kron_truss_decomposition(factor, factor)
+        parts = partition_sources(factor, factor, 16)
+        assert parts[-1].src_stop == n * n
+        block = next(iter_rank_edge_blocks(factor, factor, parts[7],
+                                           a_edges_per_block=1, stats=stats))
+        ps, qs = block.edges[:, 0], block.edges[:, 1]
+        assert 0 < ps.size <= factor.nnz
+        assert ps[0] >= parts[7].src_start
+        assert np.array_equal(block.edge_triangles, stats.edge_values(ps, qs))
+        assert np.array_equal(truss.edge_trussness_at(block.a_pos, block.b_pos),
+                              truss.edge_trussness_batch(ps, qs))

@@ -308,13 +308,16 @@ class TestStoreOracle:
     #: name: (factor fixtures, payload columns, ranks, A edges per block,
     #: target).  One A edge per block puts the bound at nnz(B), below the
     #: hub sources' out-degree, so their rows are split across blocks.
-    #: Theorem 3 needs loop-free factors, so the self-loop pair carries
-    #: triangles only.
+    #: Theorem 3 needs loop-free factors, so the self-loop pairs carry
+    #: triangles only; with loops in one factor or both, the streamed
+    #: triangles keep a different subset of the five entry components.
     CASES = {
         "payload-hub-split": (("weblike_small", "delta_le_one_factor"),
                               PAYLOAD, 5, 1, 700),
         "self-loops-triangles": (("small_er_loops", "small_er_loops"),
                                  ("triangles",), 3, 2, 500),
+        "loops-a-only": (("small_er_loops", "small_er"), ("triangles",), 3, 1, 500),
+        "loops-b-only": (("small_er", "small_er_loops"), ("triangles",), 3, 1, 500),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -21,7 +21,7 @@ from repro.core import (
     kron_local_clustering_at,
     kron_vertex_triangles,
 )
-from repro.perf import CsrGatherer, csr_gather, csr_has_entry
+from repro.perf import csr_gather, csr_gather_entries, csr_has_entry, ragged_range, ragged_take
 
 KERNEL_SETTINGS = settings(
     max_examples=40,
@@ -55,7 +55,6 @@ class TestCsrGather:
         rows = rng.integers(0, matrix.shape[0], n_queries)
         cols = rng.integers(0, matrix.shape[1], n_queries)
         assert np.array_equal(csr_gather(matrix, rows, cols), dense[rows, cols])
-        assert np.array_equal(CsrGatherer(matrix).gather(rows, cols), dense[rows, cols])
 
     @given(matrix=sparse_matrices(), seed=st.integers(min_value=0, max_value=2**31 - 1))
     @KERNEL_SETTINGS
@@ -80,7 +79,6 @@ class TestCsrGather:
         assert not csr_has_entry(empty, 3, 3)
         queries = np.array([0, 5]), np.array([5, 0])
         assert np.array_equal(csr_gather(empty, *queries), [0, 0])
-        assert np.array_equal(CsrGatherer(empty).gather(*queries), [0, 0])
         # one stored row, all other rows empty
         one_row = sp.csr_matrix(([7], ([2], [4])), shape=(6, 6))
         assert csr_gather(one_row, 2, 4) == 7
@@ -111,6 +109,32 @@ class TestCsrGather:
     def test_non_sparse_input_rejected(self):
         with pytest.raises(TypeError):
             csr_gather(np.eye(3), 0, 0)
+
+
+class TestEntryKernels:
+    @given(matrix=sparse_matrices(), support=sparse_matrices())
+    @KERNEL_SETTINGS
+    def test_gather_entries_matches_dense(self, matrix, support):
+        """csr_gather_entries reads *matrix* at each stored entry of
+        *support*, in support's entry order (0 where matrix has none)."""
+        shape = (min(matrix.shape[0], support.shape[0]),
+                 min(matrix.shape[1], support.shape[1]))
+        matrix = matrix[:shape[0], :shape[1]].tocsr()
+        support = support[:shape[0], :shape[1]].tocsr()
+        rows = np.repeat(np.arange(shape[0]), np.diff(support.indptr))
+        values = csr_gather_entries(matrix, support)
+        assert values.dtype == np.int64
+        assert np.array_equal(values, matrix.toarray()[rows, support.indices])
+
+    @given(bounds=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 6)), max_size=12))
+    @KERNEL_SETTINGS
+    def test_ragged_range_concatenates_ranges(self, bounds):
+        lefts = np.asarray([lo for lo, _ in bounds], dtype=np.int64)
+        rights = lefts + np.asarray([width for _, width in bounds], dtype=np.int64)
+        expected = [t for lo, hi in zip(lefts, rights) for t in range(lo, hi)]
+        assert np.array_equal(ragged_range(lefts, rights), expected)
+        arr = np.arange(40) * 3
+        assert np.array_equal(ragged_take(arr, lefts, rights), arr[expected])
 
 
 class TestEdgeValuesEquivalence:

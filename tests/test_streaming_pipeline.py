@@ -8,6 +8,8 @@ without any rank ever materializing its slice or the driver merging edge
 lists.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from repro.core import (
     KroneckerGraph,
     KroneckerTriangleStats,
     ValidationAccumulator,
+    kron_edge_triangles,
     kron_truss_decomposition,
+    self_loop_case,
 )
 from repro.graphs import NpyShardSink, load_edge_shards, read_shard_manifest
 from repro.parallel import (
@@ -29,6 +33,7 @@ from repro.parallel import (
     partition_sources,
     stream_rank_aggregate,
 )
+from repro.parallel import streaming
 
 
 def _total_aggregate(outputs, trussness_fn=None):
@@ -94,13 +99,23 @@ class TestRankBlockIterator:
         edges = load_edge_shards(tmp_path / "spill")
         assert np.array_equal(edges, product.edges())
 
-    def test_gatherer_matches_edge_values(self, small_er_loops, small_er):
-        stats = KroneckerTriangleStats.from_factors(small_er_loops, small_er)
-        product = KroneckerGraph(small_er_loops, small_er)
-        edges = product.edges()
-        gatherer = stats.gatherer()
-        assert np.array_equal(gatherer.edge_values(edges[:, 0], edges[:, 1]),
-                              stats.edge_values(edges[:, 0], edges[:, 1]))
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("case", ["none", "a_only", "b_only", "both"])
+    def test_entry_payloads_match_materialized(self, small_er_loops, small_er,
+                                               case, block):
+        """Streamed triangle payloads, read from the factor entry vectors by
+        entry position, equal the materialized Δ_C in every self-loop case."""
+        factor_a = small_er_loops if case in ("a_only", "both") else small_er
+        factor_b = small_er_loops if case in ("b_only", "both") else small_er
+        assert self_loop_case(factor_a, factor_b) == case
+        part = partition_sources(factor_a, factor_b, 1)[0]
+        blocks = list(iter_rank_edge_blocks(factor_a, factor_b, part,
+                                            a_edges_per_block=block))
+        edges = np.concatenate([b.edges for b in blocks])
+        edge_t = np.concatenate([b.edge_triangles for b in blocks])
+        delta = kron_edge_triangles(factor_a, factor_b)
+        assert np.array_equal(edges, KroneckerGraph(factor_a, factor_b).edges())
+        assert np.array_equal(edge_t, np.asarray(delta[edges[:, 0], edges[:, 1]]).ravel())
 
 
 class TestStreamingAggregates:
@@ -161,12 +176,39 @@ class TestStreamingAggregates:
         result = distributed_generate(small_er, triangle, 2, streaming=True,
                                       a_edges_per_block=4)
         acc = result.total
-        n_held = sum(
-            np.asarray(getattr(acc, slot)).size
-            for slot in acc.__slots__
-            if isinstance(getattr(acc, slot), np.ndarray)
-        )
-        assert n_held < acc.n_edges  # value/count tables, not the edge list
+        # Everything the accumulator holds is in its pickled state, 8 bytes
+        # per table entry: fewer entries than edges means value/count tables,
+        # not the edge list.
+        assert len(pickle.dumps(acc)) < 8 * acc.n_edges
+
+    def test_merge_work_is_amortized(self, monkeypatch):
+        """Folding many small blocks must not re-merge the whole table per
+        block: over 2,400 blocks of 10 new sources each, the merge step
+        handles O(N log N) table entries for N folded rows (a per-block
+        re-sort of the accumulated table handles O(blocks · N))."""
+        handled = []
+        original = streaming._merge_value_counts
+
+        def counting(*tables):
+            handled.append(sum(np.size(table) for table in tables))
+            return original(*tables)
+
+        monkeypatch.setattr(streaming, "_merge_value_counts", counting)
+        rng = np.random.default_rng(5)
+        acc = StreamingRankAccumulator(0)
+        n_blocks, per_block, rows_per_source = 2_400, 10, 3
+        blocks = []
+        for b in range(n_blocks):
+            src = np.repeat(np.arange(b * per_block, (b + 1) * per_block), rows_per_source)
+            blocks.append((np.stack([src, rng.integers(0, 10**6, src.size)], axis=1),
+                           rng.integers(0, 50, src.size), rng.integers(2, 6, src.size)))
+            acc.update(*blocks[-1])
+        summary = acc.summary()
+        n = n_blocks * per_block * rows_per_source
+        assert sum(handled) <= n * np.log2(n)
+        whole = StreamingRankAccumulator(0)
+        whole.update(*(np.concatenate(parts) for parts in zip(*blocks)))
+        assert summary == whole.summary()
 
     def test_trussness_census_streamed(self, weblike_small, delta_le_one_factor):
         result = distributed_generate(weblike_small, delta_le_one_factor, 3,
@@ -365,18 +407,3 @@ class TestStreamingOnlyArguments:
         assert result.total is not result.rank_aggregates[0]
         assert result.total.rank == -1
         assert result.total.summary() == result.rank_aggregates[0].summary()
-
-    def test_sequential_run_builds_one_gatherer(self, small_er, triangle, monkeypatch):
-        from repro.core import TriangleStatsGatherer
-
-        calls = []
-        original = TriangleStatsGatherer.__init__
-
-        def counting_init(self, stats):
-            calls.append(1)
-            original(self, stats)
-
-        monkeypatch.setattr(TriangleStatsGatherer, "__init__", counting_init)
-        distributed_generate(small_er, triangle, 4, streaming=True,
-                             a_edges_per_block=4)
-        assert len(calls) == 1

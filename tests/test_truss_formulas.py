@@ -73,6 +73,17 @@ class TestTransferCorrectness:
             p, q = int(coo.row[idx]), int(coo.col[idx])
             assert transferred.edge_trussness(p, q) == int(coo.data[idx])
 
+    def test_trussness_at_entry_positions(self, factor_a, factor_b):
+        """Every product row, addressed by its factor entry positions,
+        reads the same trussness as edge_trussness_batch."""
+        transferred = kron_truss_decomposition(factor_a, factor_b)
+        product = KroneckerGraph(factor_a, factor_b)
+        src, a_pos, b_pos = (np.concatenate(parts) for parts in
+                             zip(*product.iter_entry_blocks(a_edges_per_block=4)))
+        dst = product.entry_destinations(a_pos, b_pos)
+        assert np.array_equal(transferred.edge_trussness_at(a_pos, b_pos),
+                              transferred.edge_trussness_batch(src, dst))
+
     def test_nonexistent_edge_trussness_zero(self, factor_a, factor_b):
         transferred = kron_truss_decomposition(factor_a, factor_b)
         # A vertex paired with itself is never an edge (no self loops anywhere).
