@@ -55,10 +55,11 @@ published artefacts of the paper:
 
 ``repro-kron serve``
     Put a compacted store behind a socket: the :mod:`repro.serve` asyncio
-    front-end (one concurrent-safe :class:`~repro.store.ShardStore`, shard
-    decodes on a bounded thread pool, concurrent scalar queries coalesced
-    into batch calls).  Stops gracefully on Ctrl-C or a client ``shutdown``
-    request, then prints the request/cache statistics.
+    front-end (one concurrent-safe :class:`~repro.store.ShardStore`, warm
+    store calls on the event loop and cold ones on a bounded thread pool,
+    concurrent scalar queries coalesced into batch calls).  Stops
+    gracefully on Ctrl-C or a client ``shutdown`` request, then prints the
+    request/cache statistics.
 
 ``repro-kron profile``
     Arm a running server's continuous sampling profiler for a few
@@ -304,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decoded shards kept in the store's LRU "
                             "(default 8; shared by every connection)")
     serve.add_argument("--threads", type=int, default=4,
-                       help="bounded pool shard decodes run on (default 4)")
+                       help="bounded pool cold store calls (shard decodes) "
+                            "run on; a call whose shards are all cached "
+                            "runs on the event loop (default 4)")
     serve.add_argument("--fleet", type=int, default=None, metavar="N",
                        help="partition the store into N contiguous "
                             "vertex-range slices, spawn one in-process "

@@ -9,12 +9,14 @@ dict *literals*, so the CLI's dispatch table (``{"query": _cmd_query}``,
 a name value, not a string) is structurally out of scope instead of
 special-cased.
 
-*No blocking in async* (PR 5/8): the event loop never touches a shard.
-Store query calls, ``time.sleep``, and ``socket`` module calls directly
-inside an ``async def`` in ``serve/`` stall every connection; they must
-run on the bounded decode pool (``_run_store`` / ``run_in_executor``).
-Code inside a nested ``lambda`` or sync ``def`` is exempt — that is
-exactly the executor-submission idiom.
+*No blocking in async* (PR 5/8): handlers reach the store only through
+``_run_store`` (or the coalescer), which chooses where a call runs —
+inline on the event loop when every shard it touches is cached, on the
+bounded decode pool otherwise.  Store query calls, ``time.sleep``, and
+``socket`` module calls directly inside an ``async def`` in ``serve/``
+skip that choice and can stall every connection.  Code inside a nested
+``lambda`` or sync ``def`` is exempt — that is exactly the idiom of
+handing a call to ``_run_store``.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ class AnswerShapeRule(Rule):
 
 
 #: Store query-surface methods that decode shards (or take the LRU lock
-#: for real work) and therefore belong on the decode pool, never inline
-#: in an async handler.
+#: for real work) and therefore go through ``_run_store``, never straight
+#: from an async handler.
 BLOCKING_STORE_METHODS = frozenset({
     "degree", "degrees", "neighbors", "edges_for_sources", "edges_in_range",
     "egonet", "subgraph", "subgraph_edges", "edge_payload", "edge_payloads",
@@ -89,8 +91,8 @@ class _AsyncBodyVisitor(ast.NodeVisitor):
         self._in_async = False
 
     # Sync scopes inside an async def run wherever they are *called* —
-    # the lambda handed to run_in_executor is the sanctioned idiom — so
-    # they reset the flag.
+    # the lambda handed to _run_store is the sanctioned idiom — so they
+    # reset the flag.
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._visit_scope(node, in_async=False)
 
@@ -111,8 +113,9 @@ class _AsyncBodyVisitor(ast.NodeVisitor):
             if verdict is not None:
                 self.findings.append(self.rule.finding(
                     self.rel_path, node,
-                    f"{verdict} directly inside an async def — run it on "
-                    "the decode pool (_run_store / run_in_executor): "
+                    f"{verdict} directly inside an async def — hand it to "
+                    "_run_store, which chooses the loop or the decode "
+                    "pool: "
                     + self.rule.source_of(node, self.text)))
         self.generic_visit(node)
 
@@ -133,8 +136,8 @@ class _AsyncBodyVisitor(ast.NodeVisitor):
 class BlockingInAsyncRule(Rule):
     name = "no-blocking-in-async"
     description = ("no store decodes, socket calls, or time.sleep directly "
-                   "inside async def handlers in serve/ — blocking work "
-                   "goes through the decode pool")
+                   "inside async def handlers in serve/ — store calls go "
+                   "through _run_store, which chooses loop or pool")
     layers = ("serve/",)
 
     def check(self, tree: ast.Module, rel_path: str,

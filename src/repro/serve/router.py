@@ -499,10 +499,12 @@ class RangeRouter(ShardStoreServer):
     ``trace`` / ``profile`` / ``events`` / ``health`` into fleet-merged
     answers built from one :meth:`FleetStore._broadcast` each, naming the
     workers they could not reach (all of these do wire I/O and therefore
-    run on the executor, never the event loop).  The fleet's
-    registry is adopted as the router's, so ``metrics`` serves the
-    ``fleet.worker_*`` series alongside the inherited ``serve.*`` ones,
-    and the inherited ``reset_stats`` fans out to every worker through
+    run on the executor, never the event loop).  The façade's ``cached``
+    is always false, so its query calls — coalesced flushes included —
+    run on the executor too.  The fleet's registry is adopted as the
+    router's, so ``metrics`` serves the ``fleet.worker_*`` series
+    alongside the inherited ``serve.*`` ones, and the inherited
+    ``reset_stats`` fans out to every worker through
     :meth:`FleetStore.reset_stats`.
     """
 

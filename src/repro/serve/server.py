@@ -20,10 +20,14 @@ Design rules:
   single :class:`ShardStore`; its decoded-shard LRU is concurrent-safe
   (a lock guards cache mutation), so hot shards are decoded once no matter
   which connection asked first.
-* **The event loop never touches a shard.**  All store work runs on a
-  bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-  (``decode_threads``); the loop only frames bytes and schedules work, so a
-  cold multi-megabyte decode cannot stall unrelated connections.
+* **Warm calls run inline, cold calls run on the pool; the loop never
+  decodes on purpose.**  A store call whose shards are all in the LRU
+  (:meth:`~repro.store.ShardStore.cached`) runs right on the event loop —
+  a hop to a thread and back costs more than the call.  Every other call,
+  and every call without a source window, runs on a bounded
+  :class:`~concurrent.futures.ThreadPoolExecutor` (``decode_threads``), so
+  a cold multi-megabyte decode cannot stall unrelated connections.
+  ``serve.store_calls`` counts both paths.
 * **Scalar requests coalesce into batch calls.**  Concurrent ``degree`` /
   ``neighbors`` requests that land in the same event-loop tick are folded
   into one ``store.degrees`` / ``store.edges_for_sources`` call (the PR 1
@@ -40,15 +44,16 @@ Design rules:
   the op and the trace id.
 * **Operational surface built in.**  A ``stats`` request reports request
   counts, per-op latency histograms (with derived p50/p95/p99), coalescing
-  effectiveness, and the store's ``shard_reads`` / ``cache_hits``;
-  ``metrics`` exposes the same registry as a raw snapshot plus Prometheus
-  text; ``reset_stats`` rearms every counter (benchmark warmup exclusion);
-  ``shutdown`` requests a graceful stop (in-flight requests finish, then
-  the listener closes).  PR 10 adds ``profile`` (start / stop / snapshot /
-  reset the continuous :class:`~repro.obs.SamplingProfiler`), ``events``
-  (the :class:`~repro.obs.EventLog` flight recorder's tail), and
-  ``health`` (liveness: uptime, profiler / recorder state, connections) —
-  all additive ops, no protocol version bump.
+  effectiveness, where store calls ran (``store_calls``), and the store's
+  ``shard_reads`` / ``cache_hits``; ``metrics`` exposes the same registry
+  as a raw snapshot plus Prometheus text; ``reset_stats`` rearms every
+  counter (benchmark warmup exclusion); ``shutdown`` requests a graceful
+  stop (in-flight requests finish, then the listener closes).  PR 10 adds
+  ``profile`` (start / stop / snapshot / reset the continuous
+  :class:`~repro.obs.SamplingProfiler`), ``events`` (the
+  :class:`~repro.obs.EventLog` flight recorder's tail), and ``health``
+  (liveness: uptime, profiler / recorder state, connections) — all
+  additive ops, no protocol version bump.
 * **One registry, one recorder (PR 8).**  All telemetry lives on a single
   :class:`repro.obs.MetricsRegistry` shared with the store — ``stats()`` is
   a view over it, never a private dict — and requests carrying the additive
@@ -71,7 +76,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -109,19 +114,24 @@ class _Coalescer:
 
     ``submit(value)`` returns a future; all values submitted before the next
     event-loop tick (or up to ``max_batch``) are handed to *flush_fn* as one
-    list on the executor, and the returned per-value results resolve the
-    futures in order.  Per-value validation must happen **before** submit —
-    a failure inside *flush_fn* fails the whole batch.
+    list, and the returned per-value results resolve the futures in order.
+    The values are vertex ids: *inline* is asked with the batch's
+    ``(min, max)`` source window whether *flush_fn* runs right on the loop
+    or on *executor*.  Per-value validation must happen **before** submit
+    — a failure inside *flush_fn* fails the whole batch.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop,
                  executor: ThreadPoolExecutor,
-                 flush_fn: Callable[[List], List], *, max_batch: int = 1024,
+                 flush_fn: Callable[[List], List], *,
+                 inline: Callable[[Tuple[int, int]], bool],
+                 max_batch: int = 1024,
                  registry: Optional[MetricsRegistry] = None,
                  kind: str = "adhoc"):
         self._loop = loop
         self._executor = executor
         self._flush_fn = flush_fn
+        self._inline = inline
         self._max_batch = max_batch
         self._pending: List = []  # (value, future) pairs
         self._flush_scheduled = False
@@ -153,20 +163,36 @@ class _Coalescer:
         self._requests.inc(len(batch))
         self._max_batch_seen.set_max(len(batch))
         values = [value for value, _ in batch]
+        if self._inline((min(values), max(values))):
+            try:
+                results = self._flush_fn(values)
+            except Exception as exc:
+                self._resolve(batch, None, exc)
+            else:
+                self._resolve(batch, results, None)
+            return
         task = self._loop.run_in_executor(
             self._executor, self._flush_fn, values)
 
         def _distribute(done: "asyncio.Future") -> None:
             exc = done.exception()
-            for index, (_, future) in enumerate(batch):
-                if future.cancelled():
-                    continue
-                if exc is not None:
-                    future.set_exception(exc)
-                else:
-                    future.set_result(done.result()[index])
+            self._resolve(batch, None if exc is not None else done.result(),
+                          exc)
 
         task.add_done_callback(_distribute)
+
+    @staticmethod
+    def _resolve(batch: List, results: Optional[List],
+                 exc: Optional[BaseException]) -> None:
+        """Settle one batch's futures: each with its own result, or all
+        with the batch's exception."""
+        for index, (_, future) in enumerate(batch):
+            if future.cancelled():
+                continue
+            if exc is not None:
+                future.set_exception(exc)
+            else:
+                future.set_result(results[index])
 
     @property
     def requests(self) -> int:
@@ -214,6 +240,12 @@ def _arg_bool(args: dict, name: str, default: bool = False) -> bool:
     return value
 
 
+def _window(vertices: List[int]) -> Tuple[int, int]:
+    """The ``(min, max)`` source window of a vertex list; ``(0, -1)``, a
+    window no shard overlaps, when the list is empty."""
+    return (min(vertices), max(vertices)) if vertices else (0, -1)
+
+
 class ShardStoreServer:
     """Asyncio front-end serving one :class:`~repro.store.ShardStore`.
 
@@ -228,8 +260,9 @@ class ShardStoreServer:
         Bind address; ``port=0`` picks an ephemeral port, published as
         :attr:`port` after :meth:`start`.
     decode_threads:
-        Size of the thread pool all store work runs on — the bound on
-        concurrent shard decodes.
+        Size of the thread pool cold store calls run on — the bound on
+        concurrent shard decodes.  Calls whose shards are all cached run
+        on the event loop instead.
     max_request_bytes:
         Cap on incoming request frames; an oversized length prefix gets one
         error frame and the connection is closed.
@@ -279,7 +312,8 @@ class ShardStoreServer:
         self._stop_event: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._writers: set = set()
-        self._tasks: set = set()
+        self._tasks: set = set()  # every live connection handler
+        self._parked: set = set()  # handlers awaiting their next frame
         self._degree_coalescer: Optional[_Coalescer] = None
         self._neighbors_coalescers: dict = {}
         self._started_at: Optional[float] = None
@@ -322,6 +356,9 @@ class ShardStoreServer:
         self._binary_frames = self.registry.counter("serve.binary_frames")
         self._binary_bytes = self.registry.counter("serve.binary_bytes")
         self._slow_queries = self.registry.counter("serve.slow_queries")
+        self._store_calls = {
+            path: self.registry.counter("serve.store_calls", path=path)
+            for path in ("inline", "pool")}
         self.registry.gauge("serve.connections_open",
                             fn=lambda: len(self._writers))
 
@@ -337,27 +374,29 @@ class ShardStoreServer:
         self._degree_coalescer = _Coalescer(
             self._loop, self._executor, self._degrees_batch,
             max_batch=self.max_coalesce_batch,
-            registry=self.registry, kind="degree")
+            registry=self.registry, kind="degree", inline=self._inline)
         self._neighbors_coalescers = {
             with_payload: _Coalescer(
                 self._loop, self._executor,
                 lambda vs, wp=with_payload: self._neighbors_batch(vs, wp),
                 max_batch=self.max_coalesce_batch,
                 registry=self.registry,
-                kind="neighbors_payload" if with_payload else "neighbors")
+                kind="neighbors_payload" if with_payload else "neighbors",
+                inline=self._inline)
             for with_payload in (False, True)
         }
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._accept, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
         self._started_at_wall = time.time()
 
     async def stop(self, *, grace_s: float = 5.0) -> None:
-        """Graceful stop: close the listener, let every in-flight request
-        finish and flush its response (handlers watch the stop event and
-        exit after the current frame), then — after *grace_s* — abort any
-        connection a stalled client is keeping open, and drop the pool."""
+        """Graceful stop: close the listener, close every connection parked
+        between frames, let every in-flight request finish and flush its
+        response, then — after *grace_s* — abort any connection a stalled
+        client is keeping open, and drop the pool.  Returns once every
+        connection handler has finished."""
         if self._server is not None and self._started_at is not None:
             # Guarded on the live listener so a double stop() (context exit
             # after a client-requested shutdown) records one event, not two.
@@ -366,11 +405,21 @@ class ShardStoreServer:
                 uptime_s=round(time.monotonic() - self._started_at, 3))
         self.profiler.stop()
         if self._stop_event is not None:
-            self._stop_event.set()  # idle handlers wake from their read
+            # From here on no handler starts and none reads another frame.
+            self._stop_event.set()
         if self._server is not None:
+            # Stop accepting, then let the loop turn once before closing:
+            # an accept already under way must create its transport while
+            # the listener is open (asyncio asserts so); _accept then
+            # closes the connection.
+            for sock in self._server.sockets:
+                self._loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        for task in list(self._parked):
+            task.cancel()  # the read ends; the handler closes and exits
         if self._tasks:
             _, pending = await asyncio.wait(list(self._tasks),
                                             timeout=grace_s)
@@ -418,40 +467,53 @@ class ShardStoreServer:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """``start_server``'s callback, called inside ``connection_made``.
+
+        A plain function, not a coroutine: the handler task is created and
+        registered before the loop runs anything else, so :meth:`stop`
+        always waits for it.  A connection that lands after stop began is
+        closed at once."""
+        if self._stop_event.is_set():
+            writer.close()
+            return
+        task = self._loop.create_task(self._handle_connection(reader, writer))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _next_frame(self, reader: asyncio.StreamReader,
+                          task: "asyncio.Task") -> Optional[dict]:
+        """The next request frame; ``None`` at a clean EOF, or when
+        :meth:`stop` cancels the read of this handler, parked between
+        frames."""
+        self._parked.add(task)
+        try:
+            return await protocol.read_frame_async(
+                reader, max_bytes=self.max_request_bytes)
+        except asyncio.CancelledError:
+            return None
+        finally:
+            self._parked.discard(task)
+
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         self._connections_total.inc()
         self._writers.add(writer)
         task = asyncio.current_task()
-        self._tasks.add(task)
-        stop_wait = asyncio.ensure_future(self._stop_event.wait())
         try:
-            while True:
-                # Race the next frame against the stop event: a request that
-                # is already in flight always finishes (dispatch and the
-                # response write happen below, before this point is reached
-                # again), while an *idle* connection closes promptly on stop.
-                read_task = asyncio.ensure_future(protocol.read_frame_async(
-                    reader, max_bytes=self.max_request_bytes))
-                await asyncio.wait({read_task, stop_wait},
-                                   return_when=asyncio.FIRST_COMPLETED)
-                if not read_task.done():
-                    read_task.cancel()
-                    try:
-                        await read_task
-                    except (asyncio.CancelledError, ProtocolError,
-                            ConnectionResetError, BrokenPipeError):
-                        pass
-                    break
+            # A request whose frame was read is always served and answered
+            # before the stop event is checked again.
+            while not self._stop_event.is_set():
                 try:
-                    frame = read_task.result()
+                    frame = await self._next_frame(reader, task)
                 except ProtocolError as exc:
                     # The byte stream can no longer be trusted: answer once,
                     # then drop this connection (and only this one).
                     self._protocol_errors.inc()
                     await self._try_send(writer, protocol.error_frame(exc))
                     break
-                if frame is None:  # clean EOF at a frame boundary
+                if frame is None:  # clean EOF, or woken by stop()
                     break
                 response = await self._dispatch(frame)
                 try:
@@ -471,13 +533,9 @@ class ShardStoreServer:
                     for part in parts:
                         writer.write(part)
                 await writer.drain()
-                if self._stop_event.is_set():
-                    break  # stop requested while we served this frame
         except (ConnectionResetError, BrokenPipeError):
             pass  # peer vanished mid-write; nothing to answer
         finally:
-            stop_wait.cancel()
-            self._tasks.discard(task)
             self._writers.discard(writer)
             writer.close()
             try:
@@ -493,8 +551,9 @@ class ShardStoreServer:
             pass
 
     #: Ops whose handlers provably open no child spans — the coalesced
-    #: scalar ops (their batch flush runs on the executor *without* a
-    #: copied context) and ``hello``.  Their serve spans skip the
+    #: scalar ops (their batch flush runs outside the request's context:
+    #: on the executor without a copied one, or inline from a loop
+    #: callback) and ``hello``.  Their serve spans skip the
     #: contextvar switch entirely (``adopt_leaf_span``), which keeps the
     #: traced scalar hot path inside the ≤ 5% overhead budget.
     _LEAF_OPS = frozenset({"degree", "neighbors", "hello"})
@@ -568,13 +627,34 @@ class ShardStoreServer:
                              ok=ok)
         return response
 
-    async def _run_store(self, fn, *args):
-        """Run one store call on the bounded decode pool.
+    def _inline(self, sources: Optional[Tuple[int, int]]) -> bool:
+        """Whether a store call over the source window *sources*
+        ``(lo, hi)`` runs on the event loop — every shard it touches is
+        cached — counted in ``serve.store_calls`` by the path it takes."""
+        inline = sources is not None and self.store.cached(*sources)
+        self._store_calls["inline" if inline else "pool"].inc()
+        return inline
 
-        ``run_in_executor`` does *not* carry ``contextvars``; when a trace
-        is active the context is copied explicitly so store-side spans
-        (shard decodes, fleet fan-out attempts) stay in the request's tree.
+    async def _run_store(self, fn, *args,
+                         sources: Optional[Tuple[int, int]] = None):
+        """Run one store call where it is cheapest: inline on the event loop
+        when every shard overlapping the source window *sources*
+        ``(lo, hi)`` is cached, on the bounded decode pool otherwise — and
+        always on the pool for a call without a window.
+
+        An inline call runs in the handler's own context, so its spans
+        nest under ``serve.<op>``.  ``run_in_executor`` does *not* carry
+        ``contextvars``; when a trace is active the pool path copies the
+        context explicitly so store-side spans (shard decodes, fleet
+        fan-out attempts) stay in the request's tree.
+
+        The check and the call are not atomic: a pool thread can evict a
+        shard in between, and the inline call then decodes it on the loop.
+        The answer is still correct and the decode counts as a shard read;
+        no lock closes the race.
         """
+        if self._inline(sources):
+            return fn(*args)
         if trace.current() is not None:
             ctx = contextvars.copy_context()
             return await self._loop.run_in_executor(
@@ -582,7 +662,7 @@ class ShardStoreServer:
         return await self._loop.run_in_executor(self._executor, fn, *args)
 
     # ------------------------------------------------------------------
-    # Coalesced batch kernels (run on the executor)
+    # Coalesced batch kernels (inline when warm, else on the executor)
     # ------------------------------------------------------------------
     def _degrees_batch(self, vertices: List[int]) -> List[int]:
         values = self.store.degrees(np.asarray(vertices, dtype=np.int64))
@@ -630,7 +710,8 @@ class ShardStoreServer:
     async def _op_degrees(self, args: dict) -> dict:
         vertices = _arg_ints(args, "vertices")
         return await self._run_store(
-            lambda: shaping.shape_degrees(self.store, vertices))
+            lambda: shaping.shape_degrees(self.store, vertices),
+            sources=_window(vertices))
 
     async def _op_neighbors(self, args: dict) -> dict:
         vertex = self._check_vertex(_arg_int(args, "vertex"))
@@ -645,7 +726,8 @@ class ShardStoreServer:
         with_payload = _arg_bool(args, "with_payload")
         return await self._run_store(
             lambda: shaping.shape_edges_for_sources(self.store, vertices,
-                                                    with_payload=with_payload))
+                                                    with_payload=with_payload),
+            sources=_window(vertices))
 
     async def _op_edges_in_range(self, args: dict) -> dict:
         lo = _arg_int(args, "lo")
@@ -653,23 +735,27 @@ class ShardStoreServer:
         with_payload = _arg_bool(args, "with_payload")
         return await self._run_store(
             lambda: shaping.shape_range(self.store, lo, hi,
-                                        with_payload=with_payload))
+                                        with_payload=with_payload),
+            sources=(lo, hi - 1))
 
     async def _op_egonet(self, args: dict) -> dict:
         vertex = self._check_vertex(_arg_int(args, "vertex"))
         with_payload = _arg_bool(args, "with_payload")
         include_members = _arg_bool(args, "include_members")
+        # The neighbour set is unknown until read: the window is the store.
         return await self._run_store(
             lambda: shaping.shape_egonet(self.store, vertex,
                                          with_payload=with_payload,
-                                         include_members=include_members))
+                                         include_members=include_members),
+            sources=(0, self.store.n_vertices - 1))
 
     async def _op_subgraph(self, args: dict) -> dict:
         vertices = _arg_ints(args, "vertices")
         with_payload = _arg_bool(args, "with_payload")
         return await self._run_store(
             lambda: shaping.shape_subgraph(self.store, vertices,
-                                           with_payload=with_payload))
+                                           with_payload=with_payload),
+            sources=_window(vertices))
 
     async def _op_edge_payloads(self, args: dict) -> dict:
         ps = _arg_ints(args, "ps")
@@ -678,7 +764,8 @@ class ShardStoreServer:
             raise ValueError(f"ps and qs must have matching shapes, "
                              f"got ({len(ps)},) and ({len(qs)},)")
         return await self._run_store(
-            lambda: shaping.shape_edge_payloads(self.store, ps, qs))
+            lambda: shaping.shape_edge_payloads(self.store, ps, qs),
+            sources=_window(ps))
 
     async def _op_stats(self, args: dict) -> dict:
         return shaping.stats_answer_shape(self.stats())
@@ -814,6 +901,8 @@ class ShardStoreServer:
             "connections_total": self._connections_total.value,
             "decode_threads": self.decode_threads,
             "slow_queries": self._slow_queries.value,
+            "store_calls": {path: counter.value
+                            for path, counter in self._store_calls.items()},
             "binary": {"frames": self._binary_frames.value,
                        "bytes": self._binary_bytes.value},
             "coalesced": {

@@ -1,5 +1,6 @@
 """Known-bad corpus for no-blocking-in-async: blocking work inlined in
-async handlers instead of going through the decode pool."""
+async handlers instead of going through ``_run_store``, which chooses
+loop or pool."""
 
 import socket
 import time

@@ -1,5 +1,5 @@
-"""Known-good corpus for no-blocking-in-async: the decode-pool idiom —
-blocking work wrapped in a lambda/def handed to the executor — and
+"""Known-good corpus for no-blocking-in-async: the ``_run_store`` idiom —
+store work wrapped in a lambda/def handed to ``_run_store`` — and
 non-blocking awaits."""
 
 import asyncio

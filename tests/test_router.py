@@ -481,6 +481,30 @@ class TestFleetObservability:
                    for w in range(3)) >= 3
         assert 'fleet_worker_calls{worker="0"}' in answer["prometheus"]
 
+    def test_router_calls_run_on_the_pool_and_warm_workers_inline(
+            self, store_factory, local_store):
+        """The fleet façade's calls block on worker sockets, so the router
+        runs every store call on its pool; each worker, warm on its slice,
+        runs its store calls on its event loop."""
+        store = store_factory(target_shard_edges=3000)
+        with FleetHarness(store, n_slices=3) as harness:
+            assert harness.fleet.cached(0, 0) is False
+            with harness.client() as c:
+                n = c.n_vertices
+                c.edges_in_range(0, n)  # every worker decodes its slice
+                c.reset_stats()
+                vertices = np.arange(0, n, 5)
+                assert np.array_equal(c.degrees(vertices),
+                                      local_store.degrees(vertices))
+                assert c.degree(7) == local_store.degree(7)
+                stats = c.stats()
+        router = stats["server"]["store_calls"]
+        assert router["inline"] == 0 and router["pool"] >= 2
+        workers = [r["stats"]["server"]["store_calls"]
+                   for r in stats["workers"]]
+        assert all(w["pool"] == 0 for w in workers), workers
+        assert sum(w["inline"] for w in workers) >= 3, workers
+
     def test_reset_stats_fans_out_fleet_wide(self, store_factory):
         store = store_factory()
         with FleetHarness(store, n_slices=3) as harness:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import os
 import re
 import socket
@@ -43,7 +44,8 @@ from repro.serve import (
     ThreadedServer,
     protocol,
 )
-from repro.serve.server import _Coalescer
+from repro.obs import TraceRecorder, trace
+from repro.serve.server import ShardStoreServer, _Coalescer
 from repro.store import ShardStore, compact_shards
 
 PAYLOAD = ("triangles", "trussness")
@@ -181,11 +183,16 @@ class TestProtocol:
 # Request coalescer
 # ----------------------------------------------------------------------
 class TestCoalescer:
-    def _run(self, coro):
-        return asyncio.run(coro)
+    """Every behaviour holds on both flush paths: on the executor, and
+    inline on the loop (the server's choice when the batch's shards are
+    cached)."""
+
+    def _run(self, main):
+        for inline in (lambda window: False, lambda window: True):
+            asyncio.run(main(inline))
 
     def test_concurrent_submissions_fold_into_one_batch(self):
-        async def main():
+        async def main(inline):
             loop = asyncio.get_running_loop()
             calls = []
 
@@ -194,17 +201,17 @@ class TestCoalescer:
                 return [v * 2 for v in values]
 
             with ThreadPoolExecutor(2) as executor:
-                coalescer = _Coalescer(loop, executor, flush)
+                coalescer = _Coalescer(loop, executor, flush, inline=inline)
                 futures = [coalescer.submit(i) for i in range(10)]
                 results = await asyncio.gather(*futures)
             assert results == [i * 2 for i in range(10)]
             assert calls == [list(range(10))]
             assert coalescer.stats() == {"requests": 10, "batches": 1,
                                          "max_batch": 10}
-        self._run(main())
+        self._run(main)
 
     def test_max_batch_splits_flushes(self):
-        async def main():
+        async def main(inline):
             loop = asyncio.get_running_loop()
             calls = []
 
@@ -213,25 +220,47 @@ class TestCoalescer:
                 return values
 
             with ThreadPoolExecutor(2) as executor:
-                coalescer = _Coalescer(loop, executor, flush, max_batch=4)
+                coalescer = _Coalescer(loop, executor, flush, max_batch=4,
+                                       inline=inline)
                 futures = [coalescer.submit(i) for i in range(10)]
-                await asyncio.gather(*futures)
+                assert await asyncio.gather(*futures) == list(range(10))
             assert calls == [4, 4, 2]
-        self._run(main())
+        self._run(main)
 
     def test_flush_failure_fails_every_future_in_batch(self):
-        async def main():
+        """A failing batch fails all of its own futures and no other
+        batch's."""
+        async def main(inline):
             loop = asyncio.get_running_loop()
 
             def flush(values):
-                raise RuntimeError("batch kernel exploded")
+                if 1 in values:
+                    raise RuntimeError("batch kernel exploded")
+                return values
 
             with ThreadPoolExecutor(2) as executor:
-                coalescer = _Coalescer(loop, executor, flush)
-                futures = [coalescer.submit(i) for i in range(3)]
+                coalescer = _Coalescer(loop, executor, flush, max_batch=3,
+                                       inline=inline)
+                futures = [coalescer.submit(i) for i in range(6)]
                 results = await asyncio.gather(*futures, return_exceptions=True)
-            assert all(isinstance(r, RuntimeError) for r in results)
-        self._run(main())
+            assert all(isinstance(r, RuntimeError) for r in results[:3])
+            assert results[3:] == [3, 4, 5]
+        self._run(main)
+
+    def test_inline_is_asked_with_the_batch_window(self):
+        async def main():
+            asked = []
+
+            def inline(window):
+                asked.append(window)
+                return True
+
+            coalescer = _Coalescer(asyncio.get_running_loop(), None,
+                                   lambda values: values, inline=inline)
+            futures = [coalescer.submit(v) for v in (7, 2, 5)]
+            assert await asyncio.gather(*futures) == [7, 2, 5]
+            assert asked == [(2, 7)]
+        asyncio.run(main())
 
 
 # ----------------------------------------------------------------------
@@ -564,6 +593,181 @@ class TestFailurePaths:
         for thread in threads:
             thread.join(timeout=60)
         assert len(results) == 4
+
+
+# ----------------------------------------------------------------------
+# Where store calls run: inline on the loop when warm, on the pool if not
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def two_shard_store(store_dir, local_store):
+    """The module's spill recompacted into two shards."""
+    dest = store_dir.parent / "two-shard-store"
+    compact_shards(store_dir.parent / "spill", dest,
+                   target_shard_edges=local_store.total_edges // 2 + 1)
+    return dest
+
+
+def _inner_vertex(store: ShardStore, index: int) -> int:
+    """A vertex only shard *index* holds rows of."""
+    shard = store.manifest["shards"][index]
+    vertex = (shard["src_min"] + shard["src_max"]) // 2
+    assert shard["src_min"] < vertex < shard["src_max"]
+    return vertex
+
+
+class TestStoreCallPaths:
+    def test_warm_server_runs_every_store_call_inline(self, two_shard_store,
+                                                      local_store):
+        with ThreadedServer(two_shard_store, cache_shards=8) as fresh:
+            with QueryClient(fresh.host, fresh.port) as c:
+                n = c.n_vertices
+                c.edges_in_range(0, n)  # cold: both shards decode on the pool
+                c.reset_stats()
+                v, vs = 37, [3, 90, 400, 5]
+                assert c.degree(v) == local_store.degree(v)
+                assert np.array_equal(c.degrees(vs), local_store.degrees(vs))
+                assert c.degrees([]).size == 0
+                assert np.array_equal(c.neighbors(v), local_store.neighbors(v))
+                assert np.array_equal(
+                    c.edges_for_sources(vs, with_payload=True),
+                    local_store.edges_for_sources(vs, with_payload=True))
+                assert np.array_equal(
+                    c.edges_in_range(n // 4, n // 2, with_payload=True),
+                    local_store.edges_in_range(n // 4, n // 2,
+                                               with_payload=True))
+                assert np.array_equal(c.egonet(v).vertices,
+                                      local_store.egonet(v).vertices)
+                assert c.subgraph(vs).nnz == local_store.subgraph(vs).nnz
+                row = local_store.edges_for_sources([v])[0]
+                assert np.array_equal(
+                    c.edge_payloads([row[0]], [row[1]]),
+                    local_store.edge_payloads([row[0]], [row[1]]))
+                stats = fresh.server.stats()
+                prometheus = c.metrics()["prometheus"]
+        assert fresh.server.store.n_shards == 2
+        assert stats["server"]["store_calls"] == {"inline": 9, "pool": 0}
+        assert stats["store"]["shard_reads"] == 0
+        assert 'serve_store_calls{path="inline"} 9' in prometheus
+        # The metrics snapshot itself has no source window: one pool call.
+        assert 'serve_store_calls{path="pool"} 1' in prometheus
+
+    def test_cold_batch_runs_on_the_pool(self, store_dir, local_store):
+        with ThreadedServer(store_dir, cache_shards=2) as fresh:
+            with QueryClient(fresh.host, fresh.port) as c:
+                vertices = np.arange(0, c.n_vertices, 7)
+                assert np.array_equal(c.degrees(vertices),
+                                      local_store.degrees(vertices))
+            stats = fresh.server.stats()
+        assert stats["store"]["n_shards"] > stats["store"]["cache_shards"]
+        assert stats["server"]["store_calls"] == {"inline": 0, "pool": 1}
+        assert stats["store"]["shard_reads"] == stats["store"]["n_shards"]
+
+    def test_eviction_between_check_and_call_decodes_inline(self, store_dir,
+                                                            local_store):
+        """A pool thread may evict a shard after the check said inline: the
+        inline call then decodes on the loop, answers byte-equal, counts
+        one shard read, and its decode span nests under the serve span."""
+        v = _inner_vertex(local_store, 1)
+        with ThreadedServer(store_dir, cache_shards=8) as fresh:
+            store = fresh.server.store
+            with QueryClient(fresh.host, fresh.port) as c:
+                c.degrees([v])  # v's shard is cached now
+                checked = store.cached
+
+                def check_then_evict(lo, hi):
+                    warm = checked(lo, hi)
+                    store.clear_cache()  # the race, made certain
+                    return warm
+
+                store.cached = check_then_evict
+                c.reset_stats()
+                with trace.start_trace("evicted", TraceRecorder()) as t:
+                    rows = c.edges_for_sources([v], with_payload=True)
+                spans = c.trace_spans(t.trace_id)
+            stats = fresh.server.stats()
+        assert np.array_equal(
+            rows, local_store.edges_for_sources([v], with_payload=True))
+        assert stats["server"]["store_calls"] == {"inline": 1, "pool": 0}
+        assert stats["store"]["shard_reads"] == 1
+        by_name = {s["name"]: s for s in spans}
+        assert (by_name["store.decode"]["parent"]
+                == by_name["serve.edges_for_sources"]["span"])
+
+
+# ----------------------------------------------------------------------
+# Graceful stop
+# ----------------------------------------------------------------------
+class TestGracefulStop:
+    @pytest.mark.parametrize("n_connections", [1, 4])
+    def test_connections_accepted_as_stop_begins(self, store_dir, caplog,
+                                                 n_connections):
+        """Connections made k loop turns before ``stop()``, for every k up
+        to the point their handlers run: ``stop()`` leaves no handler
+        pending or cancelled, and asyncio logs nothing at teardown."""
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        for k in range(8):
+            handlers = []
+
+            def record(loop, coro, **kwargs):
+                task = asyncio.Task(coro, loop=loop, **kwargs)
+                if coro.__qualname__.endswith("._handle_connection"):
+                    handlers.append(task)
+                return task
+
+            async def main():
+                asyncio.get_running_loop().set_task_factory(record)
+                server = ShardStoreServer(store_dir, cache_shards=8)
+                await server.start()
+                socks = [socket.create_connection((server.host, server.port),
+                                                  timeout=10)
+                         for _ in range(n_connections)]
+                try:
+                    for _ in range(k):
+                        await asyncio.sleep(0)
+                    await server.stop()
+                    assert all(t.done() for t in handlers), k
+                finally:
+                    for sock in socks:
+                        sock.close()
+
+            asyncio.run(main())
+            assert not any(t.cancelled() for t in handlers), k
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
+
+    def test_in_flight_request_answered_while_idle_connections_close(
+            self, store_dir, local_store):
+        with ThreadedServer(store_dir, cache_shards=8) as fresh:
+            store = fresh.server.store
+            in_flight, release = threading.Event(), threading.Event()
+            degrees = store.degrees
+
+            def held_degrees(vs):
+                in_flight.set()
+                assert release.wait(30)
+                return degrees(vs)
+
+            store.degrees = held_degrees
+            store.cached = lambda lo, hi: False  # pool: the loop stays free
+            results = {}
+
+            def request():
+                with QueryClient(fresh.host, fresh.port) as c:
+                    results["degrees"] = c.degrees([0, 1, 2])
+
+            with _raw_socket(fresh) as idle:
+                protocol.write_frame(idle, protocol.request_frame("hello"))
+                assert protocol.read_frame(idle)["ok"]  # parked between frames
+                worker = threading.Thread(target=request)
+                worker.start()
+                assert in_flight.wait(30)
+                fresh.server.request_stop()
+                assert idle.recv(1) == b""  # closed while the request runs
+                release.set()
+                worker.join(30)
+        assert not worker.is_alive()
+        assert np.array_equal(results["degrees"],
+                              local_store.degrees([0, 1, 2]))
 
 
 # ----------------------------------------------------------------------

@@ -446,6 +446,50 @@ class TestShardStoreIO:
                               product.degrees())
 
 
+class TestCachedCheck:
+    """``cached(lo, hi)`` tells the server whether a call may run on its
+    event loop: every shard overlapping the window is in the LRU.  It
+    decodes nothing, counts nothing and leaves the LRU order alone."""
+
+    def test_empty_cache(self, store_dir):
+        store = ShardStore(store_dir, cache_shards=4)
+        assert store.n_shards > 2
+        assert not store.cached(0, 0)
+        assert not store.cached(0, store.n_vertices - 1)
+        assert store.cached(0, -1)  # a window no shard overlaps
+        assert (store.shard_reads, store.cache_hits) == (0, 0)
+        assert len(store._cache) == 0
+
+    def test_true_only_when_every_overlapping_shard_is_cached(self,
+                                                               store_dir):
+        store = ShardStore(store_dir, cache_shards=store_n(store_dir))
+        shard = store.manifest["shards"][1]
+        v = (shard["src_min"] + shard["src_max"]) // 2
+        store.neighbors(v)
+        counters = (store.shard_reads, store.cache_hits)
+        order = list(store._cache)
+        assert store.cached(v, v)
+        assert not store.cached(0, store.n_vertices - 1)
+        assert (store.shard_reads, store.cache_hits) == counters
+        assert list(store._cache) == order
+        store.edges_in_range(0, store.n_vertices)
+        store.neighbors(v)  # v's shard is now the most recently used
+        counters = (store.shard_reads, store.cache_hits)
+        order = list(store._cache)
+        assert store.cached(0, store.n_vertices - 1)
+        assert store.cached(0, 0)
+        assert (store.shard_reads, store.cache_hits) == counters
+        assert list(store._cache) == order
+
+    def test_eviction_turns_it_false(self, store_dir):
+        store = ShardStore(store_dir, cache_shards=1)
+        store.degrees([0])
+        assert store.cached(0, 0)
+        store.degrees([store.n_vertices - 1])
+        assert not store.cached(0, 0)
+        assert store.cached(store.n_vertices - 1, store.n_vertices - 1)
+
+
 class TestCacheLookups:
     """A query looks each shard up in the LRU once, so ``shard_reads`` and
     ``cache_hits`` count decodes and real hits, never a second lookup of
