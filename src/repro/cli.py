@@ -56,10 +56,10 @@ published artefacts of the paper:
 ``repro-kron serve``
     Put a compacted store behind a socket: the :mod:`repro.serve` asyncio
     front-end (one concurrent-safe :class:`~repro.store.ShardStore`, warm
-    store calls on the event loop and cold ones on a bounded thread pool,
-    concurrent scalar queries coalesced into batch calls).  Stops
-    gracefully on Ctrl-C or a client ``shutdown`` request, then prints the
-    request/cache statistics.
+    store calls over at most two shards on the event loop and the rest on
+    a bounded thread pool, concurrent scalar queries coalesced into batch
+    calls).  Stops gracefully on Ctrl-C or a client ``shutdown`` request,
+    then prints the request/cache statistics.
 
 ``repro-kron profile``
     Arm a running server's continuous sampling profiler for a few
@@ -306,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 8; shared by every connection)")
     serve.add_argument("--threads", type=int, default=4,
                        help="bounded pool cold store calls (shard decodes) "
-                            "run on; a call whose shards are all cached "
-                            "runs on the event loop (default 4)")
+                            "run on; a call touching at most two shards, "
+                            "all cached, runs on the event loop (default 4)")
     serve.add_argument("--fleet", type=int, default=None, metavar="N",
                        help="partition the store into N contiguous "
                             "vertex-range slices, spawn one in-process "

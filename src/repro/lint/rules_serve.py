@@ -11,12 +11,12 @@ special-cased.
 
 *No blocking in async* (PR 5/8): handlers reach the store only through
 ``_run_store`` (or the coalescer), which chooses where a call runs —
-inline on the event loop when every shard it touches is cached, on the
-bounded decode pool otherwise.  Store query calls, ``time.sleep``, and
-``socket`` module calls directly inside an ``async def`` in ``serve/``
-skip that choice and can stall every connection.  Code inside a nested
-``lambda`` or sync ``def`` is exempt — that is exactly the idiom of
-handing a call to ``_run_store``.
+inline on the event loop when it touches at most two shards and all are
+cached, on the bounded decode pool otherwise.  Store query calls,
+``time.sleep``, and ``socket`` module calls directly inside an
+``async def`` in ``serve/`` skip that choice and can stall every
+connection.  Code inside a nested ``lambda`` or sync ``def`` is exempt —
+that is exactly the idiom of handing a call to ``_run_store``.
 """
 
 from __future__ import annotations

@@ -21,13 +21,13 @@ Design rules:
   (a lock guards cache mutation), so hot shards are decoded once no matter
   which connection asked first.
 * **Warm calls run inline, cold calls run on the pool; the loop never
-  decodes on purpose.**  A store call whose shards are all in the LRU
-  (:meth:`~repro.store.ShardStore.cached`) runs right on the event loop —
-  a hop to a thread and back costs more than the call.  Every other call,
-  and every call without a source window, runs on a bounded
+  decodes on purpose.**  A store call that touches at most two shards, all
+  in the LRU (:meth:`~repro.store.ShardStore.cached`), runs right on the
+  event loop — a hop to a thread and back costs more than the call.  Every
+  other call, and every call without a source window, runs on a bounded
   :class:`~concurrent.futures.ThreadPoolExecutor` (``decode_threads``), so
-  a cold multi-megabyte decode cannot stall unrelated connections.
-  ``serve.store_calls`` counts both paths.
+  neither a cold decode nor a warm bulk copy stalls unrelated
+  connections.  ``serve.store_calls`` counts where each store call ran.
 * **Scalar requests coalesce into batch calls.**  Concurrent ``degree`` /
   ``neighbors`` requests that land in the same event-loop tick are folded
   into one ``store.degrees`` / ``store.edges_for_sources`` call (the PR 1
@@ -240,6 +240,12 @@ def _arg_bool(args: dict, name: str, default: bool = False) -> bool:
     return value
 
 
+#: The most shards a store call may touch and still run on the event loop.
+#: Two covers a point call near a shard boundary and every call on a
+#: two-shard store.
+_INLINE_MAX_SHARDS = 2
+
+
 def _window(vertices: List[int]) -> Tuple[int, int]:
     """The ``(min, max)`` source window of a vertex list; ``(0, -1)``, a
     window no shard overlaps, when the list is empty."""
@@ -261,8 +267,8 @@ class ShardStoreServer:
         :attr:`port` after :meth:`start`.
     decode_threads:
         Size of the thread pool cold store calls run on — the bound on
-        concurrent shard decodes.  Calls whose shards are all cached run
-        on the event loop instead.
+        concurrent shard decodes.  Calls touching at most two shards, all
+        cached, run on the event loop instead.
     max_request_bytes:
         Cap on incoming request frames; an oversized length prefix gets one
         error frame and the connection is closed.
@@ -392,8 +398,8 @@ class ShardStoreServer:
         self._started_at_wall = time.time()
 
     async def stop(self, *, grace_s: float = 5.0) -> None:
-        """Graceful stop: close the listener, close every connection parked
-        between frames, let every in-flight request finish and flush its
+        """Graceful stop: close every connection parked between frames and
+        the listener, let every in-flight request finish and flush its
         response, then — after *grace_s* — abort any connection a stalled
         client is keeping open, and drop the pool.  Returns once every
         connection handler has finished."""
@@ -405,21 +411,21 @@ class ShardStoreServer:
                 uptime_s=round(time.monotonic() - self._started_at, 3))
         self.profiler.stop()
         if self._stop_event is not None:
-            # From here on no handler starts and none reads another frame.
+            # From here on no handler starts and none parks for another
+            # frame, so the parked set is final.
             self._stop_event.set()
-        if self._server is not None:
+        for task in list(self._parked):
+            task.cancel()  # the read ends; the handler closes and exits
+        listener, self._server = self._server, None
+        if listener is not None:
             # Stop accepting, then let the loop turn once before closing:
             # an accept already under way must create its transport while
             # the listener is open (asyncio asserts so); _accept then
             # closes the connection.
-            for sock in self._server.sockets:
+            for sock in listener.sockets:
                 self._loop.remove_reader(sock.fileno())
             await asyncio.sleep(0)
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._parked):
-            task.cancel()  # the read ends; the handler closes and exits
+            listener.close()
         if self._tasks:
             _, pending = await asyncio.wait(list(self._tasks),
                                             timeout=grace_s)
@@ -431,6 +437,11 @@ class ShardStoreServer:
                 for task in pending:
                     task.cancel()
                 await asyncio.gather(*pending, return_exceptions=True)
+        if listener is not None:
+            # Last: from Python 3.12.1 on this also waits for every
+            # accepted connection to drop, which only the steps above make
+            # happen.
+            await listener.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -629,18 +640,28 @@ class ShardStoreServer:
 
     def _inline(self, sources: Optional[Tuple[int, int]]) -> bool:
         """Whether a store call over the source window *sources*
-        ``(lo, hi)`` runs on the event loop — every shard it touches is
-        cached — counted in ``serve.store_calls`` by the path it takes."""
-        inline = sources is not None and self.store.cached(*sources)
+        ``(lo, hi)`` runs on the event loop (see :meth:`_run_store`).
+        Calls with a window are counted in ``serve.store_calls`` by the
+        path they take; calls without one are not store calls and are not
+        counted."""
+        if sources is None:
+            return False
+        inline = self.store.cached(*sources, max_shards=_INLINE_MAX_SHARDS)
         self._store_calls["inline" if inline else "pool"].inc()
         return inline
 
     async def _run_store(self, fn, *args,
                          sources: Optional[Tuple[int, int]] = None):
         """Run one store call where it is cheapest: inline on the event loop
-        when every shard overlapping the source window *sources*
-        ``(lo, hi)`` is cached, on the bounded decode pool otherwise — and
-        always on the pool for a call without a window.
+        when the source window *sources* ``(lo, hi)`` overlaps at most
+        :data:`_INLINE_MAX_SHARDS` shards and all of them are cached, on the
+        bounded decode pool otherwise.  A call without a window (metrics,
+        profile, reset_stats, the router's rollups) always runs on the pool.
+
+        The shard bound keeps a warm bulk call — a wide range, a subgraph
+        or egonet over a many-shard store — from copying tens of megabytes
+        while every other connection waits; a warm point call touches one
+        or two shards and costs less than the hop to a thread and back.
 
         An inline call runs in the handler's own context, so its spans
         nest under ``serve.<op>``.  ``run_in_executor`` does *not* carry

@@ -45,12 +45,12 @@ the split: ``resident_bytes`` counts private copies held by the cache,
 The cache and its ``shard_reads`` / ``cache_hits`` counters are
 **concurrent-safe**: a lock guards every cache mutation, so one store can be
 shared by many reader threads — the serving pattern of
-:mod:`repro.serve`, whose asyncio front-end answers calls whose shards are
-all cached (:meth:`ShardStore.cached`) on its event loop and fans the rest
-out to a thread pool.  Shard *decodes* run outside the lock (two threads
-missing on the same shard may both read the file; the loser's rows are
-dropped and counted as a read), so concurrent misses on different shards
-overlap their I/O.
+:mod:`repro.serve`, whose asyncio front-end answers calls over at most two
+shards, all cached (:meth:`ShardStore.cached`), on its event loop and fans
+the rest out to a thread pool.  Shard *decodes* run outside the lock (two
+threads missing on the same shard may both read the file; the loser's rows
+are dropped and counted as a read), so concurrent misses on different
+shards overlap their I/O.
 
 Telemetry lives on a :class:`repro.obs.MetricsRegistry` (PR 8): the
 counters are ``store.shard_reads`` / ``store.cache_hits`` series and the
@@ -144,7 +144,8 @@ class StoreQueryMixin:
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return rows if with_payload else rows[:, :2]
 
-    def cached(self, lo: int, hi: int) -> bool:
+    def cached(self, lo: int, hi: int, *,
+               max_shards: Optional[int] = None) -> bool:
         """Whether a query over sources ``[lo, hi]`` is answered from memory
         without blocking.  ``False`` here: a store without a local LRU (the
         fleet façade's calls block on worker sockets) always answers off
@@ -506,11 +507,15 @@ class ShardStore(StoreQueryMixin):
         last = int(np.searchsorted(self._src_min, hi_inclusive, side="right"))
         return first, max(first, last)
 
-    def cached(self, lo: int, hi: int) -> bool:
+    def cached(self, lo: int, hi: int, *,
+               max_shards: Optional[int] = None) -> bool:
         """Whether every shard overlapping sources ``[lo, hi]`` is in the
-        LRU.  Decodes nothing, bumps no counter and leaves the LRU order
-        alone; the answer can go stale as soon as the lock is released."""
+        LRU — and, given *max_shards*, at most that many overlap.  Decodes
+        nothing, bumps no counter and leaves the LRU order alone; the
+        answer can go stale as soon as the lock is released."""
         first, last = self._overlapping(lo, hi)
+        if max_shards is not None and last - first > max_shards:
+            return False
         with self._lock:
             return all(index in self._cache for index in range(first, last))
 

@@ -648,8 +648,8 @@ class TestStoreCallPaths:
         assert stats["server"]["store_calls"] == {"inline": 9, "pool": 0}
         assert stats["store"]["shard_reads"] == 0
         assert 'serve_store_calls{path="inline"} 9' in prometheus
-        # The metrics snapshot itself has no source window: one pool call.
-        assert 'serve_store_calls{path="pool"} 1' in prometheus
+        # The metrics snapshot has no source window: not a store call.
+        assert 'serve_store_calls{path="pool"} 0' in prometheus
 
     def test_cold_batch_runs_on_the_pool(self, store_dir, local_store):
         with ThreadedServer(store_dir, cache_shards=2) as fresh:
@@ -661,6 +661,24 @@ class TestStoreCallPaths:
         assert stats["store"]["n_shards"] > stats["store"]["cache_shards"]
         assert stats["server"]["store_calls"] == {"inline": 0, "pool": 1}
         assert stats["store"]["shard_reads"] == stats["store"]["n_shards"]
+
+    def test_warm_call_over_more_than_two_shards_runs_on_the_pool(
+            self, store_dir, local_store):
+        """Cached or not, a call whose window overlaps three shards copies
+        too much for the loop: it runs on the pool."""
+        a, b, c3 = (_inner_vertex(local_store, i) for i in range(3))
+        with ThreadedServer(store_dir, cache_shards=10_000) as fresh:
+            with QueryClient(fresh.host, fresh.port) as c:
+                c.edges_in_range(0, c.n_vertices)  # every shard cached
+                c.reset_stats()
+                for lo, hi in ((a, b + 1), (a, c3 + 1)):
+                    assert np.array_equal(
+                        c.edges_in_range(lo, hi, with_payload=True),
+                        local_store.edges_in_range(lo, hi,
+                                                   with_payload=True))
+            stats = fresh.server.stats()
+        assert stats["server"]["store_calls"] == {"inline": 1, "pool": 1}
+        assert stats["store"]["shard_reads"] == 0
 
     def test_eviction_between_check_and_call_decodes_inline(self, store_dir,
                                                             local_store):
@@ -674,8 +692,8 @@ class TestStoreCallPaths:
                 c.degrees([v])  # v's shard is cached now
                 checked = store.cached
 
-                def check_then_evict(lo, hi):
-                    warm = checked(lo, hi)
+                def check_then_evict(lo, hi, **bound):
+                    warm = checked(lo, hi, **bound)
                     store.clear_cache()  # the race, made certain
                     return warm
 
@@ -735,6 +753,38 @@ class TestGracefulStop:
         assert [r.getMessage() for r in caplog.records
                 if r.name == "asyncio"] == []
 
+    def test_idle_connection_cannot_hold_stop_open(self, store_dir):
+        """From Python 3.12.1, ``Server.wait_closed()`` waits until every
+        accepted connection has dropped.  ``stop()`` closes the connections
+        parked between frames before it waits on the listener, so an idle
+        client cannot keep it from returning.  The newer ``wait_closed``
+        is emulated here, so this holds on every Python."""
+        async def main():
+            server = ShardStoreServer(store_dir, cache_shards=8)
+            await server.start()
+            listener = server._server
+            loop = asyncio.get_running_loop()
+
+            async def wait_closed():  # CPython 3.12.1's Server.wait_closed
+                if listener._waiters is None:
+                    return
+                waiter = loop.create_future()
+                listener._waiters.append(waiter)
+                await waiter
+
+            listener.wait_closed = wait_closed
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            try:
+                writer.write(protocol.encode_frame(
+                    protocol.request_frame("hello")))
+                assert (await protocol.read_frame_async(reader))["ok"]
+                await asyncio.wait_for(server.stop(grace_s=60), timeout=10)
+                assert await reader.read() == b""  # closed by the server
+            finally:
+                writer.close()
+        asyncio.run(main())
+
     def test_in_flight_request_answered_while_idle_connections_close(
             self, store_dir, local_store):
         with ThreadedServer(store_dir, cache_shards=8) as fresh:
@@ -748,7 +798,8 @@ class TestGracefulStop:
                 return degrees(vs)
 
             store.degrees = held_degrees
-            store.cached = lambda lo, hi: False  # pool: the loop stays free
+            # The pool, so the loop stays free.
+            store.cached = lambda lo, hi, **bound: False
             results = {}
 
             def request():

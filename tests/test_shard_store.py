@@ -489,6 +489,22 @@ class TestCachedCheck:
         assert not store.cached(0, 0)
         assert store.cached(store.n_vertices - 1, store.n_vertices - 1)
 
+    def test_max_shards_bounds_the_window(self, store_dir):
+        store = ShardStore(store_dir, cache_shards=store_n(store_dir))
+        assert store.n_shards > 2
+        store.edges_in_range(0, store.n_vertices)  # every shard cached
+        counters = (store.shard_reads, store.cache_hits)
+        inner = []
+        for shard in store.manifest["shards"][:3]:
+            vertex = (shard["src_min"] + shard["src_max"]) // 2
+            assert shard["src_min"] < vertex < shard["src_max"]
+            inner.append(vertex)
+        assert store.cached(inner[0], inner[1], max_shards=2)
+        assert not store.cached(inner[0], inner[2], max_shards=2)
+        assert store.cached(inner[0], inner[2], max_shards=3)
+        assert store.cached(inner[0], inner[2])
+        assert (store.shard_reads, store.cache_hits) == counters
+
 
 class TestCacheLookups:
     """A query looks each shard up in the LRU once, so ``shard_reads`` and
