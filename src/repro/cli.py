@@ -57,9 +57,13 @@ published artefacts of the paper:
     Put a compacted store behind a socket: the :mod:`repro.serve` asyncio
     front-end (one concurrent-safe :class:`~repro.store.ShardStore`, warm
     store calls over at most two shards on the event loop and the rest on
-    a bounded thread pool, concurrent scalar queries coalesced into batch
-    calls).  Stops gracefully on Ctrl-C or a client ``shutdown`` request,
-    then prints the request/cache statistics.
+    a bounded decode pool — one thread unless ``--threads`` says
+    otherwise, since decodes hold the GIL — concurrent scalar queries
+    coalesced into batch calls).  With ``--fleet`` the slice workers get
+    ``--threads`` and the router keeps its own four-thread pool, whose
+    threads wait on worker sockets.  Stops gracefully on Ctrl-C or a
+    client ``shutdown`` request, then prints the request/cache
+    statistics.
 
 ``repro-kron profile``
     Arm a running server's continuous sampling profiler for a few
@@ -304,10 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache", type=int, default=8,
                        help="decoded shards kept in the store's LRU "
                             "(default 8; shared by every connection)")
-    serve.add_argument("--threads", type=int, default=4,
+    serve.add_argument("--threads", type=int, default=1,
                        help="bounded pool cold store calls (shard decodes) "
                             "run on; a call touching at most two shards, "
-                            "all cached, runs on the event loop (default 4)")
+                            "all cached, runs on the event loop (default 1: "
+                            "decodes hold the GIL, so more threads overlap "
+                            "nothing; with --fleet this sizes the slice "
+                            "workers' pools, the router keeps 4)")
     serve.add_argument("--fleet", type=int, default=None, metavar="N",
                        help="partition the store into N contiguous "
                             "vertex-range slices, spawn one in-process "
@@ -737,7 +744,6 @@ def _serve_fleet(args: argparse.Namespace) -> int:
                          "addresses": addresses})
         fleet = FleetStore(spec, info)
         router = RangeRouter(fleet, host=args.host, port=args.port,
-                             decode_threads=args.threads,
                              slow_query_us=_slow_query_us(args))
 
         async def _run() -> None:
@@ -772,6 +778,11 @@ def _serve_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # Checked before anything opens, for a fleet's workers too.
+    if args.threads < 1:
+        raise SystemExit("--threads needs at least 1 decode thread")
+    if args.cache < 1:
+        raise SystemExit("--cache needs at least 1 cached shard")
     if args.fleet is not None:
         return _serve_fleet(args)
     store = ShardStore(args.store, cache_shards=args.cache)

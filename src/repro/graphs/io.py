@@ -25,12 +25,14 @@ Formats
   :func:`read_edge_shard`, the one reader the compactor and the shard store
   share.  A shard file is exactly what ``np.save`` writes for a C-contiguous
   little-endian ``int64`` 2-D array; the reader checks that fixed header
-  itself and maps the rows with ``np.memmap`` — no general ``.npy`` parse.
+  itself and views the rows through one read-only ``mmap`` of the file — no
+  general ``.npy`` parse.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import re
 import struct
@@ -523,10 +525,14 @@ def read_edge_shard(path: PathLike, columns: Sequence[str], *,
     header, width or size disagrees with its manifest fails identically
     everywhere — with a :class:`ValueError` naming the file.  The header is
     checked against the one fixed layout the writers produce, and the rows
-    are then read at its data offset: ``mmap_mode="r"`` returns a read-only
-    ``np.memmap`` of them, ``None`` a private copy read with
+    are then read at its data offset: ``mmap_mode="r"`` returns a plain
+    read-only ``ndarray`` viewing them through one ``mmap.mmap`` of the file
+    (its ``base``; the mapping holds a duplicate of the file descriptor and
+    is released with the last view), ``None`` a private copy read with
     ``np.fromfile``.  Neither path parses Python literals, so concurrent
-    decodes from many threads need no lock.
+    decodes from many threads need no lock.  The view is a base-class
+    array on purpose: numpy's memmap subclass runs Python hooks on every
+    slice taken of it, a cost each query would pay.
     """
     if mmap_mode not in (None, "r"):
         raise ValueError(f"edge shards are read-only: mmap_mode must be 'r' "
@@ -537,9 +543,11 @@ def read_edge_shard(path: PathLike, columns: Sequence[str], *,
         if mmap_mode is None:
             return np.fromfile(handle, dtype=_SHARD_DTYPE,
                                count=rows * shape[1]).reshape(shape)
-        # The open handle is passed on: numpy maps it without a second open.
-        return np.memmap(handle, dtype=_SHARD_DTYPE, mode="r",
-                         offset=offset, shape=shape)
+        # The header check proved the file holds at least the header, so
+        # the mapping is never empty, even for a 0-row shard.
+        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        return np.ndarray(shape, dtype=_SHARD_DTYPE, buffer=mapping,
+                          offset=offset)
 
 
 def iter_edge_shards(directory: PathLike, *, mmap_mode: Optional[str] = None):
@@ -548,10 +556,11 @@ def iter_edge_shards(directory: PathLike, *, mmap_mode: Optional[str] = None):
     file whose header, width or size disagrees with the manifest raises a
     :class:`ValueError` naming the file (:func:`read_edge_shard`).
 
-    ``mmap_mode="r"`` yields read-only memory maps instead of private copies
-    — the right mode for read-only sweeps and for feeding compaction, where
-    the consumer makes its own copy anyway.  The default (``None``) keeps the
-    historical copy-per-shard behaviour for callers that mutate the blocks.
+    ``mmap_mode="r"`` yields read-only views over one memory map per shard
+    instead of private copies — the right mode for read-only sweeps and for
+    feeding compaction, where the consumer makes its own copy anyway.  The
+    default (``None``) keeps the historical copy-per-shard behaviour for
+    callers that mutate the blocks.
     """
     directory = Path(directory)
     manifest = read_shard_manifest(directory)

@@ -13,8 +13,8 @@ work through :meth:`Histogram.time` or :func:`repro.obs.trace.span`.
   propagated across threads via ``contextvars`` and across the wire via
   the additive ``"trace"`` request key.
 * :mod:`repro.obs.events` — a bounded flight-recorder ring buffer of
-  structured operational events (failovers, evictions, slow requests),
-  each stamped with the active trace id.
+  structured operational events (failovers, slow requests, internal
+  faults), each stamped with the active trace id.
 * :mod:`repro.obs.profile` — a continuous sampling profiler folding
   ``sys._current_frames()`` into bounded per-thread-role stack
   aggregates that merge with ``+`` across a fleet.

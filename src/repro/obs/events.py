@@ -3,11 +3,11 @@
 The third observability pillar next to :mod:`repro.obs.metrics` (how much /
 how fast) and :mod:`repro.obs.trace` (where one request spent its time):
 the :class:`EventLog` records *what happened around* the requests — a
-replica died, the router failed over, the store evicted a hot shard, a
-request crossed the slow threshold, a server began its graceful shutdown —
-as small JSON-able dicts in arrival order, capped at ``max_events`` so a
-misbehaving fleet can never grow the log without bound (the overflow is
-counted, not silently dropped).
+replica died, the router failed over, a request crossed the slow
+threshold, a request hit an internal fault, a server began its graceful
+shutdown — as small JSON-able dicts in arrival order, capped at
+``max_events`` so a misbehaving fleet can never grow the log without bound
+(the overflow is counted, not silently dropped).
 
 Event records are flat dicts::
 
@@ -20,8 +20,8 @@ Event records are flat dicts::
   clock, not monotonic, so events from the router and its workers
   interleave into one timeline;
 * ``kind`` follows the registry's dotted ``layer.noun`` naming
-  (``fleet.failover``, ``fleet.replica_death``, ``store.shard_evicted``,
-  ``serve.slow_request``, ``serve.internal_error``, ``serve.shutdown``);
+  (``fleet.failover``, ``fleet.replica_death``, ``serve.slow_request``,
+  ``serve.internal_error``, ``serve.shutdown``);
 * ``trace`` is stamped automatically from the active
   :func:`repro.obs.trace.current` context (or passed explicitly by a
   caller whose trace context has already been exited), linking the event
@@ -47,10 +47,12 @@ __all__ = ["EventLog", "merge_events"]
 
 #: The event kinds the serving stack emits (informational — the log accepts
 #: any dotted kind; new emitters should extend this list and the ROADMAP).
+#: Per-request churn never goes here: LRU evictions, one per cold decode,
+#: are the ``store.evictions`` counter, or they would flush every other
+#: event out of the ring.
 KNOWN_EVENT_KINDS = (
     "fleet.failover",
     "fleet.replica_death",
-    "store.shard_evicted",
     "serve.slow_request",
     "serve.internal_error",
     "serve.shutdown",

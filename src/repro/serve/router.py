@@ -501,18 +501,22 @@ class RangeRouter(ShardStoreServer):
     workers they could not reach (all of these do wire I/O and therefore
     run on the executor, never the event loop).  The façade's ``cached``
     is always false, so its query calls — coalesced flushes included —
-    run on the executor too.  The fleet's registry is adopted as the
-    router's, so ``metrics`` serves the ``fleet.worker_*`` series
-    alongside the inherited ``serve.*`` ones, and the inherited
+    run on the executor too.  That executor keeps four threads by default
+    (``decode_threads=4``) where a store server keeps one: its threads
+    spend their calls waiting on worker sockets with the GIL released, so
+    more than one of them overlaps real waiting.  The fleet's registry is
+    adopted as the router's, so ``metrics`` serves the ``fleet.worker_*``
+    series alongside the inherited ``serve.*`` ones, and the inherited
     ``reset_stats`` fans out to every worker through
     :meth:`FleetStore.reset_stats`.
     """
 
-    def __init__(self, fleet: FleetStore, **kwargs):
+    def __init__(self, fleet: FleetStore, *, decode_threads: int = 4,
+                 **kwargs):
         if not isinstance(fleet, FleetStore):
             raise TypeError(
                 f"RangeRouter serves a FleetStore, got {type(fleet).__name__}")
-        super().__init__(fleet, **kwargs)
+        super().__init__(fleet, decode_threads=decode_threads, **kwargs)
 
     @property
     def fleet(self) -> FleetStore:

@@ -28,6 +28,12 @@ Design rules:
   :class:`~concurrent.futures.ThreadPoolExecutor` (``decode_threads``), so
   neither a cold decode nor a warm bulk copy stalls unrelated
   connections.  ``serve.store_calls`` counts where each store call ran.
+  A store server decodes on **one** pool thread by default: a decode is
+  Python code under the GIL, and a mapped shard's page faults are taken
+  inside numpy calls that hold it too, so a second decode thread overlaps
+  nothing and only adds CPU.  The range router keeps a four-thread pool
+  (:class:`~repro.serve.router.RangeRouter`): its pool threads wait on
+  worker sockets with the GIL released.
 * **Scalar requests coalesce into batch calls.**  Concurrent ``degree`` /
   ``neighbors`` requests that land in the same event-loop tick are folded
   into one ``store.degrees`` / ``store.edges_for_sources`` call (the PR 1
@@ -267,8 +273,9 @@ class ShardStoreServer:
         :attr:`port` after :meth:`start`.
     decode_threads:
         Size of the thread pool cold store calls run on — the bound on
-        concurrent shard decodes.  Calls touching at most two shards, all
-        cached, run on the event loop instead.
+        concurrent shard decodes (≥ 1; default 1, see the design rules
+        above).  Calls touching at most two shards, all cached, run on the
+        event loop instead.
     max_request_bytes:
         Cap on incoming request frames; an oversized length prefix gets one
         error frame and the connection is closed.
@@ -282,28 +289,30 @@ class ShardStoreServer:
     """
 
     def __init__(self, store, *, host: str = "127.0.0.1", port: int = 0,
-                 decode_threads: int = 4,
+                 decode_threads: int = 1,
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
                  max_coalesce_batch: int = 1024,
                  cache_shards: int = 8,
                  slow_query_us: Optional[int] = None):
+        if decode_threads < 1:
+            raise ValueError(
+                f"decode_threads must be >= 1, got {decode_threads}")
         # One registry per server process view: a store opened here joins
         # it, a pre-opened store (or fleet façade) brings its own, so
         # server and store stats are views over the same series.
         if isinstance(store, (str, Path)):
             self.registry = MetricsRegistry()
-            self.events = EventLog()
             store = ShardStore(store, cache_shards=cache_shards,
-                               registry=self.registry, events=self.events)
+                               registry=self.registry)
         else:
             self.registry = getattr(store, "registry", None) or MetricsRegistry()
-            # One flight recorder per server process view, same adoption
-            # rule as the registry: a store (or fleet façade) that brings
-            # its own event log shares it, so store evictions and server
-            # events land on one timeline.  (Explicit None test: an empty
-            # EventLog is len()-falsy and must still be adopted.)
-            adopted = getattr(store, "events", None)
-            self.events = adopted if adopted is not None else EventLog()
+        # One flight recorder per server process view, same adoption rule
+        # as the registry: a fleet façade brings its own event log, so its
+        # failovers and the router's events land on one timeline.
+        # (Explicit None test: an empty EventLog is len()-falsy and must
+        # still be adopted.)
+        adopted = getattr(store, "events", None)
+        self.events = adopted if adopted is not None else EventLog()
         self.profiler = SamplingProfiler()
         self.store = store
         self.host = host

@@ -495,8 +495,9 @@ def fleet_store_counters(store_sections: Sequence[dict], *,
     server.  ``n_shards`` is the *parent* store's count (boundary shards are
     listed by two slices and must not be double-counted)."""
     summed = {key: sum(int(section[key]) for section in store_sections)
-              for key in ("shard_reads", "cache_hits", "cached_shards",
-                          "cache_shards", "resident_bytes", "mapped_bytes")}
+              for key in ("shard_reads", "cache_hits", "evictions",
+                          "cached_shards", "cache_shards", "resident_bytes",
+                          "mapped_bytes")}
     return {
         **summed,
         "n_shards": int(n_shards),

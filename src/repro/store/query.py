@@ -27,9 +27,10 @@ Python loop anywhere in the query path.
 
 **Decodes are zero-copy by default**: shards are opened through
 :func:`repro.graphs.io.read_edge_shard` with ``mmap_mode="r"`` — a fixed
-header check, then an ``np.memmap`` of the rows; the same reader
-compaction uses for its merge runs — so the LRU caches read-only *views* of
-the on-disk files, not private copies, and a warm bulk query
+header check, then a plain read-only ``ndarray`` over one ``mmap`` of the
+file; the same reader compaction uses for its merge runs — so the LRU
+caches read-only *views* of the on-disk files, not private copies, and no
+slice a query takes runs Python hooks.  A warm bulk query
 (``edges_in_range`` feeding the :mod:`repro.serve` binary data plane)
 slices the page cache instead of burning CPU on array copies.
 ``mmap=False`` opts back into eager copies (e.g. when the store lives on a
@@ -42,21 +43,27 @@ descriptor — is released as soon as the last outstanding query view dies
 the split: ``resident_bytes`` counts private copies held by the cache,
 ``mapped_bytes`` counts bytes addressable through cached mappings.
 
+A batch call (``degrees``, ``edges_for_sources``, ``edge_payloads``) visits
+only the shards that hold rows of its vertices (:meth:`ShardStore._holding`),
+not every shard between its smallest and largest vertex: a uniform batch
+over a many-shard store spans most of the store but lives in a few of its
+shards.
+
 The cache and its ``shard_reads`` / ``cache_hits`` counters are
 **concurrent-safe**: a lock guards every cache mutation, so one store can be
 shared by many reader threads — the serving pattern of
 :mod:`repro.serve`, whose asyncio front-end answers calls over at most two
-shards, all cached (:meth:`ShardStore.cached`), on its event loop and fans
-the rest out to a thread pool.  Shard *decodes* run outside the lock (two
+shards, all cached (:meth:`ShardStore.cached`), on its event loop and runs
+the rest on its decode thread.  Shard *decodes* run outside the lock (two
 threads missing on the same shard may both read the file; the loser's rows
 are dropped and counted as a read), so concurrent misses on different
 shards overlap their I/O.
 
 Telemetry lives on a :class:`repro.obs.MetricsRegistry` (PR 8): the
-counters are ``store.shard_reads`` / ``store.cache_hits`` series and the
-cache occupancy is exposed as callback gauges, so :meth:`ShardStore.stats`
-is a *view* over the registry a server shares with this store rather than a
-private dict; :meth:`ShardStore.reset_stats` rearms the counters between
+counters are ``store.shard_reads`` / ``store.cache_hits`` /
+``store.evictions`` series and the cache occupancy is exposed as callback
+gauges, so :meth:`ShardStore.stats` is a *view* over the registry a server
+shares with this store rather than a private dict; :meth:`ShardStore.reset_stats` rearms the counters between
 measurement windows.  A cache-miss decode opens a ``store.decode`` trace
 span when a request trace is active (:mod:`repro.obs.trace`), which is how
 a routed query's span tree reaches all the way down to the shard file.
@@ -64,9 +71,10 @@ a routed query's span tree reaches all the way down to the shard file.
 
 from __future__ import annotations
 
+import mmap as _mmap
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,8 +84,8 @@ from repro.graphs.egonet import Egonet
 from repro.graphs.egonet import egonet as _extract_egonet
 from repro.graphs.io import read_edge_shard, read_shard_manifest
 from repro.lint.runtime import new_lock
-from repro.obs import EventLog, MetricsRegistry, trace
-from repro.perf.kernels import ragged_take
+from repro.obs import MetricsRegistry, trace
+from repro.perf.kernels import ragged_range, ragged_take
 
 __all__ = ["ShardStore", "StoreQueryMixin"]
 
@@ -284,24 +292,23 @@ class ShardStore(StoreQueryMixin):
         Number of decoded shards kept in the LRU cache (≥ 1).  The cache is
         the store's only O(edges) memory; everything else is manifest-sized.
     mmap:
-        ``True`` (default) decodes shards as read-only ``np.memmap`` views
-        (:func:`~repro.graphs.io.read_edge_shard` with ``mmap_mode="r"``) so
-        the cache holds read-only views of the files — zero copies on the
-        bulk read path, one open mapping (and file descriptor) per cached
-        shard, released on eviction.  ``False`` opts back into eager array
-        copies (no open files kept; each decode pays a full read).
+        ``True`` (default) decodes shards as plain read-only arrays over one
+        ``mmap`` of each file (:func:`~repro.graphs.io.read_edge_shard` with
+        ``mmap_mode="r"``) so the cache holds read-only views of the files
+        — zero copies on the bulk read path, one open mapping (and file
+        descriptor) per cached shard, released on eviction.  ``False`` opts
+        back into eager array copies (no open files kept; each decode pays
+        a full read).
     registry:
         The :class:`repro.obs.MetricsRegistry` to register this store's
-        series on (``store.shard_reads``, ``store.cache_hits`` and the
-        occupancy gauges).  A server passes its own registry here so server
-        and store stats are views over one registry; ``None`` creates a
-        private one.  One store per registry — the occupancy gauges are
-        callback-backed.
-    events:
-        The :class:`repro.obs.EventLog` flight recorder LRU evictions are
-        announced on (``store.shard_evicted`` events).  Shared with the
-        serving layer exactly like *registry*; ``None`` creates a private
-        one.
+        series on (``store.shard_reads``, ``store.cache_hits``,
+        ``store.evictions`` and the occupancy gauges).  A server passes its
+        own registry here so server and store stats are views over one
+        registry; ``None`` creates a private one.  One store per registry —
+        the occupancy gauges are callback-backed.  An LRU eviction is
+        counted (``store.evictions``), not recorded on a flight recorder:
+        one per cold decode, such events would flush a server's other
+        events out of its ring.
 
     Attributes
     ----------
@@ -312,8 +319,7 @@ class ShardStore(StoreQueryMixin):
     """
 
     def __init__(self, directory: PathLike, *, cache_shards: int = 4,
-                 mmap: bool = True, registry: Optional[MetricsRegistry] = None,
-                 events: Optional[EventLog] = None):
+                 mmap: bool = True, registry: Optional[MetricsRegistry] = None):
         self.directory = Path(directory)
         manifest = read_shard_manifest(self.directory)
         if manifest["format_version"] < 2 or manifest.get("sorted_by") != "source":
@@ -331,6 +337,7 @@ class ShardStore(StoreQueryMixin):
         self.payload_columns = tuple(manifest["payload_columns"][2:])
         self._width = 2 + len(self.payload_columns)
         self._files = [shard["file"] for shard in manifest["shards"]]
+        self._paths = [self.directory / name for name in self._files]
         self._src_min = np.asarray(
             [shard["src_min"] for shard in manifest["shards"]], dtype=np.int64)
         self._src_max = np.asarray(
@@ -348,9 +355,9 @@ class ShardStore(StoreQueryMixin):
         # can be read mid-serve without touching this lock.
         self._lock = new_lock("store.lru")
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.events = events if events is not None else EventLog()
         self._shard_reads = self.registry.counter("store.shard_reads")
         self._cache_hits = self.registry.counter("store.cache_hits")
+        self._evictions = self.registry.counter("store.evictions")
         self.registry.gauge("store.cached_shards",
                             fn=lambda: self._cache_usage()[2])
         self.registry.gauge("store.resident_bytes",
@@ -377,10 +384,9 @@ class ShardStore(StoreQueryMixin):
         # overlap their file I/O; a racing miss on the same shard costs one
         # redundant decode (counted below) but never corrupts the cache.
         with trace.span("store.decode", shard=self._files[index]):
-            rows = _load_shard_file(self.directory / self._files[index],
+            rows = _load_shard_file(self._paths[index],
                                     self.manifest["payload_columns"],
                                     mmap_mode="r" if self.mmap else None)
-        evicted_index = None
         with self._lock:
             self._shard_reads.inc()
             cached = self._cache.get(index)
@@ -390,14 +396,8 @@ class ShardStore(StoreQueryMixin):
             entry = [rows, None]
             self._cache[index] = entry
             if len(self._cache) > self.cache_shards:
-                evicted_index, _ = self._cache.popitem(last=False)
-        if evicted_index is not None:
-            # Emitted after the lock is released: the event log is a leaf in
-            # the lock-order digraph and must stay one — no store.lru →
-            # obs.events edge.
-            self.events.emit("store.shard_evicted",
-                             shard=self._files[evicted_index],
-                             cache_shards=self.cache_shards)
+                self._cache.popitem(last=False)
+                self._evictions.inc()
         return entry
 
     def _shard(self, index: int) -> np.ndarray:
@@ -445,7 +445,7 @@ class ShardStore(StoreQueryMixin):
             resident = 0
             mapped = 0
             for rows, keys in self._cache.values():
-                if isinstance(rows, np.memmap):
+                if isinstance(rows.base, _mmap.mmap):
                     mapped += rows.nbytes
                 else:
                     resident += rows.nbytes
@@ -470,7 +470,8 @@ class ShardStore(StoreQueryMixin):
         The serving layer (:mod:`repro.serve`) exposes this verbatim through
         its ``stats`` request, so the keys are part of the wire surface:
         ``shard_reads`` (files decoded from disk), ``cache_hits`` (queries
-        served from the decoded-shard LRU), ``cached_shards`` (current
+        served from the decoded-shard LRU), ``evictions`` (decoded shards
+        dropped by LRU overflow), ``cached_shards`` (current
         occupancy), ``cache_shards`` (capacity), ``n_shards``, ``mmap``
         (whether decodes are zero-copy mappings), and the bytes-resident
         split: ``resident_bytes`` counts private array copies the cache
@@ -485,6 +486,7 @@ class ShardStore(StoreQueryMixin):
         return {
             "shard_reads": self._shard_reads.value,
             "cache_hits": self._cache_hits.value,
+            "evictions": self._evictions.value,
             "cached_shards": cached,
             "cache_shards": self.cache_shards,
             "n_shards": self.n_shards,
@@ -494,10 +496,12 @@ class ShardStore(StoreQueryMixin):
         }
 
     def reset_stats(self) -> None:
-        """Zero ``shard_reads`` / ``cache_hits`` (decoded shards stay cached),
-        so a measurement window can start from a warm cache."""
+        """Zero ``shard_reads`` / ``cache_hits`` / ``evictions`` (decoded
+        shards stay cached), so a measurement window can start from a warm
+        cache."""
         self._shard_reads.reset()
         self._cache_hits.reset()
+        self._evictions.reset()
 
     def _overlapping(self, lo: int, hi_inclusive: int) -> Tuple[int, int]:
         """Half-open shard-index range whose vertex ranges intersect
@@ -506,6 +510,21 @@ class ShardStore(StoreQueryMixin):
         first = int(np.searchsorted(self._src_max, lo, side="left"))
         last = int(np.searchsorted(self._src_min, hi_inclusive, side="right"))
         return first, max(first, last)
+
+    def _holding(self, vs: np.ndarray) -> List[int]:
+        """Sorted indices of the shards that hold rows of the sources in
+        *vs* — the shards a batch call visits.
+
+        Per vertex this is :meth:`_overlapping`'s search, vectorized: a
+        source's rows can run across a cut into the next shard (compaction
+        cuts inside a source), so a vertex may lie in two or more shards,
+        and a source in a gap between shard ranges lies in none.  The union
+        of those ranges is usually far smaller than every shard between the
+        batch's smallest and largest vertex."""
+        firsts = np.searchsorted(self._src_max, vs, side="left")
+        lasts = np.searchsorted(self._src_min, vs, side="right")
+        held = ragged_range(firsts, np.maximum(firsts, lasts))
+        return np.unique(held).tolist()
 
     def cached(self, lo: int, hi: int, *,
                max_shards: Optional[int] = None) -> bool:
@@ -526,7 +545,7 @@ class ShardStore(StoreQueryMixin):
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-vertex stored-entry counts and (optionally) self-loop flags.
 
-        One pass over the overlapping shard window serves both quantities —
+        One pass over the shards holding the batch serves both quantities —
         each shard is decoded exactly once, so a whole-store ``degrees`` call
         reads every shard once even when the window exceeds the LRU.  The
         self-loop probe looks only at each queried vertex's own rows: the
@@ -535,16 +554,9 @@ class ShardStore(StoreQueryMixin):
         """
         counts = np.zeros(vs.shape[0], dtype=np.int64)
         flags = np.zeros(vs.shape[0], dtype=bool)
-        if vs.size == 0 or self.n_shards == 0:
-            return counts, flags
-        first, last = self._overlapping(int(vs.min()), int(vs.max()))
-        for index in range(first, last):
+        for index in self._holding(vs):
             mask = (vs >= self._src_min[index]) & (vs <= self._src_max[index])
-            if not mask.any():
-                continue
-            # A plain-ndarray view of the cached rows: numpy.memmap runs
-            # Python hooks on every slice and fancy index taken below.
-            shard = self._shard(index).view(np.ndarray)
+            shard = self._shard(index)
             srcs = shard[:, 0]
             lefts = np.searchsorted(srcs, vs[mask], side="left")
             rights = np.searchsorted(srcs, vs[mask], side="right")
@@ -580,20 +592,15 @@ class ShardStore(StoreQueryMixin):
 
         The ragged batched gather underneath :meth:`neighbors` and
         :meth:`subgraph_adjacency`: one pair of ``searchsorted`` calls per
-        overlapping shard, one vectorized slice-concatenation, no per-edge
-        loop.  Duplicate sources in *vs* are deduplicated.  With
+        shard holding a queried source, one vectorized slice-concatenation,
+        no per-edge loop.  Duplicate sources in *vs* are deduplicated.  With
         ``with_payload=True`` the full ``(m, 2 + k)`` rows — topology plus
         the manifest's named ground-truth columns — are returned.
         """
         vs = np.unique(self._check_vertices(vs))
-        if vs.size == 0 or self.n_shards == 0:
-            return self._finish_rows([], with_payload)
-        first, last = self._overlapping(int(vs.min()), int(vs.max()))
         parts = []
-        for index in range(first, last):
+        for index in self._holding(vs):
             mask = (vs >= self._src_min[index]) & (vs <= self._src_max[index])
-            if not mask.any():
-                continue
             shard = self._shard(index)
             srcs = shard[:, 0]
             lefts = np.searchsorted(srcs, vs[mask], side="left")
@@ -633,8 +640,9 @@ class ShardStore(StoreQueryMixin):
         columns follow :attr:`payload_columns`.  Every queried pair must be a
         stored edge — a missing pair raises a :class:`ValueError` naming it
         (payloads of non-edges are not defined).  Lookups binary-search the
-        cached encoded ``src · n + dst`` keys of the overlapping shards, so
-        repeated probes against a warm region never re-scan a shard.
+        cached encoded ``src · n + dst`` keys of the shards holding the
+        queried sources, so repeated probes against a warm region never
+        re-scan a shard.
         """
         self._require_payload()
         ps = self._check_vertices(np.atleast_1d(np.asarray(ps, dtype=np.int64)))
@@ -652,23 +660,21 @@ class ShardStore(StoreQueryMixin):
                 f"n_vertices={self.n_vertices} is beyond that")
         n = np.int64(self.n_vertices)
         wanted = ps * n + qs
-        if self.n_shards:
-            first, last = self._overlapping(int(ps.min()), int(ps.max()))
-            for index in range(first, last):
-                todo = np.flatnonzero(~found
-                                      & (ps >= self._src_min[index])
-                                      & (ps <= self._src_max[index]))
-                if todo.size == 0:
-                    continue
-                entry = self._entry(index)
-                keys = self._shard_keys(entry)
-                pos = np.searchsorted(keys, wanted[todo])
-                in_range = pos < keys.shape[0]
-                safe = np.where(in_range, pos, 0)
-                hit = in_range & (keys[safe] == wanted[todo])
-                if hit.any():
-                    out[todo[hit]] = entry[0][pos[hit], 2:]
-                    found[todo[hit]] = True
+        for index in self._holding(ps):
+            todo = np.flatnonzero(~found
+                                  & (ps >= self._src_min[index])
+                                  & (ps <= self._src_max[index]))
+            if todo.size == 0:
+                continue  # found in an earlier shard the source straddles
+            entry = self._entry(index)
+            keys = self._shard_keys(entry)
+            pos = np.searchsorted(keys, wanted[todo])
+            in_range = pos < keys.shape[0]
+            safe = np.where(in_range, pos, 0)
+            hit = in_range & (keys[safe] == wanted[todo])
+            if hit.any():
+                out[todo[hit]] = entry[0][pos[hit], 2:]
+                found[todo[hit]] = True
         if not found.all():
             missing = int(np.flatnonzero(~found)[0])
             raise ValueError(

@@ -175,6 +175,17 @@ class TestCompactAndQuery:
         assert rc == 0
         return store
 
+    def test_serve_rejects_an_empty_pool_or_cache(self, store_dir):
+        """``serve`` names the bad flag before it opens anything, for a
+        single server and for a fleet's workers alike — never a traceback
+        from the thread pool or the store."""
+        for flags, message in ((["--threads", "0"], "--threads"),
+                               (["--fleet", "2", "--threads", "0"], "--threads"),
+                               (["--cache", "0"], "--cache"),
+                               (["--fleet", "2", "--cache", "0"], "--cache")):
+            with pytest.raises(SystemExit, match=message):
+                cli.main(["serve", str(store_dir), "--port", "0", *flags])
+
     def test_compact_writes_manifest_v2(self, store_dir, tmp_path, capsys):
         from repro.graphs import read_shard_manifest
 

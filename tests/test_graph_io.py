@@ -191,6 +191,7 @@ class TestEdgeShards:
         interpreter switching threads every microsecond and ``np.load`` /
         ``ast.literal_eval`` patched to fail if anything still calls them."""
         import ast
+        import mmap
         import sys
         import threading
 
@@ -218,7 +219,11 @@ class TestEdgeShards:
                         for path, rows in zip(paths, expected):
                             block = read_edge_shard(path, ["src", "dst"],
                                                     mmap_mode=mode)
-                            assert isinstance(block, np.memmap) == (mode == "r")
+                            # A mapped block is a read-only view over one
+                            # mmap; an eager block is a private copy.
+                            mapped = mode == "r"
+                            assert isinstance(block.base, mmap.mmap) == mapped
+                            assert block.flags.writeable == (not mapped)
                             assert np.array_equal(block, rows)
             except Exception as exc:  # surfaced on the main thread below
                 failures.append(exc)

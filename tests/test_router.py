@@ -709,6 +709,12 @@ class TestFleetCLI:
             assert "fleet of 2" in banner
             with QueryClient("127.0.0.1", int(match.group(1))) as c:
                 assert c.hello()["fleet"]["workers"] == 2
+                # --threads (default 1) sizes the slice workers' pools;
+                # the router keeps its own four threads.
+                stats = c.stats()
+                assert stats["server"]["decode_threads"] == 4
+                assert [worker["stats"]["server"]["decode_threads"]
+                        for worker in stats["workers"]] == [1, 1]
                 assert c.degree(37) == local_store.degree(37)
                 vs = np.arange(0, local_store.n_vertices, 17)
                 assert np.array_equal(c.degrees(vs), local_store.degrees(vs))

@@ -539,6 +539,14 @@ class TestFailurePaths:
         with pytest.raises(ValueError, match="cache_shards"):
             ThreadedServer(store_dir, cache_shards=0).start()
 
+    def test_decode_threads_checked_at_construction(self, store_dir):
+        """An empty decode pool is refused when the server is built, not
+        later by the executor inside ``start()``; the default is one
+        thread."""
+        with pytest.raises(ValueError, match="decode_threads"):
+            ShardStoreServer(store_dir, decode_threads=0)
+        assert ShardStoreServer(store_dir).decode_threads == 1
+
     def test_shutdown_lets_in_flight_requests_finish(self, store_dir):
         """Graceful stop: a request being served when another client asks
         for shutdown still gets its full response.  The served store is

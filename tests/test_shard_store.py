@@ -537,6 +537,95 @@ class TestCacheLookups:
         assert (store.shard_reads, store.cache_hits) == (0, 1)
 
 
+class TestHoldingShards:
+    """A batch call visits only the shards holding rows of its vertices
+    (``ShardStore._holding``), never every shard between its smallest and
+    largest vertex — including a source whose rows run over a cut into the
+    next shard and a source in a gap between two shard ranges."""
+
+    #: ``(src, dst)`` rows, ``(src, dst)``-sorted; 4-row shards cut inside
+    #: sources 1 and 6, and sources 3 and 4 (no rows) fall in the gap
+    #: between the shard ending at source 2 and the one starting at 5.
+    #: Source 7 has no rows inside a shard's range; 10 lies past the last.
+    ROWS = [(0, 1), (0, 2),
+            (1, 0), (1, 1), (1, 2), (1, 5), (1, 6),
+            (2, 0),
+            (5, 1), (5, 6), (5, 8),
+            (6, 1), (6, 5),
+            (8, 5), (8, 9),
+            (9, 8)]
+    N_VERTICES = 11
+
+    @pytest.fixture
+    def cut_store(self, tmp_path):
+        rows = [(src, dst, 100 * src + dst) for src, dst in self.ROWS]
+        return _payload_store(tmp_path, rows, n_vertices=self.N_VERTICES,
+                              target_shard_edges=4)
+
+    @pytest.fixture
+    def rows(self):
+        edges = np.asarray(self.ROWS, dtype=np.int64)
+        return np.column_stack([edges, 100 * edges[:, 0] + edges[:, 1]])
+
+    def test_straddled_and_gap_sources(self, cut_store):
+        shards = read_shard_manifest(cut_store)["shards"]
+        ranges = [(s["src_min"], s["src_max"]) for s in shards]
+        assert ranges == [(0, 1), (1, 2), (5, 6), (6, 9)]
+        store = ShardStore(cut_store)
+        assert store._holding(np.asarray([1])) == [0, 1]
+        assert store._holding(np.asarray([6])) == [2, 3]
+        for vertex in (3, 4, 10):
+            assert store._holding(np.asarray([vertex])) == []
+        assert store._holding(np.asarray([9, 3, 0, 9])) == [0, 3]
+        assert store._holding(np.zeros(0, dtype=np.int64)) == []
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("cache_shards", [1, 8])
+    def test_batches_match_recomputed_answers(self, cut_store, rows, mmap,
+                                              cache_shards):
+        store = ShardStore(cut_store, cache_shards=cache_shards, mmap=mmap)
+        batch = np.asarray([9, 3, 1, 1, 10, 0, 6, 4, 7, 2, 5, 8, 3, 6])
+        loops = rows[:, 0] == rows[:, 1]
+        expected_degrees = [int(np.sum((rows[:, 0] == v) & ~loops))
+                            for v in batch]
+        assert expected_degrees[2] == 4  # vertex 1's self loop is dropped
+        assert store.degrees(batch).tolist() == expected_degrees
+        selected = rows[np.isin(rows[:, 0], batch)]
+        assert np.array_equal(store.edges_for_sources(batch), selected[:, :2])
+        assert np.array_equal(
+            store.edges_for_sources(batch, with_payload=True), selected)
+        # Every stored pair, shuffled, with repeats.
+        order = np.random.default_rng(3).permutation(
+            np.concatenate([np.arange(len(rows)), [4, 6, 12, 2]]))
+        ps, qs = rows[order, 0], rows[order, 1]
+        assert np.array_equal(store.edge_payloads(ps, qs), rows[order, 2:])
+        with pytest.raises(ValueError, match=r"edge \(3, 1\) is not stored"):
+            store.edge_payloads([1, 3], [6, 1])
+
+    def test_two_vertex_batch_opens_only_their_shards(self, store_dir,
+                                                      monkeypatch):
+        """A batch at both ends of a many-shard store decodes exactly the
+        shards holding its two vertices, whatever lies between them."""
+        opened = []
+        real_load = query_mod._load_shard_file
+        monkeypatch.setattr(
+            query_mod, "_load_shard_file",
+            lambda path, *args, **kw: (opened.append(path.name)
+                                       or real_load(path, *args, **kw)))
+        manifest = read_shard_manifest(store_dir)
+        assert len(manifest["shards"]) > 4
+        last = manifest["n_vertices"] - 1
+        expected = sorted(s["file"] for s in manifest["shards"]
+                          if s["src_min"] <= 0 <= s["src_max"]
+                          or s["src_min"] <= last <= s["src_max"])
+        for query in ("degrees", "edges_for_sources"):
+            opened.clear()
+            store = ShardStore(store_dir, cache_shards=8)
+            getattr(store, query)([last, 0])
+            assert sorted(opened) == expected
+            assert store.shard_reads == len(expected)
+
+
 def _truncate(path, rows):
     path.write_bytes(path.read_bytes()[:-8])
 
@@ -777,14 +866,20 @@ class TestMmapLifecycle:
         assert store.edges_in_range(0, store.n_vertices).shape[0] > 0
 
     def test_iter_edge_shards_mmap_mode(self, store_dir):
+        import mmap
+
         from repro.graphs import iter_edge_shards
 
         eager = list(iter_edge_shards(store_dir))
         lazy = list(iter_edge_shards(store_dir, mmap_mode="r"))
         assert len(eager) == len(lazy)
         for block_eager, block_lazy in zip(eager, lazy):
-            assert isinstance(block_lazy, np.memmap)
-            assert not isinstance(block_eager, np.memmap)
+            # Mapped: a read-only view whose base is the file's one mmap.
+            assert isinstance(block_lazy.base, mmap.mmap)
+            assert not block_lazy.flags.writeable
+            # Eager: a private, writable copy.
+            assert not isinstance(block_eager.base, mmap.mmap)
+            assert block_eager.flags.writeable
             assert np.array_equal(block_eager, block_lazy)
 
 
