@@ -59,9 +59,13 @@ published artefacts of the paper:
     store calls over at most two shards on the event loop and the rest on
     a bounded decode pool — one thread unless ``--threads`` says
     otherwise, since decodes hold the GIL — concurrent scalar queries
-    coalesced into batch calls).  With ``--fleet`` the slice workers get
-    ``--threads`` and the router keeps its own four-thread pool, whose
-    threads wait on worker sockets.  Stops gracefully on Ctrl-C or a
+    coalesced into batch calls).  With ``--fleet`` the router and every
+    slice worker serve on that one event loop, so a routed request
+    crosses no thread; each worker keeps its own ``--threads`` decode
+    pool, and the router keeps its own four-thread pool for ``egonet``,
+    ``subgraph`` and the rollups, whose threads wait on the loop.  The
+    loop's thread is named ``shard-serve``, so ``profile`` samples it
+    under the ``event_loop`` role.  Stops gracefully on Ctrl-C or a
     client ``shutdown`` request, then prints the request/cache
     statistics.
 
@@ -98,6 +102,7 @@ import argparse
 import asyncio
 import json
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -133,7 +138,6 @@ from repro.serve import (
     QueryClient,
     RangeRouter,
     ShardStoreServer,
-    ThreadedServer,
     fleet_info_from_manifest,
 )
 from repro.serve.shaping import (
@@ -313,15 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "run on; a call touching at most two shards, "
                             "all cached, runs on the event loop (default 1: "
                             "decodes hold the GIL, so more threads overlap "
-                            "nothing; with --fleet this sizes the slice "
-                            "workers' pools, the router keeps 4)")
+                            "nothing; with --fleet this sizes each slice "
+                            "worker's pool, and the router keeps 4 for "
+                            "egonet, subgraph and rollups)")
     serve.add_argument("--fleet", type=int, default=None, metavar="N",
                        help="partition the store into N contiguous "
-                            "vertex-range slices, spawn one in-process "
+                            "vertex-range slices, serve one in-process "
                             "worker per slice replica, and serve a range "
                             "router that fans batch queries out and merges "
-                            "the answers (same protocol, byte-equal "
-                            "answers)")
+                            "the answers, all on one event loop (same "
+                            "protocol, byte-equal answers)")
     serve.add_argument("--replicas", type=int, default=1, metavar="R",
                        help="workers per slice with --fleet (default 1); "
                             "a failed worker call is retried once against "
@@ -720,6 +725,18 @@ def _slow_query_us(args: argparse.Namespace) -> Optional[int]:
     return None if args.slow_ms is None else int(args.slow_ms * 1000)
 
 
+def _serve_on_this_thread(main) -> None:
+    """``asyncio.run(main)`` on this thread, named ``shard-serve`` while it
+    serves — the name of a :class:`~repro.serve.ThreadedServer` loop
+    thread, which the profiler samples under the ``event_loop`` role."""
+    thread = threading.current_thread()
+    name, thread.name = thread.name, "shard-serve"
+    try:
+        asyncio.run(main)
+    finally:
+        thread.name = name
+
+
 def _serve_fleet(args: argparse.Namespace) -> int:
     if args.fleet < 1:
         raise SystemExit("--fleet needs at least 1 worker")
@@ -727,26 +744,29 @@ def _serve_fleet(args: argparse.Namespace) -> int:
         raise SystemExit("--replicas needs at least 1 worker per slice")
     slices = partition_manifest(args.store, n_slices=args.fleet)
     info = fleet_info_from_manifest(read_shard_manifest(args.store))
-    workers: List[ThreadedServer] = []
-    fleet = None
-    try:
-        spec = []
-        for entry in slices:
-            addresses = []
-            for _ in range(args.replicas):
-                worker = ThreadedServer(entry["directory"],
-                                        cache_shards=args.cache,
-                                        decode_threads=args.threads).start()
-                workers.append(worker)
-                addresses.append(worker.address)
-            spec.append({"src_lo": entry["src_lo"],
-                         "src_hi": entry["src_hi"],
-                         "addresses": addresses})
-        fleet = FleetStore(spec, info)
-        router = RangeRouter(fleet, host=args.host, port=args.port,
-                             slow_query_us=_slow_query_us(args))
+    summary: dict = {}
 
-        async def _run() -> None:
+    async def _run() -> None:
+        # The slice workers serve on the router's own loop: a routed
+        # request crosses no thread.
+        workers: List[ShardStoreServer] = []
+        try:
+            spec = []
+            for entry in slices:
+                addresses = []
+                for _ in range(args.replicas):
+                    worker = ShardStoreServer(entry["directory"],
+                                              cache_shards=args.cache,
+                                              decode_threads=args.threads)
+                    await worker.start()
+                    workers.append(worker)
+                    addresses.append(f"{worker.host}:{worker.port}")
+                spec.append({"src_lo": entry["src_lo"],
+                             "src_hi": entry["src_hi"],
+                             "addresses": addresses})
+            router = RangeRouter(FleetStore(spec, info), host=args.host,
+                                 port=args.port,
+                                 slow_query_us=_slow_query_us(args))
             await router.start()
             print(f"serving {args.store} on {router.host}:{router.port} "
                   f"(fleet of {args.fleet} slice(s) x {args.replicas} "
@@ -754,26 +774,30 @@ def _serve_fleet(args: argparse.Namespace) -> int:
                   f"{info['total_edges']:,} edges, "
                   f"protocol v{PROTOCOL_VERSION})",
                   flush=True)
-            await router.serve_until_stopped()
+            try:
+                await router.serve_until_stopped()
+            finally:
+                # Roll the final numbers up while the workers still
+                # answer (on a thread of its own: the rollup waits on this
+                # loop), then close the connections the rollup opened.
+                summary.update(await asyncio.to_thread(router.stats))
+                await router.fleet.close()
+        finally:
+            for worker in workers:
+                await worker.stop()
 
-        try:
-            asyncio.run(_run())
-        except KeyboardInterrupt:
-            print("\ninterrupted; router stopped")
-        # Roll the final numbers up while the workers still answer.
-        stats = router.stats()
-        served = sum(stats["server"]["requests"].values())
-        counters = stats["store"]
+    try:
+        _serve_on_this_thread(_run())
+    except KeyboardInterrupt:
+        print("\ninterrupted; router stopped")
+    if summary:
+        served = sum(summary["server"]["requests"].values())
+        counters = summary["store"]
         print(f"served {served:,} requests over "
-              f"{stats['server']['connections_total']} connections via "
-              f"{stats['fleet']['workers']} workers; "
+              f"{summary['server']['connections_total']} connections via "
+              f"{summary['fleet']['workers']} workers; "
               f"{counters['shard_reads']} shard reads, "
               f"{counters['cache_hits']} cache hits")
-    finally:
-        if fleet is not None:
-            fleet.close()
-        for worker in workers:
-            worker.stop()
     return 0
 
 
@@ -802,7 +826,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await server.serve_until_stopped()
 
     try:
-        asyncio.run(_run())
+        _serve_on_this_thread(_run())
     except KeyboardInterrupt:
         print("\ninterrupted; server stopped")
     stats = server.stats()

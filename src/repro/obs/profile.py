@@ -10,9 +10,11 @@ configurable rate and folds each thread's stack into a bounded aggregate:
   dropped; a thread with no repro frame on its stack is counted under the
   ``~external`` pseudo-stack so idle-vs-busy is still visible);
 * stacks are keyed by **thread role**, classified from the thread names
-  the stack already uses — ``shard-serve`` (the asyncio event loop),
-  ``shard-decode*`` (the store's decode pool), ``fleet-fanout*`` (the
-  router's scatter pool), the profiler's own sampling thread, and the main
+  the stack already uses — ``shard-serve`` (the asyncio event loop: a
+  :class:`~repro.serve.ThreadedServer` thread, or the thread
+  ``repro-kron serve`` runs its loop on, where a fleet's router and slice
+  workers all serve), ``shard-decode*`` (a server's pool; a range
+  router's too), the profiler's own sampling thread, and the main
   thread;
 * the aggregate is bounded (``max_stacks`` distinct stacks per role;
   overflow folds into ``~overflow``), so a pathological workload cannot
@@ -47,13 +49,12 @@ EXTERNAL_STACK = "~external"
 OVERFLOW_STACK = "~overflow"
 
 #: Thread-name prefix -> role, most specific first.  These are the names
-#: the serving stack already assigns (ThreadedServer's loop thread, the
-#: decode/fan-out pools' ``thread_name_prefix``); the profiler names its
-#: own thread ``repro-profiler``.
+#: the serving stack already assigns (the serving loop's thread, the
+#: decode pool's ``thread_name_prefix``); the profiler names its own
+#: thread ``repro-profiler``.
 _ROLE_PREFIXES = (
     ("shard-decode", "decode_pool"),
     ("shard-serve", "event_loop"),
-    ("fleet-fanout", "fanout_pool"),
     ("repro-profiler", "profiler"),
     ("MainThread", "main"),
 )

@@ -45,7 +45,16 @@ from repro.obs import trace
 from repro.serve import protocol
 from repro.serve.shaping import induced_adjacency
 
-__all__ = ["QueryClient"]
+__all__ = ["QueryClient", "parse_address"]
+
+
+def parse_address(address: str) -> Tuple[str, int]:
+    """``(host, port)`` of a ``HOST:PORT`` address (the CLI's
+    ``--connect`` form; an empty host means ``127.0.0.1``)."""
+    host, sep, port = address.rpartition(":")
+    if not sep or not port.isdigit():
+        raise ValueError(f"expected HOST:PORT, got {address!r}")
+    return host or "127.0.0.1", int(port)
 
 
 class QueryClient:
@@ -79,11 +88,7 @@ class QueryClient:
     @classmethod
     def from_address(cls, address: str, **kwargs) -> "QueryClient":
         """Build a client from a ``HOST:PORT`` string."""
-        host, sep, port = address.rpartition(":")
-        if not sep or not port.isdigit():
-            raise ValueError(
-                f"expected HOST:PORT, got {address!r}")
-        return cls(host or "127.0.0.1", int(port), **kwargs)
+        return cls(*parse_address(address), **kwargs)
 
     # ------------------------------------------------------------------
     # Connection management

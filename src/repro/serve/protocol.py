@@ -56,8 +56,9 @@ Framing rules (recorded in the ROADMAP's serving conventions):
   error frame.
 
 The sync helpers (:func:`write_frame` / :func:`read_frame` /
-:func:`read_binary_frame`) serve the blocking client; the server uses
-:func:`read_frame_async` over an :class:`asyncio.StreamReader`.  Both
+:func:`read_binary_frame`) serve the blocking client; the server and the
+range router's worker connections use :func:`read_frame_async` /
+:func:`read_binary_frame_async` over an :class:`asyncio.StreamReader`.  Both
 directions enforce a frame-size cap so a corrupt or hostile length prefix
 cannot trigger an unbounded allocation.
 """
@@ -92,6 +93,7 @@ __all__ = [
     "read_frame",
     "read_binary_frame",
     "read_frame_async",
+    "read_binary_frame_async",
 ]
 
 #: The one version a server accepts and a client stamps; bumped only for
@@ -334,16 +336,11 @@ def read_binary_frame(sock: socket.socket, *,
 
 
 # ----------------------------------------------------------------------
-# Asyncio stream I/O (the server)
+# Asyncio stream I/O (the server, and the router's worker connections)
 # ----------------------------------------------------------------------
-async def read_frame_async(reader: asyncio.StreamReader, *,
-                           max_bytes: int = MAX_FRAME_BYTES) -> Optional[dict]:
-    """Read one frame from an asyncio stream; ``None`` on clean EOF.
-
-    EOF in the middle of a frame — the mid-request-disconnect case — raises
-    :class:`ProtocolError` so the connection handler can drop the peer
-    without tearing down the server.
-    """
+async def _read_body_async(reader: asyncio.StreamReader,
+                           max_bytes: int) -> Optional[bytes]:
+    """One frame's body; ``None`` on a clean EOF at a frame boundary."""
     try:
         header = await reader.readexactly(_HEADER.size)
     except asyncio.IncompleteReadError as exc:
@@ -355,9 +352,32 @@ async def read_frame_async(reader: asyncio.StreamReader, *,
         raise ProtocolError(
             f"incoming frame of {length} bytes exceeds the {max_bytes}-byte cap")
     try:
-        body = await reader.readexactly(length) if length else b""
+        return await reader.readexactly(length) if length else b""
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError(
             f"connection closed mid-frame "
             f"({len(exc.partial)} of {length} bytes)") from None
-    return decode_body(body)
+
+
+async def read_frame_async(reader: asyncio.StreamReader, *,
+                           max_bytes: int = MAX_FRAME_BYTES) -> Optional[dict]:
+    """Read one JSON frame from an asyncio stream; ``None`` on clean EOF.
+
+    EOF in the middle of a frame — the mid-request-disconnect case — raises
+    :class:`ProtocolError` so the connection handler can drop the peer
+    without tearing down the server.
+    """
+    body = await _read_body_async(reader, max_bytes)
+    return None if body is None else decode_body(body)
+
+
+async def read_binary_frame_async(reader: asyncio.StreamReader, *,
+                                  max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """Read the binary frame a control frame announced (the asyncio twin of
+    :func:`read_binary_frame`; arrays placed over the ``bytes`` it returns
+    are read-only).  EOF before it is :class:`ProtocolError`."""
+    body = await _read_body_async(reader, max_bytes)
+    if body is None:
+        raise ProtocolError("connection closed before the announced binary "
+                            "frame")
+    return body

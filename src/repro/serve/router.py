@@ -10,26 +10,36 @@ a client cannot tell a router from a single server except by the extra
 
 The construction is deliberately thin:
 
-* :class:`FleetStore` is a *store façade*: it implements the four batch
-  primitives (``degrees`` / ``edges_for_sources`` / ``edges_in_range`` /
-  ``edge_payloads``) by splitting each request across the worker ranges,
-  fanning the slices out concurrently over the same wire protocol
-  (blocking :class:`~repro.serve.QueryClient` calls on a dedicated pool),
-  and merging the answers back in source order.  Everything else — scalar
-  wrappers, ``subgraph``, ``egonet`` — comes from the same
-  :class:`~repro.store.StoreQueryMixin` the local store uses, so routed
-  answers are byte-equal to single-store answers *by construction*.
+* :class:`FleetStore` is a *store façade*.  Its four batch primitives
+  (``degrees_async`` / ``edges_for_sources_async`` /
+  ``edges_in_range_async`` / ``edge_payloads_async``) are coroutines: they
+  split each request across the worker ranges, send the slices to their
+  workers concurrently over the same wire protocol (``asyncio.gather``
+  over asyncio stream connections, on the router's event loop), and merge
+  the answers back in source order.  Their synchronous twins
+  (``degrees`` / ...) hand each call to that loop
+  (``asyncio.run_coroutine_threadsafe``) and wait for it, so ``subgraph``,
+  ``egonet`` and every other derived query come from the same
+  :class:`~repro.store.StoreQueryMixin` the local store uses, and routed
+  answers are byte-equal to single-store answers *by construction*.  A
+  synchronous call on the loop's own thread would wait on itself; it
+  raises :class:`RuntimeError` naming the primitive instead.
 * :class:`RangeRouter` is :class:`ShardStoreServer` serving that façade:
   framing, request coalescing, array frames, and error frames are
-  inherited unchanged.  Only ``hello`` (adds the fleet description) and
-  ``stats`` (rolls per-worker stats up into a fleet answer) are overridden.
-* :class:`_WorkerChannel` owns one slice's wire connections: a small pool of
-  reused clients against the preferred replica, and on a *transport*
-  failure (``OSError`` / :class:`~repro.serve.protocol.ProtocolError` —
-  never a server-reported store error) it retries the call **once** against
-  the next replica address, then fails with a worker-naming
-  :class:`ConnectionError` that travels back to the router's client as an
-  error frame on an intact connection.
+  inherited unchanged.  Its primitive ops and coalesced ``degree`` /
+  ``neighbors`` flushes await the fan-out on the loop, so a routed point
+  request crosses no thread inside the router; its pool threads run only
+  ``egonet``, ``subgraph`` and the operational rollups, and wait on the
+  loop, not on sockets.  ``hello`` (adds the fleet description) and
+  ``stats`` (rolls per-worker stats up into a fleet answer) are
+  overridden, as are the merged observability ops.
+* :class:`_WorkerChannel` owns one slice's wire connections: reused
+  asyncio streams against the preferred replica, and on a *transport*
+  failure (``OSError``, :class:`~repro.serve.protocol.ProtocolError` or no
+  answer within the timeout — never a server-reported store error) it
+  retries the call **once** against the next replica address, then fails
+  with a worker-naming :class:`ConnectionError` that travels back to the
+  router's client as an error frame on an intact connection.
 
 Routing is strict: a vertex is asked only of the worker whose *assigned*
 half-open range contains it, so a boundary shard listed by two slices is
@@ -41,22 +51,21 @@ Telemetry (PR 8): per-worker call/failover/failure counters are
 :class:`~repro.obs.MetricsRegistry` (the router adopts it, so ``metrics``
 exposes fleet and server series side by side).  Every replica attempt runs
 under a ``fleet.worker_call`` trace span — a failed primary attempt records
-``status="error"`` and the failover retry lands as its *sibling* — and
-:meth:`FleetStore._scatter` carries the active trace context onto the
-fan-out threads with ``contextvars.copy_context()``.  The router's
-``trace`` op merges its own spans with each worker's (fetched over the
-wire), so one routed query answers with the whole tree.
+``status="error"`` and the failover retry lands as its *sibling*.  Each
+concurrent worker call is an asyncio task, which runs in a copy of the
+request's context, so the spans parent under the routed request without
+any explicit context copy.  The router's ``trace`` op merges its own spans
+with each worker's (fetched over the wire), so one routed query answers
+with the whole tree.
 """
 
 from __future__ import annotations
 
-import contextvars
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence
+import asyncio
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.lint.runtime import new_lock
 from repro.obs import (
     EventLog,
     MetricsRegistry,
@@ -65,12 +74,22 @@ from repro.obs import (
     trace,
 )
 from repro.serve import protocol, shaping
-from repro.serve.client import QueryClient
-from repro.serve.server import ShardStoreServer, ThreadedServer, _arg
+from repro.serve.client import parse_address
+from repro.serve.server import (
+    ShardStoreServer,
+    ThreadedServer,
+    _arg,
+    _rows_per_vertex,
+)
 from repro.store.query import StoreQueryMixin
 
 __all__ = ["FleetStore", "RangeRouter", "ThreadedRouter",
            "fleet_info_from_manifest"]
+
+#: Failures of the transport, not of the store: the exchange may have left
+#: the stream out of sync, so the connection is closed and the call is
+#: retried on the next replica.  (``TimeoutError`` is an ``OSError``.)
+_TRANSPORT_ERRORS = (OSError, protocol.ProtocolError)
 
 
 def fleet_info_from_manifest(manifest: dict) -> dict:
@@ -85,24 +104,91 @@ def fleet_info_from_manifest(manifest: dict) -> dict:
     }
 
 
+class _WorkerConnection:
+    """One connection to a worker: an asyncio stream pair, used only on
+    the router's event loop.
+
+    :meth:`request` is the wire exchange of
+    :class:`~repro.serve.QueryClient` — one request frame out, the control
+    frame and its binary frame back, an error frame re-raised as the
+    matching exception — and, under an active trace, a ``client.<op>``
+    leaf span whose id is stamped on the frame so the worker parents its
+    spans under it.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader,
+                 writer: asyncio.StreamWriter):
+        self.reader = reader
+        self.writer = writer
+
+    @classmethod
+    async def open(cls, endpoint: Tuple[str, int]) -> "_WorkerConnection":
+        # asyncio sets TCP_NODELAY on the socket itself.
+        return cls(*await asyncio.open_connection(*endpoint))
+
+    async def request(self, op: str, args: Optional[dict]) -> dict:
+        frame = protocol.request_frame(op, args)
+        active = trace.current()
+        if active is None:
+            return await self._roundtrip(frame)
+        client_span = trace.adopt_leaf_span(
+            active.recorder, active.trace_id, active.span_id,
+            f"client.{op}", op=op)
+        with client_span:
+            frame["trace"] = {"id": active.trace_id,
+                              "span": client_span.span_id}
+            return await self._roundtrip(frame)
+
+    async def _roundtrip(self, frame: dict) -> dict:
+        self.writer.write(protocol.encode_frame(frame))
+        await self.writer.drain()
+        response = await protocol.read_frame_async(self.reader)
+        if response is None:
+            raise ConnectionResetError(
+                "worker closed the connection without answering")
+        slots = protocol.array_slots(response)
+        if slots:
+            protocol.place_arrays(
+                slots, await protocol.read_binary_frame_async(self.reader))
+        if not response.get("ok"):
+            # One frame per error: the stream stays in sync.
+            protocol.raise_error(response.get("error", {}))
+        return response.get("result", {})
+
+    def close(self) -> None:
+        self.writer.close()
+
+    async def wait_closed(self) -> None:
+        try:
+            await self.writer.wait_closed()
+        except OSError:
+            pass  # the worker reset it first: closed either way
+
+
 class _WorkerChannel:
-    """One slice's wire channel: reused blocking clients over the slice's
+    """One slice's wire channel: reused connections over the slice's
     replica addresses, with one failover retry per call.
 
-    ``call(fn)`` runs ``fn(client)`` against the *preferred* replica.  On a
-    transport failure it retries exactly once against the next address in
-    the replica ring (with a single replica that is the same address — a
-    restarted worker is picked back up); a second failure raises a
-    :class:`ConnectionError` naming the worker, its range, and both failed
-    attempts.  A successful failover makes the surviving replica preferred,
-    so later calls do not re-pay the dead primary's connect timeout.
+    ``await call(op, args)`` sends one request to the *preferred* replica.
+    On a transport failure — ``OSError``, a
+    :class:`~repro.serve.protocol.ProtocolError`, or no answer within
+    *timeout* (connect included) — it retries exactly once, on a fresh
+    connection, against the next address in the replica ring (with a
+    single replica that is the same address — a restarted worker is picked
+    back up); a second failure raises a :class:`ConnectionError` naming the
+    worker, its range, and both failed attempts.  A successful failover
+    makes the surviving replica preferred, so later calls do not re-pay the
+    dead primary's timeout.
 
-    Thread-safe: the router fans calls out from a pool, so the idle-client
-    list and the counters are lock-guarded.  Exceptions raised by the
-    *server* (error frames re-raised by the client, e.g. a store
-    ``ValueError``) are not transport failures: the error frame left the
-    stream in sync, so the client goes back to the pool and the exception
-    propagates — retrying it on a replica would just fail identically.
+    The connections are asyncio streams used only on the router's event
+    loop, so the channel needs no lock.  A connection goes back to the
+    idle list only when its exchange ended in sync: with an answer, or
+    with an error frame the worker reported (a store ``ValueError`` — not
+    a transport failure, so it propagates and is never retried on a
+    replica, where it would fail identically).  A connection whose exchange
+    was interrupted — by a transport error, the timeout or a cancellation
+    — is closed, never checked back in: a late answer on it would be read
+    as the next request's.
     """
 
     def __init__(self, index: int, src_lo: int, src_hi: int,
@@ -116,10 +202,11 @@ class _WorkerChannel:
         self.src_lo = int(src_lo)
         self.src_hi = int(src_hi)
         self.addresses = [str(address) for address in addresses]
+        self._endpoints = [parse_address(address)
+                           for address in self.addresses]
         self.timeout = timeout
-        self._lock = new_lock("fleet.worker_pool")
         self._events = events if events is not None else EventLog()
-        self._idle: List = []  # (address_index, QueryClient) pairs
+        self._idle: List[Tuple[int, _WorkerConnection]] = []
         self._preferred = 0
         registry = registry if registry is not None else MetricsRegistry()
         self._calls = registry.counter("fleet.worker_calls",
@@ -141,42 +228,56 @@ class _WorkerChannel:
     def failures(self) -> int:
         return self._failures.value
 
-    def _checkout(self):
-        with self._lock:
-            preferred = self._preferred
-            while self._idle:
-                address_index, client = self._idle.pop()
-                if address_index == preferred:
-                    return preferred, client
-                client.close()  # pooled connection to a demoted replica
-        return preferred, QueryClient.from_address(
-            self.addresses[preferred], timeout=self.timeout)
-
-    def _checkin(self, address_index: int, client: QueryClient) -> None:
-        with self._lock:
+    def _checkout(self) -> Optional[_WorkerConnection]:
+        """An idle connection to the preferred replica, or ``None``."""
+        while self._idle:
+            address_index, connection = self._idle.pop()
             if address_index == self._preferred:
-                self._idle.append((address_index, client))
-                return
-        client.close()
+                return connection
+            connection.close()  # pooled connection to a demoted replica
+        return None
 
-    def _attempt(self, fn, address_index: int, client: QueryClient,
-                 **attrs):
-        """``fn(client)`` against one replica, under its own
-        ``fleet.worker_call`` trace span.  A server-reported error leaves
-        the stream in sync: the client is checked back in (a closed one
-        reconnects lazily) before the error propagates."""
+    async def _attempt(self, address_index: int,
+                       connection: Optional[_WorkerConnection],
+                       op: str, args: Optional[dict], **attrs) -> dict:
+        """One request to one replica — on *connection*, or on a new one —
+        under its own ``fleet.worker_call`` trace span and within
+        *timeout*.  The connection is checked back in only when the
+        exchange ended in sync."""
+        address = self.addresses[address_index]
+        deadline = asyncio.timeout(self.timeout)
+        in_sync = False
         try:
             with trace.span("fleet.worker_call", worker=self.index,
-                            address=self.addresses[address_index], **attrs):
-                return fn(client)
-        except (OSError, protocol.ProtocolError):
+                            address=address, **attrs):
+                try:
+                    async with deadline:
+                        if connection is None:
+                            connection = await _WorkerConnection.open(
+                                self._endpoints[address_index])
+                        result = await connection.request(op, args)
+                except TimeoutError:
+                    if not deadline.expired():
+                        raise
+                    raise TimeoutError(
+                        f"no answer from {address} within "
+                        f"{self.timeout:g} s") from None
+            in_sync = True
+            return result
+        except Exception as exc:
+            # An error frame the worker sent leaves the stream in sync.
+            in_sync = not isinstance(exc, _TRANSPORT_ERRORS)
             raise
-        except Exception:
-            self._checkin(address_index, client)
-            raise
+        finally:
+            if connection is not None:
+                if in_sync:
+                    self._idle.append((address_index, connection))
+                else:
+                    connection.close()
 
-    def call(self, fn):
-        """Run ``fn(client)`` with one replica-failover retry.
+    async def call(self, op: str, args: Optional[dict] = None) -> dict:
+        """Send one request, with one replica-failover retry; returns the
+        answer's ``result`` shape.
 
         Each replica attempt is its own ``fleet.worker_call`` trace span
         (a no-op without an active trace): a dead primary leaves an
@@ -184,27 +285,23 @@ class _WorkerChannel:
         span, so the trace tree shows both attempts side by side.
         """
         self._calls.inc()
-        address_index, client = self._checkout()
+        address_index = self._preferred
         try:
-            result = self._attempt(fn, address_index, client)
-        except (OSError, protocol.ProtocolError) as first:
-            client.close()
+            return await self._attempt(address_index, self._checkout(),
+                                       op, args)
+        except _TRANSPORT_ERRORS as first:
             self._failures.inc()
             # Flight-recorder events stamp the active trace automatically
-            # (channel calls run in the request's copied context on the
-            # fan-out threads), so a failover links back to the routed
-            # query that tripped it.
+            # (the call runs in the request's context), so a failover
+            # links back to the routed query that tripped it.
             self._events.emit("fleet.replica_death", worker=self.index,
                               address=self.addresses[address_index],
                               error=str(first))
-            with self._lock:
-                fallback = (address_index + 1) % len(self.addresses)
-            retry = QueryClient.from_address(self.addresses[fallback],
-                                             timeout=self.timeout)
+            fallback = (address_index + 1) % len(self.addresses)
             try:
-                result = self._attempt(fn, fallback, retry, failover=True)
-            except (OSError, protocol.ProtocolError) as second:
-                retry.close()
+                result = await self._attempt(fallback, None, op, args,
+                                             failover=True)
+            except _TRANSPORT_ERRORS as second:
                 self._failures.inc()
                 self._events.emit("fleet.replica_death", worker=self.index,
                                   address=self.addresses[fallback],
@@ -220,22 +317,27 @@ class _WorkerChannel:
                               src_lo=self.src_lo, src_hi=self.src_hi,
                               from_address=self.addresses[address_index],
                               to_address=self.addresses[fallback])
-            with self._lock:
-                self._preferred = fallback
-            self._checkin(fallback, retry)
+            self._preferred = fallback
             return result
-        self._checkin(address_index, client)
-        return result
 
-    def close(self) -> None:
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for _, client in idle:
-            client.close()
+    async def close(self) -> None:
+        idle, self._idle = self._idle, []
+        for _, connection in idle:
+            connection.close()
+        for _, connection in idle:
+            await connection.wait_closed()
 
 
 class FleetStore(StoreQueryMixin):
     """Store façade over N range-sliced workers — the router's ``store``.
+
+    The batch primitives are coroutines (``degrees_async``, ...) run on the
+    event loop of the :class:`RangeRouter` serving the fleet, which binds
+    it at start and owns its connections.  The synchronous primitives
+    (``degrees``, ...) — what :class:`~repro.store.StoreQueryMixin` builds
+    the derived queries from, and what tools and tests call — hand each
+    call to that loop and wait; they work from any thread but the loop's
+    own, where they raise :class:`RuntimeError`.
 
     Parameters
     ----------
@@ -250,9 +352,8 @@ class FleetStore(StoreQueryMixin):
         (:func:`fleet_info_from_manifest`) — the fleet answers ``hello`` /
         ``subgraph`` naming with the *parent* identity, not a slice's.
     timeout:
-        Per-call socket timeout applied to every worker channel.
-    max_fanout_threads:
-        Cap on concurrent worker calls across all in-flight requests.
+        Seconds one replica attempt (connect plus exchange) may take on
+        any worker channel before it counts as a transport failure.
     registry:
         :class:`~repro.obs.MetricsRegistry` the per-worker channel
         counters register into (a private one by default).  The router
@@ -262,7 +363,6 @@ class FleetStore(StoreQueryMixin):
 
     def __init__(self, slices: Sequence[dict], info: dict, *,
                  timeout: Optional[float] = 30.0,
-                 max_fanout_threads: Optional[int] = None,
                  registry: Optional[MetricsRegistry] = None):
         self.manifest = {"name": info.get("name") or ""}
         self.n_vertices = int(info["n_vertices"])
@@ -298,44 +398,69 @@ class FleetStore(StoreQueryMixin):
         # slices repeat the previous bound and side="right" skips them.
         self._his = np.asarray([c.src_hi for c in self._channels],
                                dtype=np.int64)
-        if max_fanout_threads is None:
-            max_fanout_threads = max(8, 2 * len(self._channels))
-        self._fanout = ThreadPoolExecutor(
-            max_workers=max_fanout_threads, thread_name_prefix="fleet-fanout")
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # ------------------------------------------------------------------
     # Fan-out plumbing
     # ------------------------------------------------------------------
+    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Run this fleet's worker calls on *loop* (the serving router's
+        event loop; :meth:`RangeRouter.start` binds it)."""
+        self._loop = loop
+
     def _owners(self, vs: np.ndarray) -> np.ndarray:
         """Index of the worker whose assigned range contains each vertex."""
         return np.searchsorted(self._his, vs, side="right")
 
-    def _scatter(self, calls: List) -> List:
-        """Run ``(channel, fn)`` pairs concurrently; results in call order.
-        The first worker failure propagates (the router turns it into one
-        error frame); remaining calls still complete in the background.
-
-        Under an active trace each submission carries a fresh
-        ``contextvars`` copy onto its fan-out thread (one copy per future
-        — a shared ``Context`` cannot be entered concurrently), so the
-        per-worker spans parent correctly under the routed request."""
+    async def _scatter(self, calls: List) -> List[dict]:
+        """Send ``(channel, op, args)`` requests concurrently; answers in
+        call order.  Every call runs to its end — an answer, or an error
+        that is retrieved here — before the first failure in call order
+        propagates (the router turns it into one error frame), so a
+        partial failure leaves no call running and every connection
+        either back in its idle list or closed."""
         if len(calls) == 1:
-            channel, fn = calls[0]
-            return [channel.call(fn)]
-        if trace.current() is not None:
-            futures = [
-                self._fanout.submit(
-                    contextvars.copy_context().run, channel.call, fn)
-                for channel, fn in calls]
-        else:
-            futures = [self._fanout.submit(channel.call, fn)
-                       for channel, fn in calls]
-        return [future.result() for future in futures]
+            channel, op, args = calls[0]
+            return [await channel.call(op, args)]
+        answers = await asyncio.gather(
+            *(channel.call(op, args) for channel, op, args in calls),
+            return_exceptions=True)
+        for answer in answers:
+            if isinstance(answer, BaseException):
+                raise answer
+        return answers
+
+    def _blocking(self, name: str, coroutine_fn, *args, **kwargs):
+        """``coroutine_fn(*args, **kwargs)`` run on the bound loop, waited
+        for from this thread — the synchronous form of a fleet call.  On
+        the loop's own thread the wait could never end, so that is a
+        :class:`RuntimeError` naming the primitive *name*."""
+        loop = self._loop
+        if loop is None or loop.is_closed():
+            raise RuntimeError(
+                f"FleetStore.{name} needs the running event loop of the "
+                "RangeRouter serving this fleet")
+        try:
+            running = asyncio.get_running_loop()
+        except RuntimeError:
+            running = None
+        if running is loop:
+            raise RuntimeError(
+                f"FleetStore.{name} called on the router's event loop "
+                "thread, where waiting for the fan-out would block the "
+                f"loop forever; await its coroutine form instead")
+        coroutine = coroutine_fn(*args, **kwargs)
+        try:
+            future = asyncio.run_coroutine_threadsafe(coroutine, loop)
+        except RuntimeError:  # the loop closed after the check
+            coroutine.close()
+            raise
+        return future.result()
 
     # ------------------------------------------------------------------
     # Batch primitives (split by owner → fan out → merge in source order)
     # ------------------------------------------------------------------
-    def degrees(self, vs: Sequence[int]) -> np.ndarray:
+    async def degrees_async(self, vs: Sequence[int]) -> np.ndarray:
         vs = self._check_vertices(np.atleast_1d(np.asarray(vs, dtype=np.int64)))
         out = np.zeros(vs.shape[0], dtype=np.int64)
         if vs.size == 0:
@@ -345,15 +470,16 @@ class FleetStore(StoreQueryMixin):
         for index, channel in enumerate(self._channels):
             mask = owners == index
             if mask.any():
-                sub = vs[mask]
-                calls.append((channel, lambda c, sub=sub: c.degrees(sub)))
+                calls.append((channel, "degrees",
+                              {"vertices": vs[mask].tolist()}))
                 masks.append(mask)
-        for mask, values in zip(masks, self._scatter(calls)):
-            out[mask] = values
+        for mask, answer in zip(masks, await self._scatter(calls)):
+            out[mask] = answer["degrees"]
         return out
 
-    def edges_for_sources(self, vs: Sequence[int], *,
-                          with_payload: bool = False) -> np.ndarray:
+    async def edges_for_sources_async(self, vs: Sequence[int], *,
+                                      with_payload: bool = False
+                                      ) -> np.ndarray:
         if with_payload:
             self._require_payload()
         vs = np.unique(self._check_vertices(np.asarray(vs, dtype=np.int64)))
@@ -364,16 +490,17 @@ class FleetStore(StoreQueryMixin):
         for index, channel in enumerate(self._channels):
             mask = owners == index
             if mask.any():
-                sub = vs[mask]
-                calls.append((channel, lambda c, sub=sub, wp=with_payload:
-                              c.edges_for_sources(sub, with_payload=wp)))
+                calls.append((channel, "edges_for_sources",
+                              {"vertices": vs[mask].tolist(),
+                               "with_payload": with_payload}))
         # Ranges are contiguous and each worker answers (src, dst)-sorted,
         # so worker order *is* global source order.
-        parts = [part for part in self._scatter(calls) if part.shape[0]]
+        parts = [answer["edges"] for answer in await self._scatter(calls)
+                 if answer["edges"].shape[0]]
         return self._finish_rows(parts, with_payload)
 
-    def edges_in_range(self, lo: int, hi: int, *,
-                       with_payload: bool = False) -> np.ndarray:
+    async def edges_in_range_async(self, lo: int, hi: int, *,
+                                   with_payload: bool = False) -> np.ndarray:
         if with_payload:
             self._require_payload()
         lo, hi = int(lo), int(hi)
@@ -382,13 +509,15 @@ class FleetStore(StoreQueryMixin):
             sub_lo = max(lo, channel.src_lo)
             sub_hi = min(hi, channel.src_hi)
             if sub_lo < sub_hi:
-                calls.append((channel,
-                              lambda c, a=sub_lo, b=sub_hi, wp=with_payload:
-                              c.edges_in_range(a, b, with_payload=wp)))
-        parts = [part for part in self._scatter(calls) if part.shape[0]]
+                calls.append((channel, "edges_in_range",
+                              {"lo": sub_lo, "hi": sub_hi,
+                               "with_payload": with_payload}))
+        parts = [answer["edges"] for answer in await self._scatter(calls)
+                 if answer["edges"].shape[0]]
         return self._finish_rows(parts, with_payload)
 
-    def edge_payloads(self, ps: Sequence[int], qs: Sequence[int]) -> np.ndarray:
+    async def edge_payloads_async(self, ps: Sequence[int],
+                                  qs: Sequence[int]) -> np.ndarray:
         self._require_payload()
         ps = self._check_vertices(np.atleast_1d(np.asarray(ps, dtype=np.int64)))
         qs = self._check_vertices(np.atleast_1d(np.asarray(qs, dtype=np.int64)))
@@ -404,13 +533,31 @@ class FleetStore(StoreQueryMixin):
         for index, channel in enumerate(self._channels):
             mask = owners == index
             if mask.any():
-                sub_ps, sub_qs = ps[mask], qs[mask]
-                calls.append((channel, lambda c, p=sub_ps, q=sub_qs:
-                              c.edge_payloads(p, q)))
+                calls.append((channel, "edge_payloads",
+                              {"ps": ps[mask].tolist(),
+                               "qs": qs[mask].tolist()}))
                 masks.append(mask)
-        for mask, values in zip(masks, self._scatter(calls)):
-            out[mask] = values
+        for mask, answer in zip(masks, await self._scatter(calls)):
+            out[mask] = answer["payloads"]
         return out
+
+    def degrees(self, vs: Sequence[int]) -> np.ndarray:
+        return self._blocking("degrees", self.degrees_async, vs)
+
+    def edges_for_sources(self, vs: Sequence[int], *,
+                          with_payload: bool = False) -> np.ndarray:
+        return self._blocking("edges_for_sources",
+                              self.edges_for_sources_async, vs,
+                              with_payload=with_payload)
+
+    def edges_in_range(self, lo: int, hi: int, *,
+                       with_payload: bool = False) -> np.ndarray:
+        return self._blocking("edges_in_range", self.edges_in_range_async,
+                              lo, hi, with_payload=with_payload)
+
+    def edge_payloads(self, ps: Sequence[int], qs: Sequence[int]) -> np.ndarray:
+        return self._blocking("edge_payloads", self.edge_payloads_async,
+                              ps, qs)
 
     # ------------------------------------------------------------------
     # Operational surface
@@ -434,15 +581,18 @@ class FleetStore(StoreQueryMixin):
         exactly one of *answer* / *error* set.  An unreachable worker
         yields its channel error — naming the worker, its range and both
         attempts — instead of failing the broadcast; each caller decides
-        what that gap means."""
-        def ask(channel):
+        what that gap means.  The rollups that use it run on the router's
+        pool, so this is the blocking form of :meth:`_broadcast_async`."""
+        return self._blocking("_broadcast", self._broadcast_async, op, args)
+
+    async def _broadcast_async(self, op: str,
+                               args: Optional[dict] = None) -> List[tuple]:
+        async def ask(channel):
             try:
-                return channel, channel.call(lambda c: c.request(op, args)), None
+                return channel, await channel.call(op, args), None
             except Exception as exc:
                 return channel, None, exc
-        futures = [self._fanout.submit(ask, channel)
-                   for channel in self._channels]
-        return [future.result() for future in futures]
+        return await asyncio.gather(*(ask(c) for c in self._channels))
 
     def worker_reports(self) -> List[dict]:
         """One ``stats`` probe per worker; a dead worker yields an error
@@ -471,10 +621,11 @@ class FleetStore(StoreQueryMixin):
                 raise error
         return len(self._channels)
 
-    def close(self) -> None:
-        self._fanout.shutdown(wait=True)
+    async def close(self) -> None:
+        """Close every idle worker connection, on the bound loop (the
+        router does this when it stops)."""
         for channel in self._channels:
-            channel.close()
+            await channel.close()
 
     def __repr__(self) -> str:
         return (f"FleetStore(workers={len(self._channels)}, "
@@ -494,21 +645,27 @@ class RangeRouter(ShardStoreServer):
     """A :class:`ShardStoreServer` whose store is a :class:`FleetStore`.
 
     Everything protocol-facing — framing, coalescing, array frames, error
-    frames — is inherited; the router only adds the fleet sections to
-    ``hello``, replaces ``stats`` with the per-worker rollup, and widens
-    ``trace`` / ``profile`` / ``events`` / ``health`` into fleet-merged
-    answers built from one :meth:`FleetStore._broadcast` each, naming the
-    workers they could not reach (all of these do wire I/O and therefore
-    run on the executor, never the event loop).  The façade's ``cached``
-    is always false, so its query calls — coalesced flushes included —
-    run on the executor too.  That executor keeps four threads by default
-    (``decode_threads=4``) where a store server keeps one: its threads
-    spend their calls waiting on worker sockets with the GIL released, so
-    more than one of them overlaps real waiting.  The fleet's registry is
+    frames — is inherited.  The primitive ops (``degrees``,
+    ``edges_for_sources``, ``edges_in_range``, ``edge_payloads``) and the
+    coalesced ``degree`` / ``neighbors`` flushes await the fleet's fan-out
+    right on the event loop — counted as ``inline`` store calls — since
+    the router's worker connections are asyncio streams: the loop waits,
+    it never blocks.  ``egonet`` and ``subgraph`` run the shared
+    :class:`~repro.store.StoreQueryMixin` on the pool (the façade's
+    ``cached`` is always false, so they count as ``pool`` calls), as do
+    the rollups: ``stats`` becomes the per-worker rollup, and ``trace`` /
+    ``profile`` / ``events`` / ``health`` widen into fleet-merged answers
+    built from one :meth:`FleetStore._broadcast` each, naming the workers
+    they could not reach.  The pool keeps four threads by default
+    (``decode_threads=4``) where a store server keeps one; they wait on
+    the loop, not on sockets, and a derived query or rollup on one does
+    not hold up the point requests on the loop.  The fleet's registry is
     adopted as the router's, so ``metrics`` serves the ``fleet.worker_*``
     series alongside the inherited ``serve.*`` ones, and the inherited
     ``reset_stats`` fans out to every worker through
-    :meth:`FleetStore.reset_stats`.
+    :meth:`FleetStore.reset_stats`.  The router binds the fleet to its
+    loop at :meth:`start` and closes the fleet's connections at
+    :meth:`stop`.
     """
 
     def __init__(self, fleet: FleetStore, *, decode_threads: int = 4,
@@ -522,6 +679,35 @@ class RangeRouter(ShardStoreServer):
     def fleet(self) -> FleetStore:
         return self.store
 
+    async def start(self) -> None:
+        await super().start()
+        self.fleet.bind(self._loop)
+
+    async def stop(self, *, grace_s: float = 5.0) -> None:
+        await super().stop(grace_s=grace_s)
+        await self.fleet.close()
+
+    async def _store_call(self, method: str, *args, sources=None, **kwargs):
+        """Await the fleet's coroutine for one batch primitive on the loop
+        (``FleetStore.<method>_async``), counted as an inline store
+        call."""
+        self._store_calls["inline"].inc()
+        return await getattr(self.fleet, f"{method}_async")(*args, **kwargs)
+
+    def _flush_inline(self, window) -> bool:
+        return True  # the batch flushes below are fan-outs
+
+    async def _degrees_batch(self, vertices: List[int]) -> List[int]:
+        values = await self._store_call(
+            "degrees", np.asarray(vertices, dtype=np.int64))
+        return [int(d) for d in values]
+
+    async def _neighbors_batch(self, vertices: List[int],
+                               with_payload: bool) -> List[np.ndarray]:
+        vs = np.asarray(vertices, dtype=np.int64)
+        return _rows_per_vertex(vs, await self._store_call(
+            "edges_for_sources", vs, with_payload=with_payload))
+
     async def _op_hello(self, args: dict) -> dict:
         return shaping.hello_shape(self._ops,
                                    shaping.shape_store_info(self.store),
@@ -530,8 +716,7 @@ class RangeRouter(ShardStoreServer):
                                    uptime_s=self._uptime_s())
 
     async def _op_stats(self, args: dict) -> dict:
-        # Unlike the base class the rollup talks to N workers — executor
-        # work, not event-loop work.
+        # Unlike the base class the rollup waits on N workers: pool work.
         return await self._run_store(
             lambda: shaping.stats_answer_shape(self.stats()))
 
@@ -603,6 +788,8 @@ class RangeRouter(ShardStoreServer):
             workers=reports, down=down, **self._health_sections())
 
     def stats(self) -> dict:
+        """The fleet rollup; it waits on the router's loop, so call it from
+        any other thread (the ``stats`` op runs it on the pool)."""
         # describe() is read before the stats probes, so the per-channel
         # call counters it reports never include this rollup's own calls.
         return shaping.fleet_stats_shape(

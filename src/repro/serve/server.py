@@ -31,9 +31,11 @@ Design rules:
   A store server decodes on **one** pool thread by default: a decode is
   Python code under the GIL, and a mapped shard's page faults are taken
   inside numpy calls that hold it too, so a second decode thread overlaps
-  nothing and only adds CPU.  The range router keeps a four-thread pool
-  (:class:`~repro.serve.router.RangeRouter`): its pool threads wait on
-  worker sockets with the GIL released.
+  nothing and only adds CPU.  The range router
+  (:class:`~repro.serve.router.RangeRouter`) awaits its fan-outs right on
+  the loop — its worker connections are asyncio streams — and keeps a
+  four-thread pool for ``egonet``, ``subgraph`` and its rollups, whose
+  threads wait on the loop.
 * **Scalar requests coalesce into batch calls.**  Concurrent ``degree`` /
   ``neighbors`` requests that land in the same event-loop tick are folded
   into one ``store.degrees`` / ``store.edges_for_sources`` call (the PR 1
@@ -123,8 +125,10 @@ class _Coalescer:
     list, and the returned per-value results resolve the futures in order.
     The values are vertex ids: *inline* is asked with the batch's
     ``(min, max)`` source window whether *flush_fn* runs right on the loop
-    or on *executor*.  Per-value validation must happen **before** submit
-    — a failure inside *flush_fn* fails the whole batch.
+    or on *executor*; a *flush_fn* that returns a coroutine when run on the
+    loop (the range router's fan-out) has it awaited there as a task.
+    Per-value validation must happen **before** submit — a failure inside
+    *flush_fn* fails the whole batch.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop,
@@ -141,6 +145,8 @@ class _Coalescer:
         self._max_batch = max_batch
         self._pending: List = []  # (value, future) pairs
         self._flush_scheduled = False
+        # Running coroutine flushes: the loop holds its tasks weakly.
+        self._flushing: set = set()
         # Effectiveness counters are registry series (labelled by the scalar
         # op being coalesced) so the fleet rollup and Prometheus see them;
         # a private registry keeps direct construction (unit tests) working.
@@ -174,11 +180,16 @@ class _Coalescer:
                 results = self._flush_fn(values)
             except Exception as exc:
                 self._resolve(batch, None, exc)
-            else:
+                return
+            if not asyncio.iscoroutine(results):
                 self._resolve(batch, results, None)
-            return
-        task = self._loop.run_in_executor(
-            self._executor, self._flush_fn, values)
+                return
+            task = self._loop.create_task(results)
+            self._flushing.add(task)
+            task.add_done_callback(self._flushing.discard)
+        else:
+            task = self._loop.run_in_executor(
+                self._executor, self._flush_fn, values)
 
         def _distribute(done: "asyncio.Future") -> None:
             exc = done.exception()
@@ -256,6 +267,16 @@ def _window(vertices: List[int]) -> Tuple[int, int]:
     """The ``(min, max)`` source window of a vertex list; ``(0, -1)``, a
     window no shard overlaps, when the list is empty."""
     return (min(vertices), max(vertices)) if vertices else (0, -1)
+
+
+def _rows_per_vertex(vertices: np.ndarray,
+                     rows: np.ndarray) -> List[np.ndarray]:
+    """One ``(src, dst)``-sorted batch gather, sliced back per requested
+    vertex (the coalesced ``neighbors`` answers)."""
+    srcs = rows[:, 0]
+    lefts = np.searchsorted(srcs, vertices, side="left")
+    rights = np.searchsorted(srcs, vertices, side="right")
+    return [rows[lo:hi] for lo, hi in zip(lefts, rights)]
 
 
 class ShardStoreServer:
@@ -389,7 +410,7 @@ class ShardStoreServer:
         self._degree_coalescer = _Coalescer(
             self._loop, self._executor, self._degrees_batch,
             max_batch=self.max_coalesce_batch,
-            registry=self.registry, kind="degree", inline=self._inline)
+            registry=self.registry, kind="degree", inline=self._flush_inline)
         self._neighbors_coalescers = {
             with_payload: _Coalescer(
                 self._loop, self._executor,
@@ -397,7 +418,7 @@ class ShardStoreServer:
                 max_batch=self.max_coalesce_batch,
                 registry=self.registry,
                 kind="neighbors_payload" if with_payload else "neighbors",
-                inline=self._inline)
+                inline=self._flush_inline)
             for with_payload in (False, True)
         }
         self._server = await asyncio.start_server(
@@ -452,8 +473,10 @@ class ShardStoreServer:
             # happen.
             await listener.wait_closed()
         if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+            executor, self._executor = self._executor, None
+            # Off the loop: a range router's pool thread may be waiting on
+            # a fleet call that only this loop can finish.
+            await asyncio.to_thread(executor.shutdown)
 
     def request_stop(self) -> None:
         """Ask the serve loop to exit (safe from any thread; a no-op when
@@ -675,8 +698,9 @@ class ShardStoreServer:
         An inline call runs in the handler's own context, so its spans
         nest under ``serve.<op>``.  ``run_in_executor`` does *not* carry
         ``contextvars``; when a trace is active the pool path copies the
-        context explicitly so store-side spans (shard decodes, fleet
-        fan-out attempts) stay in the request's tree.
+        context explicitly so store-side spans (shard decodes, the fleet
+        calls of a routed egonet or subgraph) stay in the request's
+        tree.
 
         The check and the call are not atomic: a pool thread can evict a
         shard in between, and the inline call then decodes it on the loop.
@@ -691,6 +715,23 @@ class ShardStoreServer:
                 self._executor, lambda: ctx.run(fn, *args))
         return await self._loop.run_in_executor(self._executor, fn, *args)
 
+    async def _store_call(self, method: str, *args,
+                          sources: Optional[Tuple[int, int]] = None,
+                          **kwargs):
+        """One batch primitive, ``store.<method>(*args, **kwargs)``, run
+        where :meth:`_run_store` says.  The range router overrides this to
+        await its fleet's fan-out on the loop instead."""
+        call = getattr(self.store, method)
+        return await self._run_store(lambda: call(*args, **kwargs),
+                                     sources=sources)
+
+    def _flush_inline(self, window: Tuple[int, int]) -> bool:
+        """Whether a coalesced batch over the source *window* flushes on
+        the loop: the store-call rule of :meth:`_inline`.  (The range
+        router's batch flushes are fan-outs the loop awaits, so there they
+        always do.)"""
+        return self._inline(window)
+
     # ------------------------------------------------------------------
     # Coalesced batch kernels (inline when warm, else on the executor)
     # ------------------------------------------------------------------
@@ -701,15 +742,10 @@ class ShardStoreServer:
     def _neighbors_batch(self, vertices: List[int],
                          with_payload: bool) -> List[np.ndarray]:
         """One ``edges_for_sources`` gather for a whole batch, sliced back
-        per requested vertex (`rows` is ``(src, dst)``-sorted)."""
-        rows = self.store.edges_for_sources(
-            np.asarray(vertices, dtype=np.int64), with_payload=with_payload)
-        srcs = rows[:, 0]
-        lefts = np.searchsorted(srcs, np.asarray(vertices, dtype=np.int64),
-                                side="left")
-        rights = np.searchsorted(srcs, np.asarray(vertices, dtype=np.int64),
-                                 side="right")
-        return [rows[lo:hi] for lo, hi in zip(lefts, rights)]
+        per requested vertex."""
+        vs = np.asarray(vertices, dtype=np.int64)
+        return _rows_per_vertex(
+            vs, self.store.edges_for_sources(vs, with_payload=with_payload))
 
     def _check_vertex(self, vertex: int) -> int:
         """Range-check *before* coalescing so one bad vertex cannot fail an
@@ -739,9 +775,10 @@ class ShardStoreServer:
 
     async def _op_degrees(self, args: dict) -> dict:
         vertices = _arg_ints(args, "vertices")
-        return await self._run_store(
-            lambda: shaping.shape_degrees(self.store, vertices),
-            sources=_window(vertices))
+        vs = np.asarray(vertices, dtype=np.int64)
+        degrees = await self._store_call("degrees", vs,
+                                         sources=_window(vertices))
+        return shaping.degrees_shape(vs, degrees)
 
     async def _op_neighbors(self, args: dict) -> dict:
         vertex = self._check_vertex(_arg_int(args, "vertex"))
@@ -754,19 +791,22 @@ class ShardStoreServer:
     async def _op_edges_for_sources(self, args: dict) -> dict:
         vertices = _arg_ints(args, "vertices")
         with_payload = _arg_bool(args, "with_payload")
-        return await self._run_store(
-            lambda: shaping.shape_edges_for_sources(self.store, vertices,
-                                                    with_payload=with_payload),
-            sources=_window(vertices))
+        vs = np.asarray(vertices, dtype=np.int64)
+        rows = await self._store_call("edges_for_sources", vs,
+                                      with_payload=with_payload,
+                                      sources=_window(vertices))
+        return shaping.edges_for_sources_shape(
+            vs, rows, self.store.payload_columns, with_payload=with_payload)
 
     async def _op_edges_in_range(self, args: dict) -> dict:
         lo = _arg_int(args, "lo")
         hi = _arg_int(args, "hi")
         with_payload = _arg_bool(args, "with_payload")
-        return await self._run_store(
-            lambda: shaping.shape_range(self.store, lo, hi,
-                                        with_payload=with_payload),
-            sources=(lo, hi - 1))
+        rows = await self._store_call("edges_in_range", lo, hi,
+                                      with_payload=with_payload,
+                                      sources=(lo, hi - 1))
+        return shaping.range_shape(lo, hi, rows, self.store.payload_columns,
+                                   with_payload=with_payload)
 
     async def _op_egonet(self, args: dict) -> dict:
         vertex = self._check_vertex(_arg_int(args, "vertex"))
@@ -793,9 +833,10 @@ class ShardStoreServer:
         if len(ps) != len(qs):
             raise ValueError(f"ps and qs must have matching shapes, "
                              f"got ({len(ps)},) and ({len(qs)},)")
-        return await self._run_store(
-            lambda: shaping.shape_edge_payloads(self.store, ps, qs),
-            sources=_window(ps))
+        values = await self._store_call(
+            "edge_payloads", np.asarray(ps, dtype=np.int64),
+            np.asarray(qs, dtype=np.int64), sources=_window(ps))
+        return shaping.edge_payloads_shape(self.store.payload_columns, values)
 
     async def _op_stats(self, args: dict) -> dict:
         return shaping.stats_answer_shape(self.stats())

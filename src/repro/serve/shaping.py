@@ -11,11 +11,15 @@ raw bytes beside the JSON control frame; the CLI turns them into lists
 only when it prints JSON.
 
 The CLI uses :func:`shape_degree` / :func:`shape_neighbors` /
-:func:`shape_egonet` / :func:`shape_range` directly.  The server adds the
-batch and reconstruction-oriented shapes (:func:`shape_degrees`,
-:func:`shape_subgraph`, :func:`shape_edge_payloads`) and passes
-``include_members=True`` to :func:`shape_egonet` so a remote client can
-rebuild the full :class:`~repro.graphs.egonet.Egonet`;
+:func:`shape_egonet` / :func:`shape_range` directly.  The server makes the
+store call of a batch primitive op itself — inline, on its decode pool, or
+(the range router) as a fleet fan-out on its event loop — and assembles
+the answer from the call's result with :func:`degrees_shape` /
+:func:`edges_for_sources_shape` / :func:`range_shape` /
+:func:`edge_payloads_shape`, the same assembly the ``shape_*`` functions
+use.  It also passes ``include_members=True`` to :func:`shape_egonet` so
+a remote client can rebuild the full
+:class:`~repro.graphs.egonet.Egonet`;
 :func:`induced_adjacency` is the client-side inverse (identical relabelling
 to :meth:`ShardStore.subgraph_adjacency`, so the reconstructed adjacency is
 exactly the in-process answer).
@@ -39,14 +43,17 @@ __all__ = [
     "events_shape",
     "health_shape",
     "degree_shape",
+    "degrees_shape",
     "neighbors_shape",
+    "range_shape",
+    "edges_for_sources_shape",
+    "edge_payloads_shape",
     "shape_degree",
     "shape_degrees",
     "shape_neighbors",
     "shape_egonet",
     "shape_range",
     "shape_range_binary",
-    "shape_edges_for_sources",
     "shape_subgraph",
     "shape_edge_payloads",
     "shape_store_info",
@@ -62,9 +69,9 @@ __all__ = [
 ]
 
 
-def _columns(store, with_payload: bool) -> list:
+def _columns(payload_columns: Sequence[str], with_payload: bool) -> list:
     """Column names of the rows a query answers with."""
-    return ["src", "dst", *(store.payload_columns if with_payload else ())]
+    return ["src", "dst", *(payload_columns if with_payload else ())]
 
 
 def _induced_edges_from_graph(vertices: np.ndarray, adjacency) -> np.ndarray:
@@ -92,10 +99,16 @@ def shape_degree(store, vertex: int) -> dict:
     return degree_shape(vertex, store.degree(vertex))
 
 
+def degrees_shape(vertices: np.ndarray, degrees: np.ndarray) -> dict:
+    """Assemble a ``degrees`` answer from already-computed values — the
+    server's entry point, wherever its store call ran."""
+    return {"query": "degrees", "vertices": vertices, "degrees": degrees}
+
+
 def shape_degrees(store, vertices: Sequence[int]) -> dict:
     """Batch ``degrees`` answer (array-in / array-out, PR 1 conventions)."""
     vs = np.asarray(vertices, dtype=np.int64)
-    return {"query": "degrees", "vertices": vs, "degrees": store.degrees(vs)}
+    return degrees_shape(vs, store.degrees(vs))
 
 
 def neighbors_shape(vertex: int, rows: np.ndarray,
@@ -156,11 +169,26 @@ def shape_egonet(store, vertex: int, *, with_payload: bool = False,
             # The payload rows already carry the topology in their first two
             # columns — a separate "edges" array would ship it twice.
             result["rows"] = rows
-            result["columns"] = _columns(store, with_payload)
+            result["columns"] = _columns(store.payload_columns, with_payload)
         else:
             result["edges"] = _induced_edges_from_graph(
                 ego.vertices, ego.graph.adjacency)
     return result
+
+
+def range_shape(lo: int, hi: int, rows: np.ndarray,
+                payload_columns: Sequence[str], *,
+                with_payload: bool) -> dict:
+    """Assemble an ``edges_in_range`` answer from the stored rows of the
+    ``[lo, hi)`` source range (see :func:`shape_range`)."""
+    return {
+        "query": "edges_in_range",
+        "lo": int(lo),
+        "hi": int(hi),
+        "n_edges": int(rows.shape[0]),
+        "columns": _columns(payload_columns, with_payload),
+        "edges": rows,
+    }
 
 
 def shape_range(store, lo: int, hi: int, *,
@@ -170,14 +198,8 @@ def shape_range(store, lo: int, hi: int, *,
     CLI truncates the ``edges`` it prints itself (``query --limit``)."""
     lo, hi = int(lo), int(hi)
     rows = store.edges_in_range(lo, hi, with_payload=with_payload)
-    return {
-        "query": "edges_in_range",
-        "lo": lo,
-        "hi": hi,
-        "n_edges": int(rows.shape[0]),
-        "columns": _columns(store, with_payload),
-        "edges": rows,
-    }
+    return range_shape(lo, hi, rows, store.payload_columns,
+                       with_payload=with_payload)
 
 
 def shape_range_binary(store, lo: int, hi: int, *,
@@ -192,20 +214,19 @@ def shape_range_binary(store, lo: int, hi: int, *,
     return answer, answer["edges"]
 
 
-def shape_edges_for_sources(store, vertices: Sequence[int], *,
-                            with_payload: bool = False) -> dict:
+def edges_for_sources_shape(vertices: np.ndarray, rows: np.ndarray,
+                            payload_columns: Sequence[str], *,
+                            with_payload: bool) -> dict:
     """``edges_for_sources`` answer: every stored row whose source is in
     *vertices* (deduplicated), ``(src, dst)``-sorted — the batch gather the
     range router splits by worker ranges, exposed on the wire so remote
     callers (and the router itself) can compose subgraph-style queries from
-    one round trip per slice."""
-    vs = np.asarray(vertices, dtype=np.int64)
-    rows = store.edges_for_sources(vs, with_payload=with_payload)
+    one round trip per slice.  Assembled from the gathered *rows*."""
     return {
         "query": "edges_for_sources",
-        "vertices": vs,
+        "vertices": vertices,
         "n_edges": int(rows.shape[0]),
-        "columns": _columns(store, with_payload),
+        "columns": _columns(payload_columns, with_payload),
         "edges": rows,
     }
 
@@ -230,10 +251,21 @@ def shape_subgraph(store, vertices: Sequence[int], *,
     }
     if with_payload:
         result["rows"] = rows
-        result["columns"] = _columns(store, with_payload)
+        result["columns"] = _columns(store.payload_columns, with_payload)
     else:
         result["edges"] = rows
     return result
+
+
+def edge_payloads_shape(payload_columns: Sequence[str],
+                        values: np.ndarray) -> dict:
+    """Assemble an ``edge_payloads`` answer from the looked-up payload
+    rows (see :func:`shape_edge_payloads`)."""
+    return {
+        "query": "edge_payloads",
+        "columns": list(payload_columns),
+        "payloads": values,
+    }
 
 
 def shape_edge_payloads(store, ps: Sequence[int], qs: Sequence[int]) -> dict:
@@ -241,11 +273,7 @@ def shape_edge_payloads(store, ps: Sequence[int], qs: Sequence[int]) -> dict:
     ``(ps[t], qs[t])`` pairs (every pair must be a stored edge)."""
     values = store.edge_payloads(np.asarray(ps, dtype=np.int64),
                                  np.asarray(qs, dtype=np.int64))
-    return {
-        "query": "edge_payloads",
-        "columns": list(store.payload_columns),
-        "payloads": values,
-    }
+    return edge_payloads_shape(store.payload_columns, values)
 
 
 def shape_store_info(store) -> dict:

@@ -155,9 +155,9 @@ class StoreQueryMixin:
     def cached(self, lo: int, hi: int, *,
                max_shards: Optional[int] = None) -> bool:
         """Whether a query over sources ``[lo, hi]`` is answered from memory
-        without blocking.  ``False`` here: a store without a local LRU (the
-        fleet façade's calls block on worker sockets) always answers off
-        the event loop."""
+        without blocking.  ``False`` here: a store without a local LRU
+        answers off the event loop (the fleet façade's synchronous calls
+        wait on the router's loop, so a server runs them on its pool)."""
         return False
 
     def payload_index(self, column: str) -> int:

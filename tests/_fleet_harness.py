@@ -13,8 +13,9 @@ full range-routed fleet of ``serve --fleet``, in-process, torn down by
   the same hand-rolled-peer pattern as ``_scripted_server`` in
   ``tests/test_serve.py`` — as that slice's *primary* address, so a worker
   can die mid-request deterministically while a real replica stands behind
-  it.  :func:`drop_after_request` and :func:`truncate_response` are the two
-  stock handlers (connection killed after reading the request / mid-frame).
+  it.  :func:`drop_after_request`, :func:`truncate_response` and
+  :func:`hang_after_request` are the stock handlers (connection killed
+  after reading the request / mid-frame, or never answered).
 
 Shared by ``tests/test_router.py`` and the fleet smoke in
 ``benchmarks/bench_query_server.py`` (the benchmarks conftest puts this
@@ -40,7 +41,7 @@ from repro.serve import (
 from repro.store import partition_manifest
 
 __all__ = ["FleetHarness", "scripted_worker", "drop_after_request",
-           "truncate_response"]
+           "truncate_response", "hang_after_request"]
 
 
 def scripted_worker(handler: Callable) -> "tuple[socket.socket, str]":
@@ -85,6 +86,15 @@ def truncate_response(conn: socket.socket) -> None:
     conn.sendall(struct.pack(">I", 4096) + b'{"ok": tru')
 
 
+def hang_after_request(conn: socket.socket) -> None:
+    """Scripted failure: read one request, then never answer — the
+    hung-worker fault.  Returns once the peer closes the connection (the
+    router's timeout must), so the accept loop can take the next one."""
+    protocol.read_frame(conn)
+    while conn.recv(1 << 16):
+        pass
+
+
 class FleetHarness:
     """Partition + workers + router on ephemeral ports, context-managed.
 
@@ -102,8 +112,8 @@ class FleetHarness:
         running *handler* as that slice's primary address (the real
         replicas become its failovers).
     timeout:
-        Router→worker socket timeout (short: fleet tests want failures to
-        surface fast).
+        Router→worker attempt timeout, and the default timeout of
+        :meth:`client` (short: fleet tests want failures to surface fast).
     """
 
     def __init__(self, store_dir, *, n_slices: Optional[int] = None,
@@ -153,11 +163,9 @@ class FleetHarness:
 
     def stop(self) -> None:
         if self.router is not None:
-            self.router.stop()
+            self.router.stop()  # closes the fleet's worker connections
             self.router = None
-        if self.fleet is not None:
-            self.fleet.close()
-            self.fleet = None
+        self.fleet = None
         for replicas in self.workers:
             for worker in replicas:
                 worker.stop()

@@ -163,7 +163,6 @@ class TestProfileStats:
     def test_thread_role_classification(self):
         assert thread_role("shard-serve") == "event_loop"
         assert thread_role("shard-decode_0") == "decode_pool"
-        assert thread_role("fleet-fanout_3") == "fanout_pool"
         assert thread_role("repro-profiler") == "profiler"
         assert thread_role("MainThread") == "main"
         assert thread_role("ThreadPoolExecutor-9_0") == "other"

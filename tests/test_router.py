@@ -14,6 +14,9 @@ Four layers of coverage, all through :class:`~tests._fleet_harness.FleetHarness`
   after reading the request, or mid-response) fails over to its replica
   exactly once and still returns the byte-equal answer; a pooled
   connection to a worker stopped between requests fails over the same way;
+  a hung primary times out, fails over, and never stalls the router's
+  event loop; a partial fan-out failure leaves nothing running and no
+  connection unclosed;
 * the no-replica-left path — with every replica of a slice down, the
   router answers with a clear error *frame* naming the worker and its
   range, and the client's connection stays usable for other slices;
@@ -26,12 +29,18 @@ Four layers of coverage, all through :class:`~tests._fleet_harness.FleetHarness`
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import json
+import logging
 import os
 import re
 import subprocess
 import sys
 import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -39,6 +48,7 @@ import pytest
 from _fleet_harness import (
     FleetHarness,
     drop_after_request,
+    hang_after_request,
     truncate_response,
 )
 from repro import generators
@@ -116,6 +126,14 @@ def fleet(store_dir):
 def client(fleet):
     with fleet.client() as c:
         yield c
+
+
+def _wait_for(predicate, timeout: float = 10.0) -> None:
+    """Poll *predicate* until it holds; fail after *timeout* seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 def _boundary_vertices(harness):
@@ -413,6 +431,119 @@ class TestFaultInjection:
                 assert np.array_equal(c.degrees(vs), reference.degrees(vs))
                 assert c.connection_stats()["connects"] == 1
 
+    def test_hung_worker_times_out_fails_over_and_never_blocks_the_loop(
+            self, store_factory):
+        """Slice 1's primary reads the request and never answers.  The
+        routed call fails over once the harness timeout expires; while it
+        waits, a request for slice 0 is answered (the router's loop is not
+        blocked); the hung connection is closed, never reused; and with no
+        live replica left behind the hung primary, the client gets the
+        worker-naming error frame on a connection that stays open."""
+        store = store_factory()
+        reference = ShardStore(store, cache_shards=16)
+        accepted, released = [], threading.Event()
+
+        def hang(conn):
+            accepted.append(conn)
+            try:
+                hang_after_request(conn)
+            finally:
+                released.set()  # the router closed the hung connection
+
+        timeout = 1.0
+        with FleetHarness(store, n_slices=2, scripted={1: hang},
+                          timeout=timeout) as harness:
+            channel = harness.channel(1)
+            hung = np.arange(harness.slices[1]["src_lo"],
+                             harness.slices[1]["src_hi"], 7)
+            live = np.arange(0, harness.slices[0]["src_hi"], 7)
+            with harness.client(timeout=30) as c, \
+                    harness.client(timeout=30) as other, \
+                    ThreadPoolExecutor(1) as pool:
+                started = time.monotonic()
+                waiting = pool.submit(c.degrees, hung)
+                _wait_for(lambda: channel.calls)
+                assert np.array_equal(other.degrees(live),
+                                      reference.degrees(live))
+                assert not waiting.done()
+                assert time.monotonic() - started < timeout
+                assert np.array_equal(waiting.result(timeout=30),
+                                      reference.degrees(hung))
+            assert time.monotonic() - started >= timeout
+            assert channel.failovers == 1
+            assert released.wait(10)
+            assert len(accepted) == 1
+            assert all(index == 1 for index, _ in channel._idle)
+
+            # The replica dies too: the retry lands on the hung primary.
+            harness.kill(1)
+            primary = re.escape(channel.addresses[0])
+            with harness.client(timeout=30) as c:
+                with pytest.raises(ServerError, match=(
+                        r"worker 1 \(sources .*\) is unavailable: .*; "
+                        rf"retry on {primary} failed \(no answer from "
+                        rf"{primary} within 1 s\)")):
+                    c.degrees(hung)
+                assert np.array_equal(c.degrees(live),
+                                      reference.degrees(live))
+                assert c.connection_stats()["connects"] == 1
+            assert len(accepted) == 2
+
+    def test_stop_returns_while_a_pool_call_waits_on_a_hung_worker(
+            self, store_factory):
+        """A routed egonet runs on the router's pool and its fleet calls
+        on the router's loop.  When it outlives the stop grace on a hung
+        primary, stop() cancels the handler, and the router's thread still
+        ends — once the call times out and fails over — instead of the
+        loop blocking on the pool's shutdown while the pool waits on the
+        loop."""
+        store = store_factory()
+        with FleetHarness(store, n_slices=2, scripted={1: hang_after_request},
+                          timeout=1.0) as harness:
+            server = harness.router.server
+            center = harness.slices[1]["src_lo"]
+            with harness.client(timeout=30) as c, \
+                    ThreadPoolExecutor(1) as pool:
+                waiting = pool.submit(c.egonet, center)
+                _wait_for(lambda: harness.channel(1).calls)
+                asyncio.run_coroutine_threadsafe(
+                    server.stop(grace_s=0.1), server._loop).result(timeout=20)
+                with pytest.raises(ConnectionResetError):
+                    waiting.result(timeout=20)  # its handler was cancelled
+            harness.router._thread.join(timeout=20)
+            assert not harness.router._thread.is_alive()
+            assert harness.channel(1).failovers == 1
+
+    def test_partial_fan_out_failure_is_clean(self, store_factory, caplog):
+        """Every replica of slice 1 dead under a two-slice ``degrees``: the
+        answer is the error frame naming worker 1, slice 0's call still
+        completes and its connection goes back to the idle pool, and no
+        task exception is left unretrieved nor a transport unclosed once
+        the harness stops."""
+        store = store_factory()
+        gc.collect()  # earlier tests' garbage is not this test's
+        with warnings.catch_warnings(record=True) as caught, \
+                caplog.at_level(logging.ERROR, logger="asyncio"):
+            warnings.simplefilter("always", ResourceWarning)
+            with FleetHarness(store, n_slices=2) as harness:
+                vs = [harness.slices[0]["src_lo"],
+                      harness.slices[1]["src_lo"]]
+                survivor = harness.channel(0)
+                with harness.client() as c:
+                    c.degrees(vs)  # one pooled connection per worker
+                    pooled = list(survivor._idle)
+                    harness.kill(1)
+                    with pytest.raises(ServerError, match=(
+                            r"worker 1 \(sources .*\) is unavailable")):
+                        c.degrees(vs)
+                    assert survivor.calls == 2
+                    assert survivor._idle == pooled
+            gc.collect()
+        assert not [record for record in caplog.records
+                    if "never retrieved" in record.getMessage()]
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)], caught
+
 
 # ----------------------------------------------------------------------
 # Observability: merged span trees, failover visibility, fleet-wide reset
@@ -483,9 +614,10 @@ class TestFleetObservability:
 
     def test_router_calls_run_on_the_pool_and_warm_workers_inline(
             self, store_factory, local_store):
-        """The fleet façade's calls block on worker sockets, so the router
-        runs every store call on its pool; each worker, warm on its slice,
-        runs its store calls on its event loop."""
+        """The router awaits its fan-outs on its event loop (counted
+        inline) and runs the mixin's derived queries — egonet, subgraph —
+        on its pool; each worker, warm on its slice, runs its store calls
+        on its event loop."""
         store = store_factory(target_shard_edges=3000)
         with FleetHarness(store, n_slices=3) as harness:
             assert harness.fleet.cached(0, 0) is False
@@ -497,9 +629,11 @@ class TestFleetObservability:
                 assert np.array_equal(c.degrees(vertices),
                                       local_store.degrees(vertices))
                 assert c.degree(7) == local_store.degree(7)
+                assert np.array_equal(c.egonet(7).vertices,
+                                      local_store.egonet(7).vertices)
                 stats = c.stats()
         router = stats["server"]["store_calls"]
-        assert router["inline"] == 0 and router["pool"] >= 2
+        assert router == {"inline": 2, "pool": 1}
         workers = [r["stats"]["server"]["store_calls"]
                    for r in stats["workers"]]
         assert all(w["pool"] == 0 for w in workers), workers
@@ -642,6 +776,34 @@ class TestFleetFlightRecorder:
             assert any(span["name"] == "serve.degrees"
                        for span in answers["trace"]["spans"])
 
+    def test_sync_primitive_on_the_loop_thread_raises(self, fleet,
+                                                      local_store):
+        """A sync ``FleetStore`` primitive called on the router's own loop
+        thread would wait on that loop forever; it raises a
+        ``RuntimeError`` naming the primitive instead.  From any other
+        thread it answers."""
+        store = fleet.fleet
+        calls = {"degrees": lambda: store.degrees([0]),
+                 "edges_for_sources": lambda: store.edges_for_sources([0]),
+                 "edges_in_range": lambda: store.edges_in_range(0, 5),
+                 "edge_payloads": lambda: store.edge_payloads([0], [1])}
+
+        async def on_the_loop():
+            refused = []
+            for name, call in calls.items():
+                with pytest.raises(RuntimeError, match=(
+                        rf"FleetStore\.{name} called on the router's event "
+                        "loop thread")):
+                    call()
+                refused.append(name)
+            return refused
+
+        loop = fleet.router.server._loop
+        assert asyncio.run_coroutine_threadsafe(
+            on_the_loop(), loop).result(timeout=30) == list(calls)
+        assert np.array_equal(store.degrees([0, 37]),
+                              local_store.degrees([0, 37]))
+
     def test_healthy_fleet_reports_ok(self, fleet, client):
         health = client.health()
         assert health["status"] == "ok"
@@ -715,9 +877,16 @@ class TestFleetCLI:
                 assert stats["server"]["decode_threads"] == 4
                 assert [worker["stats"]["server"]["decode_threads"]
                         for worker in stats["workers"]] == [1, 1]
+                c.profile("start", hz=200)
                 assert c.degree(37) == local_store.degree(37)
                 vs = np.arange(0, local_store.n_vertices, 17)
                 assert np.array_equal(c.degrees(vs), local_store.degrees(vs))
+                time.sleep(0.1)
+                # Router and workers serve on the one loop thread, and it
+                # samples as the event loop.
+                stacks = c.profile("stop")["profile"]["stacks"]
+                assert "event_loop" in stacks and "main" not in stacks, \
+                    sorted(stacks)
                 c.shutdown_server()
             stdout, stderr = process.communicate(timeout=30)
         finally:

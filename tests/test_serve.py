@@ -27,6 +27,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -862,8 +863,9 @@ class TestServeCli:
 
     def test_serve_subcommand_end_to_end(self, store_dir):
         """`repro-kron serve` in a real subprocess: binds an ephemeral port,
-        answers queries, stops gracefully on a shutdown request, and prints
-        the request/cache summary."""
+        answers queries (its loop thread profiles as the event loop), stops
+        gracefully on a shutdown request, and prints the request/cache
+        summary."""
         env = dict(os.environ)
         src = str((
             __import__("pathlib").Path(__file__).resolve().parent.parent
@@ -881,7 +883,12 @@ class TestServeCli:
             match = re.search(r"on 127\.0\.0\.1:(\d+)", banner)
             assert match, banner
             with QueryClient("127.0.0.1", int(match.group(1))) as c:
+                c.profile("start", hz=200)
                 assert c.degree(37) >= 0
+                time.sleep(0.1)
+                stacks = c.profile("stop")["profile"]["stacks"]
+                assert "event_loop" in stacks and "main" not in stacks, \
+                    sorted(stacks)
                 assert c.stats()["server"]["requests"]["degree"] == 1
                 c.shutdown_server()
             stdout, stderr = process.communicate(timeout=30)
