@@ -240,7 +240,8 @@ def test_query_router_smoke(tmp_path, quick_mode):
 
         # The fleet rollup reports the *parent* store's shard count (slices
         # overlap on boundary shards) and real worker traffic.
-        stats = harness.router.server.stats()
+        with harness.client() as client:
+            stats = client.stats()
         assert stats["fleet"]["workers"] == 3
         assert all(report["ok"] for report in stats["workers"])
         assert stats["store"]["n_shards"] == reference.n_shards
@@ -581,7 +582,8 @@ def test_query_router_scaling_full(tmp_path):
                 harness, reference, n_clients=8, rounds=2,
                 seed=29 + n_workers)
             assert not failures, failures[:3]
-            rollup = harness.fleet.stats()
+            with harness.client() as client:
+                rollup = client.stats()["store"]
             assert rollup["workers"] == n_workers
             assert rollup["n_shards"] == reference.n_shards
         rate = requests / elapsed

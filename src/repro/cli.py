@@ -60,10 +60,9 @@ published artefacts of the paper:
     a bounded decode pool — one thread unless ``--threads`` says
     otherwise, since decodes hold the GIL — concurrent scalar queries
     coalesced into batch calls).  With ``--fleet`` the router and every
-    slice worker serve on that one event loop, so a routed request
-    crosses no thread; each worker keeps its own ``--threads`` decode
-    pool, and the router keeps its own four-thread pool for ``egonet``,
-    ``subgraph`` and the rollups, whose threads wait on the loop.  The
+    slice worker serve on that one event loop, and the router awaits
+    every routed query and rollup there, so a routed request crosses no
+    thread; each worker keeps its own ``--threads`` decode pool.  The
     loop's thread is named ``shard-serve``, so ``profile`` samples it
     under the ``event_loop`` role.  Stops gracefully on Ctrl-C or a
     client ``shutdown`` request, then prints the request/cache
@@ -318,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "all cached, runs on the event loop (default 1: "
                             "decodes hold the GIL, so more threads overlap "
                             "nothing; with --fleet this sizes each slice "
-                            "worker's pool, and the router keeps 4 for "
-                            "egonet, subgraph and rollups)")
+                            "worker's pool, and the router awaits every "
+                            "routed query on its event loop)")
     serve.add_argument("--fleet", type=int, default=None, metavar="N",
                        help="partition the store into N contiguous "
                             "vertex-range slices, serve one in-process "
@@ -778,9 +777,8 @@ def _serve_fleet(args: argparse.Namespace) -> int:
                 await router.serve_until_stopped()
             finally:
                 # Roll the final numbers up while the workers still
-                # answer (on a thread of its own: the rollup waits on this
-                # loop), then close the connections the rollup opened.
-                summary.update(await asyncio.to_thread(router.stats))
+                # answer, then close the connections the rollup opened.
+                summary.update(await router.fleet_stats())
                 await router.fleet.close()
         finally:
             for worker in workers:

@@ -67,7 +67,8 @@ class AnswerShapeRule(Rule):
 #: from an async handler.
 BLOCKING_STORE_METHODS = frozenset({
     "degree", "degrees", "neighbors", "edges_for_sources", "edges_in_range",
-    "egonet", "subgraph", "subgraph_edges", "edge_payload", "edge_payloads",
+    "egonet", "egonet_edges", "subgraph", "subgraph_edges", "edge_payload",
+    "edge_payloads",
 })
 
 

@@ -43,7 +43,7 @@ from repro.graphs.adjacency import Graph
 from repro.graphs.egonet import Egonet
 from repro.obs import trace
 from repro.serve import protocol
-from repro.serve.shaping import induced_adjacency
+from repro.store.query import induced_adjacency
 
 __all__ = ["QueryClient", "parse_address"]
 

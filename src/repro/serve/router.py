@@ -16,23 +16,20 @@ The construction is deliberately thin:
   split each request across the worker ranges, send the slices to their
   workers concurrently over the same wire protocol (``asyncio.gather``
   over asyncio stream connections, on the router's event loop), and merge
-  the answers back in source order.  Their synchronous twins
-  (``degrees`` / ...) hand each call to that loop
-  (``asyncio.run_coroutine_threadsafe``) and wait for it, so ``subgraph``,
-  ``egonet`` and every other derived query come from the same
-  :class:`~repro.store.StoreQueryMixin` the local store uses, and routed
-  answers are byte-equal to single-store answers *by construction*.  A
-  synchronous call on the loop's own thread would wait on itself; it
-  raises :class:`RuntimeError` naming the primitive instead.
+  the answers back in source order.  ``egonet_edges_async`` /
+  ``subgraph_edges_async`` await the plans of
+  :class:`~repro.store.StoreQueryMixin` — the ``egonet`` and ``subgraph``
+  definitions the local store drives synchronously — through those
+  primitives, so routed answers are byte-equal to single-store answers
+  *by construction*.  The façade has no synchronous query method.
 * :class:`RangeRouter` is :class:`ShardStoreServer` serving that façade:
   framing, request coalescing, array frames, and error frames are
-  inherited unchanged.  Its primitive ops and coalesced ``degree`` /
-  ``neighbors`` flushes await the fan-out on the loop, so a routed point
-  request crosses no thread inside the router; its pool threads run only
-  ``egonet``, ``subgraph`` and the operational rollups, and wait on the
-  loop, not on sockets.  ``hello`` (adds the fleet description) and
-  ``stats`` (rolls per-worker stats up into a fleet answer) are
-  overridden, as are the merged observability ops.
+  inherited unchanged.  Every store call and coalesced ``degree`` /
+  ``neighbors`` flush awaits the fleet on the loop, so a routed request
+  crosses no thread inside the router.  ``hello`` (adds the fleet
+  description) and ``stats`` (rolls per-worker stats up into a fleet
+  answer) are overridden, as are ``reset_stats`` and the merged
+  observability ops, each one awaited fan-out.
 * :class:`_WorkerChannel` owns one slice's wire connections: reused
   asyncio streams against the preferred replica, and on a *transport*
   failure (``OSError``, :class:`~repro.serve.protocol.ProtocolError` or no
@@ -331,13 +328,10 @@ class _WorkerChannel:
 class FleetStore(StoreQueryMixin):
     """Store façade over N range-sliced workers — the router's ``store``.
 
-    The batch primitives are coroutines (``degrees_async``, ...) run on the
-    event loop of the :class:`RangeRouter` serving the fleet, which binds
-    it at start and owns its connections.  The synchronous primitives
-    (``degrees``, ...) — what :class:`~repro.store.StoreQueryMixin` builds
-    the derived queries from, and what tools and tests call — hand each
-    call to that loop and wait; they work from any thread but the loop's
-    own, where they raise :class:`RuntimeError`.
+    Every query is a coroutine (``degrees_async``, ...,
+    ``egonet_edges_async``), awaited on the event loop of the
+    :class:`RangeRouter` serving the fleet, which owns its connections;
+    tools and tests reach a fleet through the router's wire ops.
 
     Parameters
     ----------
@@ -398,16 +392,10 @@ class FleetStore(StoreQueryMixin):
         # slices repeat the previous bound and side="right" skips them.
         self._his = np.asarray([c.src_hi for c in self._channels],
                                dtype=np.int64)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # ------------------------------------------------------------------
     # Fan-out plumbing
     # ------------------------------------------------------------------
-    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Run this fleet's worker calls on *loop* (the serving router's
-        event loop; :meth:`RangeRouter.start` binds it)."""
-        self._loop = loop
-
     def _owners(self, vs: np.ndarray) -> np.ndarray:
         """Index of the worker whose assigned range contains each vertex."""
         return np.searchsorted(self._his, vs, side="right")
@@ -429,33 +417,6 @@ class FleetStore(StoreQueryMixin):
             if isinstance(answer, BaseException):
                 raise answer
         return answers
-
-    def _blocking(self, name: str, coroutine_fn, *args, **kwargs):
-        """``coroutine_fn(*args, **kwargs)`` run on the bound loop, waited
-        for from this thread — the synchronous form of a fleet call.  On
-        the loop's own thread the wait could never end, so that is a
-        :class:`RuntimeError` naming the primitive *name*."""
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            raise RuntimeError(
-                f"FleetStore.{name} needs the running event loop of the "
-                "RangeRouter serving this fleet")
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is loop:
-            raise RuntimeError(
-                f"FleetStore.{name} called on the router's event loop "
-                "thread, where waiting for the fan-out would block the "
-                f"loop forever; await its coroutine form instead")
-        coroutine = coroutine_fn(*args, **kwargs)
-        try:
-            future = asyncio.run_coroutine_threadsafe(coroutine, loop)
-        except RuntimeError:  # the loop closed after the check
-            coroutine.close()
-            raise
-        return future.result()
 
     # ------------------------------------------------------------------
     # Batch primitives (split by owner → fan out → merge in source order)
@@ -541,23 +502,28 @@ class FleetStore(StoreQueryMixin):
             out[mask] = answer["payloads"]
         return out
 
-    def degrees(self, vs: Sequence[int]) -> np.ndarray:
-        return self._blocking("degrees", self.degrees_async, vs)
+    # ------------------------------------------------------------------
+    # Derived queries: the store's plans, awaited on the loop
+    # ------------------------------------------------------------------
+    async def _run_async(self, plan):
+        """Drive a plan (see :class:`~repro.store.StoreQueryMixin`) through
+        this fleet's ``*_async`` primitives and return its result."""
+        answer = None
+        while True:
+            try:
+                method, args, kwargs = plan.send(answer)
+            except StopIteration as done:
+                return done.value
+            answer = await getattr(self, f"{method}_async")(*args, **kwargs)
 
-    def edges_for_sources(self, vs: Sequence[int], *,
-                          with_payload: bool = False) -> np.ndarray:
-        return self._blocking("edges_for_sources",
-                              self.edges_for_sources_async, vs,
-                              with_payload=with_payload)
+    async def subgraph_edges_async(self, vertices: Sequence[int], *,
+                                   with_payload: bool = False) -> np.ndarray:
+        return await self._run_async(
+            self._subgraph_plan(vertices, with_payload))
 
-    def edges_in_range(self, lo: int, hi: int, *,
-                       with_payload: bool = False) -> np.ndarray:
-        return self._blocking("edges_in_range", self.edges_in_range_async,
-                              lo, hi, with_payload=with_payload)
-
-    def edge_payloads(self, ps: Sequence[int], qs: Sequence[int]) -> np.ndarray:
-        return self._blocking("edge_payloads", self.edge_payloads_async,
-                              ps, qs)
+    async def egonet_edges_async(self, v: int, *, with_payload: bool = False
+                                 ) -> Tuple[np.ndarray, np.ndarray]:
+        return await self._run_async(self._egonet_plan(int(v), with_payload))
 
     # ------------------------------------------------------------------
     # Operational surface
@@ -575,18 +541,14 @@ class FleetStore(StoreQueryMixin):
             calls=[c.calls for c in self._channels],
             failovers=[c.failovers for c in self._channels])
 
-    def _broadcast(self, op: str, args: Optional[dict] = None) -> List[tuple]:
+    async def _broadcast_async(self, op: str,
+                               args: Optional[dict] = None) -> List[tuple]:
         """Send one wire op to every worker concurrently and return
         ``(channel, answer, error)`` per worker, in worker order, with
         exactly one of *answer* / *error* set.  An unreachable worker
         yields its channel error — naming the worker, its range and both
         attempts — instead of failing the broadcast; each caller decides
-        what that gap means.  The rollups that use it run on the router's
-        pool, so this is the blocking form of :meth:`_broadcast_async`."""
-        return self._blocking("_broadcast", self._broadcast_async, op, args)
-
-    async def _broadcast_async(self, op: str,
-                               args: Optional[dict] = None) -> List[tuple]:
+        what that gap means."""
         async def ask(channel):
             try:
                 return channel, await channel.call(op, args), None
@@ -594,35 +556,8 @@ class FleetStore(StoreQueryMixin):
                 return channel, None, exc
         return await asyncio.gather(*(ask(c) for c in self._channels))
 
-    def worker_reports(self) -> List[dict]:
-        """One ``stats`` probe per worker; a dead worker yields an error
-        report instead of failing the rollup."""
-        return [shaping.fleet_worker_report(c.index, c.src_lo, c.src_hi,
-                                            stats=answer, error=error)
-                for c, answer, error in self._broadcast("stats")]
-
-    def stats(self) -> dict:
-        """Fleet-level ``"store"`` counter section (summed worker
-        counters) — what :meth:`ShardStoreServer.stats` would embed if it
-        served this façade directly."""
-        reports = self.worker_reports()
-        sections = [report["stats"]["store"] for report in reports
-                    if report.get("ok")]
-        return shaping.fleet_store_counters(sections, n_shards=self.n_shards)
-
-    def reset_stats(self) -> int:
-        """Fan the ``reset_stats`` op out to every worker (fleet-wide
-        counter reset — e.g. clearing benchmark warmup) and return the
-        worker count for the answer shape.  A dead worker raises its
-        channel :class:`ConnectionError`: a partial reset would leave
-        stale counters in the next measured window."""
-        for _, _, error in self._broadcast("reset_stats"):
-            if error is not None:
-                raise error
-        return len(self._channels)
-
     async def close(self) -> None:
-        """Close every idle worker connection, on the bound loop (the
+        """Close every idle worker connection, on the router's loop (the
         router does this when it stops)."""
         for channel in self._channels:
             await channel.close()
@@ -635,8 +570,8 @@ class FleetStore(StoreQueryMixin):
 
 
 def _missing_workers(replies: List[tuple]) -> List[dict]:
-    """The workers a :meth:`FleetStore._broadcast` could not reach, each
-    named with its assigned range."""
+    """The workers a :meth:`FleetStore._broadcast_async` could not reach,
+    each named with its assigned range."""
     return [shaping.missing_worker(c.index, c.src_lo, c.src_hi, error)
             for c, _, error in replies if error is not None]
 
@@ -645,50 +580,39 @@ class RangeRouter(ShardStoreServer):
     """A :class:`ShardStoreServer` whose store is a :class:`FleetStore`.
 
     Everything protocol-facing — framing, coalescing, array frames, error
-    frames — is inherited.  The primitive ops (``degrees``,
-    ``edges_for_sources``, ``edges_in_range``, ``edge_payloads``) and the
-    coalesced ``degree`` / ``neighbors`` flushes await the fleet's fan-out
-    right on the event loop — counted as ``inline`` store calls — since
-    the router's worker connections are asyncio streams: the loop waits,
-    it never blocks.  ``egonet`` and ``subgraph`` run the shared
-    :class:`~repro.store.StoreQueryMixin` on the pool (the façade's
-    ``cached`` is always false, so they count as ``pool`` calls), as do
-    the rollups: ``stats`` becomes the per-worker rollup, and ``trace`` /
-    ``profile`` / ``events`` / ``health`` widen into fleet-merged answers
-    built from one :meth:`FleetStore._broadcast` each, naming the workers
-    they could not reach.  The pool keeps four threads by default
-    (``decode_threads=4``) where a store server keeps one; they wait on
-    the loop, not on sockets, and a derived query or rollup on one does
-    not hold up the point requests on the loop.  The fleet's registry is
-    adopted as the router's, so ``metrics`` serves the ``fleet.worker_*``
-    series alongside the inherited ``serve.*`` ones, and the inherited
-    ``reset_stats`` fans out to every worker through
-    :meth:`FleetStore.reset_stats`.  The router binds the fleet to its
-    loop at :meth:`start` and closes the fleet's connections at
-    :meth:`stop`.
+    frames — is inherited.  Every store call — the primitive ops,
+    ``egonet`` and ``subgraph``, and the coalesced ``degree`` /
+    ``neighbors`` flushes — awaits the fleet's coroutine right on the
+    event loop, counted as an ``inline`` store call: the router's worker
+    connections are asyncio streams, so the loop waits, it never blocks.
+    ``stats`` becomes the per-worker rollup, ``reset_stats`` fans out to
+    every worker, and ``trace`` / ``profile`` / ``events`` / ``health``
+    widen into fleet-merged answers, each built from one awaited
+    :meth:`FleetStore._broadcast_async` and naming the workers it could
+    not reach.  Like every server the router has a one-thread pool
+    (``decode_threads``), used only for ``metrics`` and for applying a
+    ``profile`` action.  The fleet's registry is adopted as the router's,
+    so ``metrics`` serves the ``fleet.worker_*`` series alongside the
+    inherited ``serve.*`` ones.  The router closes the fleet's
+    connections when it stops.
     """
 
-    def __init__(self, fleet: FleetStore, *, decode_threads: int = 4,
-                 **kwargs):
+    def __init__(self, fleet: FleetStore, **kwargs):
         if not isinstance(fleet, FleetStore):
             raise TypeError(
                 f"RangeRouter serves a FleetStore, got {type(fleet).__name__}")
-        super().__init__(fleet, decode_threads=decode_threads, **kwargs)
+        super().__init__(fleet, **kwargs)
 
     @property
     def fleet(self) -> FleetStore:
         return self.store
 
-    async def start(self) -> None:
-        await super().start()
-        self.fleet.bind(self._loop)
-
-    async def stop(self, *, grace_s: float = 5.0) -> None:
-        await super().stop(grace_s=grace_s)
+    async def _teardown(self, grace_s: float) -> None:
+        await super()._teardown(grace_s)
         await self.fleet.close()
 
     async def _store_call(self, method: str, *args, sources=None, **kwargs):
-        """Await the fleet's coroutine for one batch primitive on the loop
+        """Await the fleet's coroutine for one store call on the loop
         (``FleetStore.<method>_async``), counted as an inline store
         call."""
         self._store_calls["inline"].inc()
@@ -716,16 +640,37 @@ class RangeRouter(ShardStoreServer):
                                    uptime_s=self._uptime_s())
 
     async def _op_stats(self, args: dict) -> dict:
-        # Unlike the base class the rollup waits on N workers: pool work.
-        return await self._run_store(
-            lambda: shaping.stats_answer_shape(self.stats()))
+        return shaping.stats_answer_shape(await self.fleet_stats())
+
+    async def fleet_stats(self) -> dict:
+        """The ``stats`` rollup: the router's own ``server`` counters, the
+        fleet description, one ``stats`` report per worker (an error report
+        for a dead one) and the summed ``store`` section.  Awaited on the
+        router's loop."""
+        # describe() is read before the stats probes, so the per-channel
+        # call counters it reports never include this rollup's own calls.
+        fleet = self.fleet.describe()
+        reports = [shaping.fleet_worker_report(c.index, c.src_lo, c.src_hi,
+                                               stats=answer, error=error)
+                   for c, answer, error
+                   in await self.fleet._broadcast_async("stats")]
+        return shaping.fleet_stats_shape(self._server_stats(), fleet, reports,
+                                         n_shards=self.fleet.n_shards)
+
+    async def _op_reset_stats(self, args: dict) -> dict:
+        self.registry.reset()
+        for _, _, error in await self.fleet._broadcast_async("reset_stats"):
+            if error is not None:
+                # A partial reset would leave stale counters in the next
+                # measured window.
+                raise error
+        return shaping.reset_stats_shape(workers=self.fleet.n_workers)
 
     async def _op_trace(self, args: dict) -> dict:
         trace_id = _arg(args, "id")
         if not isinstance(trace_id, str):
             raise ValueError("request arg 'id' must be a string trace id")
-        replies = await self._run_store(
-            self.fleet._broadcast, "trace", {"id": trace_id})
+        replies = await self.fleet._broadcast_async("trace", {"id": trace_id})
         spans = self.recorder.spans(trace_id)
         for _, answer, _ in replies:
             if answer is not None:
@@ -733,18 +678,19 @@ class RangeRouter(ShardStoreServer):
         return shaping.trace_answer_shape(
             trace_id, spans, missing_workers=_missing_workers(replies))
 
-    def _profile(self, action: str, hz, collapsed: bool) -> dict:
-        """The fleet ``profile`` rollup (already on the executor via the
-        inherited ``_op_profile``): apply the action on every worker, then
-        on the router itself, and answer with the merged aggregate.
+    async def _op_profile(self, args: dict) -> dict:
+        """The fleet ``profile`` rollup: apply the action on every worker,
+        then on the router itself, and answer with the merged aggregate.
 
         The workers act *before* the router, so after a fleet-wide
         ``stop`` every aggregate in the sum is frozen — the merged answer
         equals the router's own profile plus each worker's directly
         fetched snapshot, exactly."""
-        replies = self.fleet._broadcast("profile",
-                                        {"action": action, "hz": hz})
-        self._apply_profile_action(action, hz)
+        action, hz, collapsed = self._profile_args(args)
+        replies = await self.fleet._broadcast_async(
+            "profile", {"action": action, "hz": hz})
+        # On the pool: ``stop`` joins the sampling thread.
+        await self._run_store(self._apply_profile_action, action, hz)
         own = self.profiler.snapshot()
         merged = own + sum((ProfileStats.from_dict(answer["profile"])
                             for _, answer, _ in replies
@@ -758,11 +704,8 @@ class RangeRouter(ShardStoreServer):
 
     async def _op_events(self, args: dict) -> dict:
         limit, kind = self._events_args(args)
-        return await self._run_store(self._fleet_events, limit, kind)
-
-    def _fleet_events(self, limit, kind) -> dict:
-        replies = self.fleet._broadcast("events",
-                                        {"limit": limit, "kind": kind})
+        replies = await self.fleet._broadcast_async(
+            "events", {"limit": limit, "kind": kind})
         answers = [answer for _, answer, _ in replies if answer is not None]
         merged = merge_events(
             [self.events.tail(limit, kind=kind),
@@ -774,10 +717,7 @@ class RangeRouter(ShardStoreServer):
             missing_workers=_missing_workers(replies))
 
     async def _op_health(self, args: dict) -> dict:
-        return await self._run_store(self._fleet_health)
-
-    def _fleet_health(self) -> dict:
-        replies = self.fleet._broadcast("health")
+        replies = await self.fleet._broadcast_async("health")
         reports = [shaping.fleet_worker_report(c.index, c.src_lo, c.src_hi,
                                                health=answer, error=error)
                    for c, answer, error in replies]
@@ -786,15 +726,6 @@ class RangeRouter(ShardStoreServer):
             status="degraded" if down else "ok",
             fleet={"workers": self.fleet.n_workers, "down": len(down)},
             workers=reports, down=down, **self._health_sections())
-
-    def stats(self) -> dict:
-        """The fleet rollup; it waits on the router's loop, so call it from
-        any other thread (the ``stats`` op runs it on the pool)."""
-        # describe() is read before the stats probes, so the per-channel
-        # call counters it reports never include this rollup's own calls.
-        return shaping.fleet_stats_shape(
-            self._server_stats(), self.store.describe(),
-            self.store.worker_reports(), n_shards=self.store.n_shards)
 
 
 class ThreadedRouter(ThreadedServer):

@@ -32,10 +32,10 @@ Design rules:
   Python code under the GIL, and a mapped shard's page faults are taken
   inside numpy calls that hold it too, so a second decode thread overlaps
   nothing and only adds CPU.  The range router
-  (:class:`~repro.serve.router.RangeRouter`) awaits its fan-outs right on
-  the loop — its worker connections are asyncio streams — and keeps a
-  four-thread pool for ``egonet``, ``subgraph`` and its rollups, whose
-  threads wait on the loop.
+  (:class:`~repro.serve.router.RangeRouter`) awaits every store call and
+  rollup right on the loop — its worker connections are asyncio streams —
+  and uses its one pool thread only for ``metrics`` and for applying a
+  ``profile`` action.
 * **Scalar requests coalesce into batch calls.**  Concurrent ``degree`` /
   ``neighbors`` requests that land in the same event-loop tick are folded
   into one ``store.degrees`` / ``store.edges_for_sources`` call (the PR 1
@@ -345,6 +345,7 @@ class ShardStoreServer:
         self.slow_query_us = slow_query_us
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
+        self._stopping: Optional[asyncio.Future] = None  # the one teardown
         self._stop_event: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._writers: set = set()
@@ -431,11 +432,16 @@ class ShardStoreServer:
         """Graceful stop: close every connection parked between frames and
         the listener, let every in-flight request finish and flush its
         response, then — after *grace_s* — abort any connection a stalled
-        client is keeping open, and drop the pool.  Returns once every
-        connection handler has finished."""
-        if self._server is not None and self._started_at is not None:
-            # Guarded on the live listener so a double stop() (context exit
-            # after a client-requested shutdown) records one event, not two.
+        client is keeping open, and shut the pool down.  Overlapping and
+        repeated calls share one teardown, and each returns only once it
+        is complete: every connection handler finished and the pool shut
+        down."""
+        if self._stopping is None:
+            self._stopping = asyncio.ensure_future(self._teardown(grace_s))
+        await asyncio.shield(self._stopping)
+
+    async def _teardown(self, grace_s: float) -> None:
+        if self._started_at is not None:
             self.events.emit(
                 "serve.shutdown", host=self.host, port=self.port,
                 uptime_s=round(time.monotonic() - self._started_at, 3))
@@ -473,10 +479,9 @@ class ShardStoreServer:
             # happen.
             await listener.wait_closed()
         if self._executor is not None:
-            executor, self._executor = self._executor, None
-            # Off the loop: a range router's pool thread may be waiting on
-            # a fleet call that only this loop can finish.
-            await asyncio.to_thread(executor.shutdown)
+            # Off the loop: a cold decode still running on the pool must
+            # not stall the other servers the loop may host (serve --fleet).
+            await asyncio.to_thread(self._executor.shutdown)
 
     def request_stop(self) -> None:
         """Ask the serve loop to exit (safe from any thread; a no-op when
@@ -688,7 +693,7 @@ class ShardStoreServer:
         when the source window *sources* ``(lo, hi)`` overlaps at most
         :data:`_INLINE_MAX_SHARDS` shards and all of them are cached, on the
         bounded decode pool otherwise.  A call without a window (metrics,
-        profile, reset_stats, the router's rollups) always runs on the pool.
+        a profile action) always runs on the pool.
 
         The shard bound keeps a warm bulk call — a wide range, a subgraph
         or egonet over a many-shard store — from copying tens of megabytes
@@ -698,9 +703,8 @@ class ShardStoreServer:
         An inline call runs in the handler's own context, so its spans
         nest under ``serve.<op>``.  ``run_in_executor`` does *not* carry
         ``contextvars``; when a trace is active the pool path copies the
-        context explicitly so store-side spans (shard decodes, the fleet
-        calls of a routed egonet or subgraph) stay in the request's
-        tree.
+        context explicitly so store-side spans (shard decodes) stay in the
+        request's tree.
 
         The check and the call are not atomic: a pool thread can evict a
         shard in between, and the inline call then decodes it on the loop.
@@ -718,9 +722,10 @@ class ShardStoreServer:
     async def _store_call(self, method: str, *args,
                           sources: Optional[Tuple[int, int]] = None,
                           **kwargs):
-        """One batch primitive, ``store.<method>(*args, **kwargs)``, run
-        where :meth:`_run_store` says.  The range router overrides this to
-        await its fleet's fan-out on the loop instead."""
+        """One store call — a batch primitive, ``subgraph_edges`` or
+        ``egonet_edges`` — as ``store.<method>(*args, **kwargs)``, run where
+        :meth:`_run_store` says.  The range router overrides this to await
+        its fleet's coroutine for the call on the loop instead."""
         call = getattr(self.store, method)
         return await self._run_store(lambda: call(*args, **kwargs),
                                      sources=sources)
@@ -813,19 +818,24 @@ class ShardStoreServer:
         with_payload = _arg_bool(args, "with_payload")
         include_members = _arg_bool(args, "include_members")
         # The neighbour set is unknown until read: the window is the store.
-        return await self._run_store(
-            lambda: shaping.shape_egonet(self.store, vertex,
-                                         with_payload=with_payload,
-                                         include_members=include_members),
+        vertices, rows = await self._store_call(
+            "egonet_edges", vertex, with_payload=with_payload,
             sources=(0, self.store.n_vertices - 1))
+        return shaping.egonet_shape(vertex, vertices, rows,
+                                    self.store.payload_columns,
+                                    with_payload=with_payload,
+                                    include_members=include_members)
 
     async def _op_subgraph(self, args: dict) -> dict:
         vertices = _arg_ints(args, "vertices")
         with_payload = _arg_bool(args, "with_payload")
-        return await self._run_store(
-            lambda: shaping.shape_subgraph(self.store, vertices,
-                                           with_payload=with_payload),
-            sources=_window(vertices))
+        vs = np.asarray(vertices, dtype=np.int64)
+        rows = await self._store_call("subgraph_edges", vs,
+                                      with_payload=with_payload,
+                                      sources=_window(vertices))
+        return shaping.subgraph_shape(vs, rows, self.store.payload_columns,
+                                      self.store.manifest.get("name"),
+                                      with_payload=with_payload)
 
     async def _op_edge_payloads(self, args: dict) -> dict:
         ps = _arg_ints(args, "ps")
@@ -932,16 +942,9 @@ class ShardStoreServer:
         }
 
     async def _op_reset_stats(self, args: dict) -> dict:
-        details = await self._run_store(self._reset_stats)
-        return shaping.reset_stats_shape(workers=details)
-
-    def _reset_stats(self) -> Optional[int]:
-        """Zero every registry series; a store with its own reset hook (the
-        fleet façade fans the reset out to its workers) runs it too, and
-        its worker count rides back on the answer shape."""
+        # The store's counters are series on this registry too.
         self.registry.reset()
-        reset_hook = getattr(self.store, "reset_stats", None)
-        return reset_hook() if reset_hook is not None else None
+        return shaping.reset_stats_shape()
 
     async def _op_shutdown(self, args: dict) -> dict:
         # Reply first; the loop notices the event after this response flushes.

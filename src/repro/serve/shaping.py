@@ -3,26 +3,27 @@
 ``repro-kron query --json`` and the :mod:`repro.serve` server answer the
 same questions from the same :class:`~repro.store.ShardStore`; this module
 is the single place their answer *shapes* are defined, so the two surfaces
-cannot drift.  Every function takes the store plus plain-Python arguments
-and returns a dict whose scalars are built-in ``int`` / ``str`` and whose
-rows, id lists and payload columns are ``int64`` numpy arrays.  The wire
-codec (:func:`repro.serve.protocol.encode_parts`) ships those arrays as
-raw bytes beside the JSON control frame; the CLI turns them into lists
-only when it prints JSON.
+cannot drift.  Every function returns a dict whose scalars are built-in
+``int`` / ``str`` and whose rows, id lists and payload columns are
+``int64`` numpy arrays.  The wire codec
+(:func:`repro.serve.protocol.encode_parts`) ships those arrays as raw
+bytes beside the JSON control frame; the CLI turns them into lists only
+when it prints JSON.
 
 The CLI uses :func:`shape_degree` / :func:`shape_neighbors` /
-:func:`shape_egonet` / :func:`shape_range` directly.  The server makes the
-store call of a batch primitive op itself — inline, on its decode pool, or
-(the range router) as a fleet fan-out on its event loop — and assembles
-the answer from the call's result with :func:`degrees_shape` /
+:func:`shape_egonet` / :func:`shape_range`, which take the store.  The
+server makes each op's store call itself — inline, on its decode pool, or
+(the range router) awaited on its event loop — and assembles the answer
+from the call's result with :func:`degrees_shape` /
 :func:`edges_for_sources_shape` / :func:`range_shape` /
-:func:`edge_payloads_shape`, the same assembly the ``shape_*`` functions
-use.  It also passes ``include_members=True`` to :func:`shape_egonet` so
-a remote client can rebuild the full
-:class:`~repro.graphs.egonet.Egonet`;
-:func:`induced_adjacency` is the client-side inverse (identical relabelling
-to :meth:`ShardStore.subgraph_adjacency`, so the reconstructed adjacency is
-exactly the in-process answer).
+:func:`edge_payloads_shape` / :func:`egonet_shape` /
+:func:`subgraph_shape`, the same assembly the ``shape_*`` functions use.
+An ``egonet`` answer is counted from the egonet's sorted rows, so no
+served or routed answer builds a scipy matrix; with
+``include_members=True`` it carries the vertex list and rows from which
+a remote client rebuilds the :class:`~repro.graphs.egonet.Egonet` through
+:func:`repro.store.query.induced_adjacency`, the relabelling the
+in-process store uses.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.obs import render_prometheus
 from repro.serve.protocol import PROTOCOL_VERSION
@@ -48,13 +48,14 @@ __all__ = [
     "range_shape",
     "edges_for_sources_shape",
     "edge_payloads_shape",
+    "egonet_shape",
+    "subgraph_shape",
     "shape_degree",
     "shape_degrees",
     "shape_neighbors",
     "shape_egonet",
     "shape_range",
     "shape_range_binary",
-    "shape_subgraph",
     "shape_edge_payloads",
     "shape_store_info",
     "hello_shape",
@@ -65,24 +66,12 @@ __all__ = [
     "fleet_worker_report",
     "fleet_store_counters",
     "fleet_stats_shape",
-    "induced_adjacency",
 ]
 
 
 def _columns(payload_columns: Sequence[str], with_payload: bool) -> list:
     """Column names of the rows a query answers with."""
     return ["src", "dst", *(payload_columns if with_payload else ())]
-
-
-def _induced_edges_from_graph(vertices: np.ndarray, adjacency) -> np.ndarray:
-    """Global-id ``(src, dst)``-sorted edge list of an induced subgraph whose
-    adjacency was already gathered — avoids a second shard pass when serving
-    an egonet (the stored rows and the adjacency carry the same entries)."""
-    counts = np.diff(adjacency.indptr)
-    local_src = np.repeat(np.arange(vertices.shape[0]), counts)
-    edges = np.column_stack([vertices[local_src],
-                             vertices[adjacency.indices]]).astype(np.int64)
-    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
 def degree_shape(vertex: int, degree: int) -> dict:
@@ -140,40 +129,60 @@ def shape_neighbors(store, vertex: int, *, with_payload: bool = False) -> dict:
                            with_payload=with_payload)
 
 
-def shape_egonet(store, vertex: int, *, with_payload: bool = False,
-                 include_members: bool = False) -> dict:
-    """``egonet`` answer: the Figure 7 summary statistics, plus (server mode,
-    ``include_members=True``) the vertex list and induced edges a remote
-    client needs to rebuild the :class:`~repro.graphs.egonet.Egonet`."""
+def egonet_shape(vertex: int, vertices: np.ndarray, rows: np.ndarray,
+                 payload_columns: Sequence[str], *, with_payload: bool,
+                 include_members: bool) -> dict:
+    """Assemble an ``egonet`` answer from :meth:`ShardStore.egonet_edges`:
+    the Figure 7 summary, plus (``include_members=True``) the vertex list
+    and rows a remote client rebuilds the Egonet from.  ``centre_degree``
+    is the centre's rows minus its self loop; each triangle at the centre
+    is a neighbour-to-neighbour edge, stored as two rows, so
+    ``triangles_at_centre`` is those rows (self loops excluded) halved."""
     vertex = int(vertex)
-    if with_payload:
-        ego, rows = store.egonet(vertex, with_payload=True)
-    else:
-        ego, rows = store.egonet(vertex), None
+    srcs, dsts = rows[:, 0], rows[:, 1]
+    off_centre = dsts != vertex
+    at_centre = srcs == vertex
     result = {
         "query": "egonet",
         "vertex": vertex,
-        "n_vertices": int(ego.n_vertices),
-        "centre_degree": int(ego.degree_of_center()),
-        "triangles_at_centre": int(ego.triangles_at_center()),
+        "n_vertices": int(vertices.shape[0]),
+        "centre_degree": int(np.count_nonzero(at_centre & off_centre)),
+        "triangles_at_centre": int(np.count_nonzero(
+            ~at_centre & off_centre & (srcs != dsts))) // 2,
     }
-    if rows is not None:
+    if with_payload:
         result["n_induced_edges"] = int(rows.shape[0])
         result["payload_totals"] = {
             name: int(rows[:, 2 + offset].sum())
-            for offset, name in enumerate(store.payload_columns)
+            for offset, name in enumerate(payload_columns)
         }
     if include_members:
-        result["vertices"] = ego.vertices
+        result["vertices"] = vertices
         if with_payload:
             # The payload rows already carry the topology in their first two
             # columns — a separate "edges" array would ship it twice.
             result["rows"] = rows
-            result["columns"] = _columns(store.payload_columns, with_payload)
+            result["columns"] = _columns(payload_columns, with_payload)
         else:
-            result["edges"] = _induced_edges_from_graph(
-                ego.vertices, ego.graph.adjacency)
+            result["edges"] = rows
     return result
+
+
+def shape_egonet(store, vertex: int, *, with_payload: bool = False,
+                 include_members: bool = False) -> dict:
+    """``egonet`` answer from an in-process store: :func:`egonet_shape`
+    over the store's egonet rows."""
+    vertex = int(vertex)
+    if with_payload:
+        # The in-process pair holds the rows, and is what the benchmark's
+        # replay stand-in (perfbench/served.py) answers.
+        ego, rows = store.egonet(vertex, with_payload=True)
+        vertices = ego.vertices
+    else:
+        vertices, rows = store.egonet_edges(vertex)
+    return egonet_shape(vertex, vertices, rows, store.payload_columns,
+                        with_payload=with_payload,
+                        include_members=include_members)
 
 
 def range_shape(lo: int, hi: int, rows: np.ndarray,
@@ -231,27 +240,22 @@ def edges_for_sources_shape(vertices: np.ndarray, rows: np.ndarray,
     }
 
 
-def shape_subgraph(store, vertices: Sequence[int], *,
-                   with_payload: bool = False) -> dict:
-    """``subgraph`` answer: the induced stored rows plus the vertex list in
-    the caller's order, from which :func:`induced_adjacency` rebuilds the
-    exact :meth:`ShardStore.subgraph_adjacency` matrix."""
-    vs = np.asarray(vertices, dtype=np.int64)
-    if np.unique(vs).size != vs.size:
-        # Reject before the gather: decoding shards for a request that is
-        # doomed anyway would be free denial-of-work.
-        raise ValueError("subgraph vertex selection contains duplicates")
-    rows = store.subgraph_edges(vs, with_payload=with_payload)
+def subgraph_shape(vertices: np.ndarray, rows: np.ndarray,
+                   payload_columns: Sequence[str], store_name: Optional[str],
+                   *, with_payload: bool) -> dict:
+    """Assemble a ``subgraph`` answer from :meth:`ShardStore.subgraph_edges`
+    and the vertex list in the caller's order, from which a client
+    rebuilds the store's exact adjacency."""
     result = {
         "query": "subgraph",
-        "vertices": vs,
-        "n_vertices": int(vs.size),
+        "vertices": vertices,
+        "n_vertices": int(vertices.size),
         "n_edges": int(rows.shape[0]),
-        "name": f"{store.manifest.get('name') or 'store'}[sub]",
+        "name": f"{store_name or 'store'}[sub]",
     }
     if with_payload:
         result["rows"] = rows
-        result["columns"] = _columns(store.payload_columns, with_payload)
+        result["columns"] = _columns(payload_columns, with_payload)
     else:
         result["edges"] = rows
     return result
@@ -547,24 +551,3 @@ def fleet_stats_shape(server: dict, fleet: dict, reports: Sequence[dict], *,
         "workers": list(reports),
         "store": fleet_store_counters(sections, n_shards=n_shards),
     }
-
-
-def induced_adjacency(vertices: np.ndarray, edges: np.ndarray) -> sp.csr_matrix:
-    """Rebuild an induced adjacency from global-id *edges* over *vertices*.
-
-    Local vertex *i* is ``vertices[i]`` (caller order preserved) — the same
-    relabelling :meth:`ShardStore.subgraph_adjacency` applies, so a client
-    reconstructing a served subgraph or egonet gets a matrix exactly equal
-    to the in-process answer.  Every edge endpoint must be in *vertices*.
-    """
-    vs = np.asarray(vertices, dtype=np.int64)
-    k = vs.shape[0]
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.shape[0] == 0 or k == 0:
-        return sp.csr_matrix((k, k), dtype=np.int64)
-    order = np.argsort(vs, kind="stable")
-    sorted_vs = vs[order]
-    local_src = order[np.searchsorted(sorted_vs, edges[:, 0])]
-    local_dst = order[np.searchsorted(sorted_vs, edges[:, 1])]
-    data = np.ones(edges.shape[0], dtype=np.int64)
-    return sp.csr_matrix((data, (local_src, local_dst)), shape=(k, k))

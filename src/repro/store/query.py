@@ -49,6 +49,10 @@ not every shard between its smallest and largest vertex: a uniform batch
 over a many-shard store spans most of the store but lives in a few of its
 shards.
 
+``egonet`` and ``subgraph`` are *plans* (:class:`StoreQueryMixin`), which
+this store drives on its own primitives and the range router's fleet
+façade awaits on its event loop; an egonet is two gathers.
+
 The cache and its ``shard_reads`` / ``cache_hits`` counters are
 **concurrent-safe**: a lock guards every cache mutation, so one store can be
 shared by many reader threads — the serving pattern of
@@ -81,13 +85,12 @@ import scipy.sparse as sp
 
 from repro.graphs.adjacency import Graph
 from repro.graphs.egonet import Egonet
-from repro.graphs.egonet import egonet as _extract_egonet
 from repro.graphs.io import read_edge_shard, read_shard_manifest
 from repro.lint.runtime import new_lock
 from repro.obs import MetricsRegistry, trace
 from repro.perf.kernels import ragged_range, ragged_take
 
-__all__ = ["ShardStore", "StoreQueryMixin"]
+__all__ = ["ShardStore", "StoreQueryMixin", "induced_adjacency"]
 
 PathLike = Union[str, Path]
 
@@ -101,22 +104,35 @@ _MAX_ENCODABLE_VERTICES = np.int64(3_037_000_499)  # floor(sqrt(2**63 - 1))
 _load_shard_file = read_edge_shard
 
 
+def induced_adjacency(vertices: Sequence[int],
+                      edges: np.ndarray) -> sp.csr_matrix:
+    """Induced adjacency of the global-id *edges* over *vertices*: local
+    vertex *i* is ``vertices[i]`` (caller order preserved).  The one
+    relabelling of the store's and the served client's graphs, so they
+    are equal matrices."""
+    vs = np.asarray(vertices, dtype=np.int64)
+    k = vs.shape[0]
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.shape[0] == 0 or k == 0:
+        return sp.csr_matrix((k, k), dtype=np.int64)
+    order = np.argsort(vs, kind="stable")
+    sorted_vs = vs[order]
+    local_src = order[np.searchsorted(sorted_vs, edges[:, 0])]
+    local_dst = order[np.searchsorted(sorted_vs, edges[:, 1])]
+    data = np.ones(edges.shape[0], dtype=np.int64)
+    return sp.csr_matrix((data, (local_src, local_dst)), shape=(k, k))
+
+
 class StoreQueryMixin:
-    """Derived graph queries over any store exposing the batch primitives.
+    """What both store backends share: argument checks, row assembly, and
+    ``egonet`` / ``subgraph`` written once as *plans*.
 
-    The mixin is the single definition of every query that can be *composed*
-    from the batched primitives — ``degree`` / ``neighbors`` / ``has_edge`` /
-    ``subgraph_adjacency`` / ``subgraph_edges`` / ``subgraph`` / ``egonet`` /
-    ``edge_payload`` — so a local :class:`ShardStore` and the range-routed
-    fleet façade (:class:`repro.serve.router.FleetStore`) answer them through
-    literally the same code path, and routed answers are byte-equal to
-    single-store answers by construction rather than by parallel maintenance.
-
-    A concrete store provides the primitives and descriptors:
-
-    - ``degrees(vs)``, ``edges_for_sources(vs, with_payload=)``,
-      ``edges_in_range(lo, hi, with_payload=)``, ``edge_payloads(ps, qs)``
-    - attributes ``n_vertices``, ``payload_columns``, ``manifest``, ``_width``
+    A plan is a generator that yields the batch-primitive calls it needs
+    as ``(method, args, kwargs)``, is sent each answer, and returns its
+    rows.  :class:`ShardStore` drives it on its own primitives; the fleet
+    façade (:class:`repro.serve.router.FleetStore`) awaits the same calls
+    through its ``*_async`` primitives on the router's loop, so routed
+    answers are byte-equal to single-store answers by construction.
     """
 
     def _store_label(self) -> str:
@@ -152,14 +168,6 @@ class StoreQueryMixin:
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return rows if with_payload else rows[:, :2]
 
-    def cached(self, lo: int, hi: int, *,
-               max_shards: Optional[int] = None) -> bool:
-        """Whether a query over sources ``[lo, hi]`` is answered from memory
-        without blocking.  ``False`` here: a store without a local LRU
-        answers off the event loop (the fleet façade's synchronous calls
-        wait on the router's loop, so a server runs them on its pool)."""
-        return False
-
     def payload_index(self, column: str) -> int:
         """Position of *column* within the payload slice of a full row
         (i.e. ``row[2 + payload_index(column)]`` is its value)."""
@@ -170,113 +178,35 @@ class StoreQueryMixin:
                 f"{self._store_label()}: no payload column {column!r}; this "
                 f"store carries {list(self.payload_columns)}") from None
 
-    def edge_payload(self, p: int, q: int) -> dict:
-        """Payload of one stored edge as a ``{column: value}`` dict."""
-        values = self.edge_payloads(np.asarray([p]), np.asarray([q]))[0]
-        return {name: int(value)
-                for name, value in zip(self.payload_columns, values)}
-
     # ------------------------------------------------------------------
-    # Scalar views (thin wrappers over the batched kernels)
+    # Plans
     # ------------------------------------------------------------------
-    def degree(self, v: int) -> int:
-        """Degree of one vertex, self loop excluded (the
-        :meth:`repro.core.KroneckerGraph.degree` convention)."""
-        return int(self.degrees(np.asarray([v]))[0])
-
-    def has_edge(self, p: int, q: int) -> bool:
-        """Whether the store holds the directed entry ``(p, q)``."""
-        row = self.edges_for_sources(np.asarray([p]))
-        index = int(np.searchsorted(row[:, 1], int(q)))
-        return index < row.shape[0] and int(row[index, 1]) == int(q)
-
-    def neighbors(self, v: int, *, include_self_loop: bool = False) -> np.ndarray:
-        """Sorted neighbour ids of *v*, matching
-        :meth:`repro.core.KroneckerGraph.neighbors`."""
-        qs = self.edges_for_sources(np.asarray([v]))[:, 1]
-        if not include_self_loop:
-            qs = qs[qs != int(v)]
-        return np.ascontiguousarray(qs)
-
-    # ------------------------------------------------------------------
-    # Induced subgraphs / egonets
-    # ------------------------------------------------------------------
-    def subgraph_adjacency(self, vertices: Sequence[int]) -> sp.csr_matrix:
-        """Induced adjacency on *vertices*, gathered through the batched
-        edge primitives only.
-
-        Local vertex *i* of the result is ``vertices[i]`` (order preserved,
-        like :meth:`repro.core.KroneckerGraph.subgraph_adjacency`); *vertices*
-        must be unique.
-        """
-        ps = self._check_vertices(np.asarray(vertices, dtype=np.int64))
-        k = ps.shape[0]
-        if k == 0:
-            return sp.csr_matrix((0, 0), dtype=np.int64)
-        order = np.argsort(ps, kind="stable")
-        sorted_ps = ps[order]
-        if np.any(sorted_ps[1:] == sorted_ps[:-1]):
+    def _subgraph_plan(self, vertices: Sequence[int], with_payload: bool):
+        """Plan: the stored rows with both endpoints in *vertices*
+        (global ids, ``(src, dst)``-sorted), from one ``edges_for_sources``
+        round over the selection."""
+        vs = self._check_vertices(np.asarray(vertices, dtype=np.int64))
+        sel = np.unique(vs)
+        if sel.size != vs.size:
+            # Reject before the gather: decoding shards for a request that
+            # is doomed anyway would be free denial-of-work.
             raise ValueError("subgraph vertex selection contains duplicates")
-        edges = self.edges_for_sources(sorted_ps)
-        if edges.shape[0] == 0:
-            return sp.csr_matrix((k, k), dtype=np.int64)
-        # Keep only edges landing inside the selection, then relabel both
-        # endpoints to local ids in the caller's ordering.
-        pos = np.minimum(np.searchsorted(sorted_ps, edges[:, 1]), k - 1)
-        keep = sorted_ps[pos] == edges[:, 1]
-        edges, pos = edges[keep], pos[keep]
-        local_src = order[np.searchsorted(sorted_ps, edges[:, 0])]
-        local_dst = order[pos]
-        data = np.ones(edges.shape[0], dtype=np.int64)
-        return sp.csr_matrix((data, (local_src, local_dst)), shape=(k, k))
-
-    def subgraph_edges(self, vertices: Sequence[int], *,
-                       with_payload: bool = False) -> np.ndarray:
-        """Stored rows with both endpoints in *vertices* (global ids,
-        ``(src, dst)``-sorted); the edge-list sibling of
-        :meth:`subgraph_adjacency`, and the carrier of the induced payload
-        rows when ``with_payload=True``."""
-        sel = np.unique(self._check_vertices(np.asarray(vertices, dtype=np.int64)))
-        rows = self.edges_for_sources(sel, with_payload=with_payload)
-        if sel.size == 0 or rows.shape[0] == 0:
-            return rows
+        rows = yield ("edges_for_sources", (sel,),
+                      {"with_payload": with_payload})
         pos = np.minimum(np.searchsorted(sel, rows[:, 1]), sel.size - 1)
         return rows[sel[pos] == rows[:, 1]]
 
-    def subgraph(self, vertices: Sequence[int], *, with_payload: bool = False):
-        """Induced subgraph as a :class:`repro.graphs.Graph` (undirected
-        stores; the adjacency of an undirected product spill is symmetric by
-        construction).
-
-        With ``with_payload=True`` returns ``(graph, rows)`` where *rows* are
-        the induced ``(m, 2 + k)`` stored rows (global vertex ids) carrying
-        the manifest's payload columns.
-        """
-        graph = Graph(self.subgraph_adjacency(vertices),
-                      name=f"{self.manifest.get('name') or 'store'}[sub]",
-                      validate=False)
-        if not with_payload:
-            return graph
-        return graph, self.subgraph_edges(vertices, with_payload=True)
-
-    def egonet(self, v: int, *, with_payload: bool = False):
-        """Egonet of *v* served entirely from the store.
-
-        Delegates to :func:`repro.graphs.egonet.egonet` through the same
-        ``neighbors``/``subgraph`` protocol :class:`~repro.core.KroneckerGraph`
-        implements, so the Figure 7 spot checks run unchanged against spilled
-        edges — the product is never materialized, and only the shards
-        covering the centre and its neighbours are decoded.
-
-        With ``with_payload=True`` returns ``(egonet, rows)`` where *rows*
-        are the stored ``(m, 2 + k)`` rows induced on the egonet's vertices —
-        the per-edge ground truth of the neighbourhood, served from the same
-        decoded shards.
-        """
-        ego = _extract_egonet(self, int(v))
-        if not with_payload:
-            return ego
-        return ego, self.subgraph_edges(ego.vertices, with_payload=True)
+    def _egonet_plan(self, v: int, with_payload: bool):
+        """Plan: ``(vertices, rows)`` of the egonet of *v* in two rounds —
+        the centre's row, then the rows induced on the centre and its
+        neighbours (:meth:`_subgraph_plan`).  *vertices* is the centre, then
+        its sorted neighbours: the :func:`repro.graphs.egonet.egonet`
+        order."""
+        centre = yield "edges_for_sources", (np.asarray([v]),), {}
+        neighbours = centre[:, 1]
+        vertices = np.concatenate([[np.int64(v)], neighbours[neighbours != v]])
+        rows = yield from self._subgraph_plan(vertices, with_payload)
+        return vertices, rows
 
 
 class ShardStore(StoreQueryMixin):
@@ -688,6 +618,90 @@ class ShardStore(StoreQueryMixin):
     def out_degree(self, v: int) -> int:
         """Stored out-entry count of one vertex."""
         return int(self.out_degrees(np.asarray([v]))[0])
+
+    def degree(self, v: int) -> int:
+        """Degree of one vertex, self loop excluded (the
+        :meth:`repro.core.KroneckerGraph.degree` convention)."""
+        return int(self.degrees(np.asarray([v]))[0])
+
+    def has_edge(self, p: int, q: int) -> bool:
+        """Whether the store holds the directed entry ``(p, q)``."""
+        row = self.edges_for_sources(np.asarray([p]))
+        index = int(np.searchsorted(row[:, 1], int(q)))
+        return index < row.shape[0] and int(row[index, 1]) == int(q)
+
+    def neighbors(self, v: int, *, include_self_loop: bool = False) -> np.ndarray:
+        """Sorted neighbour ids of *v*, matching
+        :meth:`repro.core.KroneckerGraph.neighbors`."""
+        qs = self.edges_for_sources(np.asarray([v]))[:, 1]
+        if not include_self_loop:
+            qs = qs[qs != int(v)]
+        return np.ascontiguousarray(qs)
+
+    def edge_payload(self, p: int, q: int) -> dict:
+        """Payload of one stored edge as a ``{column: value}`` dict."""
+        values = self.edge_payloads(np.asarray([p]), np.asarray([q]))[0]
+        return {name: int(value)
+                for name, value in zip(self.payload_columns, values)}
+
+    # ------------------------------------------------------------------
+    # Induced subgraphs / egonets (the plans, driven on this store)
+    # ------------------------------------------------------------------
+    def _run(self, plan):
+        """Drive a plan (see :class:`StoreQueryMixin`) on this store's own
+        primitives and return its result."""
+        answer = None
+        while True:
+            try:
+                method, args, kwargs = plan.send(answer)
+            except StopIteration as done:
+                return done.value
+            answer = getattr(self, method)(*args, **kwargs)
+
+    def subgraph_edges(self, vertices: Sequence[int], *,
+                       with_payload: bool = False) -> np.ndarray:
+        """Stored rows with both endpoints in *vertices* (unique), global
+        ids, ``(src, dst)``-sorted, from one gather: :meth:`subgraph`'s
+        rows."""
+        return self._run(self._subgraph_plan(vertices, with_payload))
+
+    def egonet_edges(self, v: int, *, with_payload: bool = False
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(vertices, rows)`` of the egonet of *v*: the centre then its
+        sorted neighbours, and the stored rows induced on them, from two
+        gathers (the centre's row, then the centre and its neighbours)."""
+        return self._run(self._egonet_plan(int(v), with_payload))
+
+    def subgraph_adjacency(self, vertices: Sequence[int]) -> sp.csr_matrix:
+        """Induced adjacency on *vertices* (unique; local vertex *i* is
+        ``vertices[i]``, like
+        :meth:`repro.core.KroneckerGraph.subgraph_adjacency`)."""
+        return induced_adjacency(vertices, self.subgraph_edges(vertices))
+
+    def _induced_graph(self, vertices: np.ndarray, rows: np.ndarray) -> Graph:
+        return Graph(induced_adjacency(vertices, rows[:, :2]),
+                     name=f"{self.manifest.get('name') or 'store'}[sub]",
+                     validate=False)
+
+    def subgraph(self, vertices: Sequence[int], *, with_payload: bool = False):
+        """Induced subgraph as a :class:`repro.graphs.Graph`; with
+        ``with_payload=True``, ``(graph, rows)`` where *rows* are the
+        induced ``(m, 2 + k)`` stored rows (global vertex ids) carrying the
+        manifest's payload columns."""
+        rows = self.subgraph_edges(vertices, with_payload=with_payload)
+        graph = self._induced_graph(vertices, rows)
+        return (graph, rows) if with_payload else graph
+
+    def egonet(self, v: int, *, with_payload: bool = False):
+        """Egonet of *v* from the store, equal to
+        :func:`repro.graphs.egonet.egonet` on the product (the Figure 7
+        spot check), decoding only the shards of the centre and its
+        neighbours.  With ``with_payload=True`` returns ``(egonet, rows)``:
+        the stored ``(m, 2 + k)`` rows the graph was built from."""
+        vertices, rows = self.egonet_edges(v, with_payload=with_payload)
+        ego = Egonet(center=int(v), vertices=vertices,
+                     graph=self._induced_graph(vertices, rows))
+        return (ego, rows) if with_payload else ego
 
     def __repr__(self) -> str:
         return (f"ShardStore({str(self.directory)!r}, n_vertices={self.n_vertices}, "

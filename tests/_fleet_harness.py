@@ -111,6 +111,9 @@ class FleetHarness:
         ``{slice_index: handler}`` — prepend a :func:`scripted_worker`
         running *handler* as that slice's primary address (the real
         replicas become its failovers).
+    cache_shards / decode_threads:
+        Each worker's LRU size and decode pool; the router keeps the
+        server default.
     timeout:
         Router→worker attempt timeout, and the default timeout of
         :meth:`client` (short: fleet tests want failures to surface fast).
@@ -157,8 +160,7 @@ class FleetHarness:
                          "addresses": addresses})
         self.fleet = FleetStore(spec, fleet_info_from_manifest(self.manifest),
                                 timeout=self._timeout)
-        self.router = ThreadedRouter(
-            self.fleet, decode_threads=self._decode_threads).start()
+        self.router = ThreadedRouter(self.fleet).start()
         return self
 
     def stop(self) -> None:

@@ -19,6 +19,10 @@ class Handler:
         time.sleep(0.01)  # BAD: blocks every connection
         return self._store.degree(vertex)  # BAD: decode via _store too
 
+    async def op_egonet(self, vertex):
+        # BAD: an egonet plan's two gathers, driven on the event loop
+        return self.store.egonet_edges(vertex, with_payload=True)
+
     async def op_probe(self, host, port):
         pause(0.01)  # BAD: aliased time.sleep
         # BAD: blocking socket call inside the loop

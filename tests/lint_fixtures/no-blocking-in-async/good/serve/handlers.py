@@ -25,6 +25,11 @@ class Handler:
         await asyncio.sleep(0)  # async sleep never blocks the loop
         return await self._run_store(self.store.degree, vertex)
 
+    async def op_egonet(self, vertex):
+        # The egonet plan runs where _run_store says, not inline here.
+        return await self._run_store(
+            lambda: self.store.egonet_edges(vertex, with_payload=True))
+
     def sync_helper(self, lo, hi):
         # Sync scope: runs on the executor, allowed to block.
         time.sleep(0)

@@ -32,7 +32,7 @@ EXPECTED_BAD_FINDINGS = {
     "answer-shapes-in-shaping": 2,
     "no-ad-hoc-telemetry": 5,
     "no-scalar-sparse-getitem": 3,
-    "no-blocking-in-async": 5,
+    "no-blocking-in-async": 6,
     "registry-names-dotted": 4,
     "no-bare-print": 3,
 }

@@ -794,6 +794,53 @@ class TestGracefulStop:
                 writer.close()
         asyncio.run(main())
 
+    def test_overlapping_stops_wait_for_the_pool_to_shut_down(
+            self, store_dir, monkeypatch):
+        """Two overlapping ``stop()`` calls while a cold call holds the
+        decode pool, its shard read blocked in a hook: neither call may
+        return before the pool is shut down, so both are still waiting
+        while the read is held, and both return once it is released."""
+        from repro.store import query as store_query
+
+        entered, release, decoded = (threading.Event(), threading.Event(),
+                                     threading.Event())
+        load = store_query._load_shard_file
+
+        def held_load(*args, **kwargs):
+            entered.set()
+            assert release.wait(30)
+            rows = load(*args, **kwargs)
+            decoded.set()
+            return rows
+
+        monkeypatch.setattr(store_query, "_load_shard_file", held_load)
+
+        async def main():
+            server = ShardStoreServer(store_dir, cache_shards=2)
+            await server.start()
+            reader, writer = await asyncio.open_connection(server.host,
+                                                           server.port)
+            try:
+                writer.write(protocol.encode_frame(protocol.request_frame(
+                    "edges_in_range",
+                    {"lo": 0, "hi": server.store.n_vertices})))
+                await writer.drain()
+                assert await asyncio.to_thread(entered.wait, 30)
+                stops = [asyncio.ensure_future(server.stop(grace_s=0.1))
+                         for _ in range(2)]
+                done, _ = await asyncio.wait(stops, timeout=1.0)
+                release.set()
+                await asyncio.gather(*stops)
+                return len(done)
+            finally:
+                release.set()
+                writer.close()
+
+        returned_early = asyncio.run(main())
+        assert returned_early == 0, \
+            "a stop() returned before the pool shut down"
+        assert decoded.is_set()
+
     def test_in_flight_request_answered_while_idle_connections_close(
             self, store_dir, local_store):
         with ThreadedServer(store_dir, cache_shards=8) as fresh:
