@@ -32,18 +32,15 @@ Subpackages
 ``repro.perf``        vectorized CSR gather kernels behind the batched hot paths
 ``repro.store``       out-of-core shard store: compaction, manifest v2, range queries
 ``repro.analysis``    distribution diagnostics and summary tables
+
+``repro.serve`` (the query service), ``repro.obs`` (telemetry) and
+``repro.lint`` (the convention linter) are imported by their own paths.
+Every subpackage and name listed here is imported on first access (PEP 562),
+so ``import repro`` loads none of them, and a process that only serves a
+shard store never loads scipy or the generation and analysis stack.
 """
 
-from repro import analysis, core, generators, graphs, parallel, perf, store, triangles, truss
-from repro.core import (
-    KroneckerGraph,
-    KroneckerTriangleStats,
-    kron_degrees,
-    kron_edge_triangles,
-    kron_triangle_count,
-    kron_vertex_triangles,
-)
-from repro.graphs import DirectedGraph, Graph, VertexLabeledGraph
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -68,3 +65,11 @@ __all__ = [
     "kron_edge_triangles",
     "kron_triangle_count",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core": ("KroneckerGraph", "KroneckerTriangleStats", "kron_degrees",
+                   "kron_edge_triangles", "kron_triangle_count",
+                   "kron_vertex_triangles"),
+    "repro.graphs": ("DirectedGraph", "Graph", "VertexLabeledGraph"),
+}, submodules=("analysis", "core", "generators", "graphs", "parallel", "perf",
+               "store", "triangles", "truss"))

@@ -93,43 +93,40 @@ published artefacts of the paper:
 Each sub-command is also usable programmatically through :func:`main`, which
 accepts an ``argv`` list and returns the process exit code (the test-suite
 drives it this way).
+
+Each sub-command imports what it runs.  ``generate``, ``stats`` (with a
+bundle), ``validate`` and ``stream`` import the generation, analysis and
+validation stack, and with it scipy, inside the sub-command, and ``lint``
+imports the AST engine there.  At module level this file imports only the
+serving layers (:mod:`repro.serve`, :mod:`repro.store`, :mod:`repro.graphs.io`
+and, through them, :mod:`repro.obs` and :mod:`repro.lint.runtime`), so
+``serve``, ``serve --fleet``, ``query`` and the ``--connect`` commands start
+with numpy and the standard library only; ``tests/test_import_set.py``
+holds that.  A store that is missing, has no manifest, fails the manifest
+check, or is an uncompacted spill makes ``serve`` and ``query`` exit with
+one line naming the store and the reason.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from repro import generators
-from repro.analysis import format_table, graph_summary, kronecker_summary
-from repro.core import (
-    KroneckerGraph,
-    ValidationAccumulator,
-    kron_global_clustering,
-    validate_egonets,
-    validate_undirected_product,
-)
-from repro.graphs import (
-    Graph,
+from repro.graphs.io import (
     NpyShardSink,
     load_kronecker_bundle,
+    read_shard_manifest,
     save_kronecker_bundle,
     write_edge_shards,
-)
-from repro.graphs.io import read_shard_manifest
-from repro.lint import LintEngine, all_rules, render_json, render_text
-from repro.parallel import (
-    KNOWN_PAYLOAD_COLUMNS,
-    distributed_generate,
-    stream_edges_to_file,
 )
 from repro.serve import (
     PROTOCOL_VERSION,
@@ -147,6 +144,9 @@ from repro.serve.shaping import (
 )
 from repro.store import ShardStore, compact_shards, partition_manifest
 
+if TYPE_CHECKING:
+    from repro.graphs.adjacency import Graph
+
 __all__ = ["main", "build_parser"]
 
 #: Factor recipes available to ``repro-kron generate --factor-a/--factor-b``.
@@ -155,6 +155,8 @@ FACTOR_RECIPES = ("weblike", "ba", "er", "clique", "looped-clique", "hub-cycle",
 
 def _build_factor(recipe: str, size: int, seed: int) -> Graph:
     """Instantiate one factor from a recipe name."""
+    from repro import generators
+
     if recipe == "weblike":
         return generators.webgraph_like(size, seed=seed)
     if recipe == "ba":
@@ -247,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --ranks: fan the ranks out on a process pool")
     stream.add_argument("--payload", type=str, default=None, metavar="COLS",
                         help="comma-separated per-edge ground-truth columns "
-                             "to carry in the spilled shards (from: "
-                             f"{', '.join(KNOWN_PAYLOAD_COLUMNS)}); shards "
+                             "to carry in the spilled shards (an unknown "
+                             "name exits listing the known ones); shards "
                              "become (m, 2+k) rows and the manifest records the "
                              "column names (.npy shard format only; runs "
                              "the rank pipeline, on one rank without "
@@ -389,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_undirected_bundle(path: Path):
+    from repro.graphs.adjacency import Graph
+
     factor_a, factor_b, meta = load_kronecker_bundle(path)
     if not isinstance(factor_a, Graph) or not isinstance(factor_b, Graph):
         raise SystemExit("this command expects an undirected factor bundle")
@@ -396,6 +400,8 @@ def _load_undirected_bundle(path: Path):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.core import KroneckerGraph
+
     factor_a = _build_factor(args.factor_a, args.size_a, args.seed)
     factor_b = _build_factor(args.factor_b, args.size_b, args.seed + 1)
     if args.self_loops_b:
@@ -455,6 +461,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "stats needs exactly one of a bundle path or --connect HOST:PORT")
     if args.connect is not None:
         return _stats_remote(args)
+    from repro.analysis import format_table, graph_summary, kronecker_summary
+    from repro.core import kron_global_clustering
+
     factor_a, factor_b, _ = _load_undirected_bundle(args.bundle)
     rows = [
         graph_summary(factor_a, name="A"),
@@ -468,6 +477,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.core import validate_egonets, validate_undirected_product
+
     factor_a, factor_b, _ = _load_undirected_bundle(args.bundle)
     report = validate_egonets(factor_a, factor_b, n_samples=args.egonets, seed=args.seed)
     print(report.summary())
@@ -492,6 +503,8 @@ def _parse_payload_columns(spec: Optional[str]) -> Tuple[str, ...]:
     spill (constructing a sink clears the destination)."""
     if not spec:
         return ()
+    from repro.parallel import KNOWN_PAYLOAD_COLUMNS
+
     columns = tuple(c.strip() for c in spec.split(",") if c.strip())
     unknown = [c for c in columns if c not in KNOWN_PAYLOAD_COLUMNS]
     if unknown:
@@ -502,6 +515,9 @@ def _parse_payload_columns(spec: Optional[str]) -> Tuple[str, ...]:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
+    from repro.core import KroneckerGraph, ValidationAccumulator
+    from repro.parallel import distributed_generate, stream_edges_to_file
+
     factor_a, factor_b, _ = _load_undirected_bundle(args.bundle)
     product = KroneckerGraph(factor_a, factor_b)
     fmt = _resolve_stream_format(args)
@@ -644,8 +660,20 @@ def _no_payload_exit(source) -> SystemExit:
         "truth")
 
 
+@contextlib.contextmanager
+def _opening_store(path: Path):
+    """Turn a store-open failure into a one-line exit naming the store: a
+    missing directory or manifest (``FileNotFoundError``), a manifest the
+    validator rejects or an uncompacted spill (``ValueError``)."""
+    try:
+        yield
+    except (FileNotFoundError, ValueError) as exc:
+        raise SystemExit(f"cannot open store {path}: {exc}") from exc
+
+
 def _query_local(args: argparse.Namespace) -> dict:
-    store = ShardStore(args.store, cache_shards=args.cache)
+    with _opening_store(args.store):
+        store = ShardStore(args.store, cache_shards=args.cache)
     if args.payload and not store.payload_columns:
         raise _no_payload_exit(args.store)
     if args.degree is not None:
@@ -741,8 +769,9 @@ def _serve_fleet(args: argparse.Namespace) -> int:
         raise SystemExit("--fleet needs at least 1 worker")
     if args.replicas < 1:
         raise SystemExit("--replicas needs at least 1 worker per slice")
-    slices = partition_manifest(args.store, n_slices=args.fleet)
-    info = fleet_info_from_manifest(read_shard_manifest(args.store))
+    with _opening_store(args.store):
+        slices = partition_manifest(args.store, n_slices=args.fleet)
+        info = fleet_info_from_manifest(read_shard_manifest(args.store))
     summary: dict = {}
 
     async def _run() -> None:
@@ -807,7 +836,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--cache needs at least 1 cached shard")
     if args.fleet is not None:
         return _serve_fleet(args)
-    store = ShardStore(args.store, cache_shards=args.cache)
+    with _opening_store(args.store):
+        store = ShardStore(args.store, cache_shards=args.cache)
     server = ShardStoreServer(store, host=args.host, port=args.port,
                               decode_threads=args.threads,
                               slow_query_us=_slow_query_us(args))
@@ -898,6 +928,8 @@ def _cmd_health(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.lint import LintEngine, all_rules, render_json, render_text
+
     rules = all_rules()
     if args.list_rules:
         for rule in rules:

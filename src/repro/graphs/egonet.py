@@ -12,16 +12,19 @@ This module provides a generic :func:`egonet` working on any object exposing
 ``neighbors(v)`` and ``subgraph(vertices)`` (both :class:`repro.graphs.Graph`
 and :class:`repro.core.KroneckerGraph` do), plus helpers for the statistics
 the paper reads off each egonet: the centre's degree and triangle count.
+It imports scipy only where :func:`egonet` builds a graph, so the
+:class:`Egonet` type costs the serving layers nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.graphs.adjacency import Graph
+if TYPE_CHECKING:
+    from repro.graphs.adjacency import Graph
 
 __all__ = ["Egonet", "egonet", "egonet_triangle_count", "egonet_degree"]
 
@@ -88,6 +91,8 @@ def egonet(graph, vertex: int) -> Egonet:
     vertex:
         Global vertex id.
     """
+    from repro.graphs.adjacency import Graph  # scipy, only once a graph is built
+
     nbrs = np.asarray(graph.neighbors(vertex), dtype=np.int64)
     nbrs = np.unique(nbrs[nbrs != vertex])
     vertices = np.concatenate([[np.int64(vertex)], nbrs])

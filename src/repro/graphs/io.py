@@ -27,6 +27,10 @@ Formats
   little-endian ``int64`` 2-D array; the reader checks that fixed header
   itself and views the rows through one read-only ``mmap`` of the file — no
   general ``.npy`` parse.
+
+The edge-list and bundle functions import scipy and the graph classes
+where they build a graph; the shard and manifest functions need only
+numpy, so the shard store and the server import this module without scipy.
 """
 
 from __future__ import annotations
@@ -37,14 +41,16 @@ import os
 import re
 import struct
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.graphs.adjacency import Graph
-from repro.graphs.directed import DirectedGraph
-from repro.graphs.labeled import VertexLabeledGraph
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+    from repro.graphs.adjacency import Graph
+    from repro.graphs.directed import DirectedGraph
+    from repro.graphs.labeled import VertexLabeledGraph
 
 __all__ = [
     "write_edge_list",
@@ -147,13 +153,11 @@ def write_edge_list(graph: Union[Graph, DirectedGraph], path: PathLike, *, heade
     every arc.  A comment header records the vertex count so that isolated
     trailing vertices survive a round trip.
     """
+    from repro.graphs.directed import DirectedGraph
+
     path = Path(path)
-    if isinstance(graph, DirectedGraph):
-        edges = graph.edges()
-        kind = "directed"
-    else:
-        edges = graph.edges()
-        kind = "undirected"
+    edges = graph.edges()
+    kind = "directed" if isinstance(graph, DirectedGraph) else "undirected"
     lines = []
     if header:
         lines.append(f"# kind={kind} n_vertices={graph.n_vertices} n_edges={edges.shape[0]}")
@@ -184,6 +188,8 @@ def _parse_edge_lines(path: Path) -> Tuple[np.ndarray, Optional[int]]:
 
 def read_edge_list(path: PathLike, *, n_vertices: Optional[int] = None) -> Graph:
     """Read an undirected graph from a tab/space/comma-separated edge list."""
+    from repro.graphs.adjacency import Graph
+
     edges, header_n = _parse_edge_lines(Path(path))
     n = n_vertices if n_vertices is not None else header_n
     return Graph.from_edges(map(tuple, edges), n_vertices=n, name=Path(path).stem)
@@ -191,6 +197,8 @@ def read_edge_list(path: PathLike, *, n_vertices: Optional[int] = None) -> Graph
 
 def read_directed_edge_list(path: PathLike, *, n_vertices: Optional[int] = None) -> DirectedGraph:
     """Read a directed graph from an edge list (each line is one arc)."""
+    from repro.graphs.directed import DirectedGraph
+
     edges, header_n = _parse_edge_lines(Path(path))
     n = n_vertices if n_vertices is not None else header_n
     return DirectedGraph.from_edges(map(tuple, edges), n_vertices=n, name=Path(path).stem)
@@ -598,6 +606,8 @@ def _matrix_to_arrays(adj: sp.spmatrix, prefix: str) -> dict:
 
 
 def _arrays_to_matrix(data, prefix: str) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     shape = tuple(int(x) for x in data[f"{prefix}_shape"])
     row = data[f"{prefix}_row"]
     col = data[f"{prefix}_col"]
@@ -619,6 +629,9 @@ def save_kronecker_bundle(
     materialize the product or query it implicitly via
     :class:`repro.core.KroneckerGraph`.
     """
+    from repro.graphs.directed import DirectedGraph
+    from repro.graphs.labeled import VertexLabeledGraph
+
     path = Path(path)
     payload: dict = {}
     kinds = []
@@ -650,6 +663,10 @@ def load_kronecker_bundle(path: PathLike):
         The two factors reconstructed with their original types (undirected,
         directed, or vertex-labeled) and the metadata dictionary.
     """
+    from repro.graphs.adjacency import Graph
+    from repro.graphs.directed import DirectedGraph
+    from repro.graphs.labeled import VertexLabeledGraph
+
     path = Path(path)
     # mmap_mode=None stated explicitly: the factors are decompressed and
     # rebuilt into private CSR matrices immediately, so an eager read is

@@ -20,19 +20,13 @@ real AST-driven engine:
 
 Everything here is stdlib-only: the linter must import (and run) even
 where numpy/scipy are absent, because it is the tool that gates commits.
+The names below are imported on first access (PEP 562): the store and
+obs layers import :mod:`repro.lint.runtime` for ``new_lock``, which runs
+this ``__init__`` first, and a server must not load the AST engine and
+every rule module with it.
 """
 
-from repro.lint.engine import (
-    Finding,
-    ImportMap,
-    LintEngine,
-    LintReport,
-    Rule,
-    collect_imports,
-    resolve_call_target,
-)
-from repro.lint.reporters import render_json, render_text
-from repro.lint.rules import all_rules, rules_by_name
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Finding",
@@ -47,3 +41,10 @@ __all__ = [
     "resolve_call_target",
     "rules_by_name",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.lint.engine": ("Finding", "ImportMap", "LintEngine", "LintReport",
+                          "Rule", "collect_imports", "resolve_call_target"),
+    "repro.lint.reporters": ("render_json", "render_text"),
+    "repro.lint.rules": ("all_rules", "rules_by_name"),
+})

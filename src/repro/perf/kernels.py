@@ -8,15 +8,19 @@ rank-parallel generator in :mod:`repro.parallel`.
 
 All kernels treat absent entries as 0 (the adjacency-matrix convention) and
 require *canonical* CSR input (sorted indices); non-canonical or non-CSR
-matrices are converted once on entry.
+matrices are converted once on entry.  scipy is imported where a matrix
+is converted, not at module level: the shard store imports the ragged
+gathers below without loading scipy.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["csr_gather", "csr_gather_entries", "csr_has_entry", "ragged_range",
            "ragged_take"]
@@ -43,6 +47,8 @@ def _as_canonical_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
     matmuls), so a verified-clean matrix just gets its flag set — caching the
     verdict on the object so repeated gathers skip the scan.
     """
+    import scipy.sparse as sp
+
     if not sp.issparse(matrix):
         raise TypeError(f"csr_gather expects a scipy sparse matrix, got {type(matrix)!r}")
     csr = matrix if isinstance(matrix, sp.csr_matrix) else sp.csr_matrix(matrix)

@@ -39,7 +39,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.adjacency import Graph
 from repro.graphs.egonet import Egonet
 from repro.obs import trace
 from repro.serve import protocol
@@ -262,6 +261,8 @@ class QueryClient:
         """Egonet of *v*, reconstructed to match the in-process
         :meth:`ShardStore.egonet` answer exactly (vertex order, adjacency,
         and — with ``with_payload=True`` — the induced payload rows)."""
+        from repro.graphs.adjacency import Graph  # scipy; servers import this module
+
         result = self.request("egonet", {"vertex": int(v),
                                          "with_payload": with_payload,
                                          "include_members": True})
@@ -281,6 +282,8 @@ class QueryClient:
                  with_payload: bool = False):
         """Induced subgraph on *vertices* (caller order preserved), equal to
         the in-process :meth:`ShardStore.subgraph` answer."""
+        from repro.graphs.adjacency import Graph  # scipy; servers import this module
+
         vs = [int(v) for v in np.asarray(vertices)]
         result = self.request("subgraph", {"vertices": vs,
                                            "with_payload": with_payload})

@@ -642,6 +642,14 @@ class RangeRouter(ShardStoreServer):
     async def _op_stats(self, args: dict) -> dict:
         return shaping.stats_answer_shape(await self.fleet_stats())
 
+    def stats(self) -> dict:
+        """Not available on a router: its workers answer only on the
+        router's event loop, which a synchronous call cannot wait on."""
+        raise RuntimeError(
+            "RangeRouter.stats() cannot probe the fleet's workers "
+            "synchronously: send the 'stats' op, or await "
+            "router.fleet_stats() on the router's event loop")
+
     async def fleet_stats(self) -> dict:
         """The ``stats`` rollup: the router's own ``server`` counters, the
         fleet description, one ``stats`` report per worker (an error report

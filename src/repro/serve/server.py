@@ -956,10 +956,11 @@ class ShardStoreServer:
     # ------------------------------------------------------------------
     def _server_stats(self) -> dict:
         """The ``"server"`` counter section alone — shared with the range
-        router, whose ``stats()`` composes it with a fleet rollup instead of
-        a single store's counters.  Every number is read off the registry
-        series; the dict is a *view*, not a second set of books.  Latency
-        summaries carry p50/p95/p99 derived from the histogram buckets."""
+        router, whose ``fleet_stats()`` composes it with a fleet rollup
+        instead of a single store's counters.  Every number is read off the
+        registry series; the dict is a *view*, not a second set of books.
+        Latency summaries carry p50/p95/p99 derived from the histogram
+        buckets."""
         neighbors = list(self._neighbors_coalescers.values())
         degree = self._degree_coalescer
         return {

@@ -51,7 +51,11 @@ shards.
 
 ``egonet`` and ``subgraph`` are *plans* (:class:`StoreQueryMixin`), which
 this store drives on its own primitives and the range router's fleet
-façade awaits on its event loop; an egonet is two gathers.
+façade awaits on its event loop; an egonet is two gathers.  Only the
+in-process ``egonet`` / ``subgraph`` / ``subgraph_adjacency`` build scipy
+matrices, and scipy and the graph classes are imported there (through
+:func:`induced_adjacency`), so a server imports this module without
+loading scipy.
 
 The cache and its ``shard_reads`` / ``cache_hits`` counters are
 **concurrent-safe**: a lock guards every cache mutation, so one store can be
@@ -78,17 +82,20 @@ from __future__ import annotations
 import mmap as _mmap
 from collections import OrderedDict
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.graphs.adjacency import Graph
 from repro.graphs.egonet import Egonet
 from repro.graphs.io import read_edge_shard, read_shard_manifest
 from repro.lint.runtime import new_lock
 from repro.obs import MetricsRegistry, trace
 from repro.perf.kernels import ragged_range, ragged_take
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+    from repro.graphs.adjacency import Graph
 
 __all__ = ["ShardStore", "StoreQueryMixin", "induced_adjacency"]
 
@@ -110,6 +117,8 @@ def induced_adjacency(vertices: Sequence[int],
     vertex *i* is ``vertices[i]`` (caller order preserved).  The one
     relabelling of the store's and the served client's graphs, so they
     are equal matrices."""
+    import scipy.sparse as sp
+
     vs = np.asarray(vertices, dtype=np.int64)
     k = vs.shape[0]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -679,6 +688,8 @@ class ShardStore(StoreQueryMixin):
         return induced_adjacency(vertices, self.subgraph_edges(vertices))
 
     def _induced_graph(self, vertices: np.ndarray, rows: np.ndarray) -> Graph:
+        from repro.graphs.adjacency import Graph
+
         return Graph(induced_adjacency(vertices, rows[:, :2]),
                      name=f"{self.manifest.get('name') or 'store'}[sub]",
                      validate=False)

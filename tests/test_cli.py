@@ -186,6 +186,34 @@ class TestCompactAndQuery:
             with pytest.raises(SystemExit, match=message):
                 cli.main(["serve", str(store_dir), "--port", "0", *flags])
 
+    def test_unservable_store_exits_naming_the_store(self, bundle_path,
+                                                      tmp_path):
+        """A missing directory or manifest, a manifest the validator
+        rejects, and an uncompacted spill exit with one line naming the
+        store and the reason, for ``serve`` (single and fleet) and
+        ``query`` alike — never a traceback."""
+        no_manifest = tmp_path / "no-manifest"
+        no_manifest.mkdir()
+        bad_manifest = tmp_path / "bad-manifest"
+        bad_manifest.mkdir()
+        (bad_manifest / "manifest.json").write_text('{"kind": "edge-shards"}')
+        spill = tmp_path / "spill"
+        assert cli.main(["stream", str(bundle_path), str(spill),
+                         "--ranks", "2"]) == 0
+        for store, reason in ((tmp_path / "missing", "manifest.json"),
+                              (no_manifest, "manifest.json"),
+                              (bad_manifest, "missing required field"),
+                              (spill, "compact_shards")):
+            for argv in (["serve", str(store), "--port", "0"],
+                         ["serve", str(store), "--port", "0", "--fleet", "2"],
+                         ["query", str(store), "--degree", "1"]):
+                with pytest.raises(SystemExit) as exited:
+                    cli.main(argv)
+                message = str(exited.value.code)
+                assert message.startswith(f"cannot open store {store}: ")
+                assert reason in message
+                assert "\n" not in message
+
     def test_compact_writes_manifest_v2(self, store_dir, tmp_path, capsys):
         from repro.graphs import read_shard_manifest
 
@@ -240,7 +268,7 @@ class TestCompactAndQuery:
     def test_query_rejects_uncompacted_spill(self, bundle_path, tmp_path):
         spill = tmp_path / "spill"
         cli.main(["stream", str(bundle_path), str(spill), "--ranks", "2"])
-        with pytest.raises(ValueError, match="compact_shards"):
+        with pytest.raises(SystemExit, match="compact_shards"):
             cli.main(["query", str(spill), "--degree", "0"])
 
 

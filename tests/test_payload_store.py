@@ -542,5 +542,6 @@ class TestRangeSanityInValidator:
         with pytest.raises(ValueError, match="nondecreasing"):
             next(iter_edge_shards(payload_store))
         from repro.cli import main
-        with pytest.raises(ValueError, match="nondecreasing"):
+        # The CLI exits with the validator's message, naming the store.
+        with pytest.raises(SystemExit, match="nondecreasing"):
             main(["query", str(payload_store), "--degree", "0"])

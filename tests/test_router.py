@@ -319,6 +319,15 @@ class TestRoutedEquivalence:
         assert rollup["workers"] == 3
         assert rollup["shard_reads"] >= 1
 
+    def test_sync_stats_names_the_stats_op_and_fleet_stats(self, fleet,
+                                                           client):
+        """A router's workers answer only on its loop, so the synchronous
+        ``stats()`` it inherits fails naming the two ways that work."""
+        with pytest.raises(RuntimeError,
+                           match=r"'stats' op.*await router\.fleet_stats\(\)"):
+            fleet.router.server.stats()
+        assert client.stats()["fleet"]["workers"] == 3
+
     def test_boundary_inside_one_shard(self, store_factory):
         """A partition boundary in the middle of a shard's source range:
         the shard is listed by both slices, but each worker serves only its
