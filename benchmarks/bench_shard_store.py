@@ -19,7 +19,10 @@ Runs in two modes:
 * **full** — ``pytest -m slow benchmarks/bench_shard_store.py``: the
   Section VI-scale pair (~450k product edges) with measured compaction
   throughput, cold/warm query latency (the LRU serving the "heavy traffic"
-  pattern), and spill wall time.
+  pattern), spill wall time, and windows that time single store calls on
+  the product re-cut to 4,096-edge shards: a cold 32-vertex ``degrees``
+  behind a 2-shard LRU, and a warm one-vertex ``degrees`` and
+  ``edges_for_sources(with_payload=True)``.
 """
 
 from __future__ import annotations
@@ -41,14 +44,90 @@ from benchmarks._report import emit_bench_json, print_section
 N_RANKS = 8
 
 
-def _spill(factor_a, factor_b, directory, *, n_ranks, block):
+#: Ground-truth columns of the store the store-call windows query.
+PAYLOAD = ("triangles", "trussness")
+#: Shard size, LRU size and batch size of the cold ``degrees`` window: a
+#: uniform batch over a many-shard store behind a 2-shard LRU.
+COLD_SHARD_EDGES = 4096
+COLD_CACHE_SHARDS = 2
+COLD_BATCH = 32
+
+
+def _spill(factor_a, factor_b, directory, *, n_ranks, block,
+           payload_columns=()):
     product = KroneckerGraph(factor_a, factor_b)
     sink = NpyShardSink(directory, name=product.name,
-                        n_vertices=product.n_vertices)
+                        n_vertices=product.n_vertices,
+                        payload_columns=payload_columns)
     start = time.perf_counter()
     distributed_generate(factor_a, factor_b, n_ranks,
-                         streaming=True, a_edges_per_block=block, sink=sink)
+                         streaming=True, a_edges_per_block=block, sink=sink,
+                         payload_columns=payload_columns)
     return time.perf_counter() - start
+
+
+def _timed_calls(call, args) -> list:
+    """Wall µs of ``call(arg)`` for each argument; the window holds the
+    store call only."""
+    times = []
+    for arg in args:
+        start = time.perf_counter_ns()
+        call(arg)
+        times.append((time.perf_counter_ns() - start) / 1e3)
+    return times
+
+
+def _store_call_windows(factor_a, factor_b, tmp_path, *, n_ranks, block):
+    """Timed windows of single store calls on a payload store of the
+    product cut into :data:`COLD_SHARD_EDGES`-edge shards: a cold
+    32-vertex ``degrees`` behind a 2-shard LRU, and a warm one-vertex
+    ``degrees`` and ``edges_for_sources(with_payload=True)`` with every
+    shard cached.  Answers are checked after the windows, not in them."""
+    product = KroneckerGraph(factor_a, factor_b)
+    _spill(factor_a, factor_b, tmp_path / "payload-spill", n_ranks=n_ranks,
+           block=block, payload_columns=PAYLOAD)
+    store_dir = tmp_path / "payload-store"
+    compact_shards(tmp_path / "payload-spill", store_dir,
+                   target_shard_edges=COLD_SHARD_EDGES)
+    rng = np.random.default_rng(11)
+    n = product.n_vertices
+    batches = [rng.integers(0, n, COLD_BATCH) for _ in range(400)]
+    singles = [np.asarray([v]) for v in rng.integers(0, n, 2000)]
+
+    cold = ShardStore(store_dir, cache_shards=COLD_CACHE_SHARDS)
+    cold_us = _timed_calls(cold.degrees, batches)
+    reads_per_call = cold.shard_reads / len(batches)
+
+    warm = ShardStore(store_dir, cache_shards=cold.n_shards + 1)
+    warm.edges_in_range(0, n)
+    degree_us = _timed_calls(warm.degrees, singles)
+    rows_us = _timed_calls(
+        lambda vs: warm.edges_for_sources(vs, with_payload=True), singles)
+    assert warm.shard_reads == warm.n_shards  # the windows read no shard
+
+    degrees = product.degrees()
+    for vs in batches[:50]:
+        assert np.array_equal(cold.degrees(vs), degrees[vs])
+    for vs in singles[:50]:
+        assert warm.degrees(vs).tolist() == degrees[vs].tolist()
+        rows = warm.edges_for_sources(vs, with_payload=True)
+        assert rows.shape[1] == 2 + len(PAYLOAD)
+        assert np.array_equal(rows[:, 1], product.neighbors(int(vs[0]),
+                                                            include_self_loop=True))
+    figures = {
+        "store_calls_n_shards": int(cold.n_shards),
+        "cold_degrees32_p50_us": round(float(np.median(cold_us)), 1),
+        "cold_degrees32_shard_reads_per_call": round(reads_per_call, 2),
+        "warm_degree1_p50_us": round(float(np.median(degree_us)), 1),
+        "warm_edges_for_sources1_p50_us": round(float(np.median(rows_us)), 1),
+    }
+    print(f"  store calls ({figures['store_calls_n_shards']} shards of "
+          f"≤ {COLD_SHARD_EDGES:,} edges): cold {COLD_BATCH}-vertex degrees "
+          f"p50 {figures['cold_degrees32_p50_us']:.0f} µs "
+          f"({reads_per_call:.1f} shard reads, LRU {COLD_CACHE_SHARDS}); "
+          f"warm one-vertex degrees {figures['warm_degree1_p50_us']:.1f} µs, "
+          f"edges_for_sources {figures['warm_edges_for_sources1_p50_us']:.1f} µs")
+    return figures
 
 
 def _sorted_reference(product):
@@ -163,6 +242,8 @@ def test_shard_store_throughput_full(tmp_path):
           f"({store.cache_hits} cache hits)")
     print(f"  cache residency: {stats['mapped_bytes'] / 1e6:.1f} MB mapped, "
           f"{stats['resident_bytes']} bytes copied (mmap decode)")
+    store_calls = _store_call_windows(factor_a, factor_b, tmp_path,
+                                      n_ranks=N_RANKS, block=32)
 
     emit_bench_json("shard_store", {
         "mode": "full",
@@ -175,4 +256,5 @@ def test_shard_store_throughput_full(tmp_path):
         "egonets_warm_ms": round(warm_time * 1e3, 2),
         "mapped_bytes_warm": int(stats["mapped_bytes"]),
         "resident_bytes_warm": int(stats["resident_bytes"]),
+        **store_calls,
     })

@@ -87,6 +87,11 @@ _SHARD_DTYPE = "<i8"
 _NPY_MAGIC = b"\x93NUMPY"
 _NPY_HEADER_LENGTH = {(1, 0): "<H", (2, 0): "<I", (3, 0): "<I"}
 
+#: Bytes of a shard's first header read: ``np.save`` writes a 128-byte
+#: header for a 2-D array, so one read holds it; a longer header (any run
+#: of padding spaces is valid) costs a second read.
+_HEADER_READ = 256
+
 #: The only header a shard may carry: what ``np.save`` writes for a
 #: C-contiguous little-endian ``int64`` 2-D array, space-padded to the
 #: format's alignment.
@@ -303,7 +308,8 @@ class NpyShardSink:
         total = 0
         for path in self.shard_paths():
             with open(path, "rb") as handle:
-                n_edges, _ = _check_shard_header(handle, path, columns)
+                n_edges, _ = _check_shard_header(handle.fileno(), path,
+                                                 columns)
             shards.append({"file": path.name, "n_edges": n_edges})
             total += n_edges
         manifest = {
@@ -477,19 +483,22 @@ def read_shard_manifest(directory: PathLike) -> dict:
     return manifest
 
 
-def _check_shard_header(handle, path: PathLike,
+def _check_shard_header(fd: int, path: PathLike,
                         columns: Sequence[str]) -> Tuple[int, int]:
-    """Check the ``.npy`` header of an open edge shard and return
-    ``(rows, data_offset)``.
+    """Check the ``.npy`` header of the edge shard open as descriptor *fd*
+    and return ``(rows, data_offset)``.
 
     A shard must carry exactly the header ``np.save`` writes for a
     C-contiguous little-endian ``int64`` array of shape
     ``(rows, len(columns))``, and the file must hold exactly that many data
     bytes after it.  Any other file — a foreign dtype, Fortran order, a
     1-D array, a bad magic string, a short file — raises a
-    :class:`ValueError` naming *path*.
+    :class:`ValueError` naming *path*.  The header is read with one
+    positional read of :data:`_HEADER_READ` bytes, and again only when its
+    length field runs past them; the descriptor's offset is not moved.
     """
-    lead = handle.read(8)
+    head = os.pread(fd, _HEADER_READ, 0)
+    lead = head[:8]
     if len(lead) < 8 or lead[:6] != _NPY_MAGIC:
         raise ValueError(f"{path}: not a .npy edge shard "
                          f"(file starts with {lead!r})")
@@ -497,10 +506,13 @@ def _check_shard_header(handle, path: PathLike,
     if length_format is None:
         raise ValueError(f"{path}: unsupported .npy format version "
                          f"{lead[6]}.{lead[7]}")
-    length_field = handle.read(struct.calcsize(length_format))
-    if len(length_field) != struct.calcsize(length_format):
+    start = len(lead) + struct.calcsize(length_format)
+    if len(head) < start:
         raise ValueError(f"{path}: .npy header is truncated")
-    header = handle.read(struct.unpack(length_format, length_field)[0])
+    end = start + struct.unpack_from(length_format, head, len(lead))[0]
+    if end > _HEADER_READ:
+        head = os.pread(fd, end, 0)
+    header = head[start:end]
     match = _SHARD_HEADER.fullmatch(header)
     if match is None:
         raise ValueError(
@@ -512,8 +524,8 @@ def _check_shard_header(handle, path: PathLike,
         raise ValueError(
             f"{path}: shard has shape {(rows, width)} but the manifest "
             f"payload_columns {list(columns)!r} require {len(columns)} columns")
-    offset = len(lead) + len(length_field) + len(header)
-    size = os.fstat(handle.fileno()).st_size
+    offset = start + len(header)
+    size = os.fstat(fd).st_size
     if size != offset + rows * width * 8:
         raise ValueError(
             f"{path}: shard file is {size} bytes but its header promises "
@@ -531,31 +543,38 @@ def read_edge_shard(path: PathLike, columns: Sequence[str], *,
     The one shard-file reader: :func:`iter_edge_shards`, the compactor and
     :class:`repro.store.ShardStore` all decode through it, so a shard whose
     header, width or size disagrees with its manifest fails identically
-    everywhere — with a :class:`ValueError` naming the file.  The header is
-    checked against the one fixed layout the writers produce, and the rows
-    are then read at its data offset: ``mmap_mode="r"`` returns a plain
-    read-only ``ndarray`` viewing them through one ``mmap.mmap`` of the file
-    (its ``base``; the mapping holds a duplicate of the file descriptor and
-    is released with the last view), ``None`` a private copy read with
-    ``np.fromfile``.  Neither path parses Python literals, so concurrent
-    decodes from many threads need no lock.  The view is a base-class
-    array on purpose: numpy's memmap subclass runs Python hooks on every
-    slice taken of it, a cost each query would pay.
+    everywhere — with a :class:`ValueError` naming the file.  The file is
+    opened as a bare descriptor, its header checked against the one fixed
+    layout the writers produce (:func:`_check_shard_header`: one positional
+    read), and the rows are then read at its data offset:
+    ``mmap_mode="r"`` returns a plain read-only ``ndarray`` viewing them
+    through one ``mmap.mmap`` of the descriptor (its ``base``; the mapping
+    holds a duplicate of the descriptor and is released with the last
+    view), ``None`` a private copy read with ``np.fromfile``.  The
+    descriptor is closed before returning, on success or failure.  Neither
+    path parses Python literals, so concurrent decodes from many threads
+    need no lock.  The view is a base-class array on purpose: numpy's
+    memmap subclass runs Python hooks on every slice taken of it, a cost
+    each query would pay.
     """
     if mmap_mode not in (None, "r"):
         raise ValueError(f"edge shards are read-only: mmap_mode must be 'r' "
                          f"or None, got {mmap_mode!r}")
-    with open(path, "rb") as handle:
-        rows, offset = _check_shard_header(handle, path, columns)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        rows, offset = _check_shard_header(fd, path, columns)
         shape = (rows, len(columns))
         if mmap_mode is None:
-            return np.fromfile(handle, dtype=_SHARD_DTYPE,
-                               count=rows * shape[1]).reshape(shape)
+            with open(fd, "rb", closefd=False) as handle:
+                return np.fromfile(handle, dtype=_SHARD_DTYPE,
+                                   count=rows * shape[1],
+                                   offset=offset).reshape(shape)
         # The header check proved the file holds at least the header, so
         # the mapping is never empty, even for a 0-row shard.
-        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        return np.ndarray(shape, dtype=_SHARD_DTYPE, buffer=mapping,
-                          offset=offset)
+        mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
+    return np.ndarray(shape, dtype=_SHARD_DTYPE, buffer=mapping, offset=offset)
 
 
 def iter_edge_shards(directory: PathLike, *, mmap_mode: Optional[str] = None):

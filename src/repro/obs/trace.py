@@ -27,17 +27,22 @@ import os
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.lint.runtime import new_lock
 
 __all__ = [
     "TraceContext",
     "TraceRecorder",
+    "NULL_SPAN",
+    "SpanNames",
     "activate",
-    "adopt_leaf_span",
     "adopt_span",
+    "begin_leaf",
+    "begin_request",
     "current",
+    "end_leaf",
+    "leaf_span",
     "new_span_id",
     "new_trace_id",
     "span",
@@ -99,25 +104,25 @@ class TraceRecorder:
         self._traces: "OrderedDict[str, List[dict]]" = OrderedDict()
         self._truncated: set = set()
 
-    def record(self, span_record: dict) -> None:
+    def record(self, span_record) -> None:
         # Fast path, no lock: dict lookup and list.append are each atomic
         # under the GIL, so a known trace below its cap appends directly
         # (the cap may overshoot by a few spans under contention — it is a
         # memory guard, not an exact count).  First-seen traces, eviction,
         # and cap enforcement take the lock.  Entries are either finished
-        # record dicts or :class:`_LeafSpan` objects that materialize
+        # record dicts or leaf tuples (:func:`end_leaf`) that materialize
         # lazily in :meth:`spans` — read time, not the request hot path.
-        spans = self._traces.get(span_record["trace"]
-                                 if type(span_record) is dict
-                                 else span_record.trace_id)
+        spans = self._traces.get(span_record[0][1]
+                                 if type(span_record) is tuple
+                                 else span_record["trace"])
         if spans is not None and len(spans) < self.max_spans:
             spans.append(span_record)
             return
         self._record_slow(span_record)
 
     def _record_slow(self, span_record) -> None:
-        trace_id = (span_record["trace"] if type(span_record) is dict
-                    else span_record.trace_id)
+        trace_id = (span_record[0][1] if type(span_record) is tuple
+                    else span_record["trace"])
         with self._lock:
             spans = self._traces.get(trace_id)
             if spans is None:
@@ -137,7 +142,7 @@ class TraceRecorder:
 
     def spans(self, trace_id: str) -> List[dict]:
         with self._lock:
-            return [entry if type(entry) is dict else entry.as_record()
+            return [_leaf_record(entry) if type(entry) is tuple else entry
                     for entry in self._traces.get(trace_id, ())]
 
     def trace_ids(self) -> List[str]:
@@ -187,7 +192,8 @@ class _NullSpan:
         return False
 
 
-_NULL_SPAN = _NullSpan()
+#: The span :func:`span` returns when no trace is active.
+NULL_SPAN = _NullSpan()
 
 
 class _Span:
@@ -237,7 +243,7 @@ def span(name: str, **attrs):
     """
     ctx = _STATE.get()
     if ctx is None:
-        return _NULL_SPAN
+        return NULL_SPAN
     return _Span(ctx, name, attrs)
 
 
@@ -252,73 +258,119 @@ def adopt_span(recorder: TraceRecorder, trace_id: str,
                  name, attrs)
 
 
-class _LeafSpan:
-    """A span that cannot have children: no contextvar switch at all.
+# Leaf spans: spans that cannot have children, for work that provably
+# opens none (the coalesced scalar ops — their batch flush runs outside the
+# request's context, on the executor or from an event-loop callback — the
+# client round trip, a shard decode).  A leaf switches no context and
+# builds no object: it is a tuple, opened by begin_leaf or begin_request
+# and closed by end_leaf, and its record dict (the microsecond divisions,
+# key coercion) is built only when the recorder is read.  On a small host
+# the serving threads ping-pong on context switches, so every in-window
+# microsecond shows up multiplied in round-trip time — the hot path does
+# the minimum and the read path pays the rest.  Inner code that *does*
+# call span() inside a leaf records under the leaf's parent, not the leaf;
+# use adopt_span wherever children are possible.
 
-    For handlers whose work never opens nested spans (the coalesced
-    scalar ops — their batch flush runs outside the request's context,
-    on the executor or from an event-loop callback), skipping the
-    ``set``/``reset`` pair keeps the traced scalar hot path inside the
-    overhead budget.  Inner code that *does* call :func:`span` under a
-    leaf span records under the leaf's parent, not the leaf — use
-    :func:`adopt_span` wherever children are possible.
 
-    A leaf span is also *lazy*: in the request window it only stamps ids
-    and clocks into slots; the record dict (key coercion, string
-    formatting) is built by :meth:`as_record` when the recorder is read.
-    On a one-core box the serving threads ping-pong on context switches,
-    so every in-window microsecond shows up multiplied in round-trip
-    time — the hot path does the minimum and the read path pays the rest.
-    """
+class SpanNames(dict):
+    """``op -> (f"{prefix}.{op}", {"op": op})``: the name and attributes of
+    each op's span, built on first use and then shared by every span of
+    that op (leaf attributes are never mutated)."""
 
-    __slots__ = ("_recorder", "_start", "trace_id", "span_id", "parent",
-                 "name", "attrs", "start_us", "elapsed_us", "error")
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
 
-    def __init__(self, recorder: TraceRecorder, trace_id: str,
-                 parent_span_id: Optional[str], name: str, attrs: dict):
-        self._recorder = recorder
-        self.trace_id = trace_id
-        self.span_id = new_span_id()
-        self.parent = parent_span_id
-        self.name = name
-        self.attrs = attrs
-        self.start_us = time.time_ns() // 1000
-        self.error = None
+    def __missing__(self, op: str) -> tuple:
+        meta = self[op] = (f"{self.prefix}.{op}", {"op": op})
+        return meta
 
-    def __enter__(self) -> "_LeafSpan":
-        self._start = time.perf_counter_ns()
-        return self
+
+def begin_leaf(recorder: TraceRecorder, trace_id: str,
+               parent_span_id: Optional[str], name: str, attrs: dict
+               ) -> tuple:
+    """Open a leaf span under *parent_span_id* of the trace *trace_id*:
+    :func:`adopt_span` minus the context switch.  Returns the open span,
+    to close with :func:`end_leaf`; *attrs* is kept as it is.  The span's
+    id is formatted when the recorder is read (``new_span_id()``'s
+    counter is drawn now)."""
+    return (recorder, trace_id, next(_SPAN_COUNTER), parent_span_id, name,
+            attrs, time.time_ns(), time.perf_counter_ns())
+
+
+def begin_request(ctx: TraceContext, name: str, attrs: dict
+                  ) -> Tuple[dict, tuple]:
+    """Open the leaf span of one outgoing request under *ctx*.  Returns
+    the request's additive ``"trace"`` key, which names the new span as
+    the parent of everything the server records for the request, and the
+    open span, to close with :func:`end_leaf` once the answer is in."""
+    number = next(_SPAN_COUNTER)
+    return ({"id": ctx.trace_id, "span": f"{_SPAN_PREFIX}{number}"},
+            (ctx.recorder, ctx.trace_id, number, ctx.span_id, name, attrs,
+             time.time_ns(), time.perf_counter_ns()))
+
+
+def end_leaf(leaf: tuple, exc: Optional[BaseException] = None) -> None:
+    """Close and record an open leaf span; *exc* marks it
+    ``status="error"``."""
+    entry = (leaf, time.perf_counter_ns() - leaf[7],
+             None if exc is None else f"{type(exc).__name__}: {exc}")
+    # TraceRecorder.record's fast path, inlined: every call in the request
+    # window counts.
+    recorder = leaf[0]
+    spans = recorder._traces.get(leaf[1])
+    if spans is not None and len(spans) < recorder.max_spans:
+        spans.append(entry)
+    else:
+        recorder._record_slow(entry)
+
+
+def _leaf_record(entry: tuple) -> dict:
+    """The record dict of a recorded leaf (:func:`end_leaf`)."""
+    leaf, elapsed_ns, error = entry
+    _, trace_id, number, parent, name, attrs, start_ns, _ = leaf
+    record = {
+        "trace": trace_id,
+        "span": f"{_SPAN_PREFIX}{number}",
+        "parent": parent,
+        "name": name,
+        "start_us": start_ns // 1000,
+        "elapsed_us": elapsed_ns // 1000,
+        "status": "ok" if error is None else "error",
+    }
+    if error is not None:
+        record["error"] = error
+    for key, value in attrs.items():
+        record[key] = (value if isinstance(value, (int, float, bool))
+                       else str(value))
+    return record
+
+
+class _LeafBlock:
+    """An open leaf span as a ``with`` block (see :func:`leaf_span`)."""
+
+    __slots__ = ("_leaf",)
+
+    def __init__(self, leaf: tuple):
+        self._leaf = leaf
+
+    def __enter__(self) -> None:
+        return None
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.elapsed_us = (time.perf_counter_ns() - self._start) // 1000
-        if exc_type is not None:
-            self.error = f"{exc_type.__name__}: {exc}"
-        self._recorder.record(self)
+        end_leaf(self._leaf, exc)
         return False
 
-    def as_record(self) -> dict:
-        record = {
-            "trace": self.trace_id,
-            "span": self.span_id,
-            "parent": self.parent,
-            "name": self.name,
-            "start_us": self.start_us,
-            "elapsed_us": self.elapsed_us,
-            "status": "ok" if self.error is None else "error",
-        }
-        if self.error is not None:
-            record["error"] = self.error
-        for key, value in self.attrs.items():
-            record[key] = (value if isinstance(value, (int, float, bool))
-                           else str(value))
-        return record
 
-
-def adopt_leaf_span(recorder: TraceRecorder, trace_id: str,
-                    parent_span_id: Optional[str], name: str, **attrs):
-    """:func:`adopt_span` minus the context switch, for handlers that
-    provably open no child spans (see :class:`_LeafSpan`)."""
-    return _LeafSpan(recorder, trace_id, parent_span_id, name, attrs)
+def leaf_span(name: str, **attrs):
+    """:func:`span` as a leaf (see :func:`begin_leaf`): a ``with`` block
+    timing work that never opens a child span; no-op when no trace is
+    active."""
+    ctx = _STATE.get()
+    if ctx is None:
+        return NULL_SPAN
+    return _LeafBlock(begin_leaf(ctx.recorder, ctx.trace_id, ctx.span_id,
+                                 name, attrs))
 
 
 class _TraceHandle:

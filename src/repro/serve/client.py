@@ -46,6 +46,10 @@ from repro.store.query import induced_adjacency
 
 __all__ = ["QueryClient", "parse_address"]
 
+#: ``client.<op>`` span name and attributes per op, shared by every
+#: request this process sends (the range router's worker calls too).
+CLIENT_SPANS = trace.SpanNames("client")
+
 
 def parse_address(address: str) -> Tuple[str, int]:
     """``(host, port)`` of a ``HOST:PORT`` address (the CLI's
@@ -131,18 +135,18 @@ class QueryClient:
         """
         frame = protocol.request_frame(op, args)
         active = trace.current()
-        if active is not None:
-            # A *leaf* span: the socket round trip opens no nested spans,
-            # so skipping the contextvar switch keeps the traced scalar
-            # hot path inside the ≤ 5% overhead budget.
-            client_span = trace.adopt_leaf_span(
-                active.recorder, active.trace_id, active.span_id,
-                f"client.{op}", op=op)
-            with client_span:
-                frame["trace"] = {"id": active.trace_id,
-                                  "span": client_span.span_id}
-                return self._send_with_retry(frame)
-        return self._send_with_retry(frame)
+        if active is None:
+            return self._send_with_retry(frame)
+        # A leaf span: the socket round trip opens no nested spans.
+        name, attrs = CLIENT_SPANS[op]
+        frame["trace"], leaf = trace.begin_request(active, name, attrs)
+        try:
+            answer = self._send_with_retry(frame)
+        except BaseException as exc:
+            trace.end_leaf(leaf, exc)
+            raise
+        trace.end_leaf(leaf)
+        return answer
 
     def _send_with_retry(self, frame: dict) -> dict:
         reused = self._sock is not None

@@ -71,7 +71,7 @@ from repro.obs import (
     trace,
 )
 from repro.serve import protocol, shaping
-from repro.serve.client import parse_address
+from repro.serve.client import CLIENT_SPANS, parse_address
 from repro.serve.server import (
     ShardStoreServer,
     ThreadedServer,
@@ -128,13 +128,15 @@ class _WorkerConnection:
         active = trace.current()
         if active is None:
             return await self._roundtrip(frame)
-        client_span = trace.adopt_leaf_span(
-            active.recorder, active.trace_id, active.span_id,
-            f"client.{op}", op=op)
-        with client_span:
-            frame["trace"] = {"id": active.trace_id,
-                              "span": client_span.span_id}
-            return await self._roundtrip(frame)
+        name, attrs = CLIENT_SPANS[op]
+        frame["trace"], leaf = trace.begin_request(active, name, attrs)
+        try:
+            answer = await self._roundtrip(frame)
+        except BaseException as exc:
+            trace.end_leaf(leaf, exc)
+            raise
+        trace.end_leaf(leaf)
+        return answer
 
     async def _roundtrip(self, frame: dict) -> dict:
         self.writer.write(protocol.encode_frame(frame))

@@ -385,6 +385,7 @@ class ShardStoreServer:
             op: self.registry.histogram("serve.latency_us",
                                         _LATENCY_BOUNDS_US, unit="us", op=op)
             for op in op_keys}
+        self._span_names = trace.SpanNames("serve")
         self._error_count = self.registry.counter("serve.errors")
         self._internal_errors = self.registry.counter("serve.internal_errors")
         self._protocol_errors = self.registry.counter("serve.protocol_errors")
@@ -601,9 +602,10 @@ class ShardStoreServer:
     #: Ops whose handlers provably open no child spans — the coalesced
     #: scalar ops (their batch flush runs outside the request's context:
     #: on the executor without a copied one, or inline from a loop
-    #: callback) and ``hello``.  Their serve spans skip the
-    #: contextvar switch entirely (``adopt_leaf_span``), which keeps the
-    #: traced scalar hot path inside the ≤ 5% overhead budget.
+    #: callback) and ``hello``.  Their serve spans are leaves
+    #: (:func:`repro.obs.trace.begin_leaf`): no contextvar switch and no
+    #: span object, which keeps the traced scalar hot path inside the
+    #: ≤ 5% overhead budget.
     _LEAF_OPS = frozenset({"degree", "neighbors", "hello"})
 
     async def _dispatch(self, frame: dict) -> dict:
@@ -624,15 +626,20 @@ class ShardStoreServer:
         op = frame.get("op")
         op_key = op if isinstance(op, str) and op in self._ops else "_invalid"
         ok = True
-        if trace_id is not None:
-            # adopt_* fuses trace adoption + the serve span into at most
-            # one context switch — this is the per-request hot path.
-            adopt = (trace.adopt_leaf_span if op_key in self._LEAF_OPS
-                     else trace.adopt_span)
-            serve_span = adopt(self.recorder, trace_id, trace_ref.get("span"),
-                               f"serve.{op_key}", op=op_key)
+        name, attrs = self._span_names[op_key]
+        leaf = failure = None
+        if trace_id is None:
+            serve_span = trace.span(name, **attrs)
+        elif op_key in self._LEAF_OPS:
+            # The per-request hot path: a leaf switches no context.
+            leaf = trace.begin_leaf(self.recorder, trace_id,
+                                    trace_ref.get("span"), name, attrs)
+            serve_span = trace.NULL_SPAN
         else:
-            serve_span = trace.span(f"serve.{op_key}", op=op_key)
+            # adopt_span fuses trace adoption + the serve span into one
+            # context switch.
+            serve_span = trace.adopt_span(
+                self.recorder, trace_id, trace_ref.get("span"), name, **attrs)
         with self._latency[op_key].time() as timer:
             try:
                 # The span sees handler exceptions (status="error") before
@@ -653,6 +660,7 @@ class ShardStoreServer:
                     result = await self._ops[op_key](args)
                 response = protocol.result_frame(result)
             except Exception as exc:  # every failure becomes an error frame
+                failure = exc
                 self._error_count.inc()
                 ok = False
                 response = protocol.error_frame(exc)
@@ -664,6 +672,8 @@ class ShardStoreServer:
                                      trace_id=trace_id, op=op_key,
                                      error=type(exc).__name__,
                                      message=str(exc))
+            if leaf is not None:
+                trace.end_leaf(leaf, failure)
         self._request_counts[op_key].inc()
         if (self.slow_query_us is not None
                 and timer.elapsed_us >= self.slow_query_us):

@@ -43,11 +43,16 @@ descriptor — is released as soon as the last outstanding query view dies
 the split: ``resident_bytes`` counts private copies held by the cache,
 ``mapped_bytes`` counts bytes addressable through cached mappings.
 
-A batch call (``degrees``, ``edges_for_sources``, ``edge_payloads``) visits
-only the shards that hold rows of its vertices (:meth:`ShardStore._holding`),
-not every shard between its smallest and largest vertex: a uniform batch
-over a many-shard store spans most of the store but lives in a few of its
-shards.
+A batch call (``degrees`` / ``out_degrees``, ``edges_for_sources``,
+``edge_payloads``) makes one walk over the shards that hold rows of its
+vertices (:meth:`ShardStore._walk`), not every shard between its smallest
+and largest vertex: a uniform batch over a many-shard store spans most of
+the store but lives in a few of its shards.  The walk sorts the batch once
+and gives each held shard its contiguous slice of the sorted batch, so a
+visit searches only its own vertices and the answers are scattered back to
+the caller's order; a visit holding one source takes a plain row slice.
+An answer may therefore be a slice of a cached shard, which is why the
+store marks every shard it caches read-only, eager decodes included.
 
 ``egonet`` and ``subgraph`` are *plans* (:class:`StoreQueryMixin`), which
 this store drives on its own primitives and the range router's fleet
@@ -72,9 +77,10 @@ counters are ``store.shard_reads`` / ``store.cache_hits`` /
 ``store.evictions`` series and the cache occupancy is exposed as callback
 gauges, so :meth:`ShardStore.stats` is a *view* over the registry a server
 shares with this store rather than a private dict; :meth:`ShardStore.reset_stats` rearms the counters between
-measurement windows.  A cache-miss decode opens a ``store.decode`` trace
-span when a request trace is active (:mod:`repro.obs.trace`), which is how
-a routed query's span tree reaches all the way down to the shard file.
+measurement windows.  A cache-miss decode opens a ``store.decode`` leaf
+span under the current span when a request trace is active
+(:mod:`repro.obs.trace`), which is how a routed query's span tree reaches
+all the way down to the shard file.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ from __future__ import annotations
 import mmap as _mmap
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -90,7 +96,7 @@ from repro.graphs.egonet import Egonet
 from repro.graphs.io import read_edge_shard, read_shard_manifest
 from repro.lint.runtime import new_lock
 from repro.obs import MetricsRegistry, trace
-from repro.perf.kernels import ragged_range, ragged_take
+from repro.perf.kernels import ragged_take
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -154,7 +160,8 @@ class StoreQueryMixin:
 
     def _check_vertices(self, vs: np.ndarray) -> np.ndarray:
         vs = np.ascontiguousarray(vs, dtype=np.int64)
-        if vs.size and (vs.min() < 0 or vs.max() >= self.n_vertices):
+        # One reduction: viewed as uint64, a negative id exceeds any count.
+        if vs.size and vs.view(np.uint64).max() >= self.n_vertices:
             raise IndexError("product vertex id out of range")
         return vs
 
@@ -322,10 +329,14 @@ class ShardStore(StoreQueryMixin):
         # Decode outside the lock so concurrent misses on *different* shards
         # overlap their file I/O; a racing miss on the same shard costs one
         # redundant decode (counted below) but never corrupts the cache.
-        with trace.span("store.decode", shard=self._files[index]):
+        with trace.leaf_span("store.decode", shard=self._files[index]):
             rows = _load_shard_file(self._paths[index],
                                     self.manifest["payload_columns"],
                                     mmap_mode="r" if self.mmap else None)
+        # Answers are slices of cached rows: an eager decode is a writable
+        # private copy, and a caller writing into its answer must not
+        # change the next one.
+        rows.flags.writeable = False
         with self._lock:
             self._shard_reads.inc()
             cached = self._cache.get(index)
@@ -446,24 +457,34 @@ class ShardStore(StoreQueryMixin):
         """Half-open shard-index range whose vertex ranges intersect
         ``[lo, hi_inclusive]`` — the manifest binary search at the heart of
         every query."""
-        first = int(np.searchsorted(self._src_max, lo, side="left"))
-        last = int(np.searchsorted(self._src_min, hi_inclusive, side="right"))
+        first = int(self._src_max.searchsorted(lo, side="left"))
+        last = int(self._src_min.searchsorted(hi_inclusive, side="right"))
         return first, max(first, last)
 
-    def _holding(self, vs: np.ndarray) -> List[int]:
-        """Sorted indices of the shards that hold rows of the sources in
-        *vs* — the shards a batch call visits.
+    def _walk(self, vs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Iterable]:
+        """The one shard walk of a batch call: ``(order, sorted_vs, visits)``.
 
-        Per vertex this is :meth:`_overlapping`'s search, vectorized: a
+        The batch is sorted once (``sorted_vs = vs[order]``, stable).  Each
+        visit is ``(index, start, stop)``, one per shard holding sources of
+        the batch, in ascending shard order: ``sorted_vs[start:stop]`` are
+        the batch's sources inside that shard's ``[src_min, src_max]``.  A
         source's rows can run across a cut into the next shard (compaction
-        cuts inside a source), so a vertex may lie in two or more shards,
-        and a source in a gap between shard ranges lies in none.  The union
-        of those ranges is usually far smaller than every shard between the
-        batch's smallest and largest vertex."""
-        firsts = np.searchsorted(self._src_max, vs, side="left")
-        lasts = np.searchsorted(self._src_min, vs, side="right")
-        held = ragged_range(firsts, np.maximum(firsts, lasts))
-        return np.unique(held).tolist()
+        cuts inside a source), so it may lie in two or more visits, and a
+        source in a gap between shard ranges lies in none.  Both bounds
+        come from two vectorized searches of the manifest ranges of the
+        batch's min–max window, so a shard that holds none of the batch is
+        never visited, however many lie between its extremes."""
+        order = vs.argsort(kind="stable")
+        svs = vs[order]
+        if svs.size == 0:
+            return order, svs, ()
+        first, last = self._overlapping(svs[0], svs[-1])
+        starts = svs.searchsorted(self._src_min[first:last], side="left")
+        stops = svs.searchsorted(self._src_max[first:last], side="right")
+        return order, svs, ((index, start, stop) for index, start, stop
+                            in zip(range(first, last), starts.tolist(),
+                                   stops.tolist())
+                            if start < stop)
 
     def cached(self, lo: int, hi: int, *,
                max_shards: Optional[int] = None) -> bool:
@@ -480,33 +501,45 @@ class ShardStore(StoreQueryMixin):
     # ------------------------------------------------------------------
     # Batched queries (the hot path)
     # ------------------------------------------------------------------
-    def _batched_counts(self, vs: np.ndarray, *, with_self_loops: bool
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-vertex stored-entry counts and (optionally) self-loop flags.
+    def _row_counts(self, vs: np.ndarray, *, drop_self_loops: bool
+                    ) -> np.ndarray:
+        """Stored rows per vertex of *vs*, less its self loop when
+        *drop_self_loops*.
 
-        One pass over the shards holding the batch serves both quantities —
-        each shard is decoded exactly once, so a whole-store ``degrees`` call
-        reads every shard once even when the window exceeds the LRU.  The
-        self-loop probe looks only at each queried vertex's own rows: the
-        ``dst`` values of its ``[left, right)`` source segment are gathered
-        and compared to the vertex.
+        One walk (:meth:`_walk`) over the shards holding the batch, each
+        decoded exactly once, so a whole-store ``degrees`` call reads every
+        shard once even when the window exceeds the LRU.  A visit holding
+        one source counts its row segment and finds the self loop with one
+        search of the segment's sorted ``dst`` values; a visit holding many
+        gathers the ``dst`` values of every segment and compares them to
+        their sources.
         """
-        counts = np.zeros(vs.shape[0], dtype=np.int64)
-        flags = np.zeros(vs.shape[0], dtype=bool)
-        for index in self._holding(vs):
-            mask = (vs >= self._src_min[index]) & (vs <= self._src_max[index])
+        order, svs, visits = self._walk(vs)
+        counts = np.zeros(svs.shape[0], dtype=np.int64)
+        for index, start, stop in visits:
             shard = self._shard(index)
             srcs = shard[:, 0]
-            lefts = np.searchsorted(srcs, vs[mask], side="left")
-            rights = np.searchsorted(srcs, vs[mask], side="right")
-            lengths = rights - lefts
-            counts[mask] += lengths
-            if with_self_loops:
+            if stop - start == 1:
+                v = svs[start]
+                left, right = srcs.searchsorted(v), srcs.searchsorted(v, "right")
+                counts[start] += right - left
+                if drop_self_loops:
+                    dsts = shard[left:right, 1]
+                    at = dsts.searchsorted(v)
+                    if at < dsts.shape[0] and dsts[at] == v:
+                        counts[start] -= 1
+                continue
+            lefts = srcs.searchsorted(svs[start:stop])
+            rights = srcs.searchsorted(svs[start:stop], "right")
+            counts[start:stop] += rights - lefts
+            if drop_self_loops:
                 dsts = ragged_take(shard[:, 1], lefts, rights)
-                # owner[t]: index in vs of the vertex gathered row t belongs to
-                owner = np.repeat(np.flatnonzero(mask), lengths)
-                flags[owner[dsts == vs[owner]]] = True
-        return counts, flags
+                # owner[t]: the sorted-batch position gathered row t is for
+                owner = np.repeat(np.arange(start, stop), rights - lefts)
+                counts[owner[dsts == svs[owner]]] -= 1
+        answer = np.empty_like(counts)
+        answer[order] = counts
+        return answer
 
     def out_degrees(self, vs: Sequence[int]) -> np.ndarray:
         """Stored out-entry count per source vertex (array-in / array-out).
@@ -515,36 +548,38 @@ class ShardStore(StoreQueryMixin):
         loop; :meth:`degrees` applies the self-loop correction to match
         :meth:`repro.core.KroneckerGraph.degree`.
         """
-        return self._batched_counts(self._check_vertices(vs),
-                                    with_self_loops=False)[0]
+        return self._row_counts(self._check_vertices(vs),
+                                drop_self_loops=False)
 
     def degrees(self, vs: Sequence[int]) -> np.ndarray:
         """Degree per vertex with the self loop excluded, matching
         :meth:`repro.core.KroneckerGraph.degree` (array-in / array-out)."""
-        counts, loops = self._batched_counts(self._check_vertices(vs),
-                                             with_self_loops=True)
-        return counts - loops.astype(np.int64)
+        return self._row_counts(self._check_vertices(vs),
+                                drop_self_loops=True)
 
     def edges_for_sources(self, vs: Sequence[int], *,
                           with_payload: bool = False) -> np.ndarray:
         """All stored edges whose source is in *vs*, in ``(src, dst)`` order.
 
-        The ragged batched gather underneath :meth:`neighbors` and
-        :meth:`subgraph_adjacency`: one pair of ``searchsorted`` calls per
-        shard holding a queried source, one vectorized slice-concatenation,
+        The batched gather underneath :meth:`neighbors` and
+        :meth:`subgraph_adjacency`: one walk over the shards holding the
+        batch (:meth:`_walk`); a visit holding one source takes its row
+        slice, a visit holding many one vectorized slice-concatenation, with
         no per-edge loop.  Duplicate sources in *vs* are deduplicated.  With
         ``with_payload=True`` the full ``(m, 2 + k)`` rows — topology plus
         the manifest's named ground-truth columns — are returned.
         """
-        vs = np.unique(self._check_vertices(vs))
+        _, svs, visits = self._walk(np.unique(self._check_vertices(vs)))
         parts = []
-        for index in self._holding(vs):
-            mask = (vs >= self._src_min[index]) & (vs <= self._src_max[index])
+        for index, start, stop in visits:
             shard = self._shard(index)
             srcs = shard[:, 0]
-            lefts = np.searchsorted(srcs, vs[mask], side="left")
-            rights = np.searchsorted(srcs, vs[mask], side="right")
-            part = ragged_take(shard, lefts, rights)
+            if stop - start == 1:
+                v = svs[start]
+                part = shard[srcs.searchsorted(v):srcs.searchsorted(v, "right")]
+            else:
+                part = ragged_take(shard, srcs.searchsorted(svs[start:stop]),
+                                   srcs.searchsorted(svs[start:stop], "right"))
             if part.shape[0]:
                 parts.append(part)
         return self._finish_rows(parts, with_payload)
@@ -578,10 +613,12 @@ class ShardStore(StoreQueryMixin):
         Array-in / array-out: returns an ``(m, k)`` ``int64`` array whose
         columns follow :attr:`payload_columns`.  Every queried pair must be a
         stored edge — a missing pair raises a :class:`ValueError` naming it
-        (payloads of non-edges are not defined).  Lookups binary-search the
-        cached encoded ``src · n + dst`` keys of the shards holding the
-        queried sources, so repeated probes against a warm region never
-        re-scan a shard.
+        (payloads of non-edges are not defined).  One walk (:meth:`_walk`)
+        over the shards holding the queried sources binary-searches each
+        shard's cached encoded ``src · n + dst`` keys for the pairs not
+        found yet, so repeated probes against a warm region never re-scan a
+        shard, and a shard whose pairs were all found in the shard before
+        it is not read.
         """
         self._require_payload()
         ps = self._check_vertices(np.atleast_1d(np.asarray(ps, dtype=np.int64)))
@@ -589,36 +626,35 @@ class ShardStore(StoreQueryMixin):
         if ps.shape != qs.shape:
             raise ValueError(f"ps and qs must have matching shapes, "
                              f"got {ps.shape} and {qs.shape}")
-        out = np.zeros((ps.shape[0], len(self.payload_columns)), dtype=np.int64)
-        found = np.zeros(ps.shape[0], dtype=bool)
+        values = np.zeros((ps.shape[0], len(self.payload_columns)),
+                          dtype=np.int64)
         if ps.size == 0:
-            return out
+            return values
         if self.n_vertices > int(_MAX_ENCODABLE_VERTICES):
             raise NotImplementedError(
                 "payload lookup needs src*n+dst to fit int64; "
                 f"n_vertices={self.n_vertices} is beyond that")
-        n = np.int64(self.n_vertices)
-        wanted = ps * n + qs
-        for index in self._holding(ps):
-            todo = np.flatnonzero(~found
-                                  & (ps >= self._src_min[index])
-                                  & (ps <= self._src_max[index]))
+        order, _, visits = self._walk(ps)
+        wanted = (ps * np.int64(self.n_vertices) + qs)[order]
+        found = np.zeros(ps.shape[0], dtype=bool)
+        for index, start, stop in visits:
+            todo = np.flatnonzero(~found[start:stop]) + start
             if todo.size == 0:
                 continue  # found in an earlier shard the source straddles
             entry = self._entry(index)
             keys = self._shard_keys(entry)
-            pos = np.searchsorted(keys, wanted[todo])
+            pos = keys.searchsorted(wanted[todo])
             in_range = pos < keys.shape[0]
-            safe = np.where(in_range, pos, 0)
-            hit = in_range & (keys[safe] == wanted[todo])
-            if hit.any():
-                out[todo[hit]] = entry[0][pos[hit], 2:]
-                found[todo[hit]] = True
+            hit = in_range & (keys[np.where(in_range, pos, 0)] == wanted[todo])
+            values[todo[hit]] = entry[0][pos[hit], 2:]
+            found[todo[hit]] = True
         if not found.all():
-            missing = int(np.flatnonzero(~found)[0])
+            missing = int(order[~found].min())
             raise ValueError(
                 f"edge ({int(ps[missing])}, {int(qs[missing])}) is not stored "
                 "in this shard store; payloads exist only for stored edges")
+        out = np.empty_like(values)
+        out[order] = values
         return out
 
     # ------------------------------------------------------------------

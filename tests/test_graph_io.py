@@ -352,6 +352,78 @@ class TestEdgeShards:
         assert load_edge_shards(tmp_path / "shards").shape[0] == product.nnz
 
 
+def _pad_header(path, data_offset: int) -> None:
+    """Rewrite the ``.npy`` v1.0 file at *path* with its header padded by
+    spaces so its rows start at *data_offset*: still a valid shard, since
+    the header check accepts any run of spaces before the newline."""
+    import struct
+
+    data = path.read_bytes()
+    (length,) = struct.unpack("<H", data[8:10])
+    header, rows = data[10:10 + length], data[10 + length:]
+    padded = header[:-1] + b" " * (data_offset - 10 - length) + b"\n"
+    path.write_bytes(data[:8] + struct.pack("<H", len(padded)) + padded + rows)
+
+
+class TestShardOpen:
+    """The shard reader's one-read open: a header longer than the first
+    read, descriptors released on failure, and the one header check that
+    the spill sink shares."""
+
+    def test_header_padded_past_the_first_read(self, tmp_path):
+        from repro.graphs import io as graph_io
+        from repro.graphs.io import read_edge_shard
+
+        rows = np.arange(24, dtype=np.int64).reshape(8, 3)
+        path = tmp_path / "padded.npy"
+        np.save(path, rows)
+        offset = graph_io._HEADER_READ + 64
+        _pad_header(path, offset)
+        assert path.stat().st_size == offset + rows.nbytes
+        for mode in ("r", None):
+            decoded = read_edge_shard(path, ["src", "dst", "triangles"],
+                                      mmap_mode=mode)
+            assert decoded.dtype == np.int64
+            assert np.array_equal(decoded, rows)
+
+    def test_failing_opens_release_their_descriptor(self, tmp_path):
+        import gc
+        import os
+
+        from repro.graphs.io import read_edge_shard
+
+        path = tmp_path / "truncated.npy"
+        np.save(path, np.arange(8, dtype=np.int64).reshape(4, 2))
+        path.write_bytes(path.read_bytes()[:-8])
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        for attempt in range(100):
+            with pytest.raises(ValueError, match="truncated"):
+                read_edge_shard(path, ["src", "dst"],
+                                mmap_mode="r" if attempt % 2 else None)
+        gc.collect()
+        # A leak would hold one descriptor per failing open: 100.
+        assert len(os.listdir("/proc/self/fd")) <= before + 1
+
+    def test_sink_reads_block_lengths_through_the_shard_check(self, tmp_path):
+        from repro.graphs.io import read_edge_shard
+
+        sink = NpyShardSink(tmp_path / "spill", n_vertices=8)
+        sink.write(0, 0, np.asarray([[0, 1], [0, 2], [1, 0]]))
+        sink.write(0, 1, np.asarray([[5, 6]]))
+        _pad_header(sink.shard_path(0, 0), 320)
+        manifest = sink.finalize()
+        assert [s["n_edges"] for s in manifest["shards"]] == [3, 1]
+        spoiled = sink.shard_path(0, 1)
+        spoiled.write_bytes(spoiled.read_bytes()[:-8])
+        with pytest.raises(ValueError) as read_error:
+            read_edge_shard(spoiled, ["src", "dst"])
+        with pytest.raises(ValueError) as finalize_error:
+            sink.finalize()
+        assert str(finalize_error.value) == str(read_error.value)
+        assert str(spoiled) in str(read_error.value)
+
+
 class TestManifestValidation:
     """Corrupted or foreign manifests must fail with a field-naming ValueError
     (never a bare KeyError deep inside a consumer)."""

@@ -8,9 +8,14 @@ shards uses a counting hook over the store's file loader.
 """
 
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import KroneckerGraph
 from repro.graphs import NpyShardSink, load_edge_shards, read_shard_manifest
@@ -537,9 +542,37 @@ class TestCacheLookups:
         assert (store.shard_reads, store.cache_hits) == (0, 1)
 
 
+@st.composite
+def _walk_cases(draw):
+    """A small store and the batches to ask it: ``(n_vertices, edges,
+    target_shard_edges, batch, picks, missing)``.  *edges* are unique
+    ``(src, dst)`` pairs, self loops included; 1–7-row shards make sources
+    straddle cuts and fall in gaps.  *batch* is unsorted, may repeat, may
+    be empty and may hold sources no shard range holds; *picks* index
+    stored edges (repeats allowed) for ``edge_payloads``, and *missing* is
+    up to two ``(position, pair)`` insertions of pairs that are not
+    stored."""
+    n_vertices = draw(st.integers(1, 30))
+    vertex = st.integers(0, n_vertices - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=60, unique=True))
+    loops = draw(st.lists(vertex, max_size=8, unique=True))
+    edges = sorted(set(pairs) | {(v, v) for v in loops})
+    target = draw(st.integers(1, 7))
+    batch = draw(st.lists(vertex, max_size=20))
+    picks = draw(st.lists(st.integers(0, len(edges) - 1), max_size=20)) \
+        if edges else []
+    stored = set(edges)
+    absent = [(p, q) for p in range(n_vertices) for q in range(n_vertices)
+              if (p, q) not in stored]
+    missing = draw(st.lists(
+        st.tuples(st.integers(0, len(picks)), st.sampled_from(absent)),
+        max_size=2)) if absent else []
+    return n_vertices, edges, target, batch, picks, missing
+
+
 class TestHoldingShards:
     """A batch call visits only the shards holding rows of its vertices
-    (``ShardStore._holding``), never every shard between its smallest and
+    (``ShardStore._walk``), never every shard between its smallest and
     largest vertex — including a source whose rows run over a cut into the
     next shard and a source in a gap between two shard ranges."""
 
@@ -562,45 +595,98 @@ class TestHoldingShards:
         return _payload_store(tmp_path, rows, n_vertices=self.N_VERTICES,
                               target_shard_edges=4)
 
-    @pytest.fixture
-    def rows(self):
-        edges = np.asarray(self.ROWS, dtype=np.int64)
-        return np.column_stack([edges, 100 * edges[:, 0] + edges[:, 1]])
+    @staticmethod
+    def _visits(store, batch):
+        """``(shard index, its sources)`` of every visit of *batch*'s walk,
+        after checking the walk's sort of the batch."""
+        batch = np.asarray(batch, dtype=np.int64)
+        order, svs, visits = store._walk(batch)
+        assert np.array_equal(svs, batch[order])
+        assert np.array_equal(svs, np.sort(batch))
+        return [(index, svs[start:stop].tolist())
+                for index, start, stop in visits]
 
     def test_straddled_and_gap_sources(self, cut_store):
         shards = read_shard_manifest(cut_store)["shards"]
         ranges = [(s["src_min"], s["src_max"]) for s in shards]
         assert ranges == [(0, 1), (1, 2), (5, 6), (6, 9)]
         store = ShardStore(cut_store)
-        assert store._holding(np.asarray([1])) == [0, 1]
-        assert store._holding(np.asarray([6])) == [2, 3]
+        assert self._visits(store, [1]) == [(0, [1]), (1, [1])]
+        assert self._visits(store, [6]) == [(2, [6]), (3, [6])]
         for vertex in (3, 4, 10):
-            assert store._holding(np.asarray([vertex])) == []
-        assert store._holding(np.asarray([9, 3, 0, 9])) == [0, 3]
-        assert store._holding(np.zeros(0, dtype=np.int64)) == []
+            assert self._visits(store, [vertex]) == []
+        assert self._visits(store, [9, 3, 0, 9]) == [(0, [0]), (3, [9, 9])]
+        assert store._walk(np.asarray([9, 3, 0, 9]))[0].tolist() == [2, 1, 0, 3]
+        assert self._visits(store, np.zeros(0, dtype=np.int64)) == []
 
     @pytest.mark.parametrize("mmap", [True, False])
     @pytest.mark.parametrize("cache_shards", [1, 8])
-    def test_batches_match_recomputed_answers(self, cut_store, rows, mmap,
-                                              cache_shards):
-        store = ShardStore(cut_store, cache_shards=cache_shards, mmap=mmap)
-        batch = np.asarray([9, 3, 1, 1, 10, 0, 6, 4, 7, 2, 5, 8, 3, 6])
-        loops = rows[:, 0] == rows[:, 1]
-        expected_degrees = [int(np.sum((rows[:, 0] == v) & ~loops))
-                            for v in batch]
-        assert expected_degrees[2] == 4  # vertex 1's self loop is dropped
-        assert store.degrees(batch).tolist() == expected_degrees
-        selected = rows[np.isin(rows[:, 0], batch)]
-        assert np.array_equal(store.edges_for_sources(batch), selected[:, :2])
-        assert np.array_equal(
-            store.edges_for_sources(batch, with_payload=True), selected)
-        # Every stored pair, shuffled, with repeats.
-        order = np.random.default_rng(3).permutation(
-            np.concatenate([np.arange(len(rows)), [4, 6, 12, 2]]))
-        ps, qs = rows[order, 0], rows[order, 1]
-        assert np.array_equal(store.edge_payloads(ps, qs), rows[order, 2:])
-        with pytest.raises(ValueError, match=r"edge \(3, 1\) is not stored"):
-            store.edge_payloads([1, 3], [6, 1])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_walk_cases())
+    @example(case=(N_VERTICES, ROWS, 4,
+                   [9, 3, 1, 1, 10, 0, 6, 4, 7, 2, 5, 8, 3, 6],
+                   np.random.default_rng(3).permutation(
+                       np.concatenate([np.arange(len(ROWS)), [4, 6, 12, 2]])
+                   ).tolist(),
+                   [(1, (3, 1))]))
+    def test_batches_match_recomputed_answers(self, mmap, cache_shards, case):
+        """Every batch kernel equals a brute-force oracle on the rows, and a
+        ``degrees`` / ``out_degrees`` / ``edges_for_sources`` call decodes
+        exactly the shards whose range holds one of its sources."""
+        n_vertices, edges, target, batch, picks, missing = case
+        rows = np.asarray([(src, dst, 100 * src + dst) for src, dst in edges],
+                          dtype=np.int64).reshape(-1, 3)
+        src, dst = rows[:, 0], rows[:, 1]
+        vs = np.asarray(batch, dtype=np.int64)
+        with tempfile.TemporaryDirectory() as scratch:
+            store_dir = _payload_store(Path(scratch), rows, n_vertices,
+                                       target_shard_edges=target)
+            store = ShardStore(store_dir, cache_shards=cache_shards, mmap=mmap)
+
+            assert store.out_degrees(vs).tolist() == [
+                int(np.sum(src == v)) for v in batch]
+            assert store.degrees(vs).tolist() == [
+                int(np.sum((src == v) & (dst != v))) for v in batch]
+            selected = rows[np.isin(src, vs)]
+            assert np.array_equal(store.edges_for_sources(vs), selected[:, :2])
+            with_payload = store.edges_for_sources(vs, with_payload=True)
+            assert with_payload.dtype == np.int64
+            assert np.array_equal(with_payload, selected)
+            payloads = store.edge_payloads(src[picks], dst[picks])
+            assert payloads.dtype == np.int64
+            assert np.array_equal(payloads, rows[picks, 2:])
+            if missing:
+                pairs = [(int(src[i]), int(dst[i])) for i in picks]
+                for position, pair in missing:
+                    pairs.insert(position, pair)
+                stored = set(edges)
+                p, q = next(pair for pair in pairs if pair not in stored)
+                with pytest.raises(ValueError,
+                                   match=rf"edge \({p}, {q}\) is not stored"):
+                    store.edge_payloads([p for p, _ in pairs],
+                                        [q for _, q in pairs])
+
+            holding = [shard["file"]
+                       for shard in read_shard_manifest(store_dir)["shards"]
+                       if any(shard["src_min"] <= v <= shard["src_max"]
+                              for v in batch)]
+            opened = []
+            real_load = query_mod._load_shard_file
+
+            def counting_load(path, *args, **kwargs):
+                opened.append(path.name)
+                return real_load(path, *args, **kwargs)
+
+            with mock.patch.object(query_mod, "_load_shard_file",
+                                   counting_load):
+                for call in (store.degrees, store.out_degrees,
+                             store.edges_for_sources):
+                    store.clear_cache()
+                    opened.clear()
+                    call(vs)
+                    assert opened == holding
+            store.close()
 
     def test_two_vertex_batch_opens_only_their_shards(self, store_dir,
                                                       monkeypatch):
@@ -805,6 +891,24 @@ class TestMmapLifecycle:
         selection = rng.choice(n, 20, replace=False)
         assert np.array_equal(mapped.subgraph_edges(selection),
                               copied.subgraph_edges(selection))
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_answers_cannot_change_the_cache(self, tmp_path, mmap):
+        """A range answer and a one-source answer are slices of the cached
+        rows: writing into either raises in both decode modes, and the
+        next answers are unchanged."""
+        rows = [(0, 1, 8), (0, 2, 9), (1, 0, 8), (2, 0, 9)]
+        store = ShardStore(_payload_store(tmp_path, rows, n_vertices=3,
+                                          target_shard_edges=8), mmap=mmap)
+        for answer in (store.edges_in_range(0, 3, with_payload=True),
+                       store.edges_for_sources([0], with_payload=True)):
+            with pytest.raises(ValueError, match="read-only"):
+                answer[0, 2] = -1
+        assert store.edges_in_range(0, 3, with_payload=True).tolist() == \
+            [list(row) for row in rows]
+        assert store.edges_for_sources([0], with_payload=True).tolist() == \
+            [list(row) for row in rows[:2]]
+        assert store.edge_payloads([0], [1]).tolist() == [[8]]
 
     def test_stats_split_mapped_vs_resident(self, store_dir):
         mapped = ShardStore(store_dir, cache_shards=4)
