@@ -4,9 +4,10 @@
 The end-to-end never-materialize-``C`` workflow the shard store enables.  A
 Kronecker product far larger than memory is streamed to a per-block ``.npy``
 spill by the communication-free rank pipeline (validated on the fly against
-the closed-form factor statistics), the spill is compacted into source-sorted
-shards with a manifest v2 of per-shard vertex ranges, and the Figure 7
-egonet spot checks are then served straight from the disk store:
+the closed-form factor statistics).  The spill is already a store (one shard
+per block under a manifest v2 of per-shard vertex ranges); it is re-cut into
+fewer, larger source-sorted shards, and the Figure 7 egonet spot checks are
+then served straight from the disk store:
 
 * each query binary-searches the manifest and decodes only the shards whose
   vertex range it touches,
@@ -93,8 +94,8 @@ def main() -> None:
         print(f"on-the-fly validation: {'PASS' if report.passed else 'FAIL'}")
 
         # --------------------------------------------------------------
-        # 2. Compact: re-cut the (src, dst)-ordered spill into shards with
-        #    per-shard vertex ranges (manifest v2).
+        # 2. Compact: re-cut the spill, already a (src, dst)-ordered store,
+        #    into larger shards with per-shard vertex ranges (manifest v2).
         # --------------------------------------------------------------
         start = time.perf_counter()
         manifest = compact_shards(spill, store_dir, target_shard_edges=65_536)

@@ -34,17 +34,20 @@ published artefacts of the paper:
     shards with exact per-edge ground-truth columns (evaluated per block
     through the factored statistics), recorded by name in the manifest; a
     payload spill always runs through the rank pipeline, on one rank when
-    ``--ranks`` is not given.
+    ``--ranks`` is not given.  A ``.npy`` spill is a shard store: its
+    manifest v2 records each shard's source-vertex range, so ``query`` and
+    ``serve`` open it as it is.
 
 ``repro-kron compact``
-    Compact a per-block spill directory into a source-sorted store with a
-    manifest v2 recording per-shard vertex ranges (``repro.store``).  The
-    spill is already in ``(src, dst)`` order, so compaction checks that
-    order and re-cuts the rows, payload columns unchanged; an out-of-order
-    spill is an error.
+    Optionally re-cut a shard store — a spill or an earlier compaction —
+    into shards of ``--target-edges`` edges under a new manifest v2
+    (``repro.store``): fewer, larger shards than a spill's one per block, or
+    smaller ones.  The rows are already in ``(src, dst)`` order, so
+    compaction checks that order and re-cuts them, payload columns
+    unchanged; rows out of order are an error.
 
 ``repro-kron query``
-    Serve degree / neighbor / egonet / edge-range queries from a compacted
+    Serve degree / neighbor / egonet / edge-range queries from a shard
     store, decoding only the shards whose manifest range overlaps the query
     — the product is never materialized.  ``--payload`` adds the stored
     per-edge ground truth to the answer and ``--json`` emits a single JSON
@@ -54,7 +57,7 @@ published artefacts of the paper:
     :mod:`repro.serve.shaping` answer shapes.
 
 ``repro-kron serve``
-    Put a compacted store behind a socket: the :mod:`repro.serve` asyncio
+    Put a shard store behind a socket: the :mod:`repro.serve` asyncio
     front-end (one concurrent-safe :class:`~repro.store.ShardStore`, warm
     store calls over at most two shards on the event loop and the rest on
     a bounded decode pool — one thread unless ``--threads`` says
@@ -102,9 +105,10 @@ serving layers (:mod:`repro.serve`, :mod:`repro.store`, :mod:`repro.graphs.io`
 and, through them, :mod:`repro.obs` and :mod:`repro.lint.runtime`), so
 ``serve``, ``serve --fleet``, ``query`` and the ``--connect`` commands start
 with numpy and the standard library only; ``tests/test_import_set.py``
-holds that.  A store that is missing, has no manifest, fails the manifest
-check, or is an uncompacted spill makes ``serve`` and ``query`` exit with
-one line naming the store and the reason.
+holds that.  A store that is missing, has no manifest, or fails the
+manifest check (a ``format_version`` 1 spill of an earlier release
+included) makes ``serve`` and ``query`` exit with one line naming the
+store and the reason.
 """
 
 from __future__ import annotations
@@ -258,19 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     compact = sub.add_parser(
         "compact",
-        help="re-cut a (src, dst)-ordered per-block spill into shards with "
-             "a manifest v2 recording per-shard vertex ranges")
-    compact.add_argument("source", type=Path, help="spill directory to compact")
+        help="optionally re-cut a shard store (a spill or an earlier "
+             "compaction) into shards of --target-edges edges; a spill is "
+             "already a store that query and serve open as it is")
+    compact.add_argument("source", type=Path,
+                         help="store directory to re-cut (e.g. a spill)")
     compact.add_argument("destination", type=Path, help="output store directory")
     compact.add_argument("--target-edges", type=int, default=262_144,
                          help="edges per output shard (default 262144)")
 
     query = sub.add_parser(
         "query",
-        help="answer vertex/range queries from a compacted shard store "
-             "without materializing the product")
+        help="answer vertex/range queries from a shard store (a spill or "
+             "a compaction) without materializing the product")
     query.add_argument("store", type=Path, nargs="?", default=None,
-                       help="compacted store directory (omit with --connect)")
+                       help="store directory (omit with --connect)")
     query.add_argument("--connect", type=str, default=None, metavar="HOST:PORT",
                        help="query a running `repro-kron serve` instance "
                             "instead of a local store directory")
@@ -304,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve shard-store queries over a socket (asyncio front-end, "
              "one concurrent-safe store, JSON control frames plus one "
              "binary frame per array answer)")
-    serve.add_argument("store", type=Path, help="compacted store directory")
+    serve.add_argument("store", type=Path,
+                       help="store directory (a spill or a compaction)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=0,
@@ -575,7 +582,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
                               target_shard_edges=args.target_edges,
                               metadata={"cli": "compact"})
     n_src = manifest["metadata"]["compaction"]["source_shards"]
-    print(f"compacted {n_src} spill shards ({manifest['total_edges']:,} edges) "
+    print(f"compacted {n_src} shards ({manifest['total_edges']:,} edges) "
           f"into {len(manifest['shards'])} source-sorted shards at {args.destination}")
     if manifest["shards"]:
         lo = manifest["shards"][0]["src_min"]
@@ -656,15 +663,15 @@ def _json_list(value):
 def _no_payload_exit(source) -> SystemExit:
     return SystemExit(
         f"{source} carries no payload columns; re-run the spill with "
-        "`stream --payload ...` and recompact to serve per-edge ground "
-        "truth")
+        "`stream --payload ...` to serve per-edge ground truth")
 
 
 @contextlib.contextmanager
 def _opening_store(path: Path):
     """Turn a store-open failure into a one-line exit naming the store: a
-    missing directory or manifest (``FileNotFoundError``), a manifest the
-    validator rejects or an uncompacted spill (``ValueError``)."""
+    missing directory or manifest (``FileNotFoundError``) or a manifest the
+    validator rejects, a ``format_version`` 1 spill included
+    (``ValueError``)."""
     try:
         yield
     except (FileNotFoundError, ValueError) as exc:

@@ -20,7 +20,9 @@ Formats
   the product's edge list spilled block by block through
   :class:`NpyShardSink` — the streaming pipeline's sink, which alone writes
   payload-carrying ``(m, 2 + k)`` rows; :func:`write_edge_shards` is the
-  topology-only single-rank writer.  Manifests go through
+  topology-only single-rank writer.  A spill is a store: its rows strictly
+  increase in ``(src, dst)`` in manifest order, and its manifest v2
+  records each shard's source range.  Manifests go through
   :func:`read_shard_manifest` and shard files through
   :func:`read_edge_shard`, the one reader the compactor and the shard store
   share.  A shard file is exactly what ``np.save`` writes for a C-contiguous
@@ -58,6 +60,7 @@ __all__ = [
     "read_directed_edge_list",
     "save_kronecker_bundle",
     "load_kronecker_bundle",
+    "MANIFEST_V2",
     "NpyShardSink",
     "normalize_payload_columns",
     "write_edge_shards",
@@ -72,6 +75,9 @@ PathLike = Union[str, Path]
 
 #: Manifest file name of a ``.npy`` shard directory.
 SHARD_MANIFEST = "manifest.json"
+
+#: The one manifest format version every shard directory is written at.
+MANIFEST_V2 = 2
 
 #: Temp-file suffix of an in-flight manifest write (see
 #: :func:`write_shard_manifest`); never read, always safe to delete.
@@ -210,32 +216,28 @@ def read_directed_edge_list(path: PathLike, *, n_vertices: Optional[int] = None)
 
 
 class NpyShardSink:
-    """Chunked binary spill: one ``.npy`` shard per streamed edge block.
+    """Chunked binary spill that is a shard store: one ``.npy`` shard per
+    streamed edge block, under a manifest v2.
 
     This is the default disk sink of the streaming generation pipeline — the
     single-node stand-in for "write the trillion-edge graph to a parallel
     file system".  Each rank writes its blocks as independent shard files
     (``edges-r<rank>-b<block>.npy``), so ranks never contend for a shared
     handle and the sink works unchanged under a ``multiprocessing`` pool
-    (the object holds only path state and is picklable).  ``finalize()``
-    scans the directory and writes a small JSON manifest recording shard
-    order — numeric ``(rank, block)`` order, in which the streaming
-    pipeline's blocks concatenate to ``(src, dst)`` order — and per-shard
-    edge counts; readers go through the manifest, which is published
-    atomically (:func:`write_shard_manifest`).
-
-    Compared to the TSV writer this replaces as the default, shards are
-    written with one ``np.save`` per block — no per-row formatting at all —
-    and round-trip losslessly as ``int64``.
+    (the object holds only path state, nothing per rank, and is picklable).
+    The pipeline's blocks concatenate to ``(src, dst)`` order in numeric
+    ``(rank, block)`` order, and the sink checks that order: :meth:`write`
+    refuses a block whose rows do not strictly increase, and
+    :meth:`finalize` a shard that does not start after the previous one's
+    last row, each with a :class:`ValueError` naming the file.  The manifest
+    records every shard's ``[src_min, src_max]`` source range, so
+    :class:`repro.store.ShardStore` and the server open a spill as it is.
 
     Shards may carry per-edge ground-truth payload columns beyond the two
     ``(src, dst)`` endpoints: construct the sink with
     ``payload_columns=("triangles", "trussness")`` and feed it
-    ``(m, 2 + k)`` blocks whose extra columns hold the named values (the
-    streaming pipeline evaluates them per block from the factor entry
-    vectors its run builds once, indexed by each row's entry positions).
-    The manifest records the column names so every reader — the compactor
-    and :class:`repro.store.ShardStore` — knows the row layout.
+    ``(m, 2 + k)`` blocks whose extra columns hold the named values; the
+    manifest records the column names.
 
     Constructing a sink claims the directory for one run: shard files and
     the manifest left over from a previous spill are deleted so a rerun with
@@ -275,14 +277,19 @@ class NpyShardSink:
         return self.directory / f"edges-r{rank:05d}-b{block_index:06d}.npy"
 
     def write(self, rank: int, block_index: int, edges: np.ndarray) -> None:
-        """Spill one ``(m, 2 + k)`` edge block (the streaming sink protocol)."""
+        """Spill one ``(m, 2 + k)`` edge block (the streaming sink protocol);
+        an empty block has no source range and writes no file."""
         block = np.ascontiguousarray(edges, dtype=np.int64)
         if block.ndim != 2 or block.shape[1] != self.block_columns:
             raise ValueError(
                 f"sink expects (m, {self.block_columns}) blocks for "
                 f"payload_columns {list(_ENDPOINT_COLUMNS + self.payload_columns)}; "
                 f"got shape {block.shape}")
-        np.save(self.shard_path(rank, block_index), block)
+        if not block.shape[0]:
+            return
+        path = self.shard_path(rank, block_index)
+        _check_order(block, None, path)
+        np.save(path, block)
 
     def shard_paths(self):
         """All shard files currently in the directory, in numeric
@@ -298,27 +305,38 @@ class NpyShardSink:
         return sorted(self.directory.glob(self._SHARD_GLOB), key=rank_block)
 
     def finalize(self, metadata: Optional[dict] = None) -> dict:
-        """Write the JSON manifest (idempotent, atomic) and return it.
+        """Write the manifest v2 (idempotent, atomic) and return it.
 
-        Shard lengths are read from the ``.npy`` headers through the shard
-        reader's header check — finalization never loads edge data.
+        Each shard's length comes from the shard reader's header check, and
+        its source range from its first and last row, read on the same
+        descriptor — finalization never loads a shard.
         """
         columns = _ENDPOINT_COLUMNS + self.payload_columns
+        row_bytes = 8 * len(columns)
         shards = []
-        total = 0
+        previous = None  # (src, dst) of the previous shard's last row
         for path in self.shard_paths():
             with open(path, "rb") as handle:
-                n_edges, _ = _check_shard_header(handle.fileno(), path,
-                                                 columns)
-            shards.append({"file": path.name, "n_edges": n_edges})
-            total += n_edges
+                fd = handle.fileno()
+                n_edges, offset = _check_shard_header(fd, path, columns)
+                if not n_edges:
+                    raise ValueError(f"{path}: shard holds no rows, so it "
+                                     "has no source range")
+                ends = [np.frombuffer(os.pread(fd, 16, at), dtype=_SHARD_DTYPE)
+                        for at in (offset, offset + (n_edges - 1) * row_bytes)]
+            _check_order(ends[0].reshape(1, 2), previous, path)
+            previous = ends[1]
+            shards.append({"file": path.name, "n_edges": n_edges,
+                           "src_min": int(ends[0][0]),
+                           "src_max": int(ends[1][0])})
         manifest = {
-            "format_version": 1,
+            "format_version": MANIFEST_V2,
             "kind": "edge-shards",
             "name": self.name,
             "n_vertices": self.n_vertices,
-            "total_edges": total,
-            "payload_columns": list(_ENDPOINT_COLUMNS + self.payload_columns),
+            "total_edges": sum(shard["n_edges"] for shard in shards),
+            "sorted_by": "source",
+            "payload_columns": list(columns),
             "shards": shards,
         }
         if metadata:
@@ -340,7 +358,8 @@ def write_edge_shards(
     The single-rank, topology-only writer over :class:`NpyShardSink`;
     *product* is any object with ``iter_edge_blocks``/``name``/``n_vertices``
     (duck-typed so this module never imports :mod:`repro.core`).  Returns
-    the number of edges written; the manifest is finalized before returning.
+    the number of edges written; the manifest v2 is finalized before
+    returning, so the directory is a store.
 
     Without *max_edges* or *metadata* it writes the same shard files and
     manifest as ``distributed_generate(a, b, 1, streaming=True,
@@ -356,27 +375,25 @@ def write_edge_shards(
     for block_index, block in enumerate(
         product.iter_edge_blocks(a_edges_per_block=a_edges_per_block)
     ):
-        if max_edges is not None and written + block.shape[0] > max_edges:
+        if max_edges is not None:
             block = block[: max_edges - written]
-        if block.shape[0]:
-            sink.write(0, block_index, block)
-            written += block.shape[0]
+        sink.write(0, block_index, block)
+        written += block.shape[0]
         if max_edges is not None and written >= max_edges:
             break
     sink.finalize(metadata=metadata)
     return written
 
 
-#: Manifest versions this reader understands.  v1 is the per-block spill
-#: written by :class:`NpyShardSink`; v2 adds per-shard source-vertex ranges
-#: and is written by :func:`repro.store.compact_shards`.
-SUPPORTED_MANIFEST_VERSIONS = (1, 2)
+#: Fields every manifest carries besides ``kind`` and ``format_version``,
+#: and every shard entry carries (all but ``file`` non-negative integers).
+_MANIFEST_REQUIRED = ("n_vertices", "total_edges", "shards", "sorted_by",
+                      "payload_columns")
+_SHARD_REQUIRED = ("file", "n_edges", "src_min", "src_max")
 
-#: Top-level fields every edge-shard manifest must carry.
-_MANIFEST_REQUIRED = ("kind", "format_version", "n_vertices", "total_edges", "shards")
 
-#: Extra fields required at format version 2.
-_MANIFEST_REQUIRED_V2 = ("sorted_by", "payload_columns")
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _validate_shard_manifest(manifest: object, path: Path) -> dict:
@@ -388,55 +405,57 @@ def _validate_shard_manifest(manifest: object, path: Path) -> dict:
     if manifest.get("kind") != "edge-shards":
         raise ValueError(f"{path} is not an edge-shard manifest "
                          f"(kind={manifest.get('kind')!r})")
+    if "format_version" not in manifest:
+        raise ValueError(f"{path}: manifest is missing required field 'format_version'")
+    version = manifest["format_version"]
+    if version == 1:
+        raise ValueError(
+            f"{path}: manifest format_version 1 is a per-block spill without "
+            "source ranges, which is no longer read; re-stream the product "
+            "(repro-kron stream) to write a store")
+    if version != MANIFEST_V2:
+        raise ValueError(f"{path}: unsupported manifest format_version "
+                         f"{version!r} (supported: {MANIFEST_V2})")
     for field in _MANIFEST_REQUIRED:
         if field not in manifest:
             raise ValueError(f"{path}: manifest is missing required field {field!r}")
-    version = manifest["format_version"]
-    if version not in SUPPORTED_MANIFEST_VERSIONS:
-        raise ValueError(
-            f"{path}: unsupported manifest format_version {version!r} "
-            f"(supported: {', '.join(map(str, SUPPORTED_MANIFEST_VERSIONS))})")
+    if manifest["sorted_by"] != "source":
+        raise ValueError(f"{path}: manifest sorted_by must be 'source', "
+                         f"got {manifest['sorted_by']!r}")
     shards = manifest["shards"]
     if not isinstance(shards, list):
         raise ValueError(f"{path}: 'shards' must be a list, "
                          f"got {type(shards).__name__}")
-    if version == 2:
-        for field in _MANIFEST_REQUIRED_V2:
-            if field not in manifest:
-                raise ValueError(
-                    f"{path}: v2 manifest is missing required field {field!r}")
-    if "payload_columns" in manifest:
-        _validate_payload_columns(manifest["payload_columns"], path)
-    per_shard = ("file", "n_edges") if version == 1 \
-        else ("file", "n_edges", "src_min", "src_max")
+    _validate_payload_columns(manifest["payload_columns"], path)
+    total = 0
     prev_min = prev_max = -1
     for index, shard in enumerate(shards):
         if not isinstance(shard, dict):
             raise ValueError(f"{path}: shards[{index}] must be an object")
-        for field in per_shard:
+        for field in _SHARD_REQUIRED:
             if field not in shard:
                 raise ValueError(
                     f"{path}: shards[{index}] is missing required field {field!r}")
-        if version == 2:
-            # Range sanity lives here — at the single reader — so every
-            # consumer (ShardStore, CLI query, iter_edge_shards) fails with
-            # the same field-naming error, not a downstream surprise.
-            for field in ("src_min", "src_max"):
-                value = shard[field]
-                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                    raise ValueError(
-                        f"{path}: shards[{index}].{field} must be a "
-                        f"non-negative integer, got {value!r}")
-            if shard["src_min"] > shard["src_max"]:
+            if field != "file" and not _is_count(shard[field]):
                 raise ValueError(
-                    f"{path}: shards[{index}].src_min ({shard['src_min']}) "
-                    f"exceeds src_max ({shard['src_max']})")
-            if shard["src_min"] < prev_min or shard["src_max"] < prev_max:
-                raise ValueError(
-                    f"{path}: shard src_min/src_max vertex ranges are not "
-                    f"nondecreasing at shards[{index}]; the store is corrupt "
-                    "or was not written by repro.store.compact_shards")
-            prev_min, prev_max = shard["src_min"], shard["src_max"]
+                    f"{path}: shards[{index}].{field} must be a "
+                    f"non-negative integer, got {shard[field]!r}")
+        if shard["src_min"] > shard["src_max"]:
+            raise ValueError(
+                f"{path}: shards[{index}].src_min ({shard['src_min']}) "
+                f"exceeds src_max ({shard['src_max']})")
+        if shard["src_min"] < prev_min or shard["src_max"] < prev_max:
+            raise ValueError(
+                f"{path}: shard src_min/src_max vertex ranges are not "
+                f"nondecreasing at shards[{index}]; the store is corrupt "
+                "or was not written by this package")
+        prev_min, prev_max = shard["src_min"], shard["src_max"]
+        total += shard["n_edges"]
+    if not _is_count(manifest["total_edges"]) or manifest["total_edges"] != total:
+        raise ValueError(
+            f"{path}: manifest total_edges ({manifest['total_edges']!r}) is "
+            f"not the sum of its shards' n_edges ({total}); the manifest is "
+            "corrupt")
     return manifest
 
 
@@ -455,18 +474,16 @@ def _validate_payload_columns(columns: object, path: Path) -> None:
 
 
 def read_shard_manifest(directory: PathLike) -> dict:
-    """Load and validate the manifest of a ``.npy`` shard directory.
+    """Load and validate the manifest v2 of a ``.npy`` shard directory: a
+    spill (:class:`NpyShardSink`), a re-cut store
+    (:func:`repro.store.compact_shards`) or a fleet slice.
 
-    Both manifest versions are accepted: the per-block **v1** spill written by
-    :class:`NpyShardSink` and the compacted **v2** store written by
-    :func:`repro.store.compact_shards` (whose shard entries carry
-    ``src_min``/``src_max`` source-vertex ranges).  v1 manifests are upgraded
-    transparently: the returned dictionary always carries ``sorted_by``
-    (``None`` for an unsorted block spill) and ``payload_columns``, so
-    consumers can branch on one shape.  Corrupted or foreign manifests raise a
-    :class:`ValueError` naming the missing or unexpected field; a manifest
-    that is not even valid JSON (e.g. a pre-atomic-write truncated file)
-    raises a :class:`ValueError` naming the file, never a raw
+    Corrupted or foreign manifests raise a :class:`ValueError` naming the
+    missing or unexpected field — a ``total_edges`` that is not the sum of
+    the shards' ``n_edges`` included — and a ``format_version`` 1 spill of
+    an earlier release one that says to re-stream.  A manifest that is not
+    even valid JSON (e.g. a pre-atomic-write truncated file) raises a
+    :class:`ValueError` naming the file, never a raw
     ``json.JSONDecodeError``.
     """
     path = Path(directory) / SHARD_MANIFEST
@@ -477,10 +494,7 @@ def read_shard_manifest(directory: PathLike) -> dict:
             f"{path}: manifest is not valid JSON ({exc}); the file looks like "
             "a truncated or interrupted write — re-run the spill or "
             "compaction that produced this directory") from exc
-    manifest = _validate_shard_manifest(decoded, path)
-    manifest.setdefault("sorted_by", None)
-    manifest.setdefault("payload_columns", list(_ENDPOINT_COLUMNS))
-    return manifest
+    return _validate_shard_manifest(decoded, path)
 
 
 def _check_shard_header(fd: int, path: PathLike,
@@ -535,6 +549,35 @@ def _check_shard_header(fd: int, path: PathLike,
     return rows, offset
 
 
+def _check_shard_rows(path: PathLike, rows: np.ndarray, n_edges: int) -> None:
+    """Raise unless a decoded shard holds its manifest entry's *n_edges*."""
+    if rows.shape[0] != n_edges:
+        raise ValueError(
+            f"{path}: shard holds {rows.shape[0]} rows but its manifest "
+            f"entry lists n_edges {n_edges}; the manifest is corrupt")
+
+
+def _check_order(rows: np.ndarray, previous: Optional[np.ndarray],
+                 path: PathLike) -> None:
+    """Raise unless *rows* strictly increase in ``(src, dst)`` and start
+    after *previous*, the ``(src, dst)`` of the row before them: the shard
+    format's one order check, run by the sink and by compaction."""
+    src, dst = rows[:, 0], rows[:, 1]
+    if previous is not None:
+        src = np.concatenate([previous[:1], src])
+        dst = np.concatenate([previous[1:2], dst])
+    step_src, step_dst = np.diff(src), np.diff(dst)
+    bad = np.flatnonzero((step_src < 0) | ((step_src == 0) & (step_dst <= 0)))
+    if bad.size:
+        at = int(bad[0])
+        raise ValueError(
+            f"{path}: rows are not in strictly increasing (src, dst) "
+            f"order: ({src[at]}, {dst[at]}) is followed by "
+            f"({src[at + 1]}, {dst[at + 1]}); a shard store holds "
+            "(src, dst)-ordered rows and nothing sorts them (no manifest "
+            "was written)")
+
+
 def read_edge_shard(path: PathLike, columns: Sequence[str], *,
                     mmap_mode: Optional[str] = None) -> np.ndarray:
     """Decode one ``.npy`` edge shard whose rows hold the manifest's
@@ -543,10 +586,11 @@ def read_edge_shard(path: PathLike, columns: Sequence[str], *,
     The one shard-file reader: :func:`iter_edge_shards`, the compactor and
     :class:`repro.store.ShardStore` all decode through it, so a shard whose
     header, width or size disagrees with its manifest fails identically
-    everywhere — with a :class:`ValueError` naming the file.  The file is
-    opened as a bare descriptor, its header checked against the one fixed
-    layout the writers produce (:func:`_check_shard_header`: one positional
-    read), and the rows are then read at its data offset:
+    everywhere — with a :class:`ValueError` naming the file — and each
+    holds the rows to the manifest's ``n_edges`` (:func:`_check_shard_rows`).
+    The file is opened as a bare descriptor, its header checked against the
+    one fixed layout the writers produce (:func:`_check_shard_header`: one
+    positional read), and the rows are then read at its data offset:
     ``mmap_mode="r"`` returns a plain read-only ``ndarray`` viewing them
     through one ``mmap.mmap`` of the descriptor (its ``base``; the mapping
     holds a duplicate of the descriptor and is released with the last
@@ -580,8 +624,8 @@ def read_edge_shard(path: PathLike, columns: Sequence[str], *,
 def iter_edge_shards(directory: PathLike, *, mmap_mode: Optional[str] = None):
     """Yield the ``(m, 2 + k)`` edge arrays of a shard directory in manifest
     order, where ``k`` is the number of extra ``payload_columns``; a shard
-    file whose header, width or size disagrees with the manifest raises a
-    :class:`ValueError` naming the file (:func:`read_edge_shard`).
+    file whose header, width, size or row count disagrees with the manifest
+    raises a :class:`ValueError` naming the file (:func:`read_edge_shard`).
 
     ``mmap_mode="r"`` yields read-only views over one memory map per shard
     instead of private copies — the right mode for read-only sweeps and for
@@ -592,8 +636,11 @@ def iter_edge_shards(directory: PathLike, *, mmap_mode: Optional[str] = None):
     directory = Path(directory)
     manifest = read_shard_manifest(directory)
     for shard in manifest["shards"]:
-        yield read_edge_shard(directory / shard["file"],
-                              manifest["payload_columns"], mmap_mode=mmap_mode)
+        path = directory / shard["file"]
+        rows = read_edge_shard(path, manifest["payload_columns"],
+                               mmap_mode=mmap_mode)
+        _check_shard_rows(path, rows, shard["n_edges"])
+        yield rows
 
 
 def load_edge_shards(directory: PathLike) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""Network query service over compacted shard stores.
+"""Network query service over shard stores.
 
-The serving layer over the out-of-core side (streaming spill → compaction
-→ :class:`~repro.store.ShardStore` range queries with exact per-edge ground
-truth): this package puts that store behind a socket so consumers no longer
-run in-process:
+The serving layer over the out-of-core side (a streamed spill is a store;
+:class:`~repro.store.ShardStore` answers range queries over it with exact
+per-edge ground truth): this package puts that store behind a socket so
+consumers no longer run in-process:
 
 * :mod:`repro.serve.protocol` — length-prefixed frames, one response per
   request, error frames carrying the store's exception messages verbatim,

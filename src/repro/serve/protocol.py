@@ -70,6 +70,7 @@ import json
 import math
 import socket
 import struct
+import threading
 from typing import Any, List, Optional
 
 import numpy as np
@@ -127,6 +128,34 @@ class ServerError(RuntimeError):
 # ----------------------------------------------------------------------
 # Frame encode / decode
 # ----------------------------------------------------------------------
+class _FrameEncoder(json.JSONEncoder):
+    """The wire's JSON encoder: compact separators, sorted keys, and every
+    numpy array lifted out of the frame as a descriptor.
+
+    ``json.dumps`` with these arguments would construct an encoder per
+    frame; :func:`encode_parts` reuses one per thread instead, so the
+    lifted arrays of the frame being encoded (:attr:`arrays`, their byte
+    total :attr:`total`) are never shared between threads.
+    """
+
+    def __init__(self):
+        super().__init__(separators=(",", ":"), sort_keys=True)
+        self.arrays: list = []
+        self.total = 0
+
+    def default(self, value):
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        array = np.ascontiguousarray(value, dtype=_ARRAY_DTYPE)
+        descriptor = {"shape": list(array.shape), "offset": self.total}
+        self.arrays.append(array)
+        self.total += array.nbytes
+        return descriptor
+
+
+_encoders = threading.local()
+
+
 def encode_parts(obj: Any, *, max_bytes: int = MAX_FRAME_BYTES) -> list:
     """Encode one message as the byte parts to write, in order.
 
@@ -137,21 +166,14 @@ def encode_parts(obj: Any, *, max_bytes: int = MAX_FRAME_BYTES) -> list:
     non-empty array — views, not copies, so a server writes mapped shard
     rows straight to the socket.
     """
-    arrays: list = []
-    total = 0
-
-    def lift(value):
-        nonlocal total
-        if not isinstance(value, np.ndarray):
-            raise TypeError(f"{type(value).__name__} is not JSON serializable")
-        array = np.ascontiguousarray(value, dtype=_ARRAY_DTYPE)
-        descriptor = {"shape": list(array.shape), "offset": total}
-        arrays.append(array)
-        total += array.nbytes
-        return descriptor
-
-    body = json.dumps(obj, separators=(",", ":"), sort_keys=True,
-                      default=lift).encode("utf-8")
+    encoder = getattr(_encoders, "encoder", None)
+    if encoder is None:
+        encoder = _encoders.encoder = _FrameEncoder()
+    try:
+        body = encoder.encode(obj).encode("utf-8")
+        arrays, total = encoder.arrays, encoder.total
+    finally:
+        encoder.arrays, encoder.total = [], 0
     if max(len(body), total) > max_bytes:
         raise ProtocolError(f"frame of {max(len(body), total)} bytes exceeds "
                             f"the {max_bytes}-byte cap")

@@ -1,7 +1,7 @@
 """Range router: one asyncio front-end over N vertex-range slice workers.
 
 The horizontal-scale half of the serving story.  :func:`partition_manifest
-<repro.store.partition.partition_manifest>` cuts a compacted manifest into
+<repro.store.partition.partition_manifest>` cuts a store's manifest into
 contiguous vertex-range slices; each slice is served by an ordinary
 :class:`~repro.serve.ShardStoreServer` worker (optionally replicated); and a
 :class:`RangeRouter` fronts the fleet speaking the **same wire protocol** —

@@ -1,6 +1,6 @@
 """Asyncio query server: one :class:`~repro.store.ShardStore` per worker.
 
-The serving half of the out-of-core story: a compacted shard store is owned
+The serving half of the out-of-core story: a shard store is owned
 by one :class:`ShardStoreServer`, which accepts length-prefixed JSON frames
 (:mod:`repro.serve.protocol`), dispatches ``degree`` / ``degrees`` /
 ``neighbors`` / ``edges_for_sources`` / ``edges_in_range`` / ``egonet`` /
@@ -285,7 +285,7 @@ class ShardStoreServer:
     Parameters
     ----------
     store:
-        A :class:`ShardStore` instance, a compacted store directory (a
+        A :class:`ShardStore` instance, a store directory (a
         store is then opened with *cache_shards*), or any object exposing
         the same query surface — the range router serves its fleet façade
         through this very class.

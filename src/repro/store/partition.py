@@ -1,9 +1,10 @@
-"""Cut a compacted manifest into per-worker vertex-range slice manifests.
+"""Cut a store's manifest into per-worker vertex-range slice manifests.
 
 A serving fleet (:mod:`repro.serve.router`) wants N workers, each owning a
-contiguous slice ``[src_lo, src_hi)`` of the vertex space.  Because a
-compacted store is globally sorted by source and its manifest v2 records each
-shard's ``[src_min, src_max]`` range, a slice is just a *manifest* artifact:
+contiguous slice ``[src_lo, src_hi)`` of the vertex space.  Because every
+store — a spill as the streaming pipeline wrote it, or a compaction of one —
+is globally sorted by source and its manifest v2 records each shard's
+``[src_min, src_max]`` range, a slice is just a *manifest* artifact:
 :func:`partition_manifest` writes one sub-directory per worker whose
 ``manifest.json`` lists the subset of existing ``.npy`` shard files that
 overlap the slice's assigned range — by relative path, so **no shard bytes
@@ -37,7 +38,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.graphs.io import SHARD_MANIFEST, read_shard_manifest, write_shard_manifest
+from repro.graphs.io import MANIFEST_V2, read_shard_manifest, write_shard_manifest
 
 __all__ = ["partition_manifest"]
 
@@ -77,12 +78,13 @@ def partition_manifest(store_dir: PathLike, *,
                        boundaries: Optional[Sequence[int]] = None,
                        destination: Optional[PathLike] = None,
                        prefix: str = "slice") -> List[dict]:
-    """Write per-worker slice manifests for a compacted store.
+    """Write per-worker slice manifests for a shard store.
 
     Parameters
     ----------
     store_dir:
-        A compacted (manifest v2, source-sorted) shard directory.
+        A shard directory (manifest v2, source-sorted): a spill or a
+        compacted store.
     n_slices:
         Cut into this many contiguous slices with edge-balanced boundaries
         chosen at shard granularity.  Exactly one of *n_slices* /
@@ -109,10 +111,6 @@ def partition_manifest(store_dir: PathLike, *,
     """
     store_dir = Path(store_dir)
     manifest = read_shard_manifest(store_dir)
-    if manifest["format_version"] < 2 or manifest.get("sorted_by") != "source":
-        raise ValueError(
-            f"{store_dir} is an uncompacted per-block spill (no vertex "
-            "ranges to slice); run repro.store.compact_shards on it first")
     if (n_slices is None) == (boundaries is None):
         raise ValueError("pass exactly one of n_slices / boundaries")
     n_vertices = int(manifest["n_vertices"])
@@ -153,8 +151,8 @@ def partition_manifest(store_dir: PathLike, *,
             listed.append(entry)
         n_edges = sum(int(entry["n_edges"]) for entry in listed)
         slice_manifest = {
-            "format_version": manifest["format_version"],
-            "kind": manifest.get("kind", "edge-shards"),
+            "format_version": MANIFEST_V2,
+            "kind": "edge-shards",
             "name": manifest.get("name", ""),
             "n_vertices": n_vertices,
             "total_edges": n_edges,

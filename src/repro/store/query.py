@@ -1,9 +1,11 @@
-"""Range queries over a compacted edge-shard store, without loading it whole.
+"""Range queries over an edge-shard store, without loading it whole.
 
-A compacted store (:func:`repro.store.compact_shards`) is the out-of-core
-stand-in for a materialized product adjacency: its shards are globally sorted
-by source vertex and the manifest v2 records each shard's
-``[src_min, src_max]`` range.  :class:`ShardStore` answers the local queries
+A shard store — the streaming pipeline's spill
+(:class:`repro.graphs.io.NpyShardSink`) as it was written, or a re-cut of
+one (:func:`repro.store.compact_shards`) — is the out-of-core stand-in for
+a materialized product adjacency: its shards are globally sorted by source
+vertex and the manifest v2 records each shard's ``[src_min, src_max]``
+range.  :class:`ShardStore` answers the local queries
 :class:`repro.core.KroneckerGraph` answers from factor rows —
 ``degree(v)``, ``neighbors(v)``, ``edges_in_range(lo, hi)``, ``egonet(v)``,
 ``subgraph(vertices)`` — by binary-searching the manifest ranges and decoding
@@ -28,9 +30,10 @@ Python loop anywhere in the query path.
 **Decodes are zero-copy by default**: shards are opened through
 :func:`repro.graphs.io.read_edge_shard` with ``mmap_mode="r"`` — a fixed
 header check, then a plain read-only ``ndarray`` over one ``mmap`` of the
-file; the same reader compaction uses for its merge runs — so the LRU
-caches read-only *views* of the on-disk files, not private copies, and no
-slice a query takes runs Python hooks.  A warm bulk query
+file; the same reader compaction re-cuts through, and every decode is held
+to its shard's manifest ``n_edges`` — so the LRU caches read-only *views*
+of the on-disk files, not private copies, and no slice a query takes runs
+Python hooks.  A warm bulk query
 (``edges_in_range`` feeding the :mod:`repro.serve` binary data plane)
 slices the page cache instead of burning CPU on array copies.
 ``mmap=False`` opts back into eager copies (e.g. when the store lives on a
@@ -93,7 +96,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.graphs.egonet import Egonet
-from repro.graphs.io import read_edge_shard, read_shard_manifest
+from repro.graphs.io import _check_shard_rows, read_edge_shard, read_shard_manifest
 from repro.lint.runtime import new_lock
 from repro.obs import MetricsRegistry, trace
 from repro.perf.kernels import ragged_take
@@ -170,8 +173,7 @@ class StoreQueryMixin:
             raise ValueError(
                 f"{self._store_label()}: store carries no payload columns "
                 "(manifest payload_columns is ['src', 'dst']); re-stream the "
-                "spill with payload columns and recompact to serve per-edge "
-                "ground truth")
+                "spill with payload columns to serve per-edge ground truth")
 
     def _finish_rows(self, parts, with_payload: bool) -> np.ndarray:
         """Assemble gathered full-width rows and slice off the payload unless
@@ -226,14 +228,14 @@ class StoreQueryMixin:
 
 
 class ShardStore(StoreQueryMixin):
-    """Read-side query layer over a compacted (manifest v2) shard directory.
+    """Read-side query layer over a (manifest v2) shard directory.
 
     Parameters
     ----------
     directory:
-        A shard directory written by :func:`repro.store.compact_shards`.
-        Uncompacted (v1, per-block) spills are rejected with a pointer to the
-        compactor — their shards carry no vertex ranges to search.
+        A shard directory: a spill written by
+        :class:`~repro.graphs.io.NpyShardSink`, a store re-cut by
+        :func:`repro.store.compact_shards`, or a fleet slice.
     cache_shards:
         Number of decoded shards kept in the LRU cache (≥ 1).  The cache is
         the store's only O(edges) memory; everything else is manifest-sized.
@@ -268,11 +270,6 @@ class ShardStore(StoreQueryMixin):
                  mmap: bool = True, registry: Optional[MetricsRegistry] = None):
         self.directory = Path(directory)
         manifest = read_shard_manifest(self.directory)
-        if manifest["format_version"] < 2 or manifest.get("sorted_by") != "source":
-            raise ValueError(
-                f"{self.directory} is an uncompacted per-block spill "
-                "(no vertex ranges to search); run "
-                "repro.store.compact_shards on it first")
         if cache_shards < 1:
             raise ValueError(f"cache_shards must be >= 1, got {cache_shards}")
         self.manifest = manifest
@@ -284,6 +281,7 @@ class ShardStore(StoreQueryMixin):
         self._width = 2 + len(self.payload_columns)
         self._files = [shard["file"] for shard in manifest["shards"]]
         self._paths = [self.directory / name for name in self._files]
+        self._n_edges = [shard["n_edges"] for shard in manifest["shards"]]
         self._src_min = np.asarray(
             [shard["src_min"] for shard in manifest["shards"]], dtype=np.int64)
         self._src_max = np.asarray(
@@ -333,6 +331,7 @@ class ShardStore(StoreQueryMixin):
             rows = _load_shard_file(self._paths[index],
                                     self.manifest["payload_columns"],
                                     mmap_mode="r" if self.mmap else None)
+        _check_shard_rows(self._paths[index], rows, self._n_edges[index])
         # Answers are slices of cached rows: an eager decode is a writable
         # private copy, and a caller writing into its answer must not
         # change the next one.

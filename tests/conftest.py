@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,23 @@ def labeled_small() -> VertexLabeledGraph:
 def delta_le_one_factor() -> Graph:
     """Factor satisfying the Theorem 3 hypothesis (every edge in ≤ 1 triangle)."""
     return generators.triangle_constrained_pa(20, seed=13)
+
+
+@pytest.fixture
+def downgrade_to_v1():
+    """Rewrite a shard directory's manifest as the per-block spill of
+    earlier releases wrote it: ``format_version`` 1, no ``sorted_by``,
+    ``payload_columns`` or per-shard source ranges."""
+    def downgrade(directory) -> None:
+        path = Path(directory) / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["format_version"] = 1
+        del manifest["sorted_by"], manifest["payload_columns"]
+        for shard in manifest["shards"]:
+            del shard["src_min"], shard["src_max"]
+        path.write_text(json.dumps(manifest))
+
+    return downgrade
 
 
 @pytest.fixture

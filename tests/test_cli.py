@@ -187,11 +187,12 @@ class TestCompactAndQuery:
                 cli.main(["serve", str(store_dir), "--port", "0", *flags])
 
     def test_unservable_store_exits_naming_the_store(self, bundle_path,
-                                                      tmp_path):
+                                                      tmp_path,
+                                                      downgrade_to_v1):
         """A missing directory or manifest, a manifest the validator
-        rejects, and an uncompacted spill exit with one line naming the
-        store and the reason, for ``serve`` (single and fleet) and
-        ``query`` alike — never a traceback."""
+        rejects, and a spill of an earlier release (manifest v1) exit with
+        one line naming the store and the reason, for ``serve`` (single
+        and fleet) and ``query`` alike — never a traceback."""
         no_manifest = tmp_path / "no-manifest"
         no_manifest.mkdir()
         bad_manifest = tmp_path / "bad-manifest"
@@ -200,10 +201,11 @@ class TestCompactAndQuery:
         spill = tmp_path / "spill"
         assert cli.main(["stream", str(bundle_path), str(spill),
                          "--ranks", "2"]) == 0
+        downgrade_to_v1(spill)
         for store, reason in ((tmp_path / "missing", "manifest.json"),
                               (no_manifest, "manifest.json"),
                               (bad_manifest, "missing required field"),
-                              (spill, "compact_shards")):
+                              (spill, "format_version 1")):
             for argv in (["serve", str(store), "--port", "0"],
                          ["serve", str(store), "--port", "0", "--fleet", "2"],
                          ["query", str(store), "--degree", "1"]):
@@ -265,10 +267,15 @@ class TestCompactAndQuery:
             cli.main(["query", str(store_dir), "--degree", "1",
                       "--egonet", "2"])
 
-    def test_query_rejects_uncompacted_spill(self, bundle_path, tmp_path):
+    def test_query_rejects_uncompacted_spill(self, bundle_path, tmp_path,
+                                             downgrade_to_v1):
+        """A per-block spill of an earlier release (manifest v1, no source
+        ranges) is not queried: the exit names its version and says to
+        re-stream."""
         spill = tmp_path / "spill"
         cli.main(["stream", str(bundle_path), str(spill), "--ranks", "2"])
-        with pytest.raises(SystemExit, match="compact_shards"):
+        downgrade_to_v1(spill)
+        with pytest.raises(SystemExit, match="format_version 1.*re-stream"):
             cli.main(["query", str(spill), "--degree", "0"])
 
 

@@ -328,15 +328,21 @@ class TestEdgeShards:
         with pytest.raises(ValueError, match="edge-shard"):
             read_shard_manifest(d)
 
-    def test_v1_manifest_upgraded_transparently(self, tmp_path, small_er, triangle):
-        """The reader fills the v2-era fields so consumers see one shape."""
+    def test_v1_manifest_says_to_restream(self, tmp_path, small_er, triangle,
+                                          downgrade_to_v1):
+        """A spill of an earlier release (manifest v1: no source ranges, no
+        ``sorted_by``) is not upgraded: the reader names its version and
+        says to re-stream."""
         from repro.core import KroneckerGraph
 
         write_edge_shards(KroneckerGraph(small_er, triangle), tmp_path / "shards")
         manifest = read_shard_manifest(tmp_path / "shards")
-        assert manifest["format_version"] == 1
-        assert manifest["sorted_by"] is None
+        assert manifest["format_version"] == 2
+        assert manifest["sorted_by"] == "source"
         assert manifest["payload_columns"] == ["src", "dst"]
+        downgrade_to_v1(tmp_path / "shards")
+        with pytest.raises(ValueError, match="format_version 1.*re-stream"):
+            read_shard_manifest(tmp_path / "shards")
 
     def test_rerun_into_same_directory_discards_stale_shards(self, tmp_path, small_er, triangle):
         """Regression: a re-spill must not fold a previous run's shards in."""
@@ -442,9 +448,20 @@ class TestManifestValidation:
                 "n_vertices": 4, "total_edges": 1,
                 "shards": [{"file": "edges-r00000-b000000.npy", "n_edges": 1}]}
 
-    def test_valid_v1_passes(self, tmp_path):
-        d = self._write_manifest(tmp_path / "ok", self._valid_v1())
+    @staticmethod
+    def _valid_v2():
+        return {"kind": "edge-shards", "format_version": 2, "name": "x",
+                "n_vertices": 4, "total_edges": 1, "sorted_by": "source",
+                "payload_columns": ["src", "dst"],
+                "shards": [{"file": "edges-r00000-b000000.npy", "n_edges": 1,
+                            "src_min": 0, "src_max": 0}]}
+
+    def test_valid_v2_passes(self, tmp_path):
+        d = self._write_manifest(tmp_path / "ok", self._valid_v2())
         assert read_shard_manifest(d)["total_edges"] == 1
+        d = self._write_manifest(tmp_path / "old", self._valid_v1())
+        with pytest.raises(ValueError, match="format_version 1.*re-stream"):
+            read_shard_manifest(d)
 
     def test_not_an_object(self, tmp_path):
         d = self._write_manifest(tmp_path / "bad", ["not", "a", "dict"])
@@ -461,7 +478,7 @@ class TestManifestValidation:
     @pytest.mark.parametrize("field", ["format_version", "n_vertices",
                                        "total_edges", "shards"])
     def test_missing_required_field_named(self, tmp_path, field):
-        payload = self._valid_v1()
+        payload = self._valid_v2()
         del payload[field]
         d = self._write_manifest(tmp_path / "bad", payload)
         with pytest.raises(ValueError, match=field):
@@ -481,9 +498,20 @@ class TestManifestValidation:
         with pytest.raises(ValueError, match="shards"):
             read_shard_manifest(d)
 
+    def test_v2_shards_not_a_list(self, tmp_path):
+        """The v1 base of ``test_shards_not_a_list`` is refused for its
+        version first; on a v2 base the ``shards`` type rule is reached."""
+        payload = self._valid_v2()
+        payload["shards"] = {"file": "x.npy"}
+        d = self._write_manifest(tmp_path / "bad", payload)
+        with pytest.raises(ValueError, match="'shards' must be a list"):
+            read_shard_manifest(d)
+
     def test_shard_entry_missing_field_named_with_index(self, tmp_path):
-        payload = self._valid_v1()
-        payload["shards"] = [{"file": "a.npy", "n_edges": 1}, {"file": "b.npy"}]
+        payload = self._valid_v2()
+        payload["shards"] = [{"file": "a.npy", "n_edges": 1, "src_min": 0,
+                              "src_max": 0},
+                             {"file": "b.npy", "src_min": 1, "src_max": 1}]
         d = self._write_manifest(tmp_path / "bad", payload)
         with pytest.raises(ValueError, match=r"shards\[1\].*n_edges"):
             read_shard_manifest(d)

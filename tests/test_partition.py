@@ -12,6 +12,8 @@ slice ranges, a boundary falling inside one shard's range.
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -159,7 +161,8 @@ def test_repartition_is_idempotent_and_cleans_stale_slices(store_dir):
     assert wide[3]["directory"].exists() is False
 
 
-def test_partition_rejects_bad_arguments(store_dir, tmp_path, spill_dir):
+def test_partition_rejects_bad_arguments(store_dir, tmp_path, spill_dir,
+                                         downgrade_to_v1):
     n = read_shard_manifest(store_dir)["n_vertices"]
     with pytest.raises(ValueError, match="exactly one of"):
         partition_manifest(store_dir)
@@ -171,8 +174,12 @@ def test_partition_rejects_bad_arguments(store_dir, tmp_path, spill_dir):
         partition_manifest(store_dir, boundaries=[10, 5])
     with pytest.raises(ValueError, match="nondecreasing"):
         partition_manifest(store_dir, boundaries=[n + 1])
-    with pytest.raises(ValueError, match="compact_shards"):
-        partition_manifest(spill_dir, n_slices=2)
+    # A spill of an earlier release (manifest v1, no source ranges) has
+    # nothing to slice by; the error says to re-stream it.
+    shutil.copytree(spill_dir, tmp_path / "old")
+    downgrade_to_v1(tmp_path / "old")
+    with pytest.raises(ValueError, match="format_version 1.*re-stream"):
+        partition_manifest(tmp_path / "old", n_slices=2)
 
 
 def test_partition_preserves_parent_metadata(store_dir):

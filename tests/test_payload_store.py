@@ -103,9 +103,9 @@ class TestPayloadColumnNames:
 
 
 class TestPayloadSpill:
-    def test_v1_manifest_records_columns(self, payload_spill):
+    def test_spill_manifest_records_columns(self, payload_spill):
         manifest = read_shard_manifest(payload_spill)
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == 2
         assert manifest["payload_columns"] == ["src", "dst", *PAYLOAD]
 
     def test_spilled_rows_carry_exact_ground_truth(self, payload_spill,
@@ -395,21 +395,46 @@ def payload_spills(draw):
 def test_compaction_permutes_rows_identically(tmp_path, spill, target):
     """Compaction of a (src, dst)-ordered spill is the identity permutation,
     re-cut: the store is exactly the spill's rows concatenated — payloads
-    attached — in shards of ``target`` rows.  A spill that breaks the order
-    raises and publishes no manifest."""
+    attached — in shards of ``target`` rows.  Rows that break the order are
+    rejected twice: by the sink, which publishes no manifest, and by
+    compaction over the same rows written by hand as a v2 store, which
+    publishes none either."""
     n_vertices, n_payload, shards, broken = spill
     spill_dir = tmp_path / f"spill-{target}"
     names = tuple(f"c{i}" for i in range(n_payload))
     sink = NpyShardSink(spill_dir, n_vertices=n_vertices, payload_columns=names)
-    for index, rows in enumerate(shards):
-        sink.write(0, index, rows)
-    sink.finalize()
     store_dir = tmp_path / f"store-{target}"
     if broken:
         with pytest.raises(ValueError, match="strictly increasing"):
-            compact_shards(spill_dir, store_dir, target_shard_edges=target)
+            for index, rows in enumerate(shards):
+                sink.write(0, index, rows)
+            sink.finalize()
+        assert not (spill_dir / "manifest.json").exists()
+        # The same non-empty pieces as a hand-written v2 store.  Ranges
+        # covering every vertex keep the manifest valid whatever the rows
+        # hold, so compaction's own order check has to catch the break.
+        by_hand = tmp_path / f"by-hand-{target}"
+        by_hand.mkdir(exist_ok=True)
+        entries = []
+        for index, rows in enumerate(piece for piece in shards
+                                     if piece.shape[0]):
+            np.save(by_hand / f"shard-{index:06d}.npy", rows)
+            entries.append({"file": f"shard-{index:06d}.npy",
+                            "n_edges": int(rows.shape[0]),
+                            "src_min": 0, "src_max": n_vertices - 1})
+        (by_hand / "manifest.json").write_text(json.dumps({
+            "format_version": 2, "kind": "edge-shards", "name": "",
+            "n_vertices": n_vertices,
+            "total_edges": sum(entry["n_edges"] for entry in entries),
+            "sorted_by": "source",
+            "payload_columns": ["src", "dst", *names], "shards": entries}))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            compact_shards(by_hand, store_dir, target_shard_edges=target)
         assert not (store_dir / "manifest.json").exists()
         return
+    for index, rows in enumerate(shards):
+        sink.write(0, index, rows)
+    sink.finalize()
     manifest = compact_shards(spill_dir, store_dir, target_shard_edges=target)
     everything = np.concatenate(shards)
     assert np.array_equal(load_edge_shards(store_dir), everything)

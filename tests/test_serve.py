@@ -131,6 +131,87 @@ class TestProtocol:
         for array in (result["rows"], result["nested"][0]["ids"]):
             assert array.dtype == np.int64 and array.flags.writeable
 
+    @staticmethod
+    def _dumps_frame(obj) -> bytes:
+        """The frame bytes ``json.dumps`` with the wire's arguments gives
+        (how every frame was encoded before the encoder was reused)."""
+        arrays = []
+
+        def lift(value):
+            array = np.ascontiguousarray(value, dtype=np.int64)
+            offset = sum(part.nbytes for part in arrays)
+            arrays.append(array)
+            return {"shape": list(array.shape), "offset": offset}
+
+        body = json.dumps(obj, separators=(",", ":"), sort_keys=True,
+                          default=lift).encode("utf-8")
+        frame = struct.pack(">I", len(body)) + body
+        if arrays:
+            frame += struct.pack(">I", sum(a.nbytes for a in arrays))
+            frame += b"".join(a.tobytes() for a in arrays)
+        return frame
+
+    @staticmethod
+    def _encode_corpus(seed: int = 0) -> list:
+        """Frames of every kind: plain and traced requests, results with
+        arrays at several depths (empty, strided, int32), an error frame
+        and non-ASCII text."""
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(-5, 10 ** 6, size=(9, 4))
+        traced = protocol.request_frame("degree", {"vertex": int(rows[0, 0])})
+        traced["trace"] = {"id": f"{seed:032x}", "span": f"{seed + 1:016x}"}
+        return [
+            protocol.request_frame("degrees", {"vertices": rows[:, 0].tolist()}),
+            traced,
+            protocol.result_frame({"degree": 3, "vertex": int(rows[1, 1])}),
+            protocol.result_frame({
+                "edges": rows[:, :2], "payload": {"triangles": rows[:, 2],
+                                                  "trussness": rows[::2, 3]},
+                "nested": [{"ids": rows[0].astype(np.int32)}, [rows[:0]]],
+                "name": "F(40,15)[sub] — é"}),
+            protocol.error_frame(ValueError(f"edge ({seed}, 2) is not stored")),
+        ]
+
+    def test_encoded_bytes_equal_json_dumps(self):
+        for obj in self._encode_corpus():
+            assert protocol.encode_frame(obj) == self._dumps_frame(obj)
+
+    def test_failed_encode_leaves_the_next_frame_clean(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            protocol.encode_frame({"rows": np.arange(4), "bad": object()})
+        obj = protocol.result_frame({"rows": np.arange(6).reshape(3, 2)})
+        assert protocol.encode_frame(obj) == self._dumps_frame(obj)
+
+    def test_concurrent_encodes_keep_their_own_arrays(self):
+        """Each thread lifts its own frame's arrays: 8 threads encoding
+        different corpora, switching every microsecond, all get the bytes
+        ``json.dumps`` gives."""
+        failures = []
+
+        def encoder(seed):
+            try:
+                corpus = self._encode_corpus(seed)
+                expected = [self._dumps_frame(obj) for obj in corpus]
+                for _ in range(200):
+                    for obj, frame in zip(corpus, expected):
+                        assert protocol.encode_frame(obj) == frame
+            except Exception as exc:  # surfaced on the main thread below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=encoder, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:2]
+
     def test_encode_rejects_oversized(self):
         with pytest.raises(ProtocolError, match="exceeds"):
             protocol.encode_frame({"blob": "x" * 100}, max_bytes=50)

@@ -47,9 +47,32 @@ def product(weblike_small, delta_le_one_factor) -> KroneckerGraph:
     return KroneckerGraph(weblike_small, delta_le_one_factor)
 
 
+def _write_v2_store(directory, blocks, n_vertices: int):
+    """Hand-write *blocks* as a manifest v2 store, one shard each, past
+    the sink's order checks, so compaction's own check must catch a bad
+    row.  Returns the shard paths."""
+    directory.mkdir()
+    shards, paths = [], []
+    for index, rows in enumerate(blocks):
+        rows = np.asarray(rows, dtype=np.int64)
+        path = directory / f"shard-{index:06d}.npy"
+        np.save(path, rows)
+        paths.append(path)
+        shards.append({"file": path.name, "n_edges": int(rows.shape[0]),
+                       "src_min": int(rows[:, 0].min()),
+                       "src_max": int(rows[:, 0].max())})
+    (directory / "manifest.json").write_text(json.dumps({
+        "format_version": 2, "kind": "edge-shards", "name": "",
+        "n_vertices": n_vertices,
+        "total_edges": sum(shard["n_edges"] for shard in shards),
+        "sorted_by": "source", "payload_columns": ["src", "dst"],
+        "shards": shards}))
+    return paths
+
+
 @pytest.fixture
 def spill_dir(tmp_path, product, weblike_small, delta_le_one_factor):
-    """A 4-rank per-block spill of the product (v1 manifest)."""
+    """A 4-rank per-block spill of the product (a manifest v2 store)."""
     sink = NpyShardSink(tmp_path / "spill", name=product.name,
                         n_vertices=product.n_vertices)
     distributed_generate(weblike_small, delta_le_one_factor, 4,
@@ -157,20 +180,27 @@ class TestCompaction:
 
     @pytest.mark.parametrize("case", sorted(UNORDERED_SPILLS))
     def test_unordered_spill_rejected(self, tmp_path, spill_dir, case):
-        """Compaction re-cuts; it does not sort.  Rows out of order, shards
-        whose ranges overlap and a repeated row are each a ValueError naming
-        the shard file, and no manifest is left in the destination —
-        including one from an earlier compaction."""
-        dest = tmp_path / "store"
-        compact_shards(spill_dir, dest)
+        """Nothing sorts a shard store.  Rows out of order, shards whose
+        ranges overlap and a repeated row are each a ValueError naming the
+        shard file: from the sink, which publishes no manifest, and from
+        compaction over the same rows written by hand as a v2 store, which
+        leaves no manifest in the destination — including one from an
+        earlier compaction."""
         blocks, culprit = self.UNORDERED_SPILLS[case]
         sink = NpyShardSink(tmp_path / "bad", n_vertices=10)
-        for rank, rows in enumerate(blocks):
-            sink.write(rank, 0, np.asarray(rows, dtype=np.int64))
-        sink.finalize()
         with pytest.raises(ValueError, match="strictly increasing") as caught:
-            compact_shards(tmp_path / "bad", dest)
+            for rank, rows in enumerate(blocks):
+                sink.write(rank, 0, np.asarray(rows, dtype=np.int64))
+            sink.finalize()
         assert str(sink.shard_path(culprit, 0)) in str(caught.value)
+        assert not (tmp_path / "bad" / "manifest.json").exists()
+
+        dest = tmp_path / "store"
+        compact_shards(spill_dir, dest)
+        paths = _write_v2_store(tmp_path / "by-hand", blocks, n_vertices=10)
+        with pytest.raises(ValueError, match="strictly increasing") as caught:
+            compact_shards(tmp_path / "by-hand", dest)
+        assert str(paths[culprit]) in str(caught.value)
         assert not (dest / "manifest.json").exists()
 
 
@@ -216,8 +246,12 @@ class TestSpillEdgeCases:
 
 
 class TestShardStoreQueries:
-    def test_rejects_uncompacted_spill(self, spill_dir):
-        with pytest.raises(ValueError, match="compact_shards"):
+    def test_rejects_uncompacted_spill(self, spill_dir, downgrade_to_v1):
+        """A per-block spill of an earlier release (manifest v1, no source
+        ranges) is not opened: the error names its version and says to
+        re-stream."""
+        downgrade_to_v1(spill_dir)
+        with pytest.raises(ValueError, match="format_version 1.*re-stream"):
             ShardStore(spill_dir)
 
     def test_rejects_bad_cache_size(self, store_dir):
@@ -427,13 +461,19 @@ class TestShardStoreIO:
         store.neighbors(v)
         assert store.shard_reads > reads
 
-    def test_v1_manifest_still_loads(self, spill_dir, product):
-        """PR 2 sinks keep working: v1 manifests load, upgrade, and read."""
+    def test_spill_serves_as_written(self, spill_dir, product):
+        """The sink's spill is a store: a v2 manifest with source ranges,
+        read and queried as it was written."""
         manifest = read_shard_manifest(spill_dir)
-        assert manifest["format_version"] == 1
-        assert manifest["sorted_by"] is None
+        assert manifest["format_version"] == 2
+        assert manifest["sorted_by"] == "source"
         assert manifest["payload_columns"] == ["src", "dst"]
-        assert load_edge_shards(spill_dir).shape[0] == product.nnz
+        assert np.array_equal(load_edge_shards(spill_dir),
+                              _sorted_edges(product.edges()))
+        store = ShardStore(spill_dir)
+        assert store.n_shards == len(manifest["shards"])
+        assert np.array_equal(store.degrees(np.arange(product.n_vertices)),
+                              product.degrees())
 
     def test_full_pipeline_through_store(self, tmp_path, weblike_small,
                                          delta_le_one_factor):
