@@ -41,6 +41,7 @@ import json
 import mmap
 import os
 import re
+import shutil
 import struct
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
@@ -61,9 +62,11 @@ __all__ = [
     "save_kronecker_bundle",
     "load_kronecker_bundle",
     "MANIFEST_V2",
+    "SLICES_DIR",
     "NpyShardSink",
     "normalize_payload_columns",
     "write_edge_shards",
+    "shard_manifest",
     "write_shard_manifest",
     "read_shard_manifest",
     "read_edge_shard",
@@ -82,6 +85,10 @@ MANIFEST_V2 = 2
 #: Temp-file suffix of an in-flight manifest write (see
 #: :func:`write_shard_manifest`); never read, always safe to delete.
 _MANIFEST_TMP = SHARD_MANIFEST + ".tmp"
+
+#: Sub-directory of a store holding the fleet slice manifests cut from it
+#: (:func:`repro.store.partition_manifest`).
+SLICES_DIR = "slices"
 
 #: The two columns every edge shard starts with.
 _ENDPOINT_COLUMNS = ("src", "dst")
@@ -127,6 +134,38 @@ def normalize_payload_columns(columns: Sequence[str]) -> Tuple[str, ...]:
     if len(set(cols)) != len(cols):
         raise ValueError(f"duplicate payload column names: {cols!r}")
     return tuple(cols)
+
+
+def shard_manifest(name: str, n_vertices: int, columns: Sequence[str],
+                   shards: list, metadata: Optional[dict] = None) -> dict:
+    """The manifest v2 over *shards* (``file``, ``n_edges``, ``src_min``,
+    ``src_max`` each, in row order) of rows with *columns*: the one
+    spelling of its fields.  ``total_edges`` is the shards' sum, and
+    *metadata* is recorded only when given."""
+    manifest = {
+        "format_version": MANIFEST_V2,
+        "kind": "edge-shards",
+        "name": name,
+        "n_vertices": int(n_vertices),
+        "total_edges": sum(shard["n_edges"] for shard in shards),
+        "sorted_by": "source",
+        "payload_columns": list(columns),
+        "shards": shards,
+    }
+    if metadata:
+        manifest["metadata"] = dict(metadata)
+    return manifest
+
+
+def _unpublish_store(directory: Path) -> None:
+    """Claim *directory* for a run that rewrites its shards: drop its
+    manifest (an in-flight one too), so an interrupted run leaves no store,
+    and the fleet slices cut from it, which list the old files."""
+    for stale in (directory / SHARD_MANIFEST, directory / _MANIFEST_TMP):
+        if stale.exists():
+            stale.unlink()
+    if (directory / SLICES_DIR).is_dir():
+        shutil.rmtree(directory / SLICES_DIR)
 
 
 def write_shard_manifest(directory: PathLike, manifest: dict) -> None:
@@ -239,12 +278,12 @@ class NpyShardSink:
     ``(m, 2 + k)`` blocks whose extra columns hold the named values; the
     manifest records the column names.
 
-    Constructing a sink claims the directory for one run: shard files and
-    the manifest left over from a previous spill are deleted so a rerun with
-    a different block size or rank count can never fold stale shards into
-    the new manifest.  (Unpickling — how the sink travels to pool workers —
-    does not re-run the constructor, so workers never clean up behind the
-    driver.)
+    Constructing a sink claims the directory for one run: shard files, the
+    manifest and fleet slices left over from a previous spill are deleted,
+    so a rerun with a different block size or rank count can never fold
+    stale shards into the new manifest or leave a slice listing rewritten
+    files.  (Unpickling — how the sink travels to pool workers — does not
+    re-run the constructor, so workers never delete what the parent wrote.)
     """
 
     __slots__ = ("directory", "name", "n_vertices", "payload_columns")
@@ -258,11 +297,9 @@ class NpyShardSink:
                  payload_columns: Sequence[str] = ()):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        _unpublish_store(self.directory)
         for stale in self.directory.glob(self._SHARD_GLOB):
             stale.unlink()
-        for stale in (self.directory / SHARD_MANIFEST, self.directory / _MANIFEST_TMP):
-            if stale.exists():
-                stale.unlink()
         self.name = name
         self.n_vertices = int(n_vertices)
         self.payload_columns = normalize_payload_columns(payload_columns)
@@ -329,18 +366,8 @@ class NpyShardSink:
             shards.append({"file": path.name, "n_edges": n_edges,
                            "src_min": int(ends[0][0]),
                            "src_max": int(ends[1][0])})
-        manifest = {
-            "format_version": MANIFEST_V2,
-            "kind": "edge-shards",
-            "name": self.name,
-            "n_vertices": self.n_vertices,
-            "total_edges": sum(shard["n_edges"] for shard in shards),
-            "sorted_by": "source",
-            "payload_columns": list(columns),
-            "shards": shards,
-        }
-        if metadata:
-            manifest["metadata"] = dict(metadata)
+        manifest = shard_manifest(self.name, self.n_vertices, columns,
+                                  shards, metadata)
         write_shard_manifest(self.directory, manifest)
         return manifest
 

@@ -2,7 +2,7 @@
 
 The static rules keep code *shape* honest; the concurrency rules from
 PRs 5–8 are about *order*: the store's LRU lock is taken before
-instrument leaf locks (``_entry`` bumps counters while holding the LRU
+instrument leaf locks (``_shard`` bumps counters while holding the LRU
 lock), the registry lock guards only series creation and is never held
 across an instrument read, fn-gauges may take the store lock at snapshot
 time precisely **because** no instrument lock is held then.  Those

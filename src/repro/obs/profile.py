@@ -87,7 +87,7 @@ def fold_stack(frame) -> str:
     """Collapse one thread's live stack to its repro frames, root first.
 
     The returned string is one flamegraph folded-stack path
-    (``repro.serve.server:_run_store;repro.store.query:_entry``); a stack
+    (``repro.serve.server:_run_store;repro.store.query:_shard``); a stack
     with no repro frame folds to :data:`EXTERNAL_STACK`.
     """
     labels: List[str] = []

@@ -13,10 +13,11 @@ v2 recording each new shard's ``[src_min, src_max]`` range.  Peak memory is
 one mapped input shard plus the rows waiting for the next cut; payload
 columns ride along with their row.
 
-The destination's manifest is dropped first, so an interrupted run leaves
-no store; the new manifest is published atomically after the shards, and
-any destination ``.npy`` it does not list is deleted then.  Compacting a
-compacted store reproduces it byte for byte.
+The destination's manifest and fleet slices are dropped first, so an
+interrupted run leaves no store and no slice lists the rewritten files; the
+new manifest is published atomically after the shards, and any destination
+``.npy`` it does not list is deleted then.  Compacting a compacted store
+reproduces it byte for byte.
 
 Under an active :mod:`repro.obs.trace` context the two phases record timed
 spans (``compact.recut`` / ``compact.publish``); without one the span calls
@@ -31,12 +32,12 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.graphs.io import (
-    MANIFEST_V2,
-    SHARD_MANIFEST,
     _check_order,
     _check_shard_rows,
+    _unpublish_store,
     read_edge_shard,
     read_shard_manifest,
+    shard_manifest,
     write_shard_manifest,
 )
 from repro.obs import trace
@@ -55,7 +56,6 @@ class _ShardWriter:
         self.pending: List[np.ndarray] = []
         self.pending_edges = 0
         self.shards: List[dict] = []
-        self.total_edges = 0
 
     def _flush(self, count: int) -> None:
         """Write the first *count* pending edges as one shard file."""
@@ -72,7 +72,6 @@ class _ShardWriter:
             "src_min": int(shard[0, 0]),
             "src_max": int(shard[-1, 0]),
         })
-        self.total_edges += int(shard.shape[0])
 
     def push(self, batch: np.ndarray) -> None:
         self.pending.append(batch)
@@ -113,13 +112,10 @@ def compact_shards(
     if source.resolve() == destination.resolve():
         raise ValueError("compaction must write to a different directory "
                          "than its source")
-    # Claim the destination for this run: drop the previous manifest first so
-    # an interrupted compaction is unambiguous (no manifest = no store) and a
-    # reader can never pair the old manifest with half-rewritten shards.
-    for stale in (destination / SHARD_MANIFEST,
-                  destination / (SHARD_MANIFEST + ".tmp")):
-        if stale.exists():
-            stale.unlink()
+    # Claim the destination for this run: an interrupted compaction is
+    # unambiguous (no manifest = no store), and no reader can pair the old
+    # manifest or a slice of it with half-rewritten shards.
+    _unpublish_store(destination)
 
     writer = _ShardWriter(destination, int(target_shard_edges))
     with trace.span("compact.recut", n_shards=len(src_manifest["shards"])):
@@ -142,17 +138,9 @@ def compact_shards(
         "source_shards": len(src_manifest["shards"]),
         "target_shard_edges": int(target_shard_edges),
     }
-    manifest = {
-        "format_version": MANIFEST_V2,
-        "kind": "edge-shards",
-        "name": src_manifest.get("name", ""),
-        "n_vertices": int(src_manifest["n_vertices"]),
-        "total_edges": writer.total_edges,
-        "sorted_by": "source",
-        "payload_columns": payload_columns,
-        "shards": writer.shards,
-        "metadata": meta,
-    }
+    manifest = shard_manifest(src_manifest.get("name", ""),
+                              src_manifest["n_vertices"], payload_columns,
+                              writer.shards, meta)
     with trace.span("compact.publish", n_shards=len(writer.shards)):
         write_shard_manifest(destination, manifest)
         # The manifest is the source of truth for directory-glob readers:

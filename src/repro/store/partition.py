@@ -5,10 +5,11 @@ contiguous slice ``[src_lo, src_hi)`` of the vertex space.  Because every
 store — a spill as the streaming pipeline wrote it, or a compaction of one —
 is globally sorted by source and its manifest v2 records each shard's
 ``[src_min, src_max]`` range, a slice is just a *manifest* artifact:
-:func:`partition_manifest` writes one sub-directory per worker whose
-``manifest.json`` lists the subset of existing ``.npy`` shard files that
-overlap the slice's assigned range — by relative path, so **no shard bytes
-are rewritten or copied**, and every slice opens through the ordinary
+:func:`partition_manifest` writes one sub-directory per worker,
+``<store>/slices/slice-NNN``, whose ``manifest.json`` lists the subset of
+existing ``.npy`` shard files that overlap the slice's assigned range — by
+relative path, so **no shard bytes are rewritten or copied**, and every
+slice opens through the ordinary
 :class:`repro.store.ShardStore` / :func:`repro.graphs.io.read_shard_manifest`
 path with full validation.
 
@@ -25,7 +26,9 @@ Two consequences worth naming:
   the parent so a slice store answers with the parent's global id space.
 
 Re-partitioning is idempotent: manifests are rewritten atomically and stale
-slice directories from a previous, larger partition are removed.
+slice directories from a previous, larger partition are removed.  A
+re-stream or re-compaction into the store removes its ``slices``
+directory, whose manifests would list the rewritten files.
 """
 
 from __future__ import annotations
@@ -38,7 +41,12 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.graphs.io import MANIFEST_V2, read_shard_manifest, write_shard_manifest
+from repro.graphs.io import (
+    SLICES_DIR,
+    read_shard_manifest,
+    shard_manifest,
+    write_shard_manifest,
+)
 
 __all__ = ["partition_manifest"]
 
@@ -75,10 +83,11 @@ def _slice_boundaries(manifest: dict, n_slices: int) -> List[int]:
 
 def partition_manifest(store_dir: PathLike, *,
                        n_slices: Optional[int] = None,
-                       boundaries: Optional[Sequence[int]] = None,
-                       destination: Optional[PathLike] = None,
-                       prefix: str = "slice") -> List[dict]:
-    """Write per-worker slice manifests for a shard store.
+                       boundaries: Optional[Sequence[int]] = None
+                       ) -> List[dict]:
+    """Write per-worker slice manifests for a shard store, one
+    ``slice-NNN`` directory each under ``store_dir/slices``; stale
+    ``slice-NNN`` directories from a previous partition are removed.
 
     Parameters
     ----------
@@ -97,12 +106,6 @@ def partition_manifest(store_dir: PathLike, *,
         slice.  Unlike the automatic cut, explicit boundaries may fall
         *inside* a shard's range — that shard is then listed by both
         neighbouring slices.
-    destination:
-        Directory receiving the ``<prefix>-NNN`` slice sub-directories
-        (default ``store_dir/slices``).  Stale ``<prefix>-NNN`` directories
-        from a previous partition are removed.
-    prefix:
-        Slice directory name prefix.
 
     Returns
     -------
@@ -128,8 +131,8 @@ def partition_manifest(store_dir: PathLike, *,
     edges = [0] + interior + [n_vertices]
     ranges = list(zip(edges[:-1], edges[1:]))
 
-    destination = Path(destination) if destination is not None else store_dir / "slices"
-    destination.mkdir(parents=True, exist_ok=True)
+    destination = store_dir / SLICES_DIR
+    destination.mkdir(exist_ok=True)
     shards = manifest["shards"]
     src_min = np.asarray([int(s["src_min"]) for s in shards], dtype=np.int64)
     src_max = np.asarray([int(s["src_max"]) for s in shards], dtype=np.int64)
@@ -137,7 +140,7 @@ def partition_manifest(store_dir: PathLike, *,
     result = []
     wanted = set()
     for index, (lo, hi) in enumerate(ranges):
-        slice_dir = destination / f"{prefix}-{index:03d}"
+        slice_dir = destination / f"slice-{index:03d}"
         wanted.add(slice_dir.name)
         if lo < hi and len(shards):
             keep = np.flatnonzero((src_max >= lo) & (src_min <= hi - 1))
@@ -149,27 +152,14 @@ def partition_manifest(store_dir: PathLike, *,
             entry = dict(shards[int(i)])
             entry["file"] = os.path.relpath(store_dir / entry["file"], slice_dir)
             listed.append(entry)
-        n_edges = sum(int(entry["n_edges"]) for entry in listed)
-        slice_manifest = {
-            "format_version": MANIFEST_V2,
-            "kind": "edge-shards",
-            "name": manifest.get("name", ""),
-            "n_vertices": n_vertices,
-            "total_edges": n_edges,
-            "sorted_by": "source",
-            "payload_columns": list(manifest["payload_columns"]),
-            "shards": listed,
-            "metadata": {
-                **dict(manifest.get("metadata") or {}),
-                "slice": {
-                    "index": index,
-                    "of": len(ranges),
-                    "src_lo": int(lo),
-                    "src_hi": int(hi),
-                    "store": os.path.relpath(store_dir, slice_dir),
-                },
-            },
-        }
+        slice_manifest = shard_manifest(
+            manifest.get("name", ""), n_vertices, manifest["payload_columns"],
+            listed, {**dict(manifest.get("metadata") or {}),
+                     "slice": {"index": index,
+                               "of": len(ranges),
+                               "src_lo": int(lo),
+                               "src_hi": int(hi),
+                               "store": os.path.relpath(store_dir, slice_dir)}})
         write_shard_manifest(slice_dir, slice_manifest)
         result.append({
             "directory": slice_dir,
@@ -177,13 +167,13 @@ def partition_manifest(store_dir: PathLike, *,
             "src_lo": int(lo),
             "src_hi": int(hi),
             "n_shards": len(listed),
-            "n_edges": n_edges,
+            "n_edges": slice_manifest["total_edges"],
         })
 
     # Drop slice directories a previous (wider) partition left behind, so a
     # re-partition's fleet can't accidentally mount a stale slice.  Only
     # directories matching our own naming scheme are touched.
-    stale = re.compile(rf"^{re.escape(prefix)}-\d+$")
+    stale = re.compile(r"^slice-\d+$")
     for entry in sorted(destination.iterdir()):
         if entry.is_dir() and stale.match(entry.name) and entry.name not in wanted:
             shutil.rmtree(entry)

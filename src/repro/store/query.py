@@ -17,15 +17,17 @@ Stores whose manifest names extra ``payload_columns`` (``"triangles"``,
 ``edges_for_sources`` / ``edges_in_range`` grow ``with_payload=True``
 variants returning the full ``(m, 2 + k)`` rows, ``egonet`` / ``subgraph``
 can return the induced payload rows, and :meth:`ShardStore.edge_payloads`
-answers point lookups.  The LRU caches the decoded payload block alongside
-the topology — one decode serves both kinds of query.
+answers point lookups by finding each pair inside its source's row segment.
+The LRU caches the decoded payload block alongside the topology — one
+decode serves both kinds of query.
 
 Decoded shards are kept in a small LRU cache: repeated queries against the
 same region of the graph (the "heavy traffic" serving pattern) hit memory,
 not disk.  Following the PR 1 vectorization conventions, the hot entry points
 are batch-first (``out_degrees`` / ``degrees`` / ``edges_for_sources`` take
 index arrays) and the scalar forms are thin wrappers; there is no per-edge
-Python loop anywhere in the query path.
+Python loop anywhere in the query path (``edge_payloads`` loops once per
+queried pair, never once per stored edge).
 
 **Decodes are zero-copy by default**: shards are opened through
 :func:`repro.graphs.io.read_edge_shard` with ``mmap_mode="r"`` — a fixed
@@ -44,7 +46,9 @@ descriptor — is released as soon as the last outstanding query view dies
 (CPython refcounting makes this prompt; the fd-churn test in
 ``tests/test_shard_store.py`` holds it to account).  :meth:`stats` reports
 the split: ``resident_bytes`` counts private copies held by the cache,
-``mapped_bytes`` counts bytes addressable through cached mappings.
+``mapped_bytes`` counts bytes addressable through cached mappings.  The
+cache holds nothing but shard rows, so a warm ``mmap=True`` store reports
+``resident_bytes == 0`` whatever it has answered.
 
 A batch call (``degrees`` / ``out_degrees``, ``edges_for_sources``,
 ``edge_payloads``) makes one walk over the shards that hold rows of its
@@ -89,6 +93,7 @@ all the way down to the shard file.
 from __future__ import annotations
 
 import mmap as _mmap
+from bisect import bisect_left
 from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple, Union
@@ -109,10 +114,6 @@ if TYPE_CHECKING:
 __all__ = ["ShardStore", "StoreQueryMixin", "induced_adjacency"]
 
 PathLike = Union[str, Path]
-
-#: Largest vertex count for which ``src * n + dst`` fits an ``int64`` key.
-_MAX_ENCODABLE_VERTICES = np.int64(3_037_000_499)  # floor(sqrt(2**63 - 1))
-
 
 #: The store's one shard decode, called as ``_load_shard_file(path,
 #: payload_columns, mmap_mode=...)``.  A module-level name so tests can hook
@@ -291,8 +292,8 @@ class ShardStore(StoreQueryMixin):
         # with a field-naming ValueError before this object exists.
         self.cache_shards = int(cache_shards)
         self.mmap = bool(mmap)
-        # index -> [rows, encoded (src·n + dst) keys or None (built lazily)]
-        self._cache: "OrderedDict[int, list]" = OrderedDict()
+        # index -> the shard's read-only (m, 2 + k) rows, oldest first
+        self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         # Guards the LRU OrderedDict: queries may come from many threads at
         # once (repro.serve offloads decodes to a pool).  The traffic
         # counters live on the registry (leaf-locked instruments), so they
@@ -317,7 +318,10 @@ class ShardStore(StoreQueryMixin):
         """Number of shards in the store."""
         return len(self._files)
 
-    def _entry(self, index: int) -> list:
+    def _shard(self, index: int) -> np.ndarray:
+        """Decoded ``(m, 2 + k)`` row array of one shard, through the LRU
+        cache — payload columns are cached alongside the topology, so one
+        decode serves both kinds of query."""
         with self._lock:
             cached = self._cache.get(index)
             if cached is not None:
@@ -342,31 +346,11 @@ class ShardStore(StoreQueryMixin):
             if cached is not None:
                 self._cache.move_to_end(index)
                 return cached
-            entry = [rows, None]
-            self._cache[index] = entry
+            self._cache[index] = rows
             if len(self._cache) > self.cache_shards:
                 self._cache.popitem(last=False)
                 self._evictions.inc()
-        return entry
-
-    def _shard(self, index: int) -> np.ndarray:
-        """Decoded ``(m, 2 + k)`` row array of one shard, through the LRU
-        cache — payload columns are cached alongside the topology, so one
-        decode serves both kinds of query."""
-        return self._entry(index)[0]
-
-    def _shard_keys(self, entry: list) -> np.ndarray:
-        """Sorted encoded ``src · n + dst`` keys of one cache *entry*
-        (from :meth:`_entry`), built once and cached with the decoded edges
-        so repeated payload lookups stay shard-size-independent."""
-        keys = entry[1]
-        if keys is None:
-            edges = entry[0]
-            keys = edges[:, 0] * np.int64(self.n_vertices) + edges[:, 1]
-            # Plain slot assignment: racing threads compute identical arrays,
-            # so last-writer-wins is safe and needs no lock round-trip.
-            entry[1] = keys
-        return keys
+        return rows
 
     def clear_cache(self) -> None:
         """Drop every decoded shard (counters are kept).
@@ -393,13 +377,11 @@ class ShardStore(StoreQueryMixin):
         with self._lock:
             resident = 0
             mapped = 0
-            for rows, keys in self._cache.values():
+            for rows in self._cache.values():
                 if isinstance(rows.base, _mmap.mmap):
                     mapped += rows.nbytes
                 else:
                     resident += rows.nbytes
-                if keys is not None:
-                    resident += keys.nbytes
             return resident, mapped, len(self._cache)
 
     @property
@@ -424,12 +406,11 @@ class ShardStore(StoreQueryMixin):
         occupancy), ``cache_shards`` (capacity), ``n_shards``, ``mmap``
         (whether decodes are zero-copy mappings), and the bytes-resident
         split: ``resident_bytes`` counts private array copies the cache
-        holds (decoded rows when ``mmap=False``, plus lazily built
-        encoded-key arrays), ``mapped_bytes`` counts bytes addressable
-        through cached read-only mappings (page-cache backed, not private
-        memory).  A warm ``mmap=True`` store answering bulk range queries
-        shows both numbers flat across queries — the no-per-query-copy
-        acceptance bar.
+        holds (decoded rows when ``mmap=False``), ``mapped_bytes`` counts
+        bytes addressable through cached read-only mappings (page-cache
+        backed, not private memory).  A warm ``mmap=True`` store shows
+        ``resident_bytes == 0`` and both numbers flat across queries, point
+        lookups included — the no-per-query-copy acceptance bar.
         """
         resident, mapped, cached = self._cache_usage()
         return {
@@ -611,13 +592,15 @@ class ShardStore(StoreQueryMixin):
 
         Array-in / array-out: returns an ``(m, k)`` ``int64`` array whose
         columns follow :attr:`payload_columns`.  Every queried pair must be a
-        stored edge — a missing pair raises a :class:`ValueError` naming it
-        (payloads of non-edges are not defined).  One walk (:meth:`_walk`)
-        over the shards holding the queried sources binary-searches each
-        shard's cached encoded ``src · n + dst`` keys for the pairs not
-        found yet, so repeated probes against a warm region never re-scan a
-        shard, and a shard whose pairs were all found in the shard before
-        it is not read.
+        stored edge — a missing pair raises a :class:`ValueError` naming
+        the first in caller order (payloads of non-edges are not defined).
+        One walk (:meth:`_walk`) over the shards holding the queried
+        sources: each visit finds its pairs' source segments with two
+        vectorized searches of the shard's ``src`` column, as
+        :meth:`_row_counts` does, then bisects the ``dst`` of each pair not
+        found yet inside its segment.  Nothing is copied or encoded, so any
+        vertex count works, and a shard whose pairs were all found in the
+        shard before it is not read.
         """
         self._require_payload()
         ps = self._check_vertices(np.atleast_1d(np.asarray(ps, dtype=np.int64)))
@@ -629,32 +612,36 @@ class ShardStore(StoreQueryMixin):
                           dtype=np.int64)
         if ps.size == 0:
             return values
-        if self.n_vertices > int(_MAX_ENCODABLE_VERTICES):
-            raise NotImplementedError(
-                "payload lookup needs src*n+dst to fit int64; "
-                f"n_vertices={self.n_vertices} is beyond that")
-        order, _, visits = self._walk(ps)
-        wanted = (ps * np.int64(self.n_vertices) + qs)[order]
-        found = np.zeros(ps.shape[0], dtype=bool)
+        order, sps, visits = self._walk(ps)
+        caller, sqs = order.tolist(), qs[order].tolist()
+        found = [False] * ps.shape[0]  # by position in the sorted batch
         for index, start, stop in visits:
-            todo = np.flatnonzero(~found[start:stop]) + start
-            if todo.size == 0:
+            if all(found[start:stop]):
                 continue  # found in an earlier shard the source straddles
-            entry = self._entry(index)
-            keys = self._shard_keys(entry)
-            pos = keys.searchsorted(wanted[todo])
-            in_range = pos < keys.shape[0]
-            hit = in_range & (keys[np.where(in_range, pos, 0)] == wanted[todo])
-            values[todo[hit]] = entry[0][pos[hit], 2:]
-            found[todo[hit]] = True
-        if not found.all():
-            missing = int(order[~found].min())
+            shard = self._shard(index)
+            srcs = shard[:, 0]
+            lefts = srcs.searchsorted(sps[start:stop]).tolist()
+            rights = srcs.searchsorted(sps[start:stop], "right").tolist()
+            hits, rows = [], []
+            # One bisect per pair over a view of the dst column: no copy,
+            # and at point-lookup batch sizes cheaper than any vectorized
+            # search of the segments.
+            with memoryview(shard[:, 1]) as dsts:
+                for t, left, right in zip(range(start, stop), lefts, rights):
+                    if found[t]:
+                        continue
+                    at = bisect_left(dsts, sqs[t], left, right)
+                    if at < right and dsts[at] == sqs[t]:
+                        found[t] = True
+                        hits.append(caller[t])
+                        rows.append(at)
+            values[hits] = shard.take(rows, axis=0)[:, 2:]
+        if not all(found):
+            missing = min(c for c, hit in zip(caller, found) if not hit)
             raise ValueError(
                 f"edge ({int(ps[missing])}, {int(qs[missing])}) is not stored "
                 "in this shard store; payloads exist only for stored edges")
-        out = np.empty_like(values)
-        out[order] = values
-        return out
+        return values
 
     # ------------------------------------------------------------------
     # Scalar views (thin wrappers over the batched kernels)

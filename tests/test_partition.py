@@ -6,7 +6,8 @@ test are structural: every slice manifest round-trips through the one
 parent's ``.npy`` files, assigned ranges tile the vertex space, boundary
 shards are listed by both neighbouring slices, and re-partitioning is
 idempotent (including cleanup of stale slice directories from a wider
-previous partition).  Edge cases from the issue: single-shard store, empty
+previous partition), and rewriting a store in place — a re-stream or a
+re-compaction — removes its slices.  Edge cases: single-shard store, empty
 slice ranges, a boundary falling inside one shard's range.
 """
 
@@ -20,26 +21,31 @@ import pytest
 from repro import generators
 from repro.core import KroneckerGraph
 from repro.graphs import NpyShardSink
-from repro.graphs.io import SHARD_MANIFEST, read_shard_manifest
+from repro.graphs.io import SHARD_MANIFEST, SLICES_DIR, read_shard_manifest
 from repro.parallel import distributed_generate
 from repro.store import ShardStore, compact_shards, partition_manifest
 
 PAYLOAD = ("triangles", "trussness")
 
 
-@pytest.fixture(scope="module")
-def spill_dir(tmp_path_factory):
+def _stream(directory, n_ranks: int, a_edges_per_block: int):
+    """Spill the partition tests' product, with payloads, to *directory*."""
     factor_a = generators.webgraph_like(24, edges_per_vertex=3, seed=5)
     factor_b = generators.triangle_constrained_pa(10, seed=7)
     product = KroneckerGraph(factor_a, factor_b)
-    tmp = tmp_path_factory.mktemp("partition-spill")
-    sink = NpyShardSink(tmp / "spill", name=product.name,
+    sink = NpyShardSink(directory, name=product.name,
                         n_vertices=product.n_vertices,
                         payload_columns=PAYLOAD)
-    distributed_generate(factor_a, factor_b, 3, streaming=True,
-                         a_edges_per_block=8, sink=sink,
+    distributed_generate(factor_a, factor_b, n_ranks, streaming=True,
+                         a_edges_per_block=a_edges_per_block, sink=sink,
                          payload_columns=PAYLOAD)
-    return tmp / "spill"
+    return directory
+
+
+@pytest.fixture(scope="module")
+def spill_dir(tmp_path_factory):
+    return _stream(tmp_path_factory.mktemp("partition-spill") / "spill",
+                   n_ranks=3, a_edges_per_block=8)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +165,22 @@ def test_repartition_is_idempotent_and_cleans_stale_slices(store_dir):
     remaining = sorted(p.name for p in (store_dir / "slices").iterdir())
     assert remaining == ["slice-000", "slice-001"]
     assert wide[3]["directory"].exists() is False
+
+
+def test_restream_removes_the_slices(tmp_path):
+    """Slice manifests list the store's files with their ranges and
+    counts; a re-stream rewrites those files, so it takes the slices."""
+    spill = _stream(tmp_path / "spill", n_ranks=1, a_edges_per_block=8)
+    partition_manifest(spill, n_slices=2)
+    _stream(spill, n_ranks=1, a_edges_per_block=64)
+    assert not (spill / SLICES_DIR).exists()
+
+
+def test_recompaction_removes_the_slices(spill_dir, tmp_path):
+    compact_shards(spill_dir, tmp_path / "store", target_shard_edges=400)
+    partition_manifest(tmp_path / "store", n_slices=2)
+    compact_shards(spill_dir, tmp_path / "store", target_shard_edges=150)
+    assert not (tmp_path / "store" / SLICES_DIR).exists()
 
 
 def test_partition_rejects_bad_arguments(store_dir, tmp_path, spill_dir,

@@ -1114,18 +1114,23 @@ class TestBinaryPlane:
         assert after["bytes"] == before["bytes"] + rows.nbytes
 
     def test_range_answers_copy_no_mapped_rows(self, store_dir):
-        """A warm mmap store serves range answers straight from its
-        mappings: no decode and no private copy per answer.  (A fresh
-        server: point lookups elsewhere build resident key arrays.)"""
+        """A warm mmap store serves range answers and point lookups
+        straight from its mappings: no decode and no private copy per
+        answer."""
         with ThreadedServer(store_dir, cache_shards=64) as fresh:
             store = fresh.server.store
             with QueryClient(fresh.host, fresh.port) as c:
                 n = c.n_vertices
-                c.edges_in_range(0, n, with_payload=True)  # warm every shard
+                # Warm every shard.
+                rows = c.edges_in_range(0, n, with_payload=True)
                 warm = store.stats()
                 for _ in range(5):
                     c.edges_in_range(n // 4, n // 2, with_payload=True)
+                c.edge_payloads(rows[::7, 0], rows[::7, 1])
+                c.neighbors_with_payload(int(rows[-1, 0]))
+                served = c.stats()["store"]
             after = store.stats()
+        assert served["resident_bytes"] == 0
         assert after["mmap"] and after["resident_bytes"] == 0
         assert after["shard_reads"] == warm["shard_reads"]
         assert after["mapped_bytes"] == warm["mapped_bytes"]

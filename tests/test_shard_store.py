@@ -376,10 +376,10 @@ class TestShardStoreQueries:
         with pytest.raises(IndexError):
             store.out_degrees([-1])
 
-    def test_degrees_beyond_the_key_limit(self, tmp_path):
-        """The self-loop probe encodes nothing, so ``degrees`` answers for
-        vertex counts whose ``src · n + dst`` keys overflow ``int64``;
-        ``edge_payloads``, which still searches encoded keys, refuses."""
+    def test_lookups_beyond_the_old_key_limit(self, tmp_path):
+        """The self-loop and payload probes search source segments and
+        encode nothing, so ``degrees`` and ``edge_payloads`` answer for
+        vertex counts whose ``src · n + dst`` would overflow ``int64``."""
         hub, other = 3_999_999_999, 2_500_000_000
         store = ShardStore(_payload_store(
             tmp_path, [(0, hub, 5), (hub, 0, 5), (hub, hub, 0),
@@ -388,8 +388,9 @@ class TestShardStoreQueries:
         assert store.n_shards > 1
         assert store.degrees([0, other, hub, 1]).tolist() == [1, 1, 2, 0]
         assert store.out_degree(hub) == 3
-        with pytest.raises(NotImplementedError, match="int64"):
-            store.edge_payloads([0], [hub])
+        assert store.edge_payloads([0, hub, other, hub],
+                                   [hub, other, hub, hub]).tolist() == [
+            [5], [4], [4], [0]]
 
     def test_empty_batch(self, store_dir):
         store = ShardStore(store_dir)

@@ -8,7 +8,9 @@ compaction; sequential and process-pool runs write the same bytes; rows out
 of order are refused by name before any manifest exists; a manifest v1
 directory of an earlier release is refused everywhere with a message that
 says to re-stream; and a manifest whose edge counts disagree with its
-shards is refused instead of read into uninitialized rows.
+shards is refused instead of read into uninitialized rows.  A spill cut
+from a 10¹⁰-vertex product answers the same way, payload lookups
+included.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from _fleet_harness import FleetHarness
 from repro import cli
-from repro.core import KroneckerGraph
+from repro.core import KroneckerGraph, KroneckerTriangleStats, kron_truss_decomposition
 from repro.graphs import (
+    Graph,
     NpyShardSink,
     iter_edge_shards,
     load_edge_shards,
@@ -34,6 +38,10 @@ from repro.serve import QueryClient, ThreadedServer
 from repro.store import ShardStore, compact_shards, partition_manifest
 
 PAYLOAD = ("triangles", "trussness")
+
+#: First source of the window store: past the 3.04·10⁹ vertices from which
+#: an encoded ``src · n + dst`` key overflows ``int64``.
+WINDOW_START = 5_000_000_000
 
 
 def _spill(directory, factor_a, factor_b, **kwargs) -> Path:
@@ -194,6 +202,105 @@ class TestSpillIsAStore:
             for client in (expected, direct, routed):
                 assert (client.hello()["store"]["total_edges"]
                         == read_shard_manifest(spill_dir)["total_edges"])
+
+
+@pytest.fixture(scope="module")
+def window(tmp_path_factory):
+    """``(directory, product, stats, truss)``: a payload spill of the
+    sources ``[5·10⁹, 5·10⁹ + 10⁴)`` of T ⊗ T, T being 99,999 vertices of
+    disjoint triangles — the 10¹⁰-vertex product of
+    ``test_ten_billion_sources_payloads_stay_factor_sized`` — in four
+    shards of 2,500 sources.  Its payloads are read from factor entry
+    vectors, as the streaming pipeline reads them."""
+    tri = np.arange(99_999).reshape(-1, 3)
+    heads = np.concatenate([tri[:, 0], tri[:, 1], tri[:, 2]])
+    tails = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0]])
+    factor = Graph(sp.csr_matrix(
+        (np.ones(2 * heads.size),
+         (np.concatenate([heads, tails]), np.concatenate([tails, heads]))),
+        shape=(99_999, 99_999)))
+    product = KroneckerGraph(factor, factor)
+    stats = KroneckerTriangleStats.from_factors(factor, factor)
+    truss = kron_truss_decomposition(factor, factor)
+    directory = tmp_path_factory.mktemp("window") / "spill"
+    sink = NpyShardSink(directory, name=product.name,
+                        n_vertices=product.n_vertices,
+                        payload_columns=PAYLOAD)
+    blocks = (block for lo in range(WINDOW_START, WINDOW_START + 10_000, 2_500)
+              for block in product.iter_entry_blocks(src_start=lo,
+                                                     src_stop=lo + 2_500))
+    for index, (src, a_pos, b_pos) in enumerate(blocks):
+        sink.write(0, index, np.column_stack([
+            src, product.entry_destinations(a_pos, b_pos),
+            stats.edge_values_at(a_pos, b_pos),
+            truss.edge_trussness_at(a_pos, b_pos)]))
+    sink.finalize()
+    return directory, product, stats, truss
+
+
+def _window_vertices() -> list:
+    """Window sources at both ends of every shard, plus a few inside."""
+    cuts = [WINDOW_START + k * 2_500 for k in range(4)]
+    return sorted({*cuts, *(cut + 2_499 for cut in cuts),
+                   WINDOW_START + 1_234, WINDOW_START + 7_777})
+
+
+class TestPastTheOldKeyLimit:
+    """A store whose ``src · n + dst`` overflows ``int64`` answers every
+    primitive in process, served and routed, and its payloads equal the
+    random-access closed forms."""
+
+    def test_in_process_answers_equal_the_closed_forms(self, window):
+        directory, product, stats, truss = window
+        store = ShardStore(directory)
+        assert store.n_vertices == 99_999 ** 2 and store.n_shards == 4
+        vertices = _window_vertices()
+        assert store.degrees(vertices).tolist() == [product.degree(v)
+                                                    for v in vertices]
+        for v in vertices[::3]:
+            assert np.array_equal(store.neighbors(v), product.neighbors(v))
+        rows = store.edges_in_range(WINDOW_START, WINDOW_START + 10_000,
+                                    with_payload=True)
+        edges = np.concatenate(list(product.iter_edge_blocks(
+            src_start=WINDOW_START, src_stop=WINDOW_START + 10_000)))
+        assert np.array_equal(rows[:, :2], edges) and rows.shape[0] == 40_000
+        ps, qs = edges[:, 0], edges[:, 1]
+        expected = np.column_stack([stats.edge_values(ps, qs),
+                                    truss.edge_trussness_batch(ps, qs)])
+        assert np.array_equal(rows[:, 2:], expected)
+        shuffled = np.random.default_rng(3).permutation(edges.shape[0])
+        assert np.array_equal(
+            store.edge_payloads(ps[shuffled], qs[shuffled]),
+            expected[shuffled])
+        assert store.stats()["resident_bytes"] == 0
+        with pytest.raises(ValueError,
+                           match=rf"edge \({WINDOW_START}, 0\) is not stored"):
+            store.edge_payloads([ps[0], WINDOW_START], [qs[0], 0])
+        store.close()
+
+    def test_served_and_routed_answers_equal_local(self, window):
+        directory = window[0]
+        store = ShardStore(directory)
+        vertices = _window_vertices()
+        lo, hi = WINDOW_START + 2_000, WINDOW_START + 3_000  # two shards
+        rows = store.edges_in_range(WINDOW_START, WINDOW_START + 10_000)
+        pairs = rows[np.random.default_rng(5).choice(rows.shape[0], 500,
+                                                     replace=False)]
+        local = [store.degrees(vertices), store.neighbors(vertices[1]),
+                 store.edges_in_range(lo, hi, with_payload=True),
+                 store.edge_payloads(pairs[:, 0], pairs[:, 1])]
+        store.close()
+        with ThreadedServer(directory) as served, \
+                FleetHarness(directory, n_slices=2) as fleet, \
+                QueryClient(served.host, served.port) as direct, \
+                fleet.client() as routed:
+            assert [entry["n_shards"] for entry in fleet.slices] == [2, 2]
+            for client in (direct, routed):
+                _assert_same([client.degrees(vertices),
+                              client.neighbors(vertices[1]),
+                              client.edges_in_range(lo, hi, with_payload=True),
+                              client.edge_payloads(pairs[:, 0], pairs[:, 1])],
+                             local)
 
 
 def test_process_pool_writes_the_same_spill(tmp_path, weblike_small,
