@@ -35,6 +35,11 @@ a tier-1 smoke asserts the tracing instrumentation costs ≤ 5% on the
 scalar degree path — a traced pass vs. a trace-disabled pass, best-of-N
 interleaved.
 
+The cold-path stress runs the same 8-client equivalence against a server
+whose LRU holds 2 shards and against a fleet whose workers hold 2 each,
+so cold calls from different connections interleave their shard decodes
+on one event loop; LRU evictions must show they ran cold.
+
 PR 10 extends that bar to the continuous sampling profiler: a tier-1
 smoke arms the profiler over the wire (the ``profile`` op, toggled
 outside the timed windows) and asserts the armed scalar path costs ≤ 5%
@@ -255,6 +260,69 @@ def test_query_router_smoke(tmp_path, quick_mode):
     print(f"  equivalence: {requests:,} routed requests, every answer "
           f"byte-equal to the single store "
           f"({requests / elapsed:,.0f} requests/s)")
+
+
+def _cold_smoke_store(tmp_path, quick_mode):
+    factor_a = generators.webgraph_like(60 if quick_mode else 320,
+                                        edges_per_vertex=3,
+                                        triad_probability=0.6, seed=3)
+    factor_b = generators.triangle_constrained_pa(20 if quick_mode else 90,
+                                                  seed=13)
+    return _build_store(factor_a, factor_b, tmp_path,
+                        block=8 if quick_mode else 32,
+                        target=600 if quick_mode else 16_384)
+
+
+def test_query_server_cold_smoke(tmp_path, quick_mode):
+    """Tier-1 cold-path stress: the 8-client equivalence against a server
+    whose LRU holds 2 shards, so cold calls from different connections
+    interleave their shard decodes on the one event loop.  Every answer
+    is byte-equal; LRU evictions show the calls ran cold."""
+    store_dir, _ = _cold_smoke_store(tmp_path, quick_mode)
+    reference = ShardStore(store_dir, cache_shards=8)
+    with ThreadedServer(store_dir, cache_shards=2) as server:
+        requests, elapsed, failures = _concurrent_equivalence(
+            server, reference, n_clients=N_CLIENTS,
+            rounds=1 if quick_mode else 3, seed=11)
+        assert not failures, failures[:3]
+        stats = server.server.stats()
+    assert stats["server"]["errors"] == 0
+    assert stats["store"]["evictions"] > 0
+
+    print_section("Perf — asyncio query server behind a 2-shard LRU "
+                  f"({'smoke' if quick_mode else 'full'})")
+    print(f"  equivalence: {requests:,} mixed requests over "
+          f"{reference.n_shards} shards, every answer byte-equal "
+          f"({requests / elapsed:,.0f} requests/s); "
+          f"{stats['store']['shard_reads']} shard reads, "
+          f"{stats['store']['evictions']} evictions")
+
+
+def test_query_router_cold_smoke(tmp_path, quick_mode):
+    """Tier-1 cold-path stress through a fleet: the 8-client equivalence
+    against 3 slice workers whose LRUs hold 2 shards each.  Every routed
+    answer is byte-equal; LRU evictions show the calls ran cold."""
+    from _fleet_harness import FleetHarness
+
+    store_dir, _ = _cold_smoke_store(tmp_path, quick_mode)
+    reference = ShardStore(store_dir, cache_shards=8)
+    with FleetHarness(store_dir, n_slices=3, cache_shards=2) as harness:
+        requests, elapsed, failures = _concurrent_equivalence(
+            harness, reference, n_clients=N_CLIENTS,
+            rounds=1 if quick_mode else 3, seed=11)
+        assert not failures, failures[:3]
+        with harness.client() as client:
+            stats = client.stats()
+    assert all(report["ok"] for report in stats["workers"])
+    assert stats["store"]["evictions"] > 0
+
+    print_section("Perf — range-routed fleet behind 2-shard LRUs "
+                  f"({'smoke' if quick_mode else 'full'})")
+    print(f"  equivalence: {requests:,} routed requests over "
+          f"{reference.n_shards} shards, every answer byte-equal "
+          f"({requests / elapsed:,.0f} requests/s); "
+          f"{stats['store']['shard_reads']} shard reads, "
+          f"{stats['store']['evictions']} evictions")
 
 
 def _scalar_pass(client: QueryClient, vertices, expected,
@@ -524,8 +592,7 @@ def test_profiler_overhead_full(tmp_path):
           f"{reference.n_shards} shards; {rounds} pass pairs × "
           f"{len(vertices)} vertices per attempt")
     sweep = []
-    with ThreadedServer(store_dir, cache_shards=16,
-                        decode_threads=8) as server:
+    with ThreadedServer(store_dir, cache_shards=16) as server:
         with QueryClient(server.host, server.port) as client:
             for hz in (67.0, 268.0):
                 attempts = _run_profiler_overhead(
@@ -576,8 +643,7 @@ def test_query_router_scaling_full(tmp_path):
     sweep = []
     for n_workers in (1, 2, 3, 4):
         with FleetHarness(store_dir, n_slices=n_workers,
-                          cache_shards=16, decode_threads=8,
-                          timeout=60.0) as harness:
+                          cache_shards=16, timeout=60.0) as harness:
             requests, elapsed, failures = _concurrent_equivalence(
                 harness, reference, n_clients=8, rounds=2,
                 seed=29 + n_workers)
@@ -620,8 +686,7 @@ def test_query_server_throughput_full(tmp_path):
     print_section("Perf — asyncio query server (concurrency sweep)")
     print(f"  product: {product.nnz:,} directed edges, "
           f"{reference.n_shards} shards")
-    with ThreadedServer(store_dir, cache_shards=16,
-                        decode_threads=8) as server:
+    with ThreadedServer(store_dir, cache_shards=16) as server:
         # Warm the LRU, then zero the counters through the reset op so the
         # coalescing numbers printed below cover only the sweep itself.
         with QueryClient(server.host, server.port) as warm:

@@ -58,14 +58,12 @@ published artefacts of the paper:
 
 ``repro-kron serve``
     Put a shard store behind a socket: the :mod:`repro.serve` asyncio
-    front-end (one concurrent-safe :class:`~repro.store.ShardStore`, warm
-    store calls over at most two shards on the event loop and the rest on
-    a bounded decode pool — one thread unless ``--threads`` says
-    otherwise, since decodes hold the GIL — concurrent scalar queries
-    coalesced into batch calls).  With ``--fleet`` the router and every
-    slice worker serve on that one event loop, and the router awaits
-    every routed query and rollup there, so a routed request crosses no
-    thread; each worker keeps its own ``--threads`` decode pool.  The
+    front-end (one concurrent-safe :class:`~repro.store.ShardStore`, every
+    store call on the one event loop — a cold call hands the loop back
+    between shard decodes — and concurrent scalar queries coalesced into
+    batch calls).  With ``--fleet`` the router and every slice worker
+    serve on that one event loop, and the router awaits every routed
+    query and rollup there, so a routed request crosses no thread.  The
     loop's thread is named ``shard-serve``, so ``profile`` samples it
     under the ``event_loop`` role.  Stops gracefully on Ctrl-C or a
     client ``shutdown`` request, then prints the request/cache
@@ -320,14 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache", type=int, default=8,
                        help="decoded shards kept in the store's LRU "
                             "(default 8; shared by every connection)")
-    serve.add_argument("--threads", type=int, default=1,
-                       help="bounded pool cold store calls (shard decodes) "
-                            "run on; a call touching at most two shards, "
-                            "all cached, runs on the event loop (default 1: "
-                            "decodes hold the GIL, so more threads overlap "
-                            "nothing; with --fleet this sizes each slice "
-                            "worker's pool, and the router awaits every "
-                            "routed query on its event loop)")
     serve.add_argument("--fleet", type=int, default=None, metavar="N",
                        help="partition the store into N contiguous "
                             "vertex-range slices, serve one in-process "
@@ -791,8 +781,7 @@ def _serve_fleet(args: argparse.Namespace) -> int:
                 addresses = []
                 for _ in range(args.replicas):
                     worker = ShardStoreServer(entry["directory"],
-                                              cache_shards=args.cache,
-                                              decode_threads=args.threads)
+                                              cache_shards=args.cache)
                     await worker.start()
                     workers.append(worker)
                     addresses.append(f"{worker.host}:{worker.port}")
@@ -837,8 +826,6 @@ def _serve_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Checked before anything opens, for a fleet's workers too.
-    if args.threads < 1:
-        raise SystemExit("--threads needs at least 1 decode thread")
     if args.cache < 1:
         raise SystemExit("--cache needs at least 1 cached shard")
     if args.fleet is not None:
@@ -846,14 +833,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     with _opening_store(args.store):
         store = ShardStore(args.store, cache_shards=args.cache)
     server = ShardStoreServer(store, host=args.host, port=args.port,
-                              decode_threads=args.threads,
                               slow_query_us=_slow_query_us(args))
 
     async def _run() -> None:
         await server.start()
         print(f"serving {args.store} on {server.host}:{server.port} "
               f"({store.n_shards} shards, {store.total_edges:,} edges, "
-              f"cache {args.cache}, {args.threads} decode threads, "
+              f"cache {args.cache}, "
               f"protocol v{PROTOCOL_VERSION})",
               flush=True)
         # serve_until_stopped tears down gracefully even when Ctrl-C

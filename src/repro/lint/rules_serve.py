@@ -10,13 +10,14 @@ a name value, not a string) is structurally out of scope instead of
 special-cased.
 
 *No blocking in async* (PR 5/8): handlers reach the store only through
-``_run_store`` (or the coalescer), which chooses where a call runs —
-inline on the event loop when it touches at most two shards and all are
-cached, on the bounded decode pool otherwise.  Store query calls,
-``time.sleep``, and ``socket`` module calls directly inside an
-``async def`` in ``serve/`` skip that choice and can stall every
-connection.  Code inside a nested ``lambda`` or sync ``def`` is exempt —
-that is exactly the idiom of handing a call to ``_run_store``.
+``_store_call`` (or the coalescer), which drives the call's steps on the
+event loop and turns the loop before every shard it must decode and
+after every two cached visits.  Store query calls, ``time.sleep``, and
+``socket`` module calls directly inside an ``async def`` in ``serve/``
+run to the end without yielding — a direct store query decodes every
+shard it needs in one turn — and can stall every connection.  Code
+inside a nested ``lambda`` or sync ``def`` is exempt: it runs wherever
+it is called.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class AnswerShapeRule(Rule):
 
 
 #: Store query-surface methods that decode shards (or take the LRU lock
-#: for real work) and therefore go through ``_run_store``, never straight
+#: for real work) and therefore go through ``_store_call``, never straight
 #: from an async handler.
 BLOCKING_STORE_METHODS = frozenset({
     "degree", "degrees", "neighbors", "edges_for_sources", "edges_in_range",
@@ -91,9 +92,8 @@ class _AsyncBodyVisitor(ast.NodeVisitor):
         self.findings: List[Finding] = []
         self._in_async = False
 
-    # Sync scopes inside an async def run wherever they are *called* —
-    # the lambda handed to _run_store is the sanctioned idiom — so they
-    # reset the flag.
+    # Sync scopes inside an async def run wherever they are *called*, so
+    # they reset the flag.
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._visit_scope(node, in_async=False)
 
@@ -115,8 +115,8 @@ class _AsyncBodyVisitor(ast.NodeVisitor):
                 self.findings.append(self.rule.finding(
                     self.rel_path, node,
                     f"{verdict} directly inside an async def — hand it to "
-                    "_run_store, which chooses the loop or the decode "
-                    "pool: "
+                    "_store_call, which yields to the loop between shard "
+                    "decodes: "
                     + self.rule.source_of(node, self.text)))
         self.generic_visit(node)
 
@@ -138,7 +138,7 @@ class BlockingInAsyncRule(Rule):
     name = "no-blocking-in-async"
     description = ("no store decodes, socket calls, or time.sleep directly "
                    "inside async def handlers in serve/ — store calls go "
-                   "through _run_store, which chooses loop or pool")
+                   "through _store_call, which yields between decodes")
     layers = ("serve/",)
 
     def check(self, tree: ast.Module, rel_path: str,

@@ -13,9 +13,8 @@ configurable rate and folds each thread's stack into a bounded aggregate:
   the stack already uses — ``shard-serve`` (the asyncio event loop: a
   :class:`~repro.serve.ThreadedServer` thread, or the thread
   ``repro-kron serve`` runs its loop on, where a fleet's router and slice
-  workers all serve), ``shard-decode*`` (a server's pool; a range
-  router's too), the profiler's own sampling thread, and the main
-  thread;
+  workers all serve, store calls included), the profiler's own sampling
+  thread, and the main thread;
 * the aggregate is bounded (``max_stacks`` distinct stacks per role;
   overflow folds into ``~overflow``), so a pathological workload cannot
   grow the profile without bound.
@@ -49,11 +48,9 @@ EXTERNAL_STACK = "~external"
 OVERFLOW_STACK = "~overflow"
 
 #: Thread-name prefix -> role, most specific first.  These are the names
-#: the serving stack already assigns (the serving loop's thread, the
-#: decode pool's ``thread_name_prefix``); the profiler names its own
-#: thread ``repro-profiler``.
+#: the serving stack already assigns (the serving loop's thread); the
+#: profiler names its own thread ``repro-profiler``.
 _ROLE_PREFIXES = (
-    ("shard-decode", "decode_pool"),
     ("shard-serve", "event_loop"),
     ("repro-profiler", "profiler"),
     ("MainThread", "main"),
@@ -87,7 +84,7 @@ def fold_stack(frame) -> str:
     """Collapse one thread's live stack to its repro frames, root first.
 
     The returned string is one flamegraph folded-stack path
-    (``repro.serve.server:_run_store;repro.store.query:_shard``); a stack
+    (``repro.serve.server:_store_call;repro.store.query:_shard``); a stack
     with no repro frame folds to :data:`EXTERNAL_STACK`.
     """
     labels: List[str] = []

@@ -2,10 +2,10 @@
 
 A *trace* is a tree of timed spans identified by a shared hex trace ID.
 The active trace travels in a :mod:`contextvars` variable, so it follows
-``await`` inside one asyncio task and can be carried onto worker threads
-with ``contextvars.copy_context()`` (``loop.run_in_executor`` does NOT
-propagate context by itself — the serve layer copies explicitly at its
-submit points).
+``await`` inside one asyncio task, and a task created under it starts in a
+copy.  The serve layer runs every store call on its event loop inside the
+request's task, so shard-decode spans parent under the request with no
+explicit copy.
 
 Across the wire the trace rides the additive ``"trace"`` request key
 (``{"id": <trace_id>, "span": <parent_span_id>}``) — an optional key,
@@ -260,7 +260,7 @@ def adopt_span(recorder: TraceRecorder, trace_id: str,
 
 # Leaf spans: spans that cannot have children, for work that provably
 # opens none (the coalesced scalar ops — their batch flush runs outside the
-# request's context, on the executor or from an event-loop callback — the
+# request's context, in an event-loop callback or a task it starts — the
 # client round trip, a shard decode).  A leaf switches no context and
 # builds no object: it is a tuple, opened by begin_leaf or begin_request
 # and closed by end_leaf, and its record dict (the microsecond divisions,

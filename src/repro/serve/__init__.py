@@ -14,7 +14,8 @@ consumers no longer run in-process:
   answer shape, shared with the CLI's ``query --json`` so the two surfaces
   cannot drift;
 * :class:`ShardStoreServer` — the asyncio front-end: one concurrent-safe
-  store per worker, store work on a bounded thread pool, concurrent scalar
+  store per worker, every store call on the one event loop (a cold call
+  yields to it between shard decodes), concurrent scalar
   ``degree`` / ``neighbors`` requests coalesced into the store's batch-first
   entry points, ``stats`` / graceful-shutdown operational surface
   (:class:`ThreadedServer` runs it on a background thread for synchronous

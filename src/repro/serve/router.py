@@ -19,7 +19,7 @@ The construction is deliberately thin:
   the answers back in source order.  ``egonet_edges_async`` /
   ``subgraph_edges_async`` await the plans of
   :class:`~repro.store.StoreQueryMixin` — the ``egonet`` and ``subgraph``
-  definitions the local store drives synchronously — through those
+  definitions the local store drives on its shards — through those
   primitives, so routed answers are byte-equal to single-store answers
   *by construction*.  The façade has no synchronous query method.
 * :class:`RangeRouter` is :class:`ShardStoreServer` serving that façade:
@@ -585,18 +585,16 @@ class RangeRouter(ShardStoreServer):
     frames — is inherited.  Every store call — the primitive ops,
     ``egonet`` and ``subgraph``, and the coalesced ``degree`` /
     ``neighbors`` flushes — awaits the fleet's coroutine right on the
-    event loop, counted as an ``inline`` store call: the router's worker
-    connections are asyncio streams, so the loop waits, it never blocks.
-    ``stats`` becomes the per-worker rollup, ``reset_stats`` fans out to
-    every worker, and ``trace`` / ``profile`` / ``events`` / ``health``
-    widen into fleet-merged answers, each built from one awaited
-    :meth:`FleetStore._broadcast_async` and naming the workers it could
-    not reach.  Like every server the router has a one-thread pool
-    (``decode_threads``), used only for ``metrics`` and for applying a
-    ``profile`` action.  The fleet's registry is adopted as the router's,
-    so ``metrics`` serves the ``fleet.worker_*`` series alongside the
-    inherited ``serve.*`` ones.  The router closes the fleet's
-    connections when it stops.
+    event loop: the router's worker connections are asyncio streams, so
+    the loop waits, it never blocks.  ``stats`` becomes the per-worker
+    rollup, ``reset_stats`` fans out to every worker, and ``trace`` /
+    ``profile`` / ``events`` / ``health`` widen into fleet-merged answers,
+    each built from one awaited :meth:`FleetStore._broadcast_async` and
+    naming the workers it could not reach.  Like every server the router
+    runs on one thread, with no pool.  The fleet's registry is adopted as
+    the router's, so ``metrics`` serves the ``fleet.worker_*`` series
+    alongside the inherited ``serve.*`` ones.  The router closes the
+    fleet's connections when it stops.
     """
 
     def __init__(self, fleet: FleetStore, **kwargs):
@@ -613,15 +611,10 @@ class RangeRouter(ShardStoreServer):
         await super()._teardown(grace_s)
         await self.fleet.close()
 
-    async def _store_call(self, method: str, *args, sources=None, **kwargs):
+    async def _store_call(self, method: str, *args, **kwargs):
         """Await the fleet's coroutine for one store call on the loop
-        (``FleetStore.<method>_async``), counted as an inline store
-        call."""
-        self._store_calls["inline"].inc()
+        (``FleetStore.<method>_async``)."""
         return await getattr(self.fleet, f"{method}_async")(*args, **kwargs)
-
-    def _flush_inline(self, window) -> bool:
-        return True  # the batch flushes below are fan-outs
 
     async def _degrees_batch(self, vertices: List[int]) -> List[int]:
         values = await self._store_call(
@@ -699,8 +692,7 @@ class RangeRouter(ShardStoreServer):
         action, hz, collapsed = self._profile_args(args)
         replies = await self.fleet._broadcast_async(
             "profile", {"action": action, "hz": hz})
-        # On the pool: ``stop`` joins the sampling thread.
-        await self._run_store(self._apply_profile_action, action, hz)
+        self._apply_profile_action(action, hz)
         own = self.profiler.snapshot()
         merged = own + sum((ProfileStats.from_dict(answer["profile"])
                             for _, answer, _ in replies

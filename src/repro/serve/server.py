@@ -20,22 +20,19 @@ Design rules:
   single :class:`ShardStore`; its decoded-shard LRU is concurrent-safe
   (a lock guards cache mutation), so hot shards are decoded once no matter
   which connection asked first.
-* **Warm calls run inline, cold calls run on the pool; the loop never
-  decodes on purpose.**  A store call that touches at most two shards, all
-  in the LRU (:meth:`~repro.store.ShardStore.cached`), runs right on the
-  event loop — a hop to a thread and back costs more than the call.  Every
-  other call, and every call without a source window, runs on a bounded
-  :class:`~concurrent.futures.ThreadPoolExecutor` (``decode_threads``), so
-  neither a cold decode nor a warm bulk copy stalls unrelated
-  connections.  ``serve.store_calls`` counts where each store call ran.
-  A store server decodes on **one** pool thread by default: a decode is
-  Python code under the GIL, and a mapped shard's page faults are taken
-  inside numpy calls that hold it too, so a second decode thread overlaps
-  nothing and only adds CPU.  The range router
-  (:class:`~repro.serve.router.RangeRouter`) awaits every store call and
-  rollup right on the loop — its worker connections are asyncio streams —
-  and uses its one pool thread only for ``metrics`` and for applying a
-  ``profile`` action.
+* **One serving thread; cold calls yield between shard decodes.**  Every
+  store call runs on the event loop, driven through the store's steps
+  (:meth:`~repro.store.ShardStore.steps`): the loop turns once
+  (``await asyncio.sleep(0)``) before each shard the call must decode and
+  before every third shard visit since the last turn, so a long cold call
+  never stalls the other connections, and two cold calls interleave their
+  decodes instead of queueing.  A warm primitive call on a store of one or
+  two shards never yields.  There is no thread pool: a decode is Python
+  code under the GIL, and a mapped shard's page faults are taken inside
+  numpy calls that hold it too, so a second thread overlaps nothing and
+  only adds CPU.  The range router
+  (:class:`~repro.serve.router.RangeRouter`) awaits its fleet's
+  coroutines on the same loop.
 * **Scalar requests coalesce into batch calls.**  Concurrent ``degree`` /
   ``neighbors`` requests that land in the same event-loop tick are folded
   into one ``store.degrees`` / ``store.edges_for_sources`` call (the PR 1
@@ -52,9 +49,9 @@ Design rules:
   the op and the trace id.
 * **Operational surface built in.**  A ``stats`` request reports request
   counts, per-op latency histograms (with derived p50/p95/p99), coalescing
-  effectiveness, where store calls ran (``store_calls``), and the store's
-  ``shard_reads`` / ``cache_hits``; ``metrics`` exposes the same registry
-  as a raw snapshot plus Prometheus text; ``reset_stats`` rearms every
+  effectiveness, and the store's ``shard_reads`` / ``cache_hits``;
+  ``metrics`` exposes the same registry as a raw snapshot plus Prometheus
+  text; ``reset_stats`` rearms every
   counter (benchmark warmup exclusion); ``shutdown`` requests a graceful
   stop (in-flight requests finish, then the listener closes).  PR 10 adds
   ``profile`` (start / stop / snapshot / reset the continuous
@@ -79,12 +76,10 @@ server up with ``with ThreadedServer(store) as handle: ...``.
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -122,26 +117,20 @@ class _Coalescer:
 
     ``submit(value)`` returns a future; all values submitted before the next
     event-loop tick (or up to ``max_batch``) are handed to *flush_fn* as one
-    list, and the returned per-value results resolve the futures in order.
-    The values are vertex ids: *inline* is asked with the batch's
-    ``(min, max)`` source window whether *flush_fn* runs right on the loop
-    or on *executor*; a *flush_fn* that returns a coroutine when run on the
-    loop (the range router's fan-out) has it awaited there as a task.
-    Per-value validation must happen **before** submit — a failure inside
-    *flush_fn* fails the whole batch.
+    list, right in the flush callback, and the returned per-value results
+    resolve the futures in order.  A *flush_fn* that returns a coroutine
+    instead (a flush that must decode, or the range router's fan-out) has
+    it awaited on the loop as a task.  Per-value validation must happen
+    **before** submit — a failure inside *flush_fn* fails the whole batch.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop,
-                 executor: ThreadPoolExecutor,
                  flush_fn: Callable[[List], List], *,
-                 inline: Callable[[Tuple[int, int]], bool],
                  max_batch: int = 1024,
                  registry: Optional[MetricsRegistry] = None,
                  kind: str = "adhoc"):
         self._loop = loop
-        self._executor = executor
         self._flush_fn = flush_fn
-        self._inline = inline
         self._max_batch = max_batch
         self._pending: List = []  # (value, future) pairs
         self._flush_scheduled = False
@@ -174,22 +163,17 @@ class _Coalescer:
         self._batches.inc()
         self._requests.inc(len(batch))
         self._max_batch_seen.set_max(len(batch))
-        values = [value for value, _ in batch]
-        if self._inline((min(values), max(values))):
-            try:
-                results = self._flush_fn(values)
-            except Exception as exc:
-                self._resolve(batch, None, exc)
-                return
-            if not asyncio.iscoroutine(results):
-                self._resolve(batch, results, None)
-                return
-            task = self._loop.create_task(results)
-            self._flushing.add(task)
-            task.add_done_callback(self._flushing.discard)
-        else:
-            task = self._loop.run_in_executor(
-                self._executor, self._flush_fn, values)
+        try:
+            results = self._flush_fn([value for value, _ in batch])
+        except Exception as exc:
+            self._resolve(batch, None, exc)
+            return
+        if not asyncio.iscoroutine(results):
+            self._resolve(batch, results, None)
+            return
+        task = self._loop.create_task(results)
+        self._flushing.add(task)
+        task.add_done_callback(self._flushing.discard)
 
         def _distribute(done: "asyncio.Future") -> None:
             exc = done.exception()
@@ -257,16 +241,31 @@ def _arg_bool(args: dict, name: str, default: bool = False) -> bool:
     return value
 
 
-#: The most shards a store call may touch and still run on the event loop.
-#: Two covers a point call near a shard boundary and every call on a
-#: two-shard store.
-_INLINE_MAX_SHARDS = 2
+async def _finish(steps):
+    """Run a store call's steps to the end on the event loop, turning it
+    once at each yield, and return the call's answer."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
+        await asyncio.sleep(0)
 
 
-def _window(vertices: List[int]) -> Tuple[int, int]:
-    """The ``(min, max)`` source window of a vertex list; ``(0, -1)``, a
-    window no shard overlaps, when the list is empty."""
-    return (min(vertices), max(vertices)) if vertices else (0, -1)
+async def _finish_then(steps, shape: Callable):
+    return shape(await _finish(steps))
+
+
+def _flush_steps(steps, shape: Callable):
+    """A coalesced flush of one store call's *steps*: ``shape(answer)``
+    right away when the steps end without yielding, as a warm flush does,
+    else a coroutine that finishes them on the loop (the coalescer runs it
+    as a task, whose first step is a turn of the loop)."""
+    try:
+        next(steps)
+    except StopIteration as done:
+        return shape(done.value)
+    return _finish_then(steps, shape)
 
 
 def _rows_per_vertex(vertices: np.ndarray,
@@ -292,11 +291,6 @@ class ShardStoreServer:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port, published as
         :attr:`port` after :meth:`start`.
-    decode_threads:
-        Size of the thread pool cold store calls run on — the bound on
-        concurrent shard decodes (≥ 1; default 1, see the design rules
-        above).  Calls touching at most two shards, all cached, run on the
-        event loop instead.
     max_request_bytes:
         Cap on incoming request frames; an oversized length prefix gets one
         error frame and the connection is closed.
@@ -310,14 +304,10 @@ class ShardStoreServer:
     """
 
     def __init__(self, store, *, host: str = "127.0.0.1", port: int = 0,
-                 decode_threads: int = 1,
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
                  max_coalesce_batch: int = 1024,
                  cache_shards: int = 8,
                  slow_query_us: Optional[int] = None):
-        if decode_threads < 1:
-            raise ValueError(
-                f"decode_threads must be >= 1, got {decode_threads}")
         # One registry per server process view: a store opened here joins
         # it, a pre-opened store (or fleet façade) brings its own, so
         # server and store stats are views over the same series.
@@ -338,13 +328,11 @@ class ShardStoreServer:
         self.store = store
         self.host = host
         self.port = int(port)
-        self.decode_threads = int(decode_threads)
         self.max_request_bytes = int(max_request_bytes)
         self.max_coalesce_batch = int(max_coalesce_batch)
         self.recorder = TraceRecorder()
         self.slow_query_us = slow_query_us
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._stopping: Optional[asyncio.Future] = None  # the one teardown
         self._stop_event: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -394,9 +382,6 @@ class ShardStoreServer:
         self._binary_frames = self.registry.counter("serve.binary_frames")
         self._binary_bytes = self.registry.counter("serve.binary_bytes")
         self._slow_queries = self.registry.counter("serve.slow_queries")
-        self._store_calls = {
-            path: self.registry.counter("serve.store_calls", path=path)
-            for path in ("inline", "pool")}
         self.registry.gauge("serve.connections_open",
                             fn=lambda: len(self._writers))
 
@@ -404,23 +389,20 @@ class ShardStoreServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listener and arm the worker pool."""
+        """Bind the listener and arm the coalescers."""
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.decode_threads, thread_name_prefix="shard-decode")
         self._degree_coalescer = _Coalescer(
-            self._loop, self._executor, self._degrees_batch,
+            self._loop, self._degrees_batch,
             max_batch=self.max_coalesce_batch,
-            registry=self.registry, kind="degree", inline=self._flush_inline)
+            registry=self.registry, kind="degree")
         self._neighbors_coalescers = {
             with_payload: _Coalescer(
-                self._loop, self._executor,
+                self._loop,
                 lambda vs, wp=with_payload: self._neighbors_batch(vs, wp),
                 max_batch=self.max_coalesce_batch,
                 registry=self.registry,
-                kind="neighbors_payload" if with_payload else "neighbors",
-                inline=self._flush_inline)
+                kind="neighbors_payload" if with_payload else "neighbors")
             for with_payload in (False, True)
         }
         self._server = await asyncio.start_server(
@@ -433,10 +415,9 @@ class ShardStoreServer:
         """Graceful stop: close every connection parked between frames and
         the listener, let every in-flight request finish and flush its
         response, then — after *grace_s* — abort any connection a stalled
-        client is keeping open, and shut the pool down.  Overlapping and
-        repeated calls share one teardown, and each returns only once it
-        is complete: every connection handler finished and the pool shut
-        down."""
+        client is keeping open.  Overlapping and repeated calls share one
+        teardown, and each returns only once it is complete: every
+        connection handler finished."""
         if self._stopping is None:
             self._stopping = asyncio.ensure_future(self._teardown(grace_s))
         await asyncio.shield(self._stopping)
@@ -479,10 +460,6 @@ class ShardStoreServer:
             # accepted connection to drop, which only the steps above make
             # happen.
             await listener.wait_closed()
-        if self._executor is not None:
-            # Off the loop: a cold decode still running on the pool must
-            # not stall the other servers the loop may host (serve --fleet).
-            await asyncio.to_thread(self._executor.shutdown)
 
     def request_stop(self) -> None:
         """Ask the serve loop to exit (safe from any thread; a no-op when
@@ -601,8 +578,8 @@ class ShardStoreServer:
 
     #: Ops whose handlers provably open no child spans — the coalesced
     #: scalar ops (their batch flush runs outside the request's context:
-    #: on the executor without a copied one, or inline from a loop
-    #: callback) and ``hello``.  Their serve spans are leaves
+    #: in a loop callback, or in a task that callback starts) and
+    #: ``hello``.  Their serve spans are leaves
     #: (:func:`repro.obs.trace.begin_leaf`): no contextvar switch and no
     #: span object, which keeps the traced scalar hot path inside the
     #: ≤ 5% overhead budget.
@@ -685,82 +662,32 @@ class ShardStoreServer:
                              ok=ok)
         return response
 
-    def _inline(self, sources: Optional[Tuple[int, int]]) -> bool:
-        """Whether a store call over the source window *sources*
-        ``(lo, hi)`` runs on the event loop (see :meth:`_run_store`).
-        Calls with a window are counted in ``serve.store_calls`` by the
-        path they take; calls without one are not store calls and are not
-        counted."""
-        if sources is None:
-            return False
-        inline = self.store.cached(*sources, max_shards=_INLINE_MAX_SHARDS)
-        self._store_calls["inline" if inline else "pool"].inc()
-        return inline
-
-    async def _run_store(self, fn, *args,
-                         sources: Optional[Tuple[int, int]] = None):
-        """Run one store call where it is cheapest: inline on the event loop
-        when the source window *sources* ``(lo, hi)`` overlaps at most
-        :data:`_INLINE_MAX_SHARDS` shards and all of them are cached, on the
-        bounded decode pool otherwise.  A call without a window (metrics,
-        a profile action) always runs on the pool.
-
-        The shard bound keeps a warm bulk call — a wide range, a subgraph
-        or egonet over a many-shard store — from copying tens of megabytes
-        while every other connection waits; a warm point call touches one
-        or two shards and costs less than the hop to a thread and back.
-
-        An inline call runs in the handler's own context, so its spans
-        nest under ``serve.<op>``.  ``run_in_executor`` does *not* carry
-        ``contextvars``; when a trace is active the pool path copies the
-        context explicitly so store-side spans (shard decodes) stay in the
-        request's tree.
-
-        The check and the call are not atomic: a pool thread can evict a
-        shard in between, and the inline call then decodes it on the loop.
-        The answer is still correct and the decode counts as a shard read;
-        no lock closes the race.
-        """
-        if self._inline(sources):
-            return fn(*args)
-        if trace.current() is not None:
-            ctx = contextvars.copy_context()
-            return await self._loop.run_in_executor(
-                self._executor, lambda: ctx.run(fn, *args))
-        return await self._loop.run_in_executor(self._executor, fn, *args)
-
-    async def _store_call(self, method: str, *args,
-                          sources: Optional[Tuple[int, int]] = None,
-                          **kwargs):
+    async def _store_call(self, method: str, *args, **kwargs):
         """One store call — a batch primitive, ``subgraph_edges`` or
-        ``egonet_edges`` — as ``store.<method>(*args, **kwargs)``, run where
-        :meth:`_run_store` says.  The range router overrides this to await
-        its fleet's coroutine for the call on the loop instead."""
-        call = getattr(self.store, method)
-        return await self._run_store(lambda: call(*args, **kwargs),
-                                     sources=sources)
-
-    def _flush_inline(self, window: Tuple[int, int]) -> bool:
-        """Whether a coalesced batch over the source *window* flushes on
-        the loop: the store-call rule of :meth:`_inline`.  (The range
-        router's batch flushes are fan-outs the loop awaits, so there they
-        always do.)"""
-        return self._inline(window)
+        ``egonet_edges`` — as ``store.<method>(*args, **kwargs)``, run on
+        the event loop through its steps (:meth:`ShardStore.steps`): the
+        loop turns once at each yield, before every shard the call must
+        decode and before every third visit since the last turn.  It runs
+        in the handler's own context, so its spans (shard decodes) nest
+        under ``serve.<op>``.  The range router overrides this to await its
+        fleet's coroutine for the call instead."""
+        return await _finish(self.store.steps(method, *args, **kwargs))
 
     # ------------------------------------------------------------------
-    # Coalesced batch kernels (inline when warm, else on the executor)
+    # Coalesced batch kernels (answered in the flush callback when warm)
     # ------------------------------------------------------------------
-    def _degrees_batch(self, vertices: List[int]) -> List[int]:
-        values = self.store.degrees(np.asarray(vertices, dtype=np.int64))
-        return [int(d) for d in values]
+    def _degrees_batch(self, vertices: List[int]):
+        return _flush_steps(self.store.steps(
+            "degrees", np.asarray(vertices, dtype=np.int64)),
+            lambda values: [int(d) for d in values])
 
-    def _neighbors_batch(self, vertices: List[int],
-                         with_payload: bool) -> List[np.ndarray]:
+    def _neighbors_batch(self, vertices: List[int], with_payload: bool):
         """One ``edges_for_sources`` gather for a whole batch, sliced back
         per requested vertex."""
         vs = np.asarray(vertices, dtype=np.int64)
-        return _rows_per_vertex(
-            vs, self.store.edges_for_sources(vs, with_payload=with_payload))
+        return _flush_steps(self.store.steps("edges_for_sources", vs,
+                                             with_payload=with_payload),
+                            lambda rows: _rows_per_vertex(vs, rows))
 
     def _check_vertex(self, vertex: int) -> int:
         """Range-check *before* coalescing so one bad vertex cannot fail an
@@ -791,8 +718,7 @@ class ShardStoreServer:
     async def _op_degrees(self, args: dict) -> dict:
         vertices = _arg_ints(args, "vertices")
         vs = np.asarray(vertices, dtype=np.int64)
-        degrees = await self._store_call("degrees", vs,
-                                         sources=_window(vertices))
+        degrees = await self._store_call("degrees", vs)
         return shaping.degrees_shape(vs, degrees)
 
     async def _op_neighbors(self, args: dict) -> dict:
@@ -808,8 +734,7 @@ class ShardStoreServer:
         with_payload = _arg_bool(args, "with_payload")
         vs = np.asarray(vertices, dtype=np.int64)
         rows = await self._store_call("edges_for_sources", vs,
-                                      with_payload=with_payload,
-                                      sources=_window(vertices))
+                                      with_payload=with_payload)
         return shaping.edges_for_sources_shape(
             vs, rows, self.store.payload_columns, with_payload=with_payload)
 
@@ -818,8 +743,7 @@ class ShardStoreServer:
         hi = _arg_int(args, "hi")
         with_payload = _arg_bool(args, "with_payload")
         rows = await self._store_call("edges_in_range", lo, hi,
-                                      with_payload=with_payload,
-                                      sources=(lo, hi - 1))
+                                      with_payload=with_payload)
         return shaping.range_shape(lo, hi, rows, self.store.payload_columns,
                                    with_payload=with_payload)
 
@@ -827,10 +751,8 @@ class ShardStoreServer:
         vertex = self._check_vertex(_arg_int(args, "vertex"))
         with_payload = _arg_bool(args, "with_payload")
         include_members = _arg_bool(args, "include_members")
-        # The neighbour set is unknown until read: the window is the store.
         vertices, rows = await self._store_call(
-            "egonet_edges", vertex, with_payload=with_payload,
-            sources=(0, self.store.n_vertices - 1))
+            "egonet_edges", vertex, with_payload=with_payload)
         return shaping.egonet_shape(vertex, vertices, rows,
                                     self.store.payload_columns,
                                     with_payload=with_payload,
@@ -841,8 +763,7 @@ class ShardStoreServer:
         with_payload = _arg_bool(args, "with_payload")
         vs = np.asarray(vertices, dtype=np.int64)
         rows = await self._store_call("subgraph_edges", vs,
-                                      with_payload=with_payload,
-                                      sources=_window(vertices))
+                                      with_payload=with_payload)
         return shaping.subgraph_shape(vs, rows, self.store.payload_columns,
                                       self.store.manifest.get("name"),
                                       with_payload=with_payload)
@@ -855,16 +776,14 @@ class ShardStoreServer:
                              f"got ({len(ps)},) and ({len(qs)},)")
         values = await self._store_call(
             "edge_payloads", np.asarray(ps, dtype=np.int64),
-            np.asarray(qs, dtype=np.int64), sources=_window(ps))
+            np.asarray(qs, dtype=np.int64))
         return shaping.edge_payloads_shape(self.store.payload_columns, values)
 
     async def _op_stats(self, args: dict) -> dict:
         return shaping.stats_answer_shape(self.stats())
 
     async def _op_metrics(self, args: dict) -> dict:
-        # Snapshot on the pool: fn-gauges may take the store's cache lock.
-        snapshot = await self._run_store(self.registry.snapshot)
-        return shaping.metrics_shape(snapshot)
+        return shaping.metrics_shape(self.registry.snapshot())
 
     async def _op_trace(self, args: dict) -> dict:
         trace_id = _arg(args, "id")
@@ -894,9 +813,8 @@ class ShardStoreServer:
 
     async def _op_profile(self, args: dict) -> dict:
         action, hz, collapsed = self._profile_args(args)
-        # On the pool: ``stop`` joins the sampling thread and must never
-        # stall the event loop mid-sample.
-        return await self._run_store(self._profile, action, hz, collapsed)
+        # ``stop`` joins the sampling thread, which it wakes at once.
+        return self._profile(action, hz, collapsed)
 
     def _apply_profile_action(self, action: str, hz) -> None:
         if action == "start":
@@ -984,10 +902,7 @@ class ShardStoreServer:
             "protocol_errors": self._protocol_errors.value,
             "connections_open": len(self._writers),
             "connections_total": self._connections_total.value,
-            "decode_threads": self.decode_threads,
             "slow_queries": self._slow_queries.value,
-            "store_calls": {path: counter.value
-                            for path, counter in self._store_calls.items()},
             "binary": {"frames": self._binary_frames.value,
                        "bytes": self._binary_bytes.value},
             "coalesced": {

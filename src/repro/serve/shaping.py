@@ -12,9 +12,9 @@ when it prints JSON.
 
 The CLI uses :func:`shape_degree` / :func:`shape_neighbors` /
 :func:`shape_egonet` / :func:`shape_range`, which take the store.  The
-server makes each op's store call itself — inline, on its decode pool, or
-(the range router) awaited on its event loop — and assembles the answer
-from the call's result with :func:`degrees_shape` /
+server makes each op's store call itself — on its event loop, through the
+store's steps or (the range router) its fleet's coroutines — and assembles
+the answer from the call's result with :func:`degrees_shape` /
 :func:`edges_for_sources_shape` / :func:`range_shape` /
 :func:`edge_payloads_shape` / :func:`egonet_shape` /
 :func:`subgraph_shape`, the same assembly the ``shape_*`` functions use.

@@ -69,12 +69,19 @@ matrices, and scipy and the graph classes are imported there (through
 :func:`induced_adjacency`), so a server imports this module without
 loading scipy.
 
+Every store call is also a generator of *steps* (:meth:`ShardStore.steps`):
+its one shard-visit loop yields before each shard it must decode and before
+a visit that would be the third since its last yield
+(:data:`_VISITS_PER_TURN`), so between two yields it decodes at most one
+shard and visits at most two.  The
+synchronous methods run the steps to the end; :mod:`repro.serve` drives
+them on its one event loop and turns the loop at each yield, so a cold call
+hands it back between shard decodes and a warm call on a store of one or
+two shards never does.
+
 The cache and its ``shard_reads`` / ``cache_hits`` counters are
 **concurrent-safe**: a lock guards every cache mutation, so one store can be
-shared by many reader threads — the serving pattern of
-:mod:`repro.serve`, whose asyncio front-end answers calls over at most two
-shards, all cached (:meth:`ShardStore.cached`), on its event loop and runs
-the rest on its decode thread.  Shard *decodes* run outside the lock (two
+shared by many reader threads.  Shard *decodes* run outside the lock (two
 threads missing on the same shard may both read the file; the loser's rows
 are dropped and counted as a read), so concurrent misses on different
 shards overlap their I/O.
@@ -119,6 +126,31 @@ PathLike = Union[str, Path]
 #: payload_columns, mmap_mode=...)``.  A module-level name so tests can hook
 #: it to count exactly which files a query touches.
 _load_shard_file = read_edge_shard
+
+#: Shard visits a store call makes per turn of the event loop: its steps
+#: yield before a third.  Two covers a point call near a shard boundary
+#: and every primitive call on a store of one or two shards, so a warm one
+#: there never gives the loop up.
+_VISITS_PER_TURN = 2
+
+
+class _Pace:
+    """The shard visits one store call made since its steps last yielded
+    (a plan's primitive calls share one)."""
+
+    __slots__ = ("visits",)
+
+    def __init__(self) -> None:
+        self.visits = 0
+
+
+def _complete(steps):
+    """Run a store call's steps to the end and return its answer."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
 
 
 def induced_adjacency(vertices: Sequence[int],
@@ -294,8 +326,8 @@ class ShardStore(StoreQueryMixin):
         self.mmap = bool(mmap)
         # index -> the shard's read-only (m, 2 + k) rows, oldest first
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        # Guards the LRU OrderedDict: queries may come from many threads at
-        # once (repro.serve offloads decodes to a pool).  The traffic
+        # Guards the LRU OrderedDict: in-process queries may come from many
+        # threads at once (a server's come from its one loop).  The traffic
         # counters live on the registry (leaf-locked instruments), so they
         # can be read mid-serve without touching this lock.
         self._lock = new_lock("store.lru")
@@ -318,16 +350,22 @@ class ShardStore(StoreQueryMixin):
         """Number of shards in the store."""
         return len(self._files)
 
+    def _lookup(self, index: int) -> Optional[np.ndarray]:
+        """The cached rows of one shard (a cache hit), or ``None``."""
+        with self._lock:
+            rows = self._cache.get(index)
+            if rows is not None:
+                self._cache_hits.inc()
+                self._cache.move_to_end(index)
+            return rows
+
     def _shard(self, index: int) -> np.ndarray:
         """Decoded ``(m, 2 + k)`` row array of one shard, through the LRU
         cache — payload columns are cached alongside the topology, so one
         decode serves both kinds of query."""
-        with self._lock:
-            cached = self._cache.get(index)
-            if cached is not None:
-                self._cache_hits.inc()
-                self._cache.move_to_end(index)
-                return cached
+        cached = self._lookup(index)
+        if cached is not None:
+            return cached
         # Decode outside the lock so concurrent misses on *different* shards
         # overlap their file I/O; a racing miss on the same shard costs one
         # redundant decode (counted below) but never corrupts the cache.
@@ -350,6 +388,20 @@ class ShardStore(StoreQueryMixin):
             if len(self._cache) > self.cache_shards:
                 self._cache.popitem(last=False)
                 self._evictions.inc()
+        return rows
+
+    def _visit(self, index: int, pace: _Pace):
+        """Steps of one shard visit of a store call; returns the shard's
+        rows.  Yields first when the shard must be decoded, or when the
+        call already made :data:`_VISITS_PER_TURN` visits since its last
+        yield."""
+        rows = self._lookup(index)
+        if rows is None or pace.visits == _VISITS_PER_TURN:
+            yield
+            pace.visits = 0
+            if rows is None:
+                rows = self._shard(index)
+        pace.visits += 1
         return rows
 
     def clear_cache(self) -> None:
@@ -466,24 +518,26 @@ class ShardStore(StoreQueryMixin):
                                    stops.tolist())
                             if start < stop)
 
-    def cached(self, lo: int, hi: int, *,
-               max_shards: Optional[int] = None) -> bool:
-        """Whether every shard overlapping sources ``[lo, hi]`` is in the
-        LRU — and, given *max_shards*, at most that many overlap.  Decodes
-        nothing, bumps no counter and leaves the LRU order alone; the
-        answer can go stale as soon as the lock is released."""
-        first, last = self._overlapping(lo, hi)
-        if max_shards is not None and last - first > max_shards:
-            return False
-        with self._lock:
-            return all(index in self._cache for index in range(first, last))
+    # ------------------------------------------------------------------
+    # Store calls as steps (the hot path)
+    # ------------------------------------------------------------------
+    def steps(self, method: str, *args, **kwargs):
+        """The steps of the store call ``<method>(*args, **kwargs)`` — a
+        batch primitive, ``subgraph_edges`` or ``egonet_edges`` — as a
+        generator that returns the call's answer.
 
-    # ------------------------------------------------------------------
-    # Batched queries (the hot path)
-    # ------------------------------------------------------------------
-    def _row_counts(self, vs: np.ndarray, *, drop_self_loops: bool
-                    ) -> np.ndarray:
-        """Stored rows per vertex of *vs*, less its self loop when
+        Its shard-visit loop yields before every shard it must decode and
+        before a visit that would be the third since the last yield
+        (:data:`_VISITS_PER_TURN`), so between two yields it reads at most
+        one shard file and visits at most two shards; a plan's primitive
+        calls share that count.  The synchronous method runs the steps to
+        the end; a server drives them on its event loop and turns the loop
+        at each yield."""
+        return getattr(self, f"_{method}")(*args, pace=_Pace(), **kwargs)
+
+    def _row_counts(self, vs: np.ndarray, drop_self_loops: bool,
+                    pace: _Pace):
+        """Steps: stored rows per vertex of *vs*, less its self loop when
         *drop_self_loops*.
 
         One walk (:meth:`_walk`) over the shards holding the batch, each
@@ -497,7 +551,7 @@ class ShardStore(StoreQueryMixin):
         order, svs, visits = self._walk(vs)
         counts = np.zeros(svs.shape[0], dtype=np.int64)
         for index, start, stop in visits:
-            shard = self._shard(index)
+            shard = yield from self._visit(index, pace)
             srcs = shard[:, 0]
             if stop - start == 1:
                 v = svs[start]
@@ -521,6 +575,12 @@ class ShardStore(StoreQueryMixin):
         answer[order] = counts
         return answer
 
+    def _out_degrees(self, vs: Sequence[int], *, pace: _Pace):
+        return self._row_counts(self._check_vertices(vs), False, pace)
+
+    def _degrees(self, vs: Sequence[int], *, pace: _Pace):
+        return self._row_counts(self._check_vertices(vs), True, pace)
+
     def out_degrees(self, vs: Sequence[int]) -> np.ndarray:
         """Stored out-entry count per source vertex (array-in / array-out).
 
@@ -528,14 +588,29 @@ class ShardStore(StoreQueryMixin):
         loop; :meth:`degrees` applies the self-loop correction to match
         :meth:`repro.core.KroneckerGraph.degree`.
         """
-        return self._row_counts(self._check_vertices(vs),
-                                drop_self_loops=False)
+        return _complete(self._out_degrees(vs, pace=_Pace()))
 
     def degrees(self, vs: Sequence[int]) -> np.ndarray:
         """Degree per vertex with the self loop excluded, matching
         :meth:`repro.core.KroneckerGraph.degree` (array-in / array-out)."""
-        return self._row_counts(self._check_vertices(vs),
-                                drop_self_loops=True)
+        return _complete(self._degrees(vs, pace=_Pace()))
+
+    def _edges_for_sources(self, vs: Sequence[int], *,
+                           with_payload: bool = False, pace: _Pace):
+        _, svs, visits = self._walk(np.unique(self._check_vertices(vs)))
+        parts = []
+        for index, start, stop in visits:
+            shard = yield from self._visit(index, pace)
+            srcs = shard[:, 0]
+            if stop - start == 1:
+                v = svs[start]
+                part = shard[srcs.searchsorted(v):srcs.searchsorted(v, "right")]
+            else:
+                part = ragged_take(shard, srcs.searchsorted(svs[start:stop]),
+                                   srcs.searchsorted(svs[start:stop], "right"))
+            if part.shape[0]:
+                parts.append(part)
+        return self._finish_rows(parts, with_payload)
 
     def edges_for_sources(self, vs: Sequence[int], *,
                           with_payload: bool = False) -> np.ndarray:
@@ -549,19 +624,23 @@ class ShardStore(StoreQueryMixin):
         ``with_payload=True`` the full ``(m, 2 + k)`` rows — topology plus
         the manifest's named ground-truth columns — are returned.
         """
-        _, svs, visits = self._walk(np.unique(self._check_vertices(vs)))
+        return _complete(self._edges_for_sources(
+            vs, with_payload=with_payload, pace=_Pace()))
+
+    def _edges_in_range(self, lo: int, hi: int, *,
+                        with_payload: bool = False, pace: _Pace):
+        lo, hi = int(lo), int(hi)
+        if lo >= hi or self.n_shards == 0:
+            return self._finish_rows([], with_payload)
+        first, last = self._overlapping(lo, hi - 1)
         parts = []
-        for index, start, stop in visits:
-            shard = self._shard(index)
+        for index in range(first, last):
+            shard = yield from self._visit(index, pace)
             srcs = shard[:, 0]
-            if stop - start == 1:
-                v = svs[start]
-                part = shard[srcs.searchsorted(v):srcs.searchsorted(v, "right")]
-            else:
-                part = ragged_take(shard, srcs.searchsorted(svs[start:stop]),
-                                   srcs.searchsorted(svs[start:stop], "right"))
-            if part.shape[0]:
-                parts.append(part)
+            left = np.searchsorted(srcs, lo, side="left")
+            right = np.searchsorted(srcs, hi - 1, side="right")
+            if right > left:
+                parts.append(shard[left:right])
         return self._finish_rows(parts, with_payload)
 
     def edges_in_range(self, lo: int, hi: int, *,
@@ -570,38 +649,14 @@ class ShardStore(StoreQueryMixin):
         ``(src, dst)``; only the shards whose manifest range overlaps the
         query are decoded.  ``with_payload=True`` returns the full
         ``(m, 2 + k)`` rows."""
-        lo, hi = int(lo), int(hi)
-        if lo >= hi or self.n_shards == 0:
-            return self._finish_rows([], with_payload)
-        first, last = self._overlapping(lo, hi - 1)
-        parts = []
-        for index in range(first, last):
-            shard = self._shard(index)
-            srcs = shard[:, 0]
-            left = np.searchsorted(srcs, lo, side="left")
-            right = np.searchsorted(srcs, hi - 1, side="right")
-            if right > left:
-                parts.append(shard[left:right])
-        return self._finish_rows(parts, with_payload)
+        return _complete(self._edges_in_range(
+            lo, hi, with_payload=with_payload, pace=_Pace()))
 
     # ------------------------------------------------------------------
     # Payload lookups
     # ------------------------------------------------------------------
-    def edge_payloads(self, ps: Sequence[int], qs: Sequence[int]) -> np.ndarray:
-        """Payload values of the stored edges ``(ps[t], qs[t])``.
-
-        Array-in / array-out: returns an ``(m, k)`` ``int64`` array whose
-        columns follow :attr:`payload_columns`.  Every queried pair must be a
-        stored edge — a missing pair raises a :class:`ValueError` naming
-        the first in caller order (payloads of non-edges are not defined).
-        One walk (:meth:`_walk`) over the shards holding the queried
-        sources: each visit finds its pairs' source segments with two
-        vectorized searches of the shard's ``src`` column, as
-        :meth:`_row_counts` does, then bisects the ``dst`` of each pair not
-        found yet inside its segment.  Nothing is copied or encoded, so any
-        vertex count works, and a shard whose pairs were all found in the
-        shard before it is not read.
-        """
+    def _edge_payloads(self, ps: Sequence[int], qs: Sequence[int], *,
+                       pace: _Pace):
         self._require_payload()
         ps = self._check_vertices(np.atleast_1d(np.asarray(ps, dtype=np.int64)))
         qs = self._check_vertices(np.atleast_1d(np.asarray(qs, dtype=np.int64)))
@@ -618,7 +673,7 @@ class ShardStore(StoreQueryMixin):
         for index, start, stop in visits:
             if all(found[start:stop]):
                 continue  # found in an earlier shard the source straddles
-            shard = self._shard(index)
+            shard = yield from self._visit(index, pace)
             srcs = shard[:, 0]
             lefts = srcs.searchsorted(sps[start:stop]).tolist()
             rights = srcs.searchsorted(sps[start:stop], "right").tolist()
@@ -642,6 +697,23 @@ class ShardStore(StoreQueryMixin):
                 f"edge ({int(ps[missing])}, {int(qs[missing])}) is not stored "
                 "in this shard store; payloads exist only for stored edges")
         return values
+
+    def edge_payloads(self, ps: Sequence[int], qs: Sequence[int]) -> np.ndarray:
+        """Payload values of the stored edges ``(ps[t], qs[t])``.
+
+        Array-in / array-out: returns an ``(m, k)`` ``int64`` array whose
+        columns follow :attr:`payload_columns`.  Every queried pair must be a
+        stored edge — a missing pair raises a :class:`ValueError` naming
+        the first in caller order (payloads of non-edges are not defined).
+        One walk (:meth:`_walk`) over the shards holding the queried
+        sources: each visit finds its pairs' source segments with two
+        vectorized searches of the shard's ``src`` column, as
+        :meth:`_row_counts` does, then bisects the ``dst`` of each pair not
+        found yet inside its segment.  Nothing is copied or encoded, so any
+        vertex count works, and a shard whose pairs were all found in the
+        shard before it is not read.
+        """
+        return _complete(self._edge_payloads(ps, qs, pace=_Pace()))
 
     # ------------------------------------------------------------------
     # Scalar views (thin wrappers over the batched kernels)
@@ -678,30 +750,41 @@ class ShardStore(StoreQueryMixin):
     # ------------------------------------------------------------------
     # Induced subgraphs / egonets (the plans, driven on this store)
     # ------------------------------------------------------------------
-    def _run(self, plan):
-        """Drive a plan (see :class:`StoreQueryMixin`) on this store's own
-        primitives and return its result."""
+    def _run(self, plan, pace: _Pace):
+        """Steps of a plan (see :class:`StoreQueryMixin`): the steps of
+        each primitive call it makes on this store, in turn."""
         answer = None
         while True:
             try:
                 method, args, kwargs = plan.send(answer)
             except StopIteration as done:
                 return done.value
-            answer = getattr(self, method)(*args, **kwargs)
+            answer = yield from getattr(self, f"_{method}")(
+                *args, pace=pace, **kwargs)
+
+    def _subgraph_edges(self, vertices: Sequence[int], *,
+                        with_payload: bool = False, pace: _Pace):
+        return self._run(self._subgraph_plan(vertices, with_payload), pace)
+
+    def _egonet_edges(self, v: int, *, with_payload: bool = False,
+                      pace: _Pace):
+        return self._run(self._egonet_plan(int(v), with_payload), pace)
 
     def subgraph_edges(self, vertices: Sequence[int], *,
                        with_payload: bool = False) -> np.ndarray:
         """Stored rows with both endpoints in *vertices* (unique), global
         ids, ``(src, dst)``-sorted, from one gather: :meth:`subgraph`'s
         rows."""
-        return self._run(self._subgraph_plan(vertices, with_payload))
+        return _complete(self._subgraph_edges(
+            vertices, with_payload=with_payload, pace=_Pace()))
 
     def egonet_edges(self, v: int, *, with_payload: bool = False
                      ) -> Tuple[np.ndarray, np.ndarray]:
         """``(vertices, rows)`` of the egonet of *v*: the centre then its
         sorted neighbours, and the stored rows induced on them, from two
         gathers (the centre's row, then the centre and its neighbours)."""
-        return self._run(self._egonet_plan(int(v), with_payload))
+        return _complete(self._egonet_edges(
+            v, with_payload=with_payload, pace=_Pace()))
 
     def subgraph_adjacency(self, vertices: Sequence[int]) -> sp.csr_matrix:
         """Induced adjacency on *vertices* (unique; local vertex *i* is

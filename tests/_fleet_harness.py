@@ -17,9 +17,12 @@ full range-routed fleet of ``serve --fleet``, in-process, torn down by
   :func:`hang_after_request` are the stock handlers (connection killed
   after reading the request / mid-frame, or never answered).
 
-Shared by ``tests/test_router.py`` and the fleet smoke in
-``benchmarks/bench_query_server.py`` (the benchmarks conftest puts this
-directory on ``sys.path``).
+:func:`logged_steps` counts how often each store call a server drives
+hands its event loop back.
+
+Shared by ``tests/test_router.py``, ``tests/test_serve.py`` and the fleet
+smokes in ``benchmarks/bench_query_server.py`` (the benchmarks conftest
+puts this directory on ``sys.path``).
 """
 
 from __future__ import annotations
@@ -95,6 +98,30 @@ def hang_after_request(conn: socket.socket) -> None:
         pass
 
 
+def logged_steps(store) -> list:
+    """Wrap *store*'s steps so every store call appends ``[method,
+    yields]`` to the returned log."""
+    log = []
+    steps = store.steps
+
+    def counted(inner, entry):
+        while True:
+            try:
+                next(inner)
+            except StopIteration as done:
+                return done.value
+            entry[1] += 1
+            yield
+
+    def logged(method, *args, **kwargs):
+        entry = [method, 0]
+        log.append(entry)
+        return counted(steps(method, *args, **kwargs), entry)
+
+    store.steps = logged
+    return log
+
+
 class FleetHarness:
     """Partition + workers + router on ephemeral ports, context-managed.
 
@@ -111,9 +138,8 @@ class FleetHarness:
         ``{slice_index: handler}`` — prepend a :func:`scripted_worker`
         running *handler* as that slice's primary address (the real
         replicas become its failovers).
-    cache_shards / decode_threads:
-        Each worker's LRU size and decode pool; the router keeps the
-        server default.
+    cache_shards:
+        Each worker's LRU size.
     timeout:
         Router→worker attempt timeout, and the default timeout of
         :meth:`client` (short: fleet tests want failures to surface fast).
@@ -122,7 +148,7 @@ class FleetHarness:
     def __init__(self, store_dir, *, n_slices: Optional[int] = None,
                  boundaries=None, replicas: int = 1,
                  scripted: Optional[Dict[int, Callable]] = None,
-                 cache_shards: int = 8, decode_threads: int = 4,
+                 cache_shards: int = 8,
                  timeout: float = 10.0):
         self.store_dir = store_dir
         self.slices = partition_manifest(store_dir, n_slices=n_slices,
@@ -135,7 +161,6 @@ class FleetHarness:
         self.fleet: Optional[FleetStore] = None
         self.router: Optional[ThreadedRouter] = None
         self._cache_shards = cache_shards
-        self._decode_threads = decode_threads
         self._timeout = timeout
 
     def start(self) -> "FleetHarness":
@@ -150,8 +175,8 @@ class FleetHarness:
             replicas = []
             for _ in range(self.replicas):
                 worker = ThreadedServer(
-                    entry["directory"], cache_shards=self._cache_shards,
-                    decode_threads=self._decode_threads).start()
+                    entry["directory"],
+                    cache_shards=self._cache_shards).start()
                 replicas.append(worker)
                 addresses.append(worker.address)
             self.workers.append(replicas)

@@ -1,6 +1,6 @@
 """Known-bad corpus for no-blocking-in-async: blocking work inlined in
-async handlers instead of going through ``_run_store``, which chooses
-loop or pool."""
+async handlers instead of going through ``_store_call``, which yields to
+the loop between shard decodes."""
 
 import socket
 import time
@@ -12,7 +12,7 @@ class Handler:
         self.store = store
 
     async def op_range(self, lo, hi):
-        # BAD: store decode directly on the event loop
+        # BAD: every decode of the range in one turn of the event loop
         return self.store.edges_in_range(lo, hi)
 
     async def op_degree(self, vertex):

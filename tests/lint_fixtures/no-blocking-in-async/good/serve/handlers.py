@@ -1,5 +1,6 @@
-"""Known-good corpus for no-blocking-in-async: the ``_run_store`` idiom —
-store work wrapped in a lambda/def handed to ``_run_store`` — and
+"""Known-good corpus for no-blocking-in-async: the ``_store_call`` idiom —
+store work named by method and driven through its steps by
+``_store_call``, which yields to the loop between shard decodes — and
 non-blocking awaits."""
 
 import asyncio
@@ -7,31 +8,32 @@ import time
 
 
 class Handler:
-    def __init__(self, store, loop, executor):
+    def __init__(self, store):
         self.store = store
-        self._loop = loop
-        self._executor = executor
 
-    async def _run_store(self, fn, *args):
-        return await self._loop.run_in_executor(self._executor, fn, *args)
+    async def _store_call(self, method, *args, **kwargs):
+        steps = self.store.steps(method, *args, **kwargs)
+        while True:
+            try:
+                next(steps)
+            except StopIteration as done:
+                return done.value
+            await asyncio.sleep(0)  # async sleep never blocks the loop
 
     async def op_range(self, lo, hi):
-        # The sanctioned idiom: the decode happens on the pool; the
-        # lambda body is a sync scope, exempt by design.
-        return await self._run_store(
-            lambda: self.store.edges_in_range(lo, hi))
+        # The sanctioned idiom: the call yields before every decode.
+        return await self._store_call("edges_in_range", lo, hi)
 
     async def op_degree(self, vertex):
-        await asyncio.sleep(0)  # async sleep never blocks the loop
-        return await self._run_store(self.store.degree, vertex)
+        return await self._store_call("degrees", [vertex])
 
     async def op_egonet(self, vertex):
-        # The egonet plan runs where _run_store says, not inline here.
-        return await self._run_store(
-            lambda: self.store.egonet_edges(vertex, with_payload=True))
+        # The egonet plan's steps yield too, across both of its gathers.
+        return await self._store_call("egonet_edges", vertex,
+                                      with_payload=True)
 
     def sync_helper(self, lo, hi):
-        # Sync scope: runs on the executor, allowed to block.
+        # Sync scope: runs wherever it is called, allowed to block.
         time.sleep(0)
         return self.store.edges_in_range(lo, hi)
 

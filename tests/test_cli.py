@@ -175,16 +175,21 @@ class TestCompactAndQuery:
         assert rc == 0
         return store
 
-    def test_serve_rejects_an_empty_pool_or_cache(self, store_dir):
+    def test_serve_rejects_an_empty_pool_or_cache(self, store_dir, capsys):
         """``serve`` names the bad flag before it opens anything, for a
         single server and for a fleet's workers alike — never a traceback
-        from the thread pool or the store."""
-        for flags, message in ((["--threads", "0"], "--threads"),
-                               (["--fleet", "2", "--threads", "0"], "--threads"),
-                               (["--cache", "0"], "--cache"),
+        from the store.  It has no decode pool to size: ``--threads`` is
+        an unknown option."""
+        for flags, message in ((["--cache", "0"], "--cache"),
                                (["--fleet", "2", "--cache", "0"], "--cache")):
             with pytest.raises(SystemExit, match=message):
                 cli.main(["serve", str(store_dir), "--port", "0", *flags])
+        for flags in (["--threads", "1"], ["--fleet", "2", "--threads", "1"]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["serve", str(store_dir), "--port", "0", *flags])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --threads 1" in \
+                capsys.readouterr().err
 
     def test_unservable_store_exits_naming_the_store(self, bundle_path,
                                                       tmp_path,

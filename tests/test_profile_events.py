@@ -150,7 +150,7 @@ class TestProfileStats:
         assert sum(parts) == ProfileStats(3, {"main": {"x": 3}})  # radd(0)
 
     def test_dict_round_trip(self):
-        stats = ProfileStats(4, {"decode_pool": {"s": 4}})
+        stats = ProfileStats(4, {"event_loop": {"s": 4}})
         assert ProfileStats.from_dict(stats.as_dict()) == stats
 
     def test_collapsed_emits_rooted_folded_lines(self):
@@ -162,7 +162,7 @@ class TestProfileStats:
 
     def test_thread_role_classification(self):
         assert thread_role("shard-serve") == "event_loop"
-        assert thread_role("shard-decode_0") == "decode_pool"
+        assert thread_role("shard-decode_0") == "other"  # no decode pool
         assert thread_role("repro-profiler") == "profiler"
         assert thread_role("MainThread") == "main"
         assert thread_role("ThreadPoolExecutor-9_0") == "other"

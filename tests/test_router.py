@@ -41,6 +41,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from _fleet_harness import (
     FleetHarness,
     drop_after_request,
     hang_after_request,
+    logged_steps,
     truncate_response,
 )
 from repro import generators
@@ -654,24 +656,28 @@ class TestFleetObservability:
     def test_routed_calls_stay_on_the_loop_and_warm_workers_inline(
             self, store_factory, local_store):
         """The router awaits every store call on its event loop — point
-        and batch ops, egonet and subgraph with and without the payload
-        (all counted inline) — and its rollups there too, so nothing
-        runs on its pool; each worker, warm on its slice, runs its store
-        calls on its event loop."""
+        and batch ops, egonet and subgraph with and without the payload —
+        and its rollups there too, so the fleet starts no thread; each
+        worker, warm on its slice, answers its store calls on its event
+        loop without handing it back."""
         store = store_factory(target_shard_edges=3000)
         with FleetHarness(store, n_slices=3) as harness:
             with harness.client() as c:
                 n = c.n_vertices
                 c.edges_in_range(0, n)  # every worker decodes its slice
                 c.reset_stats()
+                logs = [logged_steps(worker.server.store)
+                        for replicas in harness.workers
+                        for worker in replicas]
+                threads = threading.active_count()
                 _routed_stream(c, local_store)
                 stats = c.stats()
-        router = stats["server"]["store_calls"]
-        assert router == {"inline": 6, "pool": 0}
-        workers = [r["stats"]["server"]["store_calls"]
-                   for r in stats["workers"]]
-        assert all(w["pool"] == 0 for w in workers), workers
-        assert sum(w["inline"] for w in workers) >= 6, workers
+                assert threading.active_count() <= threads
+        calls = [entry for log in logs for entry in log]
+        assert len(calls) >= 6, calls
+        assert all(yields == 0 for _, yields in calls), calls
+        assert stats["store"]["shard_reads"] == 0
+        assert "store_calls" not in stats["server"]
 
     def test_reset_stats_fans_out_fleet_wide(self, store_factory):
         store = store_factory()
@@ -857,7 +863,9 @@ class TestFleetCLI:
     def test_serve_fleet_subcommand_end_to_end(self, store_dir, local_store):
         """`repro-kron serve --fleet 2` in a real subprocess: partitions,
         spawns the slice workers, fronts them with the router, answers
-        routed queries, and shuts down gracefully with the fleet summary."""
+        routed queries — a cold scan behind 2-shard LRUs on the process's
+        threads it started with — and shuts down gracefully with the fleet
+        summary."""
         env = dict(os.environ)
         src = str((
             __import__("pathlib").Path(__file__).resolve().parent.parent
@@ -867,7 +875,8 @@ class TestFleetCLI:
             [sys.executable, "-u", "-c",
              "from repro.cli import main; import sys; "
              "sys.exit(main(sys.argv[1:]))",
-             "serve", str(store_dir), "--port", "0", "--fleet", "2"],
+             "serve", str(store_dir), "--port", "0", "--fleet", "2",
+             "--cache", "2"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True)
         try:
@@ -877,16 +886,19 @@ class TestFleetCLI:
             assert "fleet of 2" in banner
             with QueryClient("127.0.0.1", int(match.group(1))) as c:
                 assert c.hello()["fleet"]["workers"] == 2
-                # --threads (default 1) sizes the slice workers' pools;
-                # the router keeps the server default of one thread.
-                stats = c.stats()
-                assert stats["server"]["decode_threads"] == 1
-                assert [worker["stats"]["server"]["decode_threads"]
-                        for worker in stats["workers"]] == [1, 1]
+                # Router and workers serve every call, a cold scan's
+                # included, on the one loop thread: none is started.
+                tasks = Path(f"/proc/{process.pid}/task")
+                threads = len(list(tasks.iterdir()))
+                n = local_store.n_vertices
+                assert np.array_equal(c.degrees(np.arange(n)),
+                                      local_store.degrees(np.arange(n)))
+                assert np.array_equal(c.edges_in_range(0, n),
+                                      local_store.edges_in_range(0, n))
+                assert c.stats()["store"]["evictions"] > 0
+                assert len(list(tasks.iterdir())) == threads
                 c.profile("start", hz=200)
                 _routed_stream(c, local_store)
-                assert c.stats()["server"]["store_calls"] == {"inline": 6,
-                                                              "pool": 0}
                 time.sleep(0.1)
                 # Router and workers serve on the one loop thread, and it
                 # samples as the event loop.

@@ -48,6 +48,7 @@ from repro.serve import (
 from repro.obs import TraceRecorder, trace
 from repro.serve.server import ShardStoreServer, _Coalescer
 from repro.store import ShardStore, compact_shards
+from _fleet_harness import logged_steps
 
 PAYLOAD = ("triangles", "trussness")
 
@@ -265,16 +266,22 @@ class TestProtocol:
 # Request coalescer
 # ----------------------------------------------------------------------
 class TestCoalescer:
-    """Every behaviour holds on both flush paths: on the executor, and
-    inline on the loop (the server's choice when the batch's shards are
-    cached)."""
+    """Every behaviour holds for both kinds of flush: one that answers
+    right in the flush callback (a warm store call), and one that returns
+    a coroutine the coalescer runs as a task (a flush that must decode,
+    or the range router's fan-out)."""
 
     def _run(self, main):
-        for inline in (lambda window: False, lambda window: True):
-            asyncio.run(main(inline))
+        async def later(flush, values):
+            await asyncio.sleep(0)
+            return flush(values)
+
+        for wrap in (lambda flush: flush,
+                     lambda flush: lambda values: later(flush, values)):
+            asyncio.run(main(wrap))
 
     def test_concurrent_submissions_fold_into_one_batch(self):
-        async def main(inline):
+        async def main(wrap):
             loop = asyncio.get_running_loop()
             calls = []
 
@@ -282,10 +289,9 @@ class TestCoalescer:
                 calls.append(list(values))
                 return [v * 2 for v in values]
 
-            with ThreadPoolExecutor(2) as executor:
-                coalescer = _Coalescer(loop, executor, flush, inline=inline)
-                futures = [coalescer.submit(i) for i in range(10)]
-                results = await asyncio.gather(*futures)
+            coalescer = _Coalescer(loop, wrap(flush))
+            futures = [coalescer.submit(i) for i in range(10)]
+            results = await asyncio.gather(*futures)
             assert results == [i * 2 for i in range(10)]
             assert calls == [list(range(10))]
             assert coalescer.stats() == {"requests": 10, "batches": 1,
@@ -293,7 +299,7 @@ class TestCoalescer:
         self._run(main)
 
     def test_max_batch_splits_flushes(self):
-        async def main(inline):
+        async def main(wrap):
             loop = asyncio.get_running_loop()
             calls = []
 
@@ -301,18 +307,16 @@ class TestCoalescer:
                 calls.append(len(values))
                 return values
 
-            with ThreadPoolExecutor(2) as executor:
-                coalescer = _Coalescer(loop, executor, flush, max_batch=4,
-                                       inline=inline)
-                futures = [coalescer.submit(i) for i in range(10)]
-                assert await asyncio.gather(*futures) == list(range(10))
+            coalescer = _Coalescer(loop, wrap(flush), max_batch=4)
+            futures = [coalescer.submit(i) for i in range(10)]
+            assert await asyncio.gather(*futures) == list(range(10))
             assert calls == [4, 4, 2]
         self._run(main)
 
     def test_flush_failure_fails_every_future_in_batch(self):
         """A failing batch fails all of its own futures and no other
         batch's."""
-        async def main(inline):
+        async def main(wrap):
             loop = asyncio.get_running_loop()
 
             def flush(values):
@@ -320,28 +324,30 @@ class TestCoalescer:
                     raise RuntimeError("batch kernel exploded")
                 return values
 
-            with ThreadPoolExecutor(2) as executor:
-                coalescer = _Coalescer(loop, executor, flush, max_batch=3,
-                                       inline=inline)
-                futures = [coalescer.submit(i) for i in range(6)]
-                results = await asyncio.gather(*futures, return_exceptions=True)
+            coalescer = _Coalescer(loop, wrap(flush), max_batch=3)
+            futures = [coalescer.submit(i) for i in range(6)]
+            results = await asyncio.gather(*futures, return_exceptions=True)
             assert all(isinstance(r, RuntimeError) for r in results[:3])
             assert results[3:] == [3, 4, 5]
         self._run(main)
 
-    def test_inline_is_asked_with_the_batch_window(self):
+    def test_warm_flush_resolves_inside_the_flush_callback(self):
+        """A flush that answers right away settles its futures in the
+        flush callback itself; one that returns a coroutine settles them
+        only once the loop has run its task."""
         async def main():
-            asked = []
+            loop = asyncio.get_running_loop()
 
-            def inline(window):
-                asked.append(window)
-                return True
+            async def deferred(values):
+                return values
 
-            coalescer = _Coalescer(asyncio.get_running_loop(), None,
-                                   lambda values: values, inline=inline)
-            futures = [coalescer.submit(v) for v in (7, 2, 5)]
-            assert await asyncio.gather(*futures) == [7, 2, 5]
-            assert asked == [(2, 7)]
+            for flush, settled_in_callback in ((lambda values: values, True),
+                                               (deferred, False)):
+                coalescer = _Coalescer(loop, flush)
+                futures = [coalescer.submit(v) for v in (7, 2, 5)]
+                await asyncio.sleep(0)  # the turn that runs the flush
+                assert all(f.done() for f in futures) == settled_in_callback
+                assert await asyncio.gather(*futures) == [7, 2, 5]
         asyncio.run(main())
 
 
@@ -621,32 +627,13 @@ class TestFailurePaths:
         with pytest.raises(ValueError, match="cache_shards"):
             ThreadedServer(store_dir, cache_shards=0).start()
 
-    def test_decode_threads_checked_at_construction(self, store_dir):
-        """An empty decode pool is refused when the server is built, not
-        later by the executor inside ``start()``; the default is one
-        thread."""
-        with pytest.raises(ValueError, match="decode_threads"):
-            ShardStoreServer(store_dir, decode_threads=0)
-        assert ShardStoreServer(store_dir).decode_threads == 1
-
     def test_shutdown_lets_in_flight_requests_finish(self, store_dir):
         """Graceful stop: a request being served when another client asks
-        for shutdown still gets its full response.  The served store is
-        hooked so the shutdown provably lands while the query is in
-        flight — no scheduling luck involved."""
-        import time as time_mod
-
-        with ThreadedServer(store_dir, cache_shards=8) as fresh:
-            store = fresh.server.store
-            in_flight = threading.Event()
-            original = store.edges_in_range
-
-            def slow_edges_in_range(*args, **kwargs):
-                in_flight.set()
-                time_mod.sleep(0.3)  # hold the request open past the shutdown
-                return original(*args, **kwargs)
-
-            store.edges_in_range = slow_edges_in_range
+        for shutdown still gets its full response.  Its store call is held
+        on the loop until released, so the shutdown provably lands while
+        the query is in flight — no scheduling luck involved."""
+        with ThreadedServer(store_dir, server_cls=_HeldServer,
+                            cache_shards=8) as fresh:
             results = {}
 
             def big_query():
@@ -656,9 +643,10 @@ class TestFailurePaths:
 
             worker = threading.Thread(target=big_query)
             worker.start()
-            assert in_flight.wait(timeout=30)
+            assert fresh.server.entered.wait(timeout=30)
             with QueryClient(fresh.host, fresh.port) as killer:
                 killer.shutdown_server()
+            fresh.server.release()
             worker.join(timeout=30)
             assert not worker.is_alive()
             assert results["rows"].shape[0] > 0
@@ -686,14 +674,44 @@ class TestFailurePaths:
 
 
 # ----------------------------------------------------------------------
-# Where store calls run: inline on the loop when warm, on the pool if not
+# Store calls run on the loop; a cold call yields between shard decodes
 # ----------------------------------------------------------------------
+class _HeldServer(ShardStoreServer):
+    """A server whose store calls wait on the loop until :meth:`release`
+    (callable from any thread): a request held in flight across an
+    ``await``, as a cold call is between its shard decodes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.entered = threading.Event()
+        self.finished = threading.Event()
+        self._released = asyncio.Event()
+
+    def release(self) -> None:
+        self._loop.call_soon_threadsafe(self._released.set)
+
+    async def _store_call(self, method, *args, **kwargs):
+        self.entered.set()
+        await self._released.wait()
+        answer = await super()._store_call(method, *args, **kwargs)
+        self.finished.set()
+        return answer
+
+
 @pytest.fixture(scope="module")
 def two_shard_store(store_dir, local_store):
     """The module's spill recompacted into two shards."""
     dest = store_dir.parent / "two-shard-store"
     compact_shards(store_dir.parent / "spill", dest,
                    target_shard_edges=local_store.total_edges // 2 + 1)
+    return dest
+
+
+@pytest.fixture(scope="module")
+def many_shard_store(store_dir):
+    """The module's spill recompacted into shards of 300 edges."""
+    dest = store_dir.parent / "many-shard-store"
+    compact_shards(store_dir.parent / "spill", dest, target_shard_edges=300)
     return dest
 
 
@@ -708,10 +726,15 @@ def _inner_vertex(store: ShardStore, index: int) -> int:
 class TestStoreCallPaths:
     def test_warm_server_runs_every_store_call_inline(self, two_shard_store,
                                                       local_store):
+        """On a warm two-shard store every primitive call runs on the loop
+        without yielding; only the egonet plan, whose two gathers may make
+        three visits, yields once."""
         with ThreadedServer(two_shard_store, cache_shards=8) as fresh:
+            log = logged_steps(fresh.server.store)
             with QueryClient(fresh.host, fresh.port) as c:
                 n = c.n_vertices
-                c.edges_in_range(0, n)  # cold: both shards decode on the pool
+                c.edges_in_range(0, n)  # cold: one yield before each decode
+                assert log == [["edges_in_range", 2]]
                 c.reset_stats()
                 v, vs = 37, [3, 90, 400, 5]
                 assert c.degree(v) == local_store.degree(v)
@@ -735,59 +758,59 @@ class TestStoreCallPaths:
                 stats = fresh.server.stats()
                 prometheus = c.metrics()["prometheus"]
         assert fresh.server.store.n_shards == 2
-        assert stats["server"]["store_calls"] == {"inline": 9, "pool": 0}
+        calls = log[1:]
+        assert len(calls) == 9, calls
+        assert all(yields == 0 for method, yields in calls
+                   if method != "egonet_edges"), calls
+        assert [yields for method, yields in calls
+                if method == "egonet_edges"] in ([0], [1])
         assert stats["store"]["shard_reads"] == 0
-        assert 'serve_store_calls{path="inline"} 9' in prometheus
-        # The metrics snapshot has no source window: not a store call.
-        assert 'serve_store_calls{path="pool"} 0' in prometheus
+        assert "store_calls" not in stats["server"]
+        assert "serve_store_calls" not in prometheus
 
-    def test_cold_batch_runs_on_the_pool(self, store_dir, local_store):
+    def test_cold_batch_yields_before_each_decode(self, store_dir,
+                                                  local_store):
         with ThreadedServer(store_dir, cache_shards=2) as fresh:
+            log = logged_steps(fresh.server.store)
             with QueryClient(fresh.host, fresh.port) as c:
                 vertices = np.arange(0, c.n_vertices, 7)
                 assert np.array_equal(c.degrees(vertices),
                                       local_store.degrees(vertices))
             stats = fresh.server.stats()
         assert stats["store"]["n_shards"] > stats["store"]["cache_shards"]
-        assert stats["server"]["store_calls"] == {"inline": 0, "pool": 1}
         assert stats["store"]["shard_reads"] == stats["store"]["n_shards"]
+        assert log == [["degrees", stats["store"]["n_shards"]]]
 
-    def test_warm_call_over_more_than_two_shards_runs_on_the_pool(
+    def test_warm_call_over_more_than_two_shards_yields_every_two_visits(
             self, store_dir, local_store):
-        """Cached or not, a call whose window overlaps three shards copies
-        too much for the loop: it runs on the pool."""
+        """Cached or not, a call that visits three shards hands the loop
+        back once, after the first two."""
         a, b, c3 = (_inner_vertex(local_store, i) for i in range(3))
         with ThreadedServer(store_dir, cache_shards=10_000) as fresh:
             with QueryClient(fresh.host, fresh.port) as c:
                 c.edges_in_range(0, c.n_vertices)  # every shard cached
                 c.reset_stats()
+                log = logged_steps(fresh.server.store)
                 for lo, hi in ((a, b + 1), (a, c3 + 1)):
                     assert np.array_equal(
                         c.edges_in_range(lo, hi, with_payload=True),
                         local_store.edges_in_range(lo, hi,
                                                    with_payload=True))
             stats = fresh.server.stats()
-        assert stats["server"]["store_calls"] == {"inline": 1, "pool": 1}
+        assert log == [["edges_in_range", 0], ["edges_in_range", 1]]
         assert stats["store"]["shard_reads"] == 0
 
-    def test_eviction_between_check_and_call_decodes_inline(self, store_dir,
-                                                            local_store):
-        """A pool thread may evict a shard after the check said inline: the
-        inline call then decodes on the loop, answers byte-equal, counts
-        one shard read, and its decode span nests under the serve span."""
+    def test_cold_decode_span_nests_under_the_serve_span(self, store_dir,
+                                                         local_store):
+        """A call whose shard was evicted decodes it on the loop, inside
+        the request's task: the answer is byte-equal, it counts one shard
+        read, and its decode span nests under the serve span."""
         v = _inner_vertex(local_store, 1)
         with ThreadedServer(store_dir, cache_shards=8) as fresh:
             store = fresh.server.store
             with QueryClient(fresh.host, fresh.port) as c:
                 c.degrees([v])  # v's shard is cached now
-                checked = store.cached
-
-                def check_then_evict(lo, hi, **bound):
-                    warm = checked(lo, hi, **bound)
-                    store.clear_cache()  # the race, made certain
-                    return warm
-
-                store.cached = check_then_evict
+                store.clear_cache()
                 c.reset_stats()
                 with trace.start_trace("evicted", TraceRecorder()) as t:
                     rows = c.edges_for_sources([v], with_payload=True)
@@ -795,11 +818,80 @@ class TestStoreCallPaths:
             stats = fresh.server.stats()
         assert np.array_equal(
             rows, local_store.edges_for_sources([v], with_payload=True))
-        assert stats["server"]["store_calls"] == {"inline": 1, "pool": 0}
         assert stats["store"]["shard_reads"] == 1
         by_name = {s["name"]: s for s in spans}
         assert (by_name["store.decode"]["parent"]
                 == by_name["serve.edges_for_sources"]["span"])
+
+    def test_one_shard_range_answered_before_a_cold_scan(
+            self, many_shard_store, monkeypatch):
+        """Cold calls from different connections interleave their decodes
+        instead of queueing: a one-shard ``edges_in_range`` sent while a
+        ``degrees`` over every shard is in flight is answered first, and
+        reads its own shard, long before the scan gets there.  The scan's
+        first decode waits until the range request is sent, and every
+        decode takes 20 ms, so the order owes nothing to luck."""
+        from repro.store import query as store_query
+
+        entered, sent = threading.Event(), threading.Event()
+        load = store_query._load_shard_file
+
+        def slow_load(*args, **kwargs):
+            entered.set()
+            assert sent.wait(30)
+            time.sleep(0.02)
+            return load(*args, **kwargs)
+
+        local_store = ShardStore(many_shard_store)
+        assert local_store.n_shards >= 20
+        v = _inner_vertex(local_store, local_store.n_shards - 1)
+        vertices = np.arange(local_store.n_vertices)
+        monkeypatch.setattr(store_query, "_load_shard_file", slow_load)
+        done = {}
+        with ThreadedServer(many_shard_store, cache_shards=2) as fresh:
+            with QueryClient(fresh.host, fresh.port) as scan, \
+                    _raw_socket(fresh) as point:
+                scan.hello()
+                protocol.write_frame(point, protocol.request_frame("hello"))
+                assert protocol.read_frame(point)["ok"]
+
+                def run_scan():
+                    degrees = scan.degrees(vertices)
+                    done["degrees"] = time.perf_counter(), degrees
+
+                scanner = threading.Thread(target=run_scan)
+                scanner.start()
+                assert entered.wait(30)  # the scan is decoding
+                protocol.write_frame(point, protocol.request_frame(
+                    "edges_in_range", {"lo": v, "hi": v + 1}))
+                sent.set()
+                answer = protocol.read_frame(point)
+                done["edges_in_range"] = time.perf_counter(), answer
+                scanner.join(timeout=60)
+            stats = fresh.server.stats()
+        assert not scanner.is_alive()
+        # The scan has about 20 decodes of 20 ms left when the range lands.
+        assert done["edges_in_range"][0] + 0.2 < done["degrees"][0]
+        assert answer["ok"]
+        assert (answer["result"]["n_edges"]
+                == local_store.edges_in_range(v, v + 1).shape[0] > 0)
+        assert np.array_equal(done["degrees"][1],
+                              local_store.degrees(vertices))
+        assert stats["store"]["shard_reads"] == local_store.n_shards + 1
+
+    def test_cold_scan_runs_on_one_thread(self, store_dir, local_store):
+        with ThreadedServer(store_dir, cache_shards=2) as fresh:
+            with QueryClient(fresh.host, fresh.port) as c:
+                c.hello()
+                threads = threading.active_count()
+                vertices = np.arange(c.n_vertices)
+                assert np.array_equal(c.degrees(vertices),
+                                      local_store.degrees(vertices))
+                assert np.array_equal(c.edges_in_range(0, c.n_vertices),
+                                      local_store.edges_in_range(
+                                          0, local_store.n_vertices))
+                assert threading.active_count() <= threads
+            assert fresh.server.stats()["store"]["evictions"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -875,29 +967,13 @@ class TestGracefulStop:
                 writer.close()
         asyncio.run(main())
 
-    def test_overlapping_stops_wait_for_the_pool_to_shut_down(
-            self, store_dir, monkeypatch):
-        """Two overlapping ``stop()`` calls while a cold call holds the
-        decode pool, its shard read blocked in a hook: neither call may
-        return before the pool is shut down, so both are still waiting
-        while the read is held, and both return once it is released."""
-        from repro.store import query as store_query
-
-        entered, release, decoded = (threading.Event(), threading.Event(),
-                                     threading.Event())
-        load = store_query._load_shard_file
-
-        def held_load(*args, **kwargs):
-            entered.set()
-            assert release.wait(30)
-            rows = load(*args, **kwargs)
-            decoded.set()
-            return rows
-
-        monkeypatch.setattr(store_query, "_load_shard_file", held_load)
-
+    def test_overlapping_stops_wait_for_the_in_flight_call(self, store_dir):
+        """Two overlapping ``stop()`` calls while a store call is held in
+        flight on the loop: neither may return before that call has
+        finished, so both are still waiting while it is held, and both
+        return once it is released."""
         async def main():
-            server = ShardStoreServer(store_dir, cache_shards=2)
+            server = _HeldServer(store_dir, cache_shards=2)
             await server.start()
             reader, writer = await asyncio.open_connection(server.host,
                                                            server.port)
@@ -906,37 +982,26 @@ class TestGracefulStop:
                     "edges_in_range",
                     {"lo": 0, "hi": server.store.n_vertices})))
                 await writer.drain()
-                assert await asyncio.to_thread(entered.wait, 30)
-                stops = [asyncio.ensure_future(server.stop(grace_s=0.1))
+                assert await asyncio.to_thread(server.entered.wait, 30)
+                stops = [asyncio.ensure_future(server.stop(grace_s=30))
                          for _ in range(2)]
                 done, _ = await asyncio.wait(stops, timeout=1.0)
-                release.set()
+                server.release()
                 await asyncio.gather(*stops)
-                return len(done)
+                return len(done), server.finished.is_set()
             finally:
-                release.set()
+                server.release()
                 writer.close()
 
-        returned_early = asyncio.run(main())
+        returned_early, finished = asyncio.run(main())
         assert returned_early == 0, \
-            "a stop() returned before the pool shut down"
-        assert decoded.is_set()
+            "a stop() returned before the in-flight call finished"
+        assert finished
 
     def test_in_flight_request_answered_while_idle_connections_close(
             self, store_dir, local_store):
-        with ThreadedServer(store_dir, cache_shards=8) as fresh:
-            store = fresh.server.store
-            in_flight, release = threading.Event(), threading.Event()
-            degrees = store.degrees
-
-            def held_degrees(vs):
-                in_flight.set()
-                assert release.wait(30)
-                return degrees(vs)
-
-            store.degrees = held_degrees
-            # The pool, so the loop stays free.
-            store.cached = lambda lo, hi, **bound: False
+        with ThreadedServer(store_dir, server_cls=_HeldServer,
+                            cache_shards=8) as fresh:
             results = {}
 
             def request():
@@ -948,10 +1013,10 @@ class TestGracefulStop:
                 assert protocol.read_frame(idle)["ok"]  # parked between frames
                 worker = threading.Thread(target=request)
                 worker.start()
-                assert in_flight.wait(30)
+                assert fresh.server.entered.wait(30)
                 fresh.server.request_stop()
                 assert idle.recv(1) == b""  # closed while the request runs
-                release.set()
+                fresh.server.release()
                 worker.join(30)
         assert not worker.is_alive()
         assert np.array_equal(results["degrees"],

@@ -492,64 +492,175 @@ class TestShardStoreIO:
                               product.degrees())
 
 
+def _drive(steps, log=None):
+    """Run a store call's steps to the end, appending ``"yield"`` to *log*
+    at each yield; the call's answer."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
+        if log is not None:
+            log.append("yield")
+
+
+def _yields(store, method, *args, **kwargs) -> int:
+    """How many times the steps of one store call yield."""
+    log = []
+    _drive(store.steps(method, *args, **kwargs), log)
+    return len(log)
+
+
+def _inner_vertices(store, count: int):
+    """A vertex only shard *i* holds rows of, for each of the first
+    *count* shards."""
+    vertices = []
+    for shard in store.manifest["shards"][:count]:
+        vertex = (shard["src_min"] + shard["src_max"]) // 2
+        assert shard["src_min"] < vertex < shard["src_max"]
+        vertices.append(vertex)
+    return vertices
+
+
 class TestCachedCheck:
-    """``cached(lo, hi)`` tells the server whether a call may run on its
-    event loop: every shard overlapping the window is in the LRU.  It
-    decodes nothing, counts nothing and leaves the LRU order alone."""
+    """Each visit of a store call's steps checks the LRU first: a shard it
+    must decode, or a third visit since the last yield, makes the steps
+    yield before it, so a call runs without yielding only when it visits
+    at most two shards, all cached."""
 
     def test_empty_cache(self, store_dir):
         store = ShardStore(store_dir, cache_shards=4)
         assert store.n_shards > 2
-        assert not store.cached(0, 0)
-        assert not store.cached(0, store.n_vertices - 1)
-        assert store.cached(0, -1)  # a window no shard overlaps
+        steps = store.steps("degrees", [0])
+        next(steps)  # the yield comes before the decode
         assert (store.shard_reads, store.cache_hits) == (0, 0)
         assert len(store._cache) == 0
+        assert _drive(steps).tolist() == [ShardStore(store_dir).degree(0)]
+        assert (store.shard_reads, store.cache_hits) == (1, 0)
+        # A call that visits no shard never yields.
+        assert _yields(store, "edges_in_range", 5, 5) == 0
+        assert _yields(store, "degrees", []) == 0
 
     def test_true_only_when_every_overlapping_shard_is_cached(self,
                                                                store_dir):
         store = ShardStore(store_dir, cache_shards=store_n(store_dir))
-        shard = store.manifest["shards"][1]
-        v = (shard["src_min"] + shard["src_max"]) // 2
+        v, w = _inner_vertices(store, 2)
         store.neighbors(v)
-        counters = (store.shard_reads, store.cache_hits)
-        order = list(store._cache)
-        assert store.cached(v, v)
-        assert not store.cached(0, store.n_vertices - 1)
-        assert (store.shard_reads, store.cache_hits) == counters
-        assert list(store._cache) == order
-        store.edges_in_range(0, store.n_vertices)
-        store.neighbors(v)  # v's shard is now the most recently used
-        counters = (store.shard_reads, store.cache_hits)
-        order = list(store._cache)
-        assert store.cached(0, store.n_vertices - 1)
-        assert store.cached(0, 0)
-        assert (store.shard_reads, store.cache_hits) == counters
-        assert list(store._cache) == order
+        reads = store.shard_reads
+        assert _yields(store, "edges_for_sources", [v]) == 0
+        # v's shard is cached, w's is not: one yield, before w's decode.
+        assert _yields(store, "edges_for_sources", [v, w]) == 1
+        assert store.shard_reads == reads + 1
+        assert _yields(store, "edges_for_sources", [w, v]) == 0
+        assert _yields(store, "egonet_edges", v) >= 1  # neighbours' shards
 
     def test_eviction_turns_it_false(self, store_dir):
         store = ShardStore(store_dir, cache_shards=1)
         store.degrees([0])
-        assert store.cached(0, 0)
+        assert _yields(store, "degrees", [0]) == 0
         store.degrees([store.n_vertices - 1])
-        assert not store.cached(0, 0)
-        assert store.cached(store.n_vertices - 1, store.n_vertices - 1)
+        assert _yields(store, "degrees", [0]) == 1
+        assert _yields(store, "degrees", [0]) == 0
 
     def test_max_shards_bounds_the_window(self, store_dir):
         store = ShardStore(store_dir, cache_shards=store_n(store_dir))
-        assert store.n_shards > 2
+        assert store.n_shards > 3
         store.edges_in_range(0, store.n_vertices)  # every shard cached
-        counters = (store.shard_reads, store.cache_hits)
-        inner = []
-        for shard in store.manifest["shards"][:3]:
-            vertex = (shard["src_min"] + shard["src_max"]) // 2
-            assert shard["src_min"] < vertex < shard["src_max"]
-            inner.append(vertex)
-        assert store.cached(inner[0], inner[1], max_shards=2)
-        assert not store.cached(inner[0], inner[2], max_shards=2)
-        assert store.cached(inner[0], inner[2], max_shards=3)
-        assert store.cached(inner[0], inner[2])
-        assert (store.shard_reads, store.cache_hits) == counters
+        reads = store.shard_reads
+        inner = _inner_vertices(store, 3)
+        assert _yields(store, "edges_in_range", inner[0], inner[1] + 1) == 0
+        assert _yields(store, "edges_in_range", inner[0], inner[2] + 1) == 1
+        assert _yields(store, "degrees", inner) == 1
+        assert (_yields(store, "edges_in_range", 0, store.n_vertices)
+                == (store.n_shards - 1) // 2)
+        assert store.shard_reads == reads
+
+
+class TestStoreSteps:
+    """The step rule, for every batch primitive and plan on a store behind
+    a 2-shard LRU: between two yields a call reads at most one shard file
+    and visits at most two shards, and the stepped answer is byte-equal to
+    the synchronous one."""
+
+    @pytest.fixture
+    def payload_dir(self, tmp_path, store_dir):
+        rows = ShardStore(store_dir).edges_in_range(0, 10 ** 9)
+        rows = np.column_stack([rows, rows[:, 0] * 7 + rows[:, 1]])
+        n_vertices = read_shard_manifest(store_dir)["n_vertices"]
+        return _payload_store(tmp_path / "payload", rows, n_vertices,
+                              target_shard_edges=1500)
+
+    @staticmethod
+    def _calls(store):
+        n = store.n_vertices
+        rng = np.random.default_rng(5)
+        vs = rng.integers(0, n, 40)
+        rows = store.edges_in_range(0, n)[::97]
+        return [("degrees", (vs,), {}), ("out_degrees", (vs,), {}),
+                ("edges_for_sources", (vs,), {"with_payload": True}),
+                ("edges_in_range", (0, n), {"with_payload": True}),
+                ("edges_in_range", (n // 3, n // 3 + 40), {}),
+                ("edge_payloads", (rows[:, 0], rows[:, 1]), {}),
+                ("subgraph_edges", (np.unique(vs),), {"with_payload": True}),
+                ("egonet_edges", (int(vs[0]),), {"with_payload": True}),
+                ("egonet_edges", (int(rows[-1, 0]),), {})]
+
+    def test_at_most_one_decode_and_two_visits_between_yields(
+            self, payload_dir, monkeypatch):
+        reference = ShardStore(payload_dir, cache_shards=store_n(payload_dir))
+        store = ShardStore(payload_dir, cache_shards=2)
+        assert store.n_shards > 4
+        log = []
+        load = query_mod._load_shard_file
+
+        def logged_load(*args, **kwargs):
+            log.append("load")
+            return load(*args, **kwargs)
+
+        visit = store._visit
+
+        def logged_visit(index, pace):
+            rows = yield from visit(index, pace)
+            log.append("visit")
+            return rows
+
+        monkeypatch.setattr(query_mod, "_load_shard_file", logged_load)
+        store._visit = logged_visit
+        for method, args, kwargs in self._calls(reference):
+            del log[:]
+            answer = _drive(store.steps(method, *args, **kwargs), log)
+            expected = getattr(reference, method)(*args, **kwargs)
+            if not isinstance(answer, tuple):
+                answer, expected = (answer,), (expected,)
+            for part, want in zip(answer, expected):
+                assert part.dtype == want.dtype == np.int64
+                assert np.array_equal(part, want), method
+            turns = " ".join(log).split("yield")
+            assert all(turn.count("load") <= 1 for turn in turns), (method,
+                                                                   log)
+            assert all(turn.count("visit") <= 2 for turn in turns), (method,
+                                                                    log)
+            # Every decode comes right after a yield.
+            assert all(i > 0 and log[i - 1] == "yield"
+                       for i, entry in enumerate(log) if entry == "load")
+            assert "load" in log, method
+        assert store.stats()["evictions"] > 0
+
+    def test_shard_decoded_while_a_call_waits_is_not_read_again(
+            self, store_dir):
+        """Two cold calls on one shard both yield before the decode; the
+        one resumed second finds the shard the first one read."""
+        store = ShardStore(store_dir, cache_shards=2)
+        first = store.steps("degrees", [1, 2])
+        second = store.steps("edges_for_sources", [1])
+        next(first)
+        next(second)
+        degrees = _drive(first)
+        rows = _drive(second)
+        assert (store.shard_reads, store.cache_hits) == (1, 1)
+        reference = ShardStore(store_dir)
+        assert np.array_equal(degrees, reference.degrees([1, 2]))
+        assert np.array_equal(rows, reference.edges_for_sources([1]))
 
 
 class TestCacheLookups:
