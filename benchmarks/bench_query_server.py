@@ -36,9 +36,11 @@ scalar degree path — a traced pass vs. a trace-disabled pass, best-of-N
 interleaved.
 
 The cold-path stress runs the same 8-client equivalence against a server
-whose LRU holds 2 shards and against a fleet whose workers hold 2 each,
-so cold calls from different connections interleave their shard decodes
-on one event loop; LRU evictions must show they ran cold.
+whose LRU holds 2 shards and against fleets whose workers hold 2 each —
+one reached over the wire, and the :class:`~repro.serve.LocalFleet` of
+``serve --fleet``, whose router calls its workers in process — so cold
+calls from different connections interleave their shard decodes on one
+event loop; LRU evictions must show they ran cold.
 
 PR 10 extends that bar to the continuous sampling profiler: a tier-1
 smoke arms the profiler over the wire (the ``profile`` op, toggled
@@ -61,7 +63,7 @@ from repro.core import KroneckerGraph
 from repro.graphs import NpyShardSink
 from repro.obs import TraceRecorder, trace
 from repro.parallel import distributed_generate
-from repro.serve import QueryClient, ThreadedServer
+from repro.serve import LocalFleet, QueryClient, ThreadedServer
 from repro.store import ShardStore, compact_shards
 from benchmarks._report import emit_bench_json, print_section
 
@@ -317,6 +319,38 @@ def test_query_router_cold_smoke(tmp_path, quick_mode):
     assert stats["store"]["evictions"] > 0
 
     print_section("Perf — range-routed fleet behind 2-shard LRUs "
+                  f"({'smoke' if quick_mode else 'full'})")
+    print(f"  equivalence: {requests:,} routed requests over "
+          f"{reference.n_shards} shards, every answer byte-equal "
+          f"({requests / elapsed:,.0f} requests/s); "
+          f"{stats['store']['shard_reads']} shard reads, "
+          f"{stats['store']['evictions']} evictions")
+
+
+def test_local_fleet_cold_smoke(tmp_path, quick_mode):
+    """Tier-1 cold-path stress through the fleet ``serve --fleet`` builds
+    (:class:`~repro.serve.LocalFleet`): the 8-client equivalence against 3
+    slice workers whose LRUs hold 2 shards each, all on the router's loop
+    and called in process.  Every routed answer is byte-equal, LRU
+    evictions show the calls ran cold, and no worker accepted a
+    connection."""
+    store_dir, _ = _cold_smoke_store(tmp_path, quick_mode)
+    reference = ShardStore(store_dir, cache_shards=8)
+    with ThreadedServer(store_dir, server_cls=LocalFleet, n_slices=3,
+                        cache_shards=2) as fleet:
+        requests, elapsed, failures = _concurrent_equivalence(
+            fleet, reference, n_clients=N_CLIENTS,
+            rounds=1 if quick_mode else 3, seed=13)
+        assert not failures, failures[:3]
+        with QueryClient(fleet.host, fleet.port) as client:
+            stats = client.stats()
+    assert stats["server"]["errors"] == 0
+    assert all(report["ok"] for report in stats["workers"])
+    assert all(report["stats"]["server"]["connections_total"] == 0
+               for report in stats["workers"])
+    assert stats["store"]["evictions"] > 0
+
+    print_section("Perf — in-process fleet behind 2-shard LRUs "
                   f"({'smoke' if quick_mode else 'full'})")
     print(f"  equivalence: {requests:,} routed requests over "
           f"{reference.n_shards} shards, every answer byte-equal "

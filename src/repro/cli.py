@@ -62,8 +62,9 @@ published artefacts of the paper:
     store call on the one event loop — a cold call hands the loop back
     between shard decodes — and concurrent scalar queries coalesced into
     batch calls).  With ``--fleet`` the router and every slice worker
-    serve on that one event loop, and the router awaits every routed
-    query and rollup there, so a routed request crosses no thread.  The
+    serve on that one event loop (:class:`~repro.serve.LocalFleet`), and
+    the router calls its workers in process, so a routed request crosses
+    no thread and no socket inside the process.  The
     loop's thread is named ``shard-serve``, so ``profile`` samples it
     under the ``event_loop`` role.  Stops gracefully on Ctrl-C or a
     client ``shutdown`` request, then prints the request/cache
@@ -126,17 +127,14 @@ import numpy as np
 from repro.graphs.io import (
     NpyShardSink,
     load_kronecker_bundle,
-    read_shard_manifest,
     save_kronecker_bundle,
     write_edge_shards,
 )
 from repro.serve import (
     PROTOCOL_VERSION,
-    FleetStore,
+    LocalFleet,
     QueryClient,
-    RangeRouter,
     ShardStoreServer,
-    fleet_info_from_manifest,
 )
 from repro.serve.shaping import (
     shape_degree,
@@ -144,7 +142,7 @@ from repro.serve.shaping import (
     shape_neighbors,
     shape_range,
 )
-from repro.store import ShardStore, compact_shards, partition_manifest
+from repro.store import ShardStore, compact_shards
 
 if TYPE_CHECKING:
     from repro.graphs.adjacency import Graph
@@ -320,15 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 8; shared by every connection)")
     serve.add_argument("--fleet", type=int, default=None, metavar="N",
                        help="partition the store into N contiguous "
-                            "vertex-range slices, serve one in-process "
-                            "worker per slice replica, and serve a range "
-                            "router that fans batch queries out and merges "
-                            "the answers, all on one event loop (same "
-                            "protocol, byte-equal answers)")
-    serve.add_argument("--replicas", type=int, default=1, metavar="R",
-                       help="workers per slice with --fleet (default 1); "
-                            "a failed worker call is retried once against "
-                            "the next replica")
+                            "vertex-range slices, serve one worker per "
+                            "slice, and serve a range router that calls "
+                            "them in process and merges the answers, all "
+                            "on one event loop (same protocol, byte-equal "
+                            "answers)")
     serve.add_argument("--slow-ms", type=float, default=None, metavar="MS",
                        help="slow-request threshold in milliseconds: slower "
                             "requests count in serve.slow_queries and emit a "
@@ -764,55 +758,27 @@ def _serve_on_this_thread(main) -> None:
 def _serve_fleet(args: argparse.Namespace) -> int:
     if args.fleet < 1:
         raise SystemExit("--fleet needs at least 1 worker")
-    if args.replicas < 1:
-        raise SystemExit("--replicas needs at least 1 worker per slice")
     with _opening_store(args.store):
-        slices = partition_manifest(args.store, n_slices=args.fleet)
-        info = fleet_info_from_manifest(read_shard_manifest(args.store))
-    summary: dict = {}
+        fleet = LocalFleet(args.store, n_slices=args.fleet,
+                           cache_shards=args.cache, host=args.host,
+                           port=args.port,
+                           slow_query_us=_slow_query_us(args))
 
     async def _run() -> None:
-        # The slice workers serve on the router's own loop: a routed
-        # request crosses no thread.
-        workers: List[ShardStoreServer] = []
-        try:
-            spec = []
-            for entry in slices:
-                addresses = []
-                for _ in range(args.replicas):
-                    worker = ShardStoreServer(entry["directory"],
-                                              cache_shards=args.cache)
-                    await worker.start()
-                    workers.append(worker)
-                    addresses.append(f"{worker.host}:{worker.port}")
-                spec.append({"src_lo": entry["src_lo"],
-                             "src_hi": entry["src_hi"],
-                             "addresses": addresses})
-            router = RangeRouter(FleetStore(spec, info), host=args.host,
-                                 port=args.port,
-                                 slow_query_us=_slow_query_us(args))
-            await router.start()
-            print(f"serving {args.store} on {router.host}:{router.port} "
-                  f"(fleet of {args.fleet} slice(s) x {args.replicas} "
-                  f"replica(s), {info['n_shards']} shards, "
-                  f"{info['total_edges']:,} edges, "
-                  f"protocol v{PROTOCOL_VERSION})",
-                  flush=True)
-            try:
-                await router.serve_until_stopped()
-            finally:
-                # Roll the final numbers up while the workers still
-                # answer, then close the connections the rollup opened.
-                summary.update(await router.fleet_stats())
-                await router.fleet.close()
-        finally:
-            for worker in workers:
-                await worker.stop()
+        await fleet.start()
+        print(f"serving {args.store} on {fleet.host}:{fleet.port} "
+              f"(fleet of {args.fleet} slice(s), "
+              f"{fleet.info['n_shards']} shards, "
+              f"{fleet.info['total_edges']:,} edges, "
+              f"protocol v{PROTOCOL_VERSION})",
+              flush=True)
+        await fleet.serve_until_stopped()
 
     try:
         _serve_on_this_thread(_run())
     except KeyboardInterrupt:
         print("\ninterrupted; router stopped")
+    summary = fleet.summary
     if summary:
         served = sum(summary["server"]["requests"].values())
         counters = summary["store"]

@@ -27,12 +27,14 @@ consumers no longer run in-process:
 * :mod:`repro.serve.router` — the horizontal-scale tier:
   :class:`RangeRouter` fronts N vertex-range slice workers
   (:func:`~repro.store.partition_manifest` slices), splitting batch
-  requests by manifest ranges, fanning out concurrently with one replica
-  failover retry, and merging answers in source order — byte-equal to a
-  single store, over the same protocol.
+  requests by manifest ranges, fanning out concurrently, and merging
+  answers in source order — byte-equal to a single store, over the same
+  protocol.  Workers on the router's own event loop
+  (:class:`LocalFleet`) are called in process; workers reached by
+  address get one replica failover retry.
 
 CLI: ``repro-kron serve STORE`` stands a server up (``--fleet N`` serves a
-router over N in-process slice workers);
+router over N slice workers on its own loop, a :class:`LocalFleet`);
 ``repro-kron query --connect HOST:PORT ...`` runs the same query surface
 remotely against either.
 """
@@ -46,6 +48,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.router import (
     FleetStore,
+    LocalFleet,
     RangeRouter,
     ThreadedRouter,
     fleet_info_from_manifest,
@@ -56,6 +59,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "FleetStore",
+    "LocalFleet",
     "ProtocolError",
     "QueryClient",
     "RangeRouter",

@@ -14,9 +14,8 @@ The construction is deliberately thin:
   (``degrees_async`` / ``edges_for_sources_async`` /
   ``edges_in_range_async`` / ``edge_payloads_async``) are coroutines: they
   split each request across the worker ranges, send the slices to their
-  workers concurrently over the same wire protocol (``asyncio.gather``
-  over asyncio stream connections, on the router's event loop), and merge
-  the answers back in source order.  ``egonet_edges_async`` /
+  workers concurrently (``asyncio.gather`` on the router's event loop), and
+  merge the answers back in source order.  ``egonet_edges_async`` /
   ``subgraph_edges_async`` await the plans of
   :class:`~repro.store.StoreQueryMixin` — the ``egonet`` and ``subgraph``
   definitions the local store drives on its shards — through those
@@ -30,18 +29,26 @@ The construction is deliberately thin:
   description) and ``stats`` (rolls per-worker stats up into a fleet
   answer) are overridden, as are ``reset_stats`` and the merged
   observability ops, each one awaited fan-out.
-* :class:`_WorkerChannel` owns one slice's wire connections: reused
-  asyncio streams against the preferred replica, and on a *transport*
+* :class:`_WorkerChannel` sends one slice's requests over one of two
+  transports, with one code path for spans, counters, the timeout and
+  failover.  A worker that runs on the router's own event loop — what
+  :class:`LocalFleet` and ``serve --fleet`` build — is called in process:
+  its :meth:`~repro.serve.ShardStoreServer.dispatch` serves the request
+  object the wire would have carried, and its answer arrives as live
+  objects, with no frame encoded, written or read.  A worker anywhere else
+  is reached by address over reused asyncio streams, and on a *transport*
   failure (``OSError``, :class:`~repro.serve.protocol.ProtocolError` or no
-  answer within the timeout — never a server-reported store error) it
-  retries the call **once** against the next replica address, then fails
+  answer within the timeout — never a server-reported store error) the
+  call is retried **once** against the next replica address, then fails
   with a worker-naming :class:`ConnectionError` that travels back to the
   router's client as an error frame on an intact connection.
 
 Routing is strict: a vertex is asked only of the worker whose *assigned*
 half-open range contains it, so a boundary shard listed by two slices is
 never served twice, and concatenating per-worker answers in range order *is*
-the global ``(src, dst)`` sort order.
+the global ``(src, dst)`` sort order.  The router only reads the arrays of
+a worker's answer: an in-process answer may be a read-only view of the
+worker's mapped shard rows.
 
 Telemetry (PR 8): per-worker call/failover/failure counters are
 ``fleet.worker_*{worker=<index>}`` series in the fleet's
@@ -52,8 +59,7 @@ under a ``fleet.worker_call`` trace span — a failed primary attempt records
 concurrent worker call is an asyncio task, which runs in a copy of the
 request's context, so the spans parent under the routed request without
 any explicit context copy.  The router's ``trace`` op merges its own spans
-with each worker's (fetched over the wire), so one routed query answers
-with the whole tree.
+with each worker's, so one routed query answers with the whole tree.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.graphs.io import read_shard_manifest
 from repro.obs import (
     EventLog,
     MetricsRegistry,
@@ -78,9 +85,10 @@ from repro.serve.server import (
     _arg,
     _rows_per_vertex,
 )
+from repro.store.partition import partition_manifest
 from repro.store.query import StoreQueryMixin
 
-__all__ = ["FleetStore", "RangeRouter", "ThreadedRouter",
+__all__ = ["FleetStore", "LocalFleet", "RangeRouter", "ThreadedRouter",
            "fleet_info_from_manifest"]
 
 #: Failures of the transport, not of the store: the exchange may have left
@@ -101,27 +109,24 @@ def fleet_info_from_manifest(manifest: dict) -> dict:
     }
 
 
-class _WorkerConnection:
-    """One connection to a worker: an asyncio stream pair, used only on
-    the router's event loop.
+def _result(response: dict) -> dict:
+    """A response object's ``result``; an error answer is re-raised as the
+    matching exception, as :class:`~repro.serve.QueryClient` does."""
+    if not response.get("ok"):
+        protocol.raise_error(response.get("error", {}))
+    return response.get("result", {})
 
-    :meth:`request` is the wire exchange of
-    :class:`~repro.serve.QueryClient` — one request frame out, the control
-    frame and its binary frame back, an error frame re-raised as the
-    matching exception — and, under an active trace, a ``client.<op>``
-    leaf span whose id is stamped on the frame so the worker parents its
-    spans under it.
+
+class _Transport:
+    """How a :class:`_WorkerChannel` reaches one worker, used only on the
+    router's event loop.
+
+    :meth:`request` builds the request object a
+    :class:`~repro.serve.QueryClient` would send and, under an active trace,
+    opens a ``client.<op>`` leaf span whose id is stamped on it, so the
+    worker parents its spans under it; :meth:`_roundtrip` carries the
+    request to the worker and returns the answer's ``result``.
     """
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
-        self.reader = reader
-        self.writer = writer
-
-    @classmethod
-    async def open(cls, endpoint: Tuple[str, int]) -> "_WorkerConnection":
-        # asyncio sets TCP_NODELAY on the socket itself.
-        return cls(*await asyncio.open_connection(*endpoint))
 
     async def request(self, op: str, args: Optional[dict]) -> dict:
         frame = protocol.request_frame(op, args)
@@ -139,6 +144,50 @@ class _WorkerConnection:
         return answer
 
     async def _roundtrip(self, frame: dict) -> dict:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release the transport (nothing to release in process)."""
+
+    async def wait_closed(self) -> None:
+        """Wait until :meth:`close` took effect."""
+
+
+class _InProcessWorker(_Transport):
+    """A worker on the router's own event loop, called in process.
+
+    The worker's :meth:`~repro.serve.ShardStoreServer.dispatch` serves the
+    request object through its ordinary path — counters, latency
+    histograms, spans and answer shapes as for a wire request — in the
+    router's task.  The answer arrives as the worker's live objects: its
+    arrays may be read-only views of mapped shard rows, and its rollup
+    sections are the worker's own dicts, so the router only reads them.
+    """
+
+    def __init__(self, worker: ShardStoreServer):
+        self.worker = worker
+
+    async def _roundtrip(self, frame: dict) -> dict:
+        return _result(await self.worker.dispatch(frame))
+
+
+class _WorkerConnection(_Transport):
+    """One connection to a worker reached by address: an asyncio stream
+    pair.  A round trip is the wire exchange of
+    :class:`~repro.serve.QueryClient` — one request frame out, the control
+    frame and its binary frame back."""
+
+    def __init__(self, reader: asyncio.StreamReader,
+                 writer: asyncio.StreamWriter):
+        self.reader = reader
+        self.writer = writer
+
+    @classmethod
+    async def open(cls, endpoint: Tuple[str, int]) -> "_WorkerConnection":
+        # asyncio sets TCP_NODELAY on the socket itself.
+        return cls(*await asyncio.open_connection(*endpoint))
+
+    async def _roundtrip(self, frame: dict) -> dict:
         self.writer.write(protocol.encode_frame(frame))
         await self.writer.drain()
         response = await protocol.read_frame_async(self.reader)
@@ -149,10 +198,8 @@ class _WorkerConnection:
         if slots:
             protocol.place_arrays(
                 slots, await protocol.read_binary_frame_async(self.reader))
-        if not response.get("ok"):
-            # One frame per error: the stream stays in sync.
-            protocol.raise_error(response.get("error", {}))
-        return response.get("result", {})
+        # One frame per error: the stream stays in sync.
+        return _result(response)
 
     def close(self) -> None:
         self.writer.close()
@@ -165,8 +212,16 @@ class _WorkerConnection:
 
 
 class _WorkerChannel:
-    """One slice's wire channel: reused connections over the slice's
-    replica addresses, with one failover retry per call.
+    """One slice's channel: its requests, over the transport its worker
+    needs, with one failover retry per call.
+
+    *addresses* holds the slice's replicas.  A ``"host:port"`` address is
+    reached over the wire; a started
+    :class:`~repro.serve.ShardStoreServer` — the slice's only replica — is
+    called in process, and must run on the router's own event loop (a call
+    raises a :class:`RuntimeError` otherwise: reach such a worker by its
+    address).  In process, the worker keeps its listener, and its
+    ``host:port`` names it in ``hello``, ``stats``, events and errors.
 
     ``await call(op, args)`` sends one request to the *preferred* replica.
     On a transport failure — ``OSError``, a
@@ -177,21 +232,22 @@ class _WorkerChannel:
     back up); a second failure raises a :class:`ConnectionError` naming the
     worker, its range, and both failed attempts.  A successful failover
     makes the surviving replica preferred, so later calls do not re-pay the
-    dead primary's timeout.
+    dead primary's timeout.  An in-process call has no transport that can
+    fail, so only its timeout can retry it.
 
-    The connections are asyncio streams used only on the router's event
-    loop, so the channel needs no lock.  A connection goes back to the
-    idle list only when its exchange ended in sync: with an answer, or
-    with an error frame the worker reported (a store ``ValueError`` — not
-    a transport failure, so it propagates and is never retried on a
-    replica, where it would fail identically).  A connection whose exchange
-    was interrupted — by a transport error, the timeout or a cancellation
-    — is closed, never checked back in: a late answer on it would be read
-    as the next request's.
+    Transports are used only on the router's event loop, so the channel
+    needs no lock.  A transport goes back to the idle list only when its
+    exchange ended in sync: with an answer, or with an error answer the
+    worker reported (a store ``ValueError`` — not a transport failure, so
+    it propagates and is never retried on a replica, where it would fail
+    identically).  A connection whose exchange was interrupted — by a
+    transport error, the timeout or a cancellation — is closed, never
+    checked back in: a late answer on it would be read as the next
+    request's.
     """
 
     def __init__(self, index: int, src_lo: int, src_hi: int,
-                 addresses: Sequence[str], *,
+                 addresses: Sequence, *,
                  timeout: Optional[float] = 30.0,
                  registry: Optional[MetricsRegistry] = None,
                  events: Optional[EventLog] = None):
@@ -200,12 +256,21 @@ class _WorkerChannel:
         self.index = int(index)
         self.src_lo = int(src_lo)
         self.src_hi = int(src_hi)
-        self.addresses = [str(address) for address in addresses]
-        self._endpoints = [parse_address(address)
-                           for address in self.addresses]
+        self.in_process = any(isinstance(replica, ShardStoreServer)
+                              for replica in addresses)
+        if self.in_process and len(addresses) > 1:
+            raise ValueError(
+                f"worker {index}: an in-process worker is its slice's only "
+                f"replica (it shares the router's process and loop, so no "
+                f"failover could reach another)")
+        self.addresses = [
+            f"{replica.host}:{replica.port}" if self.in_process
+            else str(replica) for replica in addresses]
+        self._replicas = list(addresses) if self.in_process else [
+            parse_address(address) for address in self.addresses]
         self.timeout = timeout
         self._events = events if events is not None else EventLog()
-        self._idle: List[Tuple[int, _WorkerConnection]] = []
+        self._idle: List[Tuple[int, _Transport]] = []
         self._preferred = 0
         registry = registry if registry is not None else MetricsRegistry()
         self._calls = registry.counter("fleet.worker_calls",
@@ -227,8 +292,8 @@ class _WorkerChannel:
     def failures(self) -> int:
         return self._failures.value
 
-    def _checkout(self) -> Optional[_WorkerConnection]:
-        """An idle connection to the preferred replica, or ``None``."""
+    def _checkout(self) -> Optional[_Transport]:
+        """An idle transport to the preferred replica, or ``None``."""
         while self._idle:
             address_index, connection = self._idle.pop()
             if address_index == self._preferred:
@@ -236,12 +301,25 @@ class _WorkerChannel:
             connection.close()  # pooled connection to a demoted replica
         return None
 
+    async def _connect(self, address_index: int) -> _Transport:
+        """A new transport to one replica: the worker itself when it runs
+        in process, else a new connection to its address."""
+        replica = self._replicas[address_index]
+        if not self.in_process:
+            return await _WorkerConnection.open(replica)
+        if replica.loop is not asyncio.get_running_loop():
+            raise RuntimeError(
+                f"worker {self.index} ({self.addresses[address_index]}) "
+                f"does not run on the router's event loop; a worker on "
+                f"another loop is reached by its address")
+        return _InProcessWorker(replica)
+
     async def _attempt(self, address_index: int,
-                       connection: Optional[_WorkerConnection],
+                       connection: Optional[_Transport],
                        op: str, args: Optional[dict], **attrs) -> dict:
         """One request to one replica — on *connection*, or on a new one —
         under its own ``fleet.worker_call`` trace span and within
-        *timeout*.  The connection is checked back in only when the
+        *timeout*.  The transport is checked back in only when the
         exchange ended in sync."""
         address = self.addresses[address_index]
         deadline = asyncio.timeout(self.timeout)
@@ -252,8 +330,7 @@ class _WorkerChannel:
                 try:
                     async with deadline:
                         if connection is None:
-                            connection = await _WorkerConnection.open(
-                                self._endpoints[address_index])
+                            connection = await self._connect(address_index)
                         result = await connection.request(op, args)
                 except TimeoutError:
                     if not deadline.expired():
@@ -342,7 +419,11 @@ class FleetStore(StoreQueryMixin):
         ``{"src_lo", "src_hi", "addresses": ["host:port", ...]}``.  The
         assigned half-open ranges must tile ``[0, n_vertices)`` exactly
         (empty ``lo == hi`` slices are legal and never routed to); the
-        first address is the primary, the rest are failover replicas.
+        first address is the primary, the rest are failover replicas.  In
+        place of its addresses a slice may list one started
+        :class:`~repro.serve.ShardStoreServer` on the router's event loop,
+        which is then called in process (:class:`LocalFleet` builds such
+        a fleet).
     info:
         The parent store's description
         (:func:`fleet_info_from_manifest`) — the fleet answers ``hello`` /
@@ -543,9 +624,10 @@ class FleetStore(StoreQueryMixin):
             calls=[c.calls for c in self._channels],
             failovers=[c.failovers for c in self._channels])
 
-    async def _broadcast_async(self, op: str,
-                               args: Optional[dict] = None) -> List[tuple]:
-        """Send one wire op to every worker concurrently and return
+    async def _broadcast_async(self, op: str, args: Optional[dict] = None,
+                               *, wire_only: bool = False) -> List[tuple]:
+        """Send one wire op to every worker — with *wire_only*, to every
+        worker not called in process — concurrently and return
         ``(channel, answer, error)`` per worker, in worker order, with
         exactly one of *answer* / *error* set.  An unreachable worker
         yields its channel error — naming the worker, its range and both
@@ -556,11 +638,13 @@ class FleetStore(StoreQueryMixin):
                 return channel, await channel.call(op, args), None
             except Exception as exc:
                 return channel, None, exc
-        return await asyncio.gather(*(ask(c) for c in self._channels))
+        return await asyncio.gather(
+            *(ask(c) for c in self._channels
+              if not (wire_only and c.in_process)))
 
     async def close(self) -> None:
         """Close every idle worker connection, on the router's loop (the
-        router does this when it stops)."""
+        router does this when it stops; in-process workers have none)."""
         for channel in self._channels:
             await channel.close()
 
@@ -585,12 +669,13 @@ class RangeRouter(ShardStoreServer):
     frames — is inherited.  Every store call — the primitive ops,
     ``egonet`` and ``subgraph``, and the coalesced ``degree`` /
     ``neighbors`` flushes — awaits the fleet's coroutine right on the
-    event loop: the router's worker connections are asyncio streams, so
-    the loop waits, it never blocks.  ``stats`` becomes the per-worker
-    rollup, ``reset_stats`` fans out to every worker, and ``trace`` /
-    ``profile`` / ``events`` / ``health`` widen into fleet-merged answers,
-    each built from one awaited :meth:`FleetStore._broadcast_async` and
-    naming the workers it could not reach.  Like every server the router
+    event loop: a worker is either called in process on that loop or
+    reached over an asyncio stream, so the loop waits, it never blocks.
+    ``stats`` becomes the per-worker rollup, ``reset_stats`` fans out to
+    every worker, and ``trace`` / ``profile`` / ``events`` / ``health``
+    widen into fleet-merged answers, each built from one awaited
+    :meth:`FleetStore._broadcast_async` and naming the workers it could
+    not reach.  Like every server the router
     runs on one thread, with no pool.  The fleet's registry is adopted as
     the router's, so ``metrics`` serves the ``fleet.worker_*`` series
     alongside the inherited ``serve.*`` ones.  The router closes the
@@ -682,16 +767,20 @@ class RangeRouter(ShardStoreServer):
             trace_id, spans, missing_workers=_missing_workers(replies))
 
     async def _op_profile(self, args: dict) -> dict:
-        """The fleet ``profile`` rollup: apply the action on every worker,
-        then on the router itself, and answer with the merged aggregate.
+        """The fleet ``profile`` rollup: apply the action on every worker
+        reached over the wire, then on the router itself, and answer with
+        the merged aggregate.
 
-        The workers act *before* the router, so after a fleet-wide
-        ``stop`` every aggregate in the sum is frozen — the merged answer
-        equals the router's own profile plus each worker's directly
-        fetched snapshot, exactly."""
+        A profiler samples every thread of its process, so the router's
+        own sampler already sees the frames of its in-process workers:
+        they are neither armed nor added, or each stack would count once
+        per sampler.  The workers act *before* the router, so after a
+        fleet-wide ``stop`` every aggregate in the sum is frozen — the
+        merged answer equals the router's own profile plus each wire
+        worker's directly fetched snapshot, exactly."""
         action, hz, collapsed = self._profile_args(args)
         replies = await self.fleet._broadcast_async(
-            "profile", {"action": action, "hz": hz})
+            "profile", {"action": action, "hz": hz}, wire_only=True)
         self._apply_profile_action(action, hz)
         own = self.profiler.snapshot()
         merged = own + sum((ProfileStats.from_dict(answer["profile"])
@@ -728,6 +817,82 @@ class RangeRouter(ShardStoreServer):
             status="degraded" if down else "ok",
             fleet={"workers": self.fleet.n_workers, "down": len(down)},
             workers=reports, down=down, **self._health_sections())
+
+
+class LocalFleet:
+    """``serve --fleet``: a store cut into *n_slices* vertex-range slices
+    (:func:`~repro.store.partition_manifest`), one
+    :class:`~repro.serve.ShardStoreServer` per slice, and a
+    :class:`RangeRouter` in front, all on the running event loop, so the
+    router calls every worker in process.
+
+    Each worker keeps its own listener and address; the router never
+    connects to it.  The fleet has a server's lifecycle — :meth:`start`,
+    :meth:`serve_until_stopped`, :meth:`request_stop` and the router's
+    :attr:`host` / :attr:`port` — so
+    ``ThreadedServer(store_dir, server_cls=LocalFleet, n_slices=N)`` runs
+    one from synchronous code.  *router_kwargs* go to the router (bind
+    address, ``slow_query_us``, ...).
+    """
+
+    def __init__(self, store_dir, *, n_slices: int, cache_shards: int = 8,
+                 **router_kwargs):
+        self.slices = partition_manifest(store_dir, n_slices=n_slices)
+        self.info = fleet_info_from_manifest(read_shard_manifest(store_dir))
+        self.cache_shards = int(cache_shards)
+        self.workers: List[ShardStoreServer] = []
+        self.router: Optional[RangeRouter] = None
+        #: The final ``stats`` rollup, taken when the router stopped.
+        self.summary: Optional[dict] = None
+        self._router_kwargs = router_kwargs
+
+    async def start(self) -> None:
+        """Start one worker per slice, then the router over them."""
+        try:
+            for entry in self.slices:
+                worker = ShardStoreServer(entry["directory"],
+                                          cache_shards=self.cache_shards)
+                await worker.start()
+                self.workers.append(worker)
+            fleet = FleetStore(
+                [{"src_lo": entry["src_lo"], "src_hi": entry["src_hi"],
+                  "addresses": [worker]}
+                 for entry, worker in zip(self.slices, self.workers)],
+                self.info)
+            self.router = RangeRouter(fleet, **self._router_kwargs)
+            await self.router.start()
+        except BaseException:
+            await self._stop_workers()
+            raise
+
+    @property
+    def host(self) -> str:
+        return self.router.host
+
+    @property
+    def port(self) -> int:
+        return self.router.port
+
+    def request_stop(self) -> None:
+        """Ask the router to stop (safe from any thread)."""
+        self.router.request_stop()
+
+    async def serve_until_stopped(self) -> None:
+        """Serve until the router stops — :meth:`request_stop`, a
+        ``shutdown`` request or a cancellation — then roll the fleet's
+        final ``stats`` up into :attr:`summary` while the workers still
+        run, and stop them."""
+        try:
+            await self.router.serve_until_stopped()
+        finally:
+            try:
+                self.summary = await self.router.fleet_stats()
+            finally:
+                await self._stop_workers()
+
+    async def _stop_workers(self) -> None:
+        for worker in self.workers:
+            await worker.stop()
 
 
 class ThreadedRouter(ThreadedServer):

@@ -483,6 +483,12 @@ class ShardStoreServer:
         finally:
             await self.stop()
 
+    @property
+    def loop(self) -> Optional[asyncio.AbstractEventLoop]:
+        """The event loop this server runs on (``None`` before
+        :meth:`start`)."""
+        return self._loop
+
     async def __aenter__(self) -> "ShardStoreServer":
         await self.start()
         return self
@@ -541,7 +547,7 @@ class ShardStoreServer:
                     break
                 if frame is None:  # clean EOF, or woken by stop()
                     break
-                response = await self._dispatch(frame)
+                response = await self.dispatch(frame)
                 try:
                     parts = protocol.encode_parts(response)
                 except ProtocolError as exc:  # response exceeded the cap
@@ -585,9 +591,15 @@ class ShardStoreServer:
     #: ≤ 5% overhead budget.
     _LEAF_OPS = frozenset({"degree", "neighbors", "hello"})
 
-    async def _dispatch(self, frame: dict) -> dict:
-        """Serve one request frame and return its response object (an
+    async def dispatch(self, frame: dict) -> dict:
+        """Serve one request object and return its response object (an
         error frame for every failure).
+
+        Every connection's frames are served here, and so are the requests
+        of a range router that runs this server on its own event loop and
+        calls it in process: the request and the response are the objects
+        the wire would carry, without the framing, and the counters,
+        latency histograms and spans are the same.
 
         A request carrying the additive ``"trace"`` key
         (``{"id": <trace_id>, "span": <parent_span_id>}``) is served under
@@ -936,6 +948,10 @@ class ThreadedServer:
     ``with ThreadedServer(store_dir) as server:`` starts the event loop on a
     daemon thread, binds an ephemeral port (``server.host`` /
     ``server.port``), and tears everything down — gracefully — on exit.
+    *server_cls* (default :class:`ShardStoreServer`) is built on that
+    loop as ``server_cls(store, **kwargs)``: a
+    :class:`~repro.serve.RangeRouter`, or a
+    :class:`~repro.serve.LocalFleet` for the fleet of ``serve --fleet``.
     """
 
     def __init__(self, store, *, server_cls=None, **kwargs):

@@ -3,9 +3,13 @@
 :class:`FleetHarness` partitions a compacted store
 (:func:`repro.store.partition_manifest`), spawns one
 :class:`~repro.serve.ThreadedServer` worker per slice replica on ephemeral
-ports, and fronts them with a :class:`~repro.serve.ThreadedRouter` — the
-full range-routed fleet of ``serve --fleet``, in-process, torn down by
-``with``.  Fault injection hooks:
+ports, and fronts them with a :class:`~repro.serve.ThreadedRouter` — a
+range-routed fleet whose workers run on their own loops, so the router
+reaches them by address over the wire, torn down by ``with``.  (The fleet
+of ``serve --fleet`` is a :class:`~repro.serve.LocalFleet`, whose router
+calls its workers in process; ``ThreadedServer(store,
+server_cls=LocalFleet, n_slices=N)`` runs one.)  Replicas, failover and
+the fault injection hooks below need the wire:
 
 * :meth:`FleetHarness.kill` stops a worker mid-test (its port then refuses
   connections, the transport failure the router's channel must fail over);

@@ -25,6 +25,10 @@ Four layers of coverage, all through :class:`~tests._fleet_harness.FleetHarness`
   failover shows the failed attempt and its retry as sibling
   ``fleet.worker_call`` spans under the same trace id, and
   ``reset_stats`` fans out to every worker.
+
+The fleet ``serve --fleet`` builds — a :class:`~repro.serve.LocalFleet`,
+whose router calls its workers in process — is covered by
+``TestInProcessWorkers`` and the ``serve --fleet`` subprocess tests.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import asyncio
 import gc
 import json
 import logging
+import mmap
 import os
 import re
 import subprocess
@@ -59,7 +64,15 @@ from repro.graphs import NpyShardSink
 from repro.graphs.io import read_shard_manifest
 from repro.obs import TraceRecorder, trace
 from repro.parallel import distributed_generate
-from repro.serve import QueryClient, ServerError
+from repro.serve import (
+    FleetStore,
+    LocalFleet,
+    QueryClient,
+    RangeRouter,
+    ServerError,
+    ThreadedServer,
+    fleet_info_from_manifest,
+)
 from repro.store import ShardStore, compact_shards
 
 PAYLOAD = ("triangles", "trussness")
@@ -826,6 +839,169 @@ class TestFleetFlightRecorder:
 
 
 # ----------------------------------------------------------------------
+# In-process workers: the fleet `serve --fleet` builds (LocalFleet)
+# ----------------------------------------------------------------------
+def _local_fleet(store, **kwargs) -> ThreadedServer:
+    """A :class:`LocalFleet` — router and slice workers on one loop, the
+    workers called in process — on a background thread."""
+    return ThreadedServer(store, server_cls=LocalFleet, **kwargs)
+
+
+def _mapped(rows: np.ndarray) -> bool:
+    """Whether *rows* is a view of a memory-mapped shard."""
+    base = rows
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, mmap.mmap)
+
+
+class TestInProcessWorkers:
+    def test_router_only_reads_in_process_answer_arrays(self, store_factory,
+                                                        local_store):
+        """A single worker's ``edges_for_sources`` and ``edges_in_range``
+        without the payload answer ``rows[:, :2]``: a read-only, strided
+        view of its mapped shard rows, handed to the router as is.  The
+        router only reads it: the routed answers are byte-equal and the
+        worker's rows are unchanged."""
+        store = store_factory()
+        n = local_store.n_vertices
+        v = next(u for u in range(n) if local_store.degree(u) > 2)
+        with _local_fleet(store, n_slices=1) as handle:
+            (worker,) = handle.server.workers
+            dispatch, answers = worker.dispatch, []
+
+            async def recorded(frame):
+                response = await dispatch(frame)
+                edges = response.get("result", {}).get("edges")
+                if edges is not None:
+                    answers.append((edges, edges.copy()))
+                return response
+
+            worker.dispatch = recorded
+            with QueryClient(handle.host, handle.port) as c:
+                routed = c.edges_for_sources([v])
+                assert routed.dtype == np.int64
+                assert np.array_equal(routed,
+                                      local_store.edges_for_sources([v]))
+                routed = c.edges_in_range(v, v + 3)
+                assert routed.dtype == np.int64
+                assert np.array_equal(routed,
+                                      local_store.edges_in_range(v, v + 3))
+        assert len(answers) == 2
+        for edges, before in answers:
+            assert edges.shape[1] == 2 and edges.shape[0] > 0
+            assert not edges.flags.writeable
+            assert not edges.flags.c_contiguous
+            assert _mapped(edges)
+            assert np.array_equal(edges, before)
+
+    def test_rollups_keep_their_shape(self, store_factory, local_store):
+        """Per-worker rollup answers arrive in process as the workers' live
+        objects: the router's ``stats``, ``health`` and ``events`` answers
+        have the key sets of a fleet reached over the wire, and reading a
+        rollup twice changes no worker's own stats."""
+        store = store_factory()
+        vertices = np.arange(0, local_store.n_vertices, 7)
+
+        def key_sets(c) -> dict:
+            c.degrees(vertices)
+            stats, health = c.stats(), c.health()
+            report, checked = stats["workers"][0], health["workers"][0]
+            return {
+                "stats": set(stats), "fleet": set(stats["fleet"]),
+                "slice": set(stats["fleet"]["slices"][0]),
+                "store": set(stats["store"]),
+                "stats report": set(report),
+                "worker stats": set(report["stats"]),
+                "worker server": set(report["stats"]["server"]),
+                "worker store": set(report["stats"]["store"]),
+                "health": set(health), "health report": set(checked),
+                "worker health": set(checked["health"]),
+                "events": set(c.events()),
+            }
+
+        with FleetHarness(store, n_slices=3) as harness:
+            with harness.client() as c:
+                over_the_wire = key_sets(c)
+        with _local_fleet(store, n_slices=3) as handle:
+            with QueryClient(handle.host, handle.port) as c:
+                assert key_sets(c) == over_the_wire
+
+                def own_stats() -> list:
+                    """Each worker's stats, without the ``stats`` op's
+                    own traffic and the clock."""
+                    sections = []
+                    for worker in handle.server.workers:
+                        stats = worker.stats()
+                        server = stats["server"]
+                        del server["uptime_s"]
+                        del server["requests"]["stats"]
+                        del server["latency_us"]["stats"]
+                        sections.append(stats)
+                    return sections
+
+                before = own_stats()
+                first, second = c.stats(), c.stats()
+                assert own_stats() == before
+        assert [r["stats"]["store"] for r in first["workers"]] \
+            == [r["stats"]["store"] for r in second["workers"]] \
+            == [worker["store"] for worker in before]
+
+    def test_error_answers_are_reraised_in_process(self, store_factory):
+        """A worker's store error travels back to the router as the
+        error answer of its ordinary dispatch — counted in its
+        ``serve.errors`` — and is re-raised verbatim, with no connection
+        opened to any worker."""
+        store = store_factory()
+        reference = ShardStore(store, cache_shards=16)
+        p = next(v for v in range(reference.n_vertices)
+                 if reference.degree(v) > 0)
+        stored = set(reference.neighbors(p).tolist())
+        miss = next(q for q in range(reference.n_vertices)
+                    if q != p and q not in stored)
+        with _local_fleet(store, n_slices=2) as handle:
+            with QueryClient(handle.host, handle.port) as c:
+                for _ in range(3):
+                    with pytest.raises(ValueError, match="not stored"):
+                        c.edge_payloads([p], [miss])
+                reports = c.stats()["workers"]
+        owner = next(r for r in reports if r["src_lo"] <= p < r["src_hi"])
+        assert owner["stats"]["server"]["errors"] == 3
+        assert all(r["stats"]["server"]["connections_total"] == 0
+                   for r in reports)
+
+    def test_a_worker_on_another_loop_is_refused(self, store_factory):
+        """A worker object is called in process only on the router's own
+        loop: one served on another thread's loop makes the routed call
+        fail with an internal error naming the worker."""
+        store = store_factory()
+        manifest = read_shard_manifest(store)
+        with ThreadedServer(store) as worker:
+            fleet = FleetStore(
+                [{"src_lo": 0, "src_hi": int(manifest["n_vertices"]),
+                  "addresses": [worker.server]}],
+                fleet_info_from_manifest(manifest))
+            with ThreadedServer(fleet, server_cls=RangeRouter) as router:
+                with QueryClient(router.host, router.port) as c:
+                    with pytest.raises(ServerError,
+                                       match="worker 0 .*another loop"):
+                        c.degrees([0])
+            assert worker.server.stats()["server"]["requests"] == {}
+
+    def test_an_in_process_worker_has_no_replicas(self, store_factory):
+        """An in-process worker shares the router's process and loop, so
+        no failover could reach a replica beside it."""
+        store = store_factory()
+        manifest = read_shard_manifest(store)
+        with ThreadedServer(store) as server:
+            with pytest.raises(ValueError, match="only replica"):
+                FleetStore([{"src_lo": 0,
+                             "src_hi": int(manifest["n_vertices"]),
+                             "addresses": [server.server, server.address]}],
+                           fleet_info_from_manifest(manifest))
+
+
+# ----------------------------------------------------------------------
 # CLI: serve --fleet and query --connect routing transparency
 # ----------------------------------------------------------------------
 class TestFleetCLI:
@@ -865,7 +1041,9 @@ class TestFleetCLI:
         spawns the slice workers, fronts them with the router, answers
         routed queries — a cold scan behind 2-shard LRUs on the process's
         threads it started with — and shuts down gracefully with the fleet
-        summary."""
+        summary.  The router calls its workers in process: no worker ever
+        accepts a connection, a traced routed request keeps its span
+        chain, and the fleet profile samples the process once."""
         env = dict(os.environ)
         src = str((
             __import__("pathlib").Path(__file__).resolve().parent.parent
@@ -898,13 +1076,46 @@ class TestFleetCLI:
                 assert c.stats()["store"]["evictions"] > 0
                 assert len(list(tasks.iterdir())) == threads
                 c.profile("start", hz=200)
+                # One sampler sees the whole process: the router's.
+                assert len(list(tasks.iterdir())) == threads + 1
                 _routed_stream(c, local_store)
                 time.sleep(0.1)
                 # Router and workers serve on the one loop thread, and it
                 # samples as the event loop.
-                stacks = c.profile("stop")["profile"]["stacks"]
+                profile = c.profile("stop")
+                stacks = profile["profile"]["stacks"]
                 assert "event_loop" in stacks and "main" not in stacks, \
                     sorted(stacks)
+                assert profile["profile"]["samples"] \
+                    == profile["router"]["samples"] > 0
+                assert profile["missing_workers"] == []
+                # The workers are called in process, never connected to.
+                reports = c.stats()["workers"]
+                assert [r["stats"]["server"]["connections_total"]
+                        for r in reports] == [0, 0]
+                assert all(r["stats"]["server"]["requests"]["degrees"]
+                           for r in reports)
+                # The span chain of a routed request over the wire:
+                # router op -> worker call -> client leaf -> worker op.
+                recorder = TraceRecorder()
+                with trace.start_trace("in-process", recorder) as t:
+                    c.degrees([0, n - 1])
+                spans = c.trace_spans(t.trace_id)
+                (client_span,) = [s for s in recorder.spans(t.trace_id)
+                                  if s["name"] == "client.degrees"]
+                children = {}
+                for span in spans:
+                    children.setdefault(span["parent"], []).append(span)
+                (routed,) = children[client_span["span"]]
+                assert routed["name"] == "serve.degrees"
+                calls = children[routed["span"]]
+                assert {s["name"] for s in calls} == {"fleet.worker_call"}
+                assert sorted(s["worker"] for s in calls) == [0, 1]
+                for call in calls:
+                    (leaf,) = children[call["span"]]
+                    assert leaf["name"] == "client.degrees"
+                    (served,) = children[leaf["span"]]
+                    assert served["name"] == "serve.degrees"
                 c.shutdown_server()
             stdout, stderr = process.communicate(timeout=30)
         finally:
@@ -913,3 +1124,14 @@ class TestFleetCLI:
                 process.communicate()
         assert process.returncode == 0, stderr
         assert "served" in stdout and "2 workers" in stdout
+
+    def test_serve_fleet_has_no_replicas(self, store_dir, capsys):
+        """In-process workers have no replicas: ``--replicas`` is not an
+        option of ``serve``."""
+        from repro import cli
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["serve", str(store_dir), "--fleet", "2",
+                      "--replicas", "2"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --replicas 2" \
+            in capsys.readouterr().err
