@@ -50,7 +50,6 @@ from repro.serve.router import (
     FleetStore,
     LocalFleet,
     RangeRouter,
-    ThreadedRouter,
     fleet_info_from_manifest,
 )
 from repro.serve.server import ShardStoreServer, ThreadedServer
@@ -65,7 +64,6 @@ __all__ = [
     "RangeRouter",
     "ServerError",
     "ShardStoreServer",
-    "ThreadedRouter",
     "ThreadedServer",
     "fleet_info_from_manifest",
 ]

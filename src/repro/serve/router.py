@@ -10,24 +10,26 @@ a client cannot tell a router from a single server except by the extra
 
 The construction is deliberately thin:
 
-* :class:`FleetStore` is a *store façade*.  Its four batch primitives
-  (``degrees_async`` / ``edges_for_sources_async`` /
-  ``edges_in_range_async`` / ``edge_payloads_async``) are coroutines: they
-  split each request across the worker ranges, send the slices to their
-  workers concurrently (``asyncio.gather`` on the router's event loop), and
-  merge the answers back in source order.  ``egonet_edges_async`` /
-  ``subgraph_edges_async`` await the plans of
-  :class:`~repro.store.StoreQueryMixin` — the ``egonet`` and ``subgraph``
-  definitions the local store drives on its shards — through those
-  primitives, so routed answers are byte-equal to single-store answers
-  *by construction*.  The façade has no synchronous query method.
+* :class:`FleetStore` is a *store façade* speaking the stores' one
+  call protocol, *steps* (:meth:`~repro.store.StoreQueryMixin.steps`).
+  Its four batch primitives (``_degrees`` / ``_edges_for_sources`` /
+  ``_edges_in_range`` / ``_edge_payloads``) are step generators: they
+  split each request across the worker ranges, yield one step — the
+  fan-out that sends the slices to their workers concurrently
+  (``asyncio.gather`` on the router's event loop) — and merge the answers
+  sent back in source order.  ``egonet`` and ``subgraph`` are the plans of
+  :class:`~repro.store.StoreQueryMixin` — the definitions the local store
+  runs on its shards — run on those primitives, so routed answers are
+  byte-equal to single-store answers *by construction*.  The façade has
+  no synchronous query method.
 * :class:`RangeRouter` is :class:`ShardStoreServer` serving that façade:
-  framing, request coalescing, array frames, and error frames are
-  inherited unchanged.  Every store call and coalesced ``degree`` /
-  ``neighbors`` flush awaits the fleet on the loop, so a routed request
-  crosses no thread inside the router.  ``hello`` (adds the fleet
-  description) and ``stats`` (rolls per-worker stats up into a fleet
-  answer) are overridden, as are ``reset_stats`` and the merged
+  framing, request coalescing, array frames, error frames, and the one
+  store-call driver are inherited unchanged.  Every store call and
+  coalesced ``degree`` / ``neighbors`` flush awaits the fleet's fan-out
+  steps on the loop, so a routed request crosses no thread inside the
+  router.  Only the ops whose answers are fleet rollups are overridden:
+  ``hello`` (adds the fleet description), ``stats`` (rolls per-worker
+  stats up into a fleet answer), ``reset_stats`` and the merged
   observability ops, each one awaited fan-out.
 * :class:`_WorkerChannel` sends one slice's requests over one of two
   transports, with one code path for spans, counters, the timeout and
@@ -79,16 +81,11 @@ from repro.obs import (
 )
 from repro.serve import protocol, shaping
 from repro.serve.client import CLIENT_SPANS, parse_address
-from repro.serve.server import (
-    ShardStoreServer,
-    ThreadedServer,
-    _arg,
-    _rows_per_vertex,
-)
+from repro.serve.server import ShardStoreServer, _arg
 from repro.store.partition import partition_manifest
 from repro.store.query import StoreQueryMixin
 
-__all__ = ["FleetStore", "LocalFleet", "RangeRouter", "ThreadedRouter",
+__all__ = ["FleetStore", "LocalFleet", "RangeRouter",
            "fleet_info_from_manifest"]
 
 #: Failures of the transport, not of the store: the exchange may have left
@@ -407,10 +404,14 @@ class _WorkerChannel:
 class FleetStore(StoreQueryMixin):
     """Store façade over N range-sliced workers — the router's ``store``.
 
-    Every query is a coroutine (``degrees_async``, ...,
-    ``egonet_edges_async``), awaited on the event loop of the
-    :class:`RangeRouter` serving the fleet, which owns its connections;
-    tools and tests reach a fleet through the router's wire ops.
+    Every query is a store call in steps
+    (:meth:`~repro.store.StoreQueryMixin.steps`): each batch primitive
+    yields one step, the awaitable fan-out to the workers it needs, and is
+    sent back their answers, so ``egonet`` takes two steps, ``subgraph``
+    one and an empty batch none.  The
+    :class:`RangeRouter` serving the fleet drives them on its event loop,
+    which owns the fleet's connections; tools and tests reach a fleet
+    through the router's wire ops.
 
     Parameters
     ----------
@@ -502,9 +503,11 @@ class FleetStore(StoreQueryMixin):
         return answers
 
     # ------------------------------------------------------------------
-    # Batch primitives (split by owner → fan out → merge in source order)
+    # Batch primitives as steps: split by owner, then one step — the
+    # fan-out, sent back its answers — then merge in source order.  A
+    # fleet call visits no shards, so ``pace`` is ignored.
     # ------------------------------------------------------------------
-    async def degrees_async(self, vs: Sequence[int]) -> np.ndarray:
+    def _degrees(self, vs: Sequence[int], *, pace):
         vs = self._check_vertices(np.atleast_1d(np.asarray(vs, dtype=np.int64)))
         out = np.zeros(vs.shape[0], dtype=np.int64)
         if vs.size == 0:
@@ -517,15 +520,13 @@ class FleetStore(StoreQueryMixin):
                 calls.append((channel, "degrees",
                               {"vertices": vs[mask].tolist()}))
                 masks.append(mask)
-        for mask, answer in zip(masks, await self._scatter(calls)):
+        for mask, answer in zip(masks, (yield self._scatter(calls))):
             out[mask] = answer["degrees"]
         return out
 
-    async def edges_for_sources_async(self, vs: Sequence[int], *,
-                                      with_payload: bool = False
-                                      ) -> np.ndarray:
-        if with_payload:
-            self._require_payload()
+    def _edges_for_sources(self, vs: Sequence[int], *,
+                           with_payload: bool = False, pace):
+        self._require_payload(with_payload)
         vs = np.unique(self._check_vertices(np.asarray(vs, dtype=np.int64)))
         if vs.size == 0:
             return self._finish_rows([], with_payload)
@@ -539,14 +540,13 @@ class FleetStore(StoreQueryMixin):
                                "with_payload": with_payload}))
         # Ranges are contiguous and each worker answers (src, dst)-sorted,
         # so worker order *is* global source order.
-        parts = [answer["edges"] for answer in await self._scatter(calls)
+        parts = [answer["edges"] for answer in (yield self._scatter(calls))
                  if answer["edges"].shape[0]]
         return self._finish_rows(parts, with_payload)
 
-    async def edges_in_range_async(self, lo: int, hi: int, *,
-                                   with_payload: bool = False) -> np.ndarray:
-        if with_payload:
-            self._require_payload()
+    def _edges_in_range(self, lo: int, hi: int, *,
+                        with_payload: bool = False, pace):
+        self._require_payload(with_payload)
         lo, hi = int(lo), int(hi)
         calls = []
         for channel in self._channels:
@@ -556,12 +556,11 @@ class FleetStore(StoreQueryMixin):
                 calls.append((channel, "edges_in_range",
                               {"lo": sub_lo, "hi": sub_hi,
                                "with_payload": with_payload}))
-        parts = [answer["edges"] for answer in await self._scatter(calls)
+        parts = [answer["edges"] for answer in (yield self._scatter(calls))
                  if answer["edges"].shape[0]]
         return self._finish_rows(parts, with_payload)
 
-    async def edge_payloads_async(self, ps: Sequence[int],
-                                  qs: Sequence[int]) -> np.ndarray:
+    def _edge_payloads(self, ps: Sequence[int], qs: Sequence[int], *, pace):
         self._require_payload()
         ps = self._check_vertices(np.atleast_1d(np.asarray(ps, dtype=np.int64)))
         qs = self._check_vertices(np.atleast_1d(np.asarray(qs, dtype=np.int64)))
@@ -581,32 +580,9 @@ class FleetStore(StoreQueryMixin):
                               {"ps": ps[mask].tolist(),
                                "qs": qs[mask].tolist()}))
                 masks.append(mask)
-        for mask, answer in zip(masks, await self._scatter(calls)):
+        for mask, answer in zip(masks, (yield self._scatter(calls))):
             out[mask] = answer["payloads"]
         return out
-
-    # ------------------------------------------------------------------
-    # Derived queries: the store's plans, awaited on the loop
-    # ------------------------------------------------------------------
-    async def _run_async(self, plan):
-        """Drive a plan (see :class:`~repro.store.StoreQueryMixin`) through
-        this fleet's ``*_async`` primitives and return its result."""
-        answer = None
-        while True:
-            try:
-                method, args, kwargs = plan.send(answer)
-            except StopIteration as done:
-                return done.value
-            answer = await getattr(self, f"{method}_async")(*args, **kwargs)
-
-    async def subgraph_edges_async(self, vertices: Sequence[int], *,
-                                   with_payload: bool = False) -> np.ndarray:
-        return await self._run_async(
-            self._subgraph_plan(vertices, with_payload))
-
-    async def egonet_edges_async(self, v: int, *, with_payload: bool = False
-                                 ) -> Tuple[np.ndarray, np.ndarray]:
-        return await self._run_async(self._egonet_plan(int(v), with_payload))
 
     # ------------------------------------------------------------------
     # Operational surface
@@ -666,16 +642,17 @@ class RangeRouter(ShardStoreServer):
     """A :class:`ShardStoreServer` whose store is a :class:`FleetStore`.
 
     Everything protocol-facing — framing, coalescing, array frames, error
-    frames — is inherited.  Every store call — the primitive ops,
-    ``egonet`` and ``subgraph``, and the coalesced ``degree`` /
-    ``neighbors`` flushes — awaits the fleet's coroutine right on the
-    event loop: a worker is either called in process on that loop or
-    reached over an asyncio stream, so the loop waits, it never blocks.
-    ``stats`` becomes the per-worker rollup, ``reset_stats`` fans out to
-    every worker, and ``trace`` / ``profile`` / ``events`` / ``health``
-    widen into fleet-merged answers, each built from one awaited
-    :meth:`FleetStore._broadcast_async` and naming the workers it could
-    not reach.  Like every server the router
+    frames — is inherited, and so is the store-call driver: every store
+    call — the primitive ops, ``egonet`` and ``subgraph``, and the
+    coalesced ``degree`` / ``neighbors`` flushes — runs the fleet's steps
+    right on the event loop, awaiting each fan-out: a worker is either
+    called in process on that loop or reached over an asyncio stream, so
+    the loop waits, it never blocks.  The router overrides only the ops
+    whose answers are fleet rollups: ``stats`` becomes the per-worker
+    rollup, ``reset_stats`` fans out to every worker, and ``trace`` /
+    ``profile`` / ``events`` / ``health`` widen into fleet-merged answers,
+    each built from one awaited :meth:`FleetStore._broadcast_async` and
+    naming the workers it could not reach.  Like every server the router
     runs on one thread, with no pool.  The fleet's registry is adopted as
     the router's, so ``metrics`` serves the ``fleet.worker_*`` series
     alongside the inherited ``serve.*`` ones.  The router closes the
@@ -695,22 +672,6 @@ class RangeRouter(ShardStoreServer):
     async def _teardown(self, grace_s: float) -> None:
         await super()._teardown(grace_s)
         await self.fleet.close()
-
-    async def _store_call(self, method: str, *args, **kwargs):
-        """Await the fleet's coroutine for one store call on the loop
-        (``FleetStore.<method>_async``)."""
-        return await getattr(self.fleet, f"{method}_async")(*args, **kwargs)
-
-    async def _degrees_batch(self, vertices: List[int]) -> List[int]:
-        values = await self._store_call(
-            "degrees", np.asarray(vertices, dtype=np.int64))
-        return [int(d) for d in values]
-
-    async def _neighbors_batch(self, vertices: List[int],
-                               with_payload: bool) -> List[np.ndarray]:
-        vs = np.asarray(vertices, dtype=np.int64)
-        return _rows_per_vertex(vs, await self._store_call(
-            "edges_for_sources", vs, with_payload=with_payload))
 
     async def _op_hello(self, args: dict) -> dict:
         return shaping.hello_shape(self._ops,
@@ -894,10 +855,3 @@ class LocalFleet:
         for worker in self.workers:
             await worker.stop()
 
-
-class ThreadedRouter(ThreadedServer):
-    """A :class:`RangeRouter` on a background thread (the
-    :class:`~repro.serve.ThreadedServer` lifecycle, router construction)."""
-
-    def __init__(self, fleet: FleetStore, **kwargs):
-        super().__init__(fleet, server_cls=RangeRouter, **kwargs)

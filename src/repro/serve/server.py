@@ -22,17 +22,18 @@ Design rules:
   which connection asked first.
 * **One serving thread; cold calls yield between shard decodes.**  Every
   store call runs on the event loop, driven through the store's steps
-  (:meth:`~repro.store.ShardStore.steps`): the loop turns once
-  (``await asyncio.sleep(0)``) before each shard the call must decode and
-  before every third shard visit since the last turn, so a long cold call
-  never stalls the other connections, and two cold calls interleave their
-  decodes instead of queueing.  A warm primitive call on a store of one or
-  two shards never yields.  There is no thread pool: a decode is Python
-  code under the GIL, and a mapped shard's page faults are taken inside
-  numpy calls that hold it too, so a second thread overlaps nothing and
-  only adds CPU.  The range router
-  (:class:`~repro.serve.router.RangeRouter`) awaits its fleet's
-  coroutines on the same loop.
+  (:meth:`~repro.store.StoreQueryMixin.steps`, one protocol for a shard
+  store and a range router's fleet): the loop turns once
+  (``await asyncio.sleep(0)``) at each ``None`` step — before each shard
+  the call must decode and before every third shard visit since the last
+  turn — so a long cold call never stalls the other connections, and two
+  cold calls interleave their decodes instead of queueing.  A warm
+  primitive call on a store of one or two shards never yields.  A fleet's
+  step is its fan-out to the slice workers, awaited on the same loop and
+  sent back the workers' answers.  There is no thread pool: a decode is
+  Python code under the GIL, and a mapped shard's page faults are taken
+  inside numpy calls that hold it too, so a second thread overlaps nothing
+  and only adds CPU.
 * **Scalar requests coalesce into batch calls.**  Concurrent ``degree`` /
   ``neighbors`` requests that land in the same event-loop tick are folded
   into one ``store.degrees`` / ``store.edges_for_sources`` call (the PR 1
@@ -241,31 +242,34 @@ def _arg_bool(args: dict, name: str, default: bool = False) -> bool:
     return value
 
 
-async def _finish(steps):
-    """Run a store call's steps to the end on the event loop, turning it
-    once at each yield, and return the call's answer."""
+async def _finish(steps, answer=None):
+    """Run a store call's steps to the end on the event loop, sending
+    *answer* in first, and return the call's answer.  The loop turns once
+    at a ``None`` step; any other step is awaited and its result sent back
+    in."""
     while True:
         try:
-            next(steps)
+            step = steps.send(answer)
         except StopIteration as done:
             return done.value
-        await asyncio.sleep(0)
+        answer = await step if step is not None else await asyncio.sleep(0)
 
 
-async def _finish_then(steps, shape: Callable):
-    return shape(await _finish(steps))
+async def _finish_then(steps, step, shape: Callable):
+    return shape(await _finish(steps, await step if step is not None else None))
 
 
 def _flush_steps(steps, shape: Callable):
     """A coalesced flush of one store call's *steps*: ``shape(answer)``
-    right away when the steps end without yielding, as a warm flush does,
-    else a coroutine that finishes them on the loop (the coalescer runs it
-    as a task, whose first step is a turn of the loop)."""
+    right away when the steps end without yielding, as a warm local flush
+    does, else a coroutine that finishes them on the loop from their first
+    step (the coalescer runs it as a task, whose first step is a turn of
+    the loop: a ``None`` step's turn)."""
     try:
-        next(steps)
+        step = next(steps)
     except StopIteration as done:
         return shape(done.value)
-    return _finish_then(steps, shape)
+    return _finish_then(steps, step, shape)
 
 
 def _rows_per_vertex(vertices: np.ndarray,
@@ -305,7 +309,6 @@ class ShardStoreServer:
 
     def __init__(self, store, *, host: str = "127.0.0.1", port: int = 0,
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-                 max_coalesce_batch: int = 1024,
                  cache_shards: int = 8,
                  slow_query_us: Optional[int] = None):
         # One registry per server process view: a store opened here joins
@@ -329,7 +332,6 @@ class ShardStoreServer:
         self.host = host
         self.port = int(port)
         self.max_request_bytes = int(max_request_bytes)
-        self.max_coalesce_batch = int(max_coalesce_batch)
         self.recorder = TraceRecorder()
         self.slow_query_us = slow_query_us
         self._server: Optional[asyncio.AbstractServer] = None
@@ -393,14 +395,12 @@ class ShardStoreServer:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._degree_coalescer = _Coalescer(
-            self._loop, self._degrees_batch,
-            max_batch=self.max_coalesce_batch,
-            registry=self.registry, kind="degree")
+            self._loop, self._degrees_batch, registry=self.registry,
+            kind="degree")
         self._neighbors_coalescers = {
             with_payload: _Coalescer(
                 self._loop,
                 lambda vs, wp=with_payload: self._neighbors_batch(vs, wp),
-                max_batch=self.max_coalesce_batch,
                 registry=self.registry,
                 kind="neighbors_payload" if with_payload else "neighbors")
             for with_payload in (False, True)
@@ -677,12 +677,14 @@ class ShardStoreServer:
     async def _store_call(self, method: str, *args, **kwargs):
         """One store call — a batch primitive, ``subgraph_edges`` or
         ``egonet_edges`` — as ``store.<method>(*args, **kwargs)``, run on
-        the event loop through its steps (:meth:`ShardStore.steps`): the
-        loop turns once at each yield, before every shard the call must
-        decode and before every third visit since the last turn.  It runs
-        in the handler's own context, so its spans (shard decodes) nest
-        under ``serve.<op>``.  The range router overrides this to await its
-        fleet's coroutine for the call instead."""
+        the event loop through its steps
+        (:meth:`~repro.store.StoreQueryMixin.steps`), for either backend:
+        the loop turns once at each ``None`` step a shard store yields,
+        before every shard the call must decode and before every third
+        visit since the last turn, and the fan-out step a fleet yields is
+        awaited and sent back its answers.  It runs in the handler's own
+        context, so its spans (shard decodes, worker calls) nest under
+        ``serve.<op>``."""
         return await _finish(self.store.steps(method, *args, **kwargs))
 
     # ------------------------------------------------------------------

@@ -62,18 +62,19 @@ An answer may therefore be a slice of a cached shard, which is why the
 store marks every shard it caches read-only, eager decodes included.
 
 ``egonet`` and ``subgraph`` are *plans* (:class:`StoreQueryMixin`), which
-this store drives on its own primitives and the range router's fleet
-façade awaits on its event loop; an egonet is two gathers.  Only the
+this store and the range router's fleet façade both run on their own
+primitives; an egonet is two gathers.  Only the
 in-process ``egonet`` / ``subgraph`` / ``subgraph_adjacency`` build scipy
 matrices, and scipy and the graph classes are imported there (through
 :func:`induced_adjacency`), so a server imports this module without
 loading scipy.
 
-Every store call is also a generator of *steps* (:meth:`ShardStore.steps`):
-its one shard-visit loop yields before each shard it must decode and before
-a visit that would be the third since its last yield
-(:data:`_VISITS_PER_TURN`), so between two yields it decodes at most one
-shard and visits at most two.  The
+Every store call is also a generator of *steps*
+(:meth:`StoreQueryMixin.steps`, the one store-call protocol of both
+backends): this store's one shard-visit loop yields ``None`` before each
+shard it must decode and before a visit that would be the third since its
+last yield (:data:`_VISITS_PER_TURN`), so between two yields it decodes at
+most one shard and visits at most two.  The
 synchronous methods run the steps to the end; :mod:`repro.serve` drives
 them on its one event loop and turns the loop at each yield, so a cold call
 hands it back between shard decodes and a warm call on a store of one or
@@ -175,14 +176,18 @@ def induced_adjacency(vertices: Sequence[int],
 
 
 class StoreQueryMixin:
-    """What both store backends share: argument checks, row assembly, and
-    ``egonet`` / ``subgraph`` written once as *plans*.
+    """What both store backends share: argument checks, row assembly,
+    ``egonet`` / ``subgraph`` written once as *plans*, and the one
+    store-call protocol, :meth:`steps`.
 
-    A plan is a generator that yields the batch-primitive calls it needs
-    as ``(method, args, kwargs)``, is sent each answer, and returns its
-    rows.  :class:`ShardStore` drives it on its own primitives; the fleet
-    façade (:class:`repro.serve.router.FleetStore`) awaits the same calls
-    through its ``*_async`` primitives on the router's loop, so routed
+    A backend implements the four batch primitives as step generators —
+    ``_degrees``, ``_edges_for_sources``, ``_edges_in_range`` and
+    ``_edge_payloads``, each taking a ``pace`` keyword.  A plan is a
+    generator that yields the batch-primitive calls it needs as
+    ``(method, args, kwargs)``, is sent each answer, and returns its rows;
+    :meth:`_run` turns it into the steps of those calls on the backend.
+    :class:`ShardStore` and the fleet façade
+    (:class:`repro.serve.router.FleetStore`) run the same plans, so routed
     answers are byte-equal to single-store answers by construction.
     """
 
@@ -201,8 +206,10 @@ class StoreQueryMixin:
             raise IndexError("product vertex id out of range")
         return vs
 
-    def _require_payload(self) -> None:
-        if not self.payload_columns:
+    def _require_payload(self, with_payload: bool = True) -> None:
+        """Refuse a payload request on a topology-only store, before the
+        call reads a shard or calls a worker."""
+        if with_payload and not self.payload_columns:
             raise ValueError(
                 f"{self._store_label()}: store carries no payload columns "
                 "(manifest payload_columns is ['src', 'dst']); re-stream the "
@@ -211,8 +218,6 @@ class StoreQueryMixin:
     def _finish_rows(self, parts, with_payload: bool) -> np.ndarray:
         """Assemble gathered full-width rows and slice off the payload unless
         the caller asked for it."""
-        if with_payload:
-            self._require_payload()
         width = self._width if with_payload else 2
         if not parts:
             return np.zeros((0, width), dtype=np.int64)
@@ -253,11 +258,52 @@ class StoreQueryMixin:
         neighbours (:meth:`_subgraph_plan`).  *vertices* is the centre, then
         its sorted neighbours: the :func:`repro.graphs.egonet.egonet`
         order."""
+        self._require_payload(with_payload)  # the first round carries none
         centre = yield "edges_for_sources", (np.asarray([v]),), {}
         neighbours = centre[:, 1]
         vertices = np.concatenate([[np.int64(v)], neighbours[neighbours != v]])
         rows = yield from self._subgraph_plan(vertices, with_payload)
         return vertices, rows
+
+    # ------------------------------------------------------------------
+    # Store calls as steps (the one store-call protocol)
+    # ------------------------------------------------------------------
+    def steps(self, method: str, *args, **kwargs):
+        """The steps of the store call ``<method>(*args, **kwargs)`` — a
+        batch primitive, ``subgraph_edges`` or ``egonet_edges`` — as a
+        generator that returns the call's answer.
+
+        A step is ``None`` or an awaitable.  :class:`ShardStore` yields
+        ``None``: before every shard it must decode and before a visit
+        that would be the third since the last yield
+        (:data:`_VISITS_PER_TURN`), so between two steps it reads at most
+        one shard file and visits at most two shards; a plan's primitive
+        calls share that count.  The fleet façade yields each call's one
+        fan-out to its workers, and is sent back the workers' answers.  The
+        synchronous store methods run the steps to the end; a server
+        drives them on its event loop, turning it at a ``None`` step and
+        awaiting any other."""
+        return getattr(self, f"_{method}")(*args, pace=_Pace(), **kwargs)
+
+    def _run(self, plan, pace: _Pace):
+        """Steps of a plan: the steps of each primitive call it makes on
+        this backend, in turn."""
+        answer = None
+        while True:
+            try:
+                method, args, kwargs = plan.send(answer)
+            except StopIteration as done:
+                return done.value
+            answer = yield from getattr(self, f"_{method}")(
+                *args, pace=pace, **kwargs)
+
+    def _subgraph_edges(self, vertices: Sequence[int], *,
+                        with_payload: bool = False, pace: _Pace):
+        return self._run(self._subgraph_plan(vertices, with_payload), pace)
+
+    def _egonet_edges(self, v: int, *, with_payload: bool = False,
+                      pace: _Pace):
+        return self._run(self._egonet_plan(int(v), with_payload), pace)
 
 
 class ShardStore(StoreQueryMixin):
@@ -519,22 +565,8 @@ class ShardStore(StoreQueryMixin):
                             if start < stop)
 
     # ------------------------------------------------------------------
-    # Store calls as steps (the hot path)
+    # Batch primitives as steps (the hot path)
     # ------------------------------------------------------------------
-    def steps(self, method: str, *args, **kwargs):
-        """The steps of the store call ``<method>(*args, **kwargs)`` — a
-        batch primitive, ``subgraph_edges`` or ``egonet_edges`` — as a
-        generator that returns the call's answer.
-
-        Its shard-visit loop yields before every shard it must decode and
-        before a visit that would be the third since the last yield
-        (:data:`_VISITS_PER_TURN`), so between two yields it reads at most
-        one shard file and visits at most two shards; a plan's primitive
-        calls share that count.  The synchronous method runs the steps to
-        the end; a server drives them on its event loop and turns the loop
-        at each yield."""
-        return getattr(self, f"_{method}")(*args, pace=_Pace(), **kwargs)
-
     def _row_counts(self, vs: np.ndarray, drop_self_loops: bool,
                     pace: _Pace):
         """Steps: stored rows per vertex of *vs*, less its self loop when
@@ -597,6 +629,7 @@ class ShardStore(StoreQueryMixin):
 
     def _edges_for_sources(self, vs: Sequence[int], *,
                            with_payload: bool = False, pace: _Pace):
+        self._require_payload(with_payload)
         _, svs, visits = self._walk(np.unique(self._check_vertices(vs)))
         parts = []
         for index, start, stop in visits:
@@ -629,6 +662,7 @@ class ShardStore(StoreQueryMixin):
 
     def _edges_in_range(self, lo: int, hi: int, *,
                         with_payload: bool = False, pace: _Pace):
+        self._require_payload(with_payload)
         lo, hi = int(lo), int(hi)
         if lo >= hi or self.n_shards == 0:
             return self._finish_rows([], with_payload)
@@ -750,26 +784,6 @@ class ShardStore(StoreQueryMixin):
     # ------------------------------------------------------------------
     # Induced subgraphs / egonets (the plans, driven on this store)
     # ------------------------------------------------------------------
-    def _run(self, plan, pace: _Pace):
-        """Steps of a plan (see :class:`StoreQueryMixin`): the steps of
-        each primitive call it makes on this store, in turn."""
-        answer = None
-        while True:
-            try:
-                method, args, kwargs = plan.send(answer)
-            except StopIteration as done:
-                return done.value
-            answer = yield from getattr(self, f"_{method}")(
-                *args, pace=pace, **kwargs)
-
-    def _subgraph_edges(self, vertices: Sequence[int], *,
-                        with_payload: bool = False, pace: _Pace):
-        return self._run(self._subgraph_plan(vertices, with_payload), pace)
-
-    def _egonet_edges(self, v: int, *, with_payload: bool = False,
-                      pace: _Pace):
-        return self._run(self._egonet_plan(int(v), with_payload), pace)
-
     def subgraph_edges(self, vertices: Sequence[int], *,
                        with_payload: bool = False) -> np.ndarray:
         """Stored rows with both endpoints in *vertices* (unique), global

@@ -3,9 +3,10 @@
 :class:`FleetHarness` partitions a compacted store
 (:func:`repro.store.partition_manifest`), spawns one
 :class:`~repro.serve.ThreadedServer` worker per slice replica on ephemeral
-ports, and fronts them with a :class:`~repro.serve.ThreadedRouter` — a
-range-routed fleet whose workers run on their own loops, so the router
-reaches them by address over the wire, torn down by ``with``.  (The fleet
+ports, and fronts them with a :class:`~repro.serve.RangeRouter` on its own
+:class:`~repro.serve.ThreadedServer` — a range-routed fleet whose workers
+run on their own loops, so the router reaches them by address over the
+wire, torn down by ``with``.  (The fleet
 of ``serve --fleet`` is a :class:`~repro.serve.LocalFleet`, whose router
 calls its workers in process; ``ThreadedServer(store,
 server_cls=LocalFleet, n_slices=N)`` runs one.)  Replicas, failover and
@@ -21,8 +22,9 @@ the fault injection hooks below need the wire:
   :func:`hang_after_request` are the stock handlers (connection killed
   after reading the request / mid-frame, or never answered).
 
-:func:`logged_steps` counts how often each store call a server drives
-hands its event loop back.
+:func:`logged_steps` counts the steps of each store call a server drives,
+on either backend: a shard store's turns of the event loop, or a fleet's
+fan-outs to its workers.
 
 Shared by ``tests/test_router.py``, ``tests/test_serve.py`` and the fleet
 smokes in ``benchmarks/bench_query_server.py`` (the benchmarks conftest
@@ -40,7 +42,7 @@ from repro.graphs.io import read_shard_manifest
 from repro.serve import (
     FleetStore,
     QueryClient,
-    ThreadedRouter,
+    RangeRouter,
     ThreadedServer,
     fleet_info_from_manifest,
     protocol,
@@ -103,19 +105,21 @@ def hang_after_request(conn: socket.socket) -> None:
 
 
 def logged_steps(store) -> list:
-    """Wrap *store*'s steps so every store call appends ``[method,
-    yields]`` to the returned log."""
+    """Wrap *store*'s steps — a shard store's or a fleet's — so every store
+    call appends ``[method, steps]`` to the returned log.  Each step and
+    the value sent back for it are forwarded unchanged."""
     log = []
     steps = store.steps
 
     def counted(inner, entry):
+        answer = None
         while True:
             try:
-                next(inner)
+                step = inner.send(answer)
             except StopIteration as done:
                 return done.value
             entry[1] += 1
-            yield
+            answer = yield step
 
     def logged(method, *args, **kwargs):
         entry = [method, 0]
@@ -163,7 +167,7 @@ class FleetHarness:
         self._scripted_listeners = []
         self.workers = []  # workers[slice_index][replica_index]
         self.fleet: Optional[FleetStore] = None
-        self.router: Optional[ThreadedRouter] = None
+        self.router: Optional[ThreadedServer] = None
         self._cache_shards = cache_shards
         self._timeout = timeout
 
@@ -189,7 +193,8 @@ class FleetHarness:
                          "addresses": addresses})
         self.fleet = FleetStore(spec, fleet_info_from_manifest(self.manifest),
                                 timeout=self._timeout)
-        self.router = ThreadedRouter(self.fleet).start()
+        self.router = ThreadedServer(self.fleet,
+                                     server_cls=RangeRouter).start()
         return self
 
     def stop(self) -> None:

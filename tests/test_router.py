@@ -60,7 +60,7 @@ from _fleet_harness import (
 )
 from repro import generators
 from repro.core import KroneckerGraph
-from repro.graphs import NpyShardSink
+from repro.graphs import NpyShardSink, write_edge_shards
 from repro.graphs.io import read_shard_manifest
 from repro.obs import TraceRecorder, trace
 from repro.parallel import distributed_generate
@@ -947,6 +947,57 @@ class TestInProcessWorkers:
             == [r["stats"]["store"] for r in second["workers"]] \
             == [worker["store"] for worker in before]
 
+    def test_fleet_store_calls_are_steps(self, store_factory):
+        """The router drives its fleet's store calls as a server drives a
+        shard store's: through the steps every backend yields.  Each
+        primitive call takes one step — its fan-out, sent back the workers'
+        answers — ``egonet`` two, ``subgraph`` one and an empty ``degrees``
+        none, and every answer is byte-equal to the shard store's, dtype
+        included."""
+        store = store_factory()
+        reference = ShardStore(store, cache_shards=16)
+        n = reference.n_vertices
+        rows = reference.edges_in_range(0, n)[::37]
+        calls = [
+            ("degrees", (np.arange(0, n, 5),), {}),
+            ("degrees", (np.zeros(0, dtype=np.int64),), {}),
+            ("edges_for_sources", (np.arange(0, n, 41),),
+             {"with_payload": True}),
+            ("edges_in_range", (n // 4, 3 * n // 4), {}),
+            ("edge_payloads", (rows[:, 0], rows[:, 1]), {}),
+            ("egonet_edges", (7,), {"with_payload": True}),
+            ("subgraph_edges", (np.asarray([5, 3, n // 2, n - 1]),), {}),
+        ]
+
+        def assert_same(got, expected):
+            if isinstance(expected, tuple):
+                assert isinstance(got, tuple) and len(got) == len(expected)
+                for part, want in zip(got, expected):
+                    assert_same(part, want)
+                return
+            assert got.dtype == expected.dtype
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+        with _local_fleet(store, n_slices=3) as handle:
+            router = handle.server.router
+            log = logged_steps(router.store)
+            for method, args, kwargs in calls:
+                answer = asyncio.run_coroutine_threadsafe(
+                    router._store_call(method, *args, **kwargs),
+                    router.loop).result(timeout=30)
+                assert_same(answer, getattr(reference, method)(*args,
+                                                               **kwargs))
+            with QueryClient(handle.host, handle.port) as c:
+                # The coalesced flushes run the same steps.
+                assert c.degree(7) == reference.degree(7)
+                assert np.array_equal(c.neighbors(7), reference.neighbors(7))
+        assert log == [["degrees", 1], ["degrees", 0],
+                       ["edges_for_sources", 1], ["edges_in_range", 1],
+                       ["edge_payloads", 1], ["egonet_edges", 2],
+                       ["subgraph_edges", 1], ["degrees", 1],
+                       ["edges_for_sources", 1]]
+
     def test_error_answers_are_reraised_in_process(self, store_factory):
         """A worker's store error travels back to the router as the
         error answer of its ordinary dispatch — counted in its
@@ -999,6 +1050,94 @@ class TestInProcessWorkers:
                              "src_hi": int(manifest["n_vertices"]),
                              "addresses": [server.server, server.address]}],
                            fleet_info_from_manifest(manifest))
+
+
+class TestPayloadOnTopologyOnlyStore:
+    """A payload request on a store without payload columns fails before
+    it reads a shard or calls a worker — in process, served and routed —
+    with the store's message."""
+
+    @pytest.fixture(scope="class")
+    def topology_store(self, product, tmp_path_factory):
+        """A topology-only store of about a dozen shards."""
+        tmp = tmp_path_factory.mktemp("topology")
+        write_edge_shards(product, tmp / "spill", a_edges_per_block=16)
+        total = read_shard_manifest(tmp / "spill")["total_edges"]
+        compact_shards(tmp / "spill", tmp / "store",
+                       target_shard_edges=total // 12 + 1)
+        return tmp / "store"
+
+    @staticmethod
+    def _requests(n: int, v: int) -> list:
+        """``(label, call(api))`` per payload request, against a
+        :class:`ShardStore` or a :class:`QueryClient`."""
+        everyone = np.arange(n)
+        return [
+            ("edges_in_range",
+             lambda api: api.edges_in_range(0, n, with_payload=True)),
+            ("edges_for_sources",
+             lambda api: api.edges_for_sources(everyone, with_payload=True)),
+            ("subgraph",
+             lambda api: api.subgraph(everyone[::3], with_payload=True)),
+            ("egonet", lambda api: api.egonet(v, with_payload=True)),
+        ]
+
+    def test_payload_request_reads_no_shard(self, topology_store):
+        store = ShardStore(topology_store, cache_shards=2)
+        assert store.payload_columns == () and store.n_shards >= 10
+        n = store.n_vertices
+        v = next(u for u in range(n) if store.degree(u) > 2)
+        store.clear_cache()
+        message = (f"{topology_store}: store carries no payload columns "
+                   "(manifest payload_columns is ['src', 'dst']); re-stream "
+                   "the spill with payload columns to serve per-edge "
+                   "ground truth")
+
+        def counters(stats: dict) -> tuple:
+            return stats["shard_reads"], stats["evictions"]
+
+        for label, request in self._requests(n, v) + [
+                ("subgraph_edges", lambda api: api.subgraph_edges(
+                    np.arange(n), with_payload=True)),
+                ("egonet_edges", lambda api: api.egonet_edges(
+                    v, with_payload=True))]:
+            before = counters(store.stats())
+            with pytest.raises(ValueError) as raised:
+                request(store)
+            assert str(raised.value) == message, label
+            assert counters(store.stats()) == before, label
+
+        with ThreadedServer(topology_store, cache_shards=2) as served:
+            with QueryClient(served.host, served.port) as c:
+                for label, request in self._requests(n, v) + [
+                        ("neighbors", lambda api: api.neighbors_with_payload(
+                            v))]:
+                    before = counters(served.server.stats()["store"])
+                    with pytest.raises(ValueError) as raised:
+                        request(c)
+                    assert str(raised.value) == message, label
+                    assert counters(served.server.stats()["store"]) \
+                        == before, label
+
+        with _local_fleet(topology_store, n_slices=2,
+                          cache_shards=2) as handle:
+            fleet = handle.server.router.fleet
+
+            def routed() -> list:
+                return ([s["calls"] for s in fleet.describe()["slices"]],
+                        [counters(w.store.stats())
+                         for w in handle.server.workers])
+
+            with QueryClient(handle.host, handle.port) as c:
+                for label, request in self._requests(n, v) + [
+                        ("neighbors", lambda api: api.neighbors_with_payload(
+                            v))]:
+                    before = routed()
+                    with pytest.raises(ValueError,
+                                       match="store carries no payload "
+                                             "columns"):
+                        request(c)
+                    assert routed() == before, label
 
 
 # ----------------------------------------------------------------------
