@@ -7,9 +7,18 @@ copy.  The serve layer runs every store call on its event loop inside the
 request's task, so shard-decode spans parent under the request with no
 explicit copy.
 
+Every span is one kind of record: the entry :func:`begin_leaf` opens — a
+tuple holding the span's number, parent, name, attribute dict and start
+clocks — and :func:`end_leaf` closes into a :class:`TraceRecorder`.  Its
+record dict is built only when the recorder is read.  A span that parents
+others adds one context switch over the same entry (:func:`scope`) and
+builds nothing more: :func:`span` is the entry plus its scope,
+:func:`leaf_span` the entry alone.
+
 Across the wire the trace rides the additive ``"trace"`` request key
 (``{"id": <trace_id>, "span": <parent_span_id>}``) — an optional key,
-so no ``PROTOCOL_VERSION`` bump (PR 5 rules).  Each server records its
+so no ``PROTOCOL_VERSION`` bump.  :func:`request_span` opens an outgoing
+request's span and stamps the key with its id.  Each server records its
 own spans into a bounded :class:`TraceRecorder` and serves them back
 through the ``trace`` wire op; the range router additionally merges the
 per-worker recorders, so one routed query yields the full tree
@@ -27,7 +36,7 @@ import os
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Union
 
 from repro.lint.runtime import new_lock
 
@@ -37,14 +46,13 @@ __all__ = [
     "NULL_SPAN",
     "SpanNames",
     "activate",
-    "adopt_span",
     "begin_leaf",
-    "begin_request",
     "current",
     "end_leaf",
     "leaf_span",
-    "new_span_id",
     "new_trace_id",
+    "request_span",
+    "scope",
     "span",
     "start_trace",
 ]
@@ -59,21 +67,24 @@ def new_trace_id() -> str:
 #: merge into one tree (router + workers) without paying an ``os.urandom``
 #: syscall per span — span creation is on the per-request hot path and
 #: budgeted at ≤ 5% overhead, and a plain decimal counter formats in
-#: under half the time of a zero-padded hex one.
+#: under half the time of a zero-padded hex one.  A span keeps only its
+#: counter value; its id is formatted when the recorder is read, or when
+#: a request names it on the wire (:func:`request_span`).
 _SPAN_PREFIX = os.urandom(3).hex()
 _SPAN_COUNTER = itertools.count(1)  # next() is atomic under the GIL
 
-
-def new_span_id() -> str:
-    return f"{_SPAN_PREFIX}{next(_SPAN_COUNTER)}"
+#: A span's parent: ``None`` at a trace's root, the id string a request's
+#: ``"trace"`` key names, or the counter value of a span of this process.
+ParentRef = Union[str, int, None]
 
 
 class TraceContext:
-    """The active (trace_id, span_id, recorder) triple for this context."""
+    """The active (trace_id, span_id, recorder) triple for this context;
+    *span_id* parents the spans opened here (a :data:`ParentRef`)."""
 
     __slots__ = ("trace_id", "span_id", "recorder")
 
-    def __init__(self, trace_id: str, span_id: Optional[str],
+    def __init__(self, trace_id: str, span_id: ParentRef,
                  recorder: "TraceRecorder"):
         self.trace_id = trace_id
         self.span_id = span_id
@@ -90,39 +101,30 @@ def current() -> Optional[TraceContext]:
 
 
 class TraceRecorder:
-    """Bounded, thread-safe store of completed spans keyed by trace ID.
+    """Bounded, thread-safe store of closed spans keyed by trace ID.
 
     Oldest traces are evicted once ``max_traces`` is exceeded; a single
-    runaway trace is capped at ``max_spans`` (the cap is recorded on the
-    trace's first dropped span so truncation is visible, not silent).
+    runaway trace is capped at ``max_spans`` (a capped trace reads with a
+    ``trace.truncated`` marker span last, so truncation is visible, not
+    silent).  Spans are kept as the entries :func:`end_leaf` closes and
+    become record dicts in :meth:`spans` — read time, not the request hot
+    path.
     """
 
     def __init__(self, max_traces: int = 128, max_spans: int = 2048):
         self.max_traces = int(max_traces)
         self.max_spans = int(max_spans)
         self._lock = new_lock("obs.trace_recorder")
-        self._traces: "OrderedDict[str, List[dict]]" = OrderedDict()
+        self._traces: "OrderedDict[str, List[tuple]]" = OrderedDict()
         self._truncated: set = set()
 
-    def record(self, span_record) -> None:
-        # Fast path, no lock: dict lookup and list.append are each atomic
-        # under the GIL, so a known trace below its cap appends directly
-        # (the cap may overshoot by a few spans under contention — it is a
-        # memory guard, not an exact count).  First-seen traces, eviction,
-        # and cap enforcement take the lock.  Entries are either finished
-        # record dicts or leaf tuples (:func:`end_leaf`) that materialize
-        # lazily in :meth:`spans` — read time, not the request hot path.
-        spans = self._traces.get(span_record[0][1]
-                                 if type(span_record) is tuple
-                                 else span_record["trace"])
-        if spans is not None and len(spans) < self.max_spans:
-            spans.append(span_record)
-            return
-        self._record_slow(span_record)
-
-    def _record_slow(self, span_record) -> None:
-        trace_id = (span_record[0][1] if type(span_record) is tuple
-                    else span_record["trace"])
+    def _record_slow(self, entry: tuple) -> None:
+        # end_leaf appends to a known trace below its cap without the lock
+        # (dict lookup and list.append are each atomic under the GIL; the
+        # cap may overshoot by a few spans under contention — it is a
+        # memory guard, not an exact count).  First-seen traces, eviction
+        # and the cap take the lock here.
+        trace_id = entry[0][1]
         with self._lock:
             spans = self._traces.get(trace_id)
             if spans is None:
@@ -130,20 +132,22 @@ class TraceRecorder:
                 while len(self._traces) > self.max_traces:
                     dropped, _ = self._traces.popitem(last=False)
                     self._truncated.discard(dropped)
-            if len(spans) >= self.max_spans:
-                if trace_id not in self._truncated:
-                    self._truncated.add(trace_id)
-                    spans.append({"trace": trace_id, "span": "",
-                                  "parent": None, "name": "trace.truncated",
-                                  "status": "error",
-                                  "error": f"span cap {self.max_spans} hit"})
-                return
-            spans.append(span_record)
+            if len(spans) < self.max_spans:
+                spans.append(entry)
+            else:
+                self._truncated.add(trace_id)
 
     def spans(self, trace_id: str) -> List[dict]:
+        """The record dicts of one trace's spans, in closing order."""
         with self._lock:
-            return [_leaf_record(entry) if type(entry) is tuple else entry
-                    for entry in self._traces.get(trace_id, ())]
+            records = [_leaf_record(entry)
+                       for entry in self._traces.get(trace_id, ())]
+            if trace_id in self._truncated:
+                records.append({"trace": trace_id, "span": "",
+                                "parent": None, "name": "trace.truncated",
+                                "status": "error",
+                                "error": f"span cap {self.max_spans} hit"})
+        return records
 
     def trace_ids(self) -> List[str]:
         with self._lock:
@@ -168,7 +172,7 @@ class activate:
     __slots__ = ("_ctx", "_token")
 
     def __init__(self, recorder: TraceRecorder, trace_id: str,
-                 parent_span_id: Optional[str] = None):
+                 parent_span_id: ParentRef = None):
         self._ctx = TraceContext(trace_id, parent_span_id, recorder)
 
     def __enter__(self) -> None:
@@ -196,86 +200,25 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _Span:
-    """One live span: a slotted context manager on the traced hot path."""
-
-    __slots__ = ("_ctx", "_token", "_start", "record")
-
-    def __init__(self, ctx: TraceContext, name: str, attrs: dict):
-        record = {
-            "trace": ctx.trace_id,
-            "span": new_span_id(),
-            "parent": ctx.span_id,
-            "name": name,
-            "start_us": time.time_ns() // 1000,
-        }
-        for key, value in attrs.items():
-            record[key] = (value if isinstance(value, (int, float, bool))
-                           else str(value))
-        self._ctx = ctx
-        self.record = record
-
-    def __enter__(self) -> dict:
-        self._token = _STATE.set(TraceContext(
-            self._ctx.trace_id, self.record["span"], self._ctx.recorder))
-        self._start = time.perf_counter_ns()
-        return self.record
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        record = self.record
-        record["elapsed_us"] = (time.perf_counter_ns() - self._start) // 1000
-        if exc_type is None:
-            record["status"] = "ok"
-        else:
-            record["status"] = "error"
-            record["error"] = f"{exc_type.__name__}: {exc}"
-        _STATE.reset(self._token)
-        self._ctx.recorder.record(record)
-        return False  # the span observes the exception; it never eats it
-
-
-def span(name: str, **attrs):
-    """A timed span under the active trace; no-op when none is active.
-
-    Yields the mutable span record (or ``None`` when inactive) so
-    callers may attach attributes mid-flight.  An exception marks the
-    span ``status="error"`` (with the exception text) and re-raises.
-    """
-    ctx = _STATE.get()
-    if ctx is None:
-        return NULL_SPAN
-    return _Span(ctx, name, attrs)
-
-
-def adopt_span(recorder: TraceRecorder, trace_id: str,
-               parent_span_id: Optional[str], name: str, **attrs):
-    """Adopt an incoming trace AND open its first span in one context
-    switch — equivalent to ``activate(...)`` + ``span(...)`` but with a
-    single contextvar set/reset.  The server uses this per traced request,
-    where the nested pair is measurable against the ≤ 5% overhead budget.
-    """
-    return _Span(TraceContext(trace_id, parent_span_id, recorder),
-                 name, attrs)
-
-
-# Leaf spans: spans that cannot have children, for work that provably
-# opens none (the coalesced scalar ops — their batch flush runs outside the
-# request's context, in an event-loop callback or a task it starts — the
-# client round trip, a shard decode).  A leaf switches no context and
-# builds no object: it is a tuple, opened by begin_leaf or begin_request
-# and closed by end_leaf, and its record dict (the microsecond divisions,
-# key coercion) is built only when the recorder is read.  On a small host
-# the serving threads ping-pong on context switches, so every in-window
-# microsecond shows up multiplied in round-trip time — the hot path does
-# the minimum and the read path pays the rest.  Inner code that *does*
-# call span() inside a leaf records under the leaf's parent, not the leaf;
-# use adopt_span wherever children are possible.
+# The one span record.  An open span is a tuple, opened by begin_leaf and
+# closed by end_leaf; its record dict (the span id, the microsecond
+# divisions, attribute coercion) is built only when the recorder is read.
+# On a small host the serving threads ping-pong on context switches, so
+# every in-window microsecond shows up multiplied in round-trip time — the
+# hot path does the minimum and the read path pays the rest.  An open span
+# is not the context's parent by itself: spans opened while it is open
+# parent under it only inside scope(leaf), the one context switch a span
+# with children adds (span() does both).  Work that provably opens no
+# span — the coalesced scalar ops, whose batch flush runs outside the
+# request's context; an outgoing request's round trip; a shard decode —
+# skips the switch.
 
 
 class SpanNames(dict):
     """``op -> (f"{prefix}.{op}", {"op": op})``: the name and attributes of
     each op's span, built on first use and then shared by every span of
-    that op (leaf attributes are never mutated)."""
+    that op — never mutated, since only :func:`span` yields a span's
+    attribute dict, and it builds its own."""
 
     def __init__(self, prefix: str):
         super().__init__()
@@ -287,36 +230,21 @@ class SpanNames(dict):
 
 
 def begin_leaf(recorder: TraceRecorder, trace_id: str,
-               parent_span_id: Optional[str], name: str, attrs: dict
-               ) -> tuple:
-    """Open a leaf span under *parent_span_id* of the trace *trace_id*:
-    :func:`adopt_span` minus the context switch.  Returns the open span,
-    to close with :func:`end_leaf`; *attrs* is kept as it is.  The span's
-    id is formatted when the recorder is read (``new_span_id()``'s
-    counter is drawn now)."""
+               parent_span_id: ParentRef, name: str, attrs: dict) -> tuple:
+    """Open a span under *parent_span_id* of the trace *trace_id*, to
+    record into *recorder*: no context switch and no object beyond the
+    returned tuple, to close with :func:`end_leaf`.  *attrs* is kept as it
+    is (and may be shared)."""
     return (recorder, trace_id, next(_SPAN_COUNTER), parent_span_id, name,
             attrs, time.time_ns(), time.perf_counter_ns())
 
 
-def begin_request(ctx: TraceContext, name: str, attrs: dict
-                  ) -> Tuple[dict, tuple]:
-    """Open the leaf span of one outgoing request under *ctx*.  Returns
-    the request's additive ``"trace"`` key, which names the new span as
-    the parent of everything the server records for the request, and the
-    open span, to close with :func:`end_leaf` once the answer is in."""
-    number = next(_SPAN_COUNTER)
-    return ({"id": ctx.trace_id, "span": f"{_SPAN_PREFIX}{number}"},
-            (ctx.recorder, ctx.trace_id, number, ctx.span_id, name, attrs,
-             time.time_ns(), time.perf_counter_ns()))
-
-
 def end_leaf(leaf: tuple, exc: Optional[BaseException] = None) -> None:
-    """Close and record an open leaf span; *exc* marks it
-    ``status="error"``."""
+    """Close and record an open span; *exc* marks it ``status="error"``."""
     entry = (leaf, time.perf_counter_ns() - leaf[7],
              None if exc is None else f"{type(exc).__name__}: {exc}")
-    # TraceRecorder.record's fast path, inlined: every call in the request
-    # window counts.
+    # The recorder's fast path, inlined: every call in the request window
+    # counts.
     recorder = leaf[0]
     spans = recorder._traces.get(leaf[1])
     if spans is not None and len(spans) < recorder.max_spans:
@@ -326,13 +254,14 @@ def end_leaf(leaf: tuple, exc: Optional[BaseException] = None) -> None:
 
 
 def _leaf_record(entry: tuple) -> dict:
-    """The record dict of a recorded leaf (:func:`end_leaf`)."""
+    """The record dict of a closed span (:func:`end_leaf`)."""
     leaf, elapsed_ns, error = entry
     _, trace_id, number, parent, name, attrs, start_ns, _ = leaf
     record = {
         "trace": trace_id,
         "span": f"{_SPAN_PREFIX}{number}",
-        "parent": parent,
+        "parent": (f"{_SPAN_PREFIX}{parent}" if isinstance(parent, int)
+                   else parent),
         "name": name,
         "start_us": start_ns // 1000,
         "elapsed_us": elapsed_ns // 1000,
@@ -346,8 +275,16 @@ def _leaf_record(entry: tuple) -> dict:
     return record
 
 
+def scope(leaf: tuple) -> activate:
+    """Make the open span *leaf* the parent of the spans opened inside the
+    block, in this task and in the tasks it creates: one context switch
+    over the same entry, which enters to ``None``."""
+    return activate(leaf[0], leaf[1], leaf[2])
+
+
 class _LeafBlock:
-    """An open leaf span as a ``with`` block (see :func:`leaf_span`)."""
+    """An open span as a ``with`` block: an exception leaving it marks the
+    span ``status="error"`` and propagates."""
 
     __slots__ = ("_leaf",)
 
@@ -362,10 +299,41 @@ class _LeafBlock:
         return False
 
 
+class _Span(_LeafBlock):
+    """A :class:`_LeafBlock` inside its :func:`scope`, entering to the
+    span's own attribute dict."""
+
+    __slots__ = ("_token",)
+
+    def __enter__(self) -> dict:
+        leaf = self._leaf
+        self._token = _STATE.set(TraceContext(leaf[1], leaf[2], leaf[0]))
+        return leaf[5]
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        _STATE.reset(self._token)
+        end_leaf(self._leaf, exc)
+        return False
+
+
+def span(name: str, **attrs):
+    """A timed span under the active trace, parenting the spans opened
+    inside it; no-op when no trace is active.
+
+    Yields the span's own attribute dict (or ``None`` when inactive) so
+    callers may attach attributes mid-flight.  An exception marks the
+    span ``status="error"`` (with the exception text) and re-raises.
+    """
+    ctx = _STATE.get()
+    if ctx is None:
+        return NULL_SPAN
+    return _Span(begin_leaf(ctx.recorder, ctx.trace_id, ctx.span_id,
+                            name, attrs))
+
+
 def leaf_span(name: str, **attrs):
-    """:func:`span` as a leaf (see :func:`begin_leaf`): a ``with`` block
-    timing work that never opens a child span; no-op when no trace is
-    active."""
+    """:func:`span` without its scope, for work that never opens a span:
+    yields ``None``; no-op when no trace is active."""
     ctx = _STATE.get()
     if ctx is None:
         return NULL_SPAN
@@ -373,12 +341,30 @@ def leaf_span(name: str, **attrs):
                                  name, attrs))
 
 
+def request_span(frame: dict, names: SpanNames):
+    """The span of one outgoing request *frame*, as a ``with`` block around
+    its round trip; no-op when no trace is active.
+
+    Under an active trace it opens the ``names[frame["op"]]`` span (a
+    leaf: the round trip opens none) and stamps the frame's additive
+    ``"trace"`` key with its id, which makes it the parent of everything
+    the server records for the request.
+    """
+    ctx = _STATE.get()
+    if ctx is None:
+        return NULL_SPAN
+    name, attrs = names[frame["op"]]
+    leaf = begin_leaf(ctx.recorder, ctx.trace_id, ctx.span_id, name, attrs)
+    frame["trace"] = {"id": ctx.trace_id, "span": f"{_SPAN_PREFIX}{leaf[2]}"}
+    return _LeafBlock(leaf)
+
+
 class _TraceHandle:
     __slots__ = ("trace_id", "root")
 
-    def __init__(self, trace_id: str, root: Optional[dict]):
+    def __init__(self, trace_id: str, root: dict):
         self.trace_id = trace_id
-        self.root = root
+        self.root = root  # the root span's attribute dict
 
 
 @contextmanager
@@ -391,9 +377,5 @@ def start_trace(name: str, recorder: TraceRecorder,
     what to pass to the ``trace`` wire op afterwards.
     """
     trace_id = trace_id or new_trace_id()
-    token = _STATE.set(TraceContext(trace_id, None, recorder))
-    try:
-        with span(name, **attrs) as root:
-            yield _TraceHandle(trace_id, root)
-    finally:
-        _STATE.reset(token)
+    with _Span(begin_leaf(recorder, trace_id, None, name, attrs)) as root:
+        yield _TraceHandle(trace_id, root)

@@ -455,16 +455,16 @@ def distributed_generate(
         if not use_processes:
             rank_aggregates = []
             for part in partitions:
-                with trace.span("stream.rank", rank=part.rank) as record:
+                with trace.span("stream.rank", rank=part.rank) as attrs:
                     acc = stream_rank_aggregate(
                         factor_a, factor_b, part,
                         a_edges_per_block=block,
                         with_statistics=with_statistics, stats=stats,
                         truss=truss, sink=sink,
                         payload_columns=payload_columns)
-                    if record is not None:
-                        record["n_edges"] = acc.n_edges
-                        record["n_blocks"] = acc.n_blocks
+                    if attrs is not None:
+                        attrs["n_edges"] = acc.n_edges
+                        attrs["n_blocks"] = acc.n_blocks
                 rank_aggregates.append(acc)
         else:
             # Pool ranks run in other interpreters; their work is visible

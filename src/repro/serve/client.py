@@ -130,23 +130,13 @@ class QueryClient:
         between requests (idle-timeout, restart); a failure on the fresh
         connection propagates.  Under an active trace the round trip runs
         inside a ``client.<op>`` span whose id is stamped on the frame's
-        additive ``"trace"`` key, making the span the parent of everything
-        the server records for this request.
+        additive ``"trace"`` key (:func:`~repro.obs.trace.request_span`),
+        making the span the parent of everything the server records for
+        this request.
         """
         frame = protocol.request_frame(op, args)
-        active = trace.current()
-        if active is None:
+        with trace.request_span(frame, CLIENT_SPANS):
             return self._send_with_retry(frame)
-        # A leaf span: the socket round trip opens no nested spans.
-        name, attrs = CLIENT_SPANS[op]
-        frame["trace"], leaf = trace.begin_request(active, name, attrs)
-        try:
-            answer = self._send_with_retry(frame)
-        except BaseException as exc:
-            trace.end_leaf(leaf, exc)
-            raise
-        trace.end_leaf(leaf)
-        return answer
 
     def _send_with_retry(self, frame: dict) -> dict:
         reused = self._sock is not None

@@ -119,26 +119,16 @@ class _Transport:
     router's event loop.
 
     :meth:`request` builds the request object a
-    :class:`~repro.serve.QueryClient` would send and, under an active trace,
-    opens a ``client.<op>`` leaf span whose id is stamped on it, so the
-    worker parents its spans under it; :meth:`_roundtrip` carries the
-    request to the worker and returns the answer's ``result``.
+    :class:`~repro.serve.QueryClient` would send, inside the same
+    ``client.<op>`` request span (:func:`~repro.obs.trace.request_span`),
+    so the worker parents its spans under it; :meth:`_roundtrip` carries
+    the request to the worker and returns the answer's ``result``.
     """
 
     async def request(self, op: str, args: Optional[dict]) -> dict:
         frame = protocol.request_frame(op, args)
-        active = trace.current()
-        if active is None:
+        with trace.request_span(frame, CLIENT_SPANS):
             return await self._roundtrip(frame)
-        name, attrs = CLIENT_SPANS[op]
-        frame["trace"], leaf = trace.begin_request(active, name, attrs)
-        try:
-            answer = await self._roundtrip(frame)
-        except BaseException as exc:
-            trace.end_leaf(leaf, exc)
-            raise
-        trace.end_leaf(leaf)
-        return answer
 
     async def _roundtrip(self, frame: dict) -> dict:
         raise NotImplementedError
@@ -230,7 +220,9 @@ class _WorkerChannel:
     worker, its range, and both failed attempts.  A successful failover
     makes the surviving replica preferred, so later calls do not re-pay the
     dead primary's timeout.  An in-process call has no transport that can
-    fail, so only its timeout can retry it.
+    fail and no deadline: it runs on the router's own loop, where a slow
+    call is still making progress, and cancelling it would only re-run the
+    same work on the same worker.
 
     Transports are used only on the router's event loop, so the channel
     needs no lock.  A transport goes back to the idle list only when its
@@ -315,11 +307,11 @@ class _WorkerChannel:
                        connection: Optional[_Transport],
                        op: str, args: Optional[dict], **attrs) -> dict:
         """One request to one replica — on *connection*, or on a new one —
-        under its own ``fleet.worker_call`` trace span and within
-        *timeout*.  The transport is checked back in only when the
+        under its own ``fleet.worker_call`` trace span and, over the wire,
+        within *timeout*.  The transport is checked back in only when the
         exchange ended in sync."""
         address = self.addresses[address_index]
-        deadline = asyncio.timeout(self.timeout)
+        deadline = asyncio.timeout(None if self.in_process else self.timeout)
         in_sync = False
         try:
             with trace.span("fleet.worker_call", worker=self.index,
@@ -431,7 +423,8 @@ class FleetStore(StoreQueryMixin):
         ``subgraph`` naming with the *parent* identity, not a slice's.
     timeout:
         Seconds one replica attempt (connect plus exchange) may take on
-        any worker channel before it counts as a transport failure.
+        any worker channel reached over the wire before it counts as a
+        transport failure.  A worker called in process has no deadline.
     registry:
         :class:`~repro.obs.MetricsRegistry` the per-worker channel
         counters register into (a private one by default).  The router
@@ -480,9 +473,12 @@ class FleetStore(StoreQueryMixin):
     # ------------------------------------------------------------------
     # Fan-out plumbing
     # ------------------------------------------------------------------
-    def _owners(self, vs: np.ndarray) -> np.ndarray:
-        """Index of the worker whose assigned range contains each vertex."""
-        return np.searchsorted(self._his, vs, side="right")
+    def _by_owner(self, vs: np.ndarray) -> List[tuple]:
+        """``(channel, mask)`` per worker whose assigned range contains some
+        of *vs*, in worker order; *mask* selects those vertices."""
+        owners = np.searchsorted(self._his, vs, side="right")
+        return [(self._channels[index], owners == index)
+                for index in np.unique(owners).tolist()]
 
     async def _scatter(self, calls: List) -> List[dict]:
         """Send ``(channel, op, args)`` requests concurrently; answers in
@@ -512,15 +508,11 @@ class FleetStore(StoreQueryMixin):
         out = np.zeros(vs.shape[0], dtype=np.int64)
         if vs.size == 0:
             return out
-        owners = self._owners(vs)
-        calls, masks = [], []
-        for index, channel in enumerate(self._channels):
-            mask = owners == index
-            if mask.any():
-                calls.append((channel, "degrees",
-                              {"vertices": vs[mask].tolist()}))
-                masks.append(mask)
-        for mask, answer in zip(masks, (yield self._scatter(calls))):
+        split = self._by_owner(vs)
+        answers = yield self._scatter([
+            (channel, "degrees", {"vertices": vs[mask].tolist()})
+            for channel, mask in split])
+        for (_, mask), answer in zip(split, answers):
             out[mask] = answer["degrees"]
         return out
 
@@ -530,14 +522,10 @@ class FleetStore(StoreQueryMixin):
         vs = np.unique(self._check_vertices(np.asarray(vs, dtype=np.int64)))
         if vs.size == 0:
             return self._finish_rows([], with_payload)
-        owners = self._owners(vs)
-        calls = []
-        for index, channel in enumerate(self._channels):
-            mask = owners == index
-            if mask.any():
-                calls.append((channel, "edges_for_sources",
-                              {"vertices": vs[mask].tolist(),
-                               "with_payload": with_payload}))
+        calls = [(channel, "edges_for_sources",
+                  {"vertices": vs[mask].tolist(),
+                   "with_payload": with_payload})
+                 for channel, mask in self._by_owner(vs)]
         # Ranges are contiguous and each worker answers (src, dst)-sorted,
         # so worker order *is* global source order.
         parts = [answer["edges"] for answer in (yield self._scatter(calls))
@@ -562,25 +550,17 @@ class FleetStore(StoreQueryMixin):
 
     def _edge_payloads(self, ps: Sequence[int], qs: Sequence[int], *, pace):
         self._require_payload()
-        ps = self._check_vertices(np.atleast_1d(np.asarray(ps, dtype=np.int64)))
-        qs = self._check_vertices(np.atleast_1d(np.asarray(qs, dtype=np.int64)))
-        if ps.shape != qs.shape:
-            raise ValueError(f"ps and qs must have matching shapes, "
-                             f"got {ps.shape} and {qs.shape}")
+        ps, qs = self._check_pairs(ps, qs)
         out = np.zeros((ps.shape[0], len(self.payload_columns)),
                        dtype=np.int64)
         if ps.size == 0:
             return out
-        owners = self._owners(ps)  # an edge lives with its source's owner
-        calls, masks = [], []
-        for index, channel in enumerate(self._channels):
-            mask = owners == index
-            if mask.any():
-                calls.append((channel, "edge_payloads",
-                              {"ps": ps[mask].tolist(),
-                               "qs": qs[mask].tolist()}))
-                masks.append(mask)
-        for mask, answer in zip(masks, (yield self._scatter(calls))):
+        split = self._by_owner(ps)  # an edge lives with its source's owner
+        answers = yield self._scatter([
+            (channel, "edge_payloads",
+             {"ps": ps[mask].tolist(), "qs": qs[mask].tolist()})
+            for channel, mask in split])
+        for (_, mask), answer in zip(split, answers):
             out[mask] = answer["payloads"]
         return out
 

@@ -585,10 +585,11 @@ class ShardStoreServer:
     #: Ops whose handlers provably open no child spans — the coalesced
     #: scalar ops (their batch flush runs outside the request's context:
     #: in a loop callback, or in a task that callback starts) and
-    #: ``hello``.  Their serve spans are leaves
-    #: (:func:`repro.obs.trace.begin_leaf`): no contextvar switch and no
-    #: span object, which keeps the traced scalar hot path inside the
-    #: ≤ 5% overhead budget.
+    #: ``hello``.  A traced request's serve span is one entry
+    #: (:func:`repro.obs.trace.begin_leaf`) whatever its op; these ops skip
+    #: its :func:`~repro.obs.trace.scope`, the contextvar switch the other
+    #: ops' store work parents under, which keeps the traced scalar hot
+    #: path inside the ≤ 5% overhead budget.
     _LEAF_OPS = frozenset({"degree", "neighbors", "hello"})
 
     async def dispatch(self, frame: dict) -> dict:
@@ -603,10 +604,12 @@ class ShardStoreServer:
 
         A request carrying the additive ``"trace"`` key
         (``{"id": <trace_id>, "span": <parent_span_id>}``) is served under
-        an activated trace context: the ``serve.<op>`` span records into
-        this server's recorder and store work inherits the context (so
-        shard-decode spans nest under it).  Untraced requests skip the
-        tracing machinery entirely.
+        a ``serve.<op>`` span that records into this server's recorder,
+        closed with the request's failure (``status="error"``) if it has
+        one.  Outside :attr:`_LEAF_OPS` the request runs in the span's
+        :func:`~repro.obs.trace.scope`, so its store work (shard decodes,
+        worker calls) nests under it.  An untraced request builds nothing
+        for tracing.
         """
         trace_ref = frame.get("trace")
         trace_id = None
@@ -615,25 +618,22 @@ class ShardStoreServer:
         op = frame.get("op")
         op_key = op if isinstance(op, str) and op in self._ops else "_invalid"
         ok = True
-        name, attrs = self._span_names[op_key]
         leaf = failure = None
-        if trace_id is None:
-            serve_span = trace.span(name, **attrs)
-        elif op_key in self._LEAF_OPS:
-            # The per-request hot path: a leaf switches no context.
-            leaf = trace.begin_leaf(self.recorder, trace_id,
-                                    trace_ref.get("span"), name, attrs)
-            serve_span = trace.NULL_SPAN
-        else:
-            # adopt_span fuses trace adoption + the serve span into one
-            # context switch.
-            serve_span = trace.adopt_span(
-                self.recorder, trace_id, trace_ref.get("span"), name, **attrs)
+        serve_scope = trace.NULL_SPAN
+        if trace_id is not None:
+            name, attrs = self._span_names[op_key]
+            # Only an id string names the parent: a recorder keeps a local
+            # parent as its span number, so a number from the wire would
+            # read as a span of this process.
+            parent = trace_ref.get("span")
+            leaf = trace.begin_leaf(
+                self.recorder, trace_id,
+                parent if isinstance(parent, str) else None, name, attrs)
+            if op_key not in self._LEAF_OPS:
+                serve_scope = trace.scope(leaf)
         with self._latency[op_key].time() as timer:
             try:
-                # The span sees handler exceptions (status="error") before
-                # they are converted to error frames below.
-                with serve_span:
+                with serve_scope:
                     version = frame.get("v")
                     if version != PROTOCOL_VERSION:
                         raise ProtocolError(

@@ -206,6 +206,17 @@ class StoreQueryMixin:
             raise IndexError("product vertex id out of range")
         return vs
 
+    def _check_pairs(self, ps: Sequence[int], qs: Sequence[int]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """The vertex pairs ``(ps[t], qs[t])`` of a payload lookup as two
+        range-checked ``int64`` arrays of one shape."""
+        ps = self._check_vertices(np.atleast_1d(np.asarray(ps, dtype=np.int64)))
+        qs = self._check_vertices(np.atleast_1d(np.asarray(qs, dtype=np.int64)))
+        if ps.shape != qs.shape:
+            raise ValueError(f"ps and qs must have matching shapes, "
+                             f"got {ps.shape} and {qs.shape}")
+        return ps, qs
+
     def _require_payload(self, with_payload: bool = True) -> None:
         """Refuse a payload request on a topology-only store, before the
         call reads a shard or calls a worker."""
@@ -692,11 +703,7 @@ class ShardStore(StoreQueryMixin):
     def _edge_payloads(self, ps: Sequence[int], qs: Sequence[int], *,
                        pace: _Pace):
         self._require_payload()
-        ps = self._check_vertices(np.atleast_1d(np.asarray(ps, dtype=np.int64)))
-        qs = self._check_vertices(np.atleast_1d(np.asarray(qs, dtype=np.int64)))
-        if ps.shape != qs.shape:
-            raise ValueError(f"ps and qs must have matching shapes, "
-                             f"got {ps.shape} and {qs.shape}")
+        ps, qs = self._check_pairs(ps, qs)
         values = np.zeros((ps.shape[0], len(self.payload_columns)),
                           dtype=np.int64)
         if ps.size == 0:

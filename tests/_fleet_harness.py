@@ -14,13 +14,14 @@ the fault injection hooks below need the wire:
 
 * :meth:`FleetHarness.kill` stops a worker mid-test (its port then refuses
   connections, the transport failure the router's channel must fail over);
-* ``scripted={slice_index: handler}`` prepends a scripted-failure socket —
-  the same hand-rolled-peer pattern as ``_scripted_server`` in
-  ``tests/test_serve.py`` — as that slice's *primary* address, so a worker
-  can die mid-request deterministically while a real replica stands behind
-  it.  :func:`drop_after_request`, :func:`truncate_response` and
+* ``scripted={slice_index: handler}`` prepends a :func:`scripted_worker`
+  socket as that slice's *primary* address, so a worker can die
+  mid-request deterministically while a real replica stands behind it.
+  :func:`drop_after_request`, :func:`truncate_response` and
   :func:`hang_after_request` are the stock handlers (connection killed
   after reading the request / mid-frame, or never answered).
+  ``tests/test_serve.py`` points a :class:`~repro.serve.QueryClient` at
+  the same scripted peer for its client-side fuzz cases.
 
 :func:`logged_steps` counts the steps of each store call a server drives,
 on either backend: a shard store's turns of the event loop, or a fleet's
@@ -54,10 +55,11 @@ __all__ = ["FleetHarness", "scripted_worker", "drop_after_request",
 
 
 def scripted_worker(handler: Callable) -> "tuple[socket.socket, str]":
-    """A fake worker: every accepted connection runs *handler(conn)*.
+    """A scripted peer — a fake worker, or a fake server for a client:
+    every accepted connection runs *handler(conn)*.
 
     Returns ``(listener, "host:port")``; close the listener to stop the
-    accept thread.  Mirrors ``_scripted_server`` in ``tests/test_serve.py``.
+    accept thread.
     """
     lsock = socket.socket()
     lsock.bind(("127.0.0.1", 0))

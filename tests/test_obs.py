@@ -9,6 +9,7 @@ recorder / context plumbing in :mod:`repro.obs.trace`, and the server-side
 
 from __future__ import annotations
 
+import asyncio
 import re
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.obs import (
     trace,
 )
 from repro.parallel import distributed_generate
-from repro.serve import QueryClient, ThreadedServer
+from repro.serve import QueryClient, ThreadedServer, protocol
 from repro.store import compact_shards
 
 
@@ -223,6 +224,27 @@ class TestTrace:
         assert all(s["status"] == "ok" for s in spans.values())
         assert all(s["elapsed_us"] >= 0 for s in spans.values())
 
+    def test_span_attributes_set_mid_flight_are_recorded(self):
+        """``span`` yields the span's own attribute dict, and what is set
+        on it before the span closes is recorded: a traced streaming run
+        gives each ``stream.rank`` span its ``n_edges`` and ``n_blocks``,
+        which sum to the run's totals."""
+        factor_a = generators.webgraph_like(30, edges_per_vertex=3,
+                                            triad_probability=0.6, seed=3)
+        factor_b = generators.triangle_constrained_pa(10, seed=13)
+        recorder = TraceRecorder()
+        with trace.start_trace("generate", recorder) as handle:
+            result = distributed_generate(factor_a, factor_b, 3,
+                                          streaming=True, a_edges_per_block=8)
+        spans = recorder.spans(handle.trace_id)
+        (run,) = [s for s in spans if s["name"] == "stream.run"]
+        ranks = [s for s in spans if s["name"] == "stream.rank"]
+        assert sorted(s["rank"] for s in ranks) == [0, 1, 2]
+        assert all(s["parent"] == run["span"] for s in ranks)
+        assert sum(s["n_edges"] for s in ranks) == result.n_edges > 0
+        assert sum(s["n_blocks"] for s in ranks) \
+            == result.total.n_blocks > len(ranks)
+
     def test_error_spans_mark_status_and_reraise(self):
         recorder = TraceRecorder()
         with pytest.raises(ValueError):
@@ -325,6 +347,21 @@ class TestServedSurface:
             decode = [s for s in server_spans if s["name"] == "store.decode"]
             assert decode, "expected store.decode spans on a cold cache"
             assert all(s["parent"] == serve_span["span"] for s in decode)
+
+    def test_only_an_id_string_names_the_serve_span_parent(self, store_dir):
+        """The ``"trace"`` key names the serve span's parent by its id
+        string; another value is not adopted (a number would read as a
+        span of the server's own process)."""
+        with ThreadedServer(store_dir) as handle:
+            server = handle.server
+            for parent in ("beef", 7, None):
+                frame = protocol.request_frame("degree", {"vertex": 5})
+                frame["trace"] = {"id": "cafe", "span": parent}
+                answer = asyncio.run_coroutine_threadsafe(
+                    server.dispatch(frame), server.loop).result(timeout=30)
+                assert answer["ok"]
+            parents = [s["parent"] for s in server.recorder.spans("cafe")]
+        assert parents == ["beef", None, None]
 
     def test_untraced_requests_record_no_spans(self, store_dir):
         with ThreadedServer(store_dir) as handle, \

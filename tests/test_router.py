@@ -70,10 +70,13 @@ from repro.serve import (
     QueryClient,
     RangeRouter,
     ServerError,
+    ShardStoreServer,
     ThreadedServer,
     fleet_info_from_manifest,
+    protocol,
 )
 from repro.store import ShardStore, compact_shards
+from repro.store import query as query_mod
 
 PAYLOAD = ("triangles", "trussness")
 
@@ -1050,6 +1053,55 @@ class TestInProcessWorkers:
                              "src_hi": int(manifest["n_vertices"]),
                              "addresses": [server.server, server.address]}],
                            fleet_info_from_manifest(manifest))
+
+    def test_a_slow_in_process_call_has_no_deadline(self, store_factory,
+                                                     local_store,
+                                                     monkeypatch):
+        """A slow in-process worker call is still making progress on the
+        router's own loop, so the channel's timeout does not cancel it and
+        re-run it: a routed ``edges_in_range`` whose shard decodes outlast
+        two timeouts answers byte-equal, with one worker call and one read
+        per shard."""
+        store = store_factory(target_shard_edges=380)
+        manifest = read_shard_manifest(store)
+        n, n_shards = int(manifest["n_vertices"]), len(manifest["shards"])
+        timeout, decode_s = 0.2, 0.03
+        assert n_shards * decode_s > 2 * timeout  # the retry expires too
+        load = query_mod._load_shard_file
+
+        def slow_load(*args, **kwargs):
+            time.sleep(decode_s)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(query_mod, "_load_shard_file", slow_load)
+
+        async def routed():
+            worker = ShardStoreServer(store, cache_shards=2)
+            await worker.start()
+            try:
+                fleet = FleetStore(
+                    [{"src_lo": 0, "src_hi": n, "addresses": [worker]}],
+                    fleet_info_from_manifest(manifest), timeout=timeout)
+                router = RangeRouter(fleet)
+                await router.start()
+                try:
+                    response = await router.dispatch(protocol.request_frame(
+                        "edges_in_range", {"lo": 0, "hi": n}))
+                finally:
+                    await router.stop()
+                return response, fleet.describe(), worker.store.shard_reads
+            finally:
+                await worker.stop()
+
+        response, described, shard_reads = asyncio.run(routed())
+        assert response["ok"], response["error"]
+        edges = response["result"]["edges"]
+        expected = local_store.edges_in_range(0, n)
+        assert edges.dtype == expected.dtype
+        assert np.array_equal(edges, expected)
+        assert described["slices"][0]["calls"] == 1
+        assert described["slices"][0]["failovers"] == 0
+        assert shard_reads == n_shards
 
 
 class TestPayloadOnTopologyOnlyStore:

@@ -48,7 +48,7 @@ from repro.serve import (
 from repro.obs import TraceRecorder, trace
 from repro.serve.server import ShardStoreServer, _Coalescer
 from repro.store import ShardStore, compact_shards
-from _fleet_harness import logged_steps
+from _fleet_harness import logged_steps, scripted_worker
 
 PAYLOAD = ("triangles", "trussness")
 
@@ -1096,31 +1096,6 @@ class TestServeCli:
 # ----------------------------------------------------------------------
 # Protocol v3: every answer array rides one binary frame
 # ----------------------------------------------------------------------
-def _scripted_server(handler):
-    """A listening socket whose every accepted connection runs *handler* —
-    the hand-rolled peer for client-side fuzz cases.  Close the returned
-    socket to stop the accept thread."""
-    lsock = socket.socket()
-    lsock.bind(("127.0.0.1", 0))
-    lsock.listen(4)
-    port = lsock.getsockname()[1]
-
-    def run():
-        while True:
-            try:
-                conn, _ = lsock.accept()
-            except OSError:
-                return  # listener closed: test over
-            with conn:
-                try:
-                    handler(conn)
-                except Exception:
-                    pass  # a client that already hung up is fine
-
-    threading.Thread(target=run, daemon=True).start()
-    return lsock, port
-
-
 class TestBinaryPlane:
     def test_hello_announces_v3(self, client):
         info = client.hello()
@@ -1254,11 +1229,11 @@ class TestBinaryFuzz:
             claimed = len(body) if length is None else length
             conn.sendall(struct.pack(">I", claimed) + body)  # then close
 
-        return _scripted_server(handler)
+        return scripted_worker(handler)
 
-    def _assert_dropped(self, lsock, port, match):
+    def _assert_dropped(self, lsock, address, match):
         try:
-            with QueryClient("127.0.0.1", port, timeout=10) as c:
+            with QueryClient.from_address(address, timeout=10) as c:
                 with pytest.raises(ProtocolError, match=match):
                     c.request("edges_in_range", {"lo": 0, "hi": 10})
                 # The desynchronized socket was dropped, not kept for reuse.
@@ -1304,9 +1279,9 @@ class TestClientConnection:
             protocol.read_frame(conn)  # swallow the request, answer nothing
             threading.Event().wait(5)
 
-        lsock, port = _scripted_server(handler)
+        lsock, address = scripted_worker(handler)
         try:
-            with QueryClient("127.0.0.1", port, timeout=0.3) as c:
+            with QueryClient.from_address(address, timeout=0.3) as c:
                 assert c.timeout == 0.3
                 with pytest.raises(socket.timeout):
                     c.request("degree", {"vertex": 0})
@@ -1325,9 +1300,9 @@ class TestClientConnection:
                 conn.sendall(protocol.encode_frame(answer))
             # connection closes when the handler returns: one answer each
 
-        lsock, port = _scripted_server(handler)
+        lsock, address = scripted_worker(handler)
         try:
-            with QueryClient("127.0.0.1", port, timeout=10) as c:
+            with QueryClient.from_address(address, timeout=10) as c:
                 assert c.request("degree", {"vertex": 0})["degree"] == 7
                 assert c.request("degree", {"vertex": 0})["degree"] == 7
                 stats = c.connection_stats()
