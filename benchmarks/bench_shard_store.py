@@ -22,23 +22,27 @@ Runs in two modes:
   pattern), spill wall time, and windows that time single store calls on
   the product re-cut to 4,096-edge shards: a cold 32-vertex ``degrees``
   behind a 2-shard LRU, and a warm one-vertex ``degrees`` and
-  ``edges_for_sources(with_payload=True)``.
+  ``edges_for_sources(with_payload=True)``; and the cost of one cold shard
+  visit under each decode (read whole or mapped), per shard size, the
+  table that places ``repro.store.query._READ_BELOW_BYTES``.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import generators
 from repro.core import KroneckerGraph
-from repro.graphs import NpyShardSink
+from repro.graphs import NpyShardSink, read_shard_manifest
 from repro.graphs.egonet import egonet
 from repro.parallel import distributed_generate
 from repro.store import ShardStore, compact_shards
+import repro.store.query as query_mod
 from benchmarks._report import emit_bench_json, print_section
 
 N_RANKS = 8
@@ -51,6 +55,10 @@ PAYLOAD = ("triangles", "trussness")
 COLD_SHARD_EDGES = 4096
 COLD_CACHE_SHARDS = 2
 COLD_BATCH = 32
+#: Shard sizes (KiB of rows) of the cold-visit table, and its visits per
+#: size and decode.
+VISIT_SHARD_KIB = (32, 64, 128, 192, 256, 384, 512, 1024)
+VISITS = 3000
 
 
 def _spill(factor_a, factor_b, directory, *, n_ranks, block,
@@ -130,6 +138,48 @@ def _store_call_windows(factor_a, factor_b, tmp_path, *, n_ranks, block):
     return figures
 
 
+def _cold_visit_table(spill_dir, tmp_path) -> dict:
+    """Median wall µs of one cold shard visit — a one-vertex ``degrees``
+    whose shard is not cached, behind a 2-shard LRU, so the call decodes
+    it and a mapped decode's release at eviction is counted too — per
+    shard size in :data:`VISIT_SHARD_KIB`, with each decode: ``read``
+    (``mmap=False``) and ``mapped`` (every shard mapped).  The decodes
+    alternate in blocks of 50 visits, so host drift falls on both."""
+    table = {}
+    width = len(read_shard_manifest(spill_dir)["payload_columns"])
+    for kib in VISIT_SHARD_KIB:
+        directory = tmp_path / f"visit-{kib}k"
+        compact_shards(spill_dir, directory,
+                       target_shard_edges=(kib << 10) // (width * 8))
+        stores = {"read": ShardStore(directory, cache_shards=2, mmap=False),
+                  "mapped": ShardStore(directory, cache_shards=2)}
+        manifest = read_shard_manifest(directory)
+        # One source inside each shard, so a visit decodes that one shard;
+        # visiting the shards in turn misses the 2-shard LRU every time.
+        inside = [np.asarray([(s["src_min"] + s["src_max"]) // 2])
+                  for s in manifest["shards"]
+                  if s["src_max"] - s["src_min"] >= 2]
+        assert len(inside) >= 3
+        times = {name: [] for name in stores}
+        with mock.patch.object(query_mod, "_READ_BELOW_BYTES", 0):
+            for start in range(0, VISITS, 50):
+                for name, store in stores.items():
+                    times[name] += _timed_calls(store.degrees, [
+                        inside[i % len(inside)]
+                        for i in range(start, start + 50)])
+        for name, store in stores.items():
+            mapped = store.stats()["mapped_bytes"]
+            assert (mapped > 0) == (name == "mapped")
+            assert store.shard_reads == VISITS  # every visit was cold
+            store.close()
+        table[str(kib)] = {name: round(float(np.median(us)), 1)
+                           for name, us in times.items()}
+    print("  cold shard visit (µs, read / mapped): " + ", ".join(
+        f"{kib} KiB {row['read']:.1f} / {row['mapped']:.1f}"
+        for kib, row in table.items()))
+    return table
+
+
 def _sorted_reference(product):
     edges = product.edges()
     return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
@@ -192,6 +242,17 @@ def test_shard_store_smoke(tmp_path):
     store, manifest, _ = _run_pipeline(
         factor_a, factor_b, tmp_path, n_ranks=N_RANKS, block=8,
         target=1500, label="smoke")
+    # Its shards are small, so the store reads them; mapped, they answer
+    # the same bytes.
+    read = store.edges_in_range(0, store.n_vertices)
+    assert store.stats()["mapped_bytes"] == 0
+    with mock.patch.object(query_mod, "_READ_BELOW_BYTES", 0):
+        mapped = ShardStore(tmp_path / "store", cache_shards=4)
+        product = KroneckerGraph(factor_a, factor_b)
+        _assert_store_matches_product(mapped, product)
+        rows = mapped.edges_in_range(0, mapped.n_vertices)
+        assert mapped.stats()["resident_bytes"] == 0
+    assert rows.dtype == read.dtype and rows.tobytes() == read.tobytes()
     assert manifest["format_version"] == 2
     assert manifest["sorted_by"] == "source"
     # Vertex ranges tile the store in order.
@@ -244,6 +305,7 @@ def test_shard_store_throughput_full(tmp_path):
           f"{stats['resident_bytes']} bytes copied (mmap decode)")
     store_calls = _store_call_windows(factor_a, factor_b, tmp_path,
                                       n_ranks=N_RANKS, block=32)
+    visits = _cold_visit_table(tmp_path / "payload-spill", tmp_path)
 
     emit_bench_json("shard_store", {
         "mode": "full",
@@ -257,4 +319,6 @@ def test_shard_store_throughput_full(tmp_path):
         "mapped_bytes_warm": int(stats["mapped_bytes"]),
         "resident_bytes_warm": int(stats["resident_bytes"]),
         **store_calls,
+        "cold_visit_us": visits,
+        "read_below_bytes": query_mod._READ_BELOW_BYTES,
     })

@@ -27,8 +27,8 @@ Formats
   :func:`read_edge_shard`, the one reader the compactor and the shard store
   share.  A shard file is exactly what ``np.save`` writes for a C-contiguous
   little-endian ``int64`` 2-D array; the reader checks that fixed header
-  itself and views the rows through one read-only ``mmap`` of the file — no
-  general ``.npy`` parse.
+  itself and either reads the rows with one positional read or views them
+  through one read-only ``mmap`` of the file — no general ``.npy`` parse.
 
 The edge-list and bundle functions import scipy and the graph classes
 where they build a graph; the shard and manifest functions need only
@@ -618,15 +618,19 @@ def read_edge_shard(path: PathLike, columns: Sequence[str], *,
     The file is opened as a bare descriptor, its header checked against the
     one fixed layout the writers produce (:func:`_check_shard_header`: one
     positional read), and the rows are then read at its data offset:
+    ``None`` reads them into a private array with one ``os.preadv`` (a file
+    that ends before its rows do is a :class:`ValueError` naming it), and
     ``mmap_mode="r"`` returns a plain read-only ``ndarray`` viewing them
     through one ``mmap.mmap`` of the descriptor (its ``base``; the mapping
     holds a duplicate of the descriptor and is released with the last
-    view), ``None`` a private copy read with ``np.fromfile``.  The
-    descriptor is closed before returning, on success or failure.  Neither
-    path parses Python literals, so concurrent decodes from many threads
-    need no lock.  The view is a base-class array on purpose: numpy's
-    memmap subclass runs Python hooks on every slice taken of it, a cost
-    each query would pay.
+    view).  A small shard costs less read than mapped: a mapping is paid
+    for at its making, its first touch of each page and its release
+    (:data:`repro.store.query._READ_BELOW_BYTES` places the crossover).
+    The descriptor is closed before returning, on success or failure.
+    Neither path parses Python literals, so concurrent decodes from many
+    threads need no lock.  The view is a base-class array on purpose:
+    numpy's memmap subclass runs Python hooks on every slice taken of it,
+    a cost each query would pay.
     """
     if mmap_mode not in (None, "r"):
         raise ValueError(f"edge shards are read-only: mmap_mode must be 'r' "
@@ -636,10 +640,19 @@ def read_edge_shard(path: PathLike, columns: Sequence[str], *,
         rows, offset = _check_shard_header(fd, path, columns)
         shape = (rows, len(columns))
         if mmap_mode is None:
-            with open(fd, "rb", closefd=False) as handle:
-                return np.fromfile(handle, dtype=_SHARD_DTYPE,
-                                   count=rows * shape[1],
-                                   offset=offset).reshape(shape)
+            out = np.empty(shape, dtype=_SHARD_DTYPE)
+            got = os.preadv(fd, (out,), offset)
+            while got < out.nbytes:
+                # Linux moves at most 2 GiB per read: take the rest in parts.
+                more = os.preadv(fd, (memoryview(out).cast("B")[got:],),
+                                 offset + got)
+                if not more:
+                    raise ValueError(
+                        f"{path}: shard file ended {out.nbytes - got} bytes "
+                        f"before its {rows} x {shape[1]} int64 rows; the "
+                        "file is truncated or corrupt")
+                got += more
+            return out
         # The header check proved the file holds at least the header, so
         # the mapping is never empty, even for a 0-row shard.
         mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)

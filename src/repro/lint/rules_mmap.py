@@ -58,11 +58,12 @@ class MmapModeRule(Rule):
 
     #: The calls that decode array files: ``numpy.load`` (bundles), and
     #: the two primitives the shard reader uses after its own header check
-    #: — ``numpy.fromfile`` for an eager copy, ``mmap.mmap`` for the
-    #: mapping its read-only views sit on.  ``numpy.memmap`` stays listed
-    #: so a decode moved back onto it is still counted.
+    #: — ``os.preadv`` for a read into a private array, ``mmap.mmap`` for
+    #: the mapping its read-only views sit on.  ``numpy.memmap`` and
+    #: ``numpy.fromfile`` stay listed so a decode moved back onto either
+    #: is still counted.
     DECODE_CALLS = frozenset({"numpy.load", "numpy.memmap", "numpy.fromfile",
-                              "mmap.mmap"})
+                              "os.preadv", "mmap.mmap"})
 
     # Exposed for the anti-vacuity self-check in the test driver: the
     # rule is only meaningful while the covered layers actually decode.

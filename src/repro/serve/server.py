@@ -108,8 +108,8 @@ _LATENCY_BOUNDS_US = (100, 250, 500, 1_000, 2_500, 5_000,
 
 #: Answers whose arrays hold fewer bytes go out as one joined write:
 #: copying a few KiB costs less than a send — and a client wake-up — per
-#: array.  Larger (bulk) rows are written as views over their memory, the
-#: mapped shard rows included, without a copy.
+#: array.  Larger (bulk) rows are written as views over their memory
+#: without a copy: the cached shard rows, mapped or read whole.
 _JOIN_BELOW_BYTES = 64 << 10
 
 

@@ -10,8 +10,9 @@ the rows strictly increase in ``(src, dst)`` within and across shards (a
 violation, a repeated row included, is a :class:`ValueError` naming the
 shard file, and no manifest is published), cuts them, and writes a manifest
 v2 recording each new shard's ``[src_min, src_max]`` range.  Peak memory is
-one mapped input shard plus the rows waiting for the next cut; payload
-columns ride along with their row.
+one output shard: the rows waiting for the next cut are views of their
+mapped input shards, and only a cut is copied; payload columns ride along
+with their row.
 
 The destination's manifest and fleet slices are dropped first, so an
 interrupted run leaves no store and no slice lists the rewritten files; the
@@ -58,12 +59,21 @@ class _ShardWriter:
         self.shards: List[dict] = []
 
     def _flush(self, count: int) -> None:
-        """Write the first *count* pending edges as one shard file."""
-        block = np.concatenate(self.pending) if len(self.pending) > 1 \
-            else self.pending[0]
-        shard, rest = block[:count], block[count:]
-        self.pending = [rest] if rest.shape[0] else []
-        self.pending_edges = int(rest.shape[0])
+        """Write the first *count* pending edges as one shard file.  Only
+        the cut is copied: the rows after it stay pending as a view of
+        their mapped input shard."""
+        pieces, taken = [], 0
+        for used, piece in enumerate(self.pending):
+            take = min(count - taken, piece.shape[0])
+            pieces.append(piece[:take])
+            taken += take
+            if taken == count:
+                break
+        rest = self.pending[used][take:]
+        self.pending = ([rest] if rest.shape[0] else []) \
+            + self.pending[used + 1:]
+        self.pending_edges -= count
+        shard = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
         name = f"shard-{len(self.shards):06d}.npy"
         np.save(self.directory / name, np.ascontiguousarray(shard))
         self.shards.append({

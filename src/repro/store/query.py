@@ -29,26 +29,32 @@ index arrays) and the scalar forms are thin wrappers; there is no per-edge
 Python loop anywhere in the query path (``edge_payloads`` loops once per
 queried pair, never once per stored edge).
 
-**Decodes are zero-copy by default**: shards are opened through
-:func:`repro.graphs.io.read_edge_shard` with ``mmap_mode="r"`` — a fixed
-header check, then a plain read-only ``ndarray`` over one ``mmap`` of the
-file; the same reader compaction re-cuts through, and every decode is held
-to its shard's manifest ``n_edges`` — so the LRU caches read-only *views*
-of the on-disk files, not private copies, and no slice a query takes runs
-Python hooks.  A warm bulk query
-(``edges_in_range`` feeding the :mod:`repro.serve` binary data plane)
-slices the page cache instead of burning CPU on array copies.
-``mmap=False`` opts back into eager copies (e.g. when the store lives on a
-filesystem whose mappings are slow).  The mapping lifecycle is tied to the
-cache: evicting an entry (LRU overflow, :meth:`clear_cache`, :meth:`close`)
-drops the store's reference and the underlying ``mmap`` — and its file
-descriptor — is released as soon as the last outstanding query view dies
-(CPython refcounting makes this prompt; the fd-churn test in
-``tests/test_shard_store.py`` holds it to account).  :meth:`stats` reports
-the split: ``resident_bytes`` counts private copies held by the cache,
-``mapped_bytes`` counts bytes addressable through cached mappings.  The
-cache holds nothing but shard rows, so a warm ``mmap=True`` store reports
-``resident_bytes == 0`` whatever it has answered.
+**Large shards are mapped, small ones read**: shards are opened through
+:func:`repro.graphs.io.read_edge_shard` — a fixed header check, then for
+a shard whose rows reach :data:`_READ_BELOW_BYTES` a plain read-only
+``ndarray`` over one ``mmap`` of the file (``mmap_mode="r"``), and for a
+smaller one a private array filled by one positional read — the same
+reader compaction re-cuts through, and every decode is held to its shard's
+manifest ``n_edges``.  A mapping costs its making, a page fault at the
+first touch of each page and its release at eviction, which a small
+shard's read undercuts; a large shard's read would copy bytes a query
+never touches.  So the LRU caches read-only *views* of the large on-disk
+files — a warm bulk query (``edges_in_range`` feeding the
+:mod:`repro.serve` binary data plane) slices the page cache instead of
+burning CPU on array copies — and private rows of the small ones; no
+slice a query takes runs Python hooks.  ``mmap=False`` reads every shard
+(e.g. when the store lives on a filesystem whose mappings are slow).
+The mapping lifecycle is tied to the cache: evicting an entry (LRU
+overflow, :meth:`clear_cache`, :meth:`close`) drops the store's
+reference and the underlying ``mmap`` — and its file descriptor — is
+released as soon as the last outstanding query view dies (CPython
+refcounting makes this prompt; the fd-churn tests in
+``tests/test_shard_store.py`` hold it to account); a read shard holds no
+descriptor.  :meth:`stats` reports the split: ``resident_bytes`` counts
+the read shards' rows the cache holds, ``mapped_bytes`` the bytes
+addressable through cached mappings.  The cache holds nothing but shard
+rows, so a warm store's mapped shards add nothing to ``resident_bytes``
+whatever it has answered.
 
 A batch call (``degrees`` / ``out_degrees``, ``edges_for_sources``,
 ``edge_payloads``) makes one walk over the shards that hold rows of its
@@ -127,6 +133,17 @@ PathLike = Union[str, Path]
 #: payload_columns, mmap_mode=...)``.  A module-level name so tests can hook
 #: it to count exactly which files a query touches.
 _load_shard_file = read_edge_shard
+
+#: A shard whose rows (manifest ``n_edges × (2 + k) × 8`` bytes) take
+#: fewer bytes than this is read whole into a private array; any other
+#: is mapped.  A mapping costs its making, a page fault at the first
+#: touch of each page and its release at eviction; a read costs a copy
+#: of every byte.  One cold visit (a decode plus a one-vertex search,
+#: 2-shard LRU) costs less read up to 128 KiB and less mapped from
+#: 192 KiB on (``cold_visit_us`` in ``BENCH_shard_store.json``, full run
+#: of ``benchmarks/bench_shard_store.py``).  Tests set it to pick either
+#: decode, as they hook :data:`_load_shard_file`.
+_READ_BELOW_BYTES = 192 << 10
 
 #: Shard visits a store call makes per turn of the event loop: its steps
 #: yield before a third.  Two covers a point call near a shard boundary
@@ -330,13 +347,15 @@ class ShardStore(StoreQueryMixin):
         Number of decoded shards kept in the LRU cache (≥ 1).  The cache is
         the store's only O(edges) memory; everything else is manifest-sized.
     mmap:
-        ``True`` (default) decodes shards as plain read-only arrays over one
-        ``mmap`` of each file (:func:`~repro.graphs.io.read_edge_shard` with
-        ``mmap_mode="r"``) so the cache holds read-only views of the files
-        — zero copies on the bulk read path, one open mapping (and file
-        descriptor) per cached shard, released on eviction.  ``False`` opts
-        back into eager array copies (no open files kept; each decode pays
-        a full read).
+        ``True`` (default) decodes a shard whose rows reach
+        :data:`_READ_BELOW_BYTES` as a plain read-only array over one
+        ``mmap`` of its file (:func:`~repro.graphs.io.read_edge_shard` with
+        ``mmap_mode="r"``) — zero copies on the bulk read path, one open
+        mapping (and file descriptor) per cached shard, released on
+        eviction — and reads a smaller one whole into a private array,
+        which costs a cold visit less than a mapping does.  ``False``
+        reads every shard (no open files kept; each decode pays a full
+        read).
     registry:
         The :class:`repro.obs.MetricsRegistry` to register this store's
         series on (``store.shard_reads``, ``store.cache_hits``,
@@ -426,13 +445,15 @@ class ShardStore(StoreQueryMixin):
         # Decode outside the lock so concurrent misses on *different* shards
         # overlap their file I/O; a racing miss on the same shard costs one
         # redundant decode (counted below) but never corrupts the cache.
+        mapped = (self.mmap and self._n_edges[index] * self._width * 8
+                  >= _READ_BELOW_BYTES)
         with trace.leaf_span("store.decode", shard=self._files[index]):
             rows = _load_shard_file(self._paths[index],
                                     self.manifest["payload_columns"],
-                                    mmap_mode="r" if self.mmap else None)
+                                    mmap_mode="r" if mapped else None)
         _check_shard_rows(self._paths[index], rows, self._n_edges[index])
-        # Answers are slices of cached rows: an eager decode is a writable
-        # private copy, and a caller writing into its answer must not
+        # Answers are slices of cached rows: a read shard is a writable
+        # private array, and a caller writing into its answer must not
         # change the next one.
         rows.flags.writeable = False
         with self._lock:
@@ -513,13 +534,16 @@ class ShardStore(StoreQueryMixin):
         served from the decoded-shard LRU), ``evictions`` (decoded shards
         dropped by LRU overflow), ``cached_shards`` (current
         occupancy), ``cache_shards`` (capacity), ``n_shards``, ``mmap``
-        (whether decodes are zero-copy mappings), and the bytes-resident
-        split: ``resident_bytes`` counts private array copies the cache
-        holds (decoded rows when ``mmap=False``), ``mapped_bytes`` counts
-        bytes addressable through cached read-only mappings (page-cache
-        backed, not private memory).  A warm ``mmap=True`` store shows
-        ``resident_bytes == 0`` and both numbers flat across queries, point
-        lookups included — the no-per-query-copy acceptance bar.
+        (whether shards of :data:`_READ_BELOW_BYTES` and more are mapped),
+        and the bytes-resident split: ``resident_bytes`` counts the rows
+        of cached shards that were read into private arrays (the shards
+        under :data:`_READ_BELOW_BYTES`, every shard when
+        ``mmap=False``), ``mapped_bytes`` counts bytes addressable through
+        cached read-only mappings (page-cache backed, not private memory).
+        A warm store's mapped shards add nothing to ``resident_bytes``,
+        which with every shard mapped reads 0, and both numbers stay flat
+        across warm queries, point lookups included — the
+        no-per-query-copy acceptance bar.
         """
         resident, mapped, cached = self._cache_usage()
         return {

@@ -108,3 +108,14 @@ def downgrade_to_v1():
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(2024)
+
+
+@pytest.fixture
+def mapped_shards(monkeypatch):
+    """Every shard a ``ShardStore`` decodes is mapped, however small: the
+    test stores' shards sit under the size from which the store maps
+    (``repro.store.query._READ_BELOW_BYTES``), so they are otherwise
+    read whole into private arrays."""
+    from repro.store import query
+
+    monkeypatch.setattr(query, "_READ_BELOW_BYTES", 0)

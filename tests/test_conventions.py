@@ -53,7 +53,7 @@ def test_every_rule_covers_at_least_one_real_file():
 
 def test_zero_copy_layers_still_decode():
     # The mmap rule is only meaningful while the covered layers actually
-    # decode array files (numpy.load, numpy.fromfile, mmap.mmap); zero
+    # decode array files (numpy.load, os.preadv, mmap.mmap); zero
     # calls would mean the decodes moved.
     rule = MmapModeRule()
     calls = 0

@@ -411,6 +411,40 @@ class TestShardOpen:
         # A leak would hold one descriptor per failing open: 100.
         assert len(os.listdir("/proc/self/fd")) <= before + 1
 
+    def test_eager_read_continues_short_reads(self, tmp_path, monkeypatch):
+        """A read that moves fewer bytes than asked (Linux moves at most
+        2 GiB per call) is continued at the next byte, and a file that
+        ends before its rows is a ValueError naming it: a positional read
+        that returns 0 bytes stands for one truncated between the header
+        check and the read."""
+        import os
+
+        from repro.graphs.io import read_edge_shard
+
+        rows = np.arange(60, dtype=np.int64).reshape(15, 4)
+        path = tmp_path / "shard.npy"
+        np.save(path, rows)
+        real_preadv, calls = os.preadv, []
+
+        def short_preadv(fd, buffers, offset):
+            calls.append(offset)
+            chunk = memoryview(buffers[0]).cast("B")[:56]
+            return real_preadv(fd, [chunk], offset)
+
+        monkeypatch.setattr(os, "preadv", short_preadv)
+        decoded = read_edge_shard(path, ["src", "dst", "a", "b"])
+        assert decoded.dtype == np.int64 and np.array_equal(decoded, rows)
+        assert len(calls) == -(-rows.nbytes // 56)
+
+        def ending_preadv(fd, buffers, offset):
+            return short_preadv(fd, buffers, offset) if not calls else 0
+
+        calls.clear()
+        monkeypatch.setattr(os, "preadv", ending_preadv)
+        with pytest.raises(ValueError, match="truncated") as caught:
+            read_edge_shard(path, ["src", "dst", "a", "b"])
+        assert str(path) in str(caught.value)
+
     def test_sink_reads_block_lengths_through_the_shard_check(self, tmp_path):
         from repro.graphs.io import read_edge_shard
 

@@ -381,6 +381,7 @@ class TestServedSurface:
             assert "degree" not in client.stats()["server"]["requests"]
             assert client.stats()["store"]["shard_reads"] == 0
 
+    @pytest.mark.usefixtures("mapped_shards")
     def test_store_gauges_report_cache_occupancy(self, store_dir):
         with ThreadedServer(store_dir) as handle, \
                 QueryClient(handle.host, handle.port) as client:

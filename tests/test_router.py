@@ -859,6 +859,7 @@ def _mapped(rows: np.ndarray) -> bool:
 
 
 class TestInProcessWorkers:
+    @pytest.mark.usefixtures("mapped_shards")
     def test_router_only_reads_in_process_answer_arrays(self, store_factory,
                                                         local_store):
         """A single worker's ``edges_for_sources`` and ``edges_in_range``

@@ -1153,6 +1153,7 @@ class TestBinaryPlane:
         assert after["frames"] == before["frames"] + 1
         assert after["bytes"] == before["bytes"] + rows.nbytes
 
+    @pytest.mark.usefixtures("mapped_shards")
     def test_range_answers_copy_no_mapped_rows(self, store_dir):
         """A warm mmap store serves range answers and point lookups
         straight from its mappings: no decode and no private copy per

@@ -131,6 +131,29 @@ class TestCompaction:
         assert np.array_equal(load_edge_shards(tmp_path / "coarse"),
                               _sorted_edges(product.edges()))
 
+    def test_peak_memory_is_one_cut(self, tmp_path):
+        """Compaction holds one output shard's rows at a time: the rows
+        waiting for the next cut stay views of their mapped input, so the
+        traced peak stays under 1.5 cuts (two cuts when a concatenated
+        block outlives its flush)."""
+        import tracemalloc
+
+        target, block = 8000, 990
+        sources = np.arange(40_000, dtype=np.int64)
+        rows = np.column_stack([sources, sources + 1])
+        _write_v2_store(tmp_path / "spill",
+                        [rows[at:at + block] for at in range(0, len(rows), block)],
+                        n_vertices=sources.size + 1)
+        tracemalloc.start()
+        try:
+            compact_shards(tmp_path / "spill", tmp_path / "store",
+                           target_shard_edges=target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * target * rows.shape[1] * 8, peak
+        assert np.array_equal(load_edge_shards(tmp_path / "store"), rows)
+
     def test_same_directory_rejected(self, spill_dir):
         with pytest.raises(ValueError, match="different directory"):
             compact_shards(spill_dir, spill_dir)
@@ -1017,6 +1040,7 @@ class TestMmapLifecycle:
         import os
         return len(os.listdir("/proc/self/fd"))
 
+    @pytest.mark.usefixtures("mapped_shards")
     def test_mmap_vs_copy_equality_across_query_surface(self, store_dir,
                                                         product):
         mapped = ShardStore(store_dir, cache_shards=4)  # mmap is the default
@@ -1062,6 +1086,7 @@ class TestMmapLifecycle:
             [list(row) for row in rows[:2]]
         assert store.edge_payloads([0], [1]).tolist() == [[8]]
 
+    @pytest.mark.usefixtures("mapped_shards")
     def test_stats_split_mapped_vs_resident(self, store_dir):
         mapped = ShardStore(store_dir, cache_shards=4)
         copied = ShardStore(store_dir, cache_shards=4, mmap=False)
@@ -1074,6 +1099,7 @@ class TestMmapLifecycle:
         assert copied_stats["resident_bytes"] > 0
         assert copied_stats["mapped_bytes"] == 0
 
+    @pytest.mark.usefixtures("mapped_shards")
     def test_warm_cache_no_per_query_copies(self, store_dir):
         """Acceptance criterion: warm range scans neither decode shards
         again nor grow the cache's private/mapped footprint."""
@@ -1089,6 +1115,7 @@ class TestMmapLifecycle:
         assert after["resident_bytes"] == warm["resident_bytes"] == 0
         assert after["cache_hits"] > warm["cache_hits"]
 
+    @pytest.mark.usefixtures("mapped_shards")
     def test_lru_churn_releases_mappings(self, store_dir):
         """100-query churn over a 1-slot LRU: evicted mappings are released,
         so the process's open-fd count stays flat."""
@@ -1105,6 +1132,47 @@ class TestMmapLifecycle:
         assert self._open_fds() <= baseline + 1
         assert store.stats()["cached_shards"] == 1
 
+    def test_only_shards_past_the_read_size_are_mapped(self, tmp_path):
+        """A store maps a shard whose rows reach
+        ``query._READ_BELOW_BYTES`` and reads a smaller one whole: the
+        stats split counts each where it lives, and a read shard holds no
+        descriptor, so churning the LRU over read shards keeps the
+        open-fd count flat."""
+        import gc
+
+        big = query_mod._READ_BELOW_BYTES // 16  # rows of two int64 columns
+        sizes = [big // 4, big, big // 4 + 1, big + 1]
+        cuts = np.cumsum([0] + sizes)
+        sources = np.arange(cuts[-1], dtype=np.int64)
+        rows = np.column_stack([sources, sources + 1])
+        _write_v2_store(tmp_path / "store",
+                        [rows[lo:hi] for lo, hi in zip(cuts, cuts[1:])],
+                        n_vertices=sources.size + 1)
+        small_bytes = (sizes[0] + sizes[2]) * 16
+        big_bytes = (sizes[1] + sizes[3]) * 16
+        store = ShardStore(tmp_path / "store", cache_shards=1)
+        gc.collect()
+        baseline = self._open_fds()
+        for _ in range(50):  # the two small shards evict each other
+            assert store.degrees([cuts[0], cuts[2]]).tolist() == [1, 1]
+        assert store.shard_reads == 100
+        assert self._open_fds() <= baseline
+        stats = store.stats()
+        assert (stats["resident_bytes"], stats["mapped_bytes"]) \
+            == (sizes[2] * 16, 0)
+        store.clear_cache()
+
+        store = ShardStore(tmp_path / "store", cache_shards=4)
+        assert np.array_equal(store.edges_in_range(0, store.n_vertices), rows)
+        stats = store.stats()
+        assert (stats["resident_bytes"], stats["mapped_bytes"]) \
+            == (small_bytes, big_bytes)
+        assert self._open_fds() >= baseline + 2  # the two mappings
+        store.close()
+        gc.collect()
+        assert self._open_fds() <= baseline
+
+    @pytest.mark.usefixtures("mapped_shards")
     def test_close_releases_mappings(self, store_dir):
         import gc
 

@@ -204,6 +204,29 @@ class TestSpillIsAStore:
                         == read_shard_manifest(spill_dir)["total_edges"])
 
 
+class TestBothDecodes:
+    @pytest.mark.usefixtures("mapped_shards")
+    def test_read_and_mapped_shards_answer_byte_equal(self, compacted_dir):
+        """A store that maps every shard and one that reads every shard
+        whole (``mmap=False``) answer the whole query surface byte-equal,
+        dtype included: in process, and every wire op served."""
+        mapped = ShardStore(compacted_dir, cache_shards=3)
+        read = ShardStore(compacted_dir, cache_shards=3, mmap=False)
+        probes = _probes(read)
+        _assert_same(_local_answers(mapped, *probes),
+                     _local_answers(read, *probes))
+        with ThreadedServer(mapped) as left, ThreadedServer(read) as right, \
+                QueryClient(left.host, left.port) as from_mapped, \
+                QueryClient(right.host, right.port) as from_read:
+            for op, args in _wire_requests(*probes):
+                _assert_same(from_mapped.request(op, args),
+                             from_read.request(op, args))
+            served = [client.stats()["store"]
+                      for client in (from_mapped, from_read)]
+        assert served[0]["resident_bytes"] == 0 < served[0]["mapped_bytes"]
+        assert served[1]["mapped_bytes"] == 0 < served[1]["resident_bytes"]
+
+
 @pytest.fixture(scope="module")
 def window(tmp_path_factory):
     """``(directory, product, stats, truss)``: a payload spill of the
